@@ -50,19 +50,16 @@ class PolyTensorField:
         return cls(dim, arity, entries)
 
     def apply_poly(self, args: Sequence[PolyVec]) -> PolyVec:
-        """Tensorial application to polynomial vector fields."""
+        """Tensorial application to polynomial vector fields, summed over
+        the index tuples built from the arguments' nonzero components."""
+        supports = [[(a, f) for a, f in enumerate(arg) if not poly.is_zero(f)]
+                    for arg in args]
         out = poly.vec_zero(self.dim)
-        for idx, val in self.entries.items():
+        for combo in itertools.product(*supports):
             coeff = poly.const(1, self.dim)
-            dead = False
-            for k, a in enumerate(idx):
-                f = args[k][a]
-                if poly.is_zero(f):
-                    dead = True
-                    break
+            for _, f in combo:
                 coeff = poly.mul(coeff, f)
-            if dead:
-                continue
+            val = self.entries[tuple(a for a, _ in combo)]
             out = poly.vec_add(out, poly.vec_scale_poly(val, coeff))
         return out
 
@@ -189,7 +186,9 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     """Ten-term bracket expression on constant extensions of basis vectors.
 
     All derivative bookkeeping reduces to values and Jacobians at the point
-    of the pair fields N(e_a, e_b) and J N(e_a, e_b).
+    of the pair fields N(e_a, e_b) and J N(e_a, e_b), a < b.  Only orbit
+    representatives of the pair pattern are evaluated (see
+    PointTensor.from_pair_pattern).
     """
     dim = j.dim
     pt = [Fraction(x) for x in point]
@@ -202,14 +201,13 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     jac_n: Dict[Tuple[int, int], List[Vec]] = {}
     val_jn: Dict[Tuple[int, int], Vec] = {}
     jac_jn: Dict[Tuple[int, int], List[Vec]] = {}
-    for a in range(dim):
-        for b in range(dim):
-            nf = n_field.entries[(a, b)]
-            val_n[(a, b)] = poly.vec_eval(nf, pt)
-            jac_n[(a, b)] = _jacobian_at(nf, pt, dim)
-            jnf = j.apply_to_field(nf)
-            val_jn[(a, b)] = poly.vec_eval(jnf, pt)
-            jac_jn[(a, b)] = _jacobian_at(jnf, pt, dim)
+    for a, b in itertools.combinations(range(dim), 2):
+        nf = n_field.entries[(a, b)]
+        val_n[(a, b)] = poly.vec_eval(nf, pt)
+        jac_n[(a, b)] = _jacobian_at(nf, pt, dim)
+        jnf = j.apply_to_field(nf)
+        val_jn[(a, b)] = poly.vec_eval(jnf, pt)
+        jac_jn[(a, b)] = _jacobian_at(jnf, pt, dim)
 
     def napp(x: Vec, y: Vec) -> Vec:
         return n_pt.apply([x, y])
@@ -238,7 +236,7 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
         out = linalg.vec_sub(out, jmul(napp(basis_vec(dim, c), _col(du_ab, d))))
         return out
 
-    return PointTensor.from_function(dim, dim, 4, fn)
+    return PointTensor.from_pair_pattern(dim, dim, fn)
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,
@@ -283,7 +281,13 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
 
 def higher_nijenhuis(j: StructureField, point: Sequence,
                      cross_check: bool = True) -> PointTensor:
-    """Arity-4 invariant at the point; raises if the two routes disagree."""
+    """Arity-4 invariant at the point; raises if the two routes disagree.
+
+    The bracket route computes one entry per pair-pattern orbit and fills
+    the rest by sign; the differential route computes every entry.  Their
+    entrywise agreement therefore certifies the pair pattern as well as
+    the values.
+    """
     pt = [Fraction(x) for x in point]
     n_field = nijenhuis_field_bracket(j)
     a = higher_nijenhuis_bracket(j, pt, n_field)

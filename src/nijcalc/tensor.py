@@ -5,15 +5,24 @@ R^dim_out, stored densely: entries[(j1,..,jq)] is the value on the basis
 tuple (e_j1,..,e_jq) as a list of Fractions.  Arity 0 is a plain vector,
 arity 1 a linear map (column j = image of e_j).
 
+Application is a support product: it visits only the index tuples built
+from the nonzero coordinates of the arguments, so a call on basis vectors
+reads one stored entry.  Arguments may hold any exact scalar (int,
+Fraction, or a QuadExt); floats are refused.
+
 Symmetry is data about the map, checked entrywise on demand rather than
 enforced by storage; the higher-arity invariants use the pattern
 "antisymmetric within slots (1,2), within (3,4), and under swapping the
-two pairs".
+two pairs".  from_pair_pattern builds such a tensor from one value per
+orbit and fills the rest by sign; it does not check that the values it
+is given obey the pattern, so a caller that needs that certainty compares
+the result with an independently computed dense tensor.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,16 +65,37 @@ class PointTensor:
         return cls(dim_in, dim_out, arity, entries)
 
     @classmethod
+    def from_pair_pattern(cls, dim: int, dim_out: int,
+                          fn: Callable[[Index], Sequence]) -> "PointTensor":
+        """Arity-4 tensor with the pair pattern, from orbit representatives.
+
+        fn is called only on (a, b, c, d) with a < b, c < d and
+        (a, b) < (c, d); the other seven members of each orbit are filled
+        by sign, and every tuple with a = b, c = d or (a, b) = (c, d) is
+        zero.  That is C(C(dim, 2), 2) calls instead of dim^4.
+        """
+        out = cls.zero(dim, dim_out, 4)
+        for (a, b), (c, d) in itertools.combinations(
+                itertools.combinations(range(dim), 2), 2):
+            value = [Fraction(v) for v in fn((a, b, c, d))]
+            if len(value) != dim_out:
+                raise TensorError(f"value at {(a, b, c, d)} has length "
+                                  f"{len(value)}, expected {dim_out}")
+            neg = [-v for v in value]
+            for idx, v in (((a, b, c, d), value), ((b, a, d, c), value),
+                           ((c, d, b, a), value), ((d, c, a, b), value),
+                           ((b, a, c, d), neg), ((a, b, d, c), neg),
+                           ((c, d, a, b), neg), ((d, c, b, a), neg)):
+                out.entries[idx] = list(v)
+        return out
+
+    @classmethod
     def from_matrix(cls, m: Sequence[Sequence]) -> "PointTensor":
         """Arity-1 tensor from a dim_out x dim_in matrix."""
         dim_out = len(m)
         dim_in = len(m[0])
         entries = {(j,): [Fraction(m[i][j]) for i in range(dim_out)] for j in range(dim_in)}
         return cls(dim_in, dim_out, 1, entries)
-
-    @classmethod
-    def from_vector(cls, v: Sequence) -> "PointTensor":
-        return cls(0, len(v), 0, {(): [Fraction(x) for x in v]})
 
     def to_matrix(self) -> List[List[Fraction]]:
         if self.arity != 1:
@@ -76,23 +106,31 @@ class PointTensor:
     # -- basic algebra ---------------------------------------------------------
 
     def apply(self, args: Sequence[Sequence]) -> List[Fraction]:
+        """T(args[0], .., args[q-1]), summed over the arguments' supports.
+
+        Components may be int, Fraction or QuadExt; a float raises
+        TensorError, since the result must be exact.
+        """
         if len(args) != self.arity:
             raise TensorError(f"{len(args)} arguments for arity {self.arity}")
+        supports = []
         for a in args:
             if len(a) != self.dim_in:
                 raise TensorError(f"argument length {len(a)}, expected {self.dim_in}")
+            support = []
+            for j, c in enumerate(a):
+                if isinstance(c, float):
+                    raise TensorError(f"float component {c!r}: arguments must be exact")
+                if c:
+                    support.append((j, c))
+            supports.append(support)
         out = [Fraction(0)] * self.dim_out
-        for idx, value in self.entries.items():
-            coeff = Fraction(1)
-            for a, j in zip(args, idx):
-                coeff *= Fraction(a[j])
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
-            for i in range(self.dim_out):
-                if value[i]:
-                    out[i] += coeff * value[i]
+        for combo in itertools.product(*supports):
+            idx = tuple(j for j, _ in combo)
+            coeff = math.prod(c for _, c in combo)
+            for i, v in enumerate(self.entries[idx]):
+                if v:
+                    out[i] += coeff * v
         return out
 
     def add(self, other: "PointTensor") -> "PointTensor":
@@ -148,9 +186,6 @@ class PointTensor:
 
     def is_fully_symmetric(self) -> bool:
         return all(self.is_symmetric_in(s, s + 1) for s in range(self.arity - 1))
-
-    def is_fully_antisymmetric(self) -> bool:
-        return all(self.is_antisymmetric_in(s, s + 1) for s in range(self.arity - 1))
 
     def has_pair_pattern(self) -> bool:
         """Antisym within slots (0,1), within (2,3), antisym under pair swap."""
@@ -268,11 +303,6 @@ def kernel_dim(t: PointTensor, xi: Sequence) -> int:
 
 def kernel_basis(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
     return linalg.nullspace(kernel_matrix(t, xi))
-
-
-def image_basis(t: PointTensor) -> List[List[Fraction]]:
-    """Canonical basis of span{T(e_i1,..,e_iq)} over all index tuples."""
-    return linalg.span_basis(list(t.entries.values()))
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nijcalc import poly
+from nijcalc import invariants, poly
 from nijcalc.invariants import (
     InternalInconsistencyError,
     basis_vec,
@@ -33,7 +33,7 @@ from nijcalc.structures import (
     realize_nijenhuis,
     standard_structure,
 )
-from nijcalc.tensor import kernel_dim
+from nijcalc.tensor import PointTensor, kernel_dim
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
 
@@ -93,6 +93,56 @@ def test_higher_routes_disagreement_detection():
     assert a == b
     bad = b.scale(Fraction(2))
     assert bad != a  # the invariant is nonzero here, so scaling changes it
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_from_pair_pattern_fills_orbits_from_representatives(dim):
+    calls = []
+
+    def s(a, b):
+        return Fraction(a - b, 1 + a * b)
+
+    def t2(a, b):
+        return Fraction(a * a - b * b + a * b * b - b * a * a)
+
+    def fn(idx):
+        # a dense function with the pair pattern everywhere
+        calls.append(idx)
+        a, b, c, d = idx
+        return [s(a, b) * t2(c, d) - s(c, d) * t2(a, b),
+                (a + b - c - d) * t2(a, b) * t2(c, d)]
+
+    t = PointTensor.from_pair_pattern(dim, 2, fn)
+    pairs = dim * (dim - 1) // 2
+    assert len(calls) == pairs * (pairs - 1) // 2
+    assert all(a < b and c < d and (a, b) < (c, d) for a, b, c, d in calls)
+    assert t.has_pair_pattern()
+    assert t == PointTensor.from_function(dim, 2, 4, fn)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bracket_route_equals_differential_route_in_dim6(seed):
+    j = random_structure(3, seed)
+    pt = [Fraction(k + 1, 3) for k in range(6)]
+    a = higher_nijenhuis_bracket(j, pt)
+    assert not a.is_zero()
+    assert a == higher_nijenhuis_differential(j, pt)
+
+
+def test_cross_check_catches_a_pair_pattern_break(monkeypatch):
+    """The bracket route never computes the diagonal tuples; a nonzero one
+    in the dense route must still trip the cross-check."""
+    true_route = invariants.higher_nijenhuis_differential
+
+    def broken(j, point, n_field=None):
+        t = true_route(j, point, n_field)
+        t.entries[(0, 0, 1, 2)] = [Fraction(1)] + t.entries[(0, 0, 1, 2)][1:]
+        assert not t.has_pair_pattern()
+        return t
+
+    monkeypatch.setattr(invariants, "higher_nijenhuis_differential", broken)
+    with pytest.raises(InternalInconsistencyError, match=r"\(0, 0, 1, 2\)"):
+        higher_nijenhuis(example_structure("ex2"), [0, 1, 0, 0])
 
 
 def test_dual_route_cross_check_on_examples():

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nijcalc import linalg, tensor
+from nijcalc.quadext import QuadExt
 from nijcalc.tensor import PointTensor
 
 F = Fraction
@@ -37,6 +39,69 @@ def test_apply_is_multilinear():
     left = t.apply([linalg.vec_add(u, w), v])
     right = linalg.vec_add(t.apply([u, v]), t.apply([w, v]))
     assert left == right
+
+
+def dense_apply(t, args):
+    """Reference: the sum over every stored entry, zero coefficients included."""
+    out = [F(0)] * t.dim_out
+    for idx, value in t.entries.items():
+        coeff = 1
+        for a, j in zip(args, idx):
+            coeff = coeff * a[j]
+        out = [o + coeff * v for o, v in zip(out, value)]
+    return out
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# zero is one of three branches, so arguments come sparse as well as dense
+sparse_scalars = st.one_of(st.just(F(0)), st.integers(-2, 2), small_fractions)
+
+
+@st.composite
+def tensor_and_args(draw, scalars):
+    dim_in = draw(st.integers(1, 3))
+    dim_out = draw(st.integers(1, 3))
+    arity = draw(st.integers(0, 4))
+    # up to 3^4 stored entries: drawn from a seeded generator, which is much
+    # faster than drawing each one, with a drawn share of zeros
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.0, 0.2, 1.0)))
+    t = PointTensor.from_function(dim_in, dim_out, arity, lambda idx: [
+        F(rnd.randint(-3, 3), rnd.randint(1, 4)) if rnd.random() < density else 0
+        for _ in range(dim_out)])
+    arg = st.one_of(
+        st.just([0] * dim_in),
+        st.lists(scalars, min_size=dim_in, max_size=dim_in))
+    return t, draw(st.lists(arg, min_size=arity, max_size=arity))
+
+
+@given(tensor_and_args(sparse_scalars))
+def test_apply_matches_dense_sum(case):
+    t, args = case
+    out = t.apply(args)
+    assert out == dense_apply(t, args)
+    assert all(type(x) is Fraction for x in out)
+
+
+quad = st.builds(QuadExt, small_fractions, small_fractions, st.just(2))
+
+
+@given(tensor_and_args(st.one_of(sparse_scalars, quad)))
+def test_apply_matches_dense_sum_over_quadratic_field(case):
+    t, args = case
+    assert t.apply(args) == dense_apply(t, args)
+
+
+def test_apply_rejects_floats_and_bad_shapes():
+    t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(1)])
+    with pytest.raises(tensor.TensorError, match="float"):
+        t.apply([[0.5, 0], [1, 0]])
+    with pytest.raises(tensor.TensorError, match="float"):
+        t.apply([[1, 0], [0.0, 1]])  # even a float zero
+    with pytest.raises(tensor.TensorError, match="arguments for arity"):
+        t.apply([[1, 0]])
+    with pytest.raises(tensor.TensorError, match="argument length"):
+        t.apply([[1, 0], [1, 0, 0]])
 
 
 def test_commutant_dimension_is_2lm():
