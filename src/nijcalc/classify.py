@@ -131,13 +131,6 @@ class Distribution:
     base_point: Tuple[Fraction, ...]
     dim: int
 
-    def fiber_at(self, point: Sequence) -> List[List[Fraction]]:
-        return linalg.span_basis([poly.vec_eval(list(g), point)
-                                  for g in self.generators])
-
-    def rank_at(self, point: Sequence) -> int:
-        return len(self.fiber_at(point))
-
 
 def make_distribution(generators: Sequence[Sequence[poly.Poly]],
                       point: Sequence) -> Distribution:
@@ -492,11 +485,6 @@ def _witness_point(residual: List[poly.Poly], samples: List[List[Fraction]],
         if any(val):
             return [Fraction(c) for c in pt], val
     raise InternalInconsistencyError("nonzero residual with no witness point")
-
-
-def _basis_list(dim: int) -> List[List[Fraction]]:
-    return [[Fraction(1) if i == a else Fraction(0) for i in range(dim)]
-            for a in range(dim)]
 
 
 def _annihilator(n_at: PointTensor) -> List[List[Fraction]]:

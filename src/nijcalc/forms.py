@@ -36,17 +36,6 @@ def _sort_index(idx: Sequence[int]) -> Optional[Tuple[SIdx, int]]:
     return tuple(lst), sign
 
 
-def sform_add(a: SForm, b: SForm) -> SForm:
-    out = dict(a)
-    for idx, p in b.items():
-        q = poly.add(out.get(idx, poly.zero()), p)
-        if poly.is_zero(q):
-            out.pop(idx, None)
-        else:
-            out[idx] = q
-    return out
-
-
 def sform_accumulate(out: SForm, idx: Sequence[int], p: Poly) -> None:
     if poly.is_zero(p):
         return

@@ -256,9 +256,10 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
     def jmul(x: Vec) -> Vec:
         return linalg.mat_vec(j_pt, x)
 
+    basis = [basis_vec(dim, k) for k in range(dim)]
+
     def r_basis(idx: Index) -> Vec:
-        a, b, c = idx
-        ea, eb, ec = (basis_vec(dim, k) for k in (a, b, c))
+        ea, eb, ec = (basis[k] for k in idx)
         out = dn_pt.apply([ea, eb, jmul(ec)])
         out = linalg.vec_add(out, jmul(dn_pt.apply([ea, eb, ec])))
         out = linalg.vec_add(out, n_pt.apply([dj_pt.apply([ec, ea]), eb]))
@@ -270,11 +271,9 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
 
     def fn(idx: Index) -> Vec:
         a, b, c, d = idx
-        ea, eb, ec, ed = (basis_vec(dim, k) for k in idx)
-        n_cd = n_pt.apply([ec, ed])
-        n_ab = n_pt.apply([ea, eb])
-        return linalg.vec_sub(r_pt.apply([ea, eb, n_cd]),
-                              r_pt.apply([ec, ed, n_ab]))
+        return linalg.vec_sub(
+            r_pt.apply([basis[a], basis[b], n_pt.entries[(c, d)]]),
+            r_pt.apply([basis[c], basis[d], n_pt.entries[(a, b)]]))
 
     return PointTensor.from_function(dim, dim, 4, fn)
 

@@ -9,12 +9,25 @@ from lower symbols.  Solvability of that equation is cut out by three
 exact conditions on P_k, and the failing one carries the geometric
 obstruction.  This module assembles the residual, the defect tensor P_k,
 a canonical symmetric solution, and the order-2/3 obstruction tensors.
+
+A lift or a tower computes the differentials of J_L and J_M at the base
+points once, on first use, and every residual and defect tensor of that
+call reads them.  lift_tower checks each order once: its first step
+checks every input order, and every later step starts from the order
+that the previous step's post-lift residual certified.  Each P_k is
+checked against the three conditions once, inside symmetrize.
+
+The canonical symbol is computed only on sorted index tuples and copied
+over their permutations (PointTensor.from_symmetric_function).  Two
+dense checks certify it: zeta(Phi^(k)) == P_k over every index tuple in
+symmetrize, and the order-k residual of the lifted map, also over every
+index tuple, in lift.  Residuals and defect tensors stay dense.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .invariants import (InternalInconsistencyError, higher_nijenhuis,
@@ -185,14 +198,6 @@ def _apply_entries(entries: Dict[Index, Vector], args: Sequence[Vector],
     return out
 
 
-def _vec_add(u: Vector, v: Vector) -> Vector:
-    return [a + b for a, b in zip(u, v)]
-
-
-def _vec_sub(u: Vector, v: Vector) -> Vector:
-    return [a - b for a, b in zip(u, v)]
-
-
 def _structure_at(j, point) -> PointTensor:
     if isinstance(j, StructureField):
         if point is None:
@@ -218,17 +223,34 @@ def zeta(psi: PointTensor, j_l_at: PointTensor, j_m_at: PointTensor) -> PointTen
     return post_compose(j_m_at, psi).sub(slot_compose(psi, j_l_at, 0))
 
 
-def _differential_tower(j: StructureField, point, top: int) -> List[Dict[Index, Vector]]:
-    """Sparse d^(p-1) j at the point for p = 1..top; slot 0 is the matrix
-    argument, the remaining p-1 slots are derivative directions."""
-    fld = structure_as_field(j)
-    tower: List[Dict[Index, Vector]] = [dict()]
-    for p in range(1, top + 1):
-        tower.append(_nonzero_entries(fld.differential(p - 1, list(point))))
-    return tower
+class _StructureJets:
+    """J_L and J_M at the base points and their differentials there.
+
+    d_l[p] is d^(p-1) J_L at x as a sparse entry dict (slot 0 the matrix
+    argument, the other p-1 slots derivative directions), d_m[p] the same
+    for J_M at y.  Each order is computed once, on first use, and shared
+    by every residual and defect tensor of one lift or tower, whose base
+    points never move.
+    """
+
+    def __init__(self, u: TruncatedMap, j_l: StructureField, j_m: StructureField):
+        self.j_l_at = j_l.at_point(list(u.x))
+        self.j_m_at = j_m.at_point(list(u.y))
+        self._fields = ((structure_as_field(j_l), list(u.x)),
+                        (structure_as_field(j_m), list(u.y)))
+        self.d_l: List[Dict[Index, Vector]] = [dict()]
+        self.d_m: List[Dict[Index, Vector]] = [dict()]
+
+    def upto(self, top: int) -> Tuple[List[Dict[Index, Vector]],
+                                      List[Dict[Index, Vector]]]:
+        while len(self.d_l) <= top:
+            p = len(self.d_l)
+            for tower, (fld, point) in zip((self.d_l, self.d_m), self._fields):
+                tower.append(_nonzero_entries(fld.differential(p - 1, point)))
+        return self.d_l, self.d_m
 
 
-def _residual_terms(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
+def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                     skip_top: bool) -> PointTensor:
     """Order-k coefficient of j_M o u_* - u_* o j_L.
 
@@ -238,41 +260,58 @@ def _residual_terms(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     """
     k = u.order + 1 if skip_top else u.order
     l_dim, m_dim = u.dim_in, u.dim_out
-    d_l = _differential_tower(j_l, u.x, k)
-    d_m = _differential_tower(j_m, u.y, k)
+    d_l, d_m = jets.upto(k)
     sym = {s.k: s.tensor.entries for s in u.symbols}
     parts = [blocks for blocks in set_partitions(k)
              if not (skip_top and len(blocks) == 1)]
+    # (derivative slots, remaining slots) of the source terms, per order
+    splits = [(s, tuple(i for i in range(1, k) if i not in s))
+              for p in range(2 if skip_top else 1, k + 1)
+              for s in itertools.combinations(range(1, k), p - 1)]
     zero = [Fraction(0)] * m_dim
+    # Different index tuples and partitions meet the same term many times;
+    # each is computed once, keyed by the exact symbol entries it reads.
+    m_terms: Dict[Tuple[Index, ...], Vector] = {}
+    l_terms: Dict[Tuple[Index, Index], Optional[Vector]] = {}
+
+    def m_term(subs: Tuple[Index, ...]) -> Vector:
+        """d^(p-1) j_M on the symbol values at the given blocks."""
+        if subs not in m_terms:
+            m_terms[subs] = _apply_entries(
+                d_m[len(subs)], [sym[len(b)][b] for b in subs], m_dim)
+        return m_terms[subs]
+
+    def l_term(head: Index, rest: Index) -> Optional[Vector]:
+        """The order-(len(rest) + 1) symbol on d^(p-1) j_L(head) and rest;
+        None when that differential entry vanishes."""
+        key = (head, rest)
+        if key in l_terms:
+            return l_terms[key]
+        v = d_l[len(head)].get(head)
+        term = None
+        if v is not None:
+            r = len(rest) + 1
+            for i0, c in enumerate(v):
+                if c == 0:
+                    continue
+                w = sym[r][(i0,) + rest]
+                if term is None:
+                    term = [c * a for a in w]
+                else:
+                    term = [t + c * a for t, a in zip(term, w)]
+        l_terms[key] = term
+        return term
 
     def entry(idx: Index) -> Vector:
         out = list(zero)
         for blocks in parts:
-            p = len(blocks)
-            vals = [sym[len(b)][tuple(idx[i] for i in b)] for b in blocks]
-            out = _vec_add(out, _apply_entries(d_m[p], vals, m_dim))
-        for p in range(1, k + 1):
-            if skip_top and p == 1:
-                continue
-            r = k - p + 1
-            for s in itertools.combinations(range(1, k), p - 1):
-                head = (idx[0],) + tuple(idx[i] for i in s)
-                v = d_l[p].get(head)
-                rest = tuple(idx[i] for i in range(1, k) if i not in s)
-                if v is None:
-                    continue
-                term = zero
-                some = False
-                for i0, c in enumerate(v):
-                    if c == 0:
-                        continue
-                    w = sym[r][(i0,) + rest]
-                    if not some:
-                        term = [c * a for a in w]
-                        some = True
-                    else:
-                        term = [t + c * a for t, a in zip(term, w)]
-                out = _vec_sub(out, term)
+            out = linalg.vec_add(out, m_term(
+                tuple(tuple(idx[i] for i in b) for b in blocks)))
+        for s, others in splits:
+            term = l_term((idx[0],) + tuple(idx[i] for i in s),
+                          tuple(idx[i] for i in others))
+            if term is not None:
+                out = linalg.vec_sub(out, term)
         return out if not skip_top else [-c for c in out]
 
     return PointTensor.from_function(l_dim, m_dim, k, entry)
@@ -287,7 +326,7 @@ def cr_residual(u: TruncatedMap, j_l: StructureField,
     commutator j_M(y) Phi - Phi j_L(x).
     """
     _check_charts(u, j_l, j_m)
-    return _residual_terms(u, j_l, j_m, skip_top=False)
+    return _residual_terms(u, _StructureJets(u, j_l, j_m), skip_top=False)
 
 
 def _check_charts(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> None:
@@ -295,10 +334,12 @@ def _check_charts(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> 
         raise StructureError("map charts do not match the structure dimensions")
 
 
-def _require_membership(u: TruncatedMap, j_l: StructureField,
-                        j_m: StructureField) -> None:
-    for r in range(1, u.order + 1):
-        if not cr_residual(truncate(u, r), j_l, j_m).is_zero():
+def _require_membership(u: TruncatedMap, jets: _StructureJets,
+                        first: int = 1) -> None:
+    """Zero residual at the orders first..u.order; the orders below first
+    are already certified by the caller."""
+    for r in range(first, u.order + 1):
+        if not _residual_terms(truncate(u, r), jets, skip_top=False).is_zero():
             raise StructureError(
                 f"map fails the compatibility equation at order {r}")
 
@@ -340,6 +381,15 @@ def _verify_defect(p_k: PointTensor, j_l_at: PointTensor,
                 name, defect, f"defect tensor fails the {name} condition")
 
 
+def _require_swap(err: DefectConditionError) -> None:
+    """Let a swap_conjugation failure through; the other two conditions
+    are identities once the lower residuals vanish, so their failure is
+    an internal error."""
+    if err.condition != "swap_conjugation":
+        raise InternalInconsistencyError(
+            f"assembled defect tensor fails {err.condition}") from err
+
+
 def build_P_k(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
               verify: bool = True) -> PointTensor:
     """Defect tensor the order-(k = u.order + 1) symbol must reproduce.
@@ -350,19 +400,15 @@ def build_P_k(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     Requires the residual to vanish through order k - 1.
     """
     _check_charts(u, j_l, j_m)
-    _require_membership(u, j_l, j_m)
-    p_k = _residual_terms(u, j_l, j_m, skip_top=True)
+    jets = _StructureJets(u, j_l, j_m)
+    _require_membership(u, jets)
+    p_k = _residual_terms(u, jets, skip_top=True)
     if verify:
-        j_l_at = j_l.at_point(list(u.x))
-        j_m_at = j_m.at_point(list(u.y))
         try:
-            _verify_defect(p_k, j_l_at, j_m_at)
+            _verify_defect(p_k, jets.j_l_at, jets.j_m_at)
         except DefectConditionError as err:
-            if err.condition == "swap_conjugation":
-                raise
-            # the other two are identities once the lower residuals vanish
-            raise InternalInconsistencyError(
-                f"assembled defect tensor fails {err.condition}") from err
+            _require_swap(err)
+            raise
     return p_k
 
 
@@ -383,15 +429,19 @@ def symmetrize(p_k: PointTensor, j_l, j_m, x=None, y=None) -> JetSymbol:
     k = p_k.arity
     _verify_defect(p_k, j_l_at, j_m_at)
 
-    b = post_compose(j_m_at, p_k).scale(Fraction(-1, 2))
-    # components[p] is antilinear in slots 0..p and linear in the rest
+    def project(t: PointTensor, s: int, antilinear: bool) -> PointTensor:
+        q = post_compose(j_m_at, slot_compose(t, j_l_at, s))
+        return (t.add(q) if antilinear else t.sub(q)).scale(Fraction(1, 2))
+
+    # prefix[p] is antilinear in slots 0..p; components[p] is prefix[p]
+    # made linear in the remaining slots
+    prefix = [post_compose(j_m_at, p_k).scale(Fraction(-1, 2))]
+    for s in range(1, k):
+        prefix.append(project(prefix[-1], s, antilinear=True))
     components: List[PointTensor] = []
-    for p in range(k):
-        comp = b
-        for s in range(1, k):
-            q = post_compose(j_m_at, slot_compose(comp, j_l_at, s))
-            comp = comp.sub(q).scale(Fraction(1, 2)) if s > p \
-                else comp.add(q).scale(Fraction(1, 2))
+    for p, comp in enumerate(prefix):
+        for s in range(p + 1, k):
+            comp = project(comp, s, antilinear=False)
         components.append(comp)
 
     def entry(idx: Index) -> Vector:
@@ -401,10 +451,10 @@ def symmetrize(p_k: PointTensor, j_l, j_m, x=None, y=None) -> JetSymbol:
             for chosen in itertools.combinations(range(k), p + 1):
                 rest = tuple(i for i in range(k) if i not in chosen)
                 src = tuple(idx[i] for i in chosen) + tuple(idx[i] for i in rest)
-                out = _vec_add(out, g[src])
+                out = linalg.vec_add(out, g[src])
         return out
 
-    phi = PointTensor.from_function(p_k.dim_in, p_k.dim_out, k, entry)
+    phi = PointTensor.from_symmetric_function(p_k.dim_in, p_k.dim_out, k, entry)
     if not phi.is_fully_symmetric():
         raise InternalInconsistencyError("symmetrized symbol is not symmetric")
     if not zeta(phi, j_l_at, j_m_at).sub(p_k).is_zero():
@@ -459,6 +509,25 @@ def obstruction_3(phi, j_l: StructureField, j_m: StructureField,
 
 # -- lifting ----------------------------------------------------------------------
 
+def _lift_step(u: TruncatedMap, jets: _StructureJets,
+               certified: int) -> LiftResult:
+    """lift, with the structure jets given and the residual already known
+    to vanish at the orders 1..certified."""
+    k = u.order + 1
+    _require_membership(u, jets, first=certified + 1)
+    p_k = _residual_terms(u, jets, skip_top=True)
+    try:
+        sym = symmetrize(p_k, jets.j_l_at, jets.j_m_at)
+    except DefectConditionError as err:
+        _require_swap(err)
+        return LiftResult(None, Obstruction.from_residual(k, err.defect))
+    lifted = u.with_symbol(sym)
+    if not _residual_terms(lifted, jets, skip_top=False).is_zero():
+        raise InternalInconsistencyError(
+            f"order-{k} residual nonzero after lifting")
+    return LiftResult(lifted, None)
+
+
 def lift(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> LiftResult:
     """Append the canonical order-(k+1) symbol, or report the obstruction.
 
@@ -468,17 +537,8 @@ def lift(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> LiftResul
     two conditions cannot fail here.  The lifted map keeps every existing
     symbol unchanged.
     """
-    k = u.order + 1
-    try:
-        p_k = build_P_k(u, j_l, j_m)
-    except DefectConditionError as err:
-        return LiftResult(None, Obstruction.from_residual(k, err.defect))
-    sym = symmetrize(p_k, j_l, j_m, x=list(u.x), y=list(u.y))
-    lifted = u.with_symbol(sym)
-    if not cr_residual(lifted, j_l, j_m).is_zero():
-        raise InternalInconsistencyError(
-            f"order-{k} residual nonzero after lifting")
-    return LiftResult(lifted, None)
+    _check_charts(u, j_l, j_m)
+    return _lift_step(u, _StructureJets(u, j_l, j_m), certified=0)
 
 
 def lift_tower(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
@@ -486,14 +546,19 @@ def lift_tower(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     """Lift repeatedly until k_max or the first obstruction.
 
     Returns the deepest map reached; the obstruction field carries the
-    blocking tensor when lifting stopped early.
+    blocking tensor when lifting stopped early.  The first step checks
+    every input order; each later step starts from an order that the
+    previous step's post-lift residual has just certified.
     """
-    cur = u
+    _check_charts(u, j_l, j_m)
+    jets = _StructureJets(u, j_l, j_m)
+    cur, certified = u, 0
     while cur.order < k_max:
-        step = lift(cur, j_l, j_m)
+        step = _lift_step(cur, jets, certified)
         if not step.ok:
             return LiftResult(cur, step.obstruction)
         cur = step.lifted
+        certified = cur.order
     return LiftResult(cur, None)
 
 
@@ -504,13 +569,11 @@ def symmetric_symbol_basis(dim_in: int, dim_out: int, k: int) -> List[PointTenso
     and output component."""
     out: List[PointTensor] = []
     for rep in itertools.combinations_with_replacement(range(dim_in), k):
-        orbit = set(itertools.permutations(rep))
         for i in range(dim_out):
-            val = [Fraction(0)] * dim_out
-            val[i] = Fraction(1)
-            entries = {idx: (list(val) if idx in orbit else [Fraction(0)] * dim_out)
-                       for idx in itertools.product(range(dim_in), repeat=k)}
-            out.append(PointTensor(dim_in, dim_out, k, entries))
+            out.append(PointTensor.from_symmetric_function(
+                dim_in, dim_out, k,
+                lambda idx, rep=rep, i=i: [int(idx == rep and r == i)
+                                           for r in range(dim_out)]))
     return out
 
 

@@ -27,10 +27,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = []
@@ -53,10 +49,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
             acc = acc + row[k] * v[k]
         out.append(acc)
     return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a: Matrix, c) -> Matrix:

@@ -198,10 +198,6 @@ def vec_zero(dim: int) -> PolyVec:
     return [{} for _ in range(dim)]
 
 
-def vec_from_constant(v: Sequence[Scalar], num_vars: int) -> PolyVec:
-    return [const(c, num_vars) for c in v]
-
-
 def vec_add(u: PolyVec, v: PolyVec) -> PolyVec:
     return [add(a, b) for a, b in zip(u, v)]
 

@@ -58,14 +58,6 @@ class QuadExt:
             return other
         return QuadExt(Fraction(other), 0, self.d)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("not rational")
-        return self.a
-
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
 

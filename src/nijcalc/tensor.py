@@ -13,10 +13,12 @@ Fraction, or a QuadExt); floats are refused.
 Symmetry is data about the map, checked entrywise on demand rather than
 enforced by storage; the higher-arity invariants use the pattern
 "antisymmetric within slots (1,2), within (3,4), and under swapping the
-two pairs".  from_pair_pattern builds such a tensor from one value per
-orbit and fills the rest by sign; it does not check that the values it
-is given obey the pattern, so a caller that needs that certainty compares
-the result with an independently computed dense tensor.
+two pairs", and jet symbols are fully symmetric.  from_pair_pattern and
+from_symmetric_function build such tensors from one value per orbit and
+fill the rest of the orbit (by sign, or by copying).  Neither checks that
+the values it is given obey the symmetry, so a caller that needs that
+certainty compares the result with an independently computed dense
+tensor.
 """
 
 from __future__ import annotations
@@ -62,6 +64,25 @@ class PointTensor:
             if len(value) != dim_out:
                 raise TensorError(f"value at {idx} has length {len(value)}, expected {dim_out}")
             entries[idx] = value
+        return cls(dim_in, dim_out, arity, entries)
+
+    @classmethod
+    def from_symmetric_function(cls, dim_in: int, dim_out: int, arity: int,
+                                fn: Callable[[Index], Sequence]) -> "PointTensor":
+        """Fully symmetric tensor from one value per orbit.
+
+        fn is called only on sorted index tuples, C(dim_in + arity - 1,
+        arity) times instead of dim_in^arity, and every permutation of a
+        sorted tuple gets a copy of its value.
+        """
+        reps = {}
+        for rep in itertools.combinations_with_replacement(range(dim_in), arity):
+            value = [Fraction(v) for v in fn(rep)]
+            if len(value) != dim_out:
+                raise TensorError(f"value at {rep} has length {len(value)}, expected {dim_out}")
+            reps[rep] = value
+        entries = {idx: list(reps[tuple(sorted(idx))])
+                   for idx in itertools.product(range(dim_in), repeat=arity)}
         return cls(dim_in, dim_out, arity, entries)
 
     @classmethod
@@ -220,9 +241,19 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
     """phi o T: push the value of T through the linear map phi."""
     if phi.arity != 1 or phi.dim_in != t.dim_out:
         raise TensorError("post_compose shape mismatch")
-    m = phi.to_matrix()
+    cols = [[(i, c) for i, c in enumerate(phi.entries[(j,)]) if c]
+            for j in range(phi.dim_in)]
+
+    def image(v: List[Fraction]) -> List[Fraction]:
+        out = [Fraction(0)] * phi.dim_out
+        for j, a in enumerate(v):
+            if a:
+                for i, c in cols[j]:
+                    out[i] += a * c
+        return out
+
     return PointTensor(t.dim_in, phi.dim_out, t.arity,
-                       {idx: linalg.mat_vec(m, v) for idx, v in t.entries.items()})
+                       {idx: image(v) for idx, v in t.entries.items()})
 
 
 def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],

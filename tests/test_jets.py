@@ -1,14 +1,16 @@
 """Residual assembly, defect conditions, symmetrization, order-by-order lifting."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nijcalc import linalg
+from nijcalc import jets, linalg
 from nijcalc.invariants import (
     InternalInconsistencyError,
+    PolyTensorField,
     higher_nijenhuis,
     nijenhuis_tensor,
     structure_as_field,
@@ -546,3 +548,137 @@ def test_lift_is_idempotent_on_lifted_maps():
     assert lift(truncate(w2, 1), j_l, j_m).lifted == w2
     w3 = lift(w2, j_l, j_m).lifted
     assert lift(truncate(w3, 2), j_l, j_m).lifted == w3
+
+
+# -- each order checked once; the orbit-filled symbol certified densely -------------
+
+def calls_of(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper recording the arguments of each call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_lift_tower_checks_each_order_once(monkeypatch, start):
+    j_l = example_structure("ex2")
+    j_m = standard_structure(2)
+    u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
+    if start == 2:
+        u = lift(u, j_l, j_m).lifted
+    residuals = calls_of(monkeypatch, jets, "_residual_terms")
+    verified = calls_of(monkeypatch, jets, "_verify_defect")
+    differentials = calls_of(monkeypatch, PolyTensorField, "differential")
+    tower = lift_tower(u, j_l, j_m, k_max=4)
+    assert tower.ok and tower.lifted.order == 4
+    # one residual per order: the input orders on the first step, then the
+    # post-lift residual of each new order
+    assert [a[0].order for a, kw in residuals if not kw["skip_top"]] == [1, 2, 3, 4]
+    # one defect tensor per new order, each checked against the conditions once
+    assert [a[0].order + 1 for a, kw in residuals if kw["skip_top"]] == \
+        list(range(start + 1, 5))
+    assert len(verified) == 4 - start
+    # d^0..d^3 of each structure, once per tower
+    assert sorted(a[1] for a, _ in differentials) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def test_lift_tower_rejects_a_bad_input_order():
+    j_l = example_structure("ex2")
+    j_m = standard_structure(2)
+    rng = random.Random(29)
+    # identity does not intertwine ex2 with the standard structure away from 0
+    bad1 = TruncatedMap(tuple(Fraction(c) for c in (0, 1, 0, 0)), ZERO4,
+                        (JetSymbol(1, identity_map(4)),))
+    good2 = lift(TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),)),
+                 j_l, j_m).lifted
+    bad2 = TruncatedMap(ZERO4, ZERO4, (good2.symbol(1),
+                                       JetSymbol(2, rand_symmetric(4, 4, 2, rng))))
+    bad3 = good2.with_symbol(JetSymbol(3, rand_symmetric(4, 4, 3, rng)))
+    for bad, order in ((bad1, 1), (bad2, 2), (bad3, 3)):
+        assert not cr_residual(bad, j_l, j_m).is_zero()
+        with pytest.raises(StructureError, match=f"order {order}"):
+            lift_tower(bad, j_l, j_m, k_max=4)
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("orbit value", "reproduce"),
+    ("single entry", "not symmetric"),
+])
+def test_lift_rejects_a_corrupted_symbol(monkeypatch, corruption, message):
+    """A wrong orbit value fails zeta(Phi) == P_k; a wrong single entry
+    fails the symmetry check."""
+    j_l = example_structure("ex2")
+    j_m = standard_structure(2)
+    u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
+    build = PointTensor.from_symmetric_function
+
+    def corrupted(dim_in, dim_out, k, fn):
+        if corruption == "orbit value":
+            first = (0,) * k
+            t = build(dim_in, dim_out, k, lambda idx: [
+                c + 1 if (idx, i) == (first, 0) else c
+                for i, c in enumerate(fn(idx))])
+        else:
+            t = build(dim_in, dim_out, k, fn)
+            t.entries[(1,) + (0,) * (k - 1)][0] += 1
+        return t
+
+    monkeypatch.setattr(PointTensor, "from_symmetric_function",
+                        staticmethod(corrupted))
+    with pytest.raises(InternalInconsistencyError, match=message):
+        lift(u, j_l, j_m)
+
+
+def fingerprint(t):
+    text = ";".join(f"{idx}:{','.join(str(c) for c in v)}"
+                    for idx, v in sorted(t.entries.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def ex5_to_standard():
+    j_l = example_structure("ex5", Fraction(-1, 3))
+    j_m = standard_structure(2)
+    phi = commutant_element(j_l.at_point(list(ZERO4)), j_m.at_point(list(ZERO4)),
+                            random.Random(0))
+    return j_l, j_m, TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, phi),))
+
+
+def ex2_identity():
+    return (example_structure("ex2"), standard_structure(2),
+            TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, identity_map(4)),)))
+
+
+def random_pair():
+    j_l = random_structure(2, seed=11)
+    j_m = random_structure(2, seed=23)
+    x = tuple(Fraction(c) for c in (1, 0, 1, -1))
+    y = tuple(Fraction(c) for c in (0, 1, 0, 2))
+    phi = commutant_element(j_l.at_point(list(x)), j_m.at_point(list(y)),
+                            random.Random(0))
+    return j_l, j_m, TruncatedMap(x, y, (JetSymbol(1, phi),))
+
+
+# fingerprints of the blocking tensors as computed before the structure jets
+# were shared and each order was checked once
+@pytest.mark.parametrize("fixture, order, expected", [
+    (ex5_to_standard, 3, "7e811148b4bb53c2"),
+    (ex2_identity, 2, "e0c8802555b6484a"),
+    (random_pair, 2, "0122cd8ffdbf8f29"),
+])
+def test_obstructed_tower_keeps_its_residual(fixture, order, expected):
+    j_l, j_m, u = fixture()
+    tower = lift_tower(u, j_l, j_m, k_max=4)
+    assert not tower.ok and tower.lifted.order == order - 1
+    assert tower.obstruction.order == order
+    assert fingerprint(tower.obstruction.residual) == expected
+    # and it is the swap_conjugation defect of the public P_k
+    p_k = build_P_k(tower.lifted, j_l, j_m, verify=False)
+    swap = defect_conditions(p_k, j_l.at_point(list(u.x)),
+                             j_m.at_point(list(u.y)))["swap_conjugation"]
+    assert tower.obstruction.residual == swap

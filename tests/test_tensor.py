@@ -1,5 +1,7 @@
 """Point tensors: application, symmetry checks, commutants, kernels."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,60 @@ def test_apply_rejects_floats_and_bad_shapes():
         t.apply([[1, 0]])
     with pytest.raises(tensor.TensorError, match="argument length"):
         t.apply([[1, 0], [1, 0, 0]])
+
+
+@st.composite
+def symmetric_values(draw):
+    dim_in = draw(st.integers(1, 3))
+    dim_out = draw(st.integers(1, 3))
+    arity = draw(st.integers(0, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    values = {rep: [F(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(dim_out)]
+              for rep in itertools.combinations_with_replacement(range(dim_in), arity)}
+    return dim_in, dim_out, arity, values
+
+
+@given(symmetric_values())
+def test_from_symmetric_function_matches_from_function(case):
+    dim_in, dim_out, arity, values = case
+
+    def fn(idx):
+        return values[tuple(sorted(idx))]
+
+    built = PointTensor.from_symmetric_function(dim_in, dim_out, arity, fn)
+    dense = PointTensor.from_function(dim_in, dim_out, arity, fn)
+    assert built == dense
+    assert list(built.entries) == list(dense.entries)
+    assert built.is_fully_symmetric()
+    # every entry is its own list
+    assert len({id(v) for v in built.entries.values()}) == len(built.entries)
+
+
+def test_from_symmetric_function_calls_fn_once_per_sorted_tuple():
+    for dim in (1, 2, 4, 6):
+        for k in range(5):
+            seen = []
+            PointTensor.from_symmetric_function(
+                dim, 2, k, lambda idx: seen.append(idx) or [F(sum(idx)), F(1)])
+            assert len(seen) == math.comb(dim + k - 1, k)
+            assert all(list(idx) == sorted(idx) for idx in seen)
+
+
+def test_from_symmetric_function_rejects_wrong_length():
+    with pytest.raises(tensor.TensorError, match="length 3, expected 2"):
+        PointTensor.from_symmetric_function(2, 2, 2, lambda idx: [F(1)] * 3)
+
+
+@given(tensor_and_args(sparse_scalars))
+def test_post_compose_matches_matrix_product(case):
+    t, args = case
+    coeffs = [F(c) for c in (0, 1, -2, 0, F(1, 3), 5, 0, 0, -1)]
+    m = [[coeffs[(3 * i + j) % len(coeffs)] for j in range(t.dim_out)] for i in range(3)]
+    out = tensor.post_compose(PointTensor.from_matrix(m), t)
+    assert (out.dim_in, out.dim_out, out.arity) == (t.dim_in, 3, t.arity)
+    for idx, v in t.entries.items():
+        assert out.entries[idx] == linalg.mat_vec(m, v)
+        assert all(type(x) is Fraction for x in out.entries[idx])
 
 
 def test_commutant_dimension_is_2lm():
