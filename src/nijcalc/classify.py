@@ -13,6 +13,15 @@ xi3 and xi4 directions, and orientation signs.  The eigenline step may
 leave the rationals; scalars are then exact elements of a quadratic
 extension Q(sqrt(d)).
 
+The pointwise data come from jets at the point, never from global
+fields: the torsion generators N(e_a, e_b) are expanded in the offset
+from the point (invariants.torsion_jets), the frame reads their 1-jets
+(values and the first derived space, from bracket values
+[X, Y](p) = DY(p) X(p) - DX(p) Y(p)), and the Tanaka forms read their
+2-jets, built only once the frame exists.  The global constructions
+(pi2, derived_distribution) remain for callers that want the
+distributions as polynomial modules.
+
 Separately, lie_check decides whether the torsion product N(., .) obeys
 the composition law N(x, N(y, z)) = 0, reporting the image span, the
 annihilator, a filtration by images of torsion derivatives, and graded
@@ -27,8 +36,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
-from .invariants import (InternalInconsistencyError, nijenhuis_differential,
-                         nijenhuis_field_bracket, nijenhuis_tensor)
+from .invariants import (InternalInconsistencyError, PolyTensorField,
+                         nijenhuis_field_bracket, nijenhuis_tensor,
+                         torsion_jets)
 from .quadext import QuadExt, sqrt_exact
 from .structures import StructureError, StructureField
 from .tensor import PointTensor
@@ -60,61 +70,11 @@ def _sign(s: Scalar) -> int:
     return -1 if s < 0 else (1 if s > 0 else 0)
 
 
-def _vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return [a + b for a, b in zip(u, v)]
-
-
-def _vec_scale(u: Sequence[Scalar], c: Scalar) -> Vec:
-    return [c * a for a in u]
-
-
-def _vec_eq(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
-    return all(a == b for a, b in zip(u, v))
-
-
-def _vec_is_zero(u: Sequence[Scalar]) -> bool:
-    return all(a == 0 for a in u)
-
-
-def _field_solve(rows: List[Vec], rhs: Vec) -> Optional[Vec]:
-    """Particular solution of (rows) x = rhs, free unknowns set to zero.
-
-    Plain elimination; pivots only need to be nonzero, so entries may live
-    in any exact field (here: rationals or one quadratic extension).
-    """
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [e / inv for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    x: Vec = [Fraction(0)] * ncols
-    for pr, pc in pivots:
-        x[pc] = m[pr][ncols]
-    return x
-
-
 def _coords_in(basis: List[Sequence[Scalar]],
                target: Sequence[Scalar]) -> Optional[Vec]:
     """target = sum c_i basis[i], or None."""
     rows = [[b[i] for b in basis] for i in range(len(target))]
-    return _field_solve(rows, list(target))
+    return linalg.solve(rows, list(target))
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +159,45 @@ def derived_distribution(dist: Distribution, point: Sequence) -> Distribution:
     return make_distribution(out, point)
 
 
-def _weak_derived_step(base: List[List[poly.Poly]],
-                       current: List[List[poly.Poly]],
-                       dim: int) -> List[List[poly.Poly]]:
-    """current + [base, current]; the flag rule brackets against level one."""
-    out = list(current)
-    for g in base:
-        for h in current:
-            br = poly.lie_bracket(g, h, dim)
-            if not poly.vec_is_zero(br):
-                out.append(br)
-    return out
+def _values(jets: Sequence[Sequence[poly.Poly]]) -> List[Vec]:
+    """Values at the base point of vector-field jets."""
+    return [[poly.constant_term(c) for c in f] for f in jets]
+
+
+def _derived_fiber(gens: List[List[poly.Poly]]) -> List[Vec]:
+    """Fiber of D + [D, D] at the point, from the generators' 1-jets:
+    their values and the bracket values [g_i, g_k](p), i < k.
+
+    gens lists the torsion fields N(e_a, e_b), a < b, as torsion_jets
+    gives them.  Unlike the global generator list of pi2, a field that
+    vanishes identically stays, as a zero jet; it adds only zero columns,
+    so spans and the particular solutions of the frame solves come out
+    the same.
+    """
+    pairs = list(itertools.combinations(range(len(gens)), 2))
+    return linalg.span_basis(
+        _values(gens) + _values(poly.jet_brackets(gens, pairs, 0)))
+
+
+def _second_level(gens: List[List[poly.Poly]]) -> Tuple[List[Vec], List[List[Vec]]]:
+    """Values at the point of the flag's level one and level two, from the
+    generators' 2-jets.
+
+    Level one lists the generators, then their brackets [g_i, g_k] for the
+    ordered pairs i != k (the bracket is computed once per unordered pair,
+    as a 1-jet).  The second result is top[i][k] = [g_i, level1_k](p); the
+    second derived space is spanned by level one and top.
+    """
+    n = len(gens)
+    pairs = list(itertools.combinations(range(n), 2))
+    half = dict(zip(pairs, poly.jet_brackets(gens, pairs, 1)))
+    level1 = gens + [half[(i, k)] if i < k else [poly.neg(c) for c in half[(k, i)]]
+                     for i in range(n) for k in range(n) if i != k]
+    # level1 starts with the generators, so jet_brackets can index into it
+    top_pairs = [(i, k) for i in range(n) for k in range(len(level1))]
+    top_vals = _values(poly.jet_brackets(level1, top_pairs, 0))
+    m = len(level1)
+    return _values(level1), [top_vals[i * m:(i + 1) * m] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +232,38 @@ class UTXiFrame:
 
 def _eigvec(m: List[List[Fraction]], lam: Scalar) -> Vec:
     w: Vec = [m[0][1], lam - m[0][0]]
-    if _vec_is_zero(w):
+    if linalg.vec_is_zero(w):
         w = [lam - m[1][1], m[1][0]]
     return w
 
 
 def _frame_ingredients(j: StructureField, point: Sequence):
-    """Shared start of the frame ops: plane, raw xi3, pairing matrix."""
-    plane = pi2(j, point)
-    derived = derived_distribution(plane, point)
-    if derived.rank == 2:
+    """Shared start of the frame ops: plane, raw xi3, torsion, pairing
+    matrix and J at the point, all from the 2-jet of J there."""
+    if j.dim != 4:
+        raise StructureError("the image-plane construction needs dimension 4")
+    jet = j.jet(point, 2)
+    gens = list(torsion_jets(jet, 1).values())
+    gen_vals = _values(gens)
+    fiber = linalg.span_basis(gen_vals)
+    if not fiber:
+        raise HypothesisError("torsion", "torsion vanishes at the point")
+    if len(fiber) != 2:
+        raise InternalInconsistencyError(
+            f"torsion image has rank {len(fiber)}, expected 2")
+    jm = [[poly.constant_term(col[i]) for col in jet] for i in range(4)]
+    for v in fiber:
+        if not linalg.in_span(linalg.mat_vec(jm, v), fiber):
+            raise InternalInconsistencyError("torsion image is not j-closed")
+    derived = _derived_fiber(gens)
+    if len(derived) == 2:
         raise HypothesisError(
             "derived", "the first derived space equals the image plane")
-    if derived.rank == 4:
+    if len(derived) == 4:
         raise HypothesisError(
             "derived", "the first derived space already fills the tangent "
             "space; the frame construction needs the corank-1 case")
-    fiber = [list(v) for v in plane.fiber]
-    xi3_raw = next(list(v) for v in derived.fiber
-                   if not linalg.in_span(list(v), fiber))
+    xi3_raw = next(v for v in derived if not linalg.in_span(v, fiber))
     n_at = nijenhuis_tensor(j, point)
     b1, b2 = fiber
     m_cols = []
@@ -273,7 +274,7 @@ def _frame_ingredients(j: StructureField, point: Sequence):
                 "pairing against the derived direction leaves the plane")
         m_cols.append(coords)
     m = [[m_cols[0][0], m_cols[1][0]], [m_cols[0][1], m_cols[1][1]]]
-    return plane, xi3_raw, n_at, m
+    return fiber, xi3_raw, n_at, m, jm
 
 
 def utxi_invariant(j: StructureField, point: Sequence,
@@ -292,8 +293,8 @@ def utxi_invariant(j: StructureField, point: Sequence,
     by plane vectors changes nothing but the stored representative;
     choosing the opposite half-space interchanges the lines U1 and U2.
     """
-    plane, xi3_raw, n_at, m = _frame_ingredients(j, point)
-    b1, b2 = [list(v) for v in plane.fiber]
+    plane, xi3_raw, n_at, m, jm = _frame_ingredients(j, point)
+    b1, b2 = plane
     if m[0][0] + m[1][1] != 0:
         raise InternalInconsistencyError("plane pairing map has a trace")
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -320,13 +321,13 @@ def utxi_invariant(j: StructureField, point: Sequence,
     target = lam if orient > 0 else -1 * lam
 
     w = _eigvec(m, target)
-    xi1 = _vec_add(_vec_scale(b1, w[0]), _vec_scale(b2, w[1]))
+    xi1 = linalg.vec_add(linalg.vec_scale(b1, w[0]), linalg.vec_scale(b2, w[1]))
     lead = next(c for c in xi1 if c != 0)
-    xi1 = _vec_scale(xi1, 1 / lead)
-    xi2 = j.at_point(point).apply([xi1])
+    xi1 = linalg.vec_scale(xi1, 1 / lead)
+    xi2 = PointTensor.from_matrix(jm).apply([xi1])
 
     scale = (alpha if orient > 0 else -1 * alpha) * lam
-    xi3 = _vec_scale(chosen, 1 / scale)
+    xi3 = linalg.vec_scale(chosen, 1 / scale)
 
     image_cols = []
     for c in range(4):
@@ -334,7 +335,7 @@ def utxi_invariant(j: StructureField, point: Sequence,
         e[c] = Fraction(1)
         image_cols.append(n_at.apply([xi1, e]))
     rows = [[image_cols[c][i] for c in range(4)] for i in range(4)]
-    xi4 = _field_solve(rows, list(xi2))
+    xi4 = linalg.solve(rows, list(xi2))
     if xi4 is None:
         raise InternalInconsistencyError("no solution for the fourth frame vector")
     if _coords_in([b1, b2, xi3_raw], xi4) is not None:
@@ -343,12 +344,12 @@ def utxi_invariant(j: StructureField, point: Sequence,
 
     checks = [
         (n_at.apply([xi1, xi3]), list(xi1)),
-        (n_at.apply([xi2, xi3]), _vec_scale(xi2, Fraction(-1))),
+        (n_at.apply([xi2, xi3]), linalg.vec_scale(xi2, Fraction(-1))),
         (n_at.apply([xi1, xi4]), list(xi2)),
         (n_at.apply([xi2, xi4]), list(xi1)),
     ]
     for got, want in checks:
-        if not _vec_eq(got, want):
+        if got != want:
             raise InternalInconsistencyError("frame relation failed exactly")
 
     return UTXiFrame(
@@ -356,7 +357,7 @@ def utxi_invariant(j: StructureField, point: Sequence,
         u1=tuple(xi1), u2=tuple(xi2),
         t_metric=tuple(xi3), xi_metric=tuple(xi4),
         t_orientation=orient, xi_orientation=1,
-        plane=tuple(tuple(v) for v in plane.fiber),
+        plane=tuple(tuple(v) for v in plane),
         field_discriminant=disc,
         base_point=tuple(Fraction(c) for c in point))
 
@@ -379,16 +380,14 @@ class TanakaForms:
     frame: UTXiFrame
 
 
-def _bracket_scalar(fields_a: List[List[poly.Poly]], coeffs_a: Vec,
-                    fields_b: List[List[poly.Poly]], coeffs_b: Vec,
-                    point: Sequence, frame_basis: List[Vec],
-                    component: int) -> Scalar:
-    """Frame component of [sum a_i A_i, sum b_k B_k] at the point.
+def _bracket_scalar(coeffs_a: Vec, coeffs_b: Vec, values: List[List[Vec]],
+                    frame_basis: List[Vec], component: int) -> Scalar:
+    """Frame component of [sum a_i A_i, sum b_k B_k] at the point, where
+    values[i][k] = [A_i, B_k](p).
 
     Constant coefficients keep the bracket bilinear, so the value is a
     double sum of coefficient products against rational bracket values.
     """
-    dim = len(frame_basis[0])
     total: Scalar = Fraction(0)
     for i, ca in enumerate(coeffs_a):
         if ca == 0:
@@ -396,9 +395,8 @@ def _bracket_scalar(fields_a: List[List[poly.Poly]], coeffs_a: Vec,
         for k, cb in enumerate(coeffs_b):
             if cb == 0:
                 continue
-            val = poly.vec_eval(
-                poly.lie_bracket(fields_a[i], fields_b[k], dim), point)
-            if all(c == 0 for c in val):
+            val = values[i][k]
+            if linalg.vec_is_zero(val):
                 continue
             coords = _coords_in(frame_basis, val)
             if coords is None:
@@ -417,34 +415,32 @@ def tanaka_forms(j: StructureField, point: Sequence,
     first failing stage.  omega2 is the xi3-component of a bracket of
     plane sections through xi1 and xi2; omega1 pairs plane sections
     against a section through xi3 and reads the xi4-component.  Both are
-    fiber values, independent of the section choices.
+    fiber values, independent of the section choices.  Only values at
+    the point enter, so the generators' 2-jets suffice (_second_level).
     """
     frame = utxi_invariant(j, point, xi3_choice=xi3_choice)
-    gens = _torsion_generators(j)
-    d1 = _weak_derived_step(gens, gens, 4)
-    d2 = _weak_derived_step(gens, d1, 4)
-    fib2 = linalg.span_basis([poly.vec_eval(g, point) for g in d2])
+    gens = list(torsion_jets(j.jet(point, 3), 2).values())
+    level1_vals, top = _second_level(gens)
+    fib2 = linalg.span_basis(level1_vals + [v for row in top for v in row])
     if len(fib2) != 4:
         raise HypothesisError(
             "second_derived", "the flag stops before filling the tangent space")
 
     frame_basis: List[Vec] = [list(frame.xi1), list(frame.xi2),
                               list(frame.xi3), list(frame.xi4)]
-    gen_vals = [poly.vec_eval(g, point) for g in gens]
-    rows_g = [[v[i] for v in gen_vals] for i in range(4)]
-    c1 = _field_solve(rows_g, list(frame.xi1))
-    c2 = _field_solve(rows_g, list(frame.xi2))
+    rows_g = [[v[i] for v in level1_vals[:len(gens)]] for i in range(4)]
+    c1 = linalg.solve(rows_g, list(frame.xi1))
+    c2 = linalg.solve(rows_g, list(frame.xi2))
     if c1 is None or c2 is None:
         raise InternalInconsistencyError("frame vectors escape the plane module")
-    omega2 = _bracket_scalar(gens, c1, gens, c2, point, frame_basis, 2)
+    omega2 = _bracket_scalar(c1, c2, top, frame_basis, 2)
 
-    d1_vals = [poly.vec_eval(g, point) for g in d1]
-    rows_d = [[v[i] for v in d1_vals] for i in range(4)]
-    c3 = _field_solve(rows_d, list(frame.xi3))
+    rows_d = [[v[i] for v in level1_vals] for i in range(4)]
+    c3 = linalg.solve(rows_d, list(frame.xi3))
     if c3 is None:
         raise InternalInconsistencyError("xi3 escapes the derived module")
-    w1 = _bracket_scalar(gens, c1, d1, c3, point, frame_basis, 3)
-    w2 = _bracket_scalar(gens, c2, d1, c3, point, frame_basis, 3)
+    w1 = _bracket_scalar(c1, c3, top, frame_basis, 3)
+    w2 = _bracket_scalar(c2, c3, top, frame_basis, 3)
     return TanakaForms(omega2=omega2, omega1=(w1, w2), frame=frame)
 
 
@@ -552,6 +548,7 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
         if witness:
             break
 
+    n_first = pi_basis = ann_basis = None
     for pt in sample_points:
         n_at = nijenhuis_tensor(j, pt)
         image = linalg.span_basis(
@@ -562,17 +559,13 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
         if included != _product_vanishes_at(n_at):
             raise InternalInconsistencyError(
                 "pointwise product law disagrees with the inclusion test")
+        if n_first is None:
+            n_first, pi_basis, ann_basis = n_at, image, ann
 
     first = list(sample_points[0])
-    n_first = nijenhuis_tensor(j, first)
-    pi_basis = linalg.span_basis(
-        [n_first.entries[(a, b)] for a in range(dim)
-         for b in range(a + 1, dim)])
-    ann_basis = _annihilator(n_first)
-
     filtration = levels = brackets = None
     if is_lie:
-        filtration, levels, brackets = _graded_report(j, first, n_first)
+        filtration, levels, brackets = _graded_report(nf, first, n_first)
     return LieReport(
         is_lie=is_lie,
         pi_basis=tuple(tuple(v) for v in pi_basis),
@@ -604,7 +597,7 @@ def bracket_identity_report(j: StructureField) -> Dict[str, bool]:
     }
 
 
-def _graded_report(j: StructureField, point: Sequence, n_at: PointTensor):
+def _graded_report(nf: PolyTensorField, point: Sequence, n_at: PointTensor):
     """Filtration by images of torsion derivatives, plus bracket constants.
 
     Level k collects the image spans of the derivative tensors up to
@@ -613,14 +606,13 @@ def _graded_report(j: StructureField, point: Sequence, n_at: PointTensor):
     representatives over the lifted basis.  A Lie verdict forces the
     second commutant span N(Im N, Im N) to vanish, asserted at the end.
     """
-    dim = j.dim
-    nf = nijenhuis_field_bracket(j)
+    dim = nf.dim
     max_deg = max((poly.total_degree(p) for e in nf.entries.values()
                    for p in e if not poly.is_zero(p)), default=0)
     spans: List[List[List[Fraction]]] = []
     current: List[List[Fraction]] = []
     for k in range(max_deg + 1):
-        d = nijenhuis_differential(j, k, point) if k else n_at
+        d = nf.differential(k, [Fraction(x) for x in point]) if k else n_at
         vals = [v for v in d.entries.values() if any(v)]
         current = linalg.span_basis(current + vals)
         spans.append(current)

@@ -7,6 +7,11 @@ brackets and from the first differential of the structure; the arity-4
 invariant both from the ten-term bracket expression and from the
 R-contraction of the torsion differential.  Disagreement between routes
 is an internal error, never silently resolved.
+
+At a point, both torsion routes read only the 1-jet of J there
+(StructureField.jet); torsion_jets expands the torsion fields around a
+point to any order from the next jet of J, for callers that need their
+derivatives too.
 """
 
 from __future__ import annotations
@@ -152,13 +157,75 @@ def nijenhuis_field_first_differential(j: StructureField) -> PolyTensorField:
     return PolyTensorField(dim, 2, entries)
 
 
+def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
+    """Jets of the torsion fields N(e_a, e_b), a < b, in pair order.
+
+    jet is the (order + 1)-jet of J (StructureField.jet); the result is cut
+    above degree order.  Bracket formula on basis fields, where
+    [J e_a, e_b] = -d_b(J e_a):
+    N(e_a, e_b) = [J e_a, J e_b] + J d_b(J e_a) - J d_a(J e_b).
+    A field vanishing identically near the point gets a zero jet, not a
+    gap, so positions in the pair order never move.
+    """
+    dim = len(jet)
+    pairs = list(itertools.combinations(range(dim), 2))
+    out: Dict[Index, PolyVec] = {}
+    for (a, b), val in zip(pairs, poly.jet_brackets(jet, pairs, order)):
+        w = poly.vec_sub([poly.diff(c, b + 1) for c in jet[a]],
+                         [poly.diff(c, a + 1) for c in jet[b]])
+        for c in range(dim):
+            if w[c]:
+                val = poly.vec_add(val, [poly.jet_mul(e, w[c], order)
+                                         for e in jet[c]])
+        out[(a, b)] = val
+    return out
+
+
+def _pair_tensor(dim: int, values: Dict[Index, Vec]) -> PointTensor:
+    """The antisymmetric arity-2 tensor with the given values for a < b."""
+    entries: Dict[Index, Vec] = {}
+    for a in range(dim):
+        entries[(a, a)] = [Fraction(0)] * dim
+    for (a, b), val in values.items():
+        entries[(a, b)] = val
+        entries[(b, a)] = [-c for c in val]
+    return PointTensor(dim, dim, 2, entries)
+
+
+def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
+    """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
+    point, from J and dj there, both read off the 1-jet of J."""
+    dim = len(jet)
+    units = [tuple(int(k == b) for k in range(dim)) for b in range(dim)]
+    dj = PointTensor(dim, dim, 2, {
+        (a, b): [c.get(units[b], Fraction(0)) for c in jet[a]]
+        for a in range(dim) for b in range(dim)})
+    cols = [[poly.constant_term(c) for c in col] for col in jet]
+    basis = [basis_vec(dim, a) for a in range(dim)]
+    values: Dict[Index, Vec] = {}
+    for a, b in itertools.combinations(range(dim), 2):
+        ea, eb, ja, jb = basis[a], basis[b], cols[a], cols[b]
+        val = [-x for x in dj.apply([ja, eb])]
+        val = linalg.vec_sub(val, dj.apply([ea, jb]))
+        val = linalg.vec_add(val, dj.apply([jb, ea]))
+        values[(a, b)] = linalg.vec_add(val, dj.apply([eb, ja]))
+    return _pair_tensor(dim, values)
+
+
 def nijenhuis_tensor(j: StructureField, point: Sequence,
                      cross_check: bool = True) -> PointTensor:
-    """Torsion at the point; raises if the two routes disagree there."""
+    """Torsion at the point; raises if the two routes disagree there.
+
+    Both routes read only the 1-jet of J at the point: the bracket route
+    is torsion_jets at order 0, the other the first-differential formula.
+    """
     pt = [Fraction(x) for x in point]
-    bracket = nijenhuis_field_bracket(j).at_point(pt)
+    jet = j.jet(pt, 1)
+    bracket = _pair_tensor(j.dim, {
+        idx: [poly.constant_term(c) for c in val]
+        for idx, val in torsion_jets(jet, 0).items()})
     if cross_check:
-        other = nijenhuis_field_first_differential(j).at_point(pt)
+        other = _torsion_first_differential(jet)
         if bracket != other:
             witness = next(idx for idx in bracket.entries
                            if bracket.entries[idx] != other.entries[idx])

@@ -12,6 +12,7 @@ and their Lie bracket, which everything downstream is built on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -187,6 +188,123 @@ def substitute(p: Poly, replacements: Sequence[Poly], out_num_vars: int) -> Poly
             for _ in range(k):
                 term = mul(term, rep)
         out = add(out, term)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# jets at a point: polynomials in the offset y = x - point, cut above an order
+# ---------------------------------------------------------------------------
+
+def shift(p: Poly, point: Sequence[Scalar], order: int) -> Poly:
+    """p(point + y) as a polynomial in y, cut above total degree order.
+
+    The coefficient of y^alpha is the partial derivative d^alpha p at the
+    point divided by alpha!, so the result is the order-jet of p there.
+    Each monomial is expanded binomially, one variable at a time, dropping
+    partial products whose degree already exceeds order.
+    """
+    if not p:
+        return {}
+    pt = [Fraction(v) for v in point]
+    n = len(next(iter(p)))
+    if len(pt) != n:
+        raise PolyError(f"point has length {len(pt)}, expected {n}")
+    out: Poly = {}
+    for e, c in p.items():
+        partial: List[Tuple[Exponent, int, Fraction]] = [((), 0, c)]
+        for x, k in zip(pt, e):
+            nxt = []
+            for head, deg, coeff in partial:
+                # (x + y)^k = sum_s C(k, s) x^(k - s) y^s
+                for s in range(k if x == 0 else 0, min(k, order - deg) + 1):
+                    nxt.append((head + (s,), deg + s,
+                                coeff * comb(k, s) * x ** (k - s)))
+            partial = nxt
+        for head, _, coeff in partial:
+            total = out.get(head, Fraction(0)) + coeff
+            if total:
+                out[head] = total
+            else:
+                out.pop(head, None)
+    return out
+
+
+def constant_term(p: Poly) -> Fraction:
+    """The value at the origin; for a jet, the value at its base point."""
+    if not p:
+        return Fraction(0)
+    return p.get((0,) * len(next(iter(p))), Fraction(0))
+
+
+def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
+    """p q cut above total degree order; pairs of terms past it are skipped."""
+    _check_compatible(p, q)
+    out: Poly = {}
+    q_terms = [(e, c, sum(e)) for e, c in q.items()]
+    for e1, c1 in p.items():
+        room = order - sum(e1)
+        if room < 0:
+            continue
+        for e2, c2, d2 in q_terms:
+            if d2 > room:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
+                 order: int) -> List[PolyVec]:
+    """[fields[i], fields[k]] for each (i, k) in pairs, cut above degree
+    order; the fields are vector-field jets known to order + 1, with one
+    component per chart variable.
+
+    Same formula as lie_bracket; a derivative costs one order, so an
+    order-0 bracket is DY(p) X(p) - DX(p) Y(p) at the base point.  Each
+    field's low-degree terms and first partials are listed once, and terms
+    that cannot reach degree <= order are dropped before multiplying, so
+    the cost follows the nonzero jet coefficients.
+    """
+    def low_terms(f: PolyVec):
+        return [[(e, c, sum(e)) for e, c in comp.items() if sum(e) <= order]
+                for comp in f]
+
+    def partials(f: PolyVec):
+        # partials(f)[i][a]: terms of d_a f^i of degree <= order
+        table = [[[] for _ in range(len(f))] for _ in f]
+        for row, comp in zip(table, f):
+            for e, c in comp.items():
+                deg = sum(e) - 1
+                if deg > order:
+                    continue
+                for a, k in enumerate(e):
+                    if k:
+                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg))
+        return table
+
+    prepared = {i: (low_terms(fields[i]), partials(fields[i]))
+                for i in {i for pair in pairs for i in pair}}
+    out: List[PolyVec] = []
+    for i, k in pairs:
+        (x_low, dx), (y_low, dy) = prepared[i], prepared[k]
+        bracket: PolyVec = []
+        for r in range(len(dy)):
+            acc: Dict[Exponent, Fraction] = {}
+            for a in range(len(x_low)):
+                for terms, dterms, plus in ((x_low[a], dy[r][a], True),
+                                            (y_low[a], dx[r][a], False)):
+                    for e1, c1, d1 in terms:
+                        for e2, c2, d2 in dterms:
+                            if d1 + d2 <= order:
+                                e = tuple(u + v for u, v in zip(e1, e2))
+                                t = c1 * c2
+                                acc[e] = acc.get(e, Fraction(0)) + (t if plus else -t)
+            bracket.append({e: c for e, c in acc.items() if c})
+        out.append(bracket)
     return out
 
 

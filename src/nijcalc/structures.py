@@ -65,6 +65,11 @@ class StructureField:
     def at_point(self, point: Sequence) -> PointTensor:
         return PointTensor.from_matrix(self.eval_matrix(point))
 
+    def jet(self, point: Sequence, order: int) -> List[PolyVec]:
+        """Columns of J(point + y) cut above degree order: the order-jet
+        of J at the point, in the offset y (see poly.shift)."""
+        return [[poly.shift(p, point, order) for p in col] for col in self.cols]
+
     def negated(self) -> "StructureField":
         cols = [[poly.neg(p) for p in col] for col in self.cols]
         name = f"-({self.name})" if self.name else ""
@@ -105,12 +110,7 @@ def vanishing_order(p: Poly, point: Sequence, num_vars: int) -> Optional[int]:
     """Order of vanishing of p at the point (None for the zero polynomial)."""
     if poly.is_zero(p):
         return None
-    shifted = poly.substitute(
-        p,
-        [poly.add(poly.var(i + 1, num_vars), poly.const(point[i], num_vars))
-         for i in range(num_vars)],
-        num_vars,
-    )
+    shifted = poly.shift(p, list(point)[:num_vars], poly.total_degree(p))
     return min(sum(e) for e in shifted)
 
 

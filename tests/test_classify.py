@@ -1,11 +1,33 @@
-"""Bracket identity reports of the bundled examples, frozen."""
+"""classify outputs, frozen: bracket identity reports, the adapted frame,
+the Tanaka forms and the Lie verdict on the probe family and the bundled
+examples.
 
+The frame, Tanaka and Lie outputs are compared with classify_frozen.txt,
+one line per case: the case key, a tab, and the canonical text of the
+output.  The canonical text tags every scalar with its type (a plain
+rational, a Q(sqrt d) element or a machine integer), so a value that turns
+from QuadExt into Fraction, or from Fraction into int, fails as well as a
+changed value.  The file holds the outputs of the global-field
+implementation that preceded the jet-at-point one.
+"""
+
+import dataclasses
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nijcalc.classify import bracket_identity_report
-from nijcalc.structures import example_structure
+from nijcalc import classify, linalg, poly
+from nijcalc.classify import (HypothesisError, bracket_identity_report,
+                              derived_distribution, lie_check, pi2,
+                              tanaka_forms, utxi_invariant)
+from nijcalc.invariants import (nijenhuis_field_bracket, nijenhuis_tensor,
+                                torsion_jets)
+from nijcalc.quadext import QuadExt
+from nijcalc.structures import (example_structure, from_anticommuting_part,
+                                random_structure)
 
 NOT_LIE = {"jj_algebraic_zero": True, "jj_fn_is_twice_torsion": True,
            "nn_algebraic_zero": False, "nn_fn_zero": True, "jn_fn_zero": True}
@@ -19,3 +41,211 @@ LIE = dict(NOT_LIE, nn_algebraic_zero=True)
 ])
 def test_bracket_identity_report_on_examples(name, kwargs, want):
     assert bracket_identity_report(example_structure(name, **kwargs)) == want
+
+
+# ---------------------------------------------------------------------------
+# the probe family: J = j0 + A, A e1 = c v, A e3 = v, v = (v1, v2, -c v1, -c v2)
+# ---------------------------------------------------------------------------
+
+def _sparse_poly(rng, dim):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return poly.const(rng.choice([-1, 1]), dim)
+    term = poly.scale(poly.var(rng.randrange(1, dim + 1), dim), rng.choice([-1, 1]))
+    if kind == 1:
+        return term
+    return poly.add(poly.const(rng.choice([-1, 1]), dim), term)
+
+
+def family_structure(seed):
+    rng = random.Random(seed)
+    c = _sparse_poly(rng, 4)
+    v1 = _sparse_poly(rng, 4)
+    v2 = _sparse_poly(rng, 4)
+    v = [v1, v2, poly.neg(poly.mul(c, v1)), poly.neg(poly.mul(c, v2))]
+    return from_anticommuting_part([[poly.mul(c, x) for x in v], list(v)],
+                                   name=f"fam{seed}")
+
+
+CAND_POINTS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+               (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, -1)]
+# members of every verdict class: flat torsion (1, 22), derived failures
+# (4, 16 and most points of 9), second-derived failures (0, 12) and full
+# Tanaka runs (9, 16)
+FAMILY = (9, 0, 1, 16, 4, 12, 22)
+# (seed, point) pairs with a frame, for the xi3_choice flip and shift cases
+FLIP_CASES = ((9, (0, 0, 1, 0)), (5, (0, 1, 0, 0)), (19, (0, 0, 0, 0)),
+              (0, (1, 0, 1, -1)))
+EXAMPLES = (("ex2", {}), ("ex5", {"eps": Fraction(-1, 3)}),
+            ("ex6", {"f_text": "x5 + x5^2"}))
+
+
+def canon(x) -> str:
+    if isinstance(x, QuadExt):
+        return f"Q({x.a},{x.b},{x.d})"
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, bool) or x is None:
+        return repr(x)
+    if isinstance(x, int):
+        return f"i{x}"
+    if isinstance(x, (tuple, list)):
+        return "(" + ",".join(canon(v) for v in x) + ")"
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{canon(k)}:{canon(v)}"
+                              for k, v in sorted(x.items())) + "}"
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__ + "(" + ",".join(
+            f"{f.name}={canon(getattr(x, f.name))}"
+            for f in dataclasses.fields(x)) + ")"
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def _sweep(seed, pt):
+    """The frame, then the Tanaka forms; a HypothesisError is the verdict."""
+    j = family_structure(seed)
+    try:
+        frame = utxi_invariant(j, pt)
+    except HypothesisError as err:
+        return f"hypothesis {err.stage}"
+    try:
+        return canon(tanaka_forms(j, pt))
+    except HypothesisError as err:
+        return f"frame {canon(frame)} stops at {err.stage}"
+
+
+def _xi3_choices(seed, pt):
+    """The canonical xi3, its negative, and a shift by plane vectors."""
+    fr = utxi_invariant(family_structure(seed), pt)
+    b1, b2 = fr.plane
+    return {"canonical": None,
+            "flip": [-1 * c for c in fr.xi3],
+            "shift": [c + 1 * a - 2 * b for c, a, b in zip(fr.xi3, b1, b2)]}
+
+
+def _chosen(op, seed, pt, choice):
+    j = family_structure(seed)
+    xi3 = _xi3_choices(seed, pt)[choice]
+    try:
+        return canon(op(j, pt, xi3_choice=xi3))
+    except HypothesisError as err:
+        return f"hypothesis {err.stage}"
+
+
+def _lie(name):
+    j = example_structure(name, **dict(EXAMPLES)[name])
+    return canon(lie_check(j, [list(p) + [0] * (j.dim - 4) for p in CAND_POINTS]))
+
+
+def _key(*parts):
+    return " ".join(",".join(map(str, p)) if isinstance(p, tuple) else str(p)
+                    for p in parts)
+
+
+CASES = {}
+for _seed in FAMILY:
+    for _pt in CAND_POINTS:
+        CASES[_key("sweep", _seed, _pt)] = (_sweep, _seed, _pt)
+for _seed, _pt in FLIP_CASES:
+    for _choice in ("canonical", "flip", "shift"):
+        CASES[_key("frame", _seed, _pt, _choice)] = (
+            _chosen, utxi_invariant, _seed, _pt, _choice)
+        CASES[_key("tanaka", _seed, _pt, _choice)] = (
+            _chosen, tanaka_forms, _seed, _pt, _choice)
+for _name, _ in EXAMPLES:
+    CASES[_key("lie_check", _name)] = (_lie, _name)
+
+FROZEN_FILE = Path(__file__).with_name("classify_frozen.txt")
+
+
+def _frozen():
+    lines = FROZEN_FILE.read_text().splitlines()
+    return dict(line.split("\t") for line in lines if line)
+
+
+def test_frozen_file_covers_every_case():
+    assert sorted(_frozen()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("key", list(CASES))
+def test_frozen_outputs(key):
+    fn, *args = CASES[key]
+    assert fn(*args) == _frozen()[key]
+
+
+def test_frozen_verdict_classes():
+    """The frozen cases reach every HypothesisError stage and both kinds
+    of scalar field, so the comparison covers each branch."""
+    text = "\n".join(_frozen().values())
+    for verdict in ("hypothesis torsion", "hypothesis derived",
+                    "stops at second_derived", "hypothesis second_derived"):
+        assert verdict in text
+    assert "TanakaForms(omega2=Q(" in text
+    assert "TanakaForms(omega2=-3/2" in text
+    assert "LieReport(is_lie=True" in text and "LieReport(is_lie=False" in text
+
+
+def test_lie_check_reports_at_the_first_sample_point():
+    """The image and annihilator bases come from the first sample point
+    even when a later point has a different torsion (ex5 vanishes at 0)."""
+    j = example_structure("ex5", eps=Fraction(-1, 3))
+    first = [0, 1, 0, 0]
+    rep = lie_check(j, [first, [0, 0, 0, 0]])
+    n_at = nijenhuis_tensor(j, first)
+    image = linalg.span_basis([n_at.entries[(a, b)] for a in range(4)
+                               for b in range(a + 1, 4)])
+    assert rep.pi_basis == tuple(tuple(v) for v in image) != ()
+    assert len(rep.annihilator_basis) < 4
+    assert lie_check(j, [[0, 0, 0, 0], first]).pi_basis == ()
+
+
+# ---------------------------------------------------------------------------
+# the jet routes against the global polynomial fields they replace
+# ---------------------------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+points4 = st.lists(rationals, min_size=4, max_size=4)
+# family members and random structures in dimension 4
+structures4 = st.one_of(
+    st.sampled_from(FAMILY + (5, 19)).map(family_structure),
+    st.integers(0, 10**6).map(lambda seed: random_structure(2, seed)))
+
+
+def _global_generators(j):
+    """All six torsion fields N(e_a, e_b), a < b, zero ones included."""
+    nf = nijenhuis_field_bracket(j)
+    return [nf.entries[(a, b)] for a in range(4) for b in range(a + 1, 4)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(structures4, points4)
+def test_plane_and_derived_fiber_from_jets(j, pt):
+    assert nijenhuis_tensor(j, pt) == nijenhuis_field_bracket(j).at_point(pt)
+    gens = list(torsion_jets(j.jet(pt, 2), 1).values())
+    try:
+        plane = pi2(j, pt)
+    except HypothesisError as err:
+        assert err.stage == "torsion"
+        assert linalg.span_basis(classify._values(gens)) == []
+        return
+    assert linalg.span_basis(classify._values(gens)) == [list(v) for v in plane.fiber]
+    want = derived_distribution(plane, pt).fiber
+    assert classify._derived_fiber(gens) == [list(v) for v in want]
+
+
+@settings(max_examples=4, deadline=None)
+@given(structures4, points4)
+def test_second_level_from_jets(j, pt):
+    """Level one and level two at the point, bracket by bracket, against
+    the evaluated global brackets, so the second derived fiber tanaka_forms
+    spans from them is the span of the evaluated level-2 brackets."""
+    g = _global_generators(j)
+    level1 = g + [poly.lie_bracket(g[i], g[k], 4)
+                  for i in range(6) for k in range(6) if i != k]
+    level1_vals = [poly.vec_eval(f, pt) for f in level1]
+    top = [[poly.vec_eval(poly.lie_bracket(gi, f, 4), pt) for f in level1]
+           for gi in g]
+    got_level1, got_top = classify._second_level(
+        list(torsion_jets(j.jet(pt, 3), 2).values()))
+    assert got_level1 == level1_vals
+    assert got_top == top

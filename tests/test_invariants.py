@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijcalc import invariants, poly
 from nijcalc.invariants import (
@@ -23,6 +24,7 @@ from nijcalc.invariants import (
     second_differential_identity_defect,
     standard_point_structure,
     structure_as_field,
+    torsion_jets,
 )
 from nijcalc.structures import (
     example_structure,
@@ -151,6 +153,51 @@ def test_dual_route_cross_check_on_examples():
         pt = [0] * j.dim
         nijenhuis_tensor(j, pt)
         higher_nijenhuis(j, pt)
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def structures_at_points(draw, sizes=(2, 3)):
+    n = draw(st.sampled_from(sizes))
+    j = random_structure(n, draw(st.integers(0, 10**6)))
+    return j, draw(st.lists(rationals, min_size=2 * n, max_size=2 * n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(structures_at_points())
+def test_nijenhuis_tensor_equals_global_field_at_point(case):
+    """The pointwise routes read only the 1-jet of J; the reference
+    evaluates the global bracket-route field."""
+    j, pt = case
+    n_pt = nijenhuis_tensor(j, pt)
+    assert n_pt == nijenhuis_field_bracket(j).at_point(pt)
+    assert all(type(c) is Fraction for v in n_pt.entries.values() for c in v)
+
+
+@settings(max_examples=8, deadline=None)
+@given(structures_at_points(sizes=(2,)), st.integers(0, 2))
+def test_torsion_jets_are_jets_of_the_global_field(case, order):
+    j, pt = case
+    nf = nijenhuis_field_bracket(j)
+    jets = torsion_jets(j.jet(pt, order + 1), order)
+    assert list(jets) == list(itertools.combinations(range(j.dim), 2))
+    for idx, jet in jets.items():
+        assert jet == [poly.shift(c, pt, order) for c in nf.entries[idx]]
+
+
+def test_torsion_cross_check_catches_a_route_disagreement(monkeypatch):
+    true_route = invariants._torsion_first_differential
+
+    def broken(jet):
+        t = true_route(jet)
+        t.entries[(1, 3)] = [t.entries[(1, 3)][0] + 1] + t.entries[(1, 3)][1:]
+        return t
+
+    monkeypatch.setattr(invariants, "_torsion_first_differential", broken)
+    with pytest.raises(InternalInconsistencyError, match=r"\(1, 3\)"):
+        nijenhuis_tensor(example_structure("ex2"), [0, 1, 0, 0])
 
 
 def test_ex6_table():

@@ -146,3 +146,50 @@ def test_lie_bracket_basic():
     lhs = poly.lie_bracket(u, v, n)
     rhs = poly.vec_scale(poly.lie_bracket(v, u, n), -1)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# jets at a point, against the global operations they shortcut
+# ---------------------------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+points3 = st.lists(rationals, min_size=3, max_size=3)
+
+
+def _shifted(p, pt):
+    """p(x + pt) through the general composition routine."""
+    n = len(pt)
+    return poly.substitute(
+        p, [poly.add(poly.var(i + 1, n), poly.const(pt[i], n)) for i in range(n)], n)
+
+
+@given(polys(max_exp=3), points3, st.integers(0, 7))
+def test_shift_is_truncated_substitution(p, pt, order):
+    want = poly.truncate(_shifted(p, pt), order)
+    assert poly.shift(p, pt, order) == want
+    if order >= poly.total_degree(p):
+        assert poly.shift(p, pt, order) == _shifted(p, pt)
+    assert poly.constant_term(poly.shift(p, pt, order)) == poly.eval_poly(p, pt)
+
+
+def test_shift_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(poly.PolyError):
+        poly.shift(poly.var(1, 3), [1, 2], 2)
+
+
+@given(polys(), polys(), st.integers(0, 4))
+def test_jet_mul_is_truncated_product(a, b, order):
+    assert poly.jet_mul(a, b, order) == poly.truncate(poly.mul(a, b), order)
+
+
+@given(st.lists(st.lists(polys(), min_size=3, max_size=3), min_size=3, max_size=3),
+       points3, st.integers(0, 2))
+def test_jet_brackets_are_jets_of_lie_brackets(fields, pt, order):
+    """Brackets of (order + 1)-jets, cut at order, are the order-jets of
+    the global brackets; the pairs may repeat and run in either direction."""
+    jets = [[poly.shift(c, pt, order + 1) for c in f] for f in fields]
+    pairs = [(0, 1), (1, 0), (2, 0), (1, 1), (0, 1)]
+    got = poly.jet_brackets(jets, pairs, order)
+    for (i, k), br in zip(pairs, got):
+        want = poly.lie_bracket(fields[i], fields[k], 3)
+        assert br == [poly.shift(c, pt, order) for c in want]
