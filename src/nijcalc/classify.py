@@ -36,9 +36,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
+from .genpos import annihilator
 from .invariants import (InternalInconsistencyError, PolyTensorField,
-                         nijenhuis_field_bracket, nijenhuis_tensor,
-                         torsion_jets)
+                         jet_differential, nijenhuis_field_bracket,
+                         nijenhuis_tensor, torsion_jets)
 from .quadext import QuadExt, sqrt_exact
 from .structures import StructureError, StructureField
 from .tensor import PointTensor
@@ -329,11 +330,7 @@ def utxi_invariant(j: StructureField, point: Sequence,
     scale = (alpha if orient > 0 else -1 * alpha) * lam
     xi3 = linalg.vec_scale(chosen, 1 / scale)
 
-    image_cols = []
-    for c in range(4):
-        e = [Fraction(0)] * 4
-        e[c] = Fraction(1)
-        image_cols.append(n_at.apply([xi1, e]))
+    image_cols = [n_at.apply([xi1, e]) for e in linalg.identity(4)]
     rows = [[image_cols[c][i] for c in range(4)] for i in range(4)]
     xi4 = linalg.solve(rows, list(xi2))
     if xi4 is None:
@@ -483,16 +480,6 @@ def _witness_point(residual: List[poly.Poly], samples: List[List[Fraction]],
     raise InternalInconsistencyError("nonzero residual with no witness point")
 
 
-def _annihilator(n_at: PointTensor) -> List[List[Fraction]]:
-    """{x : N(x, .) = 0} at a point, as a basis."""
-    dim = n_at.dim_in
-    rows = []
-    for b in range(dim):
-        for i in range(dim):
-            rows.append([n_at.entries[(a, b)][i] for a in range(dim)])
-    return linalg.nullspace(rows)
-
-
 def _product_vanishes_at(n_at: PointTensor) -> bool:
     dim = n_at.dim_in
     for b in range(dim):
@@ -500,8 +487,7 @@ def _product_vanishes_at(n_at: PointTensor) -> bool:
             inner = n_at.entries[(b, c)]
             if not any(inner):
                 continue
-            for a in range(dim):
-                e = [Fraction(1) if i == a else Fraction(0) for i in range(dim)]
+            for e in linalg.identity(dim):
                 if any(n_at.apply([e, inner])):
                     return False
     return True
@@ -554,7 +540,7 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
         image = linalg.span_basis(
             [n_at.entries[(a, b)] for a in range(dim)
              for b in range(a + 1, dim)])
-        ann = _annihilator(n_at)
+        ann = annihilator(n_at, linalg.identity(dim))
         included = all(linalg.in_span(list(v), ann) for v in image)
         if included != _product_vanishes_at(n_at):
             raise InternalInconsistencyError(
@@ -602,17 +588,21 @@ def _graded_report(nf: PolyTensorField, point: Sequence, n_at: PointTensor):
 
     Level k collects the image spans of the derivative tensors up to
     order k; the filtration stabilizes once k passes the entry degree of
-    the torsion field.  Bracket constants expand N on lifted level
-    representatives over the lifted basis.  A Lie verdict forces the
-    second commutant span N(Im N, Im N) to vanish, asserted at the end.
+    the torsion field, so shifting the torsion entries to the point to
+    that degree makes every derivative a jet lookup.  Bracket constants
+    expand N on lifted level representatives over the lifted basis.  A
+    Lie verdict forces the second commutant span N(Im N, Im N) to vanish,
+    asserted at the end.
     """
     dim = nf.dim
     max_deg = max((poly.total_degree(p) for e in nf.entries.values()
                    for p in e if not poly.is_zero(p)), default=0)
+    shifted = {idx: [poly.shift(c, point, max_deg) for c in val]
+               for idx, val in nf.entries.items()}
     spans: List[List[List[Fraction]]] = []
     current: List[List[Fraction]] = []
     for k in range(max_deg + 1):
-        d = nf.differential(k, [Fraction(x) for x in point]) if k else n_at
+        d = jet_differential(shifted, k)
         vals = [v for v in d.entries.values() if any(v)]
         current = linalg.span_basis(current + vals)
         spans.append(current)

@@ -170,7 +170,7 @@ class VectorForm:
     def post_structure(self, j: StructureField) -> "VectorForm":
         """J composed after the values, entrywise."""
         return VectorForm(self.dim, self.degree,
-                          {idx: j.apply_to_field(v)
+                          {idx: poly.apply_columns(j.cols, v)
                            for idx, v in self.entries.items()})
 
 
@@ -275,13 +275,6 @@ def fn_bracket_one_forms_direct(a_cols: List[PolyVec], b_cols: List[PolyVec],
     [K, L](X, Y) = [KX, LY] - [KY, LX] - L[KX, Y] + L[KY, X]
     - K[LX, Y] + K[LY, X] + (KL + LK)[X, Y], on constant basis fields."""
 
-    def matvec(cols: List[PolyVec], x: PolyVec) -> PolyVec:
-        out = poly.vec_zero(dim)
-        for k in range(dim):
-            if not poly.is_zero(x[k]):
-                out = poly.vec_add(out, poly.vec_scale_poly(cols[k], x[k]))
-        return out
-
     entries: Dict[SIdx, PolyVec] = {}
     for x in range(dim):
         ex = [poly.const(1, dim) if i == x else poly.zero() for i in range(dim)]
@@ -291,10 +284,10 @@ def fn_bracket_one_forms_direct(a_cols: List[PolyVec], b_cols: List[PolyVec],
             lx, ly = b_cols[x], b_cols[y]
             val = poly.lie_bracket(kx, ly, dim)
             val = poly.vec_sub(val, poly.lie_bracket(ky, lx, dim))
-            val = poly.vec_sub(val, matvec(b_cols, poly.lie_bracket(kx, ey, dim)))
-            val = poly.vec_add(val, matvec(b_cols, poly.lie_bracket(ky, ex, dim)))
-            val = poly.vec_sub(val, matvec(a_cols, poly.lie_bracket(lx, ey, dim)))
-            val = poly.vec_add(val, matvec(a_cols, poly.lie_bracket(ly, ex, dim)))
+            val = poly.vec_sub(val, poly.apply_columns(b_cols, poly.lie_bracket(kx, ey, dim)))
+            val = poly.vec_add(val, poly.apply_columns(b_cols, poly.lie_bracket(ky, ex, dim)))
+            val = poly.vec_sub(val, poly.apply_columns(a_cols, poly.lie_bracket(lx, ey, dim)))
+            val = poly.vec_add(val, poly.apply_columns(a_cols, poly.lie_bracket(ly, ex, dim)))
             # [e_x, e_y] = 0, so the (KL + LK) term drops
             if not poly.vec_is_zero(val):
                 entries[(x, y)] = val

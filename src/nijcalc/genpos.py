@@ -22,12 +22,6 @@ from .tensor import PointTensor, kernel_dim
 Vector = List[Fraction]
 
 
-def _basis_vec(dim: int, a: int) -> Vector:
-    out = [Fraction(0)] * dim
-    out[a] = Fraction(1)
-    return out
-
-
 def _as_fractions(v: Sequence) -> Vector:
     return [Fraction(x) for x in v]
 
@@ -71,8 +65,8 @@ def appendix_tensor(n: int) -> PointTensor:
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
     def fn(idx):
-        u = _basis_vec(dim, idx[0])
-        v = _basis_vec(dim, idx[1])
+        u = linalg.basis_vector(dim, idx[0])
+        v = linalg.basis_vector(dim, idx[1])
         out = [Fraction(0)] * dim
         for k in range(2, n + 1):
             first = cmul(conj_slot(u, 1), conj_slot(v, k))
@@ -121,8 +115,8 @@ def example3_tensor(n: int) -> Dict[str, PointTensor]:
         return v[:n], v[n:]
 
     def n_fn(idx):
-        x1, y1 = split(_basis_vec(dim, idx[0]))
-        x2, y2 = split(_basis_vec(dim, idx[1]))
+        x1, y1 = split(linalg.basis_vector(dim, idx[0]))
+        x2, y2 = split(linalg.basis_vector(dim, idx[1]))
         first = [p - q for p, q in zip(a_tensor.apply([x1, x2]),
                                        a_tensor.apply([y1, y2]))]
         second = [-p - q for p, q in zip(a_tensor.apply([x1, y2]),
@@ -145,8 +139,8 @@ def plucker_map() -> PointTensor:
     vanishes exactly on linearly dependent pairs.
     """
     def fn(idx):
-        xi = _basis_vec(4, idx[0])
-        eta = _basis_vec(4, idx[1])
+        xi = linalg.basis_vector(4, idx[0])
+        eta = linalg.basis_vector(4, idx[1])
         th = {}
         for r in range(4):
             for s in range(r + 1, 4):
@@ -183,7 +177,7 @@ def _complex_complement(jm: Sequence[Sequence], xi: Vector) -> List[Vector]:
     acc = [list(xi), linalg.mat_vec(jm, xi)]
     picked: List[Vector] = []
     for a in range(dim):
-        e_a = _basis_vec(dim, a)
+        e_a = linalg.basis_vector(dim, a)
         if linalg.in_span(e_a, acc):
             continue
         j_e = linalg.mat_vec(jm, e_a)
@@ -227,12 +221,12 @@ def _symbolic_alpha_vanishes(n_tensor: PointTensor,
     set, which settles degeneracy.
     """
     dim = n_tensor.dim_in
-    basis = _complex_complement(jm, _basis_vec(dim, 0))
+    basis = _complex_complement(jm, linalg.basis_vector(dim, 0))
     columns = []
     for v in basis:
         col = [poly.zero() for _ in range(dim)]
         for a in range(dim):
-            value = n_tensor.apply([_basis_vec(dim, a), v])
+            value = n_tensor.apply([linalg.basis_vector(dim, a), v])
             x_a = poly.var(a + 1, dim)
             for i in range(dim):
                 if value[i] != 0:
@@ -328,18 +322,19 @@ class SubspaceDecomposition:
     full_kernel: List[Vector]     # vectors annihilating N entirely
 
 
-def _annihilator(n_tensor: PointTensor,
-                 against: Sequence[Sequence]) -> List[Vector]:
+def annihilator(n_tensor: PointTensor,
+                against: Sequence[Sequence]) -> List[Vector]:
     """Basis of {x : N(x, v) = 0 for every v in the given list}."""
     dim = n_tensor.dim_in
     if not against:
-        return [_basis_vec(dim, a) for a in range(dim)]
+        return linalg.identity(dim)
     rows = []
     for v in against:
-        cols = [n_tensor.apply([_basis_vec(dim, c), _as_fractions(v)])
-                for c in range(dim)]
+        # row comp holds the components N(e_c, v)^comp, c = 0..dim-1
+        support = [(k, x) for k, x in enumerate(_as_fractions(v)) if x]
         for comp in range(n_tensor.dim_out):
-            rows.append([cols[c][comp] for c in range(dim)])
+            rows.append([sum((x * n_tensor.entries[(c, k)][comp] for k, x in support),
+                             Fraction(0)) for c in range(dim)])
     return linalg.nullspace(rows)
 
 
@@ -371,10 +366,10 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
         if not linalg.in_span(v, pi):
             raise InternalInconsistencyError("span Im N escapes Pi")
 
-    k_plus = _annihilator(n_tensor, pi_minus)
-    k_minus = _annihilator(n_tensor, pi_plus)
+    k_plus = annihilator(n_tensor, pi_minus)
+    k_minus = annihilator(n_tensor, pi_plus)
     kernel = linalg.intersect_spans(k_plus, k_minus)
-    against_pi = _annihilator(n_tensor, pi)
+    against_pi = annihilator(n_tensor, pi)
     if not linalg.spans_equal(kernel, against_pi):
         raise InternalInconsistencyError("K+ cap K- differs from Ker N(., Pi)")
     for v in pi_plus:
@@ -386,7 +381,7 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     if linalg.span_dim(linalg.sum_spans(k_plus, k_minus)) != dim:
         raise InternalInconsistencyError("K+ + K- does not cover the space")
 
-    full = _annihilator(n_tensor, [_basis_vec(dim, a) for a in range(dim)])
+    full = annihilator(n_tensor, linalg.identity(dim))
     return SubspaceDecomposition(pi_plus, pi_minus, k_plus, k_minus,
                                  kernel, full)
 

@@ -8,32 +8,35 @@ invariant both from the ten-term bracket expression and from the
 R-contraction of the torsion differential.  Disagreement between routes
 is an internal error, never silently resolved.
 
-At a point, both torsion routes read only the 1-jet of J there
-(StructureField.jet); torsion_jets expands the torsion fields around a
-point to any order from the next jet of J, for callers that need their
-derivatives too.
+Derivatives at a point come from jets, never from differentiating a
+global field and evaluating it: J is shifted to the point
+(StructureField.jet), torsion_jets expands the torsion fields there from
+the next jet of J, and jet_differential reads d^p of any such jet off its
+degree-p coefficients.  Both torsion routes read only the 1-jet of J, the
+arity-4 routes and the identity checks its 2-jet.  The global fields
+(nijenhuis_field_bracket, dj_field, PolyTensorField.differential) serve
+the symbolic verdicts in classify and the tests as references.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, poly
-from .poly import Poly, PolyVec
-from .structures import StructureField, standard_matrix
+from .poly import PolyVec
+from .structures import StructureField
 from .tensor import Index, PointTensor
 
 Vec = List[Fraction]
+# the 2-jet of J at a point and the 1-jets of the torsion fields there
+Arity4Jets = Tuple[List[PolyVec], Dict[Index, PolyVec]]
 
 
 class InternalInconsistencyError(RuntimeError):
     """Two independent routes to the same invariant disagreed."""
-
-
-def basis_vec(dim: int, a: int) -> Vec:
-    return [Fraction(1) if i == a else Fraction(0) for i in range(dim)]
 
 
 def const_field(dim: int, a: int) -> PolyVec:
@@ -98,8 +101,37 @@ class PolyTensorField:
         return PointTensor.from_function(self.dim, self.dim, self.arity + p, fn)
 
 
+def columns_field(cols: Sequence[PolyVec]) -> Dict[Index, PolyVec]:
+    """The arity-1 entries {(a,): cols[a]} of a matrix field given by its
+    columns, such as J or a jet of J."""
+    return {(a,): col for a, col in enumerate(cols)}
+
+
 def structure_as_field(j: StructureField) -> PolyTensorField:
-    return PolyTensorField(j.dim, 1, {(a,): j.cols[a] for a in range(j.dim)})
+    return PolyTensorField(j.dim, 1, columns_field(j.cols))
+
+
+def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
+    """d^p at the base point of a tensor field given by its jets there.
+
+    jets maps every basis tuple of the field to the jet of its value,
+    known to order p at least (StructureField.jet, torsion_jets).  As in
+    PolyTensorField.differential the p derivative slots come last: the
+    entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
+    jets[idx] times alpha!, where alpha counts the directions c_i.
+    """
+    dim = len(next(iter(jets.values())))
+    weights = []
+    for dirs in itertools.product(range(dim), repeat=p):
+        alpha = tuple(dirs.count(k) for k in range(dim))
+        weights.append((dirs, alpha, math.prod(math.factorial(k) for k in alpha)))
+    zero = Fraction(0)
+    entries: Dict[Index, Vec] = {}
+    for base, vec in jets.items():
+        for dirs, alpha, w in weights:
+            vals = [c.get(alpha, zero) for c in vec]
+            entries[base + dirs] = vals if w == 1 else [w * c for c in vals]
+    return PointTensor(dim, dim, len(base) + p, entries)
 
 
 def dj_field(j: StructureField) -> PolyTensorField:
@@ -127,8 +159,8 @@ def nijenhuis_field_bracket(j: StructureField) -> PolyTensorField:
             eb = const_field(dim, b)
             jb = j.cols[b]
             val = poly.lie_bracket(ja, jb, dim)
-            val = poly.vec_sub(val, j.apply_to_field(poly.lie_bracket(ja, eb, dim)))
-            val = poly.vec_sub(val, j.apply_to_field(poly.lie_bracket(ea, jb, dim)))
+            val = poly.vec_sub(val, poly.apply_columns(j.cols, poly.lie_bracket(ja, eb, dim)))
+            val = poly.vec_sub(val, poly.apply_columns(j.cols, poly.lie_bracket(ea, jb, dim)))
             # [ea, eb] = 0 for coordinate fields
             entries[(a, b)] = val
             entries[(b, a)] = [poly.neg(c) for c in val]
@@ -173,12 +205,18 @@ def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
     for (a, b), val in zip(pairs, poly.jet_brackets(jet, pairs, order)):
         w = poly.vec_sub([poly.diff(c, b + 1) for c in jet[a]],
                          [poly.diff(c, a + 1) for c in jet[b]])
-        for c in range(dim):
-            if w[c]:
-                val = poly.vec_add(val, [poly.jet_mul(e, w[c], order)
-                                         for e in jet[c]])
-        out[(a, b)] = val
+        out[(a, b)] = poly.vec_add(val, poly.jet_apply_columns(jet, w, order))
     return out
+
+
+def _pair_fields(dim: int, values: Dict[Index, PolyVec]) -> Dict[Index, PolyVec]:
+    """Every entry of the antisymmetric arity-2 field with the given
+    entries for a < b (as torsion_jets lists them)."""
+    entries = {(a, a): poly.vec_zero(dim) for a in range(dim)}
+    for (a, b), val in values.items():
+        entries[(a, b)] = val
+        entries[(b, a)] = [poly.neg(c) for c in val]
+    return entries
 
 
 def _pair_tensor(dim: int, values: Dict[Index, Vec]) -> PointTensor:
@@ -196,15 +234,12 @@ def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
     point, from J and dj there, both read off the 1-jet of J."""
     dim = len(jet)
-    units = [tuple(int(k == b) for k in range(dim)) for b in range(dim)]
-    dj = PointTensor(dim, dim, 2, {
-        (a, b): [c.get(units[b], Fraction(0)) for c in jet[a]]
-        for a in range(dim) for b in range(dim)})
-    cols = [[poly.constant_term(c) for c in col] for col in jet]
-    basis = [basis_vec(dim, a) for a in range(dim)]
+    field = columns_field(jet)
+    j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
+    basis = linalg.identity(dim)
     values: Dict[Index, Vec] = {}
     for a, b in itertools.combinations(range(dim), 2):
-        ea, eb, ja, jb = basis[a], basis[b], cols[a], cols[b]
+        ea, eb, ja, jb = basis[a], basis[b], j_at.entries[(a,)], j_at.entries[(b,)]
         val = [-x for x in dj.apply([ja, eb])]
         val = linalg.vec_sub(val, dj.apply([ea, jb]))
         val = linalg.vec_add(val, dj.apply([jb, ea]))
@@ -238,92 +273,79 @@ def nijenhuis_tensor(j: StructureField, point: Sequence,
 # arity-4 invariant, two routes
 # ---------------------------------------------------------------------------
 
-def _jacobian_at(field: PolyVec, point: Sequence, dim: int) -> List[Vec]:
-    """Rows indexed by component, columns by derivative direction."""
-    return [[poly.eval_poly(poly.diff(field[i], c + 1), point)
-             for c in range(dim)] for i in range(dim)]
-
-
-def _col(m: List[Vec], c: int) -> Vec:
-    return [row[c] for row in m]
+def _arity4_jets(j: StructureField, point: Sequence) -> Arity4Jets:
+    """What both arity-4 routes read: the 2-jet of J at the point and the
+    1-jets of the torsion fields N(e_a, e_b), a < b."""
+    jet = j.jet([Fraction(x) for x in point], 2)
+    return jet, torsion_jets(jet, 1)
 
 
 def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
-                             n_field: Optional[PolyTensorField] = None) -> PointTensor:
+                             jets: Optional[Arity4Jets] = None) -> PointTensor:
     """Ten-term bracket expression on constant extensions of basis vectors.
 
-    All derivative bookkeeping reduces to values and Jacobians at the point
-    of the pair fields N(e_a, e_b) and J N(e_a, e_b), a < b.  Only orbit
+    All derivative bookkeeping reduces to values and first derivatives at
+    the point of the pair fields N(e_a, e_b) and J N(e_a, e_b), a < b,
+    read off their 1-jets; jets is the pair (2-jet of J, torsion 1-jets)
+    that higher_nijenhuis shares between the routes.  Only orbit
     representatives of the pair pattern are evaluated (see
     PointTensor.from_pair_pattern).
     """
     dim = j.dim
-    pt = [Fraction(x) for x in point]
-    if n_field is None:
-        n_field = nijenhuis_field_bracket(j)
-    j_pt = j.eval_matrix(pt)
-    n_pt = n_field.at_point(pt)
-
-    val_n: Dict[Tuple[int, int], Vec] = {}
-    jac_n: Dict[Tuple[int, int], List[Vec]] = {}
-    val_jn: Dict[Tuple[int, int], Vec] = {}
-    jac_jn: Dict[Tuple[int, int], List[Vec]] = {}
-    for a, b in itertools.combinations(range(dim), 2):
-        nf = n_field.entries[(a, b)]
-        val_n[(a, b)] = poly.vec_eval(nf, pt)
-        jac_n[(a, b)] = _jacobian_at(nf, pt, dim)
-        jnf = j.apply_to_field(nf)
-        val_jn[(a, b)] = poly.vec_eval(jnf, pt)
-        jac_jn[(a, b)] = _jacobian_at(jnf, pt, dim)
+    jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
+    n_fields = _pair_fields(dim, n_jets)
+    jn_fields = _pair_fields(dim, {idx: poly.jet_apply_columns(jet, val, 1)
+                                   for idx, val in n_jets.items()})
+    j_at = jet_differential(columns_field(jet), 0)
+    n_at, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
+    jn_at, djn = jet_differential(jn_fields, 0), jet_differential(jn_fields, 1)
+    basis = linalg.identity(dim)
 
     def napp(x: Vec, y: Vec) -> Vec:
-        return n_pt.apply([x, y])
+        return n_at.apply([x, y])
 
     def jmul(x: Vec) -> Vec:
-        return linalg.mat_vec(j_pt, x)
+        return j_at.apply([x])
 
     def fn(idx: Index) -> Vec:
         a, b, c, d = idx
-        u_ab, u_cd = val_n[(a, b)], val_n[(c, d)]
-        w_ab, w_cd = val_jn[(a, b)], val_jn[(c, d)]
-        du_ab, du_cd = jac_n[(a, b)], jac_n[(c, d)]
-        dw_ab, dw_cd = jac_jn[(a, b)], jac_jn[(c, d)]
+        ea, eb, ec, ed = (basis[k] for k in idx)
+        u_ab, u_cd = n_at.entries[(a, b)], n_at.entries[(c, d)]
+        w_ab, w_cd = jn_at.entries[(a, b)], jn_at.entries[(c, d)]
         # [F, G](p) = DG(p) F(p) - DF(p) G(p)
-        t1 = linalg.vec_sub(linalg.mat_vec(dw_cd, u_ab), linalg.mat_vec(du_ab, w_cd))
-        t2 = linalg.vec_sub(linalg.mat_vec(du_cd, w_ab), linalg.mat_vec(dw_ab, u_cd))
+        t1 = linalg.vec_sub(djn.apply([ec, ed, u_ab]), dn.apply([ea, eb, w_cd]))
+        t2 = linalg.vec_sub(dn.apply([ec, ed, w_ab]), djn.apply([ea, eb, u_cd]))
         out = [-x - y for x, y in zip(t1, t2)]
-        # [e_a, F](p) is column a of the Jacobian of F
-        out = linalg.vec_add(out, napp(_col(dw_cd, a), basis_vec(dim, b)))
-        out = linalg.vec_add(out, napp(basis_vec(dim, a), _col(dw_cd, b)))
-        out = linalg.vec_add(out, jmul(napp(_col(du_cd, a), basis_vec(dim, b))))
-        out = linalg.vec_add(out, jmul(napp(basis_vec(dim, a), _col(du_cd, b))))
-        out = linalg.vec_sub(out, napp(_col(dw_ab, c), basis_vec(dim, d)))
-        out = linalg.vec_sub(out, napp(basis_vec(dim, c), _col(dw_ab, d)))
-        out = linalg.vec_sub(out, jmul(napp(_col(du_ab, c), basis_vec(dim, d))))
-        out = linalg.vec_sub(out, jmul(napp(basis_vec(dim, c), _col(du_ab, d))))
+        # [e_a, F](p) is the derivative of F in direction a
+        out = linalg.vec_add(out, napp(djn.entries[(c, d, a)], eb))
+        out = linalg.vec_add(out, napp(ea, djn.entries[(c, d, b)]))
+        out = linalg.vec_add(out, jmul(napp(dn.entries[(c, d, a)], eb)))
+        out = linalg.vec_add(out, jmul(napp(ea, dn.entries[(c, d, b)])))
+        out = linalg.vec_sub(out, napp(djn.entries[(a, b, c)], ed))
+        out = linalg.vec_sub(out, napp(ec, djn.entries[(a, b, d)]))
+        out = linalg.vec_sub(out, jmul(napp(dn.entries[(a, b, c)], ed)))
+        out = linalg.vec_sub(out, jmul(napp(ec, dn.entries[(a, b, d)])))
         return out
 
     return PointTensor.from_pair_pattern(dim, dim, fn)
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,
-                                  n_field: Optional[PolyTensorField] = None) -> PointTensor:
+                                  jets: Optional[Arity4Jets] = None) -> PointTensor:
     """R-contraction route: R(x, y, z) = dN(x, y, Jz) + J dN(x, y, z)
     + N(dj(z, x), y) + N(x, dj(z, y)) - dj(z, N(x, y)), and the invariant is
-    R(x, y, N(z, v)) - R(z, v, N(x, y))."""
+    R(x, y, N(z, v)) - R(z, v, N(x, y)).  J, dj, N and dN at the point are
+    read off the jets, as in higher_nijenhuis_bracket."""
     dim = j.dim
-    pt = [Fraction(x) for x in point]
-    if n_field is None:
-        n_field = nijenhuis_field_bracket(j)
-    j_pt = j.eval_matrix(pt)
-    n_pt = n_field.at_point(pt)
-    dn_pt = n_field.differential(1, pt)
-    dj_pt = dj_field(j).at_point(pt)
+    jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
+    j_field, n_fields = columns_field(jet), _pair_fields(dim, n_jets)
+    j_at, dj_pt = jet_differential(j_field, 0), jet_differential(j_field, 1)
+    n_pt, dn_pt = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
 
     def jmul(x: Vec) -> Vec:
-        return linalg.mat_vec(j_pt, x)
+        return j_at.apply([x])
 
-    basis = [basis_vec(dim, k) for k in range(dim)]
+    basis = linalg.identity(dim)
 
     def r_basis(idx: Index) -> Vec:
         ea, eb, ec = (basis[k] for k in idx)
@@ -352,13 +374,13 @@ def higher_nijenhuis(j: StructureField, point: Sequence,
     The bracket route computes one entry per pair-pattern orbit and fills
     the rest by sign; the differential route computes every entry.  Their
     entrywise agreement therefore certifies the pair pattern as well as
-    the values.
+    the values.  Both read the same jets, built once here.
     """
     pt = [Fraction(x) for x in point]
-    n_field = nijenhuis_field_bracket(j)
-    a = higher_nijenhuis_bracket(j, pt, n_field)
+    jets = _arity4_jets(j, pt)
+    a = higher_nijenhuis_bracket(j, pt, jets)
     if cross_check:
-        b = higher_nijenhuis_differential(j, pt, n_field)
+        b = higher_nijenhuis_differential(j, pt, jets)
         if a != b:
             witness = next(idx for idx in a.entries
                            if a.entries[idx] != b.entries[idx])
@@ -368,8 +390,12 @@ def higher_nijenhuis(j: StructureField, point: Sequence,
 
 
 def nijenhuis_differential(j: StructureField, p: int, point: Sequence) -> PointTensor:
-    """d^p of the torsion field at the point (arity 2 + p)."""
-    return nijenhuis_field_bracket(j).differential(p, [Fraction(x) for x in point])
+    """d^p of the torsion field at the point (arity 2 + p), from the
+    order-p torsion jets."""
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    jet = j.jet([Fraction(x) for x in point], p + 1)
+    return jet_differential(_pair_fields(j.dim, torsion_jets(jet, p)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +469,6 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
     """N_(j0, D)(X, Y) = [j0 X, D Y] + [D X, j0 Y] - j0 [X, D Y]
     - j0 [D X, Y] - D [X, j0 Y] - D [j0 X, Y] on basis fields."""
 
-    def matvec(cols: List[PolyVec], x: PolyVec) -> PolyVec:
-        out = poly.vec_zero(dim)
-        for k in range(dim):
-            if not poly.is_zero(x[k]):
-                out = poly.vec_add(out, poly.vec_scale_poly(cols[k], x[k]))
-        return out
-
     def fn(idx: Index) -> PolyVec:
         a, b = idx
         ea, eb = const_field(dim, a), const_field(dim, b)
@@ -457,10 +476,10 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
         da, db = delta_cols[a], delta_cols[b]
         out = poly.lie_bracket(j0a, db, dim)
         out = poly.vec_add(out, poly.lie_bracket(da, j0b, dim))
-        out = poly.vec_sub(out, matvec(j0_cols, poly.lie_bracket(ea, db, dim)))
-        out = poly.vec_sub(out, matvec(j0_cols, poly.lie_bracket(da, eb, dim)))
-        out = poly.vec_sub(out, matvec(delta_cols, poly.lie_bracket(ea, j0b, dim)))
-        out = poly.vec_sub(out, matvec(delta_cols, poly.lie_bracket(j0a, eb, dim)))
+        out = poly.vec_sub(out, poly.apply_columns(j0_cols, poly.lie_bracket(ea, db, dim)))
+        out = poly.vec_sub(out, poly.apply_columns(j0_cols, poly.lie_bracket(da, eb, dim)))
+        out = poly.vec_sub(out, poly.apply_columns(delta_cols, poly.lie_bracket(ea, j0b, dim)))
+        out = poly.vec_sub(out, poly.apply_columns(delta_cols, poly.lie_bracket(j0a, eb, dim)))
         return out
 
     return PolyTensorField.from_function(dim, 2, fn)
@@ -473,16 +492,16 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
 def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
     """First basis pair where dj(J x, y) != -J dj(x, y), or None."""
-    pt = [Fraction(x) for x in point]
     dim = j.dim
-    dj_pt = dj_field(j).at_point(pt)
-    j_pt = j.eval_matrix(pt)
+    field = columns_field(j.jet([Fraction(x) for x in point], 1))
+    j_at, dj_pt = jet_differential(field, 0), jet_differential(field, 1)
+    basis = linalg.identity(dim)
     for a in range(dim):
-        ja = [j_pt[i][a] for i in range(dim)]
+        ja = j_at.entries[(a,)]
         for b in range(dim):
-            eb = basis_vec(dim, b)
+            eb = basis[b]
             lhs = dj_pt.apply([ja, eb])
-            rhs = [-x for x in linalg.mat_vec(j_pt, dj_pt.apply([basis_vec(dim, a), eb]))]
+            rhs = [-x for x in j_at.apply([dj_pt.apply([basis[a], eb])])]
             if lhs != rhs:
                 return (a, b)
     return None
@@ -492,27 +511,22 @@ def second_differential_identity_defect(j: StructureField,
                                         point: Sequence) -> Optional[Index]:
     """First basis triple violating
     d2j(Jx, y, z) = -J d2j(x, y, z) - dj(dj(x, z), y) - dj(dj(x, y), z)."""
-    pt = [Fraction(x) for x in point]
     dim = j.dim
-    jf = structure_as_field(j)
-    dj_pt = jf.differential(1, pt)
-    d2j_pt = jf.differential(2, pt)
-    j_pt = j.eval_matrix(pt)
+    field = columns_field(j.jet([Fraction(x) for x in point], 2))
+    j_at = jet_differential(field, 0)
+    dj_pt, d2j_pt = jet_differential(field, 1), jet_differential(field, 2)
+    basis = linalg.identity(dim)
     for a in range(dim):
-        ja = [j_pt[i][a] for i in range(dim)]
-        ea = basis_vec(dim, a)
+        ja = j_at.entries[(a,)]
+        ea = basis[a]
         for b in range(dim):
-            eb = basis_vec(dim, b)
+            eb = basis[b]
             for c in range(dim):
-                ec = basis_vec(dim, c)
+                ec = basis[c]
                 lhs = d2j_pt.apply([ja, eb, ec])
-                rhs = [-x for x in linalg.mat_vec(j_pt, d2j_pt.apply([ea, eb, ec]))]
+                rhs = [-x for x in j_at.apply([d2j_pt.apply([ea, eb, ec])])]
                 rhs = linalg.vec_sub(rhs, dj_pt.apply([dj_pt.apply([ea, ec]), eb]))
                 rhs = linalg.vec_sub(rhs, dj_pt.apply([dj_pt.apply([ea, eb]), ec]))
                 if lhs != rhs:
                     return (a, b, c)
     return None
-
-
-def standard_point_structure(n: int) -> PointTensor:
-    return PointTensor.from_matrix(standard_matrix(n))

@@ -10,11 +10,13 @@ exact conditions on P_k, and the failing one carries the geometric
 obstruction.  This module assembles the residual, the defect tensor P_k,
 a canonical symmetric solution, and the order-2/3 obstruction tensors.
 
-A lift or a tower computes the differentials of J_L and J_M at the base
-points once, on first use, and every residual and defect tensor of that
-call reads them.  lift_tower checks each order once: its first step
-checks every input order, and every later step starts from the order
-that the previous step's post-lift residual certified.  Each P_k is
+Derivatives of the structures at a point come from their jets: a lift
+or a tower shifts J_L and J_M to the base points once and reads every
+differential there off those jets (invariants.jet_differential), each
+order once, on first use; every residual and defect tensor of that call
+shares them.  lift_tower checks each order once: its first step checks
+every input order, and every later step starts from the order that the
+previous step's post-lift residual certified.  Each P_k is
 checked against the three conditions once, inside symmetrize.
 
 The canonical symbol is computed only on sorted index tuples and copied
@@ -30,8 +32,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .invariants import (InternalInconsistencyError, higher_nijenhuis,
-                         nijenhuis_tensor, structure_as_field)
+from .invariants import (InternalInconsistencyError, columns_field,
+                         higher_nijenhuis, jet_differential, nijenhuis_tensor)
 from .structures import StructureError, StructureField
 from .tensor import (PointTensor, compose_linear, post_compose,
                      precompose_all, slot_compose)
@@ -226,27 +228,29 @@ def zeta(psi: PointTensor, j_l_at: PointTensor, j_m_at: PointTensor) -> PointTen
 class _StructureJets:
     """J_L and J_M at the base points and their differentials there.
 
-    d_l[p] is d^(p-1) J_L at x as a sparse entry dict (slot 0 the matrix
-    argument, the other p-1 slots derivative directions), d_m[p] the same
-    for J_M at y.  Each order is computed once, on first use, and shared
-    by every residual and defect tensor of one lift or tower, whose base
-    points never move.
+    Each structure is shifted to its base point once, to its entry degree,
+    so its jet there is exact and every order is a coefficient lookup.
+    j_l_at and j_m_at are the jets' constant terms.  d_l[p] is
+    d^(p-1) J_L at x as a sparse entry dict (slot 0 the matrix argument,
+    the other p-1 slots derivative directions), d_m[p] the same for J_M
+    at y.  Each order is read once, on first use, and shared by every
+    residual and defect tensor of one lift or tower, whose base points
+    never move.
     """
 
     def __init__(self, u: TruncatedMap, j_l: StructureField, j_m: StructureField):
-        self.j_l_at = j_l.at_point(list(u.x))
-        self.j_m_at = j_m.at_point(list(u.y))
-        self._fields = ((structure_as_field(j_l), list(u.x)),
-                        (structure_as_field(j_m), list(u.y)))
-        self.d_l: List[Dict[Index, Vector]] = [dict()]
-        self.d_m: List[Dict[Index, Vector]] = [dict()]
+        self._jets = tuple(columns_field(j.jet(list(pt), j.max_entry_degree()))
+                           for j, pt in ((j_l, u.x), (j_m, u.y)))
+        self.j_l_at, self.j_m_at = (jet_differential(f, 0) for f in self._jets)
+        self.d_l: List[Dict[Index, Vector]] = [dict(), _nonzero_entries(self.j_l_at)]
+        self.d_m: List[Dict[Index, Vector]] = [dict(), _nonzero_entries(self.j_m_at)]
 
     def upto(self, top: int) -> Tuple[List[Dict[Index, Vector]],
                                       List[Dict[Index, Vector]]]:
         while len(self.d_l) <= top:
             p = len(self.d_l)
-            for tower, (fld, point) in zip((self.d_l, self.d_m), self._fields):
-                tower.append(_nonzero_entries(fld.differential(p - 1, point)))
+            for tower, jet in zip((self.d_l, self.d_m), self._jets):
+                tower.append(_nonzero_entries(jet_differential(jet, p - 1)))
         return self.d_l, self.d_m
 
 

@@ -23,8 +23,15 @@ def mat_copy(m: Matrix) -> Matrix:
     return [list(row) for row in m]
 
 
+def basis_vector(dim: int, a: int) -> Vector:
+    """The standard basis vector e_a of Q^dim, as Fractions."""
+    out = [Fraction(0)] * dim
+    out[a] = Fraction(1)
+    return out
+
+
 def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [basis_vector(n, i) for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

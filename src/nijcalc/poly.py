@@ -257,6 +257,15 @@ def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
     return out
 
 
+def jet_apply_columns(cols: Sequence[PolyVec], x: PolyVec, order: int) -> PolyVec:
+    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order."""
+    out = vec_zero(len(cols[0]))
+    for col, c in zip(cols, x):
+        if c:
+            out = vec_add(out, [jet_mul(e, c, order) for e in col])
+    return out
+
+
 def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
                  order: int) -> List[PolyVec]:
     """[fields[i], fields[k]] for each (i, k) in pairs, cut above degree
@@ -330,6 +339,16 @@ def vec_scale(u: PolyVec, c: Scalar) -> PolyVec:
 
 def vec_scale_poly(u: PolyVec, p: Poly) -> PolyVec:
     return [mul(a, p) for a in u]
+
+
+def apply_columns(cols: Sequence[PolyVec], x: PolyVec) -> PolyVec:
+    """sum_k x[k] cols[k]: the polynomial matrix with these columns times
+    the field x, exact (J X for a structure's columns)."""
+    out = vec_zero(len(cols[0]))
+    for col, c in zip(cols, x):
+        if c:
+            out = vec_add(out, vec_scale_poly(col, c))
+    return out
 
 
 def vec_eval(u: PolyVec, point: Sequence[Scalar]) -> List[Fraction]:

@@ -49,15 +49,6 @@ class StructureField:
     def entry(self, i: int, j: int) -> Poly:
         return self.cols[j][i]
 
-    def apply_to_field(self, x: PolyVec) -> PolyVec:
-        """J X for a polynomial vector field X, exact."""
-        out = poly.vec_zero(self.dim)
-        for j in range(self.dim):
-            if poly.is_zero(x[j]):
-                continue
-            out = poly.vec_add(out, poly.vec_scale_poly(self.cols[j], x[j]))
-        return out
-
     def eval_matrix(self, point: Sequence) -> List[List[Fraction]]:
         return [[poly.eval_poly(self.cols[j][i], point) for j in range(self.dim)]
                 for i in range(self.dim)]
@@ -80,7 +71,7 @@ class StructureField:
         n = self.dim
         out = [[poly.zero() for _ in range(n)] for _ in range(n)]
         for j in range(n):
-            jj_col = self.apply_to_field(self.cols[j])  # J (J e_j)
+            jj_col = poly.apply_columns(self.cols, self.cols[j])  # J (J e_j)
             for i in range(n):
                 e = jj_col[i]
                 if i == j:
@@ -233,8 +224,8 @@ def linear_membership_violation(n_tensor: PointTensor,
     jm = j_map.to_matrix()
     for a in range(dim):
         for b in range(dim):
-            ea = [Fraction(1) if i == a else Fraction(0) for i in range(dim)]
-            eb = [Fraction(1) if i == b else Fraction(0) for i in range(dim)]
+            ea = linalg.basis_vector(dim, a)
+            eb = linalg.basis_vector(dim, b)
             ja = [jm[i][a] for i in range(dim)]
             jb = [jm[i][b] for i in range(dim)]
             base = n_tensor.apply([ea, eb])
@@ -320,8 +311,7 @@ class LieAlgebraSpec:
         return out
 
     def jacobi_violation(self) -> Optional[Tuple[int, int, int]]:
-        basis = [[Fraction(1) if i == k else Fraction(0) for i in range(self.dim)]
-                 for k in range(self.dim)]
+        basis = linalg.identity(self.dim)
         for a, b, c in itertools.combinations(range(self.dim), 3):
             total = [Fraction(0)] * self.dim
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
@@ -358,9 +348,7 @@ def left_invariant_structure(g: LieAlgebraSpec) -> Dict[str, PointTensor]:
         a, b = idx
         xa, ba = a % n, a // n
         xb, bb = b % n, b // n
-        ea = [Fraction(1) if i == xa else Fraction(0) for i in range(n)]
-        eb = [Fraction(1) if i == xb else Fraction(0) for i in range(n)]
-        br = g.bracket(ea, eb)
+        br = g.bracket(linalg.basis_vector(n, xa), linalg.basis_vector(n, xb))
         if ba == 0 and bb == 0:
             first, second = [-x for x in br], br
         elif ba == 1 and bb == 1:

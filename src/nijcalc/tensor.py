@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import linalg
 
@@ -302,28 +302,12 @@ def slot_compose(t: PointTensor, phi: PointTensor, slot: int) -> PointTensor:
     return PointTensor(t.dim_in, t.dim_out, t.arity, entries)
 
 
-def wedge_power_apply(phi: PointTensor, k: int, t: PointTensor) -> PointTensor:
-    """T o phi^(wedge k): every argument slot pushed through phi.
-
-    k is the slot count of each antisymmetric block (2 for the arity-4
-    pair pattern) and must tile the arity exactly.
-    """
-    if t.arity == 0:
-        return t
-    if k < 1 or t.arity % k != 0:
-        raise TensorError(f"arity {t.arity} not tiled by k = {k}")
-    return precompose_all(t, phi)
-
-
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
     """Matrix of the linear map eta -> T(xi, eta) for arity-2 T."""
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
-    cols = []
-    for j in range(t.dim_in):
-        basis_j = [Fraction(0)] * t.dim_in
-        basis_j[j] = Fraction(1)
-        cols.append(t.apply([list(xi), basis_j]))
+    cols = [t.apply([list(xi), linalg.basis_vector(t.dim_in, j)])
+            for j in range(t.dim_in)]
     return [[cols[j][i] for j in range(t.dim_in)] for i in range(t.dim_out)]
 
 
@@ -334,11 +318,6 @@ def kernel_dim(t: PointTensor, xi: Sequence) -> int:
 
 def kernel_basis(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
     return linalg.nullspace(kernel_matrix(t, xi))
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
-    """Exact affine solve: returns (particular, kernel_basis) or None if empty."""
-    return linalg.solve_affine([list(r) for r in rows], list(rhs))
 
 
 def _check_complex_structure(j: PointTensor, label: str) -> None:
@@ -381,9 +360,3 @@ def commutant_basis(j_l: PointTensor, j_m: PointTensor) -> List[PointTensor]:
         m = [[v[r * din + c] for c in range(din)] for r in range(dout)]
         out.append(PointTensor.from_matrix(m))
     return out
-
-
-def basis_vector(dim: int, j: int) -> List[Fraction]:
-    v = [Fraction(0)] * dim
-    v[j] = Fraction(1)
-    return v

@@ -20,7 +20,7 @@ from nijcalc.genpos import (
 from nijcalc.structures import (StructureError,
                                 linear_nijenhuis_from_free_data,
                                 standard_matrix)
-from nijcalc.tensor import PointTensor, kernel_dim, solve_linear
+from nijcalc.tensor import PointTensor, kernel_dim
 
 
 def e(dim, a):
@@ -300,7 +300,7 @@ def test_recovered_structure_set_is_sign_pair():
                     row2[comp * 4 + c] += base[c]
                 rows.append(row2)
                 rhs.append(Fraction(0))
-    particular, kern = solve_linear(rows, rhs)
+    particular, kern = linalg.solve_affine(rows, rhs)
     assert linalg.vec_is_zero(particular)
     assert len(kern) == 1
     j0 = standard_matrix(2)

@@ -6,23 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nijcalc import invariants, poly
+from nijcalc import invariants, linalg, poly
 from nijcalc.invariants import (
     InternalInconsistencyError,
-    basis_vec,
+    columns_field,
     compatibility_nijenhuis,
     dj_field,
     first_differential_antilinearity_defect,
     higher_nijenhuis,
     higher_nijenhuis_bracket,
     higher_nijenhuis_differential,
+    jet_differential,
     nijenhuis_differential,
     nijenhuis_field_bracket,
     nijenhuis_field_first_differential,
     nijenhuis_space_basis,
     nijenhuis_tensor,
     second_differential_identity_defect,
-    standard_point_structure,
     structure_as_field,
     torsion_jets,
 )
@@ -33,6 +33,7 @@ from nijcalc.structures import (
     random_linear_nijenhuis,
     random_structure,
     realize_nijenhuis,
+    standard_matrix,
     standard_structure,
 )
 from nijcalc.tensor import PointTensor, kernel_dim
@@ -136,8 +137,8 @@ def test_cross_check_catches_a_pair_pattern_break(monkeypatch):
     in the dense route must still trip the cross-check."""
     true_route = invariants.higher_nijenhuis_differential
 
-    def broken(j, point, n_field=None):
-        t = true_route(j, point, n_field)
+    def broken(j, point, jets=None):
+        t = true_route(j, point, jets)
         t.entries[(0, 0, 1, 2)] = [Fraction(1)] + t.entries[(0, 0, 1, 2)][1:]
         assert not t.has_pair_pattern()
         return t
@@ -185,6 +186,22 @@ def test_torsion_jets_are_jets_of_the_global_field(case, order):
     assert list(jets) == list(itertools.combinations(range(j.dim), 2))
     for idx, jet in jets.items():
         assert jet == [poly.shift(c, pt, order) for c in nf.entries[idx]]
+
+
+@settings(max_examples=8, deadline=None)
+@given(structures_at_points(), st.integers(0, 3))
+def test_jet_differential_equals_global_differential(case, p):
+    """d^p read off the jets equals differentiate-then-evaluate, on J and
+    on the torsion field; nijenhuis_differential builds its jets itself."""
+    j, pt = case
+    jet = columns_field(j.jet(pt, p))
+    assert jet_differential(jet, p) == structure_as_field(j).differential(p, pt)
+    nf = nijenhuis_field_bracket(j)
+    want = nf.differential(p, pt)
+    shifted = {idx: [poly.shift(c, pt, p) for c in val]
+               for idx, val in nf.entries.items()}
+    assert jet_differential(shifted, p) == want
+    assert nijenhuis_differential(j, p, pt) == want
 
 
 def test_torsion_cross_check_catches_a_route_disagreement(monkeypatch):
@@ -235,7 +252,7 @@ def test_identities_on_random_structures():
         t = higher_nijenhuis(j, pt)
         assert higher_nijenhuis(m, pt) == t.scale(Fraction(-1))
         for k in range(j.dim):
-            xi = basis_vec(j.dim, k)
+            xi = linalg.basis_vector(j.dim, k)
             jxi = j_pt.apply([xi])
             assert kernel_dim(n_pt, xi) == kernel_dim(n_pt, jxi)
 
@@ -251,7 +268,7 @@ def test_space_basis_membership_and_span():
     the span of the direct free-data construction."""
     for n in (2, 3):
         dim = 2 * n
-        j0 = standard_point_structure(n)
+        j0 = PointTensor.from_matrix(standard_matrix(n))
         basis = nijenhuis_space_basis(n)
         for t in basis:
             assert t.is_antisymmetric_in(0, 1)
@@ -281,7 +298,7 @@ def test_realize_round_trip():
 
 def test_realized_structure_membership_of_random_space_element():
     t = random_linear_nijenhuis(2, 9)
-    j0 = standard_point_structure(2)
+    j0 = PointTensor.from_matrix(standard_matrix(2))
     assert linear_membership_violation(t, j0) is None
 
 

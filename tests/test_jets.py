@@ -10,7 +10,6 @@ import pytest
 from nijcalc import jets, linalg
 from nijcalc.invariants import (
     InternalInconsistencyError,
-    PolyTensorField,
     higher_nijenhuis,
     nijenhuis_tensor,
     structure_as_field,
@@ -38,6 +37,7 @@ from nijcalc.jets import (
 )
 from nijcalc.structures import (
     StructureError,
+    StructureField,
     example_structure,
     random_structure,
     standard_matrix,
@@ -574,7 +574,8 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
         u = lift(u, j_l, j_m).lifted
     residuals = calls_of(monkeypatch, jets, "_residual_terms")
     verified = calls_of(monkeypatch, jets, "_verify_defect")
-    differentials = calls_of(monkeypatch, PolyTensorField, "differential")
+    shifts = calls_of(monkeypatch, StructureField, "jet")
+    differentials = calls_of(monkeypatch, jets, "jet_differential")
     tower = lift_tower(u, j_l, j_m, k_max=4)
     assert tower.ok and tower.lifted.order == 4
     # one residual per order: the input orders on the first step, then the
@@ -584,7 +585,10 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
     assert [a[0].order + 1 for a, kw in residuals if kw["skip_top"]] == \
         list(range(start + 1, 5))
     assert len(verified) == 4 - start
-    # d^0..d^3 of each structure, once per tower
+    # one jet per structure, to its entry degree, once per tower ...
+    assert [a for a, _ in shifts] == [(j_l, list(ZERO4), j_l.max_entry_degree()),
+                                      (j_m, list(ZERO4), j_m.max_entry_degree())]
+    # ... and d^0..d^3 of each structure read off it once
     assert sorted(a[1] for a, _ in differentials) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 

@@ -112,7 +112,7 @@ def test_vanishing_order_shifts_base_point():
 def test_apply_to_field():
     j = example_structure("ex2")
     x = [poly.zero(), poly.zero(), poly.var(1, 4), poly.zero()]
-    out = j.apply_to_field(x)
+    out = poly.apply_columns(j.cols, x)
     # J (x1 e3) = x1 e4 + x1 x2 e1
     assert out[0] == poly.parse_poly("x1*x2", 4)
     assert out[3] == poly.var(1, 4)

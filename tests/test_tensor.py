@@ -25,7 +25,7 @@ def std_j(n):
 
 def test_apply_identity_and_antisymmetry():
     ident = tensor.identity_map(3)
-    e1 = tensor.basis_vector(3, 0)
+    e1 = linalg.basis_vector(3, 0)
     assert ident.apply([e1]) == e1
 
     # antisymmetric arity-2 tensor vanishes on the diagonal
@@ -178,15 +178,15 @@ def test_commutant_rejects_non_structure():
 
 def test_kernel_dim_zero_tensor():
     t = PointTensor.zero(4, 4, 2)
-    assert tensor.kernel_dim(t, tensor.basis_vector(4, 0)) == 4
+    assert tensor.kernel_dim(t, linalg.basis_vector(4, 0)) == 4
 
 
-def test_wedge_power_apply_identity_and_zero():
+def test_precompose_all_identity_and_zero():
     t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(idx[0] * idx[1])])
     ident = tensor.identity_map(2)
-    assert tensor.wedge_power_apply(ident, 2, t) == t
+    assert tensor.precompose_all(t, ident) == t
     zero = PointTensor.from_matrix([[F(0), F(0)], [F(0), F(0)]])
-    assert tensor.wedge_power_apply(zero, 2, t).is_zero()
+    assert tensor.precompose_all(t, zero).is_zero()
 
 
 def test_precompose_all_with_rectangular_map():
@@ -219,8 +219,8 @@ def test_pair_pattern_detection():
     assert not not_pattern.has_pair_pattern()
 
 
-def test_solve_linear_wrapper():
-    sol = tensor.solve_linear([[F(1), F(1)]], [F(2)])
+def test_solve_affine_particular_and_kernel():
+    sol = linalg.solve_affine([[F(1), F(1)]], [F(2)])
     assert sol is not None
     part, kernel = sol
     assert part[0] + part[1] == 2
