@@ -10,7 +10,6 @@ Core layers:
   genpos      general-position tests and subspace decompositions
   jets        Cauchy-Riemann jet residuals, obstructions, lifting
   classify    4D frame invariants, Tanaka forms, Lie-structure checks
-  cli         batch command-line interface over JSON structure files
 """
 
 __version__ = "0.1.0"

@@ -10,30 +10,41 @@ exact conditions on P_k, and the failing one carries the geometric
 obstruction.  This module assembles the residual, the defect tensor P_k,
 a canonical symmetric solution, and the order-2/3 obstruction tensors.
 
-Derivatives of the structures at a point come from their jets: a lift
-or a tower shifts J_L and J_M to the base points once and reads every
-differential there off those jets (invariants.jet_differential), each
-order once, on first use; every residual and defect tensor of that call
-shares them.  lift_tower checks each order once: its first step checks
-every input order, and every later step starts from the order that the
-previous step's post-lift residual certified.  Each P_k is
-checked against the three conditions once, inside symmetrize.
+Residuals are Taylor coefficients.  With U the Taylor polynomial of the
+map, R_a(h) = J_M(y + U(h)) d_a U - sum_b J_L[b][a](x + h) d_b U is
+computed once per lift step by truncated composition (poly.jet_substitute),
+cut above the degree the step needs.  Its degree-(r - 1) part is the
+order-r residual and depends only on Phi^(1..r), so one polynomial built
+from Phi^(1..k-1) shows that the input orders vanish and, in its top
+part, gives -P_k.  The structures are shifted to the base points once per
+lift or tower (StructureField.jet) and every derivative is read off those
+jets.
+
+The set-partition expansion of the same coefficient is kept as an
+independent route.  It is evaluated only at the index tuples whose
+trailing slots are sorted, one per orbit of the slots in which every
+residual is symmetric, and it must agree with the composition there for
+each P_k and each public residual; otherwise InternalInconsistencyError
+is raised.
 
 The canonical symbol is computed only on sorted index tuples and copied
-over their permutations (PointTensor.from_symmetric_function).  Two
-dense checks certify it: zeta(Phi^(k)) == P_k over every index tuple in
-symmetrize, and the order-k residual of the lifted map, also over every
-index tuple, in lift.  Residuals and defect tensors stay dense.
+over their permutations (PointTensor.from_symmetric_function).  Each P_k
+is checked against the three conditions once, inside symmetrize, which
+then certifies the symbol densely: zeta(Phi^(k)) == P_k over every index
+tuple.  That equation is the order-k residual of the lifted map, so
+lift_tower starts each later step from the order it has just lifted.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import linalg
+from . import linalg, poly
 from .invariants import (InternalInconsistencyError, columns_field,
                          higher_nijenhuis, jet_differential, nijenhuis_tensor)
+from .poly import PolyVec
 from .structures import StructureError, StructureField
 from .tensor import (PointTensor, compose_linear, post_compose,
                      precompose_all, slot_compose)
@@ -176,29 +187,7 @@ def set_partitions(k: int) -> Iterator[List[Index]]:
     yield from rec(1, [[0]])
 
 
-# -- sparse evaluation helpers -------------------------------------------------
-
-def _nonzero_entries(t: PointTensor) -> Dict[Index, Vector]:
-    return {idx: v for idx, v in t.entries.items() if any(c != 0 for c in v)}
-
-def _apply_entries(entries: Dict[Index, Vector], args: Sequence[Vector],
-                   dim_out: int) -> Vector:
-    out = [Fraction(0)] * dim_out
-    for idx, value in entries.items():
-        coeff = Fraction(1)
-        for a, j in zip(args, idx):
-            c = a[j]
-            if c == 0:
-                coeff = Fraction(0)
-                break
-            coeff *= c
-        if coeff == 0:
-            continue
-        for i in range(dim_out):
-            if value[i]:
-                out[i] += coeff * value[i]
-    return out
-
+# -- argument normalization -----------------------------------------------------
 
 def _structure_at(j, point) -> PointTensor:
     if isinstance(j, StructureField):
@@ -230,33 +219,106 @@ class _StructureJets:
 
     Each structure is shifted to its base point once, to its entry degree,
     so its jet there is exact and every order is a coefficient lookup.
-    j_l_at and j_m_at are the jets' constant terms.  d_l[p] is
-    d^(p-1) J_L at x as a sparse entry dict (slot 0 the matrix argument,
-    the other p-1 slots derivative directions), d_m[p] the same for J_M
-    at y.  Each order is read once, on first use, and shared by every
-    residual and defect tensor of one lift or tower, whose base points
+    l_cols and m_cols are the columns of those jets, in the offsets from x
+    and from y; j_l_at and j_m_at are their constant terms.  d_l[p] is
+    d^(p-1) J_L at x (slot 0 the matrix argument, the other p-1 slots
+    derivative directions), or None where it vanishes; d_m[p] the same
+    for J_M at y.  Each order is read once, on first use, and shared by
+    every residual cross-check of one lift or tower, whose base points
     never move.
     """
 
     def __init__(self, u: TruncatedMap, j_l: StructureField, j_m: StructureField):
-        self._jets = tuple(columns_field(j.jet(list(pt), j.max_entry_degree()))
-                           for j, pt in ((j_l, u.x), (j_m, u.y)))
+        self.l_cols, self.m_cols = (j.jet(list(pt), j.max_entry_degree())
+                                    for j, pt in ((j_l, u.x), (j_m, u.y)))
+        self._jets = tuple(columns_field(c) for c in (self.l_cols, self.m_cols))
         self.j_l_at, self.j_m_at = (jet_differential(f, 0) for f in self._jets)
-        self.d_l: List[Dict[Index, Vector]] = [dict(), _nonzero_entries(self.j_l_at)]
-        self.d_m: List[Dict[Index, Vector]] = [dict(), _nonzero_entries(self.j_m_at)]
+        self.d_l: List[Optional[PointTensor]] = [None, self.j_l_at]
+        self.d_m: List[Optional[PointTensor]] = [None, self.j_m_at]
 
-    def upto(self, top: int) -> Tuple[List[Dict[Index, Vector]],
-                                      List[Dict[Index, Vector]]]:
+    def upto(self, top: int) -> Tuple[List[Optional[PointTensor]],
+                                      List[Optional[PointTensor]]]:
         while len(self.d_l) <= top:
             p = len(self.d_l)
             for tower, jet in zip((self.d_l, self.d_m), self._jets):
-                tower.append(_nonzero_entries(jet_differential(jet, p - 1)))
+                d = jet_differential(jet, p - 1)
+                tower.append(None if d.is_zero() else d)
         return self.d_l, self.d_m
 
 
+def _factorial_weight(alpha: Index) -> int:
+    return math.prod(math.factorial(a) for a in alpha)
+
+
+def _taylor_map(u: TruncatedMap) -> PolyVec:
+    """U(h) = u(x + h) - y: the coefficient of h^alpha is the symbol entry
+    at the sorted index tuple with multiplicities alpha, over alpha!."""
+    n = u.dim_in
+    out: PolyVec = [{} for _ in range(u.dim_out)]
+    for s in u.symbols:
+        for rep in itertools.combinations_with_replacement(range(n), s.k):
+            alpha = tuple(rep.count(b) for b in range(n))
+            w = _factorial_weight(alpha)
+            for comp, c in zip(out, s.tensor.entries[rep]):
+                if c:
+                    comp[alpha] = c / w
+    return out
+
+
+def _cr_polynomial(u: TruncatedMap, jets: _StructureJets, top: int) -> List[PolyVec]:
+    """R_a(h) = J_M(y + U(h)) d_a U - sum_b J_L[b][a](x + h) d_b U for each
+    basis direction a, cut above degree top; U is _taylor_map(u).
+
+    R_a is the Taylor polynomial of (j_M o u_* - u_* o j_L)(e_a) at x, so
+    its degree-(r - 1) part is the order-r residual and depends only on
+    Phi^(1..r).  With top = u.order it holds every residual of u, and its
+    top part, which misses the absent Phi^(top + 1), is -P_(top + 1).
+    """
+    n = u.dim_in
+    big_u = _taylor_map(u)
+    d_u = [[poly.diff(c, b + 1) for c in big_u] for b in range(n)]
+    m_at_u = [[poly.jet_substitute(p, big_u, n, top) for p in col]
+              for col in jets.m_cols]
+    return [poly.vec_sub(poly.jet_apply_columns(m_at_u, d_u[a], top),
+                         poly.jet_apply_columns(d_u, jets.l_cols[a], top))
+            for a in range(n)]
+
+
+def _representatives(dim: int, k: int) -> Iterator[Index]:
+    """Index tuples (a, i_1 <= .. <= i_(k-1)): one per orbit of the
+    trailing slots, dim C(dim + k - 2, k - 1) of them."""
+    for a in range(dim):
+        for rest in itertools.combinations_with_replacement(range(dim), k - 1):
+            yield (a,) + rest
+
+
+def _taylor_entries(r: List[PolyVec], k: int, sign: int) -> Dict[Index, Vector]:
+    """sign alpha! times the coefficient of h^alpha in r[a], at each
+    representative (a, I) with alpha the multiplicities of I: the
+    arity-k tensor of the degree-(k - 1) part of r."""
+    n = len(r)
+    zero = Fraction(0)
+    out: Dict[Index, Vector] = {}
+    for idx in _representatives(n, k):
+        alpha = tuple(idx[1:].count(b) for b in range(n))
+        w = sign * _factorial_weight(alpha)
+        out[idx] = [w * c.get(alpha, zero) for c in r[idx[0]]]
+    return out
+
+
+def _fill_trailing(values: Dict[Index, Vector], dim_in: int, dim_out: int,
+                   k: int) -> PointTensor:
+    """The dense tensor, symmetric in the trailing slots, with these values
+    at the representatives."""
+    return PointTensor(dim_in, dim_out, k, {
+        idx: list(values[(idx[0],) + tuple(sorted(idx[1:]))])
+        for idx in itertools.product(range(dim_in), repeat=k)})
+
+
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
-                    skip_top: bool) -> PointTensor:
-    """Order-k coefficient of j_M o u_* - u_* o j_L.
+                    skip_top: bool) -> Dict[Index, Vector]:
+    """Order-k coefficient of j_M o u_* - u_* o j_L at the representatives,
+    from set partitions: the tensor route that cross-checks _cr_polynomial.
 
     With skip_top the terms containing the order-k symbol are dropped and
     the sign is flipped, which turns the residual into the defect tensor
@@ -281,8 +343,9 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     def m_term(subs: Tuple[Index, ...]) -> Vector:
         """d^(p-1) j_M on the symbol values at the given blocks."""
         if subs not in m_terms:
-            m_terms[subs] = _apply_entries(
-                d_m[len(subs)], [sym[len(b)][b] for b in subs], m_dim)
+            d = d_m[len(subs)]
+            m_terms[subs] = zero if d is None else d.apply(
+                [sym[len(b)][b] for b in subs])
         return m_terms[subs]
 
     def l_term(head: Index, rest: Index) -> Optional[Vector]:
@@ -291,11 +354,11 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
         key = (head, rest)
         if key in l_terms:
             return l_terms[key]
-        v = d_l[len(head)].get(head)
+        d = d_l[len(head)]
         term = None
-        if v is not None:
+        if d is not None:
             r = len(rest) + 1
-            for i0, c in enumerate(v):
+            for i0, c in enumerate(d.entries[head]):
                 if c == 0:
                     continue
                 w = sym[r][(i0,) + rest]
@@ -318,7 +381,20 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                 out = linalg.vec_sub(out, term)
         return out if not skip_top else [-c for c in out]
 
-    return PointTensor.from_function(l_dim, m_dim, k, entry)
+    return {idx: entry(idx) for idx in _representatives(l_dim, k)}
+
+
+def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
+                   skip_top: bool) -> PointTensor:
+    """The residual (or, with skip_top, P_k) read off the composition r,
+    compared with the tensor route at every representative."""
+    k = u.order + 1 if skip_top else u.order
+    values = _taylor_entries(r, k, -1 if skip_top else 1)
+    if _residual_terms(u, jets, skip_top) != values:
+        what = f"defect tensor P_{k}" if skip_top else f"order-{k} residual"
+        raise InternalInconsistencyError(
+            f"the composition and tensor routes disagree on the {what}")
+    return _fill_trailing(values, u.dim_in, u.dim_out, k)
 
 
 def cr_residual(u: TruncatedMap, j_l: StructureField,
@@ -330,7 +406,9 @@ def cr_residual(u: TruncatedMap, j_l: StructureField,
     commutator j_M(y) Phi - Phi j_L(x).
     """
     _check_charts(u, j_l, j_m)
-    return _residual_terms(u, _StructureJets(u, j_l, j_m), skip_top=False)
+    jets = _StructureJets(u, j_l, j_m)
+    return _cross_checked(u, jets, _cr_polynomial(u, jets, u.order - 1),
+                          skip_top=False)
 
 
 def _check_charts(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> None:
@@ -338,14 +416,17 @@ def _check_charts(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> 
         raise StructureError("map charts do not match the structure dimensions")
 
 
-def _require_membership(u: TruncatedMap, jets: _StructureJets,
-                        first: int = 1) -> None:
-    """Zero residual at the orders first..u.order; the orders below first
+def _defect_tensor(u: TruncatedMap, jets: _StructureJets,
+                   first: int = 1) -> PointTensor:
+    """P_k for k = u.order + 1, from one composition that first shows a
+    zero residual at the orders first..u.order; the orders below first
     are already certified by the caller."""
-    for r in range(first, u.order + 1):
-        if not _residual_terms(truncate(u, r), jets, skip_top=False).is_zero():
+    r = _cr_polynomial(u, jets, u.order)
+    for order in range(first, u.order + 1):
+        if any(poly.low_degree_part(c, order - 1) for r_a in r for c in r_a):
             raise StructureError(
-                f"map fails the compatibility equation at order {r}")
+                f"map fails the compatibility equation at order {order}")
+    return _cross_checked(u, jets, r, skip_top=True)
 
 
 # -- defect tensor and its conditions -------------------------------------------
@@ -405,8 +486,7 @@ def build_P_k(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)
-    _require_membership(u, jets)
-    p_k = _residual_terms(u, jets, skip_top=True)
+    p_k = _defect_tensor(u, jets)
     if verify:
         try:
             _verify_defect(p_k, jets.j_l_at, jets.j_m_at)
@@ -517,19 +597,13 @@ def _lift_step(u: TruncatedMap, jets: _StructureJets,
                certified: int) -> LiftResult:
     """lift, with the structure jets given and the residual already known
     to vanish at the orders 1..certified."""
-    k = u.order + 1
-    _require_membership(u, jets, first=certified + 1)
-    p_k = _residual_terms(u, jets, skip_top=True)
+    p_k = _defect_tensor(u, jets, first=certified + 1)
     try:
         sym = symmetrize(p_k, jets.j_l_at, jets.j_m_at)
     except DefectConditionError as err:
         _require_swap(err)
-        return LiftResult(None, Obstruction.from_residual(k, err.defect))
-    lifted = u.with_symbol(sym)
-    if not _residual_terms(lifted, jets, skip_top=False).is_zero():
-        raise InternalInconsistencyError(
-            f"order-{k} residual nonzero after lifting")
-    return LiftResult(lifted, None)
+        return LiftResult(None, Obstruction.from_residual(u.order + 1, err.defect))
+    return LiftResult(u.with_symbol(sym), None)
 
 
 def lift(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> LiftResult:
@@ -551,8 +625,9 @@ def lift_tower(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
 
     Returns the deepest map reached; the obstruction field carries the
     blocking tensor when lifting stopped early.  The first step checks
-    every input order; each later step starts from an order that the
-    previous step's post-lift residual has just certified.
+    every input order; each later step starts from the order that the
+    previous step has just lifted, whose residual zeta(Phi^(k)) - P_k
+    symmetrize has certified zero.
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)

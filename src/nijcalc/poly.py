@@ -257,6 +257,45 @@ def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
     return out
 
 
+def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
+                   order: int) -> Poly:
+    """substitute(p, subs, out_num_vars) cut above total degree order.
+
+    The substitutions must have no constant term, so a monomial of p of
+    degree above order contributes nothing and is skipped.  The image of
+    each monomial is built from the image of the monomial one degree
+    lower, times one substitution, and cached, so every power and product
+    of the substitutions is multiplied out once per call.
+    """
+    if any(constant_term(s) for s in subs):
+        raise PolyError("a jet substitution needs substitutions without constant term")
+    if not p:
+        return {}
+    n = len(next(iter(p)))
+    if len(subs) != n:
+        raise PolyError(f"{len(subs)} substitutions for {n} variables")
+    images: Dict[Exponent, Poly] = {(0,) * n: const(1, out_num_vars)}
+
+    def image(e: Exponent) -> Poly:
+        if e not in images:
+            i = max(a for a, k in enumerate(e) if k)
+            lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+            images[e] = jet_mul(image(lower), subs[i], order)
+        return images[e]
+
+    out: Poly = {}
+    for e, c in p.items():
+        if sum(e) > order:
+            continue
+        for e2, c2 in image(e).items():
+            s = out.get(e2, Fraction(0)) + c * c2
+            if s:
+                out[e2] = s
+            else:
+                out.pop(e2, None)
+    return out
+
+
 def jet_apply_columns(cols: Sequence[PolyVec], x: PolyVec, order: int) -> PolyVec:
     """apply_columns on jets: sum_k x[k] cols[k] cut above degree order."""
     out = vec_zero(len(cols[0]))

@@ -316,10 +316,6 @@ def kernel_dim(t: PointTensor, xi: Sequence) -> int:
     return t.dim_in - linalg.rank(kernel_matrix(t, xi))
 
 
-def kernel_basis(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
-    return linalg.nullspace(kernel_matrix(t, xi))
-
-
 def _check_complex_structure(j: PointTensor, label: str) -> None:
     if j.arity != 1 or j.dim_in != j.dim_out:
         raise TensorError(f"{label} is not a square linear map")

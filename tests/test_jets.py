@@ -2,12 +2,13 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from nijcalc import jets, linalg
+from nijcalc import jets, linalg, poly
 from nijcalc.invariants import (
     InternalInconsistencyError,
     higher_nijenhuis,
@@ -572,18 +573,22 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
     u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
     if start == 2:
         u = lift(u, j_l, j_m).lifted
-    residuals = calls_of(monkeypatch, jets, "_residual_terms")
+    compositions = calls_of(monkeypatch, jets, "_cr_polynomial")
+    cross_checks = calls_of(monkeypatch, jets, "_residual_terms")
     verified = calls_of(monkeypatch, jets, "_verify_defect")
     shifts = calls_of(monkeypatch, StructureField, "jet")
     differentials = calls_of(monkeypatch, jets, "jet_differential")
     tower = lift_tower(u, j_l, j_m, k_max=4)
     assert tower.ok and tower.lifted.order == 4
-    # one residual per order: the input orders on the first step, then the
-    # post-lift residual of each new order
-    assert [a[0].order for a, kw in residuals if not kw["skip_top"]] == [1, 2, 3, 4]
-    # one defect tensor per new order, each checked against the conditions once
-    assert [a[0].order + 1 for a, kw in residuals if kw["skip_top"]] == \
-        list(range(start + 1, 5))
+    # one composition per step, cut at the order of the map it extends:
+    # the first also shows the input orders, each later one the order just
+    # lifted, which symmetrize has already certified
+    assert [(a[0].order, a[2]) for a, _ in compositions] == \
+        [(k, k) for k in range(start, 4)]
+    # one representative cross-check per new order, of P_k, and one check
+    # of P_k against the conditions
+    assert [(a[0].order + 1, a[2]) for a, _ in cross_checks] == \
+        [(k, True) for k in range(start + 1, 5)]
     assert len(verified) == 4 - start
     # one jet per structure, to its entry degree, once per tower ...
     assert [a for a, _ in shifts] == [(j_l, list(ZERO4), j_l.max_entry_degree()),
@@ -686,3 +691,183 @@ def test_obstructed_tower_keeps_its_residual(fixture, order, expected):
     swap = defect_conditions(p_k, j_l.at_point(list(u.x)),
                              j_m.at_point(list(u.y)))["swap_conjugation"]
     assert tower.obstruction.residual == swap
+
+
+# -- the composition route against a dense set-partition reference -----------------
+
+def dense_reference(j_l, j_m, x, y, top):
+    """residual(u, skip_top) computing every entry of the order-k residual
+    from set partitions (Faa di Bruno), over all dim^k index tuples, with
+    the differentials d^0..d^(top - 1) of the global polynomials at x and
+    y; with skip_top, P_k for k = u.order + 1."""
+    d_l = [None] + [structure_as_field(j_l).differential(p, list(x)) for p in range(top)]
+    d_m = [None] + [structure_as_field(j_m).differential(p, list(y)) for p in range(top)]
+    return lambda u, skip_top=False: dense_residual(u, d_l, d_m, skip_top)
+
+
+def dense_residual(u, d_l, d_m, skip_top):
+    k = u.order + 1 if skip_top else u.order
+    n, m = u.dim_in, u.dim_out
+    sym = {s.k: s.tensor for s in u.symbols}
+    parts = [b for b in set_partitions(k) if not (skip_top and len(b) == 1)]
+    m_memo, l_memo = {}, {}
+
+    def m_term(subs):
+        if subs not in m_memo:
+            m_memo[subs] = d_m[len(subs)].apply([sym[len(b)].entries[b] for b in subs])
+        return m_memo[subs]
+
+    def l_term(head, rest):
+        if (head, rest) not in l_memo:
+            l_memo[head, rest] = sym[len(rest) + 1].apply(
+                [d_l[len(head)].entries[head]] + [e(n, i) for i in rest])
+        return l_memo[head, rest]
+
+    def entry(idx):
+        out = [Fraction(0)] * m
+        for blocks in parts:
+            out = linalg.vec_add(out, m_term(tuple(tuple(idx[i] for i in b)
+                                                   for b in blocks)))
+        for p in range(2 if skip_top else 1, k + 1):
+            for s in itertools.combinations(range(1, k), p - 1):
+                rest = tuple(idx[i] for i in range(1, k) if i not in s)
+                out = linalg.vec_sub(out, l_term(
+                    (idx[0],) + tuple(idx[i] for i in s), rest))
+        return [-c for c in out] if skip_top else out
+
+    return PointTensor.from_function(n, m, k, entry)
+
+
+def chart_change(rng, dim):
+    """phi_i = x_i + c_i x_1 x_k (k < i) and its polynomial inverse psi."""
+    phi = [poly.var(1, dim)]
+    for i in range(1, dim):
+        ex = [0] * dim
+        ex[0] += 1
+        ex[rng.randrange(i)] += 1
+        phi.append(poly.add(poly.var(i + 1, dim),
+                            poly.monomial(tuple(ex), rng.choice((-2, -1, 1, 2)))))
+    psi = []
+    for i in range(dim):
+        reps = psi + [poly.var(r + 1, dim) for r in range(i, dim)]
+        psi.append(poly.sub(poly.var(i + 1, dim), poly.substitute(
+            poly.sub(phi[i], poly.var(i + 1, dim)), reps, dim)))
+    return phi, psi
+
+
+def push_forward(j, phi, psi):
+    """phi_*J: column k of J'(y) is Dphi(psi(y)) J(psi(y)) Dpsi(y) e_k."""
+    dim = j.dim
+
+    def pulled(col):
+        return [poly.substitute(c, psi, dim) for c in col]
+
+    j_psi = [pulled(col) for col in j.cols]
+    dphi = [pulled([poly.diff(c, a + 1) for c in phi]) for a in range(dim)]
+    return StructureField([
+        poly.apply_columns(dphi, poly.apply_columns(
+            j_psi, [poly.diff(c, k + 1) for c in psi]))
+        for k in range(dim)], name=f"pushed({j.name})")
+
+
+def taylor_jet(phi, x0, order):
+    """The truncated map of the polynomial map phi at x0, to the given order."""
+    dim = len(phi)
+    shifted = [poly.shift(c, x0, order) for c in phi]
+
+    def symbol(idx):
+        alpha = tuple(idx.count(a) for a in range(dim))
+        w = math.prod(math.factorial(a) for a in alpha)
+        return [c.get(alpha, Fraction(0)) * w for c in shifted]
+
+    return TruncatedMap(tuple(x0), tuple(poly.eval_poly(c, x0) for c in phi), tuple(
+        JetSymbol(r, PointTensor.from_symmetric_function(dim, dim, r, symbol))
+        for r in range(1, order + 1)))
+
+
+def pushed_pair(j, seed, order):
+    """J, phi_*J for a seeded triangular chart change phi, and the
+    order-jet of phi at a seeded point: a map with zero residual."""
+    rng = random.Random(seed)
+    phi, psi = chart_change(rng, j.dim)
+    x0 = [Fraction(rng.choice((-1, 1)), rng.randint(1, 2)) for _ in range(j.dim)]
+    return j, push_forward(j, phi, psi), taylor_jet(phi, x0, order)
+
+
+def test_pushed_pair_residuals_agree_with_the_dense_reference():
+    j_l, j_m, u = pushed_pair(random_structure(2, seed=5, degree=1), 7, 5)
+    assert j_l.max_entry_degree() == 1 and j_m.max_entry_degree() >= 2
+    dense = dense_reference(j_l, j_m, u.x, u.y, 5)
+    for r in range(1, 6):
+        res = cr_residual(truncate(u, r), j_l, j_m)
+        assert res == dense(truncate(u, r))
+        assert res.is_zero()
+    # one orbit of the order-5 symbol moved: a nonzero residual, equal to
+    # zeta of the change
+    bump = PointTensor.from_symmetric_function(4, 4, 5, lambda idx: [
+        Fraction(int(idx == (0, 1, 1, 2, 3) and i == 2)) for i in range(4)])
+    bumped = truncate(u, 4).with_symbol(JetSymbol(5, u.symbol(5).tensor.add(bump)))
+    res = cr_residual(bumped, j_l, j_m)
+    assert res == dense(bumped)
+    assert res == zeta(bump, j_l.at_point(list(u.x)), j_m.at_point(list(u.y)))
+    assert not res.is_zero()
+
+
+@pytest.mark.parametrize("fixture", [ex5_to_standard, random_pair])
+def test_obstructed_tower_P_k_agrees_with_the_dense_reference(fixture):
+    j_l, j_m, u = fixture()
+    tower = lift_tower(u, j_l, j_m, k_max=4)
+    assert not tower.ok
+    dense = dense_reference(j_l, j_m, u.x, u.y, max(tower.obstruction.order, 3))
+    for r in range(1, tower.lifted.order + 1):
+        p_k = build_P_k(truncate(tower.lifted, r), j_l, j_m, verify=False)
+        assert p_k == dense(truncate(tower.lifted, r), skip_top=True)
+    # random symbols give nonzero residuals at every order
+    rng = random.Random(31)
+    noisy = TruncatedMap(u.x, u.y, tuple(JetSymbol(r, rand_symmetric(4, 4, r, rng))
+                                         for r in range(1, 4)))
+    for r in range(1, 4):
+        res = cr_residual(truncate(noisy, r), j_l, j_m)
+        assert not res.is_zero()
+        assert res == dense(truncate(noisy, r))
+
+
+def test_6d_pushed_pair_agrees_with_the_dense_reference():
+    j_l, j_m, u = pushed_pair(standard_structure(3), 3, 3)
+    dense = dense_reference(j_l, j_m, u.x, u.y, 3)
+    for r in range(1, 4):
+        assert cr_residual(truncate(u, r), j_l, j_m) == dense(truncate(u, r))
+    # the canonical prolongation of the 1-jet: the P_k along its tower
+    tower = lift_tower(truncate(u, 1), j_l, j_m, k_max=3)
+    for r in range(1, tower.lifted.order):
+        assert build_P_k(truncate(tower.lifted, r), j_l, j_m, verify=False) == \
+            dense(truncate(tower.lifted, r), skip_top=True)
+
+
+@pytest.mark.parametrize("route", ["tensor", "composition"])
+def test_route_disagreement_raises(monkeypatch, route):
+    """One wrong representative entry in either route stops the tower."""
+    j_l = example_structure("ex2")
+    j_m = standard_structure(2)
+    u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
+    if route == "tensor":
+        real = jets._residual_terms
+
+        def wrong(*args):
+            out = real(*args)
+            idx = max(out)
+            out[idx] = [out[idx][0] + 1] + out[idx][1:]
+            return out
+
+        monkeypatch.setattr(jets, "_residual_terms", wrong)
+    else:
+        real = jets._cr_polynomial
+
+        def wrong(u, sj, top):
+            out = real(u, sj, top)
+            out[3][1] = poly.add(out[3][1], poly.monomial((0, 0, 1, top - 1), 1))
+            return out
+
+        monkeypatch.setattr(jets, "_cr_polynomial", wrong)
+    with pytest.raises(InternalInconsistencyError, match="disagree"):
+        lift_tower(u, j_l, j_m, k_max=3)

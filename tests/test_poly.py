@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nijcalc import poly
 
@@ -180,6 +180,22 @@ def test_shift_rejects_a_point_of_the_wrong_length():
 @given(polys(), polys(), st.integers(0, 4))
 def test_jet_mul_is_truncated_product(a, b, order):
     assert poly.jet_mul(a, b, order) == poly.truncate(poly.mul(a, b), order)
+
+
+@given(polys(max_exp=3), st.lists(polys(num_vars=2), min_size=3, max_size=3),
+       st.integers(0, 4))
+@example({}, [{}, {}, {}], 2)
+@example({(0, 0, 0): Fraction(3), (1, 0, 2): Fraction(-1)}, [{}, {}, {}], 0)
+def test_jet_substitute_is_truncated_substitution(p, subs, order):
+    subs = [{e: c for e, c in q.items() if any(e)} for q in subs]
+    assert poly.jet_substitute(p, subs, 2, order) == \
+        poly.truncate(poly.substitute(p, subs, 2), order)
+
+
+def test_jet_substitute_rejects_a_constant_term():
+    subs = [poly.parse_poly("x1", 2), poly.parse_poly("1 + x2", 2)]
+    with pytest.raises(poly.PolyError, match="constant term"):
+        poly.jet_substitute(poly.parse_poly("x1*x2", 2), subs, 2, 3)
 
 
 @given(st.lists(st.lists(polys(), min_size=3, max_size=3), min_size=3, max_size=3),
