@@ -130,17 +130,21 @@ def pi2(j: StructureField, point: Sequence) -> Distribution:
     if not gens:
         raise HypothesisError("torsion", "torsion vanishes identically")
     dist = make_distribution(gens, point)
-    if dist.rank == 0:
+    _check_torsion_plane([list(v) for v in dist.fiber], j.eval_matrix(point))
+    return dist
+
+
+def _check_torsion_plane(fiber: List[Vec], jm: List[List[Fraction]]) -> None:
+    """The torsion image at the point, given by a basis, must be nonzero;
+    it is then a j-closed plane by the pair symmetries, which is asserted."""
+    if not fiber:
         raise HypothesisError("torsion", "torsion vanishes at the point")
-    if dist.rank != 2:
+    if len(fiber) != 2:
         raise InternalInconsistencyError(
-            f"torsion image has rank {dist.rank}, expected 2")
-    jm = j.eval_matrix(point)
-    fiber = [list(v) for v in dist.fiber]
+            f"torsion image has rank {len(fiber)}, expected 2")
     for v in fiber:
         if not linalg.in_span(linalg.mat_vec(jm, v), fiber):
             raise InternalInconsistencyError("torsion image is not j-closed")
-    return dist
 
 
 def derived_distribution(dist: Distribution, point: Sequence) -> Distribution:
@@ -247,15 +251,8 @@ def _frame_ingredients(j: StructureField, point: Sequence):
     gens = list(torsion_jets(jet, 1).values())
     gen_vals = _values(gens)
     fiber = linalg.span_basis(gen_vals)
-    if not fiber:
-        raise HypothesisError("torsion", "torsion vanishes at the point")
-    if len(fiber) != 2:
-        raise InternalInconsistencyError(
-            f"torsion image has rank {len(fiber)}, expected 2")
     jm = [[poly.constant_term(col[i]) for col in jet] for i in range(4)]
-    for v in fiber:
-        if not linalg.in_span(linalg.mat_vec(jm, v), fiber):
-            raise InternalInconsistencyError("torsion image is not j-closed")
+    _check_torsion_plane(fiber, jm)
     derived = _derived_fiber(gens)
     if len(derived) == 2:
         raise HypothesisError(

@@ -13,9 +13,9 @@ global field and evaluating it: J is shifted to the point
 (StructureField.jet), torsion_jets expands the torsion fields there from
 the next jet of J, and jet_differential reads d^p of any such jet off its
 degree-p coefficients.  Both torsion routes read only the 1-jet of J, the
-arity-4 routes and the identity checks its 2-jet.  The global fields
-(nijenhuis_field_bracket, dj_field, PolyTensorField.differential) serve
-the symbolic verdicts in classify and the tests as references.
+arity-4 routes and the identity checks its 2-jet.  The global torsion
+field (nijenhuis_field_bracket) serves only the symbolic verdicts in
+classify.
 """
 
 from __future__ import annotations
@@ -57,48 +57,10 @@ class PolyTensorField:
                    for idx in itertools.product(range(dim), repeat=arity)}
         return cls(dim, arity, entries)
 
-    def apply_poly(self, args: Sequence[PolyVec]) -> PolyVec:
-        """Tensorial application to polynomial vector fields, summed over
-        the index tuples built from the arguments' nonzero components."""
-        supports = [[(a, f) for a, f in enumerate(arg) if not poly.is_zero(f)]
-                    for arg in args]
-        out = poly.vec_zero(self.dim)
-        for combo in itertools.product(*supports):
-            coeff = poly.const(1, self.dim)
-            for _, f in combo:
-                coeff = poly.mul(coeff, f)
-            val = self.entries[tuple(a for a, _ in combo)]
-            out = poly.vec_add(out, poly.vec_scale_poly(val, coeff))
-        return out
-
     def at_point(self, point: Sequence) -> PointTensor:
         return PointTensor(self.dim, self.dim, self.arity,
                            {idx: poly.vec_eval(v, point)
                             for idx, v in self.entries.items()})
-
-    def differential(self, p: int, point: Sequence) -> PointTensor:
-        """d^p at the point: arity grows by p derivative slots (last)."""
-        if p < 0:
-            raise ValueError("p must be nonnegative")
-        cache: Dict[Tuple[Index, Tuple[int, ...]], PolyVec] = {}
-
-        def deriv(idx: Index, dirs: Tuple[int, ...]) -> PolyVec:
-            key = (idx, tuple(sorted(dirs)))
-            if key in cache:
-                return cache[key]
-            if not dirs:
-                out = self.entries[idx]
-            else:
-                prev = deriv(idx, dirs[:-1])
-                out = [poly.diff(c, dirs[-1] + 1) for c in prev]
-            cache[key] = out
-            return out
-
-        def fn(full: Index) -> Vec:
-            base, dirs = full[:self.arity], full[self.arity:]
-            return poly.vec_eval(deriv(base, dirs), point)
-
-        return PointTensor.from_function(self.dim, self.dim, self.arity + p, fn)
 
 
 def columns_field(cols: Sequence[PolyVec]) -> Dict[Index, PolyVec]:
@@ -107,17 +69,12 @@ def columns_field(cols: Sequence[PolyVec]) -> Dict[Index, PolyVec]:
     return {(a,): col for a, col in enumerate(cols)}
 
 
-def structure_as_field(j: StructureField) -> PolyTensorField:
-    return PolyTensorField(j.dim, 1, columns_field(j.cols))
-
-
 def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
     """d^p at the base point of a tensor field given by its jets there.
 
     jets maps every basis tuple of the field to the jet of its value,
-    known to order p at least (StructureField.jet, torsion_jets).  As in
-    PolyTensorField.differential the p derivative slots come last: the
-    entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
+    known to order p at least (StructureField.jet, torsion_jets).  The p
+    derivative slots come last: the entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
     jets[idx] times alpha!, where alpha counts the directions c_i.
     """
     dim = len(next(iter(jets.values())))
@@ -134,14 +91,6 @@ def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
     return PointTensor(dim, dim, len(base) + p, entries)
 
 
-def dj_field(j: StructureField) -> PolyTensorField:
-    """dj(form slot, derivative slot) with polynomial entries."""
-    dim = j.dim
-    entries = {(a, b): [poly.diff(j.cols[a][i], b + 1) for i in range(dim)]
-               for a in range(dim) for b in range(dim)}
-    return PolyTensorField(dim, 2, entries)
-
-
 # ---------------------------------------------------------------------------
 # torsion tensor, two routes
 # ---------------------------------------------------------------------------
@@ -149,44 +98,17 @@ def dj_field(j: StructureField) -> PolyTensorField:
 def nijenhuis_field_bracket(j: StructureField) -> PolyTensorField:
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis fields."""
     dim = j.dim
-    entries: Dict[Index, PolyVec] = {}
-    for a in range(dim):
-        entries[(a, a)] = poly.vec_zero(dim)
-    for a in range(dim):
-        ea = const_field(dim, a)
-        ja = j.cols[a]
-        for b in range(a + 1, dim):
-            eb = const_field(dim, b)
-            jb = j.cols[b]
-            val = poly.lie_bracket(ja, jb, dim)
-            val = poly.vec_sub(val, poly.apply_columns(j.cols, poly.lie_bracket(ja, eb, dim)))
-            val = poly.vec_sub(val, poly.apply_columns(j.cols, poly.lie_bracket(ea, jb, dim)))
-            # [ea, eb] = 0 for coordinate fields
-            entries[(a, b)] = val
-            entries[(b, a)] = [poly.neg(c) for c in val]
-    return PolyTensorField(dim, 2, entries)
-
-
-def nijenhuis_field_first_differential(j: StructureField) -> PolyTensorField:
-    """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX)."""
-    dim = j.dim
-    dj = dj_field(j)
-    entries: Dict[Index, PolyVec] = {}
-    for a in range(dim):
-        entries[(a, a)] = poly.vec_zero(dim)
-    for a in range(dim):
-        ea = const_field(dim, a)
-        ja = j.cols[a]
-        for b in range(a + 1, dim):
-            eb = const_field(dim, b)
-            jb = j.cols[b]
-            val = [poly.neg(c) for c in dj.apply_poly([ja, eb])]
-            val = poly.vec_sub(val, dj.apply_poly([ea, jb]))
-            val = poly.vec_add(val, dj.apply_poly([jb, ea]))
-            val = poly.vec_add(val, dj.apply_poly([eb, ja]))
-            entries[(a, b)] = val
-            entries[(b, a)] = [poly.neg(c) for c in val]
-    return PolyTensorField(dim, 2, entries)
+    values: Dict[Index, PolyVec] = {}
+    for a, b in itertools.combinations(range(dim), 2):
+        ja, jb = j.cols[a], j.cols[b]
+        val = poly.lie_bracket(ja, jb, dim)
+        val = poly.vec_sub(val, poly.apply_columns(
+            j.cols, poly.lie_bracket(ja, const_field(dim, b), dim)))
+        val = poly.vec_sub(val, poly.apply_columns(
+            j.cols, poly.lie_bracket(const_field(dim, a), jb, dim)))
+        # [ea, eb] = 0 for coordinate fields
+        values[(a, b)] = val
+    return PolyTensorField(dim, 2, _pair_fields(dim, values))
 
 
 def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
@@ -247,8 +169,7 @@ def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     return _pair_tensor(dim, values)
 
 
-def nijenhuis_tensor(j: StructureField, point: Sequence,
-                     cross_check: bool = True) -> PointTensor:
+def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
     """Torsion at the point; raises if the two routes disagree there.
 
     Both routes read only the 1-jet of J at the point: the bracket route
@@ -259,13 +180,12 @@ def nijenhuis_tensor(j: StructureField, point: Sequence,
     bracket = _pair_tensor(j.dim, {
         idx: [poly.constant_term(c) for c in val]
         for idx, val in torsion_jets(jet, 0).items()})
-    if cross_check:
-        other = _torsion_first_differential(jet)
-        if bracket != other:
-            witness = next(idx for idx in bracket.entries
-                           if bracket.entries[idx] != other.entries[idx])
-            raise InternalInconsistencyError(
-                f"torsion routes disagree at basis pair {witness}")
+    other = _torsion_first_differential(jet)
+    if bracket != other:
+        witness = next(idx for idx in bracket.entries
+                       if bracket.entries[idx] != other.entries[idx])
+        raise InternalInconsistencyError(
+            f"torsion routes disagree at basis pair {witness}")
     return bracket
 
 
@@ -367,8 +287,7 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
     return PointTensor.from_function(dim, dim, 4, fn)
 
 
-def higher_nijenhuis(j: StructureField, point: Sequence,
-                     cross_check: bool = True) -> PointTensor:
+def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     """Arity-4 invariant at the point; raises if the two routes disagree.
 
     The bracket route computes one entry per pair-pattern orbit and fills
@@ -379,13 +298,12 @@ def higher_nijenhuis(j: StructureField, point: Sequence,
     pt = [Fraction(x) for x in point]
     jets = _arity4_jets(j, pt)
     a = higher_nijenhuis_bracket(j, pt, jets)
-    if cross_check:
-        b = higher_nijenhuis_differential(j, pt, jets)
-        if a != b:
-            witness = next(idx for idx in a.entries
-                           if a.entries[idx] != b.entries[idx])
-            raise InternalInconsistencyError(
-                f"arity-4 routes disagree at basis tuple {witness}")
+    b = higher_nijenhuis_differential(j, pt, jets)
+    if a != b:
+        witness = next(idx for idx in a.entries
+                       if a.entries[idx] != b.entries[idx])
+        raise InternalInconsistencyError(
+            f"arity-4 routes disagree at basis tuple {witness}")
     return a
 
 

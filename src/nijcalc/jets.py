@@ -187,24 +187,11 @@ def set_partitions(k: int) -> Iterator[List[Index]]:
     yield from rec(1, [[0]])
 
 
-# -- argument normalization -----------------------------------------------------
-
-def _structure_at(j, point) -> PointTensor:
-    if isinstance(j, StructureField):
-        if point is None:
-            raise StructureError("a structure field needs a base point")
-        return j.at_point(point)
-    if isinstance(j, PointTensor):
-        return j
-    return PointTensor.from_matrix(j)
-
-
-def _symbol_tensor(phi) -> PointTensor:
-    if isinstance(phi, JetSymbol):
-        return phi.tensor
-    if isinstance(phi, PointTensor):
-        return phi
-    return PointTensor.from_matrix(phi)
+def _require_point_tensors(**args) -> None:
+    for name, t in args.items():
+        if not isinstance(t, PointTensor):
+            raise StructureError(
+                f"{name} must be a PointTensor, not {type(t).__name__}")
 
 
 # -- the compatibility residual -------------------------------------------------
@@ -498,18 +485,18 @@ def build_P_k(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
 
 # -- canonical symmetric solution ------------------------------------------------
 
-def symmetrize(p_k: PointTensor, j_l, j_m, x=None, y=None) -> JetSymbol:
+def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
+               j_m_at: PointTensor) -> JetSymbol:
     """Canonical fully symmetric Phi^(k) with zeta(Phi^(k)) = P_k.
 
     Starts from B = -1/2 j_M o P_k (antilinear in slot 0 by the
     antilinearity condition), projects each trailing slot onto its linear
     and antilinear parts, keeps the components with the antilinear slots
     leading, and adjoins for every slot subset the permuted copy that
-    places those slots in the antilinear positions.  The structures may
-    be given as fields with base points or as point tensors.
+    places those slots in the antilinear positions.  The structures are
+    given by their values at the base points.
     """
-    j_l_at = _structure_at(j_l, x)
-    j_m_at = _structure_at(j_m, y)
+    _require_point_tensors(p_k=p_k, j_l_at=j_l_at, j_m_at=j_m_at)
     k = p_k.arity
     _verify_defect(p_k, j_l_at, j_m_at)
 
@@ -549,7 +536,7 @@ def symmetrize(p_k: PointTensor, j_l, j_m, x=None, y=None) -> JetSymbol:
 
 # -- low-order obstructions ------------------------------------------------------
 
-def obstruction_2(phi, j_l: StructureField, j_m: StructureField,
+def obstruction_2(phi: PointTensor, j_l: StructureField, j_m: StructureField,
                   x: Sequence, y: Sequence,
                   require_membership: bool = True) -> Obstruction:
     """N_{j_M} o Phi^2 - Phi o N_{j_L} at the base points.
@@ -560,21 +547,21 @@ def obstruction_2(phi, j_l: StructureField, j_m: StructureField,
     outside the system, e.g. to compare a structure with its negation,
     where no nonzero symbol can intertwine.
     """
-    t = _symbol_tensor(phi)
-    if t.arity != 1 or t.dim_in != j_l.dim or t.dim_out != j_m.dim:
+    _require_point_tensors(phi=phi)
+    if phi.arity != 1 or phi.dim_in != j_l.dim or phi.dim_out != j_m.dim:
         raise StructureError("order-1 symbol does not match the structure charts")
     if require_membership:
         j_l_at = j_l.at_point(list(x))
         j_m_at = j_m.at_point(list(y))
-        if compose_linear(j_m_at, t) != compose_linear(t, j_l_at):
+        if compose_linear(j_m_at, phi) != compose_linear(phi, j_l_at):
             raise StructureError(
                 "symbol does not intertwine the structures at the base points")
-    residual = precompose_all(nijenhuis_tensor(j_m, list(y)), t).sub(
-        post_compose(t, nijenhuis_tensor(j_l, list(x))))
+    residual = precompose_all(nijenhuis_tensor(j_m, list(y)), phi).sub(
+        post_compose(phi, nijenhuis_tensor(j_l, list(x))))
     return Obstruction.from_residual(2, residual)
 
 
-def obstruction_3(phi, j_l: StructureField, j_m: StructureField,
+def obstruction_3(phi: PointTensor, j_l: StructureField, j_m: StructureField,
                   x: Sequence, y: Sequence,
                   require_membership: bool = True) -> Obstruction:
     """Higher-tensor conjugation defect at the base points.
@@ -585,9 +572,8 @@ def obstruction_3(phi, j_l: StructureField, j_m: StructureField,
     """
     if not obstruction_2(phi, j_l, j_m, x, y, require_membership).vanishes:
         raise StructureError("the order-2 obstruction must vanish first")
-    t = _symbol_tensor(phi)
-    residual = precompose_all(higher_nijenhuis(j_m, list(y)), t).sub(
-        post_compose(t, higher_nijenhuis(j_l, list(x))))
+    residual = precompose_all(higher_nijenhuis(j_m, list(y)), phi).sub(
+        post_compose(phi, higher_nijenhuis(j_l, list(x))))
     return Obstruction.from_residual(3, residual)
 
 

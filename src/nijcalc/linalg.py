@@ -58,10 +58,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
     return out
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def vec_add(u: Sequence, v: Sequence) -> Vector:
     return [a + b for a, b in zip(u, v)]
 

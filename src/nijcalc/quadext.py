@@ -5,6 +5,9 @@ degree-2 extension (the invariant-line computation of the 4D frame).  Every
 element is a + b*sqrt(d) with a, b rational and d a fixed positive rational
 that is not a perfect square.  Sign tests are exact, so ordering decisions
 never touch floating point.
+
+The constructor validates d.  Arithmetic results reuse the d of an
+operand, already validated, and are built without repeating the check.
 """
 
 from __future__ import annotations
@@ -37,6 +40,15 @@ def sqrt_exact(f: Rationalish) -> Union[Fraction, "QuadExt"]:
     return QuadExt(0, 1, f)
 
 
+def _make(a: Fraction, b: Fraction, d: Fraction) -> "QuadExt":
+    """a + b*sqrt(d) from Fractions and a radicand that has been validated."""
+    out = object.__new__(QuadExt)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
 class QuadExt:
     """a + b*sqrt(d), immutable, with exact field arithmetic."""
 
@@ -56,21 +68,21 @@ class QuadExt:
             if other.d != self.d:
                 raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
             return other
-        return QuadExt(Fraction(other), 0, self.d)
+        return _make(Fraction(other), Fraction(0), self.d)
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _make(self.a, -self.b, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return _make(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -80,7 +92,7 @@ class QuadExt:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return QuadExt(
+        return _make(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -93,7 +105,7 @@ class QuadExt:
         norm = o.a * o.a - o.b * o.b * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return self * QuadExt(o.a / norm, -o.b / norm, self.d)
+        return self * _make(o.a / norm, -o.b / norm, self.d)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

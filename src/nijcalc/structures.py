@@ -3,8 +3,8 @@
 A StructureField is a 2n x 2n matrix of polynomials in the chart
 coordinates x1..x2n; column j is the image of the basis field e_{j+1}.
 The defining identity J^2 = -I either holds exactly or all entries of
-J^2 + I vanish to a declared order at a base point (validity_degree),
-which is exactly what the jet-level computations need.
+J^2 + I vanish to some order at a base point, which is exactly what the
+jet-level computations need; validate reports which, and to what order.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from . import linalg, poly
 from .poly import Poly, PolyVec
 from .tensor import PointTensor
 
-Validity = Union[str, int]  # "exact" or an integer order
-
 
 class StructureError(ValueError):
     """Malformed or invalid structure input."""
@@ -29,8 +27,7 @@ class StructureError(ValueError):
 class StructureField:
     """Polynomial matrix field J(x) with J(x)^2 = -I (exactly or to order)."""
 
-    def __init__(self, cols: List[PolyVec], name: str = "",
-                 validity_degree: Validity = "exact"):
+    def __init__(self, cols: List[PolyVec], name: str = ""):
         dim = len(cols)
         if dim % 2 != 0 or dim == 0:
             raise StructureError(f"dimension {dim} is not a positive even number")
@@ -40,7 +37,6 @@ class StructureField:
         self.dim = dim
         self.cols = cols
         self.name = name
-        self.validity_degree = validity_degree
 
     # column j (0-based) = J e_{j+1}
     def column(self, j: int) -> PolyVec:
@@ -64,7 +60,7 @@ class StructureField:
     def negated(self) -> "StructureField":
         cols = [[poly.neg(p) for p in col] for col in self.cols]
         name = f"-({self.name})" if self.name else ""
-        return StructureField(cols, name=name, validity_degree=self.validity_degree)
+        return StructureField(cols, name=name)
 
     def square_plus_identity(self) -> List[List[Poly]]:
         """Entries of J^2 + I as polynomials, [i][j]."""
@@ -160,8 +156,7 @@ def standard_apply(v: Sequence[Fraction]) -> List[Fraction]:
     return out
 
 
-def from_anticommuting_part(a_odd_cols: List[PolyVec], name: str = "",
-                            validity_degree: Validity = "exact") -> StructureField:
+def from_anticommuting_part(a_odd_cols: List[PolyVec], name: str = "") -> StructureField:
     """J = j0 + A from the odd columns of A; even columns forced to -j0 A e_odd.
 
     a_odd_cols[t] is the column A e_{2t+1}.  The even-column relation is the
@@ -185,7 +180,7 @@ def from_anticommuting_part(a_odd_cols: List[PolyVec], name: str = "",
         cols.append(col_odd)
         cols.append(col_even)
     # interleave: we appended odd, even per t in order, which is already 0..dim-1
-    return StructureField(cols, name=name, validity_degree=validity_degree)
+    return StructureField(cols, name=name)
 
 
 def example_structure(which: str, eps: Union[int, Fraction] = 0,
@@ -265,7 +260,7 @@ def realize_nijenhuis(n_tensor: PointTensor) -> StructureField:
             exp = tuple(1 if k == 2 * s + 1 else 0 for k in range(dim))
             col = poly.vec_add(col, [poly.monomial(exp, ci) for ci in c])
         a_odd_cols.append(col)
-    return from_anticommuting_part(a_odd_cols, name="realized", validity_degree=2)
+    return from_anticommuting_part(a_odd_cols, name="realized")
 
 
 # ---------------------------------------------------------------------------

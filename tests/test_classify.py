@@ -8,10 +8,13 @@ output.  The canonical text tags every scalar with its type (a plain
 rational, a Q(sqrt d) element or a machine integer), so a value that turns
 from QuadExt into Fraction, or from Fraction into int, fails as well as a
 changed value.  The file holds the outputs of the global-field
-implementation that preceded the jet-at-point one.
+implementation that preceded the jet-at-point one, except the sweeps of
+the PROBE_MEMBERS that FAMILY and FLIP_CASES do not already cover, which
+were appended later from the jet-at-point implementation.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +30,7 @@ from nijcalc.invariants import (nijenhuis_field_bracket, nijenhuis_tensor,
                                 torsion_jets)
 from nijcalc.quadext import QuadExt
 from nijcalc.structures import (example_structure, from_anticommuting_part,
-                                random_structure)
+                                random_structure, validate)
 
 NOT_LIE = {"jj_algebraic_zero": True, "jj_fn_is_twice_torsion": True,
            "nn_algebraic_zero": False, "nn_fn_zero": True, "jn_fn_zero": True}
@@ -76,6 +79,12 @@ FAMILY = (9, 0, 1, 16, 4, 12, 22)
 # (seed, point) pairs with a frame, for the xi3_choice flip and shift cases
 FLIP_CASES = ((9, (0, 0, 1, 0)), (5, (0, 1, 0, 0)), (19, (0, 0, 0, 0)),
               (0, (1, 0, 1, -1)))
+# the first twelve members, by seed, with a frame at some candidate point,
+# each at the first such point; every one has its sweep frozen
+PROBE_MEMBERS = ((0, (1, 0, 1, -1)), (5, (0, 1, 0, 0)), (7, (0, 0, 0, 0)),
+                 (9, (0, 0, 1, 0)), (10, (0, 0, 0, 0)), (11, (1, 0, 1, -1)),
+                 (12, (0, 0, 1, 0)), (13, (0, 0, 1, 0)), (16, (1, 0, 1, -1)),
+                 (17, (0, 0, 0, 0)), (19, (0, 0, 0, 0)), (20, (0, 0, 0, 0)))
 EXAMPLES = (("ex2", {}), ("ex5", {"eps": Fraction(-1, 3)}),
             ("ex6", {"f_text": "x5 + x5^2"}))
 
@@ -154,6 +163,8 @@ for _seed, _pt in FLIP_CASES:
             _chosen, tanaka_forms, _seed, _pt, _choice)
 for _name, _ in EXAMPLES:
     CASES[_key("lie_check", _name)] = (_lie, _name)
+for _seed, _pt in PROBE_MEMBERS:
+    CASES.setdefault(_key("sweep", _seed, _pt), (_sweep, _seed, _pt))
 
 FROZEN_FILE = Path(__file__).with_name("classify_frozen.txt")
 
@@ -183,6 +194,53 @@ def test_frozen_verdict_classes():
     assert "TanakaForms(omega2=Q(" in text
     assert "TanakaForms(omega2=-3/2" in text
     assert "LieReport(is_lie=True" in text and "LieReport(is_lie=False" in text
+
+
+def _has_frame(j, pt):
+    try:
+        utxi_invariant(j, pt)
+    except HypothesisError:
+        return False
+    return True
+
+
+def test_probe_members_are_the_first_with_a_frame():
+    found = []
+    for seed in itertools.count():
+        j = family_structure(seed)
+        assert validate(j).status == "exact"
+        pt = next((pt for pt in CAND_POINTS if _has_frame(j, pt)), None)
+        if pt is not None:
+            found.append((seed, pt))
+        if len(found) == len(PROBE_MEMBERS):
+            break
+    assert tuple(found) == PROBE_MEMBERS
+
+
+def _collinear(u, v):
+    """u = r v for a nonzero r, with the leading entries in the same slot."""
+    iu = next((i for i, c in enumerate(u) if c != 0), None)
+    iv = next((i for i, c in enumerate(v) if c != 0), None)
+    if iu is None or iu != iv:
+        return False
+    r = u[iu] / v[iv]
+    return all(a == r * b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("seed, pt", FLIP_CASES)
+def test_xi3_flip_swaps_the_lines_and_a_plane_shift_keeps_them(seed, pt):
+    """Choosing -xi3 interchanges U1 and U2 and flips the half-space sign;
+    shifting xi3 by plane vectors changes neither the lines nor xi4."""
+    j = family_structure(seed)
+    fr = utxi_invariant(j, pt)
+    choices = _xi3_choices(seed, pt)
+    flip = utxi_invariant(j, pt, xi3_choice=choices["flip"])
+    assert _collinear(flip.u1, fr.u2) and _collinear(flip.u2, fr.u1)
+    assert (fr.t_orientation, flip.t_orientation) == (1, -1)
+    assert flip.xi3 == tuple(-1 * c for c in fr.xi3)
+    shift = utxi_invariant(j, pt, xi3_choice=choices["shift"])
+    assert (shift.u1, shift.u2, shift.xi4, shift.t_orientation) == \
+        (fr.u1, fr.u2, fr.xi4, fr.t_orientation)
 
 
 def test_lie_check_reports_at_the_first_sample_point():

@@ -13,7 +13,6 @@ from nijcalc.invariants import (
     InternalInconsistencyError,
     higher_nijenhuis,
     nijenhuis_tensor,
-    structure_as_field,
 )
 from nijcalc.jets import (
     DefectConditionError,
@@ -53,6 +52,7 @@ from nijcalc.tensor import (
     precompose_all,
     slot_compose,
 )
+from reference import differential, structure_as_field
 
 HALF = Fraction(1, 2)
 ZERO4 = tuple(Fraction(0) for _ in range(4))
@@ -102,10 +102,10 @@ def killing_symbol():
 def hand_defect_order3(u, j_l, j_m):
     """The seven-term order-3 defect, written out term by term."""
     x, y = list(u.x), list(u.y)
-    djl = structure_as_field(j_l).differential(1, x)
-    d2jl = structure_as_field(j_l).differential(2, x)
-    djm = structure_as_field(j_m).differential(1, y)
-    d2jm = structure_as_field(j_m).differential(2, y)
+    djl = differential(structure_as_field(j_l), 1, x)
+    d2jl = differential(structure_as_field(j_l), 2, x)
+    djm = differential(structure_as_field(j_m), 1, y)
+    d2jm = differential(structure_as_field(j_m), 2, y)
     f1 = u.symbol(1).tensor
     f2 = u.symbol(2).tensor
     n, m = u.dim_in, u.dim_out
@@ -245,8 +245,8 @@ def test_build_P2_matches_direct_formula():
     """Order-2 defect on ex2 -> standard against the two-term formula."""
     j_l = example_structure("ex2")
     j_m = standard_structure(2)
-    djl = structure_as_field(j_l).differential(1, list(ZERO4))
-    djm = structure_as_field(j_m).differential(1, list(ZERO4))
+    djl = differential(structure_as_field(j_l), 1, list(ZERO4))
+    djm = differential(structure_as_field(j_m), 1, list(ZERO4))
     for phi in (killing_symbol(), identity_map(4)):
         u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, phi),))
         p2 = build_P_k(u, j_l, j_m, verify=False)
@@ -421,7 +421,25 @@ def test_symbol_complex_exactness_dimensions():
             assert all(d.is_zero() for d in defect_conditions(z, jl0, jm0).values())
 
 
+def test_symmetrize_takes_point_tensors_only():
+    j = standard_structure(2)
+    jl0 = j.at_point(list(ZERO4))
+    zero = PointTensor.from_function(4, 4, 2, lambda idx: [Fraction(0)] * 4)
+    for args in ((zero, j, jl0), (zero, jl0, j), (zero, j, j),
+                 (standard_matrix(2), jl0, jl0)):
+        with pytest.raises(StructureError, match="PointTensor"):
+            symmetrize(*args)
+
+
 # -- obstructions -----------------------------------------------------------------
+
+@pytest.mark.parametrize("obstruction", [obstruction_2, obstruction_3])
+def test_obstructions_take_a_point_tensor_symbol(obstruction):
+    j = example_structure("ex2")
+    for phi in (JetSymbol(1, identity_map(4)), standard_matrix(2)):
+        with pytest.raises(StructureError, match="PointTensor"):
+            obstruction(phi, j, j, ZERO4, ZERO4)
+
 
 def test_obstruction2_standard_structures_vanish():
     rng = random.Random(17)
@@ -700,8 +718,8 @@ def dense_reference(j_l, j_m, x, y, top):
     from set partitions (Faa di Bruno), over all dim^k index tuples, with
     the differentials d^0..d^(top - 1) of the global polynomials at x and
     y; with skip_top, P_k for k = u.order + 1."""
-    d_l = [None] + [structure_as_field(j_l).differential(p, list(x)) for p in range(top)]
-    d_m = [None] + [structure_as_field(j_m).differential(p, list(y)) for p in range(top)]
+    d_l = [None] + [differential(structure_as_field(j_l), p, list(x)) for p in range(top)]
+    d_m = [None] + [differential(structure_as_field(j_m), p, list(y)) for p in range(top)]
     return lambda u, skip_top=False: dense_residual(u, d_l, d_m, skip_top)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nijcalc import linalg
+from nijcalc import linalg, quadext
 from nijcalc.quadext import QuadExt, sqrt_exact
 
 F = Fraction
@@ -87,6 +87,31 @@ def test_quadext_exact_signs():
     assert (1 - r2).sign() == -1
     assert (r2 - r2).sign() == 0
     assert r2 > 1 and r2 < F(3, 2)
+
+
+def test_quadext_arithmetic_does_not_revalidate_the_radicand(monkeypatch):
+    x = QuadExt(F(1, 2), F(-3), 2)
+    y = QuadExt(2, F(1, 3), 2)
+    calls = []
+    real = quadext._is_square
+    monkeypatch.setattr(quadext, "_is_square",
+                        lambda f: calls.append(f) or real(f))
+    results = [x + y, x - y, x * y, x / y, -x, x.conjugate(),
+               x + 1, 1 + x, x - F(1, 3), 2 - x, 3 * x, x * F(1, 2),
+               x / 2, 1 / x, x < y, x >= 1]
+    assert calls == []
+    assert results[:4] == [QuadExt(F(5, 2), F(-8, 3), 2),
+                           QuadExt(F(-3, 2), F(-10, 3), 2),
+                           QuadExt(-1, F(-35, 6), 2),
+                           (x * y.conjugate()) / F(34, 9)]
+    assert results[5] == QuadExt(F(1, 2), 3, 2)
+    assert all(r.d == 2 for r in results[:-2])
+
+
+def test_quadext_constructor_validates_the_radicand():
+    for d in (4, 0, -2, F(9, 4)):
+        with pytest.raises(ValueError):
+            QuadExt(1, 1, d)
 
 
 def test_sqrt_exact_rational_cases():

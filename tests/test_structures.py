@@ -181,7 +181,6 @@ def test_realize_nijenhuis_columns():
     c = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
     n = linear_nijenhuis_from_free_data(2, {(0, 1): c})
     j = realize_nijenhuis(n)
-    assert j.validity_degree == 2
     x2 = poly.var(2, 4)
     # A e3 = x2 * c on top of j0 e3 = e4
     assert j.entry(0, 2) == x2
