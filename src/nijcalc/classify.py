@@ -415,8 +415,15 @@ def tanaka_forms(j: StructureField, point: Sequence,
     frame = utxi_invariant(j, point, xi3_choice=xi3_choice)
     gens = list(torsion_jets(j.jet(point, 3), 2).values())
     level1_vals, top = _second_level(gens)
-    fib2 = linalg.span_basis(level1_vals + [v for row in top for v in row])
-    if len(fib2) != 4:
+    flag = linalg._Echelon()
+    seen = set()
+    for v in itertools.chain(level1_vals, *top):
+        key = tuple(v)
+        if key not in seen:
+            seen.add(key)
+            if flag.insert(v) and flag.rank == 4:
+                break
+    if flag.rank != 4:
         raise HypothesisError(
             "second_derived", "the flag stops before filling the tangent space")
 

@@ -174,15 +174,15 @@ def _complex_complement(jm: Sequence[Sequence], xi: Vector) -> List[Vector]:
     dimension dim - 2 avoiding xi.
     """
     dim = len(jm)
-    acc = [list(xi), linalg.mat_vec(jm, xi)]
+    acc = linalg._Echelon([xi, linalg.mat_vec(jm, xi)])
     picked: List[Vector] = []
     for a in range(dim):
         e_a = linalg.basis_vector(dim, a)
-        if linalg.in_span(e_a, acc):
+        if not acc.insert(e_a):
             continue
-        j_e = linalg.mat_vec(jm, e_a)
+        j_e = [row[a] for row in jm]
+        acc.insert(j_e)
         picked.extend([e_a, j_e])
-        acc.extend([e_a, j_e])
     if len(picked) != dim - 2:
         raise InternalInconsistencyError("invariant complement has wrong size")
     return picked
@@ -328,13 +328,24 @@ def annihilator(n_tensor: PointTensor,
     dim = n_tensor.dim_in
     if not against:
         return linalg.identity(dim)
+    entries = n_tensor.entries
     rows = []
     for v in against:
         # row comp holds the components N(e_c, v)^comp, c = 0..dim-1
         support = [(k, x) for k, x in enumerate(_as_fractions(v)) if x]
+        if len(support) == 1 and support[0][1] == 1:
+            k = support[0][0]
+            rows.extend([entries[(c, k)][comp] for c in range(dim)]
+                        for comp in range(n_tensor.dim_out))
+            continue
         for comp in range(n_tensor.dim_out):
-            rows.append([sum((x * n_tensor.entries[(c, k)][comp] for k, x in support),
-                             Fraction(0)) for c in range(dim)])
+            row = [Fraction(0)] * dim
+            for k, x in support:
+                for c in range(dim):
+                    value = entries[(c, k)][comp]
+                    if value:
+                        row[c] += x * value
+            rows.append(row)
     return linalg.nullspace(rows)
 
 
@@ -361,10 +372,9 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     pi_minus = linalg.nullspace(summ)
     pi = linalg.sum_spans(pi_plus, pi_minus)
 
-    image = linalg.span_basis(list(n_tensor.entries.values()))
-    for v in image:
-        if not linalg.in_span(v, pi):
-            raise InternalInconsistencyError("span Im N escapes Pi")
+    in_pi = linalg._Echelon(pi)
+    if not all(in_pi.contains(v) for v in n_tensor.entries.values()):
+        raise InternalInconsistencyError("span Im N escapes Pi")
 
     k_plus = annihilator(n_tensor, pi_minus)
     k_minus = annihilator(n_tensor, pi_plus)
@@ -372,13 +382,12 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     against_pi = annihilator(n_tensor, pi)
     if not linalg.spans_equal(kernel, against_pi):
         raise InternalInconsistencyError("K+ cap K- differs from Ker N(., Pi)")
-    for v in pi_plus:
-        if not linalg.in_span(v, k_plus):
-            raise InternalInconsistencyError("Pi+ escapes K+")
-    for v in pi_minus:
-        if not linalg.in_span(v, k_minus):
-            raise InternalInconsistencyError("Pi- escapes K-")
-    if linalg.span_dim(linalg.sum_spans(k_plus, k_minus)) != dim:
+    for label, sub, space in (("Pi+ escapes K+", pi_plus, k_plus),
+                              ("Pi- escapes K-", pi_minus, k_minus)):
+        echelon = linalg._Echelon(space)
+        if not all(echelon.contains(v) for v in sub):
+            raise InternalInconsistencyError(label)
+    if linalg._Echelon(k_plus + k_minus).rank != dim:
         raise InternalInconsistencyError("K+ + K- does not cover the space")
 
     full = annihilator(n_tensor, linalg.identity(dim))

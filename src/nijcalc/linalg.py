@@ -8,12 +8,27 @@ kernels and solve verdicts are exact.
 The element type only needs field arithmetic (+, -, *, /) and equality
 with integer 0; Fraction works, and so does the quadratic extension type
 used by the 4D frame computation.
+
+rref skips zeros: the pivot row is normalized, and subtracted from the
+other rows, only on the columns where it is nonzero.  That changes no
+value, and no type either when every entry has one type (all Fraction,
+or all QuadExt over one radicand).  A matrix that mixes types is
+eliminated densely, because there Fraction - QuadExt * 0 is a QuadExt and
+the element types of the result depend on every operation performed.
+
+Ranks and membership tests use _Echelon, which keeps the reduced rows of
+a span and reduces a vector against them: no back substitution, and a
+caller asking whether many vectors lie in one span eliminates the span
+once.  Only a bool or a count leaves it, so its element types never
+reach a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+from .quadext import QuadExt
 
 Vector = List
 Matrix = List[List]
@@ -74,11 +89,24 @@ def vec_is_zero(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
+def _one_type(m: Matrix) -> bool:
+    """Whether every entry is a Fraction, or every entry a QuadExt over one
+    radicand: field operations then keep that type, so zeros can be skipped."""
+    kind = type(m[0][0])
+    if kind is Fraction:
+        return all(type(x) is Fraction for row in m for x in row)
+    if kind is QuadExt:
+        d = m[0][0].d
+        return all(type(x) is QuadExt and x.d == d for row in m for x in row)
+    return False
+
+
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and the pivot column list."""
     a = mat_copy(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    sparse = rows > 0 and cols > 0 and _one_type(a)
     pivots: List[int] = []
     r = 0
     for c in range(cols):
@@ -92,21 +120,26 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        prow = a[r]
+        inv = prow[c]
+        # rows r.. vanish left of c, so a sparse support starts at c
+        support = ([k for k in range(c, cols) if prow[k] != 0] if sparse
+                   else range(cols))
+        for k in support:
+            prow[k] = prow[k] / inv
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and row[c] != 0:
+                f = row[c]
+                for k in support:
+                    row[k] = row[k] - f * prow[k]
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
+    return _Echelon(m).rank
 
 
 def nullspace(m: Matrix) -> List[Vector]:
@@ -206,18 +239,55 @@ def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
     return [red[i] for i in range(len(pivots))]
 
 
-def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
-    if vec_is_zero(v):
+class _Echelon:
+    """Reduced rows of a growing span, for ranks and membership tests.
+
+    Each row is stored by its support, with a pivot column where it is 1
+    and where every row inserted later is 0; reducing a vector against the
+    rows in insertion order therefore leaves a remainder that vanishes at
+    every pivot, and that remainder is zero exactly when the vector lies in
+    the span.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence] = ()):
+        self.rows: List[Tuple[int, list]] = []  # (pivot, [(column, value)])
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence) -> Vector:
+        """The remainder of v after eliminating every pivot column."""
+        out = list(v)
+        for p, support in self.rows:
+            f = out[p]
+            if f != 0:
+                for k, y in support:
+                    out[k] = out[k] - f * y
+        return out
+
+    def contains(self, v: Sequence) -> bool:
+        return vec_is_zero(self.reduce(v))
+
+    def insert(self, v: Sequence) -> bool:
+        """Add v to the span; False when it already lay there."""
+        rem = self.reduce(v)
+        p = next((k for k, x in enumerate(rem) if x != 0), None)
+        if p is None:
+            return False
+        inv = rem[p]
+        self.rows.append((p, [(k, x / inv) for k, x in enumerate(rem) if x != 0]))
         return True
-    if not basis:
-        return False
-    m = [list(b) for b in basis]
-    return rank(m) == rank(m + [list(v)])
+
+
+def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
+    return _Echelon(basis).contains(v)
 
 
 def span_dim(vectors: Sequence[Sequence]) -> int:
-    vecs = [list(v) for v in vectors if not vec_is_zero(v)]
-    return rank(vecs) if vecs else 0
+    return rank(vectors)
 
 
 def sum_spans(u: Sequence[Sequence], v: Sequence[Sequence]) -> List[Vector]:

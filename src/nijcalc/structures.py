@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
 from .poly import Poly, PolyVec
-from .tensor import PointTensor
+from .tensor import PointTensor, post_compose, slot_compose
 
 
 class StructureError(ValueError):
@@ -215,20 +215,14 @@ def example_structure(which: str, eps: Union[int, Fraction] = 0,
 def linear_membership_violation(n_tensor: PointTensor,
                                 j_map: PointTensor) -> Optional[Tuple]:
     """First index pair where N(j a, b) = N(a, j b) = -j N(a, b) fails, or None."""
-    dim = n_tensor.dim_in
-    jm = j_map.to_matrix()
-    for a in range(dim):
-        for b in range(dim):
-            ea = linalg.basis_vector(dim, a)
-            eb = linalg.basis_vector(dim, b)
-            ja = [jm[i][a] for i in range(dim)]
-            jb = [jm[i][b] for i in range(dim)]
-            base = n_tensor.apply([ea, eb])
-            minus_j_base = [-x for x in linalg.mat_vec(jm, base)]
-            if n_tensor.apply([ja, eb]) != minus_j_base:
-                return (a, b, "N(j a, b)")
-            if n_tensor.apply([ea, jb]) != minus_j_base:
-                return (a, b, "N(a, j b)")
+    left = slot_compose(n_tensor, j_map, 0).entries
+    right = slot_compose(n_tensor, j_map, 1).entries
+    target = post_compose(j_map, n_tensor).neg().entries
+    for idx in sorted(target):
+        if left[idx] != target[idx]:
+            return (*idx, "N(j a, b)")
+        if right[idx] != target[idx]:
+            return (*idx, "N(a, j b)")
     return None
 
 

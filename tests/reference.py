@@ -1,16 +1,21 @@
-"""Global-field reference routes for the tests.
+"""Reference routes for the tests.
 
 The package reads every derivative at a point off jets
-(invariants.jet_differential).  The functions here take the older road
+(invariants.jet_differential).  Most functions here take the older road
 instead: differentiate the global polynomial fields, then evaluate.  They
 share no code with the jet routes beyond the polynomial arithmetic, which
 is what makes them useful as oracles.
+
+The last three are the dense forms of routines the package now runs
+sparsely: elimination over every column, the antilinearity check one
+basis pair at a time, and the greedy invariant complement by repeated
+rank tests.
 """
 
 import itertools
 from typing import Dict, Sequence, Tuple
 
-from nijcalc import poly
+from nijcalc import linalg, poly
 from nijcalc.invariants import PolyTensorField, columns_field, const_field
 from nijcalc.poly import PolyVec
 from nijcalc.structures import StructureField
@@ -95,3 +100,63 @@ def nijenhuis_field_first_differential(j: StructureField) -> PolyTensorField:
             entries[(a, b)] = val
             entries[(b, a)] = [poly.neg(c) for c in val]
     return PolyTensorField(dim, 2, entries)
+
+
+def dense_rref(m):
+    """Reduced row echelon form, every row operation over every column."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def membership_violation_by_pairs(n_tensor: PointTensor, j_map: PointTensor):
+    """First (a, b, label) where N(j a, b) = N(a, j b) = -j N(a, b) fails."""
+    dim = n_tensor.dim_in
+    jm = j_map.to_matrix()
+    for a in range(dim):
+        for b in range(dim):
+            ea = linalg.basis_vector(dim, a)
+            eb = linalg.basis_vector(dim, b)
+            ja = [jm[i][a] for i in range(dim)]
+            jb = [jm[i][b] for i in range(dim)]
+            base = n_tensor.apply([ea, eb])
+            minus_j_base = [-x for x in linalg.mat_vec(jm, base)]
+            if n_tensor.apply([ja, eb]) != minus_j_base:
+                return (a, b, "N(j a, b)")
+            if n_tensor.apply([ea, jb]) != minus_j_base:
+                return (a, b, "N(a, j b)")
+    return None
+
+
+def greedy_complement(jm, xi):
+    """e_a and j e_a for each e_a outside the span picked so far, which
+    starts as the complex line of xi."""
+    dim = len(jm)
+    acc = [list(xi), linalg.mat_vec(jm, xi)]
+    picked = []
+    for a in range(dim):
+        e_a = linalg.basis_vector(dim, a)
+        if len(dense_rref(acc)[1]) == len(dense_rref(acc + [e_a])[1]):
+            continue
+        j_e = linalg.mat_vec(jm, e_a)
+        picked.extend([e_a, j_e])
+        acc.extend([e_a, j_e])
+    return picked

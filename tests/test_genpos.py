@@ -5,9 +5,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nijcalc import linalg
 from nijcalc.genpos import (
+    _complex_complement,
     alpha_N,
     appendix_tensor,
     deformation_search,
@@ -17,11 +19,11 @@ from nijcalc.genpos import (
     recover_sign,
     two_structure_decomposition,
 )
-from nijcalc.structures import (StructureError,
+from nijcalc.structures import (StructureError, doubled_block_j,
                                 linear_nijenhuis_from_free_data,
                                 standard_matrix)
 from nijcalc.tensor import PointTensor, kernel_dim
-from reference import mat_scale
+from reference import greedy_complement, mat_scale
 
 
 def e(dim, a):
@@ -42,6 +44,17 @@ def test_alpha_certificate_basics():
 
     with pytest.raises(ValueError, match="hyperplane"):
         alpha_N(t, e(4, 2), [e(4, 2), e(4, 3)])
+
+
+@given(st.integers(2, 4), st.booleans(),
+       st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_complex_complement_matches_the_greedy_rank_version(n, block, coords):
+    dim = 2 * n
+    xi = [Fraction(x) for x in coords[:dim]]
+    assume(any(xi))
+    jm = doubled_block_j(n).to_matrix() if block else standard_matrix(n)
+    assert _complex_complement(jm, xi) == greedy_complement(jm, xi)
 
 
 def test_appendix_tensor_values():

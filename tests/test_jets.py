@@ -17,8 +17,6 @@ from nijcalc.invariants import (
 from nijcalc.jets import (
     DefectConditionError,
     JetSymbol,
-    LiftResult,
-    Obstruction,
     TruncatedMap,
     build_P_k,
     cr_residual,
@@ -49,7 +47,6 @@ from nijcalc.tensor import (
     compose_linear,
     identity_map,
     post_compose,
-    precompose_all,
     slot_compose,
 )
 from reference import differential, structure_as_field

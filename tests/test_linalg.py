@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nijcalc import linalg, quadext
 from nijcalc.quadext import QuadExt, sqrt_exact
@@ -129,3 +129,144 @@ def test_elimination_over_quadext():
     ns = linalg.nullspace(m)
     assert len(ns) == 1
     assert linalg.vec_is_zero(linalg.mat_vec(m, ns[0]))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the zero-skipping elimination against sympy and
+# against the dense elimination it replaced
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sparse_matrices(draw, max_rows=6, max_cols=6):
+    """Small rational matrices, mostly zeros, some rows and columns all zero."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)),
+                      st.fractions(-4, 4, max_denominator=3))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [F(0)] * cols
+    for k in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row[k] = F(0)
+    return m
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_fraction(x):
+    return F(int(x.p), int(x.q))
+
+
+def _from_sympy(mat):
+    return [[_to_fraction(x) for x in mat.row(i)] for i in range(mat.rows)]
+
+
+def _typed(m):
+    return [[(type(x), x) for x in row] for row in m]
+
+
+@settings(deadline=None)
+@given(sparse_matrices())
+def test_rref_rank_nullspace_match_sympy(m):
+    sympy = _sympy()
+    sm = sympy.Matrix(m)
+    red, pivots = sm.rref()
+    ours, our_pivots = linalg.rref(m)
+    assert our_pivots == list(pivots)
+    assert ours == _from_sympy(red)
+    assert _typed(ours) == _typed(_from_sympy(red))
+    assert linalg.rank(m) == sm.rank()
+    assert linalg.nullspace(m) == [[_to_fraction(x) for x in v] for v in sm.nullspace()]
+    assert linalg.span_basis(m) == _from_sympy(red)[:len(pivots)]
+
+
+@settings(deadline=None)
+@given(sparse_matrices(), st.lists(st.fractions(-3, 3, max_denominator=2),
+                                   min_size=6, max_size=6))
+def test_in_span_matches_sympy(m, v):
+    sympy = _sympy()
+    v = v[:len(m[0])]
+    expect = sympy.Matrix(m).rank() == sympy.Matrix(m + [v]).rank()
+    assert linalg.in_span(v, m) == expect
+    inside = [sum((row[k] for row in m), F(0)) for k in range(len(v))]
+    assert linalg.in_span(inside, m)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: sparse_matrices(max_rows=n, max_cols=n).filter(
+        lambda m: len(m) == len(m[0]))))
+def test_det_matches_sympy(m):
+    sympy = _sympy()
+    assert linalg.det(m) == _to_fraction(sympy.Matrix(m).det())
+
+
+def test_rref_matches_the_dense_elimination_on_sparse_input():
+    from reference import dense_rref
+    m = [[F(0), F(2), F(0), F(0), F(1)],
+         [F(0), F(0), F(0), F(0), F(0)],
+         [F(3), F(0), F(0), F(1, 2), F(0)],
+         [F(0), F(4), F(0), F(0), F(2)]]
+    assert _typed(linalg.rref(m)[0]) == _typed(dense_rref(m)[0])
+    assert linalg.rref(m)[1] == dense_rref(m)[1] == [0, 1]
+
+
+quad_entries = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.fractions(-3, 3, max_denominator=2),
+    st.builds(QuadExt, st.fractions(-2, 2, max_denominator=2),
+              st.fractions(-2, 2, max_denominator=2), st.just(5)))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_elimination_keeps_the_dense_element_types(rows, cols, data):
+    """Fraction zeros next to QuadExt entries: the dense elimination turns
+    some into QuadExt zeros and leaves others Fraction, and rref and solve
+    must return exactly those types."""
+    from reference import dense_rref
+    m = [[data.draw(quad_entries) for _ in range(cols)] for _ in range(rows)]
+    b = [data.draw(quad_entries) for _ in range(rows)]
+    red, pivots = linalg.rref(m)
+    ref, ref_pivots = dense_rref(m)
+    assert pivots == ref_pivots and _typed(red) == _typed(ref)
+    sol = linalg.solve(m, b)
+    real_rref = linalg.rref
+    try:
+        linalg.rref = dense_rref
+        expect = linalg.solve(m, b)
+    finally:
+        linalg.rref = real_rref
+    assert (sol is None) == (expect is None)
+    if sol is not None:
+        assert [(type(x), x) for x in sol] == [(type(x), x) for x in expect]
+
+
+def test_elimination_over_one_quadext_field_stays_in_it():
+    r5 = sqrt_exact(5)
+    z = QuadExt(0, 0, 5)
+    m = [[z, r5, z], [r5, z, QuadExt(1, 0, 5)], [z, z, z]]
+    red, pivots = linalg.rref(m)
+    assert pivots == [0, 1]
+    assert all(type(x) is QuadExt for row in red for x in row)
+    from reference import dense_rref
+    assert red == dense_rref(m)[0]
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+                min_size=0, max_size=6))
+def test_echelon_rank_and_membership_match_rref(rows):
+    m = [[F(x) for x in row] for row in rows]
+
+    def rref_rank(vectors):
+        return len(linalg.rref(vectors)[1]) if vectors else 0
+
+    ech = linalg._Echelon(m)
+    assert ech.rank == linalg.rank(m) == rref_rank(m)
+    for row in m:
+        assert ech.contains(row)
+        assert linalg.vec_is_zero(ech.reduce(row))
+    for k in range(5):
+        e_k = linalg.basis_vector(5, k)
+        assert ech.contains(e_k) == (rref_rank(m + [e_k]) == rref_rank(m))

@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijcalc import poly
+from nijcalc.genpos import example3_tensor
 from nijcalc.structures import (
     LieAlgebraSpec,
     StructureError,
-    StructureField,
     ValidationReport,
+    doubled_block_j,
     example_structure,
     from_anticommuting_part,
     left_invariant_structure,
@@ -24,6 +26,7 @@ from nijcalc.structures import (
     vanishing_order,
 )
 from nijcalc.tensor import PointTensor
+from reference import membership_violation_by_pairs
 
 
 def as_matrix(j):
@@ -175,6 +178,26 @@ def test_random_linear_nijenhuis_membership():
             assert t.is_antisymmetric_in(0, 1)
             assert linear_membership_violation(t, j0[n]) is None
     assert random_linear_nijenhuis(2, 7) == random_linear_nijenhuis(2, 7)
+
+
+@given(st.integers(2, 3), st.integers(0, 10 ** 6), st.booleans(),
+       st.integers(0, 35), st.integers(0, 5), st.integers(-2, 2))
+@settings(max_examples=40, deadline=None)
+def test_membership_violation_matches_the_pairwise_check(n, seed, block, idx, comp, delta):
+    """The same first (a, b, label) as the check one basis pair at a time,
+    on valid tensors and on tensors with one entry perturbed."""
+    dim = 2 * n
+    if block:
+        t = example3_tensor(n)["N"]
+        j = doubled_block_j(n)
+    else:
+        t = random_linear_nijenhuis(n, seed)
+        j = PointTensor.from_matrix(standard_matrix(n))
+    assert linear_membership_violation(t, j) is None
+    key = divmod(idx % (dim * dim), dim)
+    t.entries[key][comp % dim] += delta
+    assert linear_membership_violation(t, j) == membership_violation_by_pairs(t, j)
+    assert (delta == 0) == (linear_membership_violation(t, j) is None)
 
 
 def test_realize_nijenhuis_columns():
