@@ -415,7 +415,7 @@ def tanaka_forms(j: StructureField, point: Sequence,
     frame = utxi_invariant(j, point, xi3_choice=xi3_choice)
     gens = list(torsion_jets(j.jet(point, 3), 2).values())
     level1_vals, top = _second_level(gens)
-    flag = linalg._Echelon()
+    flag = linalg.Echelon()
     seen = set()
     for v in itertools.chain(level1_vals, *top):
         key = tuple(v)

@@ -17,32 +17,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import poly
 from .poly import Poly, PolyVec
 from .structures import StructureField
+from .tensor import alternating_rep
 
 SIdx = Tuple[int, ...]  # strictly increasing
 SForm = Dict[SIdx, Poly]
 
 
-def _sort_index(idx: Sequence[int]) -> Optional[Tuple[SIdx, int]]:
-    """Sorted tuple and permutation sign, or None on a repeated index."""
-    lst = list(idx)
-    if len(set(lst)) != len(lst):
-        return None
-    sign = 1
-    for i in range(len(lst)):
-        for k in range(len(lst) - 1 - i):
-            if lst[k] > lst[k + 1]:
-                lst[k], lst[k + 1] = lst[k + 1], lst[k]
-                sign = -sign
-    return tuple(lst), sign
-
-
 def sform_accumulate(out: SForm, idx: Sequence[int], p: Poly) -> None:
     if poly.is_zero(p):
         return
-    res = _sort_index(idx)
-    if res is None:
+    key, sign = alternating_rep(idx)
+    if sign == 0:
         return
-    key, sign = res
     q = poly.add(out.get(key, poly.zero()), p if sign > 0 else poly.neg(p))
     if poly.is_zero(q):
         out.pop(key, None)
@@ -114,11 +100,8 @@ class VectorForm:
                             for a in range(dim) for b in range(a + 1, dim)})
 
     def value_on_basis(self, idx: Sequence[int]) -> PolyVec:
-        res = _sort_index(idx)
-        if res is None:
-            return poly.vec_zero(self.dim)
-        key, sign = res
-        vec = self.entries.get(key)
+        key, sign = alternating_rep(idx)
+        vec = self.entries.get(key) if sign else None
         if vec is None:
             return poly.vec_zero(self.dim)
         return vec if sign > 0 else [poly.neg(p) for p in vec]
@@ -189,11 +172,7 @@ def insertion(k_form: VectorForm, l_form: VectorForm) -> VectorForm:
         for positions in itertools.combinations(range(deg), k):
             chosen = tuple(idx[p] for p in positions)
             rest = tuple(idx[p] for p in range(deg) if p not in positions)
-            # shuffle sign: count inversions between chosen and rest positions
-            sign = 1
-            for p in positions:
-                sign *= (-1) ** sum(1 for r in range(deg)
-                                    if r not in positions and r < p)
+            _, sign = alternating_rep(chosen + rest)  # the shuffle sign
             kv = k_form.value_on_basis(chosen)
             for m in range(dim):
                 if poly.is_zero(kv[m]):

@@ -174,7 +174,7 @@ def _complex_complement(jm: Sequence[Sequence], xi: Vector) -> List[Vector]:
     dimension dim - 2 avoiding xi.
     """
     dim = len(jm)
-    acc = linalg._Echelon([xi, linalg.mat_vec(jm, xi)])
+    acc = linalg.Echelon([xi, linalg.mat_vec(jm, xi)])
     picked: List[Vector] = []
     for a in range(dim):
         e_a = linalg.basis_vector(dim, a)
@@ -372,7 +372,7 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     pi_minus = linalg.nullspace(summ)
     pi = linalg.sum_spans(pi_plus, pi_minus)
 
-    in_pi = linalg._Echelon(pi)
+    in_pi = linalg.Echelon(pi)
     if not all(in_pi.contains(v) for v in n_tensor.entries.values()):
         raise InternalInconsistencyError("span Im N escapes Pi")
 
@@ -384,13 +384,14 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
         raise InternalInconsistencyError("K+ cap K- differs from Ker N(., Pi)")
     for label, sub, space in (("Pi+ escapes K+", pi_plus, k_plus),
                               ("Pi- escapes K-", pi_minus, k_minus)):
-        echelon = linalg._Echelon(space)
+        echelon = linalg.Echelon(space)
         if not all(echelon.contains(v) for v in sub):
             raise InternalInconsistencyError(label)
-    if linalg._Echelon(k_plus + k_minus).rank != dim:
+    if linalg.Echelon(k_plus + k_minus).rank != dim:
         raise InternalInconsistencyError("K+ + K- does not cover the space")
 
-    full = annihilator(n_tensor, linalg.identity(dim))
+    # with j2 = +-j1, Pi is the whole space and its rref rows the identity
+    full = against_pi if len(pi) == dim else annihilator(n_tensor, linalg.identity(dim))
     return SubspaceDecomposition(pi_plus, pi_minus, k_plus, k_minus,
                                  kernel, full)
 

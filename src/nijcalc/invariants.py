@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg, poly
 from .poly import PolyVec
 from .structures import StructureField
-from .tensor import Index, PointTensor
+from .tensor import Index, PointTensor, alternating_rep
 
 Vec = List[Fraction]
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
@@ -141,17 +141,6 @@ def _pair_fields(dim: int, values: Dict[Index, PolyVec]) -> Dict[Index, PolyVec]
     return entries
 
 
-def _pair_tensor(dim: int, values: Dict[Index, Vec]) -> PointTensor:
-    """The antisymmetric arity-2 tensor with the given values for a < b."""
-    entries: Dict[Index, Vec] = {}
-    for a in range(dim):
-        entries[(a, a)] = [Fraction(0)] * dim
-    for (a, b), val in values.items():
-        entries[(a, b)] = val
-        entries[(b, a)] = [-c for c in val]
-    return PointTensor(dim, dim, 2, entries)
-
-
 def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
     point, from J and dj there, both read off the 1-jet of J."""
@@ -166,7 +155,7 @@ def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
         val = linalg.vec_sub(val, dj.apply([ea, jb]))
         val = linalg.vec_add(val, dj.apply([jb, ea]))
         values[(a, b)] = linalg.vec_add(val, dj.apply([eb, ja]))
-    return _pair_tensor(dim, values)
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, values.__getitem__)
 
 
 def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
@@ -177,9 +166,9 @@ def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
     """
     pt = [Fraction(x) for x in point]
     jet = j.jet(pt, 1)
-    bracket = _pair_tensor(j.dim, {
-        idx: [poly.constant_term(c) for c in val]
-        for idx, val in torsion_jets(jet, 0).items()})
+    n_jets = torsion_jets(jet, 0)
+    bracket = PointTensor.from_orbits(j.dim, j.dim, 2, alternating_rep, lambda idx: [
+        poly.constant_term(c) for c in n_jets[idx]])
     other = _torsion_first_differential(jet)
     if bracket != other:
         witness = next(idx for idx in bracket.entries
@@ -333,9 +322,8 @@ def nijenhuis_space_basis(n: int) -> List[PointTensor]:
 
     def slot(a: int, b: int, i: int) -> Tuple[int, Fraction]:
         # column and sign of entry N(e_a, e_b)^i among the unknowns
-        if a < b:
-            return pos[(a, b)] * dim + i, Fraction(1)
-        return pos[(b, a)] * dim + i, Fraction(-1)
+        pair, sign = alternating_rep((a, b))
+        return pos[pair] * dim + i, Fraction(sign)
 
     def j0_index(a: int) -> Tuple[int, Fraction]:
         # j0 e_a = sign * e_partner
@@ -361,21 +349,10 @@ def nijenhuis_space_basis(n: int) -> List[PointTensor]:
                     rows.append(row)
 
     basis_vecs = linalg.nullspace(rows) if rows else []
-    out: List[PointTensor] = []
-    for v in basis_vecs:
-        entries: Dict[Index, Vec] = {}
-        for a in range(dim):
-            for b in range(dim):
-                if a == b:
-                    entries[(a, b)] = [Fraction(0)] * dim
-                else:
-                    vals = []
-                    for i in range(dim):
-                        col, s = slot(a, b, i)
-                        vals.append(s * v[col])
-                    entries[(a, b)] = vals
-        out.append(PointTensor(dim, dim, 2, entries))
-    return out
+    return [PointTensor.from_orbits(
+        dim, dim, 2, alternating_rep,
+        lambda idx, v=v: v[pos[idx] * dim:(pos[idx] + 1) * dim])
+        for v in basis_vecs]
 
 
 # ---------------------------------------------------------------------------

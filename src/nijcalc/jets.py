@@ -20,14 +20,15 @@ part, gives -P_k.  The structures are shifted to the base points once per
 lift or tower (StructureField.jet) and every derivative is read off those
 jets.
 
-The set-partition expansion of the same coefficient is kept as an
-independent route.  It is evaluated only at the index tuples whose
-trailing slots are sorted, one per orbit of the slots in which every
-residual is symmetric, and it must agree with the composition there for
-each P_k and each public residual; otherwise InternalInconsistencyError
-is raised.
+Every residual is symmetric in its trailing slots, so each residual
+tensor is read off the composition at the index tuples whose trailing
+slots are sorted, one per orbit, and filled over the orbits
+(PointTensor.from_orbits).  The set-partition expansion of the same
+coefficient is kept as an independent route.  It is evaluated at the same
+representatives and must agree with the composition there for each P_k
+and each public residual; otherwise InternalInconsistencyError is raised.
 
-The canonical symbol is computed only on sorted index tuples and copied
+The canonical symbol is computed only on sorted index tuples and filled
 over their permutations (PointTensor.from_symmetric_function).  Each P_k
 is checked against the three conditions once, inside symmetrize, which
 then certifies the symbol densely: zeta(Phi^(k)) == P_k over every index
@@ -271,35 +272,9 @@ def _cr_polynomial(u: TruncatedMap, jets: _StructureJets, top: int) -> List[Poly
             for a in range(n)]
 
 
-def _representatives(dim: int, k: int) -> Iterator[Index]:
-    """Index tuples (a, i_1 <= .. <= i_(k-1)): one per orbit of the
-    trailing slots, dim C(dim + k - 2, k - 1) of them."""
-    for a in range(dim):
-        for rest in itertools.combinations_with_replacement(range(dim), k - 1):
-            yield (a,) + rest
-
-
-def _taylor_entries(r: List[PolyVec], k: int, sign: int) -> Dict[Index, Vector]:
-    """sign alpha! times the coefficient of h^alpha in r[a], at each
-    representative (a, I) with alpha the multiplicities of I: the
-    arity-k tensor of the degree-(k - 1) part of r."""
-    n = len(r)
-    zero = Fraction(0)
-    out: Dict[Index, Vector] = {}
-    for idx in _representatives(n, k):
-        alpha = tuple(idx[1:].count(b) for b in range(n))
-        w = sign * _factorial_weight(alpha)
-        out[idx] = [w * c.get(alpha, zero) for c in r[idx[0]]]
-    return out
-
-
-def _fill_trailing(values: Dict[Index, Vector], dim_in: int, dim_out: int,
-                   k: int) -> PointTensor:
-    """The dense tensor, symmetric in the trailing slots, with these values
-    at the representatives."""
-    return PointTensor(dim_in, dim_out, k, {
-        idx: list(values[(idx[0],) + tuple(sorted(idx[1:]))])
-        for idx in itertools.product(range(dim_in), repeat=k)})
+def _trailing_rep(idx: Index) -> Tuple[Index, int]:
+    """Sign rule of a residual: symmetric in the slots after the first."""
+    return (idx[0],) + tuple(sorted(idx[1:])), 1
 
 
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
@@ -368,20 +343,32 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                 out = linalg.vec_sub(out, term)
         return out if not skip_top else [-c for c in out]
 
-    return {idx: entry(idx) for idx in _representatives(l_dim, k)}
+    # one representative (a, i_1 <= .. <= i_(k-1)) per orbit of _trailing_rep
+    return {(a,) + rest: entry((a,) + rest) for a in range(l_dim)
+            for rest in itertools.combinations_with_replacement(range(l_dim), k - 1)}
 
 
 def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
                    skip_top: bool) -> PointTensor:
-    """The residual (or, with skip_top, P_k) read off the composition r,
-    compared with the tensor route at every representative."""
+    """The residual (or, with skip_top, P_k) read off the composition r:
+    alpha! times the coefficient of h^alpha in r[a] at each representative
+    (a, I), alpha the multiplicities of I, negated for P_k.  The tensor
+    route must agree at every representative."""
     k = u.order + 1 if skip_top else u.order
-    values = _taylor_entries(r, k, -1 if skip_top else 1)
-    if _residual_terms(u, jets, skip_top) != values:
+    sign = -1 if skip_top else 1
+
+    def taylor(idx: Index) -> Vector:
+        alpha = tuple(idx[1:].count(b) for b in range(u.dim_in))
+        w = sign * _factorial_weight(alpha)
+        return [w * c.get(alpha, 0) for c in r[idx[0]]]
+
+    out = PointTensor.from_orbits(u.dim_in, u.dim_out, k, _trailing_rep, taylor)
+    if any(out.entries[idx] != v
+           for idx, v in _residual_terms(u, jets, skip_top).items()):
         what = f"defect tensor P_{k}" if skip_top else f"order-{k} residual"
         raise InternalInconsistencyError(
             f"the composition and tensor routes disagree on the {what}")
-    return _fill_trailing(values, u.dim_in, u.dim_out, k)
+    return out
 
 
 def cr_residual(u: TruncatedMap, j_l: StructureField,

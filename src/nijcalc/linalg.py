@@ -16,7 +16,7 @@ or all QuadExt over one radicand).  A matrix that mixes types is
 eliminated densely, because there Fraction - QuadExt * 0 is a QuadExt and
 the element types of the result depend on every operation performed.
 
-Ranks and membership tests use _Echelon, which keeps the reduced rows of
+Ranks and membership tests use Echelon, which keeps the reduced rows of
 a span and reduces a vector against them: no back substitution, and a
 caller asking whether many vectors lie in one span eliminates the span
 once.  Only a bool or a count leaves it, so its element types never
@@ -139,7 +139,7 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return _Echelon(m).rank
+    return Echelon(m).rank
 
 
 def nullspace(m: Matrix) -> List[Vector]:
@@ -239,7 +239,7 @@ def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
     return [red[i] for i in range(len(pivots))]
 
 
-class _Echelon:
+class Echelon:
     """Reduced rows of a growing span, for ranks and membership tests.
 
     Each row is stored by its support, with a pivot column where it is 1
@@ -283,7 +283,7 @@ class _Echelon:
 
 
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
-    return _Echelon(basis).contains(v)
+    return Echelon(basis).contains(v)
 
 
 def span_dim(vectors: Sequence[Sequence]) -> int:

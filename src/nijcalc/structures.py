@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
 from .poly import Poly, PolyVec
-from .tensor import PointTensor, post_compose, slot_compose
+from .tensor import PointTensor, alternating_rep, post_compose, slot_compose
 
 
 class StructureError(ValueError):
@@ -105,6 +105,8 @@ def validate(j: StructureField, base_point: Optional[Sequence] = None,
              order: Optional[int] = None) -> ValidationReport:
     """Check J^2 = -I exactly, or modulo the requested vanishing order."""
     pt = list(base_point) if base_point is not None else [Fraction(0)] * j.dim
+    if len(pt) != j.dim:
+        raise StructureError(f"base point has {len(pt)} coordinates, expected {j.dim}")
     err = j.square_plus_identity()
     worst: Optional[int] = None
     worst_entry = None
@@ -262,42 +264,27 @@ def realize_nijenhuis(n_tensor: PointTensor) -> StructureField:
 # ---------------------------------------------------------------------------
 
 class LieAlgebraSpec:
-    """Structure constants c^k_{ij} for a real Lie algebra, exact."""
+    """Structure constants c^k_{ij} for a real Lie algebra, exact, held as
+    the antisymmetric arity-2 tensor of the bracket."""
 
     def __init__(self, dim: int, constants: Dict[Tuple[int, int], Sequence]):
-        """constants[(i, j)] for i < j is the vector [e_i, e_j], 0-based."""
+        """constants[(i, j)] for i < j is the vector [e_i, e_j], 0-based;
+        a key (j, i) gives its negative, and a missing pair brackets to 0."""
         self.dim = dim
-        self.table: Dict[Tuple[int, int], List[Fraction]] = {}
-        zero = [Fraction(0)] * dim
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                if (i, j) in constants:
-                    v = [Fraction(x) for x in constants[(i, j)]]
-                elif (j, i) in constants:
-                    v = [-Fraction(x) for x in constants[(j, i)]]
-                else:
-                    v = list(zero)
-                self.table[(i, j)] = v
+
+        def orbit_value(pair: Tuple[int, int]) -> List:
+            if pair in constants:
+                return constants[pair]
+            return [-Fraction(x) for x in constants.get(pair[::-1], [0] * dim)]
+
+        self.tensor = PointTensor.from_orbits(dim, dim, 2, alternating_rep, orbit_value)
         jac = self.jacobi_violation()
         if jac is not None:
             raise StructureError(f"Jacobi identity fails on basis triple {jac}")
 
     def bracket(self, x: Sequence, y: Sequence) -> List[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0 or i == j:
-                    continue
-                c = self.table[(i, j)]
-                f = Fraction(x[i]) * Fraction(y[j])
-                for k in range(self.dim):
-                    if c[k]:
-                        out[k] += f * c[k]
-        return out
+        """[x, y] for exact coordinate vectors (floats are refused)."""
+        return self.tensor.apply([x, y])
 
     def jacobi_violation(self) -> Optional[Tuple[int, int, int]]:
         basis = linalg.identity(self.dim)
@@ -433,25 +420,18 @@ def linear_nijenhuis_from_free_data(n: int, free: Dict[Tuple[int, int], List[Fra
     dim = 2 * n
     zero = [Fraction(0)] * dim
 
-    def j0(v):
-        return standard_apply(v)
-
-    def value(a: int, b: int) -> List[Fraction]:
-        if a == b:
-            return list(zero)
-        if a > b:
-            return [-x for x in value(b, a)]
+    def value(idx: Tuple[int, int]) -> List[Fraction]:
+        """N(e_a, e_b) for a < b."""
+        a, b = idx
         s, sa = a // 2, a % 2
         t, tb = b // 2, b % 2
         if s == t:
-            return list(zero)  # complex line: N(e, j0 e) = 0
+            return zero  # complex line: N(e, j0 e) = 0
         c = free.get((s, t), zero)
         if sa == 0 and tb == 0:
-            return list(c)
-        if sa == 0 and tb == 1:
-            return [-x for x in j0(c)]
-        if sa == 1 and tb == 0:
-            return [-x for x in j0(c)]
+            return c
+        if sa != tb:
+            return [-x for x in standard_apply(c)]
         return [-x for x in c]
 
-    return PointTensor.from_function(dim, dim, 2, lambda idx: value(idx[0], idx[1]))
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, value)

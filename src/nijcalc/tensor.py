@@ -10,15 +10,14 @@ from the nonzero coordinates of the arguments, so a call on basis vectors
 reads one stored entry.  Arguments may hold any exact scalar (int,
 Fraction, or a QuadExt); floats are refused.
 
-Symmetry is data about the map, checked entrywise on demand rather than
-enforced by storage; the higher-arity invariants use the pattern
-"antisymmetric within slots (1,2), within (3,4), and under swapping the
-two pairs", and jet symbols are fully symmetric.  from_pair_pattern and
-from_symmetric_function build such tensors from one value per orbit and
-fill the rest of the orbit (by sign, or by copying).  Neither checks that
-the values it is given obey the symmetry, so a caller that needs that
-certainty compares the result with an independently computed dense
-tensor.
+Slot symmetry is checked on demand, not enforced by storage.  A sign
+rule is a pure function taking an index tuple to (representative, sign):
+the entry there is sign times the representative's, zero for sign 0.
+The rules are symmetric_rep (jet symbols), alternating_rep (the
+permutation sign: torsion, Lie brackets, forms) and pair_pattern_rep
+(antisymmetric within slots (1,2), within (3,4) and under swapping the
+pairs: the arity-4 invariant).  from_orbits builds a tensor from one
+value per orbit, unchecked, and respects checks a tensor against a rule.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from . import linalg
 
 Index = Tuple[int, ...]
+SignRule = Callable[[Index], Tuple[Index, int]]
 
 
 class TensorError(ValueError):
@@ -50,12 +50,6 @@ class PointTensor:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim_in: int, dim_out: int, arity: int) -> "PointTensor":
-        entries = {idx: [Fraction(0)] * dim_out
-                   for idx in itertools.product(range(dim_in), repeat=arity)}
-        return cls(dim_in, dim_out, arity, entries)
-
-    @classmethod
     def from_function(cls, dim_in: int, dim_out: int, arity: int,
                       fn: Callable[[Index], Sequence]) -> "PointTensor":
         entries = {}
@@ -67,48 +61,38 @@ class PointTensor:
         return cls(dim_in, dim_out, arity, entries)
 
     @classmethod
+    def from_orbits(cls, dim_in: int, dim_out: int, arity: int, rep: SignRule,
+                    fn: Callable[[Index], Sequence]) -> "PointTensor":
+        """Entry sign * fn(representative) at each index tuple, under the
+        sign rule rep; fn is called once per representative of nonzero
+        sign, in the order the representatives first appear."""
+        values: Dict[Index, List[Fraction]] = {}
+        entries = {}
+        for idx, r, sign in _orbit_table(rep, dim_in, arity):
+            if sign == 0:
+                entries[idx] = [Fraction(0)] * dim_out
+                continue
+            value = values.get(r)
+            if value is None:
+                # Fraction(v) on a Fraction costs as much as a negation
+                value = values[r] = [v if type(v) is Fraction else Fraction(v) for v in fn(r)]
+                if len(value) != dim_out:
+                    raise TensorError(f"value at {r} has length {len(value)}, expected {dim_out}")
+            entries[idx] = list(value) if sign == 1 else [-v for v in value]
+        return cls(dim_in, dim_out, arity, entries)
+
+    @classmethod
     def from_symmetric_function(cls, dim_in: int, dim_out: int, arity: int,
                                 fn: Callable[[Index], Sequence]) -> "PointTensor":
-        """Fully symmetric tensor from one value per orbit.
-
-        fn is called only on sorted index tuples, C(dim_in + arity - 1,
-        arity) times instead of dim_in^arity, and every permutation of a
-        sorted tuple gets a copy of its value.
-        """
-        reps = {}
-        for rep in itertools.combinations_with_replacement(range(dim_in), arity):
-            value = [Fraction(v) for v in fn(rep)]
-            if len(value) != dim_out:
-                raise TensorError(f"value at {rep} has length {len(value)}, expected {dim_out}")
-            reps[rep] = value
-        entries = {idx: list(reps[tuple(sorted(idx))])
-                   for idx in itertools.product(range(dim_in), repeat=arity)}
-        return cls(dim_in, dim_out, arity, entries)
+        """Fully symmetric tensor; fn is called on sorted index tuples only."""
+        return cls.from_orbits(dim_in, dim_out, arity, symmetric_rep, fn)
 
     @classmethod
     def from_pair_pattern(cls, dim: int, dim_out: int,
                           fn: Callable[[Index], Sequence]) -> "PointTensor":
-        """Arity-4 tensor with the pair pattern, from orbit representatives.
-
-        fn is called only on (a, b, c, d) with a < b, c < d and
-        (a, b) < (c, d); the other seven members of each orbit are filled
-        by sign, and every tuple with a = b, c = d or (a, b) = (c, d) is
-        zero.  That is C(C(dim, 2), 2) calls instead of dim^4.
-        """
-        out = cls.zero(dim, dim_out, 4)
-        for (a, b), (c, d) in itertools.combinations(
-                itertools.combinations(range(dim), 2), 2):
-            value = [Fraction(v) for v in fn((a, b, c, d))]
-            if len(value) != dim_out:
-                raise TensorError(f"value at {(a, b, c, d)} has length "
-                                  f"{len(value)}, expected {dim_out}")
-            neg = [-v for v in value]
-            for idx, v in (((a, b, c, d), value), ((b, a, d, c), value),
-                           ((c, d, b, a), value), ((d, c, a, b), value),
-                           ((b, a, c, d), neg), ((a, b, d, c), neg),
-                           ((c, d, a, b), neg), ((d, c, b, a), neg)):
-                out.entries[idx] = list(v)
-        return out
+        """Arity-4 tensor with the pair pattern; fn is called only on
+        (a, b, c, d) with a < b, c < d and (a, b) < (c, d)."""
+        return cls.from_orbits(dim, dim_out, 4, pair_pattern_rep, fn)
 
     @classmethod
     def from_matrix(cls, m: Sequence[Sequence]) -> "PointTensor":
@@ -205,21 +189,75 @@ class PointTensor:
     def is_symmetric_in(self, s: int, t: int) -> bool:
         return self.swap_slots(s, t) == self
 
+    def respects(self, rep: SignRule) -> bool:
+        """Whether every entry is sign times its representative's."""
+        entries = self.entries
+        for idx, r, sign in _orbit_table(rep, self.dim_in, self.arity):
+            v = entries[idx]
+            if sign == 1:
+                if v != entries[r]:
+                    return False
+            elif sign == -1:
+                if any(x != -y for x, y in zip(v, entries[r])):
+                    return False
+            elif any(v):
+                return False
+        return True
+
     def is_fully_symmetric(self) -> bool:
-        return all(self.is_symmetric_in(s, s + 1) for s in range(self.arity - 1))
+        return self.respects(symmetric_rep)
 
     def has_pair_pattern(self) -> bool:
         """Antisym within slots (0,1), within (2,3), antisym under pair swap."""
         if self.arity != 4:
             raise TensorError("pair pattern is for arity 4")
-        if not (self.is_antisymmetric_in(0, 1) and self.is_antisymmetric_in(2, 3)):
-            return False
-        for idx, v in self.entries.items():
-            a, b, c, d = idx
-            w = self.entries[(c, d, a, b)]
-            if any(x != -y for x, y in zip(v, w)):
-                return False
-        return True
+        return self.respects(pair_pattern_rep)
+
+
+# -- sign rules ----------------------------------------------------------------
+
+_ORBIT_TABLES: Dict[Tuple[SignRule, int, int], tuple] = {}
+
+
+def _orbit_table(rep: SignRule, dim: int, arity: int) -> Tuple[Tuple[Index, Index, int], ...]:
+    """(index tuple, representative, sign) in product order; rules are pure."""
+    key = (rep, dim, arity)
+    if key not in _ORBIT_TABLES:
+        if len(_ORBIT_TABLES) >= 64:
+            _ORBIT_TABLES.clear()
+        tuples = itertools.product(range(dim), repeat=arity)
+        _ORBIT_TABLES[key] = tuple((idx,) + rep(idx) for idx in tuples)
+    return _ORBIT_TABLES[key]
+
+
+def symmetric_rep(idx: Index) -> Tuple[Index, int]:
+    """The sorted tuple, sign 1."""
+    return tuple(sorted(idx)), 1
+
+
+def alternating_rep(idx: Sequence[int]) -> Tuple[Index, int]:
+    """The sorted tuple and the sign of the sorting permutation, 0 on a
+    repeated index."""
+    rep = tuple(sorted(idx))
+    if len(set(rep)) < len(rep):
+        return rep, 0
+    return rep, (-1) ** sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+
+
+def pair_pattern_rep(idx: Index) -> Tuple[Index, int]:
+    """(a, b, c, d) with a < b, c < d and (a, b) < (c, d); sign 0 when
+    a = b, c = d or the two pairs hold the same indices."""
+    a, b, c, d = idx
+    sign = 1
+    if a > b:
+        a, b, sign = b, a, -sign
+    if c > d:
+        c, d, sign = d, c, -sign
+    if (a, b) > (c, d):
+        a, b, c, d, sign = c, d, a, b, -sign
+    if a == b or c == d or (a, b) == (c, d):
+        sign = 0
+    return (a, b, c, d), sign
 
 
 # ---------------------------------------------------------------------------

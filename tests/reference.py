@@ -6,13 +6,18 @@ instead: differentiate the global polynomial fields, then evaluate.  They
 share no code with the jet routes beyond the polynomial arithmetic, which
 is what makes them useful as oracles.
 
-The last three are the dense forms of routines the package now runs
-sparsely: elimination over every column, the antilinearity check one
-basis pair at a time, and the greedy invariant complement by repeated
-rank tests.
+Then come the dense forms of routines the package now runs sparsely:
+elimination over every column, the antilinearity check one basis pair at
+a time, and the greedy invariant complement by repeated rank tests.
+
+The last ones are the slot-symmetry checks and the Lie bracket as they
+were before one sign rule served them all: symmetry by swapping adjacent
+slots, the permutation sign by counting cycles, and the bracket from a
+table of every ordered basis pair.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from nijcalc import linalg, poly
@@ -160,3 +165,62 @@ def greedy_complement(jm, xi):
         picked.extend([e_a, j_e])
         acc.extend([e_a, j_e])
     return picked
+
+
+def permutation_sign(idx: Sequence[int]) -> int:
+    """Sign of the permutation sorting idx, from its cycle lengths; 0 on a
+    repeated index."""
+    if len(set(idx)) < len(idx):
+        return 0
+    order = sorted(range(len(idx)), key=lambda k: idx[k])
+    sign, seen = 1, set()
+    for start in range(len(order)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = order[k]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    return sign
+
+
+def is_fully_symmetric_by_swaps(t: PointTensor) -> bool:
+    return all(t.is_symmetric_in(s, s + 1) for s in range(t.arity - 1))
+
+
+def is_alternating_by_swaps(t: PointTensor) -> bool:
+    return all(t.is_antisymmetric_in(s, s + 1) for s in range(t.arity - 1))
+
+
+def has_pair_pattern_by_swaps(t: PointTensor) -> bool:
+    """Antisymmetric in slots (0,1) and (2,3), and T(a,b,c,d) = -T(c,d,a,b)."""
+    if not (t.is_antisymmetric_in(0, 1) and t.is_antisymmetric_in(2, 3)):
+        return False
+    return all(x == -y for (a, b, c, d), v in t.entries.items()
+               for x, y in zip(v, t.entries[(c, d, a, b)]))
+
+
+def lie_bracket_by_table(dim: int, constants, x: Sequence, y: Sequence):
+    """[x, y] from the constants of [e_i, e_j], filled into a table of every
+    ordered pair i != j (a reversed key gives the negative)."""
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if i == j:
+                continue
+            if (i, j) in constants:
+                table[(i, j)] = [Fraction(c) for c in constants[(i, j)]]
+            elif (j, i) in constants:
+                table[(i, j)] = [-Fraction(c) for c in constants[(j, i)]]
+            else:
+                table[(i, j)] = [Fraction(0)] * dim
+    out = [Fraction(0)] * dim
+    for i in range(dim):
+        for j in range(dim):
+            if x[i] == 0 or y[j] == 0 or i == j:
+                continue
+            f = Fraction(x[i]) * Fraction(y[j])
+            for k in range(dim):
+                out[k] += f * table[(i, j)][k]
+    return out

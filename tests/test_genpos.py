@@ -11,6 +11,7 @@ from nijcalc import linalg
 from nijcalc.genpos import (
     _complex_complement,
     alpha_N,
+    annihilator,
     appendix_tensor,
     deformation_search,
     example3_tensor,
@@ -34,7 +35,7 @@ def test_alpha_certificate_basics():
     """1. zero tensor has zero Gram determinant; 2. the conjugate-minor
     tensor is positive at the first basis vector over the first invariant
     hyperplane; 3. a sample inside the hyperplane is rejected."""
-    zero4 = PointTensor.zero(4, 4, 2)
+    zero4 = PointTensor.from_function(4, 4, 2, lambda idx: [0] * 4)
     out = alpha_N(zero4, e(4, 0), [e(4, 2), e(4, 3)])
     assert out["gram_det"] == 0 and not out["positive"]
 
@@ -129,7 +130,7 @@ def test_plucker_values_and_grid():
 
 
 def test_general_position_verdicts():
-    zero4 = PointTensor.zero(4, 4, 2)
+    zero4 = PointTensor.from_function(4, 4, 2, lambda idx: [0] * 4)
     rep = general_position_test(zero4, 10, seed=1)
     assert rep.verdict == "degenerate" and rep.witness is None
 
@@ -180,7 +181,7 @@ def test_deformation_search():
     assert found["epsilon"] == 1
     assert found["tensor"] == appendix_tensor(2)
 
-    found = deformation_search(PointTensor.zero(4, 4, 2), seed=0)
+    found = deformation_search(PointTensor.from_function(4, 4, 2, lambda idx: [0] * 4), seed=0)
     assert found["epsilon"] == Fraction(1, 2)
     assert found["tensor"] == appendix_tensor(2).scale(Fraction(1, 2))
 
@@ -229,13 +230,16 @@ def dim8_pair():
 def test_two_structure_decomposition_trivial_cases():
     t = appendix_tensor(2)
     j0 = PointTensor.from_matrix(standard_matrix(2))
+    full = annihilator(t, linalg.identity(4))
     dec = two_structure_decomposition(t, j0, j0)
     assert dec.pi_minus == []
     assert linalg.span_dim(dec.pi_plus) == 4
+    assert dec.full_kernel == full
 
     dec = two_structure_decomposition(t, j0, j0.neg())
     assert dec.pi_plus == []
     assert linalg.span_dim(dec.pi_minus) == 4
+    assert dec.full_kernel == full
 
 
 def test_two_structure_decomposition_dim8():
@@ -255,6 +259,20 @@ def test_two_structure_decomposition_dim8():
     # N(d x, y) = -d N(x, y) for d = j2 - j1 and the same relation through
     # j1 conjugation force N(d x, y) = 0, so the kernel is never trivial
     assert linalg.spans_equal(dec.full_kernel, last_plane)
+    # Pi is a proper subspace here, so the full kernel is computed apart;
+    # with j2 = +-j1 it is Ker N(., Pi), the same list of vectors
+    full = annihilator(n_t, linalg.identity(8))
+    assert linalg.span_dim(dec.pi_plus + dec.pi_minus) == 6
+    assert dec.full_kernel == full
+    for j in (j1, j1.neg()):
+        assert two_structure_decomposition(n_t, j1, j).full_kernel == full
+    # keeping only the pairing of the first plane with the sheared third,
+    # the first plane annihilates Pi but not the whole space
+    n_13 = pair_tensor(8, {idx: n_t.entries[idx]
+                           for idx in product((0, 1), (4, 5))})
+    dec = two_structure_decomposition(n_13, j1, j2)
+    assert linalg.spans_equal(dec.kernel, [e(8, i) for i in (0, 1, 2, 3, 6, 7)])
+    assert linalg.spans_equal(dec.full_kernel, [e(8, i) for i in (2, 3, 6, 7)])
 
 
 def test_decomposition_rejects_cross_plane_shear_pairing():

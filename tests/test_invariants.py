@@ -33,7 +33,7 @@ from nijcalc.structures import (
     standard_matrix,
     standard_structure,
 )
-from nijcalc.tensor import PointTensor, kernel_dim
+from nijcalc.tensor import PointTensor, kernel_dim, pair_pattern_rep
 from reference import (differential, dj_field,
                        nijenhuis_field_first_differential, structure_as_field)
 
@@ -118,6 +118,11 @@ def test_from_pair_pattern_fills_orbits_from_representatives(dim):
     pairs = dim * (dim - 1) // 2
     assert len(calls) == pairs * (pairs - 1) // 2
     assert all(a < b and c < d and (a, b) < (c, d) for a, b, c, d in calls)
+    assert calls == [p + q for p, q in itertools.combinations(
+        itertools.combinations(range(dim), 2), 2)]
+    del calls[:]
+    assert PointTensor.from_orbits(dim, 2, 4, pair_pattern_rep, fn) == t
+    assert len(calls) == pairs * (pairs - 1) // 2
     assert t.has_pair_pattern()
     assert t == PointTensor.from_function(dim, 2, 4, fn)
 

@@ -262,7 +262,7 @@ def test_echelon_rank_and_membership_match_rref(rows):
     def rref_rank(vectors):
         return len(linalg.rref(vectors)[1]) if vectors else 0
 
-    ech = linalg._Echelon(m)
+    ech = linalg.Echelon(m)
     assert ech.rank == linalg.rank(m) == rref_rank(m)
     for row in m:
         assert ech.contains(row)

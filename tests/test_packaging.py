@@ -44,3 +44,34 @@ def test_package_imports_only_itself_and_the_standard_library():
             if top != "nijcalc" and top not in sys.stdlib_module_names:
                 bad.append(f"{path.name}:{line} imports {module}")
     assert bad == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Names starting with one underscore stay inside their module: no
+    `module._name` on an imported package module and no `from .m import _name`."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or
+                                                     node.module.startswith("nijcalc")):
+                for alias in node.names:
+                    if _private(alias.name):
+                        bad.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                    if alias.name in modules:
+                        aliases.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("nijcalc.") and alias.asname:
+                        aliases.add(alias.asname)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and _private(node.attr)):
+                bad.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert bad == []

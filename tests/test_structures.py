@@ -1,5 +1,6 @@
 """Structure fields: constructors, validation, realization, random generators."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,8 @@ from nijcalc.structures import (
     validate,
     vanishing_order,
 )
-from nijcalc.tensor import PointTensor
-from reference import membership_violation_by_pairs
+from nijcalc.tensor import PointTensor, TensorError
+from reference import lie_bracket_by_table, membership_violation_by_pairs
 
 
 def as_matrix(j):
@@ -104,6 +105,18 @@ def test_validate_reports_order():
     assert rep3.order == 2
 
 
+def test_validate_rejects_a_base_point_of_the_wrong_length():
+    """Checked before J^2 + I is read, so an exact structure rejects it too."""
+    exact = example_structure("ex2")
+    realized = realize_nijenhuis(random_linear_nijenhuis(2, 0))
+    assert validate(exact).status == "exact"
+    assert validate(realized).status == "valid_mod_order_k"
+    for j in (exact, realized):
+        for pt in ([0] * 2, [0] * 5):
+            with pytest.raises(StructureError, match=f"{len(pt)} coordinates, expected 4"):
+                validate(j, base_point=pt)
+
+
 def test_vanishing_order_shifts_base_point():
     p = poly.parse_poly("x1^2 - 2*x1*x2 + x2^2", 2)  # (x1 - x2)^2
     assert vanishing_order(p, [0, 0], 2) == 2
@@ -136,6 +149,29 @@ def test_lie_algebra_bracket_and_jacobi():
     assert g.bracket([2, 0], [0, 3]) == [Fraction(6), Fraction(0)]
     with pytest.raises(StructureError):
         LieAlgebraSpec(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+
+
+LIE_ALGEBRAS = [
+    (2, {(0, 1): [1, 0]}),                                  # affine line
+    (2, {}),                                                # abelian
+    (3, {(0, 1): [0, 0, 1]}),                               # Heisenberg
+    (3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (2, 0): [0, 1, 0]}),  # so(3)
+]
+
+
+@pytest.mark.parametrize("dim, constants", LIE_ALGEBRAS)
+def test_lie_bracket_matches_the_pair_table(dim, constants):
+    """The bracket tensor gives the values of a table over every ordered
+    basis pair, also where a key is given reversed."""
+    g = LieAlgebraSpec(dim, constants)
+    assert all(type(c) is Fraction for v in g.tensor.entries.values() for c in v)
+    coords = [0, 1, -2, Fraction(1, 3)]
+    vectors = [list(v) for v in itertools.product(coords, repeat=dim)][::3]
+    for x in vectors:
+        for y in vectors[::2]:
+            assert g.bracket(x, y) == lie_bracket_by_table(dim, constants, x, y)
+    with pytest.raises(TensorError, match="float"):
+        g.bracket([0.5] + [0] * (dim - 1), [1] * dim)
 
 
 def test_left_invariant_structure_values():

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from nijcalc import linalg, tensor
 from nijcalc.quadext import QuadExt
 from nijcalc.tensor import PointTensor
+from reference import (has_pair_pattern_by_swaps, is_alternating_by_swaps,
+                       is_fully_symmetric_by_swaps, permutation_sign)
 
 F = Fraction
 
@@ -131,6 +133,49 @@ def test_from_symmetric_function_matches_from_function(case):
     assert built.is_fully_symmetric()
     # every entry is its own list
     assert len({id(v) for v in built.entries.values()}) == len(built.entries)
+    # the same orbit values under the alternating rule, signed by parity
+    alternating = PointTensor.from_orbits(dim_in, dim_out, arity,
+                                          tensor.alternating_rep, fn)
+    signed = PointTensor.from_function(
+        dim_in, dim_out, arity, lambda idx: [permutation_sign(idx) * v for v in fn(idx)])
+    assert alternating == signed
+    assert list(alternating.entries) == list(signed.entries)
+
+
+def test_alternating_rep_sign_is_the_permutation_parity():
+    for k in range(1, 5):
+        for idx in itertools.product(range(4), repeat=k):
+            assert tensor.alternating_rep(idx) == (tuple(sorted(idx)),
+                                                   permutation_sign(idx))
+
+
+@given(symmetric_values(), st.integers(0, 10 ** 6))
+def test_respects_agrees_with_the_swap_checks(case, pick):
+    """On symmetric, alternating and pair-pattern tensors, and on each of
+    them with one entry perturbed, respects gives the verdict of the
+    slot-swap checks."""
+    dim_in, dim_out, arity, values = case
+
+    def fn(idx):
+        return values[tuple(sorted(idx))]
+
+    built = [
+        (PointTensor.from_orbits(dim_in, dim_out, arity, tensor.symmetric_rep, fn),
+         tensor.symmetric_rep, is_fully_symmetric_by_swaps),
+        (PointTensor.from_orbits(dim_in, dim_out, arity, tensor.alternating_rep, fn),
+         tensor.alternating_rep, is_alternating_by_swaps),
+    ]
+    if arity == 4:
+        built.append((PointTensor.from_pair_pattern(dim_in, dim_out, fn),
+                      tensor.pair_pattern_rep, has_pair_pattern_by_swaps))
+    for t, rule, by_swaps in built:
+        assert t.respects(rule) and by_swaps(t)
+        idx = sorted(t.entries)[pick % len(t.entries)]
+        t.entries[idx][pick % dim_out] += 1
+        assert t.respects(rule) == by_swaps(t)
+    assert built[0][0].is_fully_symmetric() == is_fully_symmetric_by_swaps(built[0][0])
+    if arity == 4:
+        assert built[2][0].has_pair_pattern() == has_pair_pattern_by_swaps(built[2][0])
 
 
 def test_from_symmetric_function_calls_fn_once_per_sorted_tuple():
@@ -140,7 +185,7 @@ def test_from_symmetric_function_calls_fn_once_per_sorted_tuple():
             PointTensor.from_symmetric_function(
                 dim, 2, k, lambda idx: seen.append(idx) or [F(sum(idx)), F(1)])
             assert len(seen) == math.comb(dim + k - 1, k)
-            assert all(list(idx) == sorted(idx) for idx in seen)
+            assert seen == list(itertools.combinations_with_replacement(range(dim), k))
 
 
 def test_from_symmetric_function_rejects_wrong_length():
@@ -177,7 +222,7 @@ def test_commutant_rejects_non_structure():
 
 
 def test_kernel_dim_zero_tensor():
-    t = PointTensor.zero(4, 4, 2)
+    t = PointTensor.from_function(4, 4, 2, lambda idx: [0] * 4)
     assert tensor.kernel_dim(t, linalg.basis_vector(4, 0)) == 4
 
 
