@@ -42,7 +42,7 @@ from .invariants import (InternalInconsistencyError, PolyTensorField,
                          nijenhuis_tensor, torsion_jets)
 from .quadext import QuadExt, sqrt_exact
 from .structures import StructureError, StructureField
-from .tensor import PointTensor
+from .tensor import PointTensor, kernel_matrix
 
 Scalar = Union[Fraction, QuadExt]
 Vec = List[Scalar]
@@ -327,9 +327,7 @@ def utxi_invariant(j: StructureField, point: Sequence,
     scale = (alpha if orient > 0 else -1 * alpha) * lam
     xi3 = linalg.vec_scale(chosen, 1 / scale)
 
-    image_cols = [n_at.apply([xi1, e]) for e in linalg.identity(4)]
-    rows = [[image_cols[c][i] for c in range(4)] for i in range(4)]
-    xi4 = linalg.solve(rows, list(xi2))
+    xi4 = linalg.solve(kernel_matrix(n_at, xi1), list(xi2))
     if xi4 is None:
         raise InternalInconsistencyError("no solution for the fourth frame vector")
     if _coords_in([b1, b2, xi3_raw], xi4) is not None:
@@ -614,9 +612,10 @@ def _graded_report(nf: PolyTensorField, point: Sequence, n_at: PointTensor):
             break
     lifted: List[List[Fraction]] = []
     levels: List[int] = []
+    echelon = linalg.Echelon()
     for k, basis in enumerate(spans):
         for v in basis:
-            if not linalg.in_span(v, lifted):
+            if echelon.insert(v):
                 lifted.append(v)
                 levels.append(k)
     brackets: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}

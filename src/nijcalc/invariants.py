@@ -25,10 +25,11 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg, poly
+from . import forms, linalg, poly
 from .poly import PolyVec
-from .structures import StructureField
-from .tensor import Index, PointTensor, alternating_rep
+from .structures import StructureField, standard_matrix
+from .tensor import (Index, PointTensor, alternating_rep, post_compose,
+                     slot_compose, solution_basis, unit_basis)
 
 Vec = List[Fraction]
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
@@ -50,12 +51,6 @@ class PolyTensorField:
         self.dim = dim
         self.arity = arity
         self.entries = entries
-
-    @classmethod
-    def from_function(cls, dim: int, arity: int, fn) -> "PolyTensorField":
-        entries = {idx: fn(idx)
-                   for idx in itertools.product(range(dim), repeat=arity)}
-        return cls(dim, arity, entries)
 
     def at_point(self, point: Sequence) -> PointTensor:
         return PointTensor(self.dim, self.dim, self.arity,
@@ -171,10 +166,8 @@ def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
         poly.constant_term(c) for c in n_jets[idx]])
     other = _torsion_first_differential(jet)
     if bracket != other:
-        witness = next(idx for idx in bracket.entries
-                       if bracket.entries[idx] != other.entries[idx])
         raise InternalInconsistencyError(
-            f"torsion routes disagree at basis pair {witness}")
+            f"torsion routes disagree at basis pair {_first_difference(bracket, other)}")
     return bracket
 
 
@@ -289,10 +282,8 @@ def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     a = higher_nijenhuis_bracket(j, pt, jets)
     b = higher_nijenhuis_differential(j, pt, jets)
     if a != b:
-        witness = next(idx for idx in a.entries
-                       if a.entries[idx] != b.entries[idx])
         raise InternalInconsistencyError(
-            f"arity-4 routes disagree at basis tuple {witness}")
+            f"arity-4 routes disagree at basis tuple {_first_difference(a, b)}")
     return a
 
 
@@ -312,47 +303,14 @@ def nijenhuis_differential(j: StructureField, p: int, point: Sequence) -> PointT
 def nijenhuis_space_basis(n: int) -> List[PointTensor]:
     """Basis of {N antisymmetric | N(j0 x, y) = N(x, j0 y) = -j0 N(x, y)}.
 
-    Solved as an exact nullspace problem in the entries N(e_a, e_b), a < b.
-    The dimension is n^2 (n - 1).
+    The unknowns are the antisymmetric unit tensors, by pair a < b and
+    then by component, and the basis is the solution basis of
+    N(j0 x, y) + j0 N(x, y) = 0 on them.  The dimension is n^2 (n - 1).
     """
-    dim = 2 * n
-    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    pos = {p: k for k, p in enumerate(pairs)}
-    nunk = len(pairs) * dim
-
-    def slot(a: int, b: int, i: int) -> Tuple[int, Fraction]:
-        # column and sign of entry N(e_a, e_b)^i among the unknowns
-        pair, sign = alternating_rep((a, b))
-        return pos[pair] * dim + i, Fraction(sign)
-
-    def j0_index(a: int) -> Tuple[int, Fraction]:
-        # j0 e_a = sign * e_partner
-        return (a + 1, Fraction(1)) if a % 2 == 0 else (a - 1, Fraction(-1))
-
-    rows: List[Vec] = []
-    for (a, b) in pairs:
-        for first_slot in (True, False):
-            t, sgn = j0_index(a if first_slot else b)
-            other = b if first_slot else a
-            src = (t, other) if first_slot else (a, t)
-            for i in range(dim):
-                row = [Fraction(0)] * nunk
-                if src[0] != src[1]:
-                    col, s = slot(src[0], src[1], i)
-                    row[col] += sgn * s
-                # (j0 v)^i = v^{i-1} for odd i, -v^{i+1} for even i (0-based)
-                k_src = i - 1 if i % 2 == 1 else i + 1
-                s_src = Fraction(1) if i % 2 == 1 else Fraction(-1)
-                col2, s2 = slot(a, b, k_src)
-                row[col2] += s_src * s2
-                if any(row):
-                    rows.append(row)
-
-    basis_vecs = linalg.nullspace(rows) if rows else []
-    return [PointTensor.from_orbits(
-        dim, dim, 2, alternating_rep,
-        lambda idx, v=v: v[pos[idx] * dim:(pos[idx] + 1) * dim])
-        for v in basis_vecs]
+    j0 = PointTensor.from_matrix(standard_matrix(n))
+    # for antisymmetric N the relation in the second slot follows from the first
+    return solution_basis(lambda t: slot_compose(t, j0, 0).add(post_compose(j0, t)),
+                          unit_basis(2 * n, 2 * n, 2, alternating_rep))
 
 
 # ---------------------------------------------------------------------------
@@ -362,44 +320,29 @@ def nijenhuis_space_basis(n: int) -> List[PointTensor]:
 def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
                             dim: int) -> PolyTensorField:
     """N_(j0, D)(X, Y) = [j0 X, D Y] + [D X, j0 Y] - j0 [X, D Y]
-    - j0 [D X, Y] - D [X, j0 Y] - D [j0 X, Y] on basis fields."""
-
-    def fn(idx: Index) -> PolyVec:
-        a, b = idx
-        ea, eb = const_field(dim, a), const_field(dim, b)
-        j0a, j0b = j0_cols[a], j0_cols[b]
-        da, db = delta_cols[a], delta_cols[b]
-        out = poly.lie_bracket(j0a, db, dim)
-        out = poly.vec_add(out, poly.lie_bracket(da, j0b, dim))
-        out = poly.vec_sub(out, poly.apply_columns(j0_cols, poly.lie_bracket(ea, db, dim)))
-        out = poly.vec_sub(out, poly.apply_columns(j0_cols, poly.lie_bracket(da, eb, dim)))
-        out = poly.vec_sub(out, poly.apply_columns(delta_cols, poly.lie_bracket(ea, j0b, dim)))
-        out = poly.vec_sub(out, poly.apply_columns(delta_cols, poly.lie_bracket(j0a, eb, dim)))
-        return out
-
-    return PolyTensorField.from_function(dim, 2, fn)
+    - j0 [D X, Y] - D [X, j0 Y] - D [j0 X, Y] on basis fields: the
+    Froelicher-Nijenhuis bracket [j0, D] of the two vector-valued 1-forms."""
+    bracket = forms.fn_bracket_one_forms_direct(j0_cols, delta_cols, dim)
+    return PolyTensorField(dim, 2, _pair_fields(dim, {
+        p: bracket.value_on_basis(p) for p in itertools.combinations(range(dim), 2)}))
 
 
 # ---------------------------------------------------------------------------
 # identity checks used by the validation suite
 # ---------------------------------------------------------------------------
 
+def _first_difference(a: PointTensor, b: PointTensor) -> Optional[Index]:
+    """The first index tuple, in sorted order, where a and b differ."""
+    return next((idx for idx in sorted(a.entries)
+                 if a.entries[idx] != b.entries[idx]), None)
+
+
 def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
     """First basis pair where dj(J x, y) != -J dj(x, y), or None."""
-    dim = j.dim
     field = columns_field(j.jet([Fraction(x) for x in point], 1))
-    j_at, dj_pt = jet_differential(field, 0), jet_differential(field, 1)
-    basis = linalg.identity(dim)
-    for a in range(dim):
-        ja = j_at.entries[(a,)]
-        for b in range(dim):
-            eb = basis[b]
-            lhs = dj_pt.apply([ja, eb])
-            rhs = [-x for x in j_at.apply([dj_pt.apply([basis[a], eb])])]
-            if lhs != rhs:
-                return (a, b)
-    return None
+    j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
+    return _first_difference(slot_compose(dj, j_at, 0), post_compose(j_at, dj).neg())
 
 
 def second_differential_identity_defect(j: StructureField,
@@ -409,19 +352,10 @@ def second_differential_identity_defect(j: StructureField,
     dim = j.dim
     field = columns_field(j.jet([Fraction(x) for x in point], 2))
     j_at = jet_differential(field, 0)
-    dj_pt, d2j_pt = jet_differential(field, 1), jet_differential(field, 2)
+    dj, d2j = jet_differential(field, 1), jet_differential(field, 2)
     basis = linalg.identity(dim)
-    for a in range(dim):
-        ja = j_at.entries[(a,)]
-        ea = basis[a]
-        for b in range(dim):
-            eb = basis[b]
-            for c in range(dim):
-                ec = basis[c]
-                lhs = d2j_pt.apply([ja, eb, ec])
-                rhs = [-x for x in j_at.apply([d2j_pt.apply([ea, eb, ec])])]
-                rhs = linalg.vec_sub(rhs, dj_pt.apply([dj_pt.apply([ea, ec]), eb]))
-                rhs = linalg.vec_sub(rhs, dj_pt.apply([dj_pt.apply([ea, eb]), ec]))
-                if lhs != rhs:
-                    return (a, b, c)
-    return None
+    # s(x, y, z) = dj(dj(x, y), z)
+    s = PointTensor.from_function(dim, dim, 3, lambda idx: dj.apply(
+        [dj.entries[idx[:2]], basis[idx[2]]]))
+    rhs = post_compose(j_at, d2j).neg().sub(s.swap_slots(1, 2)).sub(s)
+    return _first_difference(slot_compose(d2j, j_at, 0), rhs)

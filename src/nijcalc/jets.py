@@ -47,8 +47,8 @@ from .invariants import (InternalInconsistencyError, columns_field,
                          higher_nijenhuis, jet_differential, nijenhuis_tensor)
 from .poly import PolyVec
 from .structures import StructureError, StructureField
-from .tensor import (PointTensor, compose_linear, post_compose,
-                     precompose_all, slot_compose)
+from .tensor import (PointTensor, combination, flatten, matrix_of, post_compose,
+                     precompose_all, slot_compose, symmetric_rep, unit_basis)
 
 Index = Tuple[int, ...]
 Vector = List[Fraction]
@@ -537,12 +537,10 @@ def obstruction_2(phi: PointTensor, j_l: StructureField, j_m: StructureField,
     _require_point_tensors(phi=phi)
     if phi.arity != 1 or phi.dim_in != j_l.dim or phi.dim_out != j_m.dim:
         raise StructureError("order-1 symbol does not match the structure charts")
-    if require_membership:
-        j_l_at = j_l.at_point(list(x))
-        j_m_at = j_m.at_point(list(y))
-        if compose_linear(j_m_at, phi) != compose_linear(phi, j_l_at):
-            raise StructureError(
-                "symbol does not intertwine the structures at the base points")
+    if require_membership and not zeta(phi, j_l.at_point(list(x)),
+                                       j_m.at_point(list(y))).is_zero():
+        raise StructureError(
+            "symbol does not intertwine the structures at the base points")
     residual = precompose_all(nijenhuis_tensor(j_m, list(y)), phi).sub(
         post_compose(phi, nijenhuis_tensor(j_l, list(x))))
     return Obstruction.from_residual(2, residual)
@@ -619,27 +617,15 @@ def lift_tower(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
 def symmetric_symbol_basis(dim_in: int, dim_out: int, k: int) -> List[PointTensor]:
     """Basis of the fully symmetric arity-k tensors, one per sorted index
     and output component."""
-    out: List[PointTensor] = []
-    for rep in itertools.combinations_with_replacement(range(dim_in), k):
-        for i in range(dim_out):
-            out.append(PointTensor.from_symmetric_function(
-                dim_in, dim_out, k,
-                lambda idx, rep=rep, i=i: [int(idx == rep and r == i)
-                                           for r in range(dim_out)]))
-    return out
-
-
-def _flatten(t: PointTensor) -> Vector:
-    return [c for idx in sorted(t.entries) for c in t.entries[idx]]
+    return unit_basis(dim_in, dim_out, k, symmetric_rep)
 
 
 def zeta_matrix(j_l_at: PointTensor, j_m_at: PointTensor,
                 k: int) -> List[List[Fraction]]:
     """Matrix of zeta on the symmetric symbol space, columns per basis
     element, rows per (index, component) of the value."""
-    basis = symmetric_symbol_basis(j_l_at.dim_in, j_m_at.dim_in, k)
-    cols = [_flatten(zeta(b, j_l_at, j_m_at)) for b in basis]
-    return [[col[r] for col in cols] for r in range(len(cols[0]))]
+    return matrix_of(lambda b: zeta(b, j_l_at, j_m_at),
+                     symmetric_symbol_basis(j_l_at.dim_in, j_m_at.dim_in, k))
 
 
 def solve_symbol(p_k: PointTensor, j_l_at: PointTensor,
@@ -650,13 +636,6 @@ def solve_symbol(p_k: PointTensor, j_l_at: PointTensor,
     over the symmetric symbol basis directly.
     """
     k = p_k.arity
-    basis = symmetric_symbol_basis(p_k.dim_in, p_k.dim_out, k)
-    mat = zeta_matrix(j_l_at, j_m_at, k)
-    sol = linalg.solve(mat, _flatten(p_k))
-    if sol is None:
-        return None
-    phi = basis[0].scale(0)
-    for c, b in zip(sol, basis):
-        if c != 0:
-            phi = phi.add(b.scale(c))
-    return phi
+    sol = linalg.solve(zeta_matrix(j_l_at, j_m_at, k), flatten(p_k))
+    return None if sol is None else combination(
+        sol, symmetric_symbol_basis(p_k.dim_in, p_k.dim_out, k))

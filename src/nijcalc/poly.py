@@ -113,10 +113,6 @@ def is_zero(p: Poly) -> bool:
     return not p
 
 
-def equal(p: Poly, q: Poly) -> bool:
-    return p == q
-
-
 def total_degree(p: Poly) -> int:
     """Degree of the zero polynomial is -1 by convention here."""
     if not p:

@@ -149,39 +149,20 @@ def standard_structure(n: int) -> StructureField:
     return StructureField(cols, name=f"standard j0 on R^{dim}")
 
 
-def standard_apply(v: Sequence[Fraction]) -> List[Fraction]:
-    """j0 applied to a constant vector (dimension inferred)."""
-    out = [Fraction(0)] * len(v)
-    for r in range(len(v) // 2):
-        out[2 * r + 1] = Fraction(v[2 * r])
-        out[2 * r] = -Fraction(v[2 * r + 1])
-    return out
-
-
 def from_anticommuting_part(a_odd_cols: List[PolyVec], name: str = "") -> StructureField:
     """J = j0 + A from the odd columns of A; even columns forced to -j0 A e_odd.
 
     a_odd_cols[t] is the column A e_{2t+1}.  The even-column relation is the
     unique one making A anticommute with j0, so J^2 + I = A^2.
     """
-    n = len(a_odd_cols)
-    dim = 2 * n
-    m0 = standard_matrix(n)
+    dim = 2 * len(a_odd_cols)
+    j0 = standard_structure(len(a_odd_cols)).cols
     cols: List[PolyVec] = []
-    for t in range(n):
-        odd = a_odd_cols[t]
+    for t, odd in enumerate(a_odd_cols):
         if len(odd) != dim:
             raise StructureError("column length mismatch")
-        # -j0 applied to the odd column, entrywise on polynomial coefficients
-        even: PolyVec = [poly.zero() for _ in range(dim)]
-        for r in range(n):
-            even[2 * r] = odd[2 * r + 1]
-            even[2 * r + 1] = poly.neg(odd[2 * r])
-        col_odd = [poly.add(poly.const(m0[i][2 * t], dim), odd[i]) for i in range(dim)]
-        col_even = [poly.add(poly.const(m0[i][2 * t + 1], dim), even[i]) for i in range(dim)]
-        cols.append(col_odd)
-        cols.append(col_even)
-    # interleave: we appended odd, even per t in order, which is already 0..dim-1
+        even = [poly.neg(p) for p in poly.apply_columns(j0, odd)]
+        cols += [poly.vec_add(j0[2 * t], odd), poly.vec_add(j0[2 * t + 1], even)]
     return StructureField(cols, name=name)
 
 
@@ -269,7 +250,17 @@ class LieAlgebraSpec:
 
     def __init__(self, dim: int, constants: Dict[Tuple[int, int], Sequence]):
         """constants[(i, j)] for i < j is the vector [e_i, e_j], 0-based;
-        a key (j, i) gives its negative, and a missing pair brackets to 0."""
+        a key (j, i) gives its negative, and a missing pair brackets to 0.
+        A key off 0..dim-1, a diagonal key, or a pair given both ways with
+        values that are not negatives of each other raises StructureError."""
+        for (i, j), value in constants.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise StructureError(f"structure constant key {(i, j)} is outside 0..{dim - 1}")
+            if i == j:
+                raise StructureError(f"diagonal structure constant key {(i, j)}")
+            if (j, i) in constants and [Fraction(x) for x in value] != [
+                    -Fraction(y) for y in constants[(j, i)]]:
+                raise StructureError(f"keys {(i, j)} and {(j, i)} give values that are not negatives")
         self.dim = dim
 
         def orbit_value(pair: Tuple[int, int]) -> List:
@@ -419,6 +410,9 @@ def linear_nijenhuis_from_free_data(n: int, free: Dict[Tuple[int, int], List[Fra
     """Assemble the full tensor from values on odd-odd pairs (s < t, 0-based)."""
     dim = 2 * n
     zero = [Fraction(0)] * dim
+    minus_j0 = PointTensor.from_matrix(standard_matrix(n)).neg()
+    # -j0 c, the value on both mixed pairs (e_{2s}, e_{2t+1}) and (e_{2s+1}, e_{2t})
+    mixed = {st: minus_j0.apply([c]) for st, c in free.items()}
 
     def value(idx: Tuple[int, int]) -> List[Fraction]:
         """N(e_a, e_b) for a < b."""
@@ -431,7 +425,7 @@ def linear_nijenhuis_from_free_data(n: int, free: Dict[Tuple[int, int], List[Fra
         if sa == 0 and tb == 0:
             return c
         if sa != tb:
-            return [-x for x in standard_apply(c)]
+            return mixed.get((s, t), zero)
         return [-x for x in c]
 
     return PointTensor.from_orbits(dim, dim, 2, alternating_rep, value)

@@ -18,6 +18,11 @@ permutation sign: torsion, Lie brackets, forms) and pair_pattern_rep
 (antisymmetric within slots (1,2), within (3,4) and under swapping the
 pairs: the arity-4 invariant).  from_orbits builds a tensor from one
 value per orbit, unchecked, and respects checks a tensor against a rule.
+
+A linear equation on tensors is stated once, with the kernels
+post_compose and slot_compose, and solved as the nullspace of matrix_of,
+the matrix of the operator on a basis of unknowns such as a unit_basis
+(solution_basis).
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ class PointTensor:
     def from_matrix(cls, m: Sequence[Sequence]) -> "PointTensor":
         """Arity-1 tensor from a dim_out x dim_in matrix."""
         dim_out = len(m)
-        dim_in = len(m[0])
+        dim_in = len(m[0]) if m else 0
         entries = {(j,): [Fraction(m[i][j]) for i in range(dim_out)] for j in range(dim_in)}
         return cls(dim_in, dim_out, 1, entries)
 
@@ -268,13 +273,6 @@ def identity_map(dim: int) -> PointTensor:
     return PointTensor.from_matrix(linalg.identity(dim))
 
 
-def compose_linear(a: PointTensor, b: PointTensor) -> PointTensor:
-    """a after b, both arity 1."""
-    if a.arity != 1 or b.arity != 1 or a.dim_in != b.dim_out:
-        raise TensorError("composition shape mismatch")
-    return PointTensor.from_matrix(linalg.mat_mul(a.to_matrix(), b.to_matrix()))
-
-
 def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
     """phi o T: push the value of T through the linear map phi."""
     if phi.arity != 1 or phi.dim_in != t.dim_out:
@@ -357,40 +355,67 @@ def kernel_dim(t: PointTensor, xi: Sequence) -> int:
 def _check_complex_structure(j: PointTensor, label: str) -> None:
     if j.arity != 1 or j.dim_in != j.dim_out:
         raise TensorError(f"{label} is not a square linear map")
-    m = j.to_matrix()
-    n = len(m)
-    sq = linalg.mat_mul(m, m)
-    for i in range(n):
-        for k in range(n):
-            expect = Fraction(-1) if i == k else Fraction(0)
-            if sq[i][k] != expect:
-                raise TensorError(f"{label}^2 != -I at entry ({i},{k})")
+    sq = post_compose(j, j).add(identity_map(j.dim_in)).to_matrix()
+    bad = next(((i, k) for i, row in enumerate(sq) for k, x in enumerate(row) if x), None)
+    if bad is not None:
+        raise TensorError(f"{label}^2 != -I at entry ({bad[0]},{bad[1]})")
+
+
+def unit_basis(dim_in: int, dim_out: int, arity: int, rep: SignRule) -> List[PointTensor]:
+    """The unit tensors of a sign rule: one per representative of nonzero
+    sign, in order of first appearance, and per output component, with
+    that unit vector at the representative."""
+    reps = dict.fromkeys(r for _, r, sign in _orbit_table(rep, dim_in, arity) if sign)
+    return [PointTensor.from_orbits(dim_in, dim_out, arity, rep,
+                                    lambda idx, r=r, i=i: [int(idx == r and c == i)
+                                                           for c in range(dim_out)])
+            for r in reps for i in range(dim_out)]
+
+
+def flatten(t: PointTensor) -> List[Fraction]:
+    """The entries in sorted index order, components consecutive."""
+    return [c for idx in sorted(t.entries) for c in t.entries[idx]]
+
+
+def matrix_of(op: Callable[[PointTensor], PointTensor],
+              basis: Sequence[PointTensor]) -> List[List[Fraction]]:
+    """Matrix of the linear operator op on span(basis): column k is
+    flatten(op(basis[k])), a row per (index tuple, component) of the value."""
+    cols = [flatten(op(b)) for b in basis]
+    return [list(row) for row in zip(*cols)]
+
+
+def combination(coeffs: Sequence, basis: Sequence[PointTensor]) -> PointTensor:
+    """sum_k coeffs[k] * basis[k], visiting only nonzero coefficients and
+    nonzero entries (a unit tensor has few)."""
+    out = basis[0].scale(0)
+    for c, b in zip(coeffs, basis):
+        if c != 0:
+            for idx, v in b.entries.items():
+                if any(v):
+                    out.entries[idx] = [x + c * y for x, y in zip(out.entries[idx], v)]
+    return out
+
+
+def solution_basis(op: Callable[[PointTensor], PointTensor],
+                   basis: Sequence[PointTensor]) -> List[PointTensor]:
+    """Basis of {t in span(basis) : op(t) = 0} for a linear op: one
+    combination of basis per vector of the nullspace of matrix_of(op, basis)."""
+    return [combination(v, basis) for v in linalg.nullspace(matrix_of(op, basis))]
 
 
 def commutant_basis(j_l: PointTensor, j_m: PointTensor) -> List[PointTensor]:
     """Basis of {Phi : j_m o Phi = Phi o j_l}; dimension 2*l*m.
 
-    Both inputs must square to -I; unknowns are the dim_out x dim_in matrix
-    entries of Phi, ordered row-major, eliminated lexicographically.
+    Both inputs must square to -I.  The unknowns are the unit maps E_(r,c),
+    row-major (E_(r,c) at r * dim_in + c), and the basis is the solution
+    basis of j_m o Phi - Phi o j_l = 0 on them, eliminated lexicographically.
     """
     _check_complex_structure(j_l, "j_l")
     _check_complex_structure(j_m, "j_m")
     din, dout = j_l.dim_in, j_m.dim_in
-    ml = j_l.to_matrix()
-    mm = j_m.to_matrix()
-    rows = []
-    # equation (j_m Phi - Phi j_l)[i][j] = 0, unknown Phi[r][c] at position r*din + c
-    for i in range(dout):
-        for j in range(din):
-            row = [Fraction(0)] * (dout * din)
-            for k in range(dout):
-                row[k * din + j] += mm[i][k]
-            for k in range(din):
-                row[i * din + k] -= ml[k][j]
-            rows.append(row)
-    basis_vecs = linalg.nullspace(rows)
-    out = []
-    for v in basis_vecs:
-        m = [[v[r * din + c] for c in range(din)] for r in range(dout)]
-        out.append(PointTensor.from_matrix(m))
-    return out
+    units = [PointTensor.from_matrix([[int((i, j) == (r, c)) for j in range(din)]
+                                      for i in range(dout)])
+             for r in range(dout) for c in range(din)]
+    return solution_basis(
+        lambda phi: post_compose(j_m, phi).sub(slot_compose(phi, j_l, 0)), units)

@@ -14,8 +14,12 @@ The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
 slots, the permutation sign by counting cycles, and the bracket from a
 table of every ordered basis pair.
+
+digest fingerprints exact outputs, so a test can pin what an earlier
+construction returned without keeping that construction.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
@@ -224,3 +228,16 @@ def lie_bracket_by_table(dim: int, constants, x: Sequence, y: Sequence):
             for k in range(dim):
                 out[k] += f * table[(i, j)][k]
     return out
+
+
+def digest(value) -> str:
+    """First 16 hex digits of the SHA-256 of the value's repr, with each
+    PointTensor as (dim_in, dim_out, arity, sorted entries): it tells a
+    Fraction from an int as well as one value from another."""
+    def plain(x):
+        if isinstance(x, PointTensor):
+            return (x.dim_in, x.dim_out, x.arity, sorted(x.entries.items()))
+        if isinstance(x, list):
+            return [plain(y) for y in x]
+        return x
+    return hashlib.sha256(repr(plain(value)).encode()).hexdigest()[:16]

@@ -24,6 +24,7 @@ from nijcalc.invariants import (
     torsion_jets,
 )
 from nijcalc.structures import (
+    StructureField,
     example_structure,
     linear_membership_violation,
     linear_nijenhuis_from_free_data,
@@ -33,8 +34,8 @@ from nijcalc.structures import (
     standard_matrix,
     standard_structure,
 )
-from nijcalc.tensor import PointTensor, kernel_dim, pair_pattern_rep
-from reference import (differential, dj_field,
+from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
+from reference import (differential, digest, dj_field,
                        nijenhuis_field_first_differential, structure_as_field)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
@@ -261,10 +262,47 @@ def test_identities_on_random_structures():
             assert kernel_dim(n_pt, xi) == kernel_dim(n_pt, jxi)
 
 
+def perturbed(j, col, row, text):
+    """j with the polynomial text added to the entry (row, col)."""
+    cols = [list(c) for c in j.cols]
+    cols[col][row] = poly.add(cols[col][row], poly.parse_poly(text, j.dim))
+    return StructureField(cols)
+
+
+# fields that are not structures, and the first failing pair and triple
+# that the checks reported when they still walked the basis one apply at a time
+@pytest.mark.parametrize("field, pair, triple", [
+    (lambda: perturbed(standard_structure(2), 3, 0, "x4^2"), (2, 3), (2, 3, 3)),
+    (lambda: perturbed(standard_structure(3), 5, 1, "x6*x5"), (4, 4), (4, 4, 5)),
+    (lambda: perturbed(random_structure(3, 5), 3, 0, "x6^2"), (0, 3), (0, 3, 5)),
+])
+def test_identity_checks_report_the_first_defect(field, pair, triple):
+    j = field()
+    pt = [Fraction(k + 1, 3) for k in range(j.dim)]
+    assert first_differential_antilinearity_defect(j, pt) == pair
+    assert second_differential_identity_defect(j, pt) == triple
+    e = lambda k: E(j.dim, k)
+    j_pt = j.at_point(pt)
+    dj = differential(structure_as_field(j), 1, pt)
+    d2j = differential(structure_as_field(j), 2, pt)
+    a, b = pair
+    assert dj.apply([j_pt.apply([e(a)]), e(b)]) != \
+        [-x for x in j_pt.apply([dj.apply([e(a), e(b)])])]
+    a, b, c = triple
+    rhs = [-x for x in j_pt.apply([d2j.apply([e(a), e(b), e(c)])])]
+    rhs = linalg.vec_sub(rhs, dj.apply([dj.apply([e(a), e(c)]), e(b)]))
+    rhs = linalg.vec_sub(rhs, dj.apply([dj.apply([e(a), e(b)]), e(c)]))
+    assert d2j.apply([j_pt.apply([e(a)]), e(b), e(c)]) != rhs
+
+
 def test_space_basis_dimensions():
+    assert len(nijenhuis_space_basis(0)) == 0
     assert len(nijenhuis_space_basis(1)) == 0
     assert len(nijenhuis_space_basis(2)) == 4
     assert len(nijenhuis_space_basis(3)) == 18
+    # the bases as the hand-written equation rows gave them
+    assert [digest(nijenhuis_space_basis(n)) for n in (1, 2, 3)] == [
+        "4f53cda18c2baa0c", "8ccf8dfb1fab9202", "c6868c79ae5e835d"]
 
 
 def test_space_basis_membership_and_span():
@@ -277,9 +315,6 @@ def test_space_basis_membership_and_span():
         for t in basis:
             assert t.is_antisymmetric_in(0, 1)
             assert linear_membership_violation(t, j0) is None
-
-        def flatten(t):
-            return [x for idx in sorted(t.entries) for x in t.entries[idx]]
 
         direct = []
         for s in range(n):

@@ -44,12 +44,12 @@ from nijcalc.structures import (
 from nijcalc.tensor import (
     PointTensor,
     commutant_basis,
-    compose_linear,
+    flatten,
     identity_map,
     post_compose,
     slot_compose,
 )
-from reference import differential, structure_as_field
+from reference import differential, digest, structure_as_field
 
 HALF = Fraction(1, 2)
 ZERO4 = tuple(Fraction(0) for _ in range(4))
@@ -203,8 +203,8 @@ def test_cr_residual_order1_is_pointwise_commutator():
     phi = PointTensor.from_matrix(
         [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)])
     u = TruncatedMap(tuple(x), tuple(y), (JetSymbol(1, phi),))
-    expected = compose_linear(j_m.at_point(y), phi).sub(
-        compose_linear(phi, j_l.at_point(x)))
+    expected = post_compose(j_m.at_point(y), phi).sub(
+        post_compose(phi, j_l.at_point(x)))
     assert cr_residual(u, j_l, j_m) == expected
 
 
@@ -392,9 +392,6 @@ def test_symbol_complex_exactness_dimensions():
                 out.append(PointTensor(dim_in, dim_out, k, entries))
         return out
 
-    def flat(t):
-        return [c for idx in sorted(t.entries) for c in t.entries[idx]]
-
     expected = {2: (6, 4, 2, 4), 3: (8, 6, 2, 6)}
     for k in (2, 3):
         jl0 = rand_point_structure(1, rng)
@@ -406,7 +403,7 @@ def test_symbol_complex_exactness_dimensions():
         for b in full_basis(2, 2, k):
             stacked = []
             for name in sorted(defect_conditions(b, jl0, jm0)):
-                stacked.extend(flat(defect_conditions(b, jl0, jm0)[name]))
+                stacked.extend(flatten(defect_conditions(b, jl0, jm0)[name]))
             cols.append(stacked)
         cond_mat = [[cols[j][i] for j in range(len(cols))]
                     for i in range(len(cols[0]))]
@@ -416,6 +413,15 @@ def test_symbol_complex_exactness_dimensions():
         for b in symmetric_symbol_basis(2, 2, k):
             z = zeta(b, jl0, jm0)
             assert all(d.is_zero() for d in defect_conditions(z, jl0, jm0).values())
+
+
+def test_zeta_matrix_keeps_its_entries():
+    """zeta_matrix for k = 1..3 between conjugated structures on R^4 and
+    R^2, pinned by the digests it had before it was read off matrix_of."""
+    jl0 = rand_point_structure(2, random.Random(11))
+    jm0 = rand_point_structure(1, random.Random(12))
+    got = [digest(zeta_matrix(jl0, jm0, k)) for k in (1, 2, 3)]
+    assert got == ["298dbc31b6334901", "5429fe469598ba3b", "f7e96e386a0634a1"]
 
 
 def test_symmetrize_takes_point_tensors_only():

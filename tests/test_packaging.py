@@ -1,10 +1,12 @@
-"""Packaging metadata: every declared console script can be imported, and
-the package imports nothing beyond itself and the standard library."""
+"""Packaging metadata: every declared console script can be imported, the
+package imports nothing beyond itself and the standard library, and every
+public definition has a reader."""
 
 import ast
 import importlib
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +77,31 @@ def test_no_module_reads_another_modules_private_names():
                     and node.value.id in aliases and _private(node.attr)):
                 bad.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
     assert bad == []
+
+
+def _names_read(tree):
+    """Names a tree reads: identifiers, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_public_definition_is_named_elsewhere():
+    """Each public module-level def and class of the package is named
+    outside its own definition, in the package, the tests or the benchmark."""
+    sources = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py")))
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    read = Counter(name for tree in trees.values() for name in _names_read(tree))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and read[node.name] == Counter(_names_read(node))[node.name]):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

@@ -151,6 +151,23 @@ def test_lie_algebra_bracket_and_jacobi():
         LieAlgebraSpec(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
 
 
+@pytest.mark.parametrize("constants, message", [
+    ({(0, 0): [1, 0]}, "diagonal"),
+    ({(0, 7): [1, 0]}, "outside"),
+    ({(-1, 1): [1, 0]}, "outside"),
+    ({(0, 1): [1, 0], (1, 0): [1, 0]}, "not negatives"),
+    ({(0, 1): [1, 0], (1, 0): [-1]}, "not negatives"),
+])
+def test_lie_algebra_rejects_malformed_constants(constants, message):
+    with pytest.raises(StructureError, match=message):
+        LieAlgebraSpec(2, constants)
+
+
+def test_lie_algebra_accepts_a_consistent_reversed_pair():
+    g = LieAlgebraSpec(2, {(0, 1): [1, 0], (1, 0): [-1, Fraction(0)]})
+    assert g.tensor == LieAlgebraSpec(2, {(0, 1): [1, 0]}).tensor
+
+
 LIE_ALGEBRAS = [
     (2, {(0, 1): [1, 0]}),                                  # affine line
     (2, {}),                                                # abelian

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from nijcalc import linalg, tensor
 from nijcalc.quadext import QuadExt
 from nijcalc.tensor import PointTensor
-from reference import (has_pair_pattern_by_swaps, is_alternating_by_swaps,
+from reference import (digest, has_pair_pattern_by_swaps, is_alternating_by_swaps,
                        is_fully_symmetric_by_swaps, permutation_sign)
 
 F = Fraction
@@ -205,15 +206,54 @@ def test_post_compose_matches_matrix_product(case):
         assert all(type(x) is Fraction for x in out.entries[idx])
 
 
+def conjugated_j(n, seed):
+    """std_j(n) conjugated by a seeded invertible rational matrix."""
+    rng = random.Random(seed)
+    while True:
+        a = [[F(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(2 * n)]
+        if linalg.det(a) != 0:
+            return PointTensor.from_matrix(linalg.mat_mul(
+                linalg.mat_mul(a, std_j(n).to_matrix()), linalg.inverse(a)))
+
+
+# (n, seed) of j_l and of j_m, seed None for std_j itself, and the digest of
+# the commutant basis as the hand-written equation rows gave it
+COMMUTANT_CASES = [
+    ((1, None), (1, None), "92441034252a347e"),
+    ((1, None), (2, None), "8700907b9ab2cbb0"),
+    ((1, None), (3, None), "d5c96f14daef202c"),
+    ((2, None), (1, None), "47f4d17d8bec1ad9"),
+    ((2, None), (2, None), "9f52cc5bd8548351"),
+    ((2, None), (3, None), "d8f6e78161e975c4"),
+    ((1, 3), (2, 4), "39db4415752305eb"),
+    ((2, 5), (3, 6), "b6b9e234b15282e7"),
+    ((2, 7), (2, None), "eaf4202ed98b6bfd"),
+    ((3, 8), (1, 9), "fe80227b24864d14"),
+]
+
+
 def test_commutant_dimension_is_2lm():
-    for l in (1, 2):
-        for m in (1, 2, 3):
-            basis = tensor.commutant_basis(std_j(l), std_j(m))
-            assert len(basis) == 2 * l * m
-            for phi in basis:
-                lhs = linalg.mat_mul(std_j(m).to_matrix(), phi.to_matrix())
-                rhs = linalg.mat_mul(phi.to_matrix(), std_j(l).to_matrix())
-                assert lhs == rhs
+    for (l, seed_l), (m, seed_m), expected in COMMUTANT_CASES:
+        j_l = std_j(l) if seed_l is None else conjugated_j(l, seed_l)
+        j_m = std_j(m) if seed_m is None else conjugated_j(m, seed_m)
+        basis = tensor.commutant_basis(j_l, j_m)
+        assert len(basis) == 2 * l * m
+        for phi in basis:
+            lhs = linalg.mat_mul(j_m.to_matrix(), phi.to_matrix())
+            rhs = linalg.mat_mul(phi.to_matrix(), j_l.to_matrix())
+            assert lhs == rhs
+        assert digest(basis) == expected
+
+
+def test_matrix_of_a_post_composition_is_its_matrix():
+    m = [[F(1), F(0), F(-2)], [F(1, 3), F(4), F(0)]]
+    units = tensor.unit_basis(1, 3, 0, tensor.symmetric_rep)
+    op = lambda v: tensor.post_compose(PointTensor.from_matrix(m), v)
+    assert tensor.matrix_of(op, units) == m
+    assert tensor.combination([2, 0, F(-1, 2)], units).entries == {(): [2, 0, F(-1, 2)]}
+    assert [tensor.flatten(t) for t in tensor.solution_basis(op, units)] == linalg.nullspace(m)
+    t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0]), F(idx[1] + 1)])
+    assert tensor.flatten(t) == [0, 1, 0, 2, 1, 1, 1, 2]
 
 
 def test_commutant_rejects_non_structure():
