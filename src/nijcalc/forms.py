@@ -106,21 +106,6 @@ class VectorForm:
             return poly.vec_zero(self.dim)
         return vec if sign > 0 else [poly.neg(p) for p in vec]
 
-    def apply_const(self, vectors: Sequence[Sequence[Fraction]]) -> PolyVec:
-        out = poly.vec_zero(self.dim)
-        for idx in itertools.permutations(range(self.dim), self.degree):
-            coeff = Fraction(1)
-            for slot, a in enumerate(idx):
-                coeff *= Fraction(vectors[slot][a])
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
-            val = self.value_on_basis(idx)
-            if not poly.vec_is_zero(val):
-                out = poly.vec_add(out, poly.vec_scale(val, coeff))
-        return out
-
     def add(self, other: "VectorForm") -> "VectorForm":
         out = dict(self.entries)
         for idx, vec in other.entries.items():
@@ -149,12 +134,6 @@ class VectorForm:
                 and self.sub(other).is_zero())
 
     __hash__ = None
-
-    def post_structure(self, j: StructureField) -> "VectorForm":
-        """J composed after the values, entrywise."""
-        return VectorForm(self.dim, self.degree,
-                          {idx: poly.apply_columns(j.cols, v)
-                           for idx, v in self.entries.items()})
 
 
 # ---------------------------------------------------------------------------

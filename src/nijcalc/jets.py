@@ -28,12 +28,26 @@ coefficient is kept as an independent route.  It is evaluated at the same
 representatives and must agree with the composition there for each P_k
 and each public residual; otherwise InternalInconsistencyError is raised.
 
-The canonical symbol is computed only on sorted index tuples and filled
-over their permutations (PointTensor.from_symmetric_function).  Each P_k
-is checked against the three conditions once, inside symmetrize, which
-then certifies the symbol densely: zeta(Phi^(k)) == P_k over every index
-tuple.  That equation is the order-k residual of the lifted map, so
-lift_tower starts each later step from the order it has just lifted.
+The canonical symbol is solved in polynomial form, by the Koszul
+homotopy for dbar written in real terms.  With A = J_L(x), B = J_M(y),
+Q_a(h) = P_k(e_a, h, ..., h)/(k - 1)! and u(h) = Phi^(k)(h, ..., h)/k!,
+zeta(Phi^(k)) = P_k reads B d_a u - sum_b A[b][a] d_b u = Q_a.  The
+antilinear part of Du must be F = -1/2 B Q, so g(h) = sum_a h_a F_a(h) is
+sum_q q u_q over the (p, q)-types of u; T v = -B Dv(h)[A h] acts on type
+(p, q) as p - q = k - 2q, and u = pi(T) g with pi the degree-(k - 1)
+interpolant of 2/(k - lambda) at lambda = k - 2, k - 4, ..., -k.  Since
+ker zeta on symmetric symbols is the type-(k, 0) part, this is the unique
+solution without a (k, 0) part.  It takes k - 1 applications of T, each
+a sparse polynomial operation, exact over Q.
+
+Each P_k is checked against the three conditions once, inside
+symmetrize, which then certifies the symbol it returns: the symbol is
+fully symmetric, and u read back from its sorted representatives
+satisfies the polynomial equation above.  As P_k is symmetric in its
+trailing slots (one of the conditions), that is zeta(Phi^(k)) == P_k over
+every index tuple.  That equation is the order-k residual of the lifted
+map, so lift_tower starts each later step from the order it has just
+lifted.
 """
 
 import itertools
@@ -238,18 +252,41 @@ def _factorial_weight(alpha: Index) -> int:
     return math.prod(math.factorial(a) for a in alpha)
 
 
+def _slot_polys(t: PointTensor, head: Index) -> PolyVec:
+    """t(e_head, h, ..., h)/(arity - len(head))! for t symmetric in the
+    slots after head: the coefficient of h^alpha is the entry at head plus
+    the sorted tuple with multiplicities alpha, over alpha!."""
+    n = t.dim_in
+    out: PolyVec = [{} for _ in range(t.dim_out)]
+    for rest in itertools.combinations_with_replacement(range(n), t.arity - len(head)):
+        alpha = tuple(rest.count(b) for b in range(n))
+        w = _factorial_weight(alpha)
+        for comp, c in zip(out, t.entries[head + rest]):
+            if c:
+                comp[alpha] = c / w
+    return out
+
+
+def _slot_entry(polys: PolyVec, rest: Index, n: int, sign: int = 1) -> Vector:
+    """The inverse of _slot_polys at one sorted tuple rest: alpha! times the
+    coefficient of h^alpha in each component, alpha the multiplicities of
+    rest, times sign."""
+    alpha = tuple(rest.count(b) for b in range(n))
+    w = sign * _factorial_weight(alpha)
+    return [w * c.get(alpha, 0) for c in polys]
+
+
+def _gradient(v: PolyVec, n: int) -> List[PolyVec]:
+    """The columns d_b v of Dv, b < n."""
+    return [[poly.diff(c, b + 1) for c in v] for b in range(n)]
+
+
 def _taylor_map(u: TruncatedMap) -> PolyVec:
-    """U(h) = u(x + h) - y: the coefficient of h^alpha is the symbol entry
-    at the sorted index tuple with multiplicities alpha, over alpha!."""
-    n = u.dim_in
+    """U(h) = u(x + h) - y: the sum of the _slot_polys of the symbols."""
     out: PolyVec = [{} for _ in range(u.dim_out)]
     for s in u.symbols:
-        for rep in itertools.combinations_with_replacement(range(n), s.k):
-            alpha = tuple(rep.count(b) for b in range(n))
-            w = _factorial_weight(alpha)
-            for comp, c in zip(out, s.tensor.entries[rep]):
-                if c:
-                    comp[alpha] = c / w
+        for comp, part in zip(out, _slot_polys(s.tensor, ())):
+            comp.update(part)
     return out
 
 
@@ -264,7 +301,7 @@ def _cr_polynomial(u: TruncatedMap, jets: _StructureJets, top: int) -> List[Poly
     """
     n = u.dim_in
     big_u = _taylor_map(u)
-    d_u = [[poly.diff(c, b + 1) for c in big_u] for b in range(n)]
+    d_u = _gradient(big_u, n)
     m_at_u = [[poly.jet_substitute(p, big_u, n, top) for p in col]
               for col in jets.m_cols]
     return [poly.vec_sub(poly.jet_apply_columns(m_at_u, d_u[a], top),
@@ -290,8 +327,9 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     l_dim, m_dim = u.dim_in, u.dim_out
     d_l, d_m = jets.upto(k)
     sym = {s.k: s.tensor.entries for s in u.symbols}
+    # a partition into p blocks adds nothing where d^(p-1) j_M vanishes
     parts = [blocks for blocks in set_partitions(k)
-             if not (skip_top and len(blocks) == 1)]
+             if not (skip_top and len(blocks) == 1) and d_m[len(blocks)] is not None]
     # (derivative slots, remaining slots) of the source terms, per order
     splits = [(s, tuple(i for i in range(1, k) if i not in s))
               for p in range(2 if skip_top else 1, k + 1)
@@ -305,9 +343,7 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     def m_term(subs: Tuple[Index, ...]) -> Vector:
         """d^(p-1) j_M on the symbol values at the given blocks."""
         if subs not in m_terms:
-            d = d_m[len(subs)]
-            m_terms[subs] = zero if d is None else d.apply(
-                [sym[len(b)][b] for b in subs])
+            m_terms[subs] = d_m[len(subs)].apply([sym[len(b)][b] for b in subs])
         return m_terms[subs]
 
     def l_term(head: Index, rest: Index) -> Optional[Vector]:
@@ -351,18 +387,13 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
 def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
                    skip_top: bool) -> PointTensor:
     """The residual (or, with skip_top, P_k) read off the composition r:
-    alpha! times the coefficient of h^alpha in r[a] at each representative
-    (a, I), alpha the multiplicities of I, negated for P_k.  The tensor
-    route must agree at every representative."""
+    _slot_entry of r[a] at each representative (a, I), negated for P_k.
+    The tensor route must agree at every representative."""
     k = u.order + 1 if skip_top else u.order
     sign = -1 if skip_top else 1
-
-    def taylor(idx: Index) -> Vector:
-        alpha = tuple(idx[1:].count(b) for b in range(u.dim_in))
-        w = sign * _factorial_weight(alpha)
-        return [w * c.get(alpha, 0) for c in r[idx[0]]]
-
-    out = PointTensor.from_orbits(u.dim_in, u.dim_out, k, _trailing_rep, taylor)
+    out = PointTensor.from_orbits(
+        u.dim_in, u.dim_out, k, _trailing_rep,
+        lambda idx: _slot_entry(r[idx[0]], idx[1:], u.dim_in, sign))
     if any(out.entries[idx] != v
            for idx, v in _residual_terms(u, jets, skip_top).items()):
         what = f"defect tensor P_{k}" if skip_top else f"order-{k} residual"
@@ -476,46 +507,51 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
                j_m_at: PointTensor) -> JetSymbol:
     """Canonical fully symmetric Phi^(k) with zeta(Phi^(k)) = P_k.
 
-    Starts from B = -1/2 j_M o P_k (antilinear in slot 0 by the
-    antilinearity condition), projects each trailing slot onto its linear
-    and antilinear parts, keeps the components with the antilinear slots
-    leading, and adjoins for every slot subset the permuted copy that
-    places those slots in the antilinear positions.  The structures are
-    given by their values at the base points.
+    Solved by the dbar homotopy of the module docstring, with A = J_L(x)
+    and B = J_M(y) the structures at the base points.  The result is the
+    unique solution without a type-(k, 0) part, so it is also the
+    completion that projects -1/2 B o P_k slot by slot onto its linear and
+    antilinear parts and adjoins the permuted components (the display
+    formula at k = 3).
     """
     _require_point_tensors(p_k=p_k, j_l_at=j_l_at, j_m_at=j_m_at)
-    k = p_k.arity
+    k, n = p_k.arity, p_k.dim_in
     _verify_defect(p_k, j_l_at, j_m_at)
 
-    def project(t: PointTensor, s: int, antilinear: bool) -> PointTensor:
-        q = post_compose(j_m_at, slot_compose(t, j_l_at, s))
-        return (t.add(q) if antilinear else t.sub(q)).scale(Fraction(1, 2))
+    def columns(m: PointTensor, c) -> List[PolyVec]:
+        """c m as constant polynomial columns."""
+        return [[poly.const(c * x, n) for x in m.entries[(b,)]]
+                for b in range(m.dim_in)]
 
-    # prefix[p] is antilinear in slots 0..p; components[p] is prefix[p]
-    # made linear in the remaining slots
-    prefix = [post_compose(j_m_at, p_k).scale(Fraction(-1, 2))]
-    for s in range(1, k):
-        prefix.append(project(prefix[-1], s, antilinear=True))
-    components: List[PointTensor] = []
-    for p, comp in enumerate(prefix):
-        for s in range(p + 1, k):
-            comp = project(comp, s, antilinear=False)
-        components.append(comp)
+    a_cols, b_cols = columns(j_l_at, 1), columns(j_m_at, 1)
+    minus_b, half_b = columns(j_m_at, -1), columns(j_m_at, Fraction(-1, 2))
+    a_h = poly.apply_columns(a_cols, [poly.var(b + 1, n) for b in range(n)])
 
-    def entry(idx: Index) -> Vector:
-        out = [Fraction(0)] * p_k.dim_out
-        for p in range(k):
-            g = components[p].entries
-            for chosen in itertools.combinations(range(k), p + 1):
-                rest = tuple(i for i in range(k) if i not in chosen)
-                src = tuple(idx[i] for i in chosen) + tuple(idx[i] for i in rest)
-                out = linalg.vec_add(out, g[src])
-        return out
+    def t_op(v: PolyVec) -> PolyVec:
+        """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
+        return poly.apply_columns(minus_b, poly.apply_columns(_gradient(v, n), a_h))
 
-    phi = PointTensor.from_symmetric_function(p_k.dim_in, p_k.dim_out, k, entry)
+    q = [_slot_polys(p_k, (a,)) for a in range(n)]
+    g = poly.vec_zero(p_k.dim_out)
+    for a, q_a in enumerate(q):
+        g = poly.vec_add(g, poly.vec_scale_poly(poly.apply_columns(half_b, q_a),
+                                                poly.var(a + 1, n)))
+    # pi in Newton form on the nodes k - 2, k - 4, .., -k: its divided
+    # differences are 1/(2^j (j + 1)!), and Horner step j applies
+    # T - (k - 2(j + 1))
+    u = poly.vec_scale(g, Fraction(1, 2 ** (k - 1) * math.factorial(k)))
+    for j in range(k - 2, -1, -1):
+        u = poly.vec_add(poly.vec_sub(t_op(u), poly.vec_scale(u, k - 2 * j - 2)),
+                         poly.vec_scale(g, Fraction(1, 2 ** j * math.factorial(j + 1))))
+
+    phi = PointTensor.from_symmetric_function(
+        n, p_k.dim_out, k, lambda rep: _slot_entry(u, rep, n))
     if not phi.is_fully_symmetric():
         raise InternalInconsistencyError("symmetrized symbol is not symmetric")
-    if not zeta(phi, j_l_at, j_m_at).sub(p_k).is_zero():
+    # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi
+    du = _gradient(_slot_polys(phi, ()), n)
+    if any(poly.vec_sub(poly.apply_columns(b_cols, du[a]),
+                        poly.apply_columns(du, a_cols[a])) != q[a] for a in range(n)):
         raise InternalInconsistencyError(
             "symmetrized symbol does not reproduce the defect tensor")
     return JetSymbol(k, phi)

@@ -49,20 +49,6 @@ def identity(n: int) -> Matrix:
     return [basis_vector(n, i) for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     out = []
     for row in a:
@@ -179,14 +165,6 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
-
-
-def solve_affine(m: Matrix, b: Sequence) -> Optional[Tuple[Vector, List[Vector]]]:
-    """Full solution set of m x = b: (particular, kernel basis), or None."""
-    part = solve(m, b)
-    if part is None:
-        return None
-    return part, nullspace(m)
 
 
 def det(m: Matrix):

@@ -15,6 +15,10 @@ were before one sign rule served them all: symmetry by swapping adjacent
 slots, the permutation sign by counting cycles, and the bracket from a
 table of every ordered basis pair.
 
+Some small helpers only the tests use live here too: matrix products,
+the full solution set of a linear system, and a vector form evaluated on
+constant vectors or composed with a structure.
+
 digest fingerprints exact outputs, so a test can pin what an earlier
 construction returned without keeping that construction.
 """
@@ -22,9 +26,10 @@ construction returned without keeping that construction.
 import hashlib
 import itertools
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from nijcalc import linalg, poly
+from nijcalc.forms import VectorForm
 from nijcalc.invariants import PolyTensorField, columns_field, const_field
 from nijcalc.poly import PolyVec
 from nijcalc.structures import StructureField
@@ -33,6 +38,52 @@ from nijcalc.tensor import Index, PointTensor
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, inner):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def solve_affine(m, b) -> Optional[Tuple[List[Fraction], List[List[Fraction]]]]:
+    """Full solution set of m x = b: (particular, kernel basis), or None."""
+    part = linalg.solve(m, b)
+    if part is None:
+        return None
+    return part, linalg.nullspace(m)
+
+
+def apply_const(form: VectorForm, vectors: Sequence[Sequence[Fraction]]) -> PolyVec:
+    """The form on constant vectors, summed over every ordered index tuple."""
+    out = poly.vec_zero(form.dim)
+    for idx in itertools.permutations(range(form.dim), form.degree):
+        coeff = Fraction(1)
+        for slot, a in enumerate(idx):
+            coeff *= Fraction(vectors[slot][a])
+            if coeff == 0:
+                break
+        if coeff == 0:
+            continue
+        val = form.value_on_basis(idx)
+        if not poly.vec_is_zero(val):
+            out = poly.vec_add(out, poly.vec_scale(val, coeff))
+    return out
+
+
+def post_structure(form: VectorForm, j: StructureField) -> VectorForm:
+    """J composed after the values, entrywise."""
+    return VectorForm(form.dim, form.degree,
+                      {idx: poly.apply_columns(j.cols, v)
+                       for idx, v in form.entries.items()})
 
 
 def structure_as_field(j: StructureField) -> PolyTensorField:

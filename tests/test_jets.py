@@ -43,13 +43,15 @@ from nijcalc.structures import (
 )
 from nijcalc.tensor import (
     PointTensor,
+    combination,
     commutant_basis,
     flatten,
     identity_map,
     post_compose,
     slot_compose,
+    solution_basis,
 )
-from reference import differential, digest, structure_as_field
+from reference import differential, digest, mat_mul, structure_as_field
 
 HALF = Fraction(1, 2)
 ZERO4 = tuple(Fraction(0) for _ in range(4))
@@ -74,8 +76,8 @@ def rand_point_structure(n, rng):
         a = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
         if linalg.det(a) != 0:
             break
-    return PointTensor.from_matrix(linalg.mat_mul(
-        linalg.mat_mul(a, standard_matrix(n)), linalg.inverse(a)))
+    return PointTensor.from_matrix(mat_mul(
+        mat_mul(a, standard_matrix(n)), linalg.inverse(a)))
 
 
 def commutant_element(jl_at, jm_at, rng):
@@ -356,6 +358,49 @@ def test_symmetrize_round_trip_orders_2_3_4():
         assert sym.k == k
         assert sym.tensor.is_fully_symmetric()
         assert zeta(sym.tensor, jl0, jm0) == p_k
+
+
+def holomorphic_part(t, jl0, jm0):
+    """The type-(k, 0) part of a symmetric symbol: the projection onto the
+    maps that are complex linear in every slot, one slot at a time."""
+    for s in range(t.arity):
+        t = t.sub(post_compose(jm0, slot_compose(t, jl0, s))).scale(HALF)
+    return t
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symmetrize_is_the_solution_without_holomorphic_part(k):
+    """ker zeta on symmetric symbols is the type-(k, 0) part, and the
+    canonical symbol is the solution with none: the symbol of zeta(phi) is
+    phi minus its (k, 0) part, whatever is added from ker zeta."""
+    rng = random.Random(40 + k)
+    jl0 = rand_point_structure(2, rng)
+    jm0 = rand_point_structure(1, rng)
+    kernel = solution_basis(lambda b: zeta(b, jl0, jm0),
+                            symmetric_symbol_basis(4, 2, k))
+    assert kernel
+    psi = combination([Fraction(rng.randint(-3, 3)) for _ in kernel], kernel)
+    assert not psi.is_zero()
+    assert holomorphic_part(psi, jl0, jm0) == psi
+    assert symmetrize(zeta(psi, jl0, jm0), jl0, jm0).tensor.is_zero()
+    phi = rand_symmetric(4, 2, k, rng)
+    built = symmetrize(zeta(phi, jl0, jm0), jl0, jm0).tensor
+    assert symmetrize(zeta(phi.add(psi), jl0, jm0), jl0, jm0).tensor == built
+    assert built == phi.sub(holomorphic_part(phi, jl0, jm0))
+    assert holomorphic_part(built, jl0, jm0).is_zero()
+
+
+@pytest.mark.parametrize("n, k", [(2, 5), (3, 4)])
+def test_symmetrize_round_trip_dense(n, k):
+    """zeta of the symbol is P_k over every index tuple, at order 5 in 4D
+    and order 4 in 6D."""
+    rng = random.Random(10 * n + k)
+    jl0 = rand_point_structure(n, rng)
+    jm0 = rand_point_structure(n, rng)
+    p_k = zeta(rand_symmetric(2 * n, 2 * n, k, rng), jl0, jm0)
+    sym = symmetrize(p_k, jl0, jm0)
+    assert sym.k == k
+    assert zeta(sym.tensor, jl0, jm0) == p_k
 
 
 def test_symmetrize_zero_defect_gives_zero_symbol():
@@ -712,6 +757,32 @@ def test_obstructed_tower_keeps_its_residual(fixture, order, expected):
     swap = defect_conditions(p_k, j_l.at_point(list(u.x)),
                              j_m.at_point(list(u.y)))["swap_conjugation"]
     assert tower.obstruction.residual == swap
+
+
+def ex2_killing():
+    return (example_structure("ex2"), standard_structure(2),
+            TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),)))
+
+
+def pushed_standard_1jet():
+    return pushed_pair(standard_structure(2), 3, 1)
+
+
+# fingerprints of the symbols of two towers as the dense projection
+# solve computed them; the ex2 symbols above order 1 are zero, the pushed
+# pair's are not
+@pytest.mark.parametrize("fixture, order, expected", [
+    (ex2_killing, 6, ["bfd049969bfda7cb", "105692c59da9dfcd", "90af895dede46ea3",
+                      "131d88260f0da184", "28d0108a677cb11a", "4d17be6269e1eeae"]),
+    (pushed_standard_1jet, 5, ["7816d095581ee409", "d63ee73ec4c93c63",
+                               "925223c9de5b8cd5", "f709ee17db0a6178",
+                               "26dbf9277b08454b"]),
+])
+def test_higher_order_tower_keeps_its_symbols(fixture, order, expected):
+    j_l, j_m, u = fixture()
+    tower = lift_tower(u, j_l, j_m, k_max=order)
+    assert tower.ok and tower.lifted.order == order
+    assert [fingerprint(s.tensor) for s in tower.lifted.symbols] == expected
 
 
 # -- the composition route against a dense set-partition reference -----------------

