@@ -39,8 +39,11 @@ def alpha_N(n_tensor: PointTensor, xi: Sequence,
     if linalg.in_span(xi, basis):
         raise ValueError("sample vector lies in the hyperplane")
     images = [n_tensor.apply([xi, v]) for v in basis]
-    gram = [[sum(u[i] * w[i] for i in range(len(u))) for w in images]
-            for u in images]
+    supports = [[(i, x) for i, x in enumerate(u) if x] for u in images]
+    gram = [[Fraction(0)] * len(images) for _ in images]
+    for a, u in enumerate(supports):
+        for b in range(a, len(images)):
+            gram[a][b] = gram[b][a] = sum((x * images[b][i] for i, x in u), Fraction(0))
     g = linalg.det(gram) if gram else Fraction(1)
     return {"positive": g > 0, "gram_det": g}
 

@@ -237,45 +237,34 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
     """R-contraction route: R(x, y, z) = dN(x, y, Jz) + J dN(x, y, z)
     + N(dj(z, x), y) + N(x, dj(z, y)) - dj(z, N(x, y)), and the invariant is
     R(x, y, N(z, v)) - R(z, v, N(x, y)).  J, dj, N and dN at the point are
-    read off the jets, as in higher_nijenhuis_bracket."""
+    read off the jets, as in higher_nijenhuis_bracket.
+
+    The route is a chain of whole-tensor contractions (slot_compose,
+    post_compose), each computing every entry: the terms with dj come out
+    in the slot orders (z, x, y) and (x, z, y) and are brought to (x, y, z)
+    by swap_slots.  No entry is filled by symmetry."""
     dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
     j_field, n_fields = columns_field(jet), _pair_fields(dim, n_jets)
-    j_at, dj_pt = jet_differential(j_field, 0), jet_differential(j_field, 1)
-    n_pt, dn_pt = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
-
-    def jmul(x: Vec) -> Vec:
-        return j_at.apply([x])
-
-    basis = linalg.identity(dim)
-
-    def r_basis(idx: Index) -> Vec:
-        ea, eb, ec = (basis[k] for k in idx)
-        out = dn_pt.apply([ea, eb, jmul(ec)])
-        out = linalg.vec_add(out, jmul(dn_pt.apply([ea, eb, ec])))
-        out = linalg.vec_add(out, n_pt.apply([dj_pt.apply([ec, ea]), eb]))
-        out = linalg.vec_add(out, n_pt.apply([ea, dj_pt.apply([ec, eb])]))
-        out = linalg.vec_sub(out, dj_pt.apply([ec, n_pt.apply([ea, eb])]))
-        return out
-
-    r_pt = PointTensor.from_function(dim, dim, 3, r_basis)
-
-    def fn(idx: Index) -> Vec:
-        a, b, c, d = idx
-        return linalg.vec_sub(
-            r_pt.apply([basis[a], basis[b], n_pt.entries[(c, d)]]),
-            r_pt.apply([basis[c], basis[d], n_pt.entries[(a, b)]]))
-
-    return PointTensor.from_function(dim, dim, 4, fn)
+    j_at, dj = jet_differential(j_field, 0), jet_differential(j_field, 1)
+    n, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
+    # N(dj(z, x), y) - dj(z, N(x, y)) at (z, x, y)
+    zxy = slot_compose(n, dj, 0).sub(slot_compose(dj, n, 1))
+    r = slot_compose(dn, j_at, 2).add(post_compose(j_at, dn))
+    r = r.add(zxy.swap_slots(0, 1).swap_slots(1, 2))
+    r = r.add(slot_compose(n, dj, 1).swap_slots(1, 2))
+    s = slot_compose(r, n, 2)
+    return s.sub(s.swap_slots(0, 2).swap_slots(1, 3))
 
 
 def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     """Arity-4 invariant at the point; raises if the two routes disagree.
 
     The bracket route computes one entry per pair-pattern orbit and fills
-    the rest by sign; the differential route computes every entry.  Their
-    entrywise agreement therefore certifies the pair pattern as well as
-    the values.  Both read the same jets, built once here.
+    the rest by sign; the differential route, a chain of contractions,
+    computes every entry.  Their entrywise agreement therefore certifies
+    the pair pattern as well as the values.  Both read the same jets,
+    built once here.
     """
     pt = [Fraction(x) for x in point]
     jets = _arity4_jets(j, pt)
@@ -349,13 +338,10 @@ def second_differential_identity_defect(j: StructureField,
                                         point: Sequence) -> Optional[Index]:
     """First basis triple violating
     d2j(Jx, y, z) = -J d2j(x, y, z) - dj(dj(x, z), y) - dj(dj(x, y), z)."""
-    dim = j.dim
     field = columns_field(j.jet([Fraction(x) for x in point], 2))
     j_at = jet_differential(field, 0)
     dj, d2j = jet_differential(field, 1), jet_differential(field, 2)
-    basis = linalg.identity(dim)
     # s(x, y, z) = dj(dj(x, y), z)
-    s = PointTensor.from_function(dim, dim, 3, lambda idx: dj.apply(
-        [dj.entries[idx[:2]], basis[idx[2]]]))
+    s = slot_compose(dj, dj, 0)
     rhs = post_compose(j_at, d2j).neg().sub(s.swap_slots(1, 2)).sub(s)
     return _first_difference(slot_compose(d2j, j_at, 0), rhs)

@@ -19,7 +19,9 @@ permutation sign: torsion, Lie brackets, forms) and pair_pattern_rep
 pairs: the arity-4 invariant).  from_orbits builds a tensor from one
 value per orbit, unchecked, and respects checks a tensor against a rule.
 
-A linear equation on tensors is stated once, with the kernels
+slot_compose feeds a tensor of any arity into one slot of another, and
+precompose_all a linear map into every slot; both run through one
+contraction kernel.  A linear equation on tensors is stated once, with
 post_compose and slot_compose, and solved as the nullspace of matrix_of,
 the matrix of the operator on a basis of unknowns such as a unit_basis
 (solution_basis).
@@ -293,25 +295,29 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
 
 
 def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
-                   dim_out: int, phi: PointTensor, slot: int):
-    """One-slot precomposition on a raw entry dict with per-slot dimensions."""
-    new_dims = list(slot_dims)
-    new_dims[slot] = phi.dim_in
+                   dim_out: int, s: PointTensor, slot: int):
+    """S fed into one slot of a raw entry dict with per-slot dimensions,
+    summed over the nonzero coordinates of each value of S and the nonzero
+    components of each entry of T (read once)."""
+    before, after = slot_dims[:slot], slot_dims[slot + 1:]
+    mids = [(idx, [(m, c) for m, c in enumerate(s.entries[idx]) if c])
+            for idx in itertools.product(range(s.dim_in), repeat=s.arity)]
+    suffixes = list(itertools.product(*[range(d) for d in after]))
+    zero = Fraction(0)
     new_entries: Dict[Index, List[Fraction]] = {}
-    for idx in itertools.product(*[range(d) for d in new_dims]):
-        acc = [Fraction(0)] * dim_out
-        col = phi.entries[(idx[slot],)]  # column idx[slot]: component i is M[i][j]
-        for i_old, coeff in enumerate(col):
-            if coeff == 0:
-                continue
-            src = list(idx)
-            src[slot] = i_old
-            v = entries[tuple(src)]
-            for i in range(dim_out):
-                if v[i]:
-                    acc[i] += coeff * v[i]
-        new_entries[idx] = acc
-    return new_entries, new_dims
+    for prefix in itertools.product(*[range(d) for d in before]):
+        # rows[k][m]: nonzero components of T at (prefix, m, suffixes[k])
+        rows = [[[(i, x) for i, x in enumerate(entries[prefix + (m,) + suffix]) if x]
+                 for m in range(slot_dims[slot])] for suffix in suffixes]
+        for mid, support in mids:
+            head = prefix + mid
+            for suffix, row in zip(suffixes, rows):
+                acc = [zero] * dim_out
+                for m, c in support:
+                    for i, x in row[m]:
+                        acc[i] += c * x
+                new_entries[head + suffix] = acc
+    return new_entries, before + [s.dim_in] * s.arity + after
 
 
 def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
@@ -330,12 +336,15 @@ def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
     return PointTensor(phi.dim_in, t.dim_out, t.arity, entries)
 
 
-def slot_compose(t: PointTensor, phi: PointTensor, slot: int) -> PointTensor:
-    """T with one argument slot (0-based) precomposed by a square map phi."""
-    if phi.arity != 1 or phi.dim_out != t.dim_in or phi.dim_in != t.dim_in:
-        raise TensorError("slot_compose needs a square map on the tensor's domain")
-    entries, _ = _contract_slot(t.entries, [t.dim_in] * t.arity, t.dim_out, phi, slot)
-    return PointTensor(t.dim_in, t.dim_out, t.arity, entries)
+def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
+    """T with the tensor S fed into one argument slot (0-based): the entry
+    at (i.., j_1..j_q, k..) is T(e_i.., S(e_j1, .., e_jq), e_k..), so S's
+    q slots take the place of that one.  S of arity 1 is a square map
+    precomposing the slot."""
+    if s.dim_out != t.dim_in or s.dim_in != t.dim_in:
+        raise TensorError("slot_compose needs S from the tensor's domain to itself")
+    entries, _ = _contract_slot(t.entries, [t.dim_in] * t.arity, t.dim_out, s, slot)
+    return PointTensor(t.dim_in, t.dim_out, t.arity - 1 + s.arity, entries)
 
 
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:

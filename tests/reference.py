@@ -8,7 +8,8 @@ is what makes them useful as oracles.
 
 Then come the dense forms of routines the package now runs sparsely:
 elimination over every column, the antilinearity check one basis pair at
-a time, and the greedy invariant complement by repeated rank tests.
+a time, the greedy invariant complement by repeated rank tests, and the
+arity-4 invariant's R-contraction one entry at a time.
 
 The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
@@ -30,7 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from nijcalc import linalg, poly
 from nijcalc.forms import VectorForm
-from nijcalc.invariants import PolyTensorField, columns_field, const_field
+from nijcalc.invariants import (PolyTensorField, columns_field, const_field,
+                                nijenhuis_field_bracket)
 from nijcalc.poly import PolyVec
 from nijcalc.structures import StructureField
 from nijcalc.tensor import Index, PointTensor
@@ -160,6 +162,42 @@ def nijenhuis_field_first_differential(j: StructureField) -> PolyTensorField:
             entries[(a, b)] = val
             entries[(b, a)] = [poly.neg(c) for c in val]
     return PolyTensorField(dim, 2, entries)
+
+
+def higher_nijenhuis_by_entries(j: StructureField, point: Sequence) -> PointTensor:
+    """The arity-4 invariant R(x, y, N(z, v)) - R(z, v, N(x, y)), where
+    R(x, y, z) = dN(x, y, Jz) + J dN(x, y, z) + N(dj(z, x), y)
+    + N(x, dj(z, y)) - dj(z, N(x, y)), one apply per term and entry:
+    R on every basis triple, then every basis 4-tuple.  J, dj, N and dN
+    come from the global fields, differentiated and then evaluated."""
+    dim = j.dim
+    pt = [Fraction(x) for x in point]
+    j_at = j.at_point(pt)
+    dj = differential(structure_as_field(j), 1, pt)
+    n_field = nijenhuis_field_bracket(j)
+    n_pt, dn = n_field.at_point(pt), differential(n_field, 1, pt)
+    basis = linalg.identity(dim)
+
+    def jmul(x):
+        return j_at.apply([x])
+
+    def r_basis(idx: Index):
+        ea, eb, ec = (basis[k] for k in idx)
+        out = dn.apply([ea, eb, jmul(ec)])
+        out = linalg.vec_add(out, jmul(dn.apply([ea, eb, ec])))
+        out = linalg.vec_add(out, n_pt.apply([dj.apply([ec, ea]), eb]))
+        out = linalg.vec_add(out, n_pt.apply([ea, dj.apply([ec, eb])]))
+        return linalg.vec_sub(out, dj.apply([ec, n_pt.apply([ea, eb])]))
+
+    r_pt = PointTensor.from_function(dim, dim, 3, r_basis)
+
+    def fn(idx: Index):
+        a, b, c, d = idx
+        return linalg.vec_sub(
+            r_pt.apply([basis[a], basis[b], n_pt.entries[(c, d)]]),
+            r_pt.apply([basis[c], basis[d], n_pt.entries[(a, b)]]))
+
+    return PointTensor.from_function(dim, dim, 4, fn)
 
 
 def dense_rref(m):

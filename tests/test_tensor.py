@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nijcalc import linalg, tensor
 from nijcalc.quadext import QuadExt
@@ -64,17 +64,23 @@ sparse_scalars = st.one_of(st.just(F(0)), st.integers(-2, 2), small_fractions)
 
 
 @st.composite
+def drawn_tensors(draw, dim_in, dim_out, arity):
+    """Up to 3^5 stored entries from a generator with a drawn seed, which is
+    much faster to draw and to shrink than each entry, with a drawn share of
+    zeros: all zero, sparse (most values zero) or dense."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from((0.0, 0.2, 1.0)))
+    return PointTensor.from_function(dim_in, dim_out, arity, lambda idx: [
+        F(rnd.randint(-3, 3), rnd.randint(1, 4)) if rnd.random() < density else 0
+        for _ in range(dim_out)])
+
+
+@st.composite
 def tensor_and_args(draw, scalars):
     dim_in = draw(st.integers(1, 3))
     dim_out = draw(st.integers(1, 3))
     arity = draw(st.integers(0, 4))
-    # up to 3^4 stored entries: drawn from a seeded generator, which is much
-    # faster than drawing each one, with a drawn share of zeros
-    rnd = draw(st.randoms(use_true_random=False))
-    density = draw(st.sampled_from((0.0, 0.2, 1.0)))
-    t = PointTensor.from_function(dim_in, dim_out, arity, lambda idx: [
-        F(rnd.randint(-3, 3), rnd.randint(1, 4)) if rnd.random() < density else 0
-        for _ in range(dim_out)])
+    t = draw(drawn_tensors(dim_in, dim_out, arity))
     arg = st.one_of(
         st.just([0] * dim_in),
         st.lists(scalars, min_size=dim_in, max_size=dim_in))
@@ -285,6 +291,61 @@ def test_precompose_all_with_rectangular_map():
     pu = phi.apply([u])
     pv = phi.apply([v])
     assert out.apply([u, v]) == t.apply([pu, pv])
+
+
+def slot_compose_by_apply(t, s, slot):
+    """Reference: T(e_i.., S(e_j1, .., e_jq), e_k..) on every basis tuple."""
+    basis, q = linalg.identity(t.dim_in), s.arity
+    return PointTensor.from_function(t.dim_in, t.dim_out, t.arity - 1 + q, lambda idx: t.apply(
+        [basis[i] for i in idx[:slot]] + [s.apply([basis[j] for j in idx[slot:slot + q]])]
+        + [basis[k] for k in idx[slot + q:]]))
+
+
+@st.composite
+def tensor_and_inner_tensors(draw):
+    dim = draw(st.integers(1, 3))
+    t = draw(drawn_tensors(dim, draw(st.integers(1, 2)), draw(st.integers(1, 3))))
+    return t, [draw(drawn_tensors(dim, dim, q)) for q in (1, 2, 3)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tensor_and_inner_tensors())
+def test_slot_compose_feeds_a_tensor_of_any_arity_into_any_slot(case):
+    t, inner = case
+    for s in inner:
+        for slot in range(t.arity):
+            out = tensor.slot_compose(t, s, slot)
+            assert out == slot_compose_by_apply(t, s, slot)
+            assert all(type(x) is Fraction for v in out.entries.values() for x in v)
+
+
+@st.composite
+def tensor_and_rectangular_map(draw):
+    dim_in, dim_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    t = draw(drawn_tensors(dim_in, draw(st.integers(1, 2)), draw(st.integers(1, 3))))
+    return t, draw(drawn_tensors(dim_out, dim_in, 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tensor_and_rectangular_map())
+def test_precompose_all_applies_the_map_in_every_slot(case):
+    t, phi = case
+    images = [phi.apply([e]) for e in linalg.identity(phi.dim_in)]
+    out = tensor.precompose_all(t, phi)
+    assert out == PointTensor.from_function(
+        phi.dim_in, t.dim_out, t.arity, lambda idx: t.apply([images[i] for i in idx]))
+
+
+def test_compositions_reject_shape_mismatches():
+    t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0]), F(idx[1])])
+    square3 = tensor.identity_map(3)
+    into3 = PointTensor.from_matrix([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]])
+    for s in (square3, into3, PointTensor.from_function(3, 2, 2, lambda idx: [0, 0])):
+        with pytest.raises(tensor.TensorError):
+            tensor.slot_compose(t, s, 0)
+    for phi in (square3, t, into3):
+        with pytest.raises(tensor.TensorError):
+            tensor.precompose_all(t, phi)
 
 
 def test_pair_pattern_detection():
