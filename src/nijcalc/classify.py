@@ -155,13 +155,10 @@ def derived_distribution(dist: Distribution, point: Sequence) -> Distribution:
     fiber needs no products with coordinate functions and no degree cap.
     """
     gens = [list(g) for g in dist.generators]
-    out = list(gens)
-    for i in range(len(gens)):
-        for k in range(i + 1, len(gens)):
-            br = poly.lie_bracket(gens[i], gens[k], dist.dim)
-            if not poly.vec_is_zero(br):
-                out.append(br)
-    return make_distribution(out, point)
+    # a bracket has degree below twice the generators' degree: no cut
+    cut = 2 * max(poly.total_degree(c) for g in gens for c in g)
+    pairs = list(itertools.combinations(range(len(gens)), 2))
+    return make_distribution(gens + poly.jet_brackets(gens, pairs, cut), point)
 
 
 def _values(jets: Sequence[Sequence[poly.Poly]]) -> List[Vec]:
@@ -427,15 +424,13 @@ def tanaka_forms(j: StructureField, point: Sequence,
 
     frame_basis: List[Vec] = [list(frame.xi1), list(frame.xi2),
                               list(frame.xi3), list(frame.xi4)]
-    rows_g = [[v[i] for v in level1_vals[:len(gens)]] for i in range(4)]
-    c1 = linalg.solve(rows_g, list(frame.xi1))
-    c2 = linalg.solve(rows_g, list(frame.xi2))
+    c1 = _coords_in(level1_vals[:len(gens)], frame.xi1)
+    c2 = _coords_in(level1_vals[:len(gens)], frame.xi2)
     if c1 is None or c2 is None:
         raise InternalInconsistencyError("frame vectors escape the plane module")
     omega2 = _bracket_scalar(c1, c2, top, frame_basis, 2)
 
-    rows_d = [[v[i] for v in level1_vals] for i in range(4)]
-    c3 = linalg.solve(rows_d, list(frame.xi3))
+    c3 = _coords_in(level1_vals, frame.xi3)
     if c3 is None:
         raise InternalInconsistencyError("xi3 escapes the derived module")
     w1 = _bracket_scalar(c1, c3, top, frame_basis, 3)
@@ -515,15 +510,8 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
     for a in range(dim):
         for b in range(dim):
             for c in range(b + 1, dim):
-                inner = nf.entries[(b, c)]
-                residual = poly.vec_zero(dim)
-                for i in range(dim):
-                    if poly.is_zero(inner[i]):
-                        continue
-                    residual = poly.vec_add(
-                        residual,
-                        [poly.mul(inner[i], comp)
-                         for comp in nf.entries[(a, i)]])
+                residual = poly.apply_columns(
+                    [nf.entries[(a, i)] for i in range(dim)], nf.entries[(b, c)])
                 if not poly.vec_is_zero(residual):
                     is_lie = False
                     pt, val = _witness_point(
@@ -624,8 +612,7 @@ def _graded_report(nf: PolyTensorField, point: Sequence, n_at: PointTensor):
             val = n_at.apply([lifted[i], lifted[k]])
             if not any(val):
                 continue
-            coords = linalg.solve(
-                [[u[r] for u in lifted] for r in range(dim)], val)
+            coords = _coords_in(lifted, val)
             if coords is None:
                 raise InternalInconsistencyError(
                     "graded bracket value escapes the filtration")

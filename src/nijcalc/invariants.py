@@ -14,8 +14,8 @@ global field and evaluating it: J is shifted to the point
 the next jet of J, and jet_differential reads d^p of any such jet off its
 degree-p coefficients.  Both torsion routes read only the 1-jet of J, the
 arity-4 routes and the identity checks its 2-jet.  The global torsion
-field (nijenhuis_field_bracket) serves only the symbolic verdicts in
-classify.
+field (nijenhuis_field_bracket) is torsion_jets at the origin, uncut; it
+serves only the symbolic verdicts in classify.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import forms, linalg, poly
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
-from .tensor import (Index, PointTensor, alternating_rep, post_compose,
-                     slot_compose, solution_basis, unit_basis)
+from .tensor import (Index, PointTensor, alternating_rep, pair_pattern_rep,
+                     post_compose, slot_compose, solution_basis, unit_basis)
 
 Vec = List[Fraction]
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
@@ -38,10 +38,6 @@ Arity4Jets = Tuple[List[PolyVec], Dict[Index, PolyVec]]
 
 class InternalInconsistencyError(RuntimeError):
     """Two independent routes to the same invariant disagreed."""
-
-
-def const_field(dim: int, a: int) -> PolyVec:
-    return [poly.const(1, dim) if i == a else poly.zero() for i in range(dim)]
 
 
 class PolyTensorField:
@@ -91,19 +87,10 @@ def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
 # ---------------------------------------------------------------------------
 
 def nijenhuis_field_bracket(j: StructureField) -> PolyTensorField:
-    """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis fields."""
-    dim = j.dim
-    values: Dict[Index, PolyVec] = {}
-    for a, b in itertools.combinations(range(dim), 2):
-        ja, jb = j.cols[a], j.cols[b]
-        val = poly.lie_bracket(ja, jb, dim)
-        val = poly.vec_sub(val, poly.apply_columns(
-            j.cols, poly.lie_bracket(ja, const_field(dim, b), dim)))
-        val = poly.vec_sub(val, poly.apply_columns(
-            j.cols, poly.lie_bracket(const_field(dim, a), jb, dim)))
-        # [ea, eb] = 0 for coordinate fields
-        values[(a, b)] = val
-    return PolyTensorField(dim, 2, _pair_fields(dim, values))
+    """The global torsion field: its own jet at the origin, uncut, since
+    N has degree below 2 deg J."""
+    order = 2 * max(j.max_entry_degree(), 0)
+    return PolyTensorField(j.dim, 2, _pair_fields(j.dim, torsion_jets(j.cols, order)))
 
 
 def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
@@ -138,26 +125,22 @@ def _pair_fields(dim: int, values: Dict[Index, PolyVec]) -> Dict[Index, PolyVec]
 
 def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
-    point, from J and dj there, both read off the 1-jet of J."""
-    dim = len(jet)
+    point, from J and dj there, both read off the 1-jet of J: with
+    u(X, Y) = dj(JX, Y) + dj(X, JY), N is u with its slots swapped minus u.
+    Every entry is computed, none filled by sign."""
     field = columns_field(jet)
     j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
-    basis = linalg.identity(dim)
-    values: Dict[Index, Vec] = {}
-    for a, b in itertools.combinations(range(dim), 2):
-        ea, eb, ja, jb = basis[a], basis[b], j_at.entries[(a,)], j_at.entries[(b,)]
-        val = [-x for x in dj.apply([ja, eb])]
-        val = linalg.vec_sub(val, dj.apply([ea, jb]))
-        val = linalg.vec_add(val, dj.apply([jb, ea]))
-        values[(a, b)] = linalg.vec_add(val, dj.apply([eb, ja]))
-    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, values.__getitem__)
+    u = slot_compose(dj, j_at, 0).add(slot_compose(dj, j_at, 1))
+    return u.swap_slots(0, 1).sub(u)
 
 
 def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
     """Torsion at the point; raises if the two routes disagree there.
 
     Both routes read only the 1-jet of J at the point: the bracket route
-    is torsion_jets at order 0, the other the first-differential formula.
+    is torsion_jets at order 0, filled by sign from the pairs a < b, the
+    other the first-differential formula, which computes every entry, so
+    their agreement certifies antisymmetry too.
     """
     pt = [Fraction(x) for x in point]
     jet = j.jet(pt, 1)
@@ -190,8 +173,8 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     the point of the pair fields N(e_a, e_b) and J N(e_a, e_b), a < b,
     read off their 1-jets; jets is the pair (2-jet of J, torsion 1-jets)
     that higher_nijenhuis shares between the routes.  Only orbit
-    representatives of the pair pattern are evaluated (see
-    PointTensor.from_pair_pattern).
+    representatives of the pair pattern are evaluated (from_orbits with
+    pair_pattern_rep).
     """
     dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
@@ -229,7 +212,7 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
         out = linalg.vec_sub(out, jmul(napp(ec, dn.entries[(a, b, d)])))
         return out
 
-    return PointTensor.from_pair_pattern(dim, dim, fn)
+    return PointTensor.from_orbits(dim, dim, 4, pair_pattern_rep, fn)
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,

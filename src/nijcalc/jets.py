@@ -100,7 +100,7 @@ class JetSymbol:
         if self.tensor.arity != self.k:
             raise StructureError(
                 f"order-{self.k} symbol carries an arity-{self.tensor.arity} tensor")
-        if not self.tensor.is_fully_symmetric():
+        if not self.tensor.respects(symmetric_rep):
             raise StructureError(f"order-{self.k} symbol is not fully symmetric")
 
 
@@ -544,9 +544,9 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
         u = poly.vec_add(poly.vec_sub(t_op(u), poly.vec_scale(u, k - 2 * j - 2)),
                          poly.vec_scale(g, Fraction(1, 2 ** j * math.factorial(j + 1))))
 
-    phi = PointTensor.from_symmetric_function(
-        n, p_k.dim_out, k, lambda rep: _slot_entry(u, rep, n))
-    if not phi.is_fully_symmetric():
+    phi = PointTensor.from_orbits(
+        n, p_k.dim_out, k, symmetric_rep, lambda rep: _slot_entry(u, rep, n))
+    if not phi.respects(symmetric_rep):
         raise InternalInconsistencyError("symmetrized symbol is not symmetric")
     # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi
     du = _gradient(_slot_polys(phi, ()), n)

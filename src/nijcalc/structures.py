@@ -278,13 +278,11 @@ class LieAlgebraSpec:
         return self.tensor.apply([x, y])
 
     def jacobi_violation(self) -> Optional[Tuple[int, int, int]]:
-        basis = linalg.identity(self.dim)
+        """First basis triple a < b < c where the cyclic sum of
+        [x, [y, z]] is nonzero, or None."""
+        nested = slot_compose(self.tensor, self.tensor, 1).entries  # [x, [y, z]]
         for a, b, c in itertools.combinations(range(self.dim), 3):
-            total = [Fraction(0)] * self.dim
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                inner = self.bracket(basis[y], basis[z])
-                total = linalg.vec_add(total, self.bracket(basis[x], inner))
-            if not linalg.vec_is_zero(total):
+            if any(map(sum, zip(nested[(a, b, c)], nested[(b, c, a)], nested[(c, a, b)]))):
                 return (a, b, c)
         return None
 
@@ -369,24 +367,13 @@ def random_structure(n: int, seed: int, degree: int = 2) -> StructureField:
         if linalg.det(t) != 0:
             break
     t_inv = linalg.inverse(t)
-    # entries of T J(x) T^{-1}: polynomial combination of the old columns
-    cols: List[PolyVec] = []
-    for j in range(dim):
-        col = poly.vec_zero(dim)
-        # new column j: sum_k T . J_col(k) . t_inv[k][j]
-        for k in range(dim):
-            if t_inv[k][j] == 0:
-                continue
-            jk = plain.cols[k]
-            t_jk = [poly.zero() for _ in range(dim)]
-            for i in range(dim):
-                acc = poly.zero()
-                for r in range(dim):
-                    if t[i][r] != 0 and not poly.is_zero(jk[r]):
-                        acc = poly.add(acc, poly.scale(jk[r], t[i][r]))
-                t_jk[i] = acc
-            col = poly.vec_add(col, poly.vec_scale(t_jk, t_inv[k][j]))
-        cols.append(col)
+
+    def const_cols(m: List[List[Fraction]]) -> List[PolyVec]:
+        return [[poly.const(row[k], dim) for row in m] for k in range(dim)]
+
+    # column j of T J(x) T^{-1} is (T J(x)) applied to T^{-1} e_j
+    tj_cols = [poly.apply_columns(const_cols(t), col) for col in plain.cols]
+    cols = [poly.apply_columns(tj_cols, col) for col in const_cols(t_inv)]
     return StructureField(cols, name=f"random(n={n}, seed={seed})")
 
 

@@ -89,19 +89,6 @@ class PointTensor:
         return cls(dim_in, dim_out, arity, entries)
 
     @classmethod
-    def from_symmetric_function(cls, dim_in: int, dim_out: int, arity: int,
-                                fn: Callable[[Index], Sequence]) -> "PointTensor":
-        """Fully symmetric tensor; fn is called on sorted index tuples only."""
-        return cls.from_orbits(dim_in, dim_out, arity, symmetric_rep, fn)
-
-    @classmethod
-    def from_pair_pattern(cls, dim: int, dim_out: int,
-                          fn: Callable[[Index], Sequence]) -> "PointTensor":
-        """Arity-4 tensor with the pair pattern; fn is called only on
-        (a, b, c, d) with a < b, c < d and (a, b) < (c, d)."""
-        return cls.from_orbits(dim, dim_out, 4, pair_pattern_rep, fn)
-
-    @classmethod
     def from_matrix(cls, m: Sequence[Sequence]) -> "PointTensor":
         """Arity-1 tensor from a dim_out x dim_in matrix."""
         dim_out = len(m)
@@ -210,9 +197,6 @@ class PointTensor:
             elif any(v):
                 return False
         return True
-
-    def is_fully_symmetric(self) -> bool:
-        return self.respects(symmetric_rep)
 
     def has_pair_pattern(self) -> bool:
         """Antisym within slots (0,1), within (2,3), antisym under pair swap."""
@@ -327,9 +311,7 @@ def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
     """
     if phi.arity != 1 or phi.dim_out != t.dim_in:
         raise TensorError("precompose shape mismatch")
-    if t.arity == 0:
-        return t
-    entries = t.entries
+    entries = {idx: list(v) for idx, v in t.entries.items()}
     slot_dims = [t.dim_in] * t.arity
     for slot in range(t.arity):
         entries, slot_dims = _contract_slot(entries, slot_dims, t.dim_out, phi, slot)
@@ -351,9 +333,9 @@ def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
     """Matrix of the linear map eta -> T(xi, eta) for arity-2 T."""
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
-    cols = [t.apply([list(xi), linalg.basis_vector(t.dim_in, j)])
-            for j in range(t.dim_in)]
-    return [[cols[j][i] for j in range(t.dim_in)] for i in range(t.dim_out)]
+    if len(xi) != t.dim_in or any(isinstance(c, float) for c in xi):
+        raise TensorError(f"xi must be an exact vector of length {t.dim_in}")
+    return slot_compose(t, PointTensor(t.dim_in, t.dim_in, 0, {(): list(xi)}), 0).to_matrix()
 
 
 def kernel_dim(t: PointTensor, xi: Sequence) -> int:

@@ -14,7 +14,12 @@ arity-4 invariant's R-contraction one entry at a time.
 The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
 slots, the permutation sign by counting cycles, and the bracket from a
-table of every ordered basis pair.
+table of every ordered basis pair; the Jacobi check by bracketing basis
+vectors goes with them.
+
+The global torsion field by poly.lie_bracket of constant and structure
+fields (nijenhuis_field_by_lie_brackets) is the oracle for the package's
+global field, which is the torsion jet at the origin.
 
 Some small helpers only the tests use live here too: matrix products,
 the full solution set of a linear system, and a vector form evaluated on
@@ -31,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from nijcalc import linalg, poly
 from nijcalc.forms import VectorForm
-from nijcalc.invariants import (PolyTensorField, columns_field, const_field,
-                                nijenhuis_field_bracket)
+from nijcalc.invariants import PolyTensorField, columns_field
 from nijcalc.poly import PolyVec
 from nijcalc.structures import StructureField
 from nijcalc.tensor import Index, PointTensor
@@ -86,6 +90,28 @@ def post_structure(form: VectorForm, j: StructureField) -> VectorForm:
     return VectorForm(form.dim, form.degree,
                       {idx: poly.apply_columns(j.cols, v)
                        for idx, v in form.entries.items()})
+
+
+def const_field(dim: int, a: int) -> PolyVec:
+    return [poly.const(1, dim) if i == a else poly.zero() for i in range(dim)]
+
+
+def nijenhuis_field_by_lie_brackets(j: StructureField) -> PolyTensorField:
+    """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis fields,
+    each bracket a global poly.lie_bracket of polynomial fields."""
+    dim = j.dim
+    entries = {(a, a): poly.vec_zero(dim) for a in range(dim)}
+    for a, b in itertools.combinations(range(dim), 2):
+        ja, jb = j.cols[a], j.cols[b]
+        val = poly.lie_bracket(ja, jb, dim)
+        val = poly.vec_sub(val, poly.apply_columns(
+            j.cols, poly.lie_bracket(ja, const_field(dim, b), dim)))
+        val = poly.vec_sub(val, poly.apply_columns(
+            j.cols, poly.lie_bracket(const_field(dim, a), jb, dim)))
+        # [ea, eb] = 0 for coordinate fields
+        entries[(a, b)] = val
+        entries[(b, a)] = [poly.neg(c) for c in val]
+    return PolyTensorField(dim, 2, entries)
 
 
 def structure_as_field(j: StructureField) -> PolyTensorField:
@@ -174,7 +200,7 @@ def higher_nijenhuis_by_entries(j: StructureField, point: Sequence) -> PointTens
     pt = [Fraction(x) for x in point]
     j_at = j.at_point(pt)
     dj = differential(structure_as_field(j), 1, pt)
-    n_field = nijenhuis_field_bracket(j)
+    n_field = nijenhuis_field_by_lie_brackets(j)
     n_pt, dn = n_field.at_point(pt), differential(n_field, 1, pt)
     basis = linalg.identity(dim)
 
@@ -317,6 +343,20 @@ def lie_bracket_by_table(dim: int, constants, x: Sequence, y: Sequence):
             for k in range(dim):
                 out[k] += f * table[(i, j)][k]
     return out
+
+
+def jacobi_violation_by_basis(g) -> Optional[Tuple[int, int, int]]:
+    """First basis triple a < b < c where [x, [y, z]] summed over the
+    cyclic shifts is nonzero, bracketing basis vectors with g.bracket."""
+    basis = linalg.identity(g.dim)
+    for a, b, c in itertools.combinations(range(g.dim), 3):
+        total = [Fraction(0)] * g.dim
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            inner = g.bracket(basis[y], basis[z])
+            total = linalg.vec_add(total, g.bracket(basis[x], inner))
+        if not linalg.vec_is_zero(total):
+            return (a, b, c)
+    return None
 
 
 def digest(value) -> str:

@@ -36,7 +36,8 @@ from nijcalc.structures import (
 )
 from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
 from reference import (differential, digest, dj_field, higher_nijenhuis_by_entries,
-                       nijenhuis_field_first_differential, structure_as_field)
+                       nijenhuis_field_by_lie_brackets, nijenhuis_field_first_differential,
+                       structure_as_field)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
 
@@ -115,7 +116,7 @@ def test_from_pair_pattern_fills_orbits_from_representatives(dim):
         return [s(a, b) * t2(c, d) - s(c, d) * t2(a, b),
                 (a + b - c - d) * t2(a, b) * t2(c, d)]
 
-    t = PointTensor.from_pair_pattern(dim, 2, fn)
+    t = PointTensor.from_orbits(dim, 2, 4, pair_pattern_rep, fn)
     pairs = dim * (dim - 1) // 2
     assert len(calls) == pairs * (pairs - 1) // 2
     assert all(a < b and c < d and (a, b) < (c, d) for a, b, c, d in calls)
@@ -223,10 +224,10 @@ def structures_at_points(draw, sizes=(2, 3)):
 @given(structures_at_points())
 def test_nijenhuis_tensor_equals_global_field_at_point(case):
     """The pointwise routes read only the 1-jet of J; the reference
-    evaluates the global bracket-route field."""
+    evaluates the global field built from poly.lie_bracket."""
     j, pt = case
     n_pt = nijenhuis_tensor(j, pt)
-    assert n_pt == nijenhuis_field_bracket(j).at_point(pt)
+    assert n_pt == nijenhuis_field_by_lie_brackets(j).at_point(pt)
     assert all(type(c) is Fraction for v in n_pt.entries.values() for c in v)
 
 
@@ -234,7 +235,7 @@ def test_nijenhuis_tensor_equals_global_field_at_point(case):
 @given(structures_at_points(sizes=(2,)), st.integers(0, 2))
 def test_torsion_jets_are_jets_of_the_global_field(case, order):
     j, pt = case
-    nf = nijenhuis_field_bracket(j)
+    nf = nijenhuis_field_by_lie_brackets(j)
     jets = torsion_jets(j.jet(pt, order + 1), order)
     assert list(jets) == list(itertools.combinations(range(j.dim), 2))
     for idx, jet in jets.items():
@@ -249,12 +250,27 @@ def test_jet_differential_equals_global_differential(case, p):
     j, pt = case
     jet = columns_field(j.jet(pt, p))
     assert jet_differential(jet, p) == differential(structure_as_field(j), p, pt)
-    nf = nijenhuis_field_bracket(j)
+    nf = nijenhuis_field_by_lie_brackets(j)
     want = differential(nf, p, pt)
     shifted = {idx: [poly.shift(c, pt, p) for c in val]
                for idx, val in nf.entries.items()}
     assert jet_differential(shifted, p) == want
     assert nijenhuis_differential(j, p, pt) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(
+    st.builds(random_structure, st.integers(1, 3), st.integers(0, 10**6), st.integers(1, 3)),
+    st.sampled_from([example_structure("ex2"), example_structure("ex5", Fraction(-1, 3)),
+                     example_structure("ex6", f_text="x5 + x5^2")])))
+def test_global_field_equals_the_lie_bracket_reference(j):
+    """The global field, read as the uncut torsion jet at the origin, is
+    the bracket formula expanded with poly.lie_bracket, entry by entry."""
+    nf = nijenhuis_field_bracket(j)
+    want = nijenhuis_field_by_lie_brackets(j)
+    assert (nf.dim, nf.arity) == (want.dim, want.arity) == (j.dim, 2)
+    assert list(nf.entries) == list(want.entries)
+    assert nf.entries == want.entries
 
 
 def test_torsion_cross_check_catches_a_route_disagreement(monkeypatch):

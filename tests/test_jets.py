@@ -50,6 +50,7 @@ from nijcalc.tensor import (
     post_compose,
     slot_compose,
     solution_basis,
+    symmetric_rep,
 )
 from reference import differential, digest, mat_mul, structure_as_field
 
@@ -344,7 +345,7 @@ def test_symmetrize_matches_display_formula():
         built = symmetrize(p3, jl0, jm0)
         disp = display_order3_symbol(p3, jl0, jm0)
         assert built.tensor == disp
-        assert disp.is_fully_symmetric()
+        assert disp.respects(symmetric_rep)
         assert zeta(disp, jl0, jm0) == p3
 
 
@@ -356,7 +357,7 @@ def test_symmetrize_round_trip_orders_2_3_4():
         p_k = zeta(rand_symmetric(4, 2, k, rng), jl0, jm0)
         sym = symmetrize(p_k, jl0, jm0)
         assert sym.k == k
-        assert sym.tensor.is_fully_symmetric()
+        assert sym.tensor.respects(symmetric_rep)
         assert zeta(sym.tensor, jl0, jm0) == p_k
 
 
@@ -691,21 +692,23 @@ def test_lift_rejects_a_corrupted_symbol(monkeypatch, corruption, message):
     j_l = example_structure("ex2")
     j_m = standard_structure(2)
     u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
-    build = PointTensor.from_symmetric_function
+    build = PointTensor.from_orbits
 
-    def corrupted(dim_in, dim_out, k, fn):
+    def corrupted(dim_in, dim_out, k, rep, fn):
+        # only symbols are corrupted, so the P_k cross-check still passes
+        if rep is not symmetric_rep:
+            return build(dim_in, dim_out, k, rep, fn)
         if corruption == "orbit value":
             first = (0,) * k
-            t = build(dim_in, dim_out, k, lambda idx: [
+            t = build(dim_in, dim_out, k, rep, lambda idx: [
                 c + 1 if (idx, i) == (first, 0) else c
                 for i, c in enumerate(fn(idx))])
         else:
-            t = build(dim_in, dim_out, k, fn)
+            t = build(dim_in, dim_out, k, rep, fn)
             t.entries[(1,) + (0,) * (k - 1)][0] += 1
         return t
 
-    monkeypatch.setattr(PointTensor, "from_symmetric_function",
-                        staticmethod(corrupted))
+    monkeypatch.setattr(PointTensor, "from_orbits", staticmethod(corrupted))
     with pytest.raises(InternalInconsistencyError, match=message):
         lift(u, j_l, j_m)
 
@@ -873,7 +876,7 @@ def taylor_jet(phi, x0, order):
         return [c.get(alpha, Fraction(0)) * w for c in shifted]
 
     return TruncatedMap(tuple(x0), tuple(poly.eval_poly(c, x0) for c in phi), tuple(
-        JetSymbol(r, PointTensor.from_symmetric_function(dim, dim, r, symbol))
+        JetSymbol(r, PointTensor.from_orbits(dim, dim, r, symmetric_rep, symbol))
         for r in range(1, order + 1)))
 
 
@@ -896,7 +899,7 @@ def test_pushed_pair_residuals_agree_with_the_dense_reference():
         assert res.is_zero()
     # one orbit of the order-5 symbol moved: a nonzero residual, equal to
     # zeta of the change
-    bump = PointTensor.from_symmetric_function(4, 4, 5, lambda idx: [
+    bump = PointTensor.from_orbits(4, 4, 5, symmetric_rep, lambda idx: [
         Fraction(int(idx == (0, 1, 1, 2, 3) and i == 2)) for i in range(4)])
     bumped = truncate(u, 4).with_symbol(JetSymbol(5, u.symbol(5).tensor.add(bump)))
     res = cr_residual(bumped, j_l, j_m)

@@ -1,6 +1,7 @@
 """Structure fields: constructors, validation, realization, random generators."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,9 @@ from nijcalc.structures import (
     validate,
     vanishing_order,
 )
-from nijcalc.tensor import PointTensor, TensorError
-from reference import lie_bracket_by_table, membership_violation_by_pairs
+from nijcalc.tensor import PointTensor, TensorError, alternating_rep
+from reference import (digest, jacobi_violation_by_basis, lie_bracket_by_table,
+                       membership_violation_by_pairs)
 
 
 def as_matrix(j):
@@ -191,6 +193,33 @@ def test_lie_bracket_matches_the_pair_table(dim, constants):
         g.bracket([0.5] + [0] * (dim - 1), [1] * dim)
 
 
+def unchecked_lie_algebra(dim, constants):
+    """A LieAlgebraSpec holding the constants without the Jacobi check."""
+    g = LieAlgebraSpec.__new__(LieAlgebraSpec)
+    g.dim = dim
+    g.tensor = PointTensor.from_orbits(dim, dim, 2, alternating_rep,
+                                       lambda pair: constants.get(pair, [0] * dim))
+    return g
+
+
+@pytest.mark.parametrize("dim, constants, triple", [
+    *[(dim, constants, None) for dim, constants in LIE_ALGEBRAS],
+    (3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]}, (0, 1, 2)),
+    (4, {(1, 2): [0, 0, 0, 1], (1, 3): [0, 1, 0, 0]}, (1, 2, 3)),
+])
+def test_jacobi_violation_matches_the_basis_bracket_reference(dim, constants, triple):
+    """The first failing triple, read off the nested bracket tensor, is the
+    one found by bracketing basis vectors, and a violation is reported
+    with that triple."""
+    if triple is None:
+        g = LieAlgebraSpec(dim, constants)
+    else:
+        g = unchecked_lie_algebra(dim, constants)
+        with pytest.raises(StructureError, match=re.escape(f"triple {triple}")):
+            LieAlgebraSpec(dim, constants)
+    assert g.jacobi_violation() == jacobi_violation_by_basis(g) == triple
+
+
 def test_left_invariant_structure_values():
     """1. N((e1,0),(e2,0)) = (-e1, e1); 2. N((e1,0),(0,e2)) = (e1, e1);
     3. the block structure squares to -I; 4. antisymmetry."""
@@ -302,3 +331,26 @@ def test_random_structure_exact():
     a = random_structure(2, 11)
     b = random_structure(2, 11)
     assert a == b
+
+
+# fingerprints of (name, cols) computed before the conjugation moved to
+# poly.apply_columns; repr keeps each polynomial's coefficient order
+RANDOM_STRUCTURE_DIGESTS = {
+    (1, 1, 0): "9db4a7164e9034bb",
+    (1, 3, 5): "2be92f9ca4037655",
+    (2, 1, 3): "7bf9685c330a0998",
+    (2, 2, 0): "b2037a39bec98032",
+    (2, 2, 11): "9d43230e5e3f7600",
+    (2, 3, 7): "f60f9b1565782974",
+    (3, 2, 4): "1d103db8d0a08d26",
+    (3, 3, 21121): "e53c943283921abf",
+    (4, 2, 9): "fb9bd60e9e052789",
+}
+
+
+@pytest.mark.parametrize("n, degree, seed", sorted(RANDOM_STRUCTURE_DIGESTS))
+def test_random_structure_draws_are_frozen(n, degree, seed):
+    """Workloads and tests draw from random_structure; any change to the
+    draw, the conjugation or the coefficient order changes a fingerprint."""
+    j = random_structure(n, seed, degree)
+    assert digest([j.name, j.cols]) == RANDOM_STRUCTURE_DIGESTS[(n, degree, seed)]

@@ -134,11 +134,11 @@ def test_from_symmetric_function_matches_from_function(case):
     def fn(idx):
         return values[tuple(sorted(idx))]
 
-    built = PointTensor.from_symmetric_function(dim_in, dim_out, arity, fn)
+    built = PointTensor.from_orbits(dim_in, dim_out, arity, tensor.symmetric_rep, fn)
     dense = PointTensor.from_function(dim_in, dim_out, arity, fn)
     assert built == dense
     assert list(built.entries) == list(dense.entries)
-    assert built.is_fully_symmetric()
+    assert built.respects(tensor.symmetric_rep)
     # every entry is its own list
     assert len({id(v) for v in built.entries.values()}) == len(built.entries)
     # the same orbit values under the alternating rule, signed by parity
@@ -174,14 +174,14 @@ def test_respects_agrees_with_the_swap_checks(case, pick):
          tensor.alternating_rep, is_alternating_by_swaps),
     ]
     if arity == 4:
-        built.append((PointTensor.from_pair_pattern(dim_in, dim_out, fn),
+        built.append((PointTensor.from_orbits(dim_in, dim_out, 4, tensor.pair_pattern_rep, fn),
                       tensor.pair_pattern_rep, has_pair_pattern_by_swaps))
     for t, rule, by_swaps in built:
         assert t.respects(rule) and by_swaps(t)
         idx = sorted(t.entries)[pick % len(t.entries)]
         t.entries[idx][pick % dim_out] += 1
         assert t.respects(rule) == by_swaps(t)
-    assert built[0][0].is_fully_symmetric() == is_fully_symmetric_by_swaps(built[0][0])
+    assert built[0][0].respects(tensor.symmetric_rep) == is_fully_symmetric_by_swaps(built[0][0])
     if arity == 4:
         assert built[2][0].has_pair_pattern() == has_pair_pattern_by_swaps(built[2][0])
 
@@ -190,15 +190,15 @@ def test_from_symmetric_function_calls_fn_once_per_sorted_tuple():
     for dim in (1, 2, 4, 6):
         for k in range(5):
             seen = []
-            PointTensor.from_symmetric_function(
-                dim, 2, k, lambda idx: seen.append(idx) or [F(sum(idx)), F(1)])
+            PointTensor.from_orbits(dim, 2, k, tensor.symmetric_rep,
+                                    lambda idx: seen.append(idx) or [F(sum(idx)), F(1)])
             assert len(seen) == math.comb(dim + k - 1, k)
             assert seen == list(itertools.combinations_with_replacement(range(dim), k))
 
 
 def test_from_symmetric_function_rejects_wrong_length():
     with pytest.raises(tensor.TensorError, match="length 3, expected 2"):
-        PointTensor.from_symmetric_function(2, 2, 2, lambda idx: [F(1)] * 3)
+        PointTensor.from_orbits(2, 2, 2, tensor.symmetric_rep, lambda idx: [F(1)] * 3)
 
 
 @given(tensor_and_args(sparse_scalars))
@@ -273,6 +273,14 @@ def test_kernel_dim_zero_tensor():
     assert tensor.kernel_dim(t, linalg.basis_vector(4, 0)) == 4
 
 
+def test_kernel_matrix_rejects_floats_and_bad_lengths():
+    t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(1)])
+    assert tensor.kernel_matrix(t, [F(1), F(2)]) == [[F(2), F(-1)], [F(3), F(3)]]
+    for xi in ([0.5, 0], [0, 0.0], [1], [1, 0, 0]):
+        with pytest.raises(tensor.TensorError, match="exact vector of length 2"):
+            tensor.kernel_matrix(t, xi)
+
+
 def test_precompose_all_identity_and_zero():
     t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(idx[0] * idx[1])])
     ident = tensor.identity_map(2)
@@ -322,7 +330,7 @@ def test_slot_compose_feeds_a_tensor_of_any_arity_into_any_slot(case):
 @st.composite
 def tensor_and_rectangular_map(draw):
     dim_in, dim_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    t = draw(drawn_tensors(dim_in, draw(st.integers(1, 2)), draw(st.integers(1, 3))))
+    t = draw(drawn_tensors(dim_in, draw(st.integers(1, 2)), draw(st.integers(0, 3))))
     return t, draw(drawn_tensors(dim_out, dim_in, 1))
 
 
@@ -334,6 +342,8 @@ def test_precompose_all_applies_the_map_in_every_slot(case):
     out = tensor.precompose_all(t, phi)
     assert out == PointTensor.from_function(
         phi.dim_in, t.dim_out, t.arity, lambda idx: t.apply([images[i] for i in idx]))
+    # fresh entries, also for a vector (arity 0)
+    assert not any(v is t.entries.get(idx) for idx, v in out.entries.items())
 
 
 def test_compositions_reject_shape_mismatches():
