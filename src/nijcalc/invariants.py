@@ -142,8 +142,7 @@ def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
     other the first-differential formula, which computes every entry, so
     their agreement certifies antisymmetry too.
     """
-    pt = [Fraction(x) for x in point]
-    jet = j.jet(pt, 1)
+    jet = j.jet(point, 1)
     n_jets = torsion_jets(jet, 0)
     bracket = PointTensor.from_orbits(j.dim, j.dim, 2, alternating_rep, lambda idx: [
         poly.constant_term(c) for c in n_jets[idx]])
@@ -161,7 +160,7 @@ def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
 def _arity4_jets(j: StructureField, point: Sequence) -> Arity4Jets:
     """What both arity-4 routes read: the 2-jet of J at the point and the
     1-jets of the torsion fields N(e_a, e_b), a < b."""
-    jet = j.jet([Fraction(x) for x in point], 2)
+    jet = j.jet(point, 2)
     return jet, torsion_jets(jet, 1)
 
 
@@ -249,10 +248,9 @@ def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     the pair pattern as well as the values.  Both read the same jets,
     built once here.
     """
-    pt = [Fraction(x) for x in point]
-    jets = _arity4_jets(j, pt)
-    a = higher_nijenhuis_bracket(j, pt, jets)
-    b = higher_nijenhuis_differential(j, pt, jets)
+    jets = _arity4_jets(j, point)
+    a = higher_nijenhuis_bracket(j, point, jets)
+    b = higher_nijenhuis_differential(j, point, jets)
     if a != b:
         raise InternalInconsistencyError(
             f"arity-4 routes disagree at basis tuple {_first_difference(a, b)}")
@@ -264,7 +262,7 @@ def nijenhuis_differential(j: StructureField, p: int, point: Sequence) -> PointT
     order-p torsion jets."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    jet = j.jet([Fraction(x) for x in point], p + 1)
+    jet = j.jet(point, p + 1)
     return jet_differential(_pair_fields(j.dim, torsion_jets(jet, p)), p)
 
 
@@ -312,7 +310,7 @@ def _first_difference(a: PointTensor, b: PointTensor) -> Optional[Index]:
 def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
     """First basis pair where dj(J x, y) != -J dj(x, y), or None."""
-    field = columns_field(j.jet([Fraction(x) for x in point], 1))
+    field = columns_field(j.jet(point, 1))
     j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
     return _first_difference(slot_compose(dj, j_at, 0), post_compose(j_at, dj).neg())
 
@@ -321,7 +319,7 @@ def second_differential_identity_defect(j: StructureField,
                                         point: Sequence) -> Optional[Index]:
     """First basis triple violating
     d2j(Jx, y, z) = -J d2j(x, y, z) - dj(dj(x, z), y) - dj(dj(x, y), z)."""
-    field = columns_field(j.jet([Fraction(x) for x in point], 2))
+    field = columns_field(j.jet(point, 2))
     j_at = jet_differential(field, 0)
     dj, d2j = jet_differential(field, 1), jet_differential(field, 2)
     # s(x, y, z) = dj(dj(x, y), z)

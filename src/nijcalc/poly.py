@@ -12,7 +12,7 @@ and their Lie bracket, which everything downstream is built on.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -151,8 +151,17 @@ def diff(p: Poly, var_index: int) -> Poly:
     return out
 
 
+def _exact_point(point: Sequence[Scalar]) -> List[Fraction]:
+    """The coordinates as Fractions.  A float raises PolyError: it would be
+    read as the nearest binary fraction, an exact answer at another point."""
+    for v in point:
+        if isinstance(v, float):
+            raise PolyError(f"float coordinate {v!r}: the point must be exact")
+    return [Fraction(v) for v in point]
+
+
 def eval_poly(p: Poly, point: Sequence[Scalar]) -> Fraction:
-    pt = [Fraction(v) for v in point]
+    pt = _exact_point(point)
     if p:
         n = len(next(iter(p)))
         if len(pt) != n:
@@ -196,33 +205,41 @@ def shift(p: Poly, point: Sequence[Scalar], order: int) -> Poly:
 
     The coefficient of y^alpha is the partial derivative d^alpha p at the
     point divided by alpha!, so the result is the order-jet of p there.
-    Each monomial is expanded binomially, one variable at a time, dropping
-    partial products whose degree already exceeds order.
+    The sums run over Python integers.  With the point written a/D and the
+    coefficients n_alpha/L over common denominators, and m the total degree
+    of p, each monomial is weighted by D^(m - |alpha|) and expanded
+    binomially in integers, one variable at a time, dropping partial
+    products whose degree already exceeds order; coefficient beta is the
+    sum over L * D^(m - |beta|), one Fraction per nonzero coefficient.  A
+    float coordinate raises PolyError.
     """
+    pt = _exact_point(point)
     if not p:
         return {}
-    pt = [Fraction(v) for v in point]
     n = len(next(iter(p)))
     if len(pt) != n:
         raise PolyError(f"point has length {len(pt)}, expected {n}")
-    out: Poly = {}
+    d = lcm(*(x.denominator for x in pt))
+    nums = [x.numerator * (d // x.denominator) for x in pt]
+    den = lcm(*(c.denominator for c in p.values()))
+    m = max(sum(e) for e in p)
+    out: Dict[Exponent, int] = {}
     for e, c in p.items():
-        partial: List[Tuple[Exponent, int, Fraction]] = [((), 0, c)]
-        for x, k in zip(pt, e):
+        partial = [((), 0, c.numerator * (den // c.denominator) * d ** (m - sum(e)))]
+        for a, k in zip(nums, e):
             nxt = []
             for head, deg, coeff in partial:
-                # (x + y)^k = sum_s C(k, s) x^(k - s) y^s
-                for s in range(k if x == 0 else 0, min(k, order - deg) + 1):
-                    nxt.append((head + (s,), deg + s,
-                                coeff * comb(k, s) * x ** (k - s)))
+                # (a/D + y)^k = sum_s C(k, s) a^(k - s) y^s / D^(k - s)
+                for s in range(k if a == 0 else 0, min(k, order - deg) + 1):
+                    nxt.append((head + (s,), deg + s, coeff * comb(k, s) * a ** (k - s)))
             partial = nxt
         for head, _, coeff in partial:
-            total = out.get(head, Fraction(0)) + coeff
+            total = out.get(head, 0) + coeff
             if total:
                 out[head] = total
             else:
                 out.pop(head, None)
-    return out
+    return {head: Fraction(v, den * d ** (m - sum(head))) for head, v in out.items()}
 
 
 def constant_term(p: Poly) -> Fraction:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 
@@ -278,13 +278,37 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
                        {idx: image(v) for idx, v in t.entries.items()})
 
 
+def _integer_numerators(entries: Dict[Index, List]
+                        ) -> Optional[Tuple[Dict[Index, List[int]], int]]:
+    """(numerators, D): every component as an integer over D, the lcm of
+    the denominators; None when a component is not rational (a QuadExt)."""
+    try:
+        den = math.lcm(*{x.denominator for v in entries.values() for x in v})
+    except AttributeError:
+        return None
+    return {idx: [x.numerator * (den // x.denominator) for x in v]
+            for idx, v in entries.items()}, den
+
+
 def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
                    dim_out: int, s: PointTensor, slot: int):
     """S fed into one slot of a raw entry dict with per-slot dimensions,
     summed over the nonzero coordinates of each value of S and the nonzero
-    components of each entry of T (read once)."""
+    components of each entry of T (read once).
+
+    On rational values the sums run over Python integers: T's values are
+    numerators over the lcm D_T of their denominators, S's over D_S, and
+    each output component is one Fraction(sum, D_T * D_S).  With a QuadExt
+    in either tensor the same loop sums the values themselves, over
+    denominator 1.  Every component comes out a Fraction or a QuadExt."""
+    t_ints, s_ints = _integer_numerators(entries), _integer_numerators(s.entries)
+    if t_ints and s_ints:
+        (entries, d_t), (s_entries, d_s) = t_ints, s_ints
+        den = d_t * d_s
+    else:
+        s_entries, den = s.entries, 1
     before, after = slot_dims[:slot], slot_dims[slot + 1:]
-    mids = [(idx, [(m, c) for m, c in enumerate(s.entries[idx]) if c])
+    mids = [(idx, [(m, c) for m, c in enumerate(s_entries[idx]) if c])
             for idx in itertools.product(range(s.dim_in), repeat=s.arity)]
     suffixes = list(itertools.product(*[range(d) for d in after]))
     zero = Fraction(0)
@@ -296,11 +320,13 @@ def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
         for mid, support in mids:
             head = prefix + mid
             for suffix, row in zip(suffixes, rows):
-                acc = [zero] * dim_out
+                acc = [0] * dim_out
                 for m, c in support:
                     for i, x in row[m]:
                         acc[i] += c * x
-                new_entries[head + suffix] = acc
+                # an int sum, every sum on rational input, is a numerator over den
+                new_entries[head + suffix] = [
+                    a if type(a) is not int else Fraction(a, den) if a else zero for a in acc]
     return new_entries, before + [s.dim_in] * s.arity + after
 
 

@@ -9,7 +9,9 @@ is what makes them useful as oracles.
 Then come the dense forms of routines the package now runs sparsely:
 elimination over every column, the antilinearity check one basis pair at
 a time, the greedy invariant complement by repeated rank tests, and the
-arity-4 invariant's R-contraction one entry at a time.
+arity-4 invariant's R-contraction one entry at a time.  poly.shift as it
+was before it summed integer numerators, one Fraction operation per term
+(shift_by_fractions), goes with them.
 
 The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
@@ -31,6 +33,7 @@ construction returned without keeping that construction.
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -224,6 +227,33 @@ def higher_nijenhuis_by_entries(j: StructureField, point: Sequence) -> PointTens
             r_pt.apply([basis[c], basis[d], n_pt.entries[(a, b)]]))
 
     return PointTensor.from_function(dim, dim, 4, fn)
+
+
+def shift_by_fractions(p: poly.Poly, point: Sequence, order: int) -> poly.Poly:
+    """p(point + y) cut above total degree order, each monomial expanded
+    binomially over Fractions, one variable at a time, with every partial
+    product and every sum a Fraction operation."""
+    if not p:
+        return {}
+    pt = [Fraction(v) for v in point]
+    out: poly.Poly = {}
+    for e, c in p.items():
+        partial = [((), 0, c)]
+        for x, k in zip(pt, e):
+            nxt = []
+            for head, deg, coeff in partial:
+                # (x + y)^k = sum_s C(k, s) x^(k - s) y^s
+                for s in range(k if x == 0 else 0, min(k, order - deg) + 1):
+                    nxt.append((head + (s,), deg + s,
+                                coeff * math.comb(k, s) * x ** (k - s)))
+            partial = nxt
+        for head, _, coeff in partial:
+            total = out.get(head, Fraction(0)) + coeff
+            if total:
+                out[head] = total
+            else:
+                out.pop(head, None)
+    return out
 
 
 def dense_rref(m):

@@ -66,6 +66,17 @@ def test_ex2_table():
         assert n.apply([e(0), e(3)]) == [0, -1, 0, 0]
 
 
+def test_float_points_are_refused():
+    """ex5 at a float point: the evaluation and both invariants raise
+    instead of answering exactly at the binary fraction nearest 0.1."""
+    j = example_structure("ex5", eps=1)
+    for pt in ([Fraction(1, 2), 0.1, 0, 0], [0, 0, 0.0, 1]):
+        for compute in (j.at_point, lambda p: nijenhuis_tensor(j, p),
+                        lambda p: higher_nijenhuis(j, p)):
+            with pytest.raises(poly.PolyError, match="float"):
+                compute(pt)
+
+
 def test_ex2_field_entries():
     nf = nijenhuis_field_bracket(example_structure("ex2"))
     assert nf.entries[(2, 3)] == [poly.var(2, 4), poly.zero(), poly.zero(), poly.zero()]

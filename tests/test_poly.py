@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nijcalc import poly
+from reference import shift_by_fractions
 
 
 def p(text, n=4):
@@ -175,6 +176,53 @@ def test_shift_is_truncated_substitution(p, pt, order):
 def test_shift_rejects_a_point_of_the_wrong_length():
     with pytest.raises(poly.PolyError):
         poly.shift(poly.var(1, 3), [1, 2], 2)
+
+
+@st.composite
+def shift_cases(draw):
+    """A polynomial in 1-4 variables with coefficient denominators up to 12,
+    a point with denominators up to 7, zeros and negatives among its
+    coordinates, and an order from 0 to one past the degree."""
+    n = draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+    p = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=6))
+    coord = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+    pt = draw(st.lists(coord, min_size=n, max_size=n))
+    return p, pt, draw(st.integers(0, poly.total_degree(p) + 1))
+
+
+@given(shift_cases())
+@example(({}, [Fraction(1, 2)], 0))
+# the y term cancels; then the y1 term cancels and comes back with a later monomial
+@example(({(2,): Fraction(1), (1,): Fraction(-1)}, [Fraction(1, 2)], 2))
+@example(({(1, 0): Fraction(-1), (2, 0): Fraction(1), (1, 1): Fraction(2)},
+          [Fraction(1, 2), 1], 2))
+@example(({(2, 1): Fraction(5, 12), (1, 0): Fraction(-7, 11), (0, 3): Fraction(2, 9)},
+          [Fraction(-3, 7), Fraction(2, 5)], 3))
+@example(({(1, 1, 0, 2): Fraction(1, 7), (0, 2, 1, 0): Fraction(-3, 10),
+           (0, 0, 0, 0): Fraction(11)},
+          [0, Fraction(5, 6), -2, Fraction(-1, 7)], 5))
+def test_shift_matches_the_fraction_loop(case):
+    """The integer-numerator shift gives the Fraction loop's polynomial,
+    in the same key order, with no stored zero and Fraction coefficients."""
+    p, pt, order = case
+    got = poly.shift(p, pt, order)
+    want = shift_by_fractions(p, pt, order)
+    assert got == want and list(got) == list(want)
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+def test_float_coordinates_are_refused():
+    """A float is the nearest binary fraction, not the point meant: both
+    evaluation and shifting refuse it, even a float zero."""
+    for pt in ([0.1, 0], [0, 0.0]):
+        with pytest.raises(poly.PolyError, match="float"):
+            poly.eval_poly({(1, 0): Fraction(1)}, pt)
+        with pytest.raises(poly.PolyError, match="float"):
+            poly.shift({(1, 0): Fraction(1)}, pt, 1)
+        with pytest.raises(poly.PolyError, match="float"):
+            poly.shift({}, pt, 1)
 
 
 @given(polys(), polys(), st.integers(0, 4))

@@ -301,10 +301,18 @@ def test_precompose_all_with_rectangular_map():
     assert out.apply([u, v]) == t.apply([pu, pv])
 
 
+def by_apply(dim_in, dim_out, arity, fn):
+    """The tensor with fn's value at every index tuple, kept as computed
+    (from_function would turn each component into a Fraction, which a
+    QuadExt is not)."""
+    return PointTensor(dim_in, dim_out, arity, {
+        idx: fn(idx) for idx in itertools.product(range(dim_in), repeat=arity)})
+
+
 def slot_compose_by_apply(t, s, slot):
     """Reference: T(e_i.., S(e_j1, .., e_jq), e_k..) on every basis tuple."""
     basis, q = linalg.identity(t.dim_in), s.arity
-    return PointTensor.from_function(t.dim_in, t.dim_out, t.arity - 1 + q, lambda idx: t.apply(
+    return by_apply(t.dim_in, t.dim_out, t.arity - 1 + q, lambda idx: t.apply(
         [basis[i] for i in idx[:slot]] + [s.apply([basis[j] for j in idx[slot:slot + q]])]
         + [basis[k] for k in idx[slot + q:]]))
 
@@ -344,6 +352,51 @@ def test_precompose_all_applies_the_map_in_every_slot(case):
         phi.dim_in, t.dim_out, t.arity, lambda idx: t.apply([images[i] for i in idx]))
     # fresh entries, also for a vector (arity 0)
     assert not any(v is t.entries.get(idx) for idx, v in out.entries.items())
+
+
+def raw_tensor(rnd, dim_in, dim_out, arity, kind):
+    """A tensor stored as given, not through from_function: sparse int
+    values, all zero, or sparse ints with one component a QuadExt ("quad")."""
+    entries = {idx: [rnd.randint(-3, 3) if kind != "zero" and rnd.random() < 0.6 else 0
+                     for _ in range(dim_out)]
+               for idx in itertools.product(range(dim_in), repeat=arity)}
+    if kind == "quad":
+        value = rnd.choice(list(entries.values()))
+        value[rnd.randrange(dim_out)] = QuadExt(F(rnd.randint(-3, 3), 2), rnd.choice((-1, 2)), 2)
+    return PointTensor(dim_in, dim_out, arity, entries)
+
+
+# the kinds of T and of S (or of phi) on which the contraction kernel runs
+KERNEL_CASES = [("int", "int"), ("int", "zero"), ("zero", "int"),
+                ("quad", "int"), ("int", "quad")]
+
+
+@pytest.mark.parametrize("kinds", KERNEL_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_contraction_kernel_values_and_types(kinds, seed):
+    """slot_compose and precompose_all on ints, on zeros and with one QuadExt
+    equal their apply definitions, and every component is a Fraction, or a
+    QuadExt where an input holds one: an int would print differently."""
+    rnd = random.Random(seed)
+    allowed = (Fraction, QuadExt) if "quad" in kinds else (Fraction,)
+    t = raw_tensor(rnd, 3, 2, 2, kinds[0])
+    outs = []
+    for q in (1, 2):
+        s = raw_tensor(rnd, 3, 3, q, kinds[1])
+        for slot in range(t.arity):
+            outs.append(tensor.slot_compose(t, s, slot))
+            assert outs[-1] == slot_compose_by_apply(t, s, slot)
+    phi = raw_tensor(rnd, 2, 3, 1, kinds[1])
+    images = [phi.apply([e]) for e in linalg.identity(2)]
+    outs.append(tensor.precompose_all(t, phi))
+    assert outs[-1] == by_apply(2, t.dim_out, t.arity, lambda idx: t.apply(
+        [images[i] for i in idx]))
+    for out in outs:
+        assert all(type(x) in allowed for v in out.entries.values() for x in v)
+        if "zero" in kinds:
+            assert out.is_zero()
+    if "quad" in kinds:
+        assert any(type(x) is QuadExt for out in outs for v in out.entries.values() for x in v)
 
 
 def test_compositions_reject_shape_mismatches():
