@@ -243,8 +243,9 @@ class _StructureJets:
         while len(self.d_l) <= top:
             p = len(self.d_l)
             for tower, jet in zip((self.d_l, self.d_m), self._jets):
-                d = jet_differential(jet, p - 1)
-                tower.append(None if d.is_zero() else d)
+                # d^(p-1) holds the degree-(p-1) coefficients, times alpha!
+                nonzero = any(sum(e) == p - 1 for col in jet.values() for c in col for e in c)
+                tower.append(jet_differential(jet, p - 1) if nonzero else None)
         return self.d_l, self.d_m
 
 

@@ -4,15 +4,23 @@ Polynomials are dictionaries mapping exponent tuples to nonzero Fraction
 coefficients.  The zero polynomial is the empty dict, so structural equality
 is mathematical equality.  Exponent tuples are dense: every key has length
 num_vars, and variables are 1-indexed (x1 .. xN) to match the text grammar.
+Coefficients and points are exact: a float raises PolyError, since it would
+be read as the nearest binary fraction.
 
 Also provides vectors of polynomials (polynomial vector fields on a chart)
 and their Lie bracket, which everything downstream is built on.
+
+The jet kernels (shift, jet_mul, jet_apply_columns, jet_brackets) sum
+Python integers: each input's coefficients are written as integer
+numerators over the lcm of their denominators (_numerators), and each
+nonzero output coefficient is one Fraction of its integer sum over the
+product of those lcms (for shift, times a power of the point's lcm).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, inf, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -33,8 +41,18 @@ def zero() -> Poly:
     return {}
 
 
+def _exact(c: Scalar, what: str = "coefficient") -> Fraction:
+    """c as a Fraction.  A float raises PolyError: it would be read as the
+    nearest binary fraction, an exact answer to another question."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, float):
+        raise PolyError(f"float {what} {c!r}: must be exact")
+    return Fraction(c)
+
+
 def const(c: Scalar, num_vars: int) -> Poly:
-    c = Fraction(c)
+    c = _exact(c)
     if c == 0:
         return {}
     return {(0,) * num_vars: c}
@@ -50,7 +68,7 @@ def var(index: int, num_vars: int) -> Poly:
 
 
 def monomial(exponent: Sequence[int], coeff: Scalar) -> Poly:
-    c = Fraction(coeff)
+    c = _exact(coeff)
     if c == 0:
         return {}
     return {tuple(exponent): c}
@@ -103,7 +121,7 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def scale(p: Poly, c: Scalar) -> Poly:
-    c = Fraction(c)
+    c = _exact(c)
     if c == 0:
         return {}
     return {e: c * k for e, k in p.items()}
@@ -151,17 +169,8 @@ def diff(p: Poly, var_index: int) -> Poly:
     return out
 
 
-def _exact_point(point: Sequence[Scalar]) -> List[Fraction]:
-    """The coordinates as Fractions.  A float raises PolyError: it would be
-    read as the nearest binary fraction, an exact answer at another point."""
-    for v in point:
-        if isinstance(v, float):
-            raise PolyError(f"float coordinate {v!r}: the point must be exact")
-    return [Fraction(v) for v in point]
-
-
 def eval_poly(p: Poly, point: Sequence[Scalar]) -> Fraction:
-    pt = _exact_point(point)
+    pt = [_exact(v, "coordinate") for v in point]
     if p:
         n = len(next(iter(p)))
         if len(pt) != n:
@@ -200,6 +209,33 @@ def substitute(p: Poly, replacements: Sequence[Poly], out_num_vars: int) -> Poly
 # jets at a point: polynomials in the offset y = x - point, cut above an order
 # ---------------------------------------------------------------------------
 
+_Term = Tuple[Exponent, int, int]
+
+
+def _numerators(polys: Sequence[Poly], top: float = inf) -> Tuple[List[List[_Term]], int]:
+    """The terms (e, n, |e|) of each polynomial up to total degree top,
+    with n/D the coefficient at e and D the lcm of those denominators."""
+    kept = [[(e, c, s) for e, c in p.items() if (s := sum(e)) <= top] for p in polys]
+    den = lcm(*(c.denominator for terms in kept for _, c, _ in terms))
+    return [[(e, c.numerator * (den // c.denominator), s) for e, c, s in terms]
+            for terms in kept], den
+
+
+def _products(factors: Sequence[Tuple[Sequence[_Term], Sequence[_Term], int]],
+              order: int) -> Dict[Exponent, int]:
+    """The sum of sign n1 n2 y^(e1 + e2) over each (terms1, terms2, sign)
+    of factors and each pair of their terms of total degree at most order."""
+    acc: Dict[Exponent, int] = {}
+    for terms1, terms2, sign in factors:
+        for e1, c1, d1 in terms1:
+            room = order - d1
+            for e2, c2, d2 in terms2:
+                if d2 <= room:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    acc[e] = acc.get(e, 0) + sign * c1 * c2
+    return acc
+
+
 def shift(p: Poly, point: Sequence[Scalar], order: int) -> Poly:
     """p(point + y) as a polynomial in y, cut above total degree order.
 
@@ -213,7 +249,7 @@ def shift(p: Poly, point: Sequence[Scalar], order: int) -> Poly:
     sum over L * D^(m - |beta|), one Fraction per nonzero coefficient.  A
     float coordinate raises PolyError.
     """
-    pt = _exact_point(point)
+    pt = [_exact(v, "coordinate") for v in point]
     if not p:
         return {}
     n = len(next(iter(p)))
@@ -221,11 +257,11 @@ def shift(p: Poly, point: Sequence[Scalar], order: int) -> Poly:
         raise PolyError(f"point has length {len(pt)}, expected {n}")
     d = lcm(*(x.denominator for x in pt))
     nums = [x.numerator * (d // x.denominator) for x in pt]
-    den = lcm(*(c.denominator for c in p.values()))
-    m = max(sum(e) for e in p)
+    (terms,), den = _numerators([p])
+    m = max(size for _, _, size in terms)
     out: Dict[Exponent, int] = {}
-    for e, c in p.items():
-        partial = [((), 0, c.numerator * (den // c.denominator) * d ** (m - sum(e)))]
+    for e, c, size in terms:
+        partial = [((), 0, c * d ** (m - size))]
         for a, k in zip(nums, e):
             nxt = []
             for head, deg, coeff in partial:
@@ -250,24 +286,26 @@ def constant_term(p: Poly) -> Fraction:
 
 
 def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
-    """p q cut above total degree order; pairs of terms past it are skipped."""
+    """p q cut above total degree order; pairs of terms past it are skipped.
+    The sums run over the numerators of p and of q, each over its own
+    lcm, and coefficient e is one Fraction(sum, D_p * D_q)."""
     _check_compatible(p, q)
-    out: Poly = {}
-    q_terms = [(e, c, sum(e)) for e, c in q.items()]
-    for e1, c1 in p.items():
-        room = order - sum(e1)
-        if room < 0:
-            continue
+    (p_terms,), d_p = _numerators([p], order)
+    (q_terms,), d_q = _numerators([q], order)
+    out: Dict[Exponent, int] = {}
+    for e1, c1, d1 in p_terms:
+        room = order - d1
         for e2, c2, d2 in q_terms:
             if d2 > room:
                 continue
             e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-    return out
+    den = d_p * d_q
+    return {e: Fraction(s, den) for e, s in out.items()}
 
 
 def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
@@ -310,11 +348,21 @@ def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
 
 
 def jet_apply_columns(cols: Sequence[PolyVec], x: PolyVec, order: int) -> PolyVec:
-    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order."""
-    out = vec_zero(len(cols[0]))
-    for col, c in zip(cols, x):
-        if c:
-            out = vec_add(out, [jet_mul(e, c, order) for e in col])
+    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order.
+
+    Each output component sums over the columns with x[k] nonzero in one
+    integer accumulator, their numerators over a joint lcm D_c and x's
+    over D_x, and holds one Fraction(sum, D_c * D_x) per term."""
+    dim = len(cols[0])
+    x_terms, d_x = _numerators(x, order)
+    live = [k for k, xk in enumerate(x_terms) if xk]
+    col_terms, d_c = _numerators([c for k in live for c in cols[k]], order)
+    den = d_c * d_x
+    out: PolyVec = []
+    for r in range(dim):
+        acc = _products([(col_terms[i * dim + r], x_terms[k], 1) for i, k in enumerate(live)],
+                        order)
+        out.append({e: Fraction(s, den) for e, s in acc.items() if s})
     return out
 
 
@@ -326,45 +374,35 @@ def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
 
     Same formula as lie_bracket; a derivative costs one order, so an
     order-0 bracket is DY(p) X(p) - DX(p) Y(p) at the base point.  Each
-    field's low-degree terms and first partials are listed once, and terms
-    that cannot reach degree <= order are dropped before multiplying, so
-    the cost follows the nonzero jet coefficients.
+    field's low-degree terms and first partials are listed once, as
+    numerators over that field's lcm D_i, and terms that cannot reach
+    degree <= order are dropped before multiplying, so the cost follows
+    the nonzero jet coefficients.  A bracket sums in integers and holds
+    one Fraction(sum, D_i * D_k) per term.
     """
-    def low_terms(f: PolyVec):
-        return [[(e, c, sum(e)) for e, c in comp.items() if sum(e) <= order]
-                for comp in f]
-
-    def partials(f: PolyVec):
-        # partials(f)[i][a]: terms of d_a f^i of degree <= order
-        table = [[[] for _ in range(len(f))] for _ in f]
-        for row, comp in zip(table, f):
-            for e, c in comp.items():
-                deg = sum(e) - 1
-                if deg > order:
-                    continue
+    def prepare(f: PolyVec):
+        terms, den = _numerators(f, order + 1)
+        low = [[t for t in comp if t[2] <= order] for comp in terms]
+        # partials[i][a]: terms of d_a f^i of degree <= order
+        partials: List[List[List[_Term]]] = [[[] for _ in f] for _ in f]
+        for row, comp in zip(partials, terms):
+            for e, c, deg in comp:
                 for a, k in enumerate(e):
                     if k:
-                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg))
-        return table
+                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg - 1))
+        return low, partials, den
 
-    prepared = {i: (low_terms(fields[i]), partials(fields[i]))
-                for i in {i for pair in pairs for i in pair}}
+    prepared = {i: prepare(fields[i]) for i in {i for pair in pairs for i in pair}}
     out: List[PolyVec] = []
     for i, k in pairs:
-        (x_low, dx), (y_low, dy) = prepared[i], prepared[k]
+        (x_low, dx, d_x), (y_low, dy, d_y) = prepared[i], prepared[k]
+        den = d_x * d_y
         bracket: PolyVec = []
         for r in range(len(dy)):
-            acc: Dict[Exponent, Fraction] = {}
-            for a in range(len(x_low)):
-                for terms, dterms, plus in ((x_low[a], dy[r][a], True),
-                                            (y_low[a], dx[r][a], False)):
-                    for e1, c1, d1 in terms:
-                        for e2, c2, d2 in dterms:
-                            if d1 + d2 <= order:
-                                e = tuple(u + v for u, v in zip(e1, e2))
-                                t = c1 * c2
-                                acc[e] = acc.get(e, Fraction(0)) + (t if plus else -t)
-            bracket.append({e: c for e, c in acc.items() if c})
+            acc = _products([f for a in range(len(x_low))
+                             for f in ((x_low[a], dy[r][a], 1), (y_low[a], dx[r][a], -1))],
+                            order)
+            bracket.append({e: Fraction(c, den) for e, c in acc.items() if c})
         out.append(bracket)
     return out
 

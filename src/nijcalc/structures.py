@@ -174,12 +174,11 @@ def example_structure(which: str, eps: Union[int, Fraction] = 0,
         zero_col = poly.vec_zero(4)
         return from_anticommuting_part([zero_col, a_col], name="ex2")
     if which == "ex5":
-        eps = Fraction(eps)
         f = poly.parse_poly("x2^2", 4)
         g = poly.scale(poly.parse_poly("x3^2", 4), eps)
         a_col = [f, g, poly.zero(), poly.zero()]
         zero_col = poly.vec_zero(4)
-        return from_anticommuting_part([zero_col, a_col], name=f"ex5(eps={eps})")
+        return from_anticommuting_part([zero_col, a_col], name=f"ex5(eps={Fraction(eps)})")
     if which == "ex6":
         f = poly.parse_poly(f_text, 6)
         if poly.eval_poly(f, [0] * 6) != 0:

@@ -8,7 +8,8 @@ arity 1 a linear map (column j = image of e_j).
 Application is a support product: it visits only the index tuples built
 from the nonzero coordinates of the arguments, so a call on basis vectors
 reads one stored entry.  Arguments may hold any exact scalar (int,
-Fraction, or a QuadExt); floats are refused.
+Fraction, or a QuadExt); floats are refused, by apply and by every
+constructor and scale.
 
 Slot symmetry is checked on demand, not enforced by storage.  A sign
 rule is a pure function taking an index tuple to (representative, sign):
@@ -44,6 +45,14 @@ class TensorError(ValueError):
     """Shape, arity, or symmetry violation."""
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction.  A float raises TensorError: it would be read as
+    the nearest binary fraction, an exact answer to another question."""
+    if isinstance(c, float):
+        raise TensorError(f"float value {c!r}: tensors must be exact")
+    return Fraction(c)
+
+
 class PointTensor:
     __slots__ = ("dim_in", "dim_out", "arity", "entries")
 
@@ -61,7 +70,7 @@ class PointTensor:
                       fn: Callable[[Index], Sequence]) -> "PointTensor":
         entries = {}
         for idx in itertools.product(range(dim_in), repeat=arity):
-            value = [Fraction(v) for v in fn(idx)]
+            value = [v if type(v) is Fraction else _exact(v) for v in fn(idx)]
             if len(value) != dim_out:
                 raise TensorError(f"value at {idx} has length {len(value)}, expected {dim_out}")
             entries[idx] = value
@@ -82,7 +91,7 @@ class PointTensor:
             value = values.get(r)
             if value is None:
                 # Fraction(v) on a Fraction costs as much as a negation
-                value = values[r] = [v if type(v) is Fraction else Fraction(v) for v in fn(r)]
+                value = values[r] = [v if type(v) is Fraction else _exact(v) for v in fn(r)]
                 if len(value) != dim_out:
                     raise TensorError(f"value at {r} has length {len(value)}, expected {dim_out}")
             entries[idx] = list(value) if sign == 1 else [-v for v in value]
@@ -93,7 +102,7 @@ class PointTensor:
         """Arity-1 tensor from a dim_out x dim_in matrix."""
         dim_out = len(m)
         dim_in = len(m[0]) if m else 0
-        entries = {(j,): [Fraction(m[i][j]) for i in range(dim_out)] for j in range(dim_in)}
+        entries = {(j,): [_exact(m[i][j]) for i in range(dim_out)] for j in range(dim_in)}
         return cls(dim_in, dim_out, 1, entries)
 
     def to_matrix(self) -> List[List[Fraction]]:
@@ -145,7 +154,7 @@ class PointTensor:
                             for idx, v in self.entries.items()})
 
     def scale(self, c) -> "PointTensor":
-        c = Fraction(c)
+        c = _exact(c)
         return PointTensor(self.dim_in, self.dim_out, self.arity,
                            {idx: [c * a for a in v] for idx, v in self.entries.items()})
 
@@ -260,34 +269,51 @@ def identity_map(dim: int) -> PointTensor:
 
 
 def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
-    """phi o T: push the value of T through the linear map phi."""
+    """phi o T: push the value of T through the linear map phi.
+
+    On rational values the sums run over Python integers, as in
+    _contract_slot: each output component is one Fraction(sum, D_phi * D_T),
+    and with a QuadExt in either tensor the values themselves are summed."""
     if phi.arity != 1 or phi.dim_in != t.dim_out:
         raise TensorError("post_compose shape mismatch")
-    cols = [[(i, c) for i, c in enumerate(phi.entries[(j,)]) if c]
+    phi_entries, t_entries, den = _integer_numerators(phi.entries, t.entries)
+    cols = [[(i, c) for i, c in enumerate(phi_entries[(j,)]) if c]
             for j in range(phi.dim_in)]
 
-    def image(v: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * phi.dim_out
+    def image(v: List) -> List:
+        acc = [0] * phi.dim_out
         for j, a in enumerate(v):
             if a:
                 for i, c in cols[j]:
-                    out[i] += a * c
-        return out
+                    acc[i] += a * c
+        return _as_fractions(acc, den)
 
     return PointTensor(t.dim_in, phi.dim_out, t.arity,
-                       {idx: image(v) for idx, v in t.entries.items()})
+                       {idx: image(v) for idx, v in t_entries.items()})
 
 
-def _integer_numerators(entries: Dict[Index, List]
-                        ) -> Optional[Tuple[Dict[Index, List[int]], int]]:
-    """(numerators, D): every component as an integer over D, the lcm of
-    the denominators; None when a component is not rational (a QuadExt)."""
+_ZERO = Fraction(0)
+
+
+def _as_fractions(acc: List, den: int) -> List:
+    """Sums of integer numerators as Fractions over den (0 as the shared
+    zero); a Fraction or QuadExt sum of the fallback as it is."""
+    return [a if type(a) is not int else Fraction(a, den) if a else _ZERO for a in acc]
+
+
+def _integer_numerators(a: Dict[Index, List], b: Dict[Index, List]
+                        ) -> Tuple[Dict[Index, List], Dict[Index, List], int]:
+    """(a', b', D): every component of a and of b as an integer over the lcm
+    of that dict's denominators, and D the product of the two lcms, so a
+    sum of products of a' and b' values is a numerator over D.  With a
+    component that is not rational (a QuadExt), a and b as they are, D = 1."""
     try:
-        den = math.lcm(*{x.denominator for v in entries.values() for x in v})
+        dens = [math.lcm(*{x.denominator for v in e.values() for x in v}) for e in (a, b)]
     except AttributeError:
-        return None
-    return {idx: [x.numerator * (den // x.denominator) for x in v]
-            for idx, v in entries.items()}, den
+        return a, b, 1
+    a, b = ({idx: [x.numerator * (d // x.denominator) for x in v] for idx, v in e.items()}
+            for e, d in zip((a, b), dens))
+    return a, b, dens[0] * dens[1]
 
 
 def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
@@ -301,17 +327,11 @@ def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
     each output component is one Fraction(sum, D_T * D_S).  With a QuadExt
     in either tensor the same loop sums the values themselves, over
     denominator 1.  Every component comes out a Fraction or a QuadExt."""
-    t_ints, s_ints = _integer_numerators(entries), _integer_numerators(s.entries)
-    if t_ints and s_ints:
-        (entries, d_t), (s_entries, d_s) = t_ints, s_ints
-        den = d_t * d_s
-    else:
-        s_entries, den = s.entries, 1
+    entries, s_entries, den = _integer_numerators(entries, s.entries)
     before, after = slot_dims[:slot], slot_dims[slot + 1:]
     mids = [(idx, [(m, c) for m, c in enumerate(s_entries[idx]) if c])
             for idx in itertools.product(range(s.dim_in), repeat=s.arity)]
     suffixes = list(itertools.product(*[range(d) for d in after]))
-    zero = Fraction(0)
     new_entries: Dict[Index, List[Fraction]] = {}
     for prefix in itertools.product(*[range(d) for d in before]):
         # rows[k][m]: nonzero components of T at (prefix, m, suffixes[k])
@@ -325,8 +345,7 @@ def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
                     for i, x in row[m]:
                         acc[i] += c * x
                 # an int sum, every sum on rational input, is a numerator over den
-                new_entries[head + suffix] = [
-                    a if type(a) is not int else Fraction(a, den) if a else zero for a in acc]
+                new_entries[head + suffix] = _as_fractions(acc, den)
     return new_entries, before + [s.dim_in] * s.arity + after
 
 

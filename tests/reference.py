@@ -9,9 +9,11 @@ is what makes them useful as oracles.
 Then come the dense forms of routines the package now runs sparsely:
 elimination over every column, the antilinearity check one basis pair at
 a time, the greedy invariant complement by repeated rank tests, and the
-arity-4 invariant's R-contraction one entry at a time.  poly.shift as it
-was before it summed integer numerators, one Fraction operation per term
-(shift_by_fractions), goes with them.
+arity-4 invariant's R-contraction one entry at a time.  The polynomial
+jet kernels as they were before they summed integer numerators, one
+Fraction operation per pair of terms (shift_by_fractions,
+jet_mul_by_fractions, jet_apply_columns_by_fractions,
+jet_brackets_by_fractions), go with them.
 
 The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
@@ -253,6 +255,82 @@ def shift_by_fractions(p: poly.Poly, point: Sequence, order: int) -> poly.Poly:
                 out[head] = total
             else:
                 out.pop(head, None)
+    return out
+
+
+def jet_mul_by_fractions(p: poly.Poly, q: poly.Poly, order: int) -> poly.Poly:
+    """p q cut above total degree order, one Fraction multiplication and
+    one Fraction addition per pair of terms."""
+    out: poly.Poly = {}
+    q_terms = [(e, c, sum(e)) for e, c in q.items()]
+    for e1, c1 in p.items():
+        room = order - sum(e1)
+        if room < 0:
+            continue
+        for e2, c2, d2 in q_terms:
+            if d2 > room:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def jet_apply_columns_by_fractions(cols: Sequence[PolyVec], x: PolyVec,
+                                   order: int) -> PolyVec:
+    """sum_k x[k] cols[k] cut above degree order, as a chain of vec_adds
+    of per-column Fraction products."""
+    out = poly.vec_zero(len(cols[0]))
+    for col, c in zip(cols, x):
+        if c:
+            out = poly.vec_add(out, [jet_mul_by_fractions(e, c, order) for e in col])
+    return out
+
+
+def jet_brackets_by_fractions(fields: Sequence[PolyVec],
+                              pairs: Sequence[Tuple[int, int]],
+                              order: int) -> List[PolyVec]:
+    """[fields[i], fields[k]] cut above degree order, one Fraction
+    multiplication and one Fraction addition per pair of terms."""
+    def low_terms(f: PolyVec):
+        return [[(e, c, sum(e)) for e, c in comp.items() if sum(e) <= order]
+                for comp in f]
+
+    def partials(f: PolyVec):
+        # partials(f)[i][a]: terms of d_a f^i of degree <= order
+        table = [[[] for _ in range(len(f))] for _ in f]
+        for row, comp in zip(table, f):
+            for e, c in comp.items():
+                deg = sum(e) - 1
+                if deg > order:
+                    continue
+                for a, k in enumerate(e):
+                    if k:
+                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg))
+        return table
+
+    prepared = {i: (low_terms(fields[i]), partials(fields[i]))
+                for i in {i for pair in pairs for i in pair}}
+    out: List[PolyVec] = []
+    for i, k in pairs:
+        (x_low, dx), (y_low, dy) = prepared[i], prepared[k]
+        bracket: PolyVec = []
+        for r in range(len(dy)):
+            acc: Dict[poly.Exponent, Fraction] = {}
+            for a in range(len(x_low)):
+                for terms, dterms, plus in ((x_low[a], dy[r][a], True),
+                                            (y_low[a], dx[r][a], False)):
+                    for e1, c1, d1 in terms:
+                        for e2, c2, d2 in dterms:
+                            if d1 + d2 <= order:
+                                e = tuple(u + v for u, v in zip(e1, e2))
+                                t = c1 * c2
+                                acc[e] = acc.get(e, Fraction(0)) + (t if plus else -t)
+            bracket.append({e: c for e, c in acc.items() if c})
+        out.append(bracket)
     return out
 
 

@@ -1,12 +1,15 @@
 """Polynomial ring basics: arithmetic, calculus, parsing, formatting."""
 
+import inspect
+import typing
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nijcalc import poly
-from reference import shift_by_fractions
+from reference import (jet_apply_columns_by_fractions, jet_brackets_by_fractions,
+                       jet_mul_by_fractions, shift_by_fractions)
 
 
 def p(text, n=4):
@@ -225,6 +228,20 @@ def test_float_coordinates_are_refused():
             poly.shift({}, pt, 1)
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, 2.0])
+def test_float_coefficients_are_refused(c):
+    """const, monomial and scale refuse a float coefficient, even a float
+    zero or an integral float, instead of storing its binary value."""
+    with pytest.raises(poly.PolyError, match="float"):
+        poly.const(c, 2)
+    with pytest.raises(poly.PolyError, match="float"):
+        poly.monomial((1, 0), c)
+    with pytest.raises(poly.PolyError, match="float"):
+        poly.scale({(1, 0): Fraction(1)}, c)
+    with pytest.raises(poly.PolyError, match="float"):
+        poly.scale({}, c)
+
+
 @given(polys(), polys(), st.integers(0, 4))
 def test_jet_mul_is_truncated_product(a, b, order):
     assert poly.jet_mul(a, b, order) == poly.truncate(poly.mul(a, b), order)
@@ -257,3 +274,183 @@ def test_jet_brackets_are_jets_of_lie_brackets(fields, pt, order):
     for (i, k), br in zip(pairs, got):
         want = poly.lie_bracket(fields[i], fields[k], 3)
         assert br == [poly.shift(c, pt, order) for c in want]
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator jet kernels against their Fraction loops
+# ---------------------------------------------------------------------------
+
+def is_canonical(p, num_vars):
+    """Nonzero Fraction coefficients (an int would print differently) and
+    keys of the right length."""
+    return all(type(c) is Fraction and c for c in p.values()) and \
+        all(len(e) == num_vars for e in p)
+
+
+# int-valued coefficients (denominator 1) and coefficients over up to 12
+exact_coeff = st.one_of(st.integers(-6, 6).filter(bool).map(Fraction),
+                        st.builds(Fraction, st.integers(-20, 20).filter(bool),
+                                  st.integers(1, 12)))
+
+
+def jet_polys(n, max_terms=5):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), exact_coeff,
+                           max_size=max_terms)
+
+
+@st.composite
+def jet_mul_cases(draw):
+    n = draw(st.integers(1, 3))
+    return draw(jet_polys(n)), draw(jet_polys(n)), draw(st.integers(0, 6))
+
+
+@given(jet_mul_cases())
+@example(({}, {(1, 0): Fraction(1)}, 2))
+@example(({(0,): Fraction(3)}, {(2,): Fraction(-1, 4)}, 1))
+# x1 x2 gets +1, then -1 (popped), then +1 again, at the end of the order
+@example(({(1, 0): Fraction(1), (0, 1): Fraction(1), (0, 0): Fraction(1)},
+          {(0, 1): Fraction(1), (1, 0): Fraction(-1), (1, 1): Fraction(1)}, 2))
+def test_jet_mul_matches_the_fraction_loop(case):
+    p, q, order = case
+    n = len(next(iter(p or q), ()))
+    got, want = poly.jet_mul(p, q, order), jet_mul_by_fractions(p, q, order)
+    assert got == want and list(got) == list(want)
+    assert is_canonical(got, n)
+
+
+@st.composite
+def jet_apply_cases(draw):
+    """Columns and a field with zero polynomials among them, all-zero
+    columns included; x has one component per column."""
+    n, dim, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(jet_polys(n, 3), min_size=dim, max_size=dim),
+                         min_size=ncols, max_size=ncols))
+    x = draw(st.lists(jet_polys(n, 3), min_size=ncols, max_size=ncols))
+    return cols, x, n, draw(st.integers(0, 5))
+
+
+@given(jet_apply_cases())
+@example(([[{}], [{}]], [{}, {}], 1, 2))
+# x1 gets +1, then -1 and nothing more: no zero may be stored
+@example(([[{(1,): Fraction(1)}]] * 2, [{(0,): Fraction(1)}, {(0,): Fraction(-1)}], 1, 2))
+# x1 gets +1, then -1, then +2 across the three columns
+@example(([[{(1,): Fraction(1)}]] * 3,
+          [{(0,): Fraction(1)}, {(0,): Fraction(-1)}, {(0,): Fraction(2)}], 1, 2))
+@example(([[{(1, 0): Fraction(1, 3)}, {}], [{}, {}]],
+          [{}, {(0, 1): Fraction(5)}], 2, 3))
+def test_jet_apply_columns_matches_the_fraction_loop(case):
+    cols, x, n, order = case
+    got = poly.jet_apply_columns(cols, x, order)
+    assert got == jet_apply_columns_by_fractions(cols, x, order)
+    assert len(got) == len(cols[0]) and all(is_canonical(c, n) for c in got)
+
+
+@st.composite
+def jet_bracket_cases(draw):
+    """1-3 vector fields in n variables with n components each, and pairs
+    that may repeat, run in either direction or bracket a field with
+    itself."""
+    n, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fields = draw(st.lists(st.lists(jet_polys(n, 4), min_size=n, max_size=n),
+                           min_size=count, max_size=count))
+    pairs = draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)),
+                          min_size=1, max_size=4))
+    return fields, pairs, draw(st.integers(0, 3))
+
+
+@given(jet_bracket_cases())
+@example(([[{}, {}]] * 2, [(0, 1)], 1))
+@example(([[{(0,): Fraction(2)}], [{(1,): Fraction(-1, 6)}]], [(0, 1), (1, 0)], 0))
+# the x1 term of the first component gets +1, -1 and then +1 again
+@example(([[{(1, 0): Fraction(1), (1, 1): Fraction(1)},
+            {(1, 1): Fraction(-1), (0, 1): Fraction(1)}],
+           [{(1, 1): Fraction(-1), (1, 0): Fraction(1)},
+            {(0, 1): Fraction(-1), (0, 0): Fraction(1)}]], [(0, 1)], 1))
+def test_jet_brackets_match_the_fraction_loop(case):
+    fields, pairs, order = case
+    n = len(fields[0])
+    got = poly.jet_brackets(fields, pairs, order)
+    want = jet_brackets_by_fractions(fields, pairs, order)
+    assert got == want
+    for br, ref in zip(got, want):
+        assert [list(c) for c in br] == [list(c) for c in ref]
+        assert all(is_canonical(c, n) for c in br)
+
+
+# ---------------------------------------------------------------------------
+# canonical form of every public function that returns polynomials
+# ---------------------------------------------------------------------------
+
+POLY_RETURNS = (poly.Poly, poly.PolyVec, typing.List[poly.PolyVec])
+
+
+def poly_returning_functions():
+    """The public functions of poly annotated to return a Poly, a PolyVec
+    or a list of PolyVecs."""
+    return sorted(name for name, f in inspect.getmembers(poly, inspect.isfunction)
+                  if f.__module__ == poly.__name__ and not name.startswith("_")
+                  and typing.get_type_hints(f).get("return") in POLY_RETURNS)
+
+
+def _no_constant(q):
+    return {e: c for e, c in q.items() if any(e)}
+
+
+# name -> (arguments from three polynomials a, b, c in 3 variables, number of
+# variables of the result); with b = -a, as in the example below, the first
+# component of the matrix products and the bracket of a field with itself
+# cancel to zero, and (a + c)(c - a) loses its cross terms
+CANONICAL_CASES = {
+    "add": lambda a, b, c: ((a, b), 3),
+    "apply_columns": lambda a, b, c: (([[a, c], [a, b]], [b, a]), 3),
+    "const": lambda a, b, c: ((poly.constant_term(a), 3), 3),
+    "diff": lambda a, b, c: ((a, 2), 3),
+    "jet_apply_columns": lambda a, b, c: (([[a, c], [a, b]], [b, a], 2), 3),
+    "jet_brackets": lambda a, b, c: (([[a, b, c], [c, a, b]], [(0, 1), (1, 0), (1, 1)], 2), 3),
+    "jet_mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a), 2), 3),
+    "jet_substitute": lambda a, b, c: (
+        (a, [_no_constant(b), _no_constant(c), _no_constant(poly.neg(b))], 3, 2), 3),
+    "lie_bracket": lambda a, b, c: (([a, b, c], [c, a, b], 3), 3),
+    "low_degree_part": lambda a, b, c: ((a, 2), 3),
+    "monomial": lambda a, b, c: (((1, 0, 2), poly.constant_term(b)), 3),
+    "mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a)), 3),
+    "neg": lambda a, b, c: ((a,), 3),
+    "parse_poly": lambda a, b, c: ((poly.format_poly(a), 3), 3),
+    "scale": lambda a, b, c: ((a, poly.constant_term(b)), 3),
+    "shift": lambda a, b, c: ((a, [Fraction(1, 2), -1, 0], 3), 3),
+    "sub": lambda a, b, c: ((a, b), 3),
+    "substitute": lambda a, b, c: ((a, [b, c, a], 3), 3),
+    "truncate": lambda a, b, c: ((a, 2), 3),
+    "var": lambda a, b, c: ((2, 3), 3),
+    "vec_add": lambda a, b, c: (([a, b], [b, c]), 3),
+    "vec_scale": lambda a, b, c: (([a, b], poly.constant_term(c)), 3),
+    "vec_scale_poly": lambda a, b, c: (([a, b], c), 3),
+    "vec_sub": lambda a, b, c: (([a, b], [b, c]), 3),
+    "vec_zero": lambda a, b, c: ((3,), 3),
+    "zero": lambda a, b, c: ((), 3),
+}
+
+
+def test_every_polynomial_function_has_a_canonical_form_case():
+    """A new public function returning polynomials gets a case below."""
+    assert poly_returning_functions() == sorted(CANONICAL_CASES)
+
+
+def _polys_of(result):
+    if isinstance(result, dict):
+        return [result]
+    return [p for item in result for p in _polys_of(item)]
+
+
+@pytest.mark.parametrize("name", poly_returning_functions())
+@settings(max_examples=20)
+@given(jet_polys(3, 4), jet_polys(3, 4), jet_polys(3, 4))
+@example({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(2)},
+         {(1, 0, 0): Fraction(-1), (0, 0, 0): Fraction(-2)},
+         {(0, 1, 0): Fraction(1, 2)})
+def test_polynomial_functions_return_canonical_form(name, a, b, c):
+    """No stored zero, every coefficient a Fraction, every key as long as
+    the number of variables."""
+    args, num_vars = CANONICAL_CASES[name](a, b, c)
+    for p in _polys_of(getattr(poly, name)(*args)):
+        assert is_canonical(p, num_vars), (name, p)

@@ -74,6 +74,15 @@ def test_example_ex5():
     assert validate(j0).status == "exact"
 
 
+def test_float_eps_is_refused():
+    """ex5(0.1) would be ex5 at the nearest binary fraction, not at 1/10."""
+    for eps in (0.1, 0.0):
+        with pytest.raises(poly.PolyError, match="float"):
+            example_structure("ex5", eps=eps)
+    assert example_structure("ex5", eps=Fraction(1, 10)).entry(1, 2) == \
+        poly.parse_poly("1/10*x3^2", 4)
+
+
 def test_example_ex6():
     j = example_structure("ex6", f_text="x5 + x5^2")
     assert j.dim == 6

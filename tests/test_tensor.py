@@ -116,6 +116,21 @@ def test_apply_rejects_floats_and_bad_shapes():
         t.apply([[1, 0], [1, 0, 0]])
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, 1.0])
+def test_constructors_and_scale_refuse_floats(c):
+    """A float value would be stored as its binary fraction: every
+    constructor that converts values, and scale, refuse it."""
+    t = PointTensor.from_function(2, 2, 1, lambda idx: [F(idx[0]), F(1)])
+    with pytest.raises(tensor.TensorError, match="float"):
+        PointTensor.from_matrix([[c, 0], [0, 1]])
+    with pytest.raises(tensor.TensorError, match="float"):
+        PointTensor.from_function(2, 2, 1, lambda idx: [c, F(1)])
+    with pytest.raises(tensor.TensorError, match="float"):
+        PointTensor.from_orbits(2, 2, 2, tensor.alternating_rep, lambda idx: [c, F(1)])
+    with pytest.raises(tensor.TensorError, match="float"):
+        t.scale(c)
+
+
 @st.composite
 def symmetric_values(draw):
     dim_in = draw(st.integers(1, 3))
@@ -374,9 +389,10 @@ KERNEL_CASES = [("int", "int"), ("int", "zero"), ("zero", "int"),
 @pytest.mark.parametrize("kinds", KERNEL_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_contraction_kernel_values_and_types(kinds, seed):
-    """slot_compose and precompose_all on ints, on zeros and with one QuadExt
-    equal their apply definitions, and every component is a Fraction, or a
-    QuadExt where an input holds one: an int would print differently."""
+    """slot_compose, precompose_all and post_compose on ints, on zeros and
+    with one QuadExt equal their apply definitions, and every component is a
+    Fraction, or a QuadExt where an input holds one: an int would print
+    differently."""
     rnd = random.Random(seed)
     allowed = (Fraction, QuadExt) if "quad" in kinds else (Fraction,)
     t = raw_tensor(rnd, 3, 2, 2, kinds[0])
@@ -391,6 +407,9 @@ def test_contraction_kernel_values_and_types(kinds, seed):
     outs.append(tensor.precompose_all(t, phi))
     assert outs[-1] == by_apply(2, t.dim_out, t.arity, lambda idx: t.apply(
         [images[i] for i in idx]))
+    # phi o T, phi from T's values R^2 to R^3
+    outs.append(tensor.post_compose(phi, t))
+    assert outs[-1] == by_apply(t.dim_in, 3, t.arity, lambda idx: phi.apply([t.entries[idx]]))
     for out in outs:
         assert all(type(x) in allowed for v in out.entries.values() for x in v)
         if "zero" in kinds:
