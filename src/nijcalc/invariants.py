@@ -8,6 +8,12 @@ invariant both from the ten-term bracket expression and from the
 R-contraction of the torsion differential.  Disagreement between routes
 is an internal error, never silently resolved.
 
+The routes are different formulas run by the same kernels: at the point
+each is a signed sum of contractions, one contraction_sum on integer
+numerators, with no tensor applied to basis vectors; the jets come from
+poly.jet_brackets and poly.jet_apply_columns.  An identity check reports
+the first nonzero entry of the sum of its terms.
+
 Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
 (StructureField.jet), torsion_jets expands the torsion fields there from
@@ -25,13 +31,12 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import forms, linalg, poly
+from . import forms, poly
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
-from .tensor import (Index, PointTensor, alternating_rep, pair_pattern_rep,
-                     post_compose, slot_compose, solution_basis, unit_basis)
+from .tensor import (Index, PointTensor, alternating_rep, contraction_sum,
+                     pair_pattern_rep, solution_basis, unit_basis)
 
-Vec = List[Fraction]
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
 Arity4Jets = Tuple[List[PolyVec], Dict[Index, PolyVec]]
 
@@ -74,7 +79,7 @@ def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
         alpha = tuple(dirs.count(k) for k in range(dim))
         weights.append((dirs, alpha, math.prod(math.factorial(k) for k in alpha)))
     zero = Fraction(0)
-    entries: Dict[Index, Vec] = {}
+    entries: Dict[Index, List[Fraction]] = {}
     for base, vec in jets.items():
         for dirs, alpha, w in weights:
             vals = [c.get(alpha, zero) for c in vec]
@@ -103,14 +108,12 @@ def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
     A field vanishing identically near the point gets a zero jet, not a
     gap, so positions in the pair order never move.
     """
-    dim = len(jet)
-    pairs = list(itertools.combinations(range(dim), 2))
-    out: Dict[Index, PolyVec] = {}
-    for (a, b), val in zip(pairs, poly.jet_brackets(jet, pairs, order)):
-        w = poly.vec_sub([poly.diff(c, b + 1) for c in jet[a]],
-                         [poly.diff(c, a + 1) for c in jet[b]])
-        out[(a, b)] = poly.vec_add(val, poly.jet_apply_columns(jet, w, order))
-    return out
+    pairs = list(itertools.combinations(range(len(jet)), 2))
+    ws = [poly.vec_sub([poly.diff(c, b + 1) for c in jet[a]],
+                       [poly.diff(c, a + 1) for c in jet[b]]) for a, b in pairs]
+    return {pair: poly.vec_add(val, jw) for pair, val, jw in zip(
+        pairs, poly.jet_brackets(jet, pairs, order),
+        poly.jet_apply_columns(jet, ws, order))}
 
 
 def _pair_fields(dim: int, values: Dict[Index, PolyVec]) -> Dict[Index, PolyVec]:
@@ -126,12 +129,14 @@ def _pair_fields(dim: int, values: Dict[Index, PolyVec]) -> Dict[Index, PolyVec]
 def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
     point, from J and dj there, both read off the 1-jet of J: with
-    u(X, Y) = dj(JX, Y) + dj(X, JY), N is u with its slots swapped minus u.
-    Every entry is computed, none filled by sign."""
+    u(X, Y) = dj(JX, Y) + dj(X, JY), N is u with its slots swapped minus u,
+    one sum of four contractions.  Every entry is computed, none filled by
+    sign."""
     field = columns_field(jet)
     j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
-    u = slot_compose(dj, j_at, 0).add(slot_compose(dj, j_at, 1))
-    return u.swap_slots(0, 1).sub(u)
+    dim = len(jet)
+    return contraction_sum(dim, dim, 2, [(sign, dj, j_at, slot, perm) for slot in (0, 1)
+                                         for sign, perm in ((1, (1, 0)), (-1, None))])
 
 
 def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
@@ -149,7 +154,7 @@ def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
     other = _torsion_first_differential(jet)
     if bracket != other:
         raise InternalInconsistencyError(
-            f"torsion routes disagree at basis pair {_first_difference(bracket, other)}")
+            f"torsion routes disagree at basis pair {_first_nonzero(bracket.sub(other))}")
     return bracket
 
 
@@ -166,94 +171,73 @@ def _arity4_jets(j: StructureField, point: Sequence) -> Arity4Jets:
 
 def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
                              jets: Optional[Arity4Jets] = None) -> PointTensor:
-    """Ten-term bracket expression on constant extensions of basis vectors.
+    """Ten-term bracket expression on constant extensions of basis
+    vectors: H(a, b, c, d) = W(a, b, c, d) - W(c, d, a, b), where
+    W = dN(a, b, JN_cd) + dJN(a, b, N_cd) + N(d_a JN_cd, e_b)
+    + JN(d_a N_cd, e_b) + N(e_a, d_b JN_cd) + JN(e_a, d_b N_cd) for the
+    pair fields N_cd = N(e_c, e_d), JN_cd = J N(e_c, e_d): the brackets
+    [N_ab, JN_cd] + [JN_ab, N_cd] give the first two terms, those with
+    e_a, e_b the rest.  The fields are read off their 1-jets; jets is the
+    pair (2-jet of J, torsion 1-jets) that higher_nijenhuis shares.
 
-    All derivative bookkeeping reduces to values and first derivatives at
-    the point of the pair fields N(e_a, e_b) and J N(e_a, e_b), a < b,
-    read off their 1-jets; jets is the pair (2-jet of J, torsion 1-jets)
-    that higher_nijenhuis shares between the routes.  Only orbit
-    representatives of the pair pattern are evaluated (from_orbits with
-    pair_pattern_rep).
+    W is one contraction_sum of six terms, the last four computed in the
+    slot orders (c, d, a, b) and (a, c, d, b); H is filled from W by sign,
+    one value per pair-pattern orbit (from_orbits, pair_pattern_rep).
     """
     dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
     n_fields = _pair_fields(dim, n_jets)
-    jn_fields = _pair_fields(dim, {idx: poly.jet_apply_columns(jet, val, 1)
-                                   for idx, val in n_jets.items()})
-    j_at = jet_differential(columns_field(jet), 0)
+    jn_fields = _pair_fields(dim, dict(zip(n_jets, poly.jet_apply_columns(
+        jet, list(n_jets.values()), 1))))
     n_at, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
     jn_at, djn = jet_differential(jn_fields, 0), jet_differential(jn_fields, 1)
-    basis = linalg.identity(dim)
-
-    def napp(x: Vec, y: Vec) -> Vec:
-        return n_at.apply([x, y])
-
-    def jmul(x: Vec) -> Vec:
-        return j_at.apply([x])
-
-    def fn(idx: Index) -> Vec:
-        a, b, c, d = idx
-        ea, eb, ec, ed = (basis[k] for k in idx)
-        u_ab, u_cd = n_at.entries[(a, b)], n_at.entries[(c, d)]
-        w_ab, w_cd = jn_at.entries[(a, b)], jn_at.entries[(c, d)]
-        # [F, G](p) = DG(p) F(p) - DF(p) G(p)
-        t1 = linalg.vec_sub(djn.apply([ec, ed, u_ab]), dn.apply([ea, eb, w_cd]))
-        t2 = linalg.vec_sub(dn.apply([ec, ed, w_ab]), djn.apply([ea, eb, u_cd]))
-        out = [-x - y for x, y in zip(t1, t2)]
-        # [e_a, F](p) is the derivative of F in direction a
-        out = linalg.vec_add(out, napp(djn.entries[(c, d, a)], eb))
-        out = linalg.vec_add(out, napp(ea, djn.entries[(c, d, b)]))
-        out = linalg.vec_add(out, jmul(napp(dn.entries[(c, d, a)], eb)))
-        out = linalg.vec_add(out, jmul(napp(ea, dn.entries[(c, d, b)])))
-        out = linalg.vec_sub(out, napp(djn.entries[(a, b, c)], ed))
-        out = linalg.vec_sub(out, napp(ec, djn.entries[(a, b, d)]))
-        out = linalg.vec_sub(out, jmul(napp(dn.entries[(a, b, c)], ed)))
-        out = linalg.vec_sub(out, jmul(napp(ec, dn.entries[(a, b, d)])))
-        return out
-
-    return PointTensor.from_orbits(dim, dim, 4, pair_pattern_rep, fn)
+    w = contraction_sum(dim, dim, 4, [
+        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
+        (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
+        (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))]).entries
+    return PointTensor.from_orbits(dim, dim, 4, pair_pattern_rep, lambda idx: [
+        x - y for x, y in zip(w[idx], w[idx[2:] + idx[:2]])])
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,
                                   jets: Optional[Arity4Jets] = None) -> PointTensor:
     """R-contraction route: R(x, y, z) = dN(x, y, Jz) + J dN(x, y, z)
     + N(dj(z, x), y) + N(x, dj(z, y)) - dj(z, N(x, y)), and the invariant is
-    R(x, y, N(z, v)) - R(z, v, N(x, y)).  J, dj, N and dN at the point are
-    read off the jets, as in higher_nijenhuis_bracket.
+    S(x, y, z, v) - S(z, v, x, y) with S(x, y, z, v) = R(x, y, N(z, v)).
+    J, dj, N and dN at the point are read off the jets, as in
+    higher_nijenhuis_bracket.
 
-    The route is a chain of whole-tensor contractions (slot_compose,
-    post_compose), each computing every entry: the terms with dj come out
-    in the slot orders (z, x, y) and (x, z, y) and are brought to (x, y, z)
-    by swap_slots.  No entry is filled by symmetry."""
+    R is one sum of five contractions, the terms with dj computed in the
+    slot orders (z, x, y) and (x, z, y), and the invariant one sum of two,
+    R with N in its last slot and the same in the slot order (z, v, x, y).
+    Every entry is computed, none filled by sign."""
     dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
     j_field, n_fields = columns_field(jet), _pair_fields(dim, n_jets)
     j_at, dj = jet_differential(j_field, 0), jet_differential(j_field, 1)
     n, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
-    # N(dj(z, x), y) - dj(z, N(x, y)) at (z, x, y)
-    zxy = slot_compose(n, dj, 0).sub(slot_compose(dj, n, 1))
-    r = slot_compose(dn, j_at, 2).add(post_compose(j_at, dn))
-    r = r.add(zxy.swap_slots(0, 1).swap_slots(1, 2))
-    r = r.add(slot_compose(n, dj, 1).swap_slots(1, 2))
-    s = slot_compose(r, n, 2)
-    return s.sub(s.swap_slots(0, 2).swap_slots(1, 3))
+    r = contraction_sum(dim, dim, 3, [
+        (1, dn, j_at, 2, None), (1, j_at, dn, None, None), (1, n, dj, 0, (2, 0, 1)),
+        (-1, dj, n, 1, (2, 0, 1)), (1, n, dj, 1, (0, 2, 1))])
+    return contraction_sum(dim, dim, 4, [(1, r, n, 2, None), (-1, r, n, 2, (2, 3, 0, 1))])
 
 
 def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     """Arity-4 invariant at the point; raises if the two routes disagree.
 
-    The bracket route computes one entry per pair-pattern orbit and fills
-    the rest by sign; the differential route, a chain of contractions,
-    computes every entry.  Their entrywise agreement therefore certifies
-    the pair pattern as well as the values.  Both read the same jets,
-    built once here.
+    The bracket route fills one value per pair-pattern orbit and the rest
+    by sign; the differential route computes every entry.  Their entrywise
+    agreement therefore certifies the pair pattern as well as the values.
+    Both read the same jets, built once here, and both are sums of
+    contractions (contraction_sum) of different tensors: dN, dJN, N and JN
+    for the bracket route, J, dj, N and dN for the differential route.
     """
     jets = _arity4_jets(j, point)
     a = higher_nijenhuis_bracket(j, point, jets)
     b = higher_nijenhuis_differential(j, point, jets)
     if a != b:
         raise InternalInconsistencyError(
-            f"arity-4 routes disagree at basis tuple {_first_difference(a, b)}")
+            f"arity-4 routes disagree at basis tuple {_first_nonzero(a.sub(b))}")
     return a
 
 
@@ -279,8 +263,9 @@ def nijenhuis_space_basis(n: int) -> List[PointTensor]:
     """
     j0 = PointTensor.from_matrix(standard_matrix(n))
     # for antisymmetric N the relation in the second slot follows from the first
-    return solution_basis(lambda t: slot_compose(t, j0, 0).add(post_compose(j0, t)),
-                          unit_basis(2 * n, 2 * n, 2, alternating_rep))
+    return solution_basis(lambda t: contraction_sum(
+        2 * n, 2 * n, 2, [(1, t, j0, 0, None), (1, j0, t, None, None)]),
+        unit_basis(2 * n, 2 * n, 2, alternating_rep))
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +286,30 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
 # identity checks used by the validation suite
 # ---------------------------------------------------------------------------
 
-def _first_difference(a: PointTensor, b: PointTensor) -> Optional[Index]:
-    """The first index tuple, in sorted order, where a and b differ."""
-    return next((idx for idx in sorted(a.entries)
-                 if a.entries[idx] != b.entries[idx]), None)
+def _first_nonzero(t: PointTensor) -> Optional[Index]:
+    """The first index tuple, in sorted order, with a nonzero entry."""
+    return next((idx for idx in sorted(t.entries) if any(t.entries[idx])), None)
 
 
 def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
-    """First basis pair where dj(J x, y) != -J dj(x, y), or None."""
+    """First basis pair where dj(J x, y) != -J dj(x, y), or None: the first
+    nonzero entry of the sum of the two sides."""
     field = columns_field(j.jet(point, 1))
     j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
-    return _first_difference(slot_compose(dj, j_at, 0), post_compose(j_at, dj).neg())
+    return _first_nonzero(contraction_sum(
+        j.dim, j.dim, 2, [(1, dj, j_at, 0, None), (1, j_at, dj, None, None)]))
 
 
 def second_differential_identity_defect(j: StructureField,
                                         point: Sequence) -> Optional[Index]:
     """First basis triple violating
-    d2j(Jx, y, z) = -J d2j(x, y, z) - dj(dj(x, z), y) - dj(dj(x, y), z)."""
+    d2j(Jx, y, z) = -J d2j(x, y, z) - dj(dj(x, z), y) - dj(dj(x, y), z):
+    the first nonzero entry of the sum of the four terms, the third
+    computed in the slot order (x, z, y)."""
     field = columns_field(j.jet(point, 2))
     j_at = jet_differential(field, 0)
     dj, d2j = jet_differential(field, 1), jet_differential(field, 2)
-    # s(x, y, z) = dj(dj(x, y), z)
-    s = slot_compose(dj, dj, 0)
-    rhs = post_compose(j_at, d2j).neg().sub(s.swap_slots(1, 2)).sub(s)
-    return _first_difference(slot_compose(d2j, j_at, 0), rhs)
+    return _first_nonzero(contraction_sum(j.dim, j.dim, 3, [
+        (1, d2j, j_at, 0, None), (1, j_at, d2j, None, None),
+        (1, dj, dj, 0, (0, 2, 1)), (1, dj, dj, 0, None)]))

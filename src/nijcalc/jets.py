@@ -61,8 +61,8 @@ from .invariants import (InternalInconsistencyError, columns_field,
                          higher_nijenhuis, jet_differential, nijenhuis_tensor)
 from .poly import PolyVec
 from .structures import StructureError, StructureField
-from .tensor import (PointTensor, combination, flatten, matrix_of, post_compose,
-                     precompose_all, slot_compose, symmetric_rep, unit_basis)
+from .tensor import (PointTensor, combination, contraction_sum, flatten, matrix_of,
+                     post_compose, precompose_all, slot_compose, symmetric_rep, unit_basis)
 
 Index = Tuple[int, ...]
 Vector = List[Fraction]
@@ -213,7 +213,8 @@ def _require_point_tensors(**args) -> None:
 
 def zeta(psi: PointTensor, j_l_at: PointTensor, j_m_at: PointTensor) -> PointTensor:
     """j_M o psi - psi o (j_L (x) 1^(k-1)): the symbol of the residual."""
-    return post_compose(j_m_at, psi).sub(slot_compose(psi, j_l_at, 0))
+    return contraction_sum(psi.dim_in, psi.dim_out, psi.arity,
+                           [(1, j_m_at, psi, None, None), (-1, psi, j_l_at, 0, None)])
 
 
 class _StructureJets:
@@ -305,9 +306,9 @@ def _cr_polynomial(u: TruncatedMap, jets: _StructureJets, top: int) -> List[Poly
     d_u = _gradient(big_u, n)
     m_at_u = [[poly.jet_substitute(p, big_u, n, top) for p in col]
               for col in jets.m_cols]
-    return [poly.vec_sub(poly.jet_apply_columns(m_at_u, d_u[a], top),
-                         poly.jet_apply_columns(d_u, jets.l_cols[a], top))
-            for a in range(n)]
+    return [poly.vec_sub(m_part, l_part) for m_part, l_part in zip(
+        poly.jet_apply_columns(m_at_u, d_u, top),
+        poly.jet_apply_columns(d_u, jets.l_cols, top))]
 
 
 def _trailing_rep(idx: Index) -> Tuple[Index, int]:
@@ -446,13 +447,16 @@ def defect_conditions(p_k: PointTensor, j_l_at: PointTensor,
                        conjugating both slots by j_L
     trailing_symmetry: first failing symmetry among slots 1..k-1
     """
+    shape = (p_k.dim_in, p_k.dim_out, p_k.arity)
     out: Dict[str, PointTensor] = {}
-    out["antilinearity"] = post_compose(j_m_at, p_k).add(
-        slot_compose(p_k, j_l_at, 0))
+    out["antilinearity"] = contraction_sum(
+        *shape, [(1, j_m_at, p_k, None, None), (1, p_k, j_l_at, 0, None)])
     if p_k.arity >= 2:
-        alt = p_k.sub(p_k.swap_slots(0, 1))
-        conj = slot_compose(slot_compose(p_k, j_l_at, 0), j_l_at, 1)
-        out["swap_conjugation"] = alt.sub(conj.sub(conj.swap_slots(0, 1)))
+        swap = (1, 0) + tuple(range(2, p_k.arity))
+        half = slot_compose(p_k, j_l_at, 0)
+        out["swap_conjugation"] = contraction_sum(*shape, [
+            (1, None, p_k, None, None), (-1, None, p_k, None, swap),
+            (-1, half, j_l_at, 1, None), (1, half, j_l_at, 1, swap)])
         trailing = p_k.scale(0)
         for s in range(1, p_k.arity - 1):
             if not p_k.is_symmetric_in(s, s + 1):

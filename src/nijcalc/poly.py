@@ -347,23 +347,21 @@ def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
     return out
 
 
-def jet_apply_columns(cols: Sequence[PolyVec], x: PolyVec, order: int) -> PolyVec:
-    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order.
-
-    Each output component sums over the columns with x[k] nonzero in one
-    integer accumulator, their numerators over a joint lcm D_c and x's
-    over D_x, and holds one Fraction(sum, D_c * D_x) per term."""
+def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
+                      order: int) -> List[PolyVec]:
+    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order,
+    for each x in xs.  The columns some x reads are written once, as
+    numerators over their joint lcm D_c; each output component sums over
+    the columns with x[k] nonzero in one integer, x's numerators over D_x,
+    and holds one Fraction(sum, D_c * D_x) per term."""
     dim = len(cols[0])
-    x_terms, d_x = _numerators(x, order)
-    live = [k for k, xk in enumerate(x_terms) if xk]
+    x_terms = [_numerators(x, order) for x in xs]
+    live = sorted({k for terms, _ in x_terms for k, xk in enumerate(terms) if xk})
     col_terms, d_c = _numerators([c for k in live for c in cols[k]], order)
-    den = d_c * d_x
-    out: PolyVec = []
-    for r in range(dim):
-        acc = _products([(col_terms[i * dim + r], x_terms[k], 1) for i, k in enumerate(live)],
-                        order)
-        out.append({e: Fraction(s, den) for e, s in acc.items() if s})
-    return out
+    at = {k: col_terms[i * dim:(i + 1) * dim] for i, k in enumerate(live)}
+    return [[{e: Fraction(s, d_c * d_x) for e, s in _products(
+        [(at[k][r], xk, 1) for k, xk in enumerate(terms) if xk], order).items() if s}
+        for r in range(dim)] for terms, d_x in x_terms]
 
 
 def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],

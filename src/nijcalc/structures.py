@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
 from .poly import Poly, PolyVec
-from .tensor import PointTensor, alternating_rep, post_compose, slot_compose
+from .tensor import PointTensor, alternating_rep, contraction_sum, slot_compose
 
 
 class StructureError(ValueError):
@@ -197,13 +197,14 @@ def example_structure(which: str, eps: Union[int, Fraction] = 0,
 def linear_membership_violation(n_tensor: PointTensor,
                                 j_map: PointTensor) -> Optional[Tuple]:
     """First index pair where N(j a, b) = N(a, j b) = -j N(a, b) fails, or None."""
-    left = slot_compose(n_tensor, j_map, 0).entries
-    right = slot_compose(n_tensor, j_map, 1).entries
-    target = post_compose(j_map, n_tensor).neg().entries
-    for idx in sorted(target):
-        if left[idx] != target[idx]:
+    # N(j a, b) + j N(a, b) and N(a, j b) + j N(a, b)
+    dim = n_tensor.dim_in
+    left, right = (contraction_sum(dim, dim, 2, [
+        (1, n_tensor, j_map, slot, None), (1, j_map, n_tensor, None, None)]).entries for slot in (0, 1))
+    for idx in sorted(left):
+        if any(left[idx]):
             return (*idx, "N(j a, b)")
-        if right[idx] != target[idx]:
+        if any(right[idx]):
             return (*idx, "N(a, j b)")
     return None
 

@@ -20,20 +20,24 @@ permutation sign: torsion, Lie brackets, forms) and pair_pattern_rep
 pairs: the arity-4 invariant).  from_orbits builds a tensor from one
 value per orbit, unchecked, and respects checks a tensor against a rule.
 
-slot_compose feeds a tensor of any arity into one slot of another, and
-precompose_all a linear map into every slot; both run through one
-contraction kernel.  A linear equation on tensors is stated once, with
-post_compose and slot_compose, and solved as the nullspace of matrix_of,
-the matrix of the operator on a basis of unknowns such as a unit_basis
-(solution_basis).
+contraction_sum is the one contraction kernel: a signed sum of slot
+contractions, post-compositions and plain tensors, each with its slots
+permuted into the output order, summed on integer numerators with one
+Fraction per nonzero output component.  slot_compose (a tensor of any
+arity fed into one slot of another), post_compose and precompose_all (a
+linear map in every slot) are its one-term calls.  A linear equation on
+tensors is stated once, as a contraction_sum, and solved as the
+nullspace of matrix_of, the matrix of the operator on a basis of
+unknowns such as a unit_basis (solution_basis).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import linalg
 
@@ -269,109 +273,115 @@ def identity_map(dim: int) -> PointTensor:
 
 
 def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
-    """phi o T: push the value of T through the linear map phi.
-
-    On rational values the sums run over Python integers, as in
-    _contract_slot: each output component is one Fraction(sum, D_phi * D_T),
-    and with a QuadExt in either tensor the values themselves are summed."""
-    if phi.arity != 1 or phi.dim_in != t.dim_out:
-        raise TensorError("post_compose shape mismatch")
-    phi_entries, t_entries, den = _integer_numerators(phi.entries, t.entries)
-    cols = [[(i, c) for i, c in enumerate(phi_entries[(j,)]) if c]
-            for j in range(phi.dim_in)]
-
-    def image(v: List) -> List:
-        acc = [0] * phi.dim_out
-        for j, a in enumerate(v):
-            if a:
-                for i, c in cols[j]:
-                    acc[i] += a * c
-        return _as_fractions(acc, den)
-
-    return PointTensor(t.dim_in, phi.dim_out, t.arity,
-                       {idx: image(v) for idx, v in t_entries.items()})
+    """phi o T: push the value of T through the linear map phi (a one-term
+    contraction_sum)."""
+    return contraction_sum(t.dim_in, phi.dim_out, t.arity, [(1, phi, t, None, None)])
 
 
 _ZERO = Fraction(0)
 
 
-def _as_fractions(acc: List, den: int) -> List:
-    """Sums of integer numerators as Fractions over den (0 as the shared
-    zero); a Fraction or QuadExt sum of the fallback as it is."""
-    return [a if type(a) is not int else Fraction(a, den) if a else _ZERO for a in acc]
+def contraction_sum(dim_in: int, dim_out: int, arity: int, terms: Sequence[tuple]) -> PointTensor:
+    """sum_k sign_k * term_k.  A term (sign, outer, inner, slot, perm) is
+    slot_compose(outer, inner, slot), post_compose(outer, inner) when slot
+    is None, or inner when outer is None too; its k-th slot goes to output
+    slot perm[k] (None: slot k), so no term needs a swap_slots.
+
+    Each distinct input is read once, as the nonzero components of each
+    entry, integers over the lcm of its denominators.  A term's products
+    are numerators over the product d of its inputs' lcms; weighted by
+    D // d, D the lcm of every d, they are summed in one integer per output
+    component, and each nonzero sum becomes one Fraction(sum, D).  With a
+    QuadExt in any input the values themselves are summed, over D = 1.
+    Every component comes out a Fraction or a QuadExt."""
+    return PointTensor(dim_in, dim_out, arity,
+                       _contraction_sum(terms, [dim_in] * arity, dim_out))
 
 
-def _integer_numerators(a: Dict[Index, List], b: Dict[Index, List]
-                        ) -> Tuple[Dict[Index, List], Dict[Index, List], int]:
-    """(a', b', D): every component of a and of b as an integer over the lcm
-    of that dict's denominators, and D the product of the two lcms, so a
-    sum of products of a' and b' values is a numerator over D.  With a
-    component that is not rational (a QuadExt), a and b as they are, D = 1."""
+def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int) -> Dict[Index, List]:
+    """contraction_sum's entries, per-slot dimensions dims (mixed in precompose_all)."""
+    tensors = {id(t): t for term in terms for t in term[1:3] if t is not None}
     try:
-        dens = [math.lcm(*{x.denominator for v in e.values() for x in v}) for e in (a, b)]
-    except AttributeError:
-        return a, b, 1
-    a, b = ({idx: [x.numerator * (d // x.denominator) for x in v] for idx, v in e.items()}
-            for e, d in zip((a, b), dens))
-    return a, b, dens[0] * dens[1]
-
-
-def _contract_slot(entries: Dict[Index, List[Fraction]], slot_dims: List[int],
-                   dim_out: int, s: PointTensor, slot: int):
-    """S fed into one slot of a raw entry dict with per-slot dimensions,
-    summed over the nonzero coordinates of each value of S and the nonzero
-    components of each entry of T (read once).
-
-    On rational values the sums run over Python integers: T's values are
-    numerators over the lcm D_T of their denominators, S's over D_S, and
-    each output component is one Fraction(sum, D_T * D_S).  With a QuadExt
-    in either tensor the same loop sums the values themselves, over
-    denominator 1.  Every component comes out a Fraction or a QuadExt."""
-    entries, s_entries, den = _integer_numerators(entries, s.entries)
-    before, after = slot_dims[:slot], slot_dims[slot + 1:]
-    mids = [(idx, [(m, c) for m, c in enumerate(s_entries[idx]) if c])
-            for idx in itertools.product(range(s.dim_in), repeat=s.arity)]
-    suffixes = list(itertools.product(*[range(d) for d in after]))
-    new_entries: Dict[Index, List[Fraction]] = {}
-    for prefix in itertools.product(*[range(d) for d in before]):
-        # rows[k][m]: nonzero components of T at (prefix, m, suffixes[k])
-        rows = [[[(i, x) for i, x in enumerate(entries[prefix + (m,) + suffix]) if x]
-                 for m in range(slot_dims[slot])] for suffix in suffixes]
-        for mid, support in mids:
-            head = prefix + mid
-            for suffix, row in zip(suffixes, rows):
-                acc = [0] * dim_out
-                for m, c in support:
-                    for i, x in row[m]:
-                        acc[i] += c * x
-                # an int sum, every sum on rational input, is a numerator over den
-                new_entries[head + suffix] = _as_fractions(acc, den)
-    return new_entries, before + [s.dim_in] * s.arity + after
+        lcms, exact = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
+                       for k, t in tensors.items()}, True
+    except AttributeError:  # a QuadExt component: sum the values themselves
+        lcms, exact = dict.fromkeys(tensors, 1), False
+    rows = {k: {idx: [(i, x.numerator * (lcms[k] // x.denominator) if exact else x)
+                      for i, x in enumerate(v) if x] for idx, v in t.entries.items()}
+            for k, t in tensors.items()}
+    term_dens = [lcms[id(inner)] * (lcms[id(outer)] if outer is not None else 1)
+                 for _, outer, inner, _, _ in terms]
+    den = math.lcm(*term_dens)
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    accs = [[0] * dim_out for _ in range(math.prod(dims))]
+    for (sign, outer, inner, slot, perm), d in zip(terms, term_dens):
+        w = sign * (den // d)
+        order = range(len(dims)) if perm is None else perm
+        # the output stride and dimension of each of the term's slots
+        t_strides, t_dims = [strides[p] for p in order], [dims[p] for p in order]
+        if slot is None:
+            fits = inner.arity == len(dims) and (
+                outer is None or (outer.arity, outer.dim_in) == (1, inner.dim_out))
+        else:  # every slot of inner has inner.dim_in
+            fits = (outer.arity - 1 + inner.arity == len(dims) and inner.dim_out == outer.dim_in
+                    and {inner.dim_in} >= set(t_dims[slot:slot + inner.arity]))
+        if not fits or (outer or inner).dim_out != dim_out:
+            raise TensorError("contraction term shape mismatch")
+        inner_rows = rows[id(inner)]
+        if slot is None:
+            cols = ([[(j, 1)] for j in range(dim_out)] if outer is None
+                    else [rows[id(outer)][(j,)] for j in range(outer.dim_in)])
+            for idx, support in inner_rows.items():
+                acc = accs[sum(map(operator.mul, idx, t_strides))]
+                for j, a in support:
+                    a *= w
+                    for i, c in cols[j]:
+                        acc[i] += a * c
+            continue
+        outer_rows, end = rows[id(outer)], slot + inner.arity
+        mids = [(sum(map(operator.mul, mid, t_strides[slot:end])), [(m, w * c) for m, c in support])
+                for mid, support in inner_rows.items() if support]
+        suffixes = [(sfx, sum(map(operator.mul, sfx, t_strides[end:])))
+                    for sfx in itertools.product(*map(range, t_dims[end:]))]
+        for prefix in itertools.product(*map(range, t_dims[:slot])):
+            base = sum(map(operator.mul, prefix, t_strides))
+            # row[m]: nonzero components of outer at (prefix, m, suffix)
+            rows_at = [(s_off, [outer_rows[prefix + (m,) + sfx] for m in range(inner.dim_out)])
+                       for sfx, s_off in suffixes]
+            for m_off, support in mids:
+                for s_off, row in rows_at:
+                    acc = accs[base + m_off + s_off]
+                    for m, c in support:
+                        for i, x in row[m]:
+                            acc[i] += c * x
+    # an int sum, every sum on rational input, is a numerator over den
+    return dict(zip(itertools.product(*map(range, dims)),
+                    ([a if type(a) is not int else Fraction(a, den) if a else _ZERO for a in acc]
+                     for acc in accs)))
 
 
 def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
-    """T with every argument slot precomposed by the linear map phi.
-
-    phi maps R^{phi.dim_in} -> R^{t.dim_in}; the result lives on R^{phi.dim_in}.
-    """
+    """T with every argument slot precomposed by the linear map phi, one
+    slot at a time: phi maps R^{phi.dim_in} -> R^{t.dim_in}, and the
+    result lives on R^{phi.dim_in}."""
     if phi.arity != 1 or phi.dim_out != t.dim_in:
         raise TensorError("precompose shape mismatch")
-    entries = {idx: list(v) for idx, v in t.entries.items()}
-    slot_dims = [t.dim_in] * t.arity
+    out = PointTensor(t.dim_in, t.dim_out, t.arity, {idx: list(v) for idx, v in t.entries.items()})
+    dims = [t.dim_in] * t.arity
     for slot in range(t.arity):
-        entries, slot_dims = _contract_slot(entries, slot_dims, t.dim_out, phi, slot)
-    return PointTensor(phi.dim_in, t.dim_out, t.arity, entries)
+        dims[slot] = phi.dim_in
+        # out holds the partial result, whose slots before slot have phi.dim_in
+        out.entries = _contraction_sum([(1, out, phi, slot, None)], dims, t.dim_out)
+    out.dim_in = phi.dim_in
+    return out
 
 
 def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
     """T with the tensor S fed into one argument slot (0-based): the entry
     at (i.., j_1..j_q, k..) is T(e_i.., S(e_j1, .., e_jq), e_k..), so S's
     q slots take the place of that one.  S of arity 1 is a square map
-    precomposing the slot."""
-    if s.dim_out != t.dim_in or s.dim_in != t.dim_in:
-        raise TensorError("slot_compose needs S from the tensor's domain to itself")
-    entries, _ = _contract_slot(t.entries, [t.dim_in] * t.arity, t.dim_out, s, slot)
-    return PointTensor(t.dim_in, t.dim_out, t.arity - 1 + s.arity, entries)
+    precomposing the slot.  A one-term contraction_sum."""
+    return contraction_sum(t.dim_in, t.dim_out, t.arity - 1 + s.arity, [(1, t, s, slot, None)])
 
 
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
@@ -453,5 +463,5 @@ def commutant_basis(j_l: PointTensor, j_m: PointTensor) -> List[PointTensor]:
     units = [PointTensor.from_matrix([[int((i, j) == (r, c)) for j in range(din)]
                                       for i in range(dout)])
              for r in range(dout) for c in range(din)]
-    return solution_basis(
-        lambda phi: post_compose(j_m, phi).sub(slot_compose(phi, j_l, 0)), units)
+    return solution_basis(lambda phi: contraction_sum(
+        din, dout, 1, [(1, j_m, phi, None, None), (-1, phi, j_l, 0, None)]), units)

@@ -8,8 +8,10 @@ is what makes them useful as oracles.
 
 Then come the dense forms of routines the package now runs sparsely:
 elimination over every column, the antilinearity check one basis pair at
-a time, the greedy invariant complement by repeated rank tests, and the
-arity-4 invariant's R-contraction one entry at a time.  The polynomial
+a time, the greedy invariant complement by repeated rank tests, the
+arity-4 invariant's R-contraction one entry at a time, and its bracket
+expression one orbit at a time by applies on basis vectors
+(higher_nijenhuis_bracket_by_apply).  The polynomial
 jet kernels as they were before they summed integer numerators, one
 Fraction operation per pair of terms (shift_by_fractions,
 jet_mul_by_fractions, jet_apply_columns_by_fractions,
@@ -41,10 +43,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from nijcalc import linalg, poly
 from nijcalc.forms import VectorForm
-from nijcalc.invariants import PolyTensorField, columns_field
+from nijcalc.invariants import PolyTensorField, columns_field, jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.structures import StructureField
-from nijcalc.tensor import Index, PointTensor
+from nijcalc.tensor import Index, PointTensor, pair_pattern_rep
 
 
 def mat_scale(a, c):
@@ -229,6 +231,57 @@ def higher_nijenhuis_by_entries(j: StructureField, point: Sequence) -> PointTens
             r_pt.apply([basis[c], basis[d], n_pt.entries[(a, b)]]))
 
     return PointTensor.from_function(dim, dim, 4, fn)
+
+
+def higher_nijenhuis_bracket_by_apply(j: StructureField, point: Sequence) -> PointTensor:
+    """The ten-term bracket expression one pair-pattern orbit at a time,
+    sixteen applies on basis vectors per representative, the rest filled
+    by sign: [F, G](p) = DG(p) F(p) - DF(p) G(p) for the pair fields
+    F, G among N(e_a, e_b) and J N(e_a, e_b), and [e_a, F](p) the
+    derivative of F in direction a.  The fields' values and derivatives
+    at the point are read off their 1-jets, as the package reads them."""
+    dim = j.dim
+    jet = j.jet(point, 2)
+    n_jets = torsion_jets(jet, 1)
+    jn_jets = dict(zip(n_jets, poly.jet_apply_columns(jet, list(n_jets.values()), 1)))
+
+    def pair_fields(values):
+        entries = {(a, a): poly.vec_zero(dim) for a in range(dim)}
+        for (a, b), val in values.items():
+            entries[(a, b)], entries[(b, a)] = val, [poly.neg(c) for c in val]
+        return entries
+
+    n_fields, jn_fields = pair_fields(n_jets), pair_fields(jn_jets)
+    j_at = jet_differential(columns_field(jet), 0)
+    n_at, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
+    jn_at, djn = jet_differential(jn_fields, 0), jet_differential(jn_fields, 1)
+    basis = linalg.identity(dim)
+
+    def napp(x, y):
+        return n_at.apply([x, y])
+
+    def jmul(x):
+        return j_at.apply([x])
+
+    def fn(idx: Index):
+        a, b, c, d = idx
+        ea, eb, ec, ed = (basis[k] for k in idx)
+        u_ab, u_cd = n_at.entries[(a, b)], n_at.entries[(c, d)]
+        w_ab, w_cd = jn_at.entries[(a, b)], jn_at.entries[(c, d)]
+        t1 = linalg.vec_sub(djn.apply([ec, ed, u_ab]), dn.apply([ea, eb, w_cd]))
+        t2 = linalg.vec_sub(dn.apply([ec, ed, w_ab]), djn.apply([ea, eb, u_cd]))
+        out = [-x - y for x, y in zip(t1, t2)]
+        out = linalg.vec_add(out, napp(djn.entries[(c, d, a)], eb))
+        out = linalg.vec_add(out, napp(ea, djn.entries[(c, d, b)]))
+        out = linalg.vec_add(out, jmul(napp(dn.entries[(c, d, a)], eb)))
+        out = linalg.vec_add(out, jmul(napp(ea, dn.entries[(c, d, b)])))
+        out = linalg.vec_sub(out, napp(djn.entries[(a, b, c)], ed))
+        out = linalg.vec_sub(out, napp(ec, djn.entries[(a, b, d)]))
+        out = linalg.vec_sub(out, jmul(napp(dn.entries[(a, b, c)], ed)))
+        out = linalg.vec_sub(out, jmul(napp(ec, dn.entries[(a, b, d)])))
+        return out
+
+    return PointTensor.from_orbits(dim, dim, 4, pair_pattern_rep, fn)
 
 
 def shift_by_fractions(p: poly.Poly, point: Sequence, order: int) -> poly.Poly:

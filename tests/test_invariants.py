@@ -35,8 +35,8 @@ from nijcalc.structures import (
     standard_structure,
 )
 from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
-from reference import (differential, digest, dj_field, higher_nijenhuis_by_entries,
-                       nijenhuis_field_by_lie_brackets, nijenhuis_field_first_differential,
+from reference import (differential, digest, dj_field, higher_nijenhuis_bracket_by_apply,
+                       higher_nijenhuis_by_entries, nijenhuis_field_by_lie_brackets, nijenhuis_field_first_differential,
                        structure_as_field)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
@@ -165,12 +165,15 @@ def test_cross_check_catches_a_pair_pattern_break(monkeypatch):
         higher_nijenhuis(example_structure("ex2"), [0, 1, 0, 0])
 
 
-@pytest.mark.parametrize("which, kwargs, pt", [
+EXAMPLE_POINTS = [
     *[("ex2", {}, pt) for pt in POINTS4],
     ("ex5", {"eps": 1}, [0] * 4),
     ("ex6", {}, [0] * 6),
     ("ex6", {"f_text": "x5 + x5^2"}, [0, 0, 0, 0, Fraction(1, 2), 0]),
-])
+]
+
+
+@pytest.mark.parametrize("which, kwargs, pt", EXAMPLE_POINTS)
 def test_differential_route_equals_the_per_entry_contraction(which, kwargs, pt):
     j = example_structure(which, **kwargs)
     assert higher_nijenhuis_differential(j, pt) == higher_nijenhuis_by_entries(j, pt)
@@ -185,11 +188,32 @@ def test_differential_route_equals_the_per_entry_contraction_on_random_structure
     assert higher_nijenhuis_differential(j, pt) == want
 
 
+def assert_same_entries(got, want):
+    """Equal entry for entry, in the same order, every component a Fraction."""
+    assert (got.dim_in, got.dim_out, got.arity) == (want.dim_in, want.dim_out, want.arity)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert all(type(x) is Fraction for v in got.entries.values() for x in v)
+
+
+@pytest.mark.parametrize("which, kwargs, pt", EXAMPLE_POINTS)
+def test_bracket_route_equals_the_per_orbit_applies(which, kwargs, pt):
+    j = example_structure(which, **kwargs)
+    assert_same_entries(higher_nijenhuis_bracket(j, pt), higher_nijenhuis_bracket_by_apply(j, pt))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (2, 6), (3, 1), (3, 4)])
+def test_bracket_route_equals_the_per_orbit_applies_on_random_structures(n, seed):
+    j = random_structure(n, seed)  # degree 2
+    pt = [Fraction(3 - 2 * k, k + 2) for k in range(2 * n)]
+    want = higher_nijenhuis_bracket_by_apply(j, pt)
+    assert not want.is_zero()
+    assert_same_entries(higher_nijenhuis_bracket(j, pt), want)
+
+
 def test_contraction_routes_evaluate_no_entry_by_apply(monkeypatch):
-    """The differential route and the second-differential check contract
-    whole tensors; neither applies a tensor to vectors nor builds one
-    entry by entry.  The bracket route still applies, which shows the
-    counters live."""
+    """Both arity-4 routes and the three identity checks contract whole
+    tensors: none applies a tensor to vectors or builds one entry by
+    entry.  Direct calls afterwards show the counters live."""
     calls = {"apply": 0, "from_function": 0}
     apply, from_function = PointTensor.apply, PointTensor.from_function.__func__
 
@@ -205,12 +229,14 @@ def test_contraction_routes_evaluate_no_entry_by_apply(monkeypatch):
     monkeypatch.setattr(PointTensor, "from_function", classmethod(counted_from_function))
     for j, pt in ((example_structure("ex2"), [0, 1, 0, 0]),
                   (random_structure(3, 4), [Fraction(k + 1, 3) for k in range(6)])):
-        assert not higher_nijenhuis_differential(j, pt).is_zero()
+        assert not higher_nijenhuis(j, pt).is_zero()
+        assert not nijenhuis_tensor(j, pt).is_zero()
+        assert first_differential_antilinearity_defect(j, pt) is None
         assert second_differential_identity_defect(j, pt) is None
     assert calls == {"apply": 0, "from_function": 0}
-    higher_nijenhuis_bracket(example_structure("ex2"), [0, 1, 0, 0])
+    PointTensor.from_matrix([[1, 0], [0, 1]]).apply([[1, 2]])
     PointTensor.from_function(2, 2, 1, lambda idx: [0, 0])
-    assert calls["apply"] > 0 and calls["from_function"] == 1
+    assert calls == {"apply": 1, "from_function": 1}
 
 
 def test_dual_route_cross_check_on_examples():

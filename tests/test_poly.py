@@ -339,10 +339,13 @@ def jet_apply_cases(draw):
 @example(([[{(1, 0): Fraction(1, 3)}, {}], [{}, {}]],
           [{}, {(0, 1): Fraction(5)}], 2, 3))
 def test_jet_apply_columns_matches_the_fraction_loop(case):
+    """One call applies the columns to x, to x reversed (other live
+    columns) and to zero, each as the Fraction loop does it alone."""
     cols, x, n, order = case
-    got = poly.jet_apply_columns(cols, x, order)
-    assert got == jet_apply_columns_by_fractions(cols, x, order)
-    assert len(got) == len(cols[0]) and all(is_canonical(c, n) for c in got)
+    xs = [x, x[::-1], [{}] * len(x)]
+    got = poly.jet_apply_columns(cols, xs, order)
+    assert got == [jet_apply_columns_by_fractions(cols, y, order) for y in xs]
+    assert all(len(v) == len(cols[0]) and all(is_canonical(c, n) for c in v) for v in got)
 
 
 @st.composite
@@ -405,7 +408,7 @@ CANONICAL_CASES = {
     "apply_columns": lambda a, b, c: (([[a, c], [a, b]], [b, a]), 3),
     "const": lambda a, b, c: ((poly.constant_term(a), 3), 3),
     "diff": lambda a, b, c: ((a, 2), 3),
-    "jet_apply_columns": lambda a, b, c: (([[a, c], [a, b]], [b, a], 2), 3),
+    "jet_apply_columns": lambda a, b, c: (([[a, c], [a, b]], [[b, a], [a, c]], 2), 3),
     "jet_brackets": lambda a, b, c: (([[a, b, c], [c, a, b]], [(0, 1), (1, 0), (1, 1)], 2), 3),
     "jet_mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a), 2), 3),
     "jet_substitute": lambda a, b, c: (

@@ -1,8 +1,10 @@
 """Point tensors: application, symmetry checks, commutants, kernels."""
 
+import inspect
 import itertools
 import math
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -416,6 +418,201 @@ def test_contraction_kernel_values_and_types(kinds, seed):
             assert out.is_zero()
     if "quad" in kinds:
         assert any(type(x) is QuadExt for out in outs for v in out.entries.values() for x in v)
+
+
+# ---------------------------------------------------------------------------
+# contraction_sum against the chain of operations it replaces
+# ---------------------------------------------------------------------------
+
+def permuted_by_swaps(t, perm):
+    """The term t with its slot k moved to slot perm[k], by swap_slots."""
+    perm = list(perm)
+    for k in range(len(perm)):
+        while perm[k] != k:
+            p = perm[k]
+            t = t.swap_slots(k, p)
+            perm[k], perm[p] = perm[p], perm[k]
+    return t
+
+
+def chain_sum(terms):
+    """sum_k sign_k * term_k by slot_compose, post_compose, swap_slots,
+    neg, add and sub, one operation at a time."""
+    total = None
+    for sign, outer, inner, slot, perm in terms:
+        t = (inner if outer is None else post_compose_or_slot(outer, inner, slot))
+        t = t if perm is None else permuted_by_swaps(t, perm)
+        if total is None:
+            total = t if sign == 1 else t.neg()
+        else:
+            total = total.add(t) if sign == 1 else total.sub(t)
+    return total
+
+
+def post_compose_or_slot(outer, inner, slot):
+    return (tensor.post_compose(outer, inner) if slot is None
+            else tensor.slot_compose(outer, inner, slot))
+
+
+@st.composite
+def contraction_terms(draw):
+    """1-4 signed terms with values in R^dim_out on an arity 1-4 tensor of
+    R^dim: slot contractions of outer tensors of arity 1-4 with inner ones
+    of arity 0-2 at every slot, post-compositions and plain tensors, each
+    in a drawn slot order, with drawn densities (all zero included) and
+    denominators 1-4."""
+    dim, dim_out, arity = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("slot", "post", "plain")))
+        if kind == "slot":
+            q = draw(st.integers(0, min(2, arity)))
+            outer = draw(drawn_tensors(dim, dim_out, arity + 1 - q))
+            inner = draw(drawn_tensors(dim, dim, q))
+            slot = draw(st.integers(0, outer.arity - 1))
+        elif kind == "post":
+            mid = draw(st.integers(1, 3))
+            outer, inner, slot = draw(drawn_tensors(mid, dim_out, 1)), draw(drawn_tensors(dim, mid, arity)), None
+        else:
+            outer, inner, slot = None, draw(drawn_tensors(dim, dim_out, arity)), None
+        perm = draw(st.one_of(st.none(), st.permutations(range(arity)).map(tuple)))
+        terms.append((draw(st.sampled_from((1, -1))), outer, inner, slot, perm))
+    return dim, dim_out, arity, terms
+
+
+def assert_exact_components(t, allowed=(Fraction,)):
+    assert all(type(x) in allowed for v in t.entries.values() for x in v)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(contraction_terms())
+def test_contraction_sum_equals_the_operation_chain(case):
+    dim, dim_out, arity, terms = case
+    got = tensor.contraction_sum(dim, dim_out, arity, terms)
+    assert got == chain_sum(terms)
+    assert list(got.entries) == list(itertools.product(range(dim), repeat=arity))
+    assert_exact_components(got)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(contraction_terms(), st.integers(0, 2 ** 32))
+def test_contraction_sum_with_a_quadratic_value_in_one_term(case, pick):
+    """One component of one input a QuadExt: the values themselves are
+    summed, and still no component is an int."""
+    dim, dim_out, arity, terms = case
+    rnd = random.Random(pick)
+    k = rnd.randrange(len(terms))
+    sign, outer, inner, slot, perm = terms[k]
+    inner = PointTensor(inner.dim_in, inner.dim_out, inner.arity,
+                        {idx: list(v) for idx, v in inner.entries.items()})
+    value = rnd.choice(list(inner.entries.values()))
+    value[rnd.randrange(len(value))] = QuadExt(F(rnd.randint(-3, 3), 2), rnd.choice((-1, 2)), 2)
+    terms = terms[:k] + [(sign, outer, inner, slot, perm)] + terms[k + 1:]
+    got = tensor.contraction_sum(dim, dim_out, arity, terms)
+    assert got == chain_sum(terms)
+    assert_exact_components(got, (Fraction, QuadExt))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(contraction_terms())
+def test_contraction_sum_of_a_term_and_its_negative_is_exactly_zero(case):
+    dim, dim_out, arity, terms = case
+    sign, outer, inner, slot, perm = terms[0]
+    got = tensor.contraction_sum(dim, dim_out, arity, [terms[0], (-sign, outer, inner, slot, perm)])
+    assert got.is_zero()
+    assert all(x is got.entries[(0,) * arity][0] for v in got.entries.values() for x in v)
+    assert_exact_components(got)
+
+
+def test_contraction_sum_weights_each_term_by_its_own_denominator():
+    """Terms over denominators 3, 2 * 5 and 7 sum over their lcm."""
+    t = PointTensor.from_function(2, 1, 1, lambda idx: [F(1 + idx[0], 3)])
+    phi = PointTensor.from_matrix([[F(1, 2)]])
+    s = PointTensor.from_function(2, 1, 1, lambda idx: [F(idx[0], 5)])
+    u = PointTensor.from_function(2, 2, 1, lambda idx: [F(1, 7), F(idx[0])])
+    got = tensor.contraction_sum(2, 1, 1, [(1, None, t, None, None), (-1, phi, s, None, None),
+                                           (1, t, u, 0, None)])
+    # u feeds its value (1/7, idx) into t's slot: (1/3) / 7 + (2/3) idx
+    assert got.entries == {(0,): [F(1, 3) + F(1, 21)],
+                           (1,): [F(2, 3) - F(1, 10) + F(1, 21) + F(2, 3)]}
+
+
+def test_contraction_sum_rejects_mismatched_terms():
+    t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0]), F(idx[1])])
+    j3 = tensor.identity_map(3)
+    for arity, term in ((2, (1, j3, t, None, None)), (2, (1, t, j3, 0, None)),
+                        (3, (1, None, t, None, None))):
+        with pytest.raises(tensor.TensorError, match="shape"):
+            tensor.contraction_sum(2, 2, arity, [term])
+
+
+# ---------------------------------------------------------------------------
+# exact components from every public function that returns tensors
+# ---------------------------------------------------------------------------
+
+TENSOR_RETURNS = (PointTensor, typing.List[PointTensor])
+
+
+def _returns_tensors(f) -> bool:
+    return typing.get_type_hints(f).get("return") in TENSOR_RETURNS
+
+
+def tensor_returning_callables():
+    """The public functions of tensor and the public methods of PointTensor
+    annotated to return a PointTensor or a list of them."""
+    names = [name for name, f in inspect.getmembers(tensor, inspect.isfunction)
+             if f.__module__ == tensor.__name__ and not name.startswith("_")
+             and _returns_tensors(f)]
+    for name, f in vars(PointTensor).items():
+        f = f.__func__ if isinstance(f, classmethod) else f
+        if not name.startswith("_") and inspect.isfunction(f) and _returns_tensors(f):
+            names.append("PointTensor." + name)
+    return sorted(names)
+
+
+def _ints(v):
+    return [x.numerator for x in v]
+
+
+# name -> arguments from two arity-2 tensors a, b and a linear map m on R^2;
+# the constructors get int values, which they must turn into Fractions
+TENSOR_CASES = {
+    "PointTensor.add": lambda a, b, m: (a, b),
+    "PointTensor.from_function": lambda a, b, m: (2, 2, 2, lambda idx: _ints(a.entries[idx])),
+    "PointTensor.from_matrix": lambda a, b, m: ([_ints(row) for row in m.to_matrix()],),
+    "PointTensor.from_orbits": lambda a, b, m: (
+        2, 2, 2, tensor.alternating_rep, lambda idx: _ints(a.entries[idx])),
+    "PointTensor.neg": lambda a, b, m: (a,),
+    "PointTensor.scale": lambda a, b, m: (a, 3),
+    "PointTensor.sub": lambda a, b, m: (a, b),
+    "PointTensor.swap_slots": lambda a, b, m: (a, 0, 1),
+    "combination": lambda a, b, m: ([F(1, 2), -1], [a, b]),
+    "commutant_basis": lambda a, b, m: (std_j(1), std_j(1)),
+    "contraction_sum": lambda a, b, m: (2, 2, 2, [
+        (1, m, a, None, None), (-1, a, m, 1, (1, 0)), (1, None, b, None, None)]),
+    "identity_map": lambda a, b, m: (2,),
+    "post_compose": lambda a, b, m: (m, a),
+    "precompose_all": lambda a, b, m: (a, m),
+    "slot_compose": lambda a, b, m: (a, b, 0),
+    "solution_basis": lambda a, b, m: (lambda t: tensor.post_compose(m, t), [a, b]),
+    "unit_basis": lambda a, b, m: (2, 2, 2, tensor.alternating_rep),
+}
+
+
+def test_every_tensor_function_has_an_exact_components_case():
+    """A new public function or method returning tensors gets a case above."""
+    assert tensor_returning_callables() == sorted(TENSOR_CASES)
+
+
+@pytest.mark.parametrize("name", tensor_returning_callables())
+@settings(max_examples=20, deadline=None)
+@given(drawn_tensors(2, 2, 2), drawn_tensors(2, 2, 2), drawn_tensors(2, 2, 1))
+def test_tensor_functions_return_exact_components(name, a, b, m):
+    """Every component a Fraction (or a QuadExt), never an int or a float."""
+    owner, _, attr = name.rpartition(".")
+    result = getattr(PointTensor if owner else tensor, attr)(*TENSOR_CASES[name](a, b, m))
+    for t in result if isinstance(result, list) else [result]:
+        assert_exact_components(t, (Fraction, QuadExt))
 
 
 def test_compositions_reject_shape_mismatches():
