@@ -5,14 +5,16 @@ polynomial coefficients.  Vector-valued forms carry a polynomial
 coefficient vector per index tuple.  The algebraic bracket uses shuffle
 insertions; the differential bracket is assembled from decomposable
 pieces coeff * dx^I (x) e_i, for which the Lie-derivative terms reduce to
-coefficient derivatives.
+coefficient derivatives.  On two 1-forms the differential bracket is
+also computed, without forms, as the polarized torsion
+(invariants.compatibility_nijenhuis).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import poly
 from .poly import Poly, PolyVec
@@ -200,10 +202,8 @@ def fn_bracket(a: VectorForm, b: VectorForm) -> VectorForm:
                 out[idx] = vec
             vec[comp] = poly.sub(vec[comp], p) if negate else poly.add(vec[comp], p)
 
-    pieces_a = [(idx, i, vec[i]) for idx, vec in a.entries.items()
-                for i in range(dim) if not poly.is_zero(vec[i])]
-    pieces_b = [(idx, i, vec[i]) for idx, vec in b.entries.items()
-                for i in range(dim) if not poly.is_zero(vec[i])]
+    pieces_a, pieces_b = ([(idx, i, vec[i]) for idx, vec in f.entries.items()
+                           for i in range(dim) if vec[i]] for f in (a, b))
     p_sign = a.degree % 2 == 1
 
     for ia, xi, fa in pieces_a:
@@ -226,27 +226,3 @@ def fn_bracket(a: VectorForm, b: VectorForm) -> VectorForm:
 
     return VectorForm(dim, deg, out)
 
-
-def fn_bracket_one_forms_direct(a_cols: List[PolyVec], b_cols: List[PolyVec],
-                                dim: int) -> VectorForm:
-    """Independent route for two vector-valued 1-forms K, L:
-    [K, L](X, Y) = [KX, LY] - [KY, LX] - L[KX, Y] + L[KY, X]
-    - K[LX, Y] + K[LY, X] + (KL + LK)[X, Y], on constant basis fields."""
-
-    entries: Dict[SIdx, PolyVec] = {}
-    for x in range(dim):
-        ex = [poly.const(1, dim) if i == x else poly.zero() for i in range(dim)]
-        for y in range(x + 1, dim):
-            ey = [poly.const(1, dim) if i == y else poly.zero() for i in range(dim)]
-            kx, ky = a_cols[x], a_cols[y]
-            lx, ly = b_cols[x], b_cols[y]
-            val = poly.lie_bracket(kx, ly, dim)
-            val = poly.vec_sub(val, poly.lie_bracket(ky, lx, dim))
-            val = poly.vec_sub(val, poly.apply_columns(b_cols, poly.lie_bracket(kx, ey, dim)))
-            val = poly.vec_add(val, poly.apply_columns(b_cols, poly.lie_bracket(ky, ex, dim)))
-            val = poly.vec_sub(val, poly.apply_columns(a_cols, poly.lie_bracket(lx, ey, dim)))
-            val = poly.vec_add(val, poly.apply_columns(a_cols, poly.lie_bracket(ly, ex, dim)))
-            # [e_x, e_y] = 0, so the (KL + LK) term drops
-            if not poly.vec_is_zero(val):
-                entries[(x, y)] = val
-    return VectorForm(dim, 2, entries)

@@ -8,6 +8,7 @@ deformations along a segment, and computes the two-structure subspace
 decomposition with its inclusions verified.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,26 +226,14 @@ def _symbolic_alpha_vanishes(n_tensor: PointTensor,
     """
     dim = n_tensor.dim_in
     basis = _complex_complement(jm, linalg.basis_vector(dim, 0))
-    columns = []
-    for v in basis:
-        col = [poly.zero() for _ in range(dim)]
-        for a in range(dim):
-            value = n_tensor.apply([linalg.basis_vector(dim, a), v])
-            x_a = poly.var(a + 1, dim)
-            for i in range(dim):
-                if value[i] != 0:
-                    col[i] = poly.add(col[i], poly.scale(x_a, value[i]))
-        columns.append(col)
-    gram = [[poly.zero() for _ in columns] for _ in columns]
-    for r, u in enumerate(columns):
-        for s, w in enumerate(columns):
-            if s < r:
-                gram[r][s] = gram[s][r]
-                continue
-            acc = poly.zero()
-            for i in range(dim):
-                acc = poly.add(acc, poly.mul(u[i], w[i]))
-            gram[r][s] = acc
+    # the columns sum_a x_a N(e_a, v), v in the basis, and their Gram
+    # matrix, by the uncut jet kernels, which skip the many zero entries
+    h = [poly.var(a + 1, dim) for a in range(dim)]
+    columns = [poly.jet_apply_columns([[poly.const(c, dim) for c in n_tensor.apply(
+        [linalg.basis_vector(dim, a), v])] for a in range(dim)], [h], math.inf)[0]
+        for v in basis]
+    gram = poly.jet_apply_columns([[u[i] for u in columns] for i in range(dim)],
+                                  columns, math.inf)
     return poly.is_zero(_poly_det(gram, dim))
 
 

@@ -21,7 +21,8 @@ the next jet of J, and jet_differential reads d^p of any such jet off its
 degree-p coefficients.  Both torsion routes read only the 1-jet of J, the
 arity-4 routes and the identity checks its 2-jet.  The global torsion
 field (nijenhuis_field_bracket) is torsion_jets at the origin, uncut; it
-serves only the symbolic verdicts in classify.
+serves only the symbolic verdicts in classify; polarized, it is the
+compatibility torsion of a deformation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import forms, poly
+from . import poly
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
 from .tensor import (Index, PointTensor, alternating_rep, contraction_sum,
@@ -92,17 +93,16 @@ def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
 # ---------------------------------------------------------------------------
 
 def nijenhuis_field_bracket(j: StructureField) -> PolyTensorField:
-    """The global torsion field: its own jet at the origin, uncut, since
-    N has degree below 2 deg J."""
-    order = 2 * max(j.max_entry_degree(), 0)
-    return PolyTensorField(j.dim, 2, _pair_fields(j.dim, torsion_jets(j.cols, order)))
+    """The global torsion field: its own jet at the origin, uncut."""
+    return PolyTensorField(j.dim, 2, _pair_fields(j.dim, torsion_jets(j.cols, math.inf)))
 
 
 def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
     """Jets of the torsion fields N(e_a, e_b), a < b, in pair order.
 
     jet is the (order + 1)-jet of J (StructureField.jet); the result is cut
-    above degree order.  Bracket formula on basis fields, where
+    above degree order; with order math.inf, jet is J and the result
+    global.  Bracket formula on basis fields, where
     [J e_a, e_b] = -d_b(J e_a):
     N(e_a, e_b) = [J e_a, J e_b] + J d_b(J e_a) - J d_a(J e_b).
     A field vanishing identically near the point gets a zero jet, not a
@@ -276,10 +276,13 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
                             dim: int) -> PolyTensorField:
     """N_(j0, D)(X, Y) = [j0 X, D Y] + [D X, j0 Y] - j0 [X, D Y]
     - j0 [D X, Y] - D [X, j0 Y] - D [j0 X, Y] on basis fields: the
-    Froelicher-Nijenhuis bracket [j0, D] of the two vector-valued 1-forms."""
-    bracket = forms.fn_bracket_one_forms_direct(j0_cols, delta_cols, dim)
+    Froelicher-Nijenhuis bracket [j0, D] of the two vector-valued 1-forms.
+    The bracket is bilinear and symmetric on 1-forms and the torsion T(K)
+    (torsion_jets uncut) is [K, K]/2, so [j0, D] = T(j0 + D) - T(j0) - T(D)."""
+    t_sum, t_j0, t_d = (torsion_jets(cols, math.inf) for cols in (
+        [poly.vec_add(a, b) for a, b in zip(j0_cols, delta_cols)], j0_cols, delta_cols))
     return PolyTensorField(dim, 2, _pair_fields(dim, {
-        p: bracket.value_on_basis(p) for p in itertools.combinations(range(dim), 2)}))
+        p: poly.vec_sub(poly.vec_sub(t_sum[p], t_j0[p]), t_d[p]) for p in t_sum}))
 
 
 # ---------------------------------------------------------------------------

@@ -530,17 +530,15 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
 
     a_cols, b_cols = columns(j_l_at, 1), columns(j_m_at, 1)
     minus_b, half_b = columns(j_m_at, -1), columns(j_m_at, Fraction(-1, 2))
-    a_h = poly.apply_columns(a_cols, [poly.var(b + 1, n) for b in range(n)])
+    h = [poly.var(b + 1, n) for b in range(n)]
+    a_h = poly.apply_columns(a_cols, h)
 
     def t_op(v: PolyVec) -> PolyVec:
         """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
         return poly.apply_columns(minus_b, poly.apply_columns(_gradient(v, n), a_h))
 
     q = [_slot_polys(p_k, (a,)) for a in range(n)]
-    g = poly.vec_zero(p_k.dim_out)
-    for a, q_a in enumerate(q):
-        g = poly.vec_add(g, poly.vec_scale_poly(poly.apply_columns(half_b, q_a),
-                                                poly.var(a + 1, n)))
+    g = poly.apply_columns([poly.apply_columns(half_b, q_a) for q_a in q], h)
     # pi in Newton form on the nodes k - 2, k - 4, .., -k: its divided
     # differences are 1/(2^j (j + 1)!), and Horner step j applies
     # T - (k - 2(j + 1))

@@ -8,13 +8,16 @@ Coefficients and points are exact: a float raises PolyError, since it would
 be read as the nearest binary fraction.
 
 Also provides vectors of polynomials (polynomial vector fields on a chart)
-and their Lie bracket, which everything downstream is built on.
+and polynomial matrices applied to them (apply_columns).
 
-The jet kernels (shift, jet_mul, jet_apply_columns, jet_brackets) sum
-Python integers: each input's coefficients are written as integer
-numerators over the lcm of their denominators (_numerators), and each
-nonzero output coefficient is one Fraction of its integer sum over the
-product of those lcms (for shift, times a power of the point's lcm).
+The jet kernels (shift, jet_mul, jet_substitute, jet_apply_columns,
+jet_brackets) cut their results above a total degree, the order; order
+math.inf means uncut, so jet_brackets is the one Lie bracket and
+jet_substitute the one composition (substitute).  All but jet_substitute,
+which chains jet_mul, sum Python integers: each input's coefficients are
+integer numerators over the lcm of their denominators (_numerators), and
+each nonzero output coefficient is one Fraction of its integer sum over
+the product of those lcms (for shift, times a power of the point's lcm).
 """
 
 from __future__ import annotations
@@ -84,6 +87,11 @@ def _check_compatible(p: Poly, q: Poly) -> None:
         eq = next(iter(q))
         if len(ep) != len(eq):
             raise PolyError(f"mixed variable counts: {len(ep)} vs {len(eq)}")
+
+
+def _check_lengths(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> None:
+    if any(len(x) != len(cols) for x in xs):
+        raise PolyError(f"fields of {[len(x) for x in xs]} components for {len(cols)} columns")
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -186,23 +194,10 @@ def eval_poly(p: Poly, point: Sequence[Scalar]) -> Fraction:
 
 
 def substitute(p: Poly, replacements: Sequence[Poly], out_num_vars: int) -> Poly:
-    """Substitute replacements[i] for variable i+1.  Exact composition.
-
-    The replacements are polynomials in out_num_vars variables.
-    """
-    if not p:
-        return {}
-    n = len(next(iter(p)))
-    if len(replacements) != n:
-        raise PolyError(f"{len(replacements)} replacements for {n} variables")
-    out: Poly = {}
-    for e, c in p.items():
-        term = const(c, out_num_vars)
-        for rep, k in zip(replacements, e):
-            for _ in range(k):
-                term = mul(term, rep)
-        out = add(out, term)
-    return out
+    """Substitute replacements[i] for variable i+1: exact composition, the
+    uncut jet_substitute.  The replacements are polynomials in out_num_vars
+    variables and may have constant terms."""
+    return jet_substitute(p, replacements, out_num_vars, inf)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +281,9 @@ def constant_term(p: Poly) -> Fraction:
 
 
 def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
-    """p q cut above total degree order; pairs of terms past it are skipped.
-    The sums run over the numerators of p and of q, each over its own
-    lcm, and coefficient e is one Fraction(sum, D_p * D_q)."""
+    """p q cut above total degree order (math.inf: uncut); pairs of terms
+    past it are skipped.  The sums run over the numerators of p and of q,
+    each over its own lcm, and coefficient e is one Fraction(sum, D_p D_q)."""
     _check_compatible(p, q)
     (p_terms,), d_p = _numerators([p], order)
     (q_terms,), d_q = _numerators([q], order)
@@ -310,15 +305,16 @@ def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
 
 def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
                    order: int) -> Poly:
-    """substitute(p, subs, out_num_vars) cut above total degree order.
+    """p with subs[i] for variable i+1, cut above total degree order.
 
-    The substitutions must have no constant term, so a monomial of p of
-    degree above order contributes nothing and is skipped.  The image of
-    each monomial is built from the image of the monomial one degree
-    lower, times one substitution, and cached, so every power and product
-    of the substitutions is multiplied out once per call.
+    Order math.inf means uncut (substitute); under a finite cut the
+    substitutions must have no constant term, so a monomial of p of degree
+    above order contributes nothing and is skipped.  The image of each
+    monomial is built from the image of the monomial one degree lower,
+    times one substitution, and cached, so every power and product of the
+    substitutions is multiplied out once per call.
     """
-    if any(constant_term(s) for s in subs):
+    if order != inf and any(constant_term(s) for s in subs):
         raise PolyError("a jet substitution needs substitutions without constant term")
     if not p:
         return {}
@@ -349,11 +345,13 @@ def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
 
 def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
                       order: int) -> List[PolyVec]:
-    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order,
-    for each x in xs.  The columns some x reads are written once, as
-    numerators over their joint lcm D_c; each output component sums over
-    the columns with x[k] nonzero in one integer, x's numerators over D_x,
-    and holds one Fraction(sum, D_c * D_x) per term."""
+    """apply_columns on jets: sum_k x[k] cols[k] cut above degree order
+    (math.inf: uncut) for each x in xs, one component per column.  The
+    columns some x reads are written once, as numerators over their joint
+    lcm D_c; each output component sums over the columns with x[k] nonzero
+    in one integer, x's numerators over D_x, and holds one
+    Fraction(sum, D_c * D_x) per term."""
+    _check_lengths(cols, xs)
     dim = len(cols[0])
     x_terms = [_numerators(x, order) for x in xs]
     live = sorted({k for terms, _ in x_terms for k, xk in enumerate(terms) if xk})
@@ -367,16 +365,17 @@ def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
 def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
                  order: int) -> List[PolyVec]:
     """[fields[i], fields[k]] for each (i, k) in pairs, cut above degree
-    order; the fields are vector-field jets known to order + 1, with one
-    component per chart variable.
+    order (math.inf: uncut, the brackets of global fields); the fields are
+    vector-field jets known to order + 1, with one component per chart
+    variable.
 
-    Same formula as lie_bracket; a derivative costs one order, so an
-    order-0 bracket is DY(p) X(p) - DX(p) Y(p) at the base point.  Each
-    field's low-degree terms and first partials are listed once, as
-    numerators over that field's lcm D_i, and terms that cannot reach
-    degree <= order are dropped before multiplying, so the cost follows
-    the nonzero jet coefficients.  A bracket sums in integers and holds
-    one Fraction(sum, D_i * D_k) per term.
+    [X, Y]^r = sum_a X^a d_a Y^r - Y^a d_a X^r, and a derivative costs one
+    order, so an order-0 bracket is DY(p) X(p) - DX(p) Y(p) at the base
+    point.  Each field's low-degree terms and first partials are listed
+    once, as numerators over that field's lcm D_i, and terms that cannot
+    reach degree <= order are dropped before multiplying, so the cost
+    follows the nonzero jet coefficients.  A bracket sums in integers
+    and holds one Fraction(sum, D_i * D_k) per term.
     """
     def prepare(f: PolyVec):
         terms, den = _numerators(f, order + 1)
@@ -431,7 +430,9 @@ def vec_scale_poly(u: PolyVec, p: Poly) -> PolyVec:
 
 def apply_columns(cols: Sequence[PolyVec], x: PolyVec) -> PolyVec:
     """sum_k x[k] cols[k]: the polynomial matrix with these columns times
-    the field x, exact (J X for a structure's columns)."""
+    the field x, exact (J X for a structure's columns), one component of x
+    per column."""
+    _check_lengths(cols, [x])
     out = vec_zero(len(cols[0]))
     for col, c in zip(cols, x):
         if c:
@@ -445,18 +446,6 @@ def vec_eval(u: PolyVec, point: Sequence[Scalar]) -> List[Fraction]:
 
 def vec_is_zero(u: PolyVec) -> bool:
     return all(not a for a in u)
-
-
-def lie_bracket(x: PolyVec, y: PolyVec, num_vars: int) -> PolyVec:
-    """[X, Y]^i = sum_a X^a dY^i/dx_a - Y^a dX^i/dx_a, exact."""
-    out: PolyVec = []
-    for i in range(len(y)):
-        acc: Poly = {}
-        for a in range(num_vars):
-            acc = add(acc, mul(x[a], diff(y[i], a + 1)))
-            acc = sub(acc, mul(y[a], diff(x[i], a + 1)))
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

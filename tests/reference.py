@@ -23,9 +23,15 @@ slots, the permutation sign by counting cycles, and the bracket from a
 table of every ordered basis pair; the Jacobi check by bracketing basis
 vectors goes with them.
 
-The global torsion field by poly.lie_bracket of constant and structure
-fields (nijenhuis_field_by_lie_brackets) is the oracle for the package's
-global field, which is the torsion jet at the origin.
+The global Lie bracket of polynomial vector fields (lie_bracket) and the
+composition by repeated products (substitute_by_mul) are the loops the
+package replaced by its uncut jet kernels, poly.jet_brackets and
+poly.jet_substitute.  The global torsion field built from lie_bracket
+(nijenhuis_field_by_lie_brackets) is the oracle for the package's global
+field, which is the torsion jet at the origin, and the direct
+Froelicher-Nijenhuis bracket of two vector-valued 1-forms
+(fn_bracket_one_forms_direct) the oracle for the compatibility torsion,
+which the package computes by polarizing the torsion.
 
 Some small helpers only the tests use live here too: matrix products,
 the full solution set of a linear system, and a vector form evaluated on
@@ -103,18 +109,74 @@ def const_field(dim: int, a: int) -> PolyVec:
     return [poly.const(1, dim) if i == a else poly.zero() for i in range(dim)]
 
 
+def lie_bracket(x: PolyVec, y: PolyVec, num_vars: int) -> PolyVec:
+    """[X, Y]^i = sum_a X^a dY^i/dx_a - Y^a dX^i/dx_a, exact."""
+    out: PolyVec = []
+    for i in range(len(y)):
+        acc: poly.Poly = {}
+        for a in range(num_vars):
+            acc = poly.add(acc, poly.mul(x[a], poly.diff(y[i], a + 1)))
+            acc = poly.sub(acc, poly.mul(y[a], poly.diff(x[i], a + 1)))
+        out.append(acc)
+    return out
+
+
+def substitute_by_mul(p: poly.Poly, replacements: Sequence[poly.Poly],
+                      out_num_vars: int) -> poly.Poly:
+    """Substitute replacements[i] for variable i+1, each monomial's image
+    a chain of poly.mul and the images summed by poly.add."""
+    if not p:
+        return {}
+    n = len(next(iter(p)))
+    if len(replacements) != n:
+        raise poly.PolyError(f"{len(replacements)} replacements for {n} variables")
+    out: poly.Poly = {}
+    for e, c in p.items():
+        term = poly.const(c, out_num_vars)
+        for rep, k in zip(replacements, e):
+            for _ in range(k):
+                term = poly.mul(term, rep)
+        out = poly.add(out, term)
+    return out
+
+
+def fn_bracket_one_forms_direct(a_cols: List[PolyVec], b_cols: List[PolyVec],
+                                dim: int) -> VectorForm:
+    """Independent route for two vector-valued 1-forms K, L:
+    [K, L](X, Y) = [KX, LY] - [KY, LX] - L[KX, Y] + L[KY, X]
+    - K[LX, Y] + K[LY, X] + (KL + LK)[X, Y], on constant basis fields."""
+
+    entries: Dict[Tuple[int, ...], PolyVec] = {}
+    for x in range(dim):
+        ex = [poly.const(1, dim) if i == x else poly.zero() for i in range(dim)]
+        for y in range(x + 1, dim):
+            ey = [poly.const(1, dim) if i == y else poly.zero() for i in range(dim)]
+            kx, ky = a_cols[x], a_cols[y]
+            lx, ly = b_cols[x], b_cols[y]
+            val = lie_bracket(kx, ly, dim)
+            val = poly.vec_sub(val, lie_bracket(ky, lx, dim))
+            val = poly.vec_sub(val, poly.apply_columns(b_cols, lie_bracket(kx, ey, dim)))
+            val = poly.vec_add(val, poly.apply_columns(b_cols, lie_bracket(ky, ex, dim)))
+            val = poly.vec_sub(val, poly.apply_columns(a_cols, lie_bracket(lx, ey, dim)))
+            val = poly.vec_add(val, poly.apply_columns(a_cols, lie_bracket(ly, ex, dim)))
+            # [e_x, e_y] = 0, so the (KL + LK) term drops
+            if not poly.vec_is_zero(val):
+                entries[(x, y)] = val
+    return VectorForm(dim, 2, entries)
+
+
 def nijenhuis_field_by_lie_brackets(j: StructureField) -> PolyTensorField:
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis fields,
-    each bracket a global poly.lie_bracket of polynomial fields."""
+    each bracket a global lie_bracket of polynomial fields."""
     dim = j.dim
     entries = {(a, a): poly.vec_zero(dim) for a in range(dim)}
     for a, b in itertools.combinations(range(dim), 2):
         ja, jb = j.cols[a], j.cols[b]
-        val = poly.lie_bracket(ja, jb, dim)
+        val = lie_bracket(ja, jb, dim)
         val = poly.vec_sub(val, poly.apply_columns(
-            j.cols, poly.lie_bracket(ja, const_field(dim, b), dim)))
+            j.cols, lie_bracket(ja, const_field(dim, b), dim)))
         val = poly.vec_sub(val, poly.apply_columns(
-            j.cols, poly.lie_bracket(const_field(dim, a), jb, dim)))
+            j.cols, lie_bracket(const_field(dim, a), jb, dim)))
         # [ea, eb] = 0 for coordinate fields
         entries[(a, b)] = val
         entries[(b, a)] = [poly.neg(c) for c in val]

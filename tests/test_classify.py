@@ -30,7 +30,7 @@ from nijcalc.invariants import nijenhuis_tensor, torsion_jets
 from nijcalc.quadext import QuadExt
 from nijcalc.structures import (example_structure, from_anticommuting_part,
                                 random_structure, validate)
-from reference import nijenhuis_field_by_lie_brackets
+from reference import lie_bracket, nijenhuis_field_by_lie_brackets
 
 NOT_LIE = {"jj_algebraic_zero": True, "jj_fn_is_twice_torsion": True,
            "nn_algebraic_zero": False, "nn_fn_zero": True, "jn_fn_zero": True}
@@ -298,10 +298,10 @@ def test_second_level_from_jets(j, pt):
     the evaluated global brackets, so the second derived fiber tanaka_forms
     spans from them is the span of the evaluated level-2 brackets."""
     g = _global_generators(j)
-    level1 = g + [poly.lie_bracket(g[i], g[k], 4)
+    level1 = g + [lie_bracket(g[i], g[k], 4)
                   for i in range(6) for k in range(6) if i != k]
     level1_vals = [poly.vec_eval(f, pt) for f in level1]
-    top = [[poly.vec_eval(poly.lie_bracket(gi, f, 4), pt) for f in level1]
+    top = [[poly.vec_eval(lie_bracket(gi, f, 4), pt) for f in level1]
            for gi in g]
     got_level1, got_top = classify._second_level(
         list(torsion_jets(j.jet(pt, 3), 2).values()))

@@ -9,14 +9,13 @@ from nijcalc.forms import (
     contract_basis,
     exterior_d,
     fn_bracket,
-    fn_bracket_one_forms_direct,
     insertion,
     lie_derivative_basis,
     wedge,
 )
 from nijcalc.invariants import nijenhuis_field_bracket
 from nijcalc.structures import example_structure, random_structure
-from reference import apply_const, post_structure
+from reference import apply_const, fn_bracket_one_forms_direct, post_structure
 
 
 def n_form(j):

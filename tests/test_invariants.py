@@ -35,9 +35,10 @@ from nijcalc.structures import (
     standard_structure,
 )
 from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
-from reference import (differential, digest, dj_field, higher_nijenhuis_bracket_by_apply,
-                       higher_nijenhuis_by_entries, nijenhuis_field_by_lie_brackets, nijenhuis_field_first_differential,
-                       structure_as_field)
+from reference import (differential, digest, dj_field, fn_bracket_one_forms_direct,
+                       higher_nijenhuis_bracket_by_apply, higher_nijenhuis_by_entries,
+                       lie_bracket, nijenhuis_field_by_lie_brackets,
+                       nijenhuis_field_first_differential, structure_as_field)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
 
@@ -261,7 +262,7 @@ def structures_at_points(draw, sizes=(2, 3)):
 @given(structures_at_points())
 def test_nijenhuis_tensor_equals_global_field_at_point(case):
     """The pointwise routes read only the 1-jet of J; the reference
-    evaluates the global field built from poly.lie_bracket."""
+    evaluates the global field built from the reference lie_bracket."""
     j, pt = case
     n_pt = nijenhuis_tensor(j, pt)
     assert n_pt == nijenhuis_field_by_lie_brackets(j).at_point(pt)
@@ -302,7 +303,8 @@ def test_jet_differential_equals_global_differential(case, p):
                      example_structure("ex6", f_text="x5 + x5^2")])))
 def test_global_field_equals_the_lie_bracket_reference(j):
     """The global field, read as the uncut torsion jet at the origin, is
-    the bracket formula expanded with poly.lie_bracket, entry by entry."""
+    the bracket formula expanded with the reference lie_bracket, entry by
+    entry."""
     nf = nijenhuis_field_bracket(j)
     want = nijenhuis_field_by_lie_brackets(j)
     assert (nf.dim, nf.arity) == (want.dim, want.arity) == (j.dim, 2)
@@ -464,9 +466,9 @@ def test_compatibility_is_deformation_linear_part():
         for b in range(4):
             ea = [poly.const(1, 4) if i == a else poly.zero() for i in range(4)]
             eb = [poly.const(1, 4) if i == b else poly.zero() for i in range(4)]
-            quad = poly.lie_bracket(delta[a], delta[b], 4)
-            quad = poly.vec_sub(quad, dmul(poly.lie_bracket(delta[a], eb, 4)))
-            quad = poly.vec_sub(quad, dmul(poly.lie_bracket(ea, delta[b], 4)))
+            quad = lie_bracket(delta[a], delta[b], 4)
+            quad = poly.vec_sub(quad, dmul(lie_bracket(delta[a], eb, 4)))
+            quad = poly.vec_sub(quad, dmul(lie_bracket(ea, delta[b], 4)))
             assert full.entries[(a, b)] == poly.vec_add(compat.entries[(a, b)], quad)
 
 
@@ -483,6 +485,39 @@ def test_compatibility_congruence_for_second_order_deformation():
         lhs = [poly.truncate(p, 2) for p in full.entries[idx]]
         rhs = [poly.truncate(p, 2) for p in compat.entries[idx]]
         assert lhs == rhs
+
+
+@st.composite
+def one_form_pairs(draw):
+    """Two vector-valued 1-forms K, L in dimension 2n, n = 1-3: the columns
+    of two random structures, a structure and its deformation from j0
+    (K = j0, L = J - j0), or a structure twice (K = L)."""
+    n, kind = draw(st.integers(1, 3)), draw(st.sampled_from(["two", "deformation", "same"]))
+    seed, degree = draw(st.integers(0, 10**6)), draw(st.integers(1, 2))
+    j = random_structure(n, seed, degree).cols
+    if kind == "two":
+        return j, random_structure(n, draw(st.integers(0, 10**6)), degree).cols
+    if kind == "same":
+        return j, j
+    j0 = standard_structure(n).cols
+    return j0, [poly.vec_sub(col, col0) for col, col0 in zip(j, j0)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(one_form_pairs())
+def test_compatibility_is_the_direct_bracket_and_symmetric(pair):
+    """The polarized torsion T(K + L) - T(K) - T(L) is the Froelicher-
+    Nijenhuis bracket [K, L] of the direct 1-form route on every basis
+    pair, and [K, L] = [L, K]."""
+    k, l = pair
+    dim = len(k)
+    got = compatibility_nijenhuis(k, l, dim)
+    want = fn_bracket_one_forms_direct(k, l, dim)
+    assert (got.dim, got.arity) == (dim, 2)
+    assert sorted(got.entries) == list(itertools.product(range(dim), repeat=2))
+    for idx, val in got.entries.items():
+        assert val == want.value_on_basis(idx), idx
+    assert compatibility_nijenhuis(l, k, dim).entries == got.entries
 
 
 def test_nijenhuis_differential():

@@ -1,6 +1,7 @@
 """Polynomial ring basics: arithmetic, calculus, parsing, formatting."""
 
 import inspect
+import math
 import typing
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from nijcalc import poly
 from reference import (jet_apply_columns_by_fractions, jet_brackets_by_fractions,
-                       jet_mul_by_fractions, shift_by_fractions)
+                       jet_mul_by_fractions, lie_bracket, shift_by_fractions,
+                       substitute_by_mul)
 
 
 def p(text, n=4):
@@ -139,17 +141,20 @@ def test_parse_of_format_roundtrips(a):
 
 
 def test_lie_bracket_basic():
+    """The reference bracket and the uncut jet_brackets on examples."""
     # [d1, x1*d2] = d2
     n = 2
     x = [poly.const(1, n), poly.zero()]
     y = [poly.zero(), poly.var(1, n)]
-    assert poly.lie_bracket(x, y, n) == [poly.zero(), poly.const(1, n)]
+    assert lie_bracket(x, y, n) == [poly.zero(), poly.const(1, n)]
+    assert poly.jet_brackets([x, y], [(0, 1)], math.inf) == [[poly.zero(), poly.const(1, n)]]
     # antisymmetry on a random pair
     u = [poly.parse_poly("x1*x2", n), poly.parse_poly("x2^2", n)]
     v = [poly.parse_poly("x1+x2", n), poly.parse_poly("x1", n)]
-    lhs = poly.lie_bracket(u, v, n)
-    rhs = poly.vec_scale(poly.lie_bracket(v, u, n), -1)
+    lhs = lie_bracket(u, v, n)
+    rhs = poly.vec_scale(lie_bracket(v, u, n), -1)
     assert lhs == rhs
+    assert poly.jet_brackets([u, v], [(0, 1), (1, 0)], math.inf) == [lhs, lie_bracket(v, u, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +165,15 @@ rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 points3 = st.lists(rationals, min_size=3, max_size=3)
 
 
+def jet_orders(top):
+    """A cut from 0 to top, or math.inf: uncut."""
+    return st.one_of(st.integers(0, top), st.just(math.inf))
+
+
 def _shifted(p, pt):
-    """p(x + pt) through the general composition routine."""
+    """p(x + pt) through the reference composition loop."""
     n = len(pt)
-    return poly.substitute(
+    return substitute_by_mul(
         p, [poly.add(poly.var(i + 1, n), poly.const(pt[i], n)) for i in range(n)], n)
 
 
@@ -242,29 +252,32 @@ def test_float_coefficients_are_refused(c):
         poly.scale({}, c)
 
 
-@given(polys(), polys(), st.integers(0, 4))
+@given(polys(), polys(), jet_orders(4))
 def test_jet_mul_is_truncated_product(a, b, order):
     assert poly.jet_mul(a, b, order) == poly.truncate(poly.mul(a, b), order)
 
 
 @given(polys(max_exp=3), st.lists(polys(num_vars=2), min_size=3, max_size=3),
-       st.integers(0, 4))
+       jet_orders(4))
 @example({}, [{}, {}, {}], 2)
 @example({(0, 0, 0): Fraction(3), (1, 0, 2): Fraction(-1)}, [{}, {}, {}], 0)
 def test_jet_substitute_is_truncated_substitution(p, subs, order):
     subs = [{e: c for e, c in q.items() if any(e)} for q in subs]
     assert poly.jet_substitute(p, subs, 2, order) == \
-        poly.truncate(poly.substitute(p, subs, 2), order)
+        poly.truncate(substitute_by_mul(p, subs, 2), order)
 
 
 def test_jet_substitute_rejects_a_constant_term():
+    """Only under a finite cut: uncut, a constant term is a composition."""
     subs = [poly.parse_poly("x1", 2), poly.parse_poly("1 + x2", 2)]
     with pytest.raises(poly.PolyError, match="constant term"):
         poly.jet_substitute(poly.parse_poly("x1*x2", 2), subs, 2, 3)
+    assert poly.jet_substitute(poly.parse_poly("x1*x2", 2), subs, 2, math.inf) == \
+        poly.parse_poly("x1 + x1*x2", 2)
 
 
 @given(st.lists(st.lists(polys(), min_size=3, max_size=3), min_size=3, max_size=3),
-       points3, st.integers(0, 2))
+       points3, jet_orders(2))
 def test_jet_brackets_are_jets_of_lie_brackets(fields, pt, order):
     """Brackets of (order + 1)-jets, cut at order, are the order-jets of
     the global brackets; the pairs may repeat and run in either direction."""
@@ -272,7 +285,7 @@ def test_jet_brackets_are_jets_of_lie_brackets(fields, pt, order):
     pairs = [(0, 1), (1, 0), (2, 0), (1, 1), (0, 1)]
     got = poly.jet_brackets(jets, pairs, order)
     for (i, k), br in zip(pairs, got):
-        want = poly.lie_bracket(fields[i], fields[k], 3)
+        want = lie_bracket(fields[i], fields[k], 3)
         assert br == [poly.shift(c, pt, order) for c in want]
 
 
@@ -301,7 +314,7 @@ def jet_polys(n, max_terms=5):
 @st.composite
 def jet_mul_cases(draw):
     n = draw(st.integers(1, 3))
-    return draw(jet_polys(n)), draw(jet_polys(n)), draw(st.integers(0, 6))
+    return draw(jet_polys(n)), draw(jet_polys(n)), draw(jet_orders(6))
 
 
 @given(jet_mul_cases())
@@ -319,6 +332,39 @@ def test_jet_mul_matches_the_fraction_loop(case):
 
 
 @st.composite
+def substitute_cases(draw):
+    """A polynomial in 1-3 variables and one replacement per variable in
+    1-3 variables, constant terms and zero replacements among them."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = draw(jet_polys(n))
+    reps = draw(st.lists(jet_polys(m, 4), min_size=n, max_size=n))
+    return p, reps, m
+
+
+@given(substitute_cases())
+@example(({}, [{(1,): Fraction(2)}], 1))
+@example(({(2, 0): Fraction(1), (0, 0): Fraction(-1, 2)},
+          [{(0,): Fraction(1), (1,): Fraction(-1)}, {}], 1))
+# (1 + x1)(1 - x1) - 1 + (1 + x1)^2: the x1 term of the product, then the
+# constant and then the x1^2 term cancel, and x1 comes back
+@example(({(1, 1): Fraction(1), (0, 0): Fraction(-1), (2, 0): Fraction(1)},
+          [{(0,): Fraction(1), (1,): Fraction(1)}, {(0,): Fraction(1), (1,): Fraction(-1)}],
+          1))
+def test_substitute_matches_the_product_loop(case):
+    """substitute, the uncut jet_substitute, gives the product loop's
+    polynomial in the same key order, constant terms included."""
+    p, reps, m = case
+    got, want = poly.substitute(p, reps, m), substitute_by_mul(p, reps, m)
+    assert got == want and list(got) == list(want)
+    assert is_canonical(got, m)
+
+
+def test_substitute_rejects_a_wrong_replacement_count():
+    with pytest.raises(poly.PolyError, match="2 substitutions for 3 variables"):
+        poly.substitute(poly.var(1, 3), [poly.var(1, 2)] * 2, 2)
+
+
+@st.composite
 def jet_apply_cases(draw):
     """Columns and a field with zero polynomials among them, all-zero
     columns included; x has one component per column."""
@@ -326,7 +372,7 @@ def jet_apply_cases(draw):
     cols = draw(st.lists(st.lists(jet_polys(n, 3), min_size=dim, max_size=dim),
                          min_size=ncols, max_size=ncols))
     x = draw(st.lists(jet_polys(n, 3), min_size=ncols, max_size=ncols))
-    return cols, x, n, draw(st.integers(0, 5))
+    return cols, x, n, draw(jet_orders(5))
 
 
 @given(jet_apply_cases())
@@ -348,6 +394,19 @@ def test_jet_apply_columns_matches_the_fraction_loop(case):
     assert all(len(v) == len(cols[0]) and all(is_canonical(c, n) for c in v) for v in got)
 
 
+@pytest.mark.parametrize("x", [[poly.var(1, 2)], [poly.var(1, 2)] * 3],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("apply", [
+    poly.apply_columns, lambda cols, x: poly.jet_apply_columns(cols, [[{}, {}], x], 2)],
+    ids=["apply_columns", "jet_apply_columns"])
+def test_a_field_of_the_wrong_length_is_refused(apply, x):
+    """Two columns take two components: a short field is not padded with
+    zeros, and a long one is not cut."""
+    cols = [[poly.var(1, 2), {}], [{}, poly.var(2, 2)]]
+    with pytest.raises(poly.PolyError, match="for 2 columns"):
+        apply(cols, x)
+
+
 @st.composite
 def jet_bracket_cases(draw):
     """1-3 vector fields in n variables with n components each, and pairs
@@ -358,7 +417,7 @@ def jet_bracket_cases(draw):
                            min_size=count, max_size=count))
     pairs = draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)),
                           min_size=1, max_size=4))
-    return fields, pairs, draw(st.integers(0, 3))
+    return fields, pairs, draw(jet_orders(3))
 
 
 @given(jet_bracket_cases())
@@ -413,7 +472,6 @@ CANONICAL_CASES = {
     "jet_mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a), 2), 3),
     "jet_substitute": lambda a, b, c: (
         (a, [_no_constant(b), _no_constant(c), _no_constant(poly.neg(b))], 3, 2), 3),
-    "lie_bracket": lambda a, b, c: (([a, b, c], [c, a, b], 3), 3),
     "low_degree_part": lambda a, b, c: ((a, 2), 3),
     "monomial": lambda a, b, c: (((1, 0, 2), poly.constant_term(b)), 3),
     "mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a)), 3),
