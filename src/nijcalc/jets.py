@@ -27,6 +27,11 @@ slots are sorted, one per orbit, and filled over the orbits
 coefficient is kept as an independent route.  It is evaluated at the same
 representatives and must agree with the composition there for each P_k
 and each public residual; otherwise InternalInconsistencyError is raised.
+Its terms are keyed canonically, since the symbols are fully symmetric
+and derivative slots commute; each representative counts its keys, each
+distinct key is evaluated once on integer numerators of the symbols and
+of the nonzero entries of d^(p-1) J, and the counts times the values are
+summed in one integer per component.
 
 The canonical symbol is solved in polynomial form, by the Koszul
 homotopy for dbar written in real terms.  With A = J_L(x), B = J_M(y),
@@ -41,13 +46,17 @@ solution without a (k, 0) part.  It takes k - 1 applications of T, each
 a sparse polynomial operation, exact over Q.
 
 Each P_k is checked against the three conditions once, inside
-symmetrize, which then certifies the symbol it returns: the symbol is
-fully symmetric, and u read back from its sorted representatives
-satisfies the polynomial equation above.  As P_k is symmetric in its
-trailing slots (one of the conditions), that is zeta(Phi^(k)) == P_k over
-every index tuple.  That equation is the order-k residual of the lifted
-map, so lift_tower starts each later step from the order it has just
-lifted.
+symmetrize.  Trailing symmetry is an orbit check; antilinearity and swap
+conjugation are checked as polynomial identities in Q_a and its first
+partials, which for a P_k symmetric in its trailing slots hold exactly
+when the dense defect tensors vanish.  Those tensors (defect_conditions)
+are built only when a check fails, as the witness of the failure.
+symmetrize then certifies the symbol it returns: the symbol is fully
+symmetric, and u read back from its sorted representatives satisfies the
+polynomial equation above.  As P_k is symmetric in its trailing slots,
+that is zeta(Phi^(k)) == P_k over every index tuple.  That equation is
+the order-k residual of the lifted map, so lift_tower starts each later
+step from the order it has just lifted.
 """
 
 import itertools
@@ -316,6 +325,13 @@ def _trailing_rep(idx: Index) -> Tuple[Index, int]:
     return (idx[0],) + tuple(sorted(idx[1:])), 1
 
 
+def _integer_rows(rows: Dict[Index, Sequence[Fraction]]) -> Tuple[Dict[Index, List[int]], int]:
+    """rows as integer numerators over D, the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for v in rows.values() for c in v))
+    return {idx: [c.numerator * (den // c.denominator) for c in v]
+            for idx, v in rows.items()}, den
+
+
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                     skip_top: bool) -> Dict[Index, Vector]:
     """Order-k coefficient of j_M o u_* - u_* o j_L at the representatives,
@@ -324,66 +340,107 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     With skip_top the terms containing the order-k symbol are dropped and
     the sign is flipped, which turns the residual into the defect tensor
     P_k that a new order-k symbol must reproduce.
+
+    A term is keyed canonically.  The symbols are fully symmetric and the
+    derivative slots of d^(p-1) J commute, so a j_M term is keyed by its
+    blocks' sorted values, block 0 (the matrix argument) first and the
+    others sorted, and a j_L term by its head and rest with head[1:] and
+    rest sorted.  Each representative counts its keys, each distinct key
+    is evaluated once, and the counts times the values are summed in one
+    integer per component.
     """
     k = u.order + 1 if skip_top else u.order
     l_dim, m_dim = u.dim_in, u.dim_out
-    d_l, d_m = jets.upto(k)
-    sym = {s.k: s.tensor.entries for s in u.symbols}
-    # a partition into p blocks adds nothing where d^(p-1) j_M vanishes
-    parts = [blocks for blocks in set_partitions(k)
-             if not (skip_top and len(blocks) == 1) and d_m[len(blocks)] is not None]
-    # (derivative slots, remaining slots) of the source terms, per order
-    splits = [(s, tuple(i for i in range(1, k) if i not in s))
-              for p in range(2 if skip_top else 1, k + 1)
-              for s in itertools.combinations(range(1, k), p - 1)]
-    zero = [Fraction(0)] * m_dim
-    # Different index tuples and partitions meet the same term many times;
-    # each is computed once, keyed by the exact symbol entries it reads.
-    m_terms: Dict[Tuple[Index, ...], Vector] = {}
-    l_terms: Dict[Tuple[Index, Index], Optional[Vector]] = {}
+    d_l, d_m = (tower[:k + 1] for tower in jets.upto(k))
+    # the terms at a representative (a,) + rest, in positions of rest: each
+    # set partition as (block 0 less a, the other blocks), skipping those of
+    # p blocks where d^(p-1) j_M vanishes, and each source term as
+    # (derivative slots, remaining slots); rest is sorted, so every block
+    # reads off it sorted
+    m_parts = [(tuple(i - 1 for i in blocks[0][1:]),
+                tuple(tuple(i - 1 for i in b) for b in blocks[1:]))
+               for blocks in set_partitions(k)
+               if not (skip_top and len(blocks) == 1) and d_m[len(blocks)] is not None]
+    l_parts = [(s, tuple(i for i in range(k - 1) if i not in s))
+               for p in range(2 if skip_top else 1, k + 1)
+               for s in itertools.combinations(range(k - 1), p - 1)]
+    # every input read once, as integer numerators: the symbols at their
+    # sorted tuples, and the nonzero entries of d^(p-1) J of each structure
+    sym, s_den = _integer_rows({rep: s.tensor.entries[rep] for s in u.symbols for rep in
+                                itertools.combinations_with_replacement(range(l_dim), s.k)})
+    (m_rows, m_den), (l_rows, l_den) = (_integer_rows(
+        {idx: v for d in tower if d is not None for idx, v in d.entries.items() if any(v)})
+        for tower in (d_m, d_l))
+    m_entries: Dict[int, List[Tuple[Index, List[Tuple[int, int]]]]] = {}
+    for idx, row in m_rows.items():
+        m_entries.setdefault(len(idx), []).append(
+            (idx, [(i, c) for i, c in enumerate(row) if c]))
+    l_entries = {head: [(i0, c) for i0, c in enumerate(row) if c]
+                 for head, row in l_rows.items()}
+    # every term over den: a j_M term of p blocks is over m_den s_den^p, a
+    # j_L term over l_den s_den
+    sign = -1 if skip_top else 1
+    den = m_den * l_den * s_den ** k
+    m_weight = [sign * l_den * s_den ** (k - p) for p in range(k + 1)]
+    l_weight = -sign * m_den * s_den ** (k - 1)
 
-    def m_term(subs: Tuple[Index, ...]) -> Vector:
-        """d^(p-1) j_M on the symbol values at the given blocks."""
-        if subs not in m_terms:
-            m_terms[subs] = d_m[len(subs)].apply([sym[len(b)][b] for b in subs])
-        return m_terms[subs]
+    def m_value(key: Tuple[Index, ...]) -> List[Tuple[int, int]]:
+        """d^(p-1) j_M on the symbol values at the blocks of key, weighted:
+        the nonzero components."""
+        args = [sym[b] for b in key]
+        acc = [0] * m_dim
+        for idx, comps in m_entries.get(len(key), ()):
+            c = math.prod(arg[j] for arg, j in zip(args, idx))
+            if c:
+                for i, v in comps:
+                    acc[i] += c * v
+        w = m_weight[len(key)]
+        return [(i, w * c) for i, c in enumerate(acc) if c]
 
-    def l_term(head: Index, rest: Index) -> Optional[Vector]:
-        """The order-(len(rest) + 1) symbol on d^(p-1) j_L(head) and rest;
-        None when that differential entry vanishes."""
-        key = (head, rest)
-        if key in l_terms:
-            return l_terms[key]
-        d = d_l[len(head)]
-        term = None
-        if d is not None:
-            r = len(rest) + 1
-            for i0, c in enumerate(d.entries[head]):
-                if c == 0:
-                    continue
-                w = sym[r][(i0,) + rest]
-                if term is None:
-                    term = [c * a for a in w]
-                else:
-                    term = [t + c * a for t, a in zip(term, w)]
-        l_terms[key] = term
-        return term
+    def l_value(key: Tuple[Index, Index]) -> List[Tuple[int, int]]:
+        """The order-(len(rest) + 1) symbol on d^(p-1) j_L(head) and rest,
+        weighted: the nonzero components."""
+        head, rest = key
+        acc = [0] * m_dim
+        for i0, c in l_entries.get(head, ()):
+            for i, a in enumerate(sym[tuple(sorted((i0,) + rest))]):
+                acc[i] += c * a
+        return [(i, l_weight * c) for i, c in enumerate(acc) if c]
 
-    def entry(idx: Index) -> Vector:
-        out = list(zero)
-        for blocks in parts:
-            out = linalg.vec_add(out, m_term(
-                tuple(tuple(idx[i] for i in b) for b in blocks)))
-        for s, others in splits:
-            term = l_term((idx[0],) + tuple(idx[i] for i in s),
-                          tuple(idx[i] for i in others))
-            if term is not None:
-                out = linalg.vec_sub(out, term)
-        return out if not skip_top else [-c for c in out]
-
+    m_values: Dict[Tuple[Index, ...], List[Tuple[int, int]]] = {}
+    l_values: Dict[Tuple[Index, Index], List[Tuple[int, int]]] = {}
+    zero = Fraction(0)
+    out: Dict[Index, Vector] = {}
     # one representative (a, i_1 <= .. <= i_(k-1)) per orbit of _trailing_rep
-    return {(a,) + rest: entry((a,) + rest) for a in range(l_dim)
-            for rest in itertools.combinations_with_replacement(range(l_dim), k - 1)}
+    for rest in itertools.combinations_with_replacement(range(l_dim), k - 1):
+        # the keys of every representative with this rest, less a, counted
+        get = rest.__getitem__
+        m_tails: Dict[Tuple[Index, Tuple[Index, ...]], int] = {}
+        for b0, others in m_parts:
+            key = (tuple(map(get, b0)), tuple(sorted([tuple(map(get, b)) for b in others])))
+            m_tails[key] = m_tails.get(key, 0) + 1
+        l_tails: Dict[Tuple[Index, Index], int] = {}
+        for s, others in l_parts:
+            key = (tuple(map(get, s)), tuple(map(get, others)))
+            l_tails[key] = l_tails.get(key, 0) + 1
+        for a in range(l_dim):
+            acc = [0] * m_dim
+            for (b0, others), mult in m_tails.items():
+                key = (tuple(sorted((a,) + b0)),) + others
+                val = m_values.get(key)
+                if val is None:
+                    val = m_values[key] = m_value(key)
+                for i, c in val:
+                    acc[i] += mult * c
+            for (s, others), mult in l_tails.items():
+                key = ((a,) + s, others)
+                val = l_values.get(key)
+                if val is None:
+                    val = l_values[key] = l_value(key)
+                for i, c in val:
+                    acc[i] += mult * c
+            out[(a,) + rest] = [Fraction(c, den) if c else zero for c in acc]
+    return out
 
 
 def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
@@ -438,6 +495,19 @@ def _defect_tensor(u: TruncatedMap, jets: _StructureJets,
 
 # -- defect tensor and its conditions -------------------------------------------
 
+def _check_defect_shapes(p_k: PointTensor, j_l_at: PointTensor,
+                         j_m_at: PointTensor) -> None:
+    """Refuse structures at the base points that do not fit P_k: J_L(x)
+    must be a square map of P_k's source, J_M(y) one of its target."""
+    _require_point_tensors(p_k=p_k, j_l_at=j_l_at, j_m_at=j_m_at)
+    for name, j, dim in (("J_L(x)", j_l_at, p_k.dim_in), ("J_M(y)", j_m_at, p_k.dim_out)):
+        if (j.arity, j.dim_in, j.dim_out) != (1, dim, dim):
+            raise StructureError(
+                f"{name} has arity {j.arity} and shape {j.dim_in} -> {j.dim_out}, but "
+                f"a defect tensor of shape {p_k.dim_in} -> {p_k.dim_out} needs "
+                f"arity 1 and shape {dim} -> {dim}")
+
+
 def defect_conditions(p_k: PointTensor, j_l_at: PointTensor,
                       j_m_at: PointTensor) -> Dict[str, PointTensor]:
     """The three exact solvability conditions, as defect tensors.
@@ -447,6 +517,7 @@ def defect_conditions(p_k: PointTensor, j_l_at: PointTensor,
                        conjugating both slots by j_L
     trailing_symmetry: first failing symmetry among slots 1..k-1
     """
+    _check_defect_shapes(p_k, j_l_at, j_m_at)
     shape = (p_k.dim_in, p_k.dim_out, p_k.arity)
     out: Dict[str, PointTensor] = {}
     out["antilinearity"] = contraction_sum(
@@ -466,14 +537,65 @@ def defect_conditions(p_k: PointTensor, j_l_at: PointTensor,
     return out
 
 
+def _conditions_hold(q: List[PolyVec], j_l_at: PointTensor, j_m_at: PointTensor,
+                     k: int) -> bool:
+    """Antilinearity and swap conjugation of an order-k P_k symmetric in
+    its trailing slots, as polynomial identities in h.
+
+    With A = J_L(x), B = J_M(y), q[a] = Q_a = _slot_polys(P_k, (a,)) and
+    D_cd = d_d Q_c - d_c Q_d, they read B Q_a + sum_b A[b][a] Q_b = 0 for
+    every a, and D_ab - sum_(c < d) (A[c][a] A[d][b] - A[d][a] A[c][b]) D_cd
+    = 0 for every a < b: the two defect tensors with h in every trailing
+    slot, over (k - 1)! and (k - 2)!.  Those tensors are symmetric in
+    their trailing slots, so each vanishes exactly when its polynomial
+    does; swap conjugation is also antisymmetric in slots 0 and 1.
+    """
+    n = len(q)
+
+    def consts(values: Sequence[Fraction]) -> PolyVec:
+        return [poly.const(c, n) for c in values]
+
+    # a_cols[a][c] = A[c][a], the image of e_a
+    a_cols = [j_l_at.entries[(a,)] for a in range(n)]
+    b_cols = [consts(j_m_at.entries[(i,)]) for i in range(j_m_at.dim_in)]
+    anti = poly.jet_apply_columns(b_cols + q, [q[a] + consts(a_cols[a]) for a in range(n)],
+                                  math.inf)
+    if any(c for v in anti for c in v):
+        return False
+    if k < 2:
+        return True
+    pairs = list(itertools.combinations(range(n), 2))
+    grads = [_gradient(q_a, n) for q_a in q]
+    alternations = [poly.vec_sub(grads[c][d], grads[d][c]) for c, d in pairs]
+    swap = poly.jet_apply_columns(alternations, [consts([
+        int((c, d) == (a, b)) - a_cols[a][c] * a_cols[b][d] + a_cols[a][d] * a_cols[b][c]
+        for c, d in pairs]) for a, b in pairs], math.inf)
+    return not any(c for v in swap for c in v)
+
+
 def _verify_defect(p_k: PointTensor, j_l_at: PointTensor,
-                   j_m_at: PointTensor) -> None:
+                   j_m_at: PointTensor) -> List[PolyVec]:
+    """Check P_k against the three conditions and return its Q_a.
+
+    Trailing symmetry is checked first, then the other two as polynomial
+    identities (_conditions_hold).  Only when one fails are the dense
+    defect_conditions built, and the first nonzero one, in the order
+    antilinearity, trailing_symmetry, swap_conjugation, is raised with
+    its tensor as the witness.
+    """
+    _check_defect_shapes(p_k, j_l_at, j_m_at)
+    if p_k.respects(_trailing_rep):
+        q = [_slot_polys(p_k, (a,)) for a in range(p_k.dim_in)]
+        if _conditions_hold(q, j_l_at, j_m_at, p_k.arity):
+            return q
     conds = defect_conditions(p_k, j_l_at, j_m_at)
     for name in ("antilinearity", "trailing_symmetry", "swap_conjugation"):
         defect = conds.get(name)
         if defect is not None and not defect.is_zero():
             raise DefectConditionError(
                 name, defect, f"defect tensor fails the {name} condition")
+    raise InternalInconsistencyError(
+        "the polynomial and dense defect conditions disagree")
 
 
 def _require_swap(err: DefectConditionError) -> None:
@@ -519,9 +641,8 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     antilinear parts and adjoins the permuted components (the display
     formula at k = 3).
     """
-    _require_point_tensors(p_k=p_k, j_l_at=j_l_at, j_m_at=j_m_at)
+    q = _verify_defect(p_k, j_l_at, j_m_at)
     k, n = p_k.arity, p_k.dim_in
-    _verify_defect(p_k, j_l_at, j_m_at)
 
     def columns(m: PointTensor, c) -> List[PolyVec]:
         """c m as constant polynomial columns."""
@@ -537,7 +658,6 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
         """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
         return poly.apply_columns(minus_b, poly.apply_columns(_gradient(v, n), a_h))
 
-    q = [_slot_polys(p_k, (a,)) for a in range(n)]
     g = poly.apply_columns([poly.apply_columns(half_b, q_a) for q_a in q], h)
     # pi in Newton form on the nodes k - 2, k - 4, .., -k: its divided
     # differences are 1/(2^j (j + 1)!), and Horner step j applies

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijcalc import jets, linalg, poly
 from nijcalc.invariants import (
@@ -480,6 +481,127 @@ def test_symmetrize_takes_point_tensors_only():
             symmetrize(*args)
 
 
+# five mismatches: (P dim, J_L dim, J_M dim, P passed as J_L)
+@pytest.mark.parametrize("p_dim, l_dim, m_dim, p_as_j_l", [
+    (4, 6, 4, False), (4, 4, 6, False), (4, 4, 4, True), (6, 4, 4, False), (6, 6, 4, False),
+])
+@pytest.mark.parametrize("check", [symmetrize, defect_conditions])
+def test_defect_checks_refuse_structures_of_the_wrong_shape(monkeypatch, check, p_dim,
+                                                            l_dim, m_dim, p_as_j_l):
+    """J_L(x) must be a square map of P_k's source and J_M(y) of its
+    target; a mismatch is refused by name and shape before any arithmetic."""
+    rng = random.Random(p_dim + l_dim + m_dim)
+    p_k = rand_symmetric(p_dim, p_dim, 2, rng)
+    jl0 = p_k if p_as_j_l else rand_point_structure(l_dim // 2, rng)
+    jm0 = rand_point_structure(m_dim // 2, rng)
+    contractions = calls_of(monkeypatch, jets, "contraction_sum")
+    reads = calls_of(monkeypatch, jets, "_slot_polys")
+    with pytest.raises(StructureError) as exc:
+        check(p_k, jl0, jm0)
+    assert type(exc.value) is StructureError
+    bad = "J_L(x)" if p_as_j_l or l_dim != p_dim else "J_M(y)"
+    assert bad in str(exc.value)
+    assert f"{p_dim} -> {p_dim}" in str(exc.value)
+    assert contractions == [] and reads == []
+
+
+CONDITIONS = ("antilinearity", "trailing_symmetry", "swap_conjugation")
+
+
+def rand_tensor(dim_in, dim_out, k, rng):
+    return PointTensor.from_function(
+        dim_in, dim_out, k, lambda idx: [Fraction(rng.randint(-3, 3)) for _ in range(dim_out)])
+
+
+def antilinear_part(t, jl0, jm0, slot):
+    """(t + j_M o t(.., j_L ., ..))/2, the part of t antilinear in the slot."""
+    return t.add(post_compose(jm0, slot_compose(t, jl0, slot))).scale(HALF)
+
+
+def drawn_defect(kind, k, jl0, jm0, rng):
+    """A zeta image of arity k, plus a tensor that can fail only the named
+    condition, or a random tensor."""
+    n, m = jl0.dim_in, jm0.dim_in
+    p_k = zeta(rand_symmetric(n, m, k, rng), jl0, jm0)
+    if kind == "antilinearity":
+        # fully symmetric: no alternation in slots 0 and 1
+        extra = rand_symmetric(n, m, k, rng)
+    elif kind == "swap_conjugation":
+        # antilinear in slot 0 and symmetric in the others; from a fully
+        # symmetric tensor its antilinear part in slots 0 and 1 would be
+        # symmetric, and swap conjugation would hold
+        extra = antilinear_part(PointTensor.from_orbits(
+            n, m, k, jets._trailing_rep,
+            lambda rep: [Fraction(rng.randint(-3, 3)) for _ in range(m)]), jl0, jm0, 0)
+    elif kind == "trailing_symmetry":
+        # antilinear in slots 0 and 1 and symmetric in them, not in 1 and 2
+        t = antilinear_part(antilinear_part(rand_tensor(n, m, k, rng), jl0, jm0, 0),
+                            jl0, jm0, 1)
+        extra = t.add(t.swap_slots(0, 1))
+    elif kind == "random":
+        extra = rand_tensor(n, m, k, rng)
+    else:
+        return p_k
+    return p_k.add(extra)
+
+
+def dense_failures(p_k, jl0, jm0):
+    conds = defect_conditions(p_k, jl0, jm0)
+    return conds, [c for c in CONDITIONS if c in conds and not conds[c].is_zero()]
+
+
+def assert_verified_like_the_dense_conditions(p_k, jl0, jm0):
+    """_verify_defect raises exactly when a dense condition tensor is
+    nonzero, naming the first in the dense order and carrying its tensor."""
+    conds, failing = dense_failures(p_k, jl0, jm0)
+    if not failing:
+        assert jets._verify_defect(p_k, jl0, jm0) == [
+            jets._slot_polys(p_k, (a,)) for a in range(p_k.dim_in)]
+        return failing
+    with pytest.raises(DefectConditionError) as exc:
+        jets._verify_defect(p_k, jl0, jm0)
+    assert exc.value.condition == failing[0]
+    assert exc.value.defect == conds[failing[0]]
+    return failing
+
+
+@st.composite
+def defect_draws(draw):
+    k = draw(st.integers(1, 4))
+    kinds = ["zeta", "random", "antilinearity"] + ["swap_conjugation"] * (k >= 2) + \
+        ["trailing_symmetry"] * (k >= 3)
+    return (k, draw(st.sampled_from(kinds)), draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+            draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(defect_draws())
+def test_polynomial_conditions_have_the_strength_of_the_dense_ones(drawn):
+    k, kind, n_in, n_out, seed = drawn
+    rng = random.Random(seed)
+    jl0, jm0 = rand_point_structure(n_in, rng), rand_point_structure(n_out, rng)
+    failing = assert_verified_like_the_dense_conditions(
+        drawn_defect(kind, k, jl0, jm0, rng), jl0, jm0)
+    if kind == "zeta":
+        assert failing == []
+    elif kind != "random":
+        assert set(failing) <= {kind}
+
+
+def test_each_drawn_condition_fails_alone():
+    """The draws above reach every condition alone, in equal and unequal
+    dimensions.  Swap conjugation needs a source of dimension 4 at least:
+    on R^2 a j_L-conjugation multiplies 2-forms by det j_L = 1."""
+    rng = random.Random(41)
+    for n_in, n_out in ((2, 2), (2, 1), (1, 2)):
+        jl0, jm0 = rand_point_structure(n_in, rng), rand_point_structure(n_out, rng)
+        for k in range(1, 5):
+            swap = k >= 2 and n_in >= 2
+            for kind in CONDITIONS[:1] + CONDITIONS[2:] * swap + CONDITIONS[1:2] * (k >= 3):
+                p_k = drawn_defect(kind, k, jl0, jm0, rng)
+                assert assert_verified_like_the_dense_conditions(p_k, jl0, jm0) == [kind]
+
+
 # -- obstructions -----------------------------------------------------------------
 
 @pytest.mark.parametrize("obstruction", [obstruction_2, obstruction_3])
@@ -773,15 +895,22 @@ def pushed_standard_1jet():
     return pushed_pair(standard_structure(2), 3, 1)
 
 
-# fingerprints of the symbols of two towers as the dense projection
-# solve computed them; the ex2 symbols above order 1 are zero, the pushed
-# pair's are not
+def pushed_standard3_1jet():
+    return pushed_pair(standard_structure(3), 4, 1)
+
+
+# fingerprints of the symbols of three towers: the first two as the dense
+# projection solve computed them, the 6D one as the tower computed them
+# with the dense defect conditions and the per-partition apply cross-check;
+# the ex2 symbols above order 1 are zero, the pushed pairs' are not
 @pytest.mark.parametrize("fixture, order, expected", [
     (ex2_killing, 6, ["bfd049969bfda7cb", "105692c59da9dfcd", "90af895dede46ea3",
                       "131d88260f0da184", "28d0108a677cb11a", "4d17be6269e1eeae"]),
     (pushed_standard_1jet, 5, ["7816d095581ee409", "d63ee73ec4c93c63",
                                "925223c9de5b8cd5", "f709ee17db0a6178",
                                "26dbf9277b08454b"]),
+    (pushed_standard3_1jet, 4, ["26549be70ee8e29f", "9943c37e5c20f010",
+                                "ab78ad9f8364902c", "f6cf739bce37d0fc"]),
 ])
 def test_higher_order_tower_keeps_its_symbols(fixture, order, expected):
     j_l, j_m, u = fixture()
@@ -939,6 +1068,43 @@ def test_6d_pushed_pair_agrees_with_the_dense_reference():
     for r in range(1, tower.lifted.order):
         assert build_P_k(truncate(tower.lifted, r), j_l, j_m, verify=False) == \
             dense(truncate(tower.lifted, r), skip_top=True)
+
+
+def test_residual_terms_are_fractions_equal_to_the_dense_reference():
+    """The cross-check at every representative, component for component:
+    residuals and P_k of a pushed pair (nonzero d^1 J_M and d^2 J_M) and of
+    random symbols, each component a Fraction."""
+    j_l, j_m, u = pushed_pair(random_structure(2, seed=5, degree=1), 7, 3)
+    rng = random.Random(37)
+    noisy = TruncatedMap(u.x, u.y, tuple(JetSymbol(r, rand_symmetric(4, 4, r, rng))
+                                         for r in range(1, 4)))
+    dense = dense_reference(j_l, j_m, u.x, u.y, 3)
+    for v in (u, noisy):
+        structure_jets = jets._StructureJets(v, j_l, j_m)
+        for r, skip_top in [(r, False) for r in range(1, 4)] + [(r, True) for r in range(1, 3)]:
+            got = jets._residual_terms(truncate(v, r), structure_jets, skip_top)
+            want = dense(truncate(v, r), skip_top)
+            k = r + skip_top
+            assert sorted(got) == [(a,) + rest for a in range(4) for rest in
+                                 itertools.combinations_with_replacement(range(4), k - 1)]
+            assert all(value == want.entries[idx] for idx, value in got.items())
+            assert all(type(c) is Fraction for value in got.values() for c in value)
+            if not skip_top:
+                assert any(any(value) for value in got.values()) == (v is noisy)
+
+
+def test_lift_tower_applies_no_tensor(monkeypatch):
+    """The cross-check sums its terms on integer numerators: no tower, full
+    or obstructed, applies a tensor to vectors.  A direct call afterwards
+    shows the counter live."""
+    applied = calls_of(monkeypatch, PointTensor, "apply")
+    for fixture, order in ((ex2_killing, 4), (pushed_standard_1jet, 5),
+                           (pushed_standard3_1jet, 3), (ex5_to_standard, 4)):
+        j_l, j_m, u = fixture()
+        lift_tower(u, j_l, j_m, k_max=order)
+    assert applied == []
+    PointTensor.from_matrix([[1, 0], [0, 1]]).apply([[1, 2]])
+    assert len(applied) == 1
 
 
 @pytest.mark.parametrize("route", ["tensor", "composition"])
