@@ -31,6 +31,7 @@ bracket constants.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -107,14 +108,9 @@ def make_distribution(generators: Sequence[Sequence[poly.Poly]],
 
 
 def _torsion_generators(j: StructureField) -> List[List[poly.Poly]]:
-    nf = nijenhuis_field_bracket(j)
-    gens = []
-    for a in range(j.dim):
-        for b in range(a + 1, j.dim):
-            g = nf.entries[(a, b)]
-            if not poly.vec_is_zero(g):
-                gens.append(g)
-    return gens
+    """The global torsion fields N(e_a, e_b), a < b, that do not vanish."""
+    return [g for g in torsion_jets(j.cols, math.inf).values()
+            if not poly.vec_is_zero(g)]
 
 
 def pi2(j: StructureField, point: Sequence) -> Distribution:
@@ -304,6 +300,8 @@ def utxi_invariant(j: StructureField, point: Sequence,
     else:
         if len(xi3_choice) != 4:
             raise StructureError("xi3 choice has wrong length")
+        if any(isinstance(c, float) for c in xi3_choice):
+            raise StructureError(f"float in xi3 choice {list(xi3_choice)!r}: must be exact")
         chosen = [c if isinstance(c, QuadExt) else Fraction(c)
                   for c in xi3_choice]
     coords = _coords_in([b1, b2, xi3_raw], chosen)
@@ -374,25 +372,19 @@ def _bracket_scalar(coeffs_a: Vec, coeffs_b: Vec, values: List[List[Vec]],
     """Frame component of [sum a_i A_i, sum b_k B_k] at the point, where
     values[i][k] = [A_i, B_k](p).
 
-    Constant coefficients keep the bracket bilinear, so the value is a
-    double sum of coefficient products against rational bracket values.
+    Constant coefficients keep the bracket bilinear, so its value is the
+    double sum of a_i b_k values[i][k]; the frame is a basis, so that sum
+    is solved for its frame coordinates once.
     """
-    total: Scalar = Fraction(0)
-    for i, ca in enumerate(coeffs_a):
-        if ca == 0:
-            continue
-        for k, cb in enumerate(coeffs_b):
-            if cb == 0:
-                continue
-            val = values[i][k]
-            if linalg.vec_is_zero(val):
-                continue
-            coords = _coords_in(frame_basis, val)
-            if coords is None:
-                raise InternalInconsistencyError(
-                    "bracket value outside the frame span")
-            total = total + ca * cb * coords[component]
-    return total
+    total: Vec = [Fraction(0)] * len(frame_basis)
+    for ca, row in zip(coeffs_a, values):
+        for cb, val in zip(coeffs_b, row):
+            if ca != 0 and cb != 0 and not linalg.vec_is_zero(val):
+                total = linalg.vec_add(total, linalg.vec_scale(val, ca * cb))
+    coords = _coords_in(frame_basis, total)
+    if coords is None:
+        raise InternalInconsistencyError("bracket value outside the frame span")
+    return coords[component]
 
 
 def tanaka_forms(j: StructureField, point: Sequence,

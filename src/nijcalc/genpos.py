@@ -18,12 +18,16 @@ from . import linalg, poly
 from .invariants import InternalInconsistencyError
 from .structures import (StructureError, doubled_block_j,
                          linear_membership_violation, standard_matrix)
-from .tensor import PointTensor, kernel_dim
+from .tensor import PointTensor, alternating_rep, kernel_dim
 
 Vector = List[Fraction]
 
 
 def _as_fractions(v: Sequence) -> Vector:
+    """v as Fractions.  A float raises ValueError: it would be read as the
+    nearest binary fraction, another vector."""
+    if any(isinstance(x, float) for x in v):
+        raise ValueError(f"float component in {list(v)!r}: vectors must be exact")
     return [Fraction(x) for x in v]
 
 
@@ -79,7 +83,7 @@ def appendix_tensor(n: int) -> PointTensor:
             out[2 * k - 1] = first[1] - second[1]
         return out
 
-    t = PointTensor.from_function(dim, dim, 2, fn)
+    t = PointTensor.from_orbits(dim, dim, 2, alternating_rep, fn)
     j0 = PointTensor.from_matrix(standard_matrix(n))
     bad = linear_membership_violation(t, j0)
     if bad is not None:
@@ -112,7 +116,7 @@ def example3_tensor(n: int) -> Dict[str, PointTensor]:
             out[i] = coeff
         return out
 
-    a_tensor = PointTensor.from_function(n, n, 2, a_fn)
+    a_tensor = PointTensor.from_orbits(n, n, 2, alternating_rep, a_fn)
     dim = 2 * n
 
     def split(v):
@@ -127,7 +131,7 @@ def example3_tensor(n: int) -> Dict[str, PointTensor]:
                                          a_tensor.apply([y1, x2]))]
         return first + second
 
-    n_tensor = PointTensor.from_function(dim, dim, 2, n_fn)
+    n_tensor = PointTensor.from_orbits(dim, dim, 2, alternating_rep, n_fn)
     j_block = doubled_block_j(n)
     bad = linear_membership_violation(n_tensor, j_block)
     if bad is not None:
@@ -152,7 +156,7 @@ def plucker_map() -> PointTensor:
         return [th[(0, 1)] - th[(2, 3)], th[(0, 2)] + th[(1, 3)],
                 th[(0, 3)], th[(1, 2)]]
 
-    return PointTensor.from_function(4, 4, 2, fn)
+    return PointTensor.from_orbits(4, 4, 2, alternating_rep, fn)
 
 
 @dataclass
@@ -284,20 +288,20 @@ def general_position_test(n_tensor: PointTensor, sample_count: int,
     return GenPosReport("inconclusive", tested, None, degeneracy)
 
 
-def deformation_search(n_tensor: PointTensor, seed: int,
-                       sample_count: int = 25) -> Dict:
+def deformation_search(n_tensor: PointTensor, seed: int) -> Dict:
     """Deform toward the dense reference tensor until a member is certified.
 
-    Tries epsilon = 1 first, then 1 - 1/k for k = 2, 3, ...; the segment
-    endpoint is the conjugate-minor tensor, so members close enough to it
-    are in general position and the search terminates.
+    Tries epsilon = 1 first, then 1 - 1/k for k = 2, 3, ..., testing each
+    member on 25 samples; the segment endpoint is the conjugate-minor
+    tensor, so members close enough to it are in general position and the
+    search terminates.
     """
     dim = n_tensor.dim_in
     reference = appendix_tensor(dim // 2)
     candidates = [Fraction(1)] + [1 - Fraction(1, k) for k in range(2, 65)]
     for eps in candidates:
         cand = n_tensor.scale(eps).add(reference.scale(1 - eps))
-        report = general_position_test(cand, sample_count, seed)
+        report = general_position_test(cand, 25, seed)
         if report.verdict == "general_position":
             return {"epsilon": eps, "tensor": cand, "report": report}
     raise InternalInconsistencyError(

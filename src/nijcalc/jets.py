@@ -123,8 +123,11 @@ class TruncatedMap:
     require_nonzero_first: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(c) for c in self.x))
-        object.__setattr__(self, "y", tuple(Fraction(c) for c in self.y))
+        for name in ("x", "y"):
+            point = getattr(self, name)
+            if any(isinstance(c, float) for c in point):
+                raise StructureError(f"float in base point {name} = {point!r}: must be exact")
+            object.__setattr__(self, name, tuple(Fraction(c) for c in point))
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise StructureError("a truncated map needs at least the order-1 symbol")

@@ -16,11 +16,13 @@ or all QuadExt over one radicand).  A matrix that mixes types is
 eliminated densely, because there Fraction - QuadExt * 0 is a QuadExt and
 the element types of the result depend on every operation performed.
 
-Ranks and membership tests use Echelon, which keeps the reduced rows of
-a span and reduces a vector against them: no back substitution, and a
-caller asking whether many vectors lie in one span eliminates the span
-once.  Only a bool or a count leaves it, so its element types never
-reach a result.
+Ranks, membership tests and det use Echelon, which keeps the reduced
+rows of a span and reduces a vector against them: no back substitution,
+and a caller asking whether many vectors lie in one span eliminates the
+span once.  det is the product of the pivots it divides by, signed by
+the order of their columns; on a matrix that mixes Fraction and QuadExt
+only its value, not its element type, is fixed.  solve, det and inverse
+refuse a ragged or mis-shaped matrix with a ValueError naming the shapes.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ def _one_type(m: Matrix) -> bool:
         d = m[0][0].d
         return all(type(x) is QuadExt and x.d == d for row in m for x in row)
     return False
+
+
+def _check_rows(m: Matrix, cols: int, what: str) -> None:
+    """ValueError naming the shape unless every row has cols entries."""
+    if any(len(row) != cols for row in m):
+        raise ValueError(f"{what}: {len(m)} rows of lengths {[len(row) for row in m]}")
 
 
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -153,9 +161,12 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     The particular solution is the one with all free variables zero
     (deterministic, lexicographic pivots).
     """
+    if len(b) != len(m):
+        raise ValueError(f"solve got {len(m)} equations and {len(b)} constants")
     if not m:
         return [] if vec_is_zero(b) else None
     cols = len(m[0])
+    _check_rows(m, cols, "solve needs rows of one length")
     aug = [list(row) + [bv] for row, bv in zip(m, b)]
     red, pivots = rref(aug)
     for r, pc in enumerate(pivots):
@@ -168,35 +179,26 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 
 
 def det(m: Matrix):
-    """Exact determinant by elimination."""
+    """Exact determinant: the product of the pivots Echelon divides by,
+    row by row, times the sign of the permutation taking row i to its
+    pivot column.  A row in the span of the rows above it gives 0."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = mat_copy(m)
+    _check_rows(m, n, "det needs a square matrix")
+    span = Echelon()
     result = Fraction(1)
-    sign = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for row in m:
+        pivot = span.insert(row)
+        if not pivot:
             return Fraction(0) * result  # keeps the field type when exotic
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            sign = -sign
-        result = result * a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result if sign == 1 else -result
+        result = result * pivot
+    pivots = [p for p, _ in span.rows]
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return -result if inversions % 2 else result
 
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
+    _check_rows(m, n, "inverse needs a square matrix")
     aug = [list(row) + list(idrow) for row, idrow in zip(m, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -218,7 +220,7 @@ def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
 
 
 class Echelon:
-    """Reduced rows of a growing span, for ranks and membership tests.
+    """Reduced rows of a growing span, for ranks, membership tests and det.
 
     Each row is stored by its support, with a pivot column where it is 1
     and where every row inserted later is 0; reducing a vector against the
@@ -249,15 +251,16 @@ class Echelon:
     def contains(self, v: Sequence) -> bool:
         return vec_is_zero(self.reduce(v))
 
-    def insert(self, v: Sequence) -> bool:
-        """Add v to the span; False when it already lay there."""
+    def insert(self, v: Sequence):
+        """Add v to the span and return the pivot value its remainder is
+        divided by, or 0 when v already lay there."""
         rem = self.reduce(v)
         p = next((k for k, x in enumerate(rem) if x != 0), None)
         if p is None:
-            return False
+            return 0
         inv = rem[p]
         self.rows.append((p, [(k, x / inv) for k, x in enumerate(rem) if x != 0]))
-        return True
+        return inv
 
 
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:

@@ -313,7 +313,7 @@ def left_invariant_structure(g: LieAlgebraSpec) -> Dict[str, PointTensor]:
         a, b = idx
         xa, ba = a % n, a // n
         xb, bb = b % n, b // n
-        br = g.bracket(linalg.basis_vector(n, xa), linalg.basis_vector(n, xb))
+        br = g.tensor.entries[(xa, xb)]
         if ba == 0 and bb == 0:
             first, second = [-x for x in br], br
         elif ba == 1 and bb == 1:
@@ -322,7 +322,7 @@ def left_invariant_structure(g: LieAlgebraSpec) -> Dict[str, PointTensor]:
             first, second = br, br
         return [*first, *second]
 
-    tensor_n = PointTensor.from_function(dim, dim, 2, fn)
+    tensor_n = PointTensor.from_orbits(dim, dim, 2, alternating_rep, fn)
     return {"nijenhuis_at_identity": tensor_n, "j": doubled_block_j(n)}
 
 
@@ -377,19 +377,19 @@ def random_structure(n: int, seed: int, degree: int = 2) -> StructureField:
     return StructureField(cols, name=f"random(n={n}, seed={seed})")
 
 
-def random_linear_nijenhuis(n: int, seed: int, coeff_bound: int = 3) -> PointTensor:
+def random_linear_nijenhuis(n: int, seed: int) -> PointTensor:
     """Seeded random element of the linear space for j0 on R^{2n}.
 
-    Free data: the values on (e_{2s-1}, e_{2t-1}) for s < t; everything else
-    follows from antisymmetry and the antilinearity relations.
+    Free data: the values on (e_{2s-1}, e_{2t-1}) for s < t, integers in
+    -3..3; everything else follows from antisymmetry and the antilinearity
+    relations.
     """
     rng = random.Random(seed)
     dim = 2 * n
     free: Dict[Tuple[int, int], List[Fraction]] = {}
     for s in range(n):
         for t in range(s + 1, n):
-            free[(s, t)] = [Fraction(rng.randint(-coeff_bound, coeff_bound))
-                            for _ in range(dim)]
+            free[(s, t)] = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
     return linear_nijenhuis_from_free_data(n, free)
 
 

@@ -18,7 +18,9 @@ The rules are symmetric_rep (jet symbols), alternating_rep (the
 permutation sign: torsion, Lie brackets, forms) and pair_pattern_rep
 (antisymmetric within slots (1,2), within (3,4) and under swapping the
 pairs: the arity-4 invariant).  from_orbits builds a tensor from one
-value per orbit, unchecked, and respects checks a tensor against a rule.
+value per orbit, unchecked; from_function is its call under a private
+rule that makes each index tuple its own orbit.  respects checks a
+tensor against a rule.
 
 contraction_sum is the one contraction kernel: a signed sum of slot
 contractions, post-compositions and plain tensors, each with its slots
@@ -72,13 +74,9 @@ class PointTensor:
     @classmethod
     def from_function(cls, dim_in: int, dim_out: int, arity: int,
                       fn: Callable[[Index], Sequence]) -> "PointTensor":
-        entries = {}
-        for idx in itertools.product(range(dim_in), repeat=arity):
-            value = [v if type(v) is Fraction else _exact(v) for v in fn(idx)]
-            if len(value) != dim_out:
-                raise TensorError(f"value at {idx} has length {len(value)}, expected {dim_out}")
-            entries[idx] = value
-        return cls(dim_in, dim_out, arity, entries)
+        """fn(idx) at every index tuple: from_orbits with each tuple its
+        own orbit."""
+        return cls.from_orbits(dim_in, dim_out, arity, _own_rep, fn)
 
     @classmethod
     def from_orbits(cls, dim_in: int, dim_out: int, arity: int, rep: SignRule,
@@ -232,6 +230,11 @@ def _orbit_table(rep: SignRule, dim: int, arity: int) -> Tuple[Tuple[Index, Inde
         tuples = itertools.product(range(dim), repeat=arity)
         _ORBIT_TABLES[key] = tuple((idx,) + rep(idx) for idx in tuples)
     return _ORBIT_TABLES[key]
+
+
+def _own_rep(idx: Index) -> Tuple[Index, int]:
+    """The tuple itself, sign 1: no symmetry (from_function)."""
+    return idx, 1
 
 
 def symmetric_rep(idx: Index) -> Tuple[Index, int]:

@@ -26,10 +26,14 @@ from nijcalc import classify, linalg, poly
 from nijcalc.classify import (HypothesisError, bracket_identity_report,
                               derived_distribution, lie_check, pi2,
                               tanaka_forms, utxi_invariant)
+from nijcalc.genpos import alpha_N, annihilator, appendix_tensor
 from nijcalc.invariants import nijenhuis_tensor, torsion_jets
+from nijcalc.jets import JetSymbol, TruncatedMap
 from nijcalc.quadext import QuadExt
-from nijcalc.structures import (example_structure, from_anticommuting_part,
-                                random_structure, validate)
+from nijcalc.structures import (StructureError, example_structure,
+                                from_anticommuting_part, random_structure,
+                                validate)
+from nijcalc.tensor import identity_map
 from reference import lie_bracket, nijenhuis_field_by_lie_brackets
 
 NOT_LIE = {"jj_algebraic_zero": True, "jj_fn_is_twice_torsion": True,
@@ -241,6 +245,38 @@ def test_xi3_flip_swaps_the_lines_and_a_plane_shift_keeps_them(seed, pt):
     shift = utxi_invariant(j, pt, xi3_choice=choices["shift"])
     assert (shift.u1, shift.u2, shift.xi4, shift.t_orientation) == \
         (fr.u1, fr.u2, fr.xi4, fr.t_orientation)
+
+
+@pytest.mark.parametrize("entry, error", [
+    ("TruncatedMap x", StructureError),
+    ("TruncatedMap y", StructureError),
+    ("alpha_N", ValueError),
+    ("annihilator", ValueError),
+    ("xi3_choice", StructureError),
+])
+def test_float_vectors_are_refused(entry, error):
+    """A float would be read as the nearest binary fraction, so (0.1, 0)
+    would name another point and alpha_N would certify another vector:
+    the base points of a truncated map, the vectors of alpha_N and
+    annihilator, and an xi3 choice refuse floats.  A QuadExt xi3 choice
+    still passes."""
+    one = (JetSymbol(1, identity_map(2)),)
+    calls = {
+        "TruncatedMap x": lambda: TruncatedMap((0.1, 0), (0, 0), one),
+        "TruncatedMap y": lambda: TruncatedMap((0, 0), (0, 0.0), one),
+        "alpha_N": lambda: alpha_N(appendix_tensor(2), [0.1, 0, 1, 0],
+                                   [[0, 0, 1, 0], [0, 0, 0, 1]]),
+        "annihilator": lambda: annihilator(appendix_tensor(2), [[1.0, 0, 0, 0]]),
+        "xi3_choice": lambda: utxi_invariant(family_structure(9), (0, 0, 1, 0),
+                                             xi3_choice=[1.0, 0, Fraction(-4, 3), 0]),
+    }
+    with pytest.raises(error, match="float"):
+        calls[entry]()
+    if entry == "xi3_choice":
+        seed, pt = FLIP_CASES[-1]
+        choice = _xi3_choices(seed, pt)["flip"]
+        assert any(isinstance(c, QuadExt) for c in choice)
+        assert utxi_invariant(family_structure(seed), pt, xi3_choice=choice).t_orientation == -1
 
 
 def test_lie_check_reports_at_the_first_sample_point():

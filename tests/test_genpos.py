@@ -20,15 +20,36 @@ from nijcalc.genpos import (
     recover_sign,
     two_structure_decomposition,
 )
-from nijcalc.structures import (StructureError, doubled_block_j,
+from nijcalc.structures import (LieAlgebraSpec, StructureError, doubled_block_j,
+                                left_invariant_structure,
                                 linear_nijenhuis_from_free_data,
                                 standard_matrix)
 from nijcalc.tensor import PointTensor, kernel_dim
-from reference import greedy_complement, mat_mul, mat_scale, solve_affine
+from reference import digest, greedy_complement, mat_mul, mat_scale, solve_affine
 
 
 def e(dim, a):
     return [Fraction(1) if i == a else Fraction(0) for i in range(dim)]
+
+
+def test_alternating_builders_keep_their_dense_outputs():
+    """The five antisymmetric builders fill by alternating_rep, calling
+    their value function once per pair a < b.  The digests, which tell a
+    Fraction from an int, are those of the same builders filled densely,
+    with the value function called at every pair."""
+    sl2 = LieAlgebraSpec(3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]})
+    got = {
+        "appendix_tensor(2)": appendix_tensor(2),
+        "appendix_tensor(3)": appendix_tensor(3),
+        "example3 A(3)": example3_tensor(3)["A"],
+        "example3 N(3)": example3_tensor(3)["N"],
+        "plucker": plucker_map(),
+        "left sl2": left_invariant_structure(sl2)["nijenhuis_at_identity"],
+    }
+    assert {name: digest(t) for name, t in got.items()} == {
+        "appendix_tensor(2)": "b6056a673ea1aa88", "appendix_tensor(3)": "e2edca6147570d10",
+        "example3 A(3)": "8c15393906839902", "example3 N(3)": "cec7c3629a95b3ce",
+        "plucker": "01f2db48baf15f7b", "left sl2": "02c9396a704f0c69"}
 
 
 def test_alpha_certificate_basics():

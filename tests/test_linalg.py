@@ -48,6 +48,65 @@ def test_det_and_inverse():
         linalg.inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
+def _anti_diagonal(n):
+    return [[F(1) if i + k == n - 1 else F(0) for k in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("m, want", [
+    ([], F(1)),
+    (_anti_diagonal(3), F(-1)),  # pivot columns 2, 1, 0: one transposition
+    (_anti_diagonal(4), F(1)),   # 3, 2, 1, 0: two transpositions
+    ([[F(0), F(2), F(0)], [F(0), F(0), F(3)], [F(5), F(0), F(0)]], F(30)),
+    ([[F(1), F(2), F(3)], [F(0), F(1), F(4)], [F(1), F(3), F(7)]], F(0)),
+])
+def test_det_signs_the_pivot_permutation(m, want):
+    """det multiplies Echelon's pivots and signs them by the permutation
+    taking row i to its pivot column; a last row in the span of the others
+    (row 3 = row 1 + row 2) gives 0."""
+    got = linalg.det(m)
+    assert got == want and type(got) is F
+
+
+def test_det_over_quadext_keeps_the_elimination_value():
+    """The pivots differ from those of a column-by-column elimination, but
+    the value is the same: 9 - 2 sqrt 5, by cofactors along the first row."""
+    r5 = sqrt_exact(5)
+    m = [[F(0), r5, F(2)], [r5, F(1), 1 + r5], [F(3), F(0), r5]]
+    assert linalg.det(m) == QuadExt(9, -2, 5)
+    assert linalg.det([[r5, F(1)], [F(5), r5]]) == 0
+
+
+def test_echelon_insert_returns_the_pivot_or_zero():
+    ech = linalg.Echelon()
+    assert ech.insert([F(0), F(3), F(1)]) == F(3)
+    assert ech.insert([F(2), F(6), F(2)]) == F(2)  # remainder (2, 0, 0)
+    assert ech.insert([F(1), F(1), F(1, 3)]) == 0
+    assert ech.rank == 2
+    r5 = sqrt_exact(5)
+    pivot = linalg.Echelon().insert([F(0), r5])
+    assert pivot == r5 and pivot
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: linalg.solve([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]], [F(1), F(2)]),
+     "3 equations and 2 constants"),
+    (lambda: linalg.solve([[F(1), F(0)], [F(1)]], [F(1), F(2)]),
+     r"rows of lengths \[2, 1\]"),
+    (lambda: linalg.det([[F(1), F(2), F(3)], [F(4), F(5), F(6)]]),
+     r"square matrix: 2 rows of lengths \[3, 3\]"),
+    (lambda: linalg.det([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]]),
+     r"square matrix: 3 rows of lengths \[2, 2, 2\]"),
+    (lambda: linalg.inverse([[F(1), F(0), F(0)], [F(0), F(1), F(0)]]),
+     r"square matrix: 2 rows of lengths \[3, 3\]"),
+])
+def test_solve_det_and_inverse_refuse_mis_shaped_input(call, match):
+    """A dropped equation, a leading square block or a slice of the
+    augmented matrix would answer another question: each raises ValueError
+    naming the shapes."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_span_operations():
     e1 = [F(1), F(0), F(0)]
     e2 = [F(0), F(1), F(0)]

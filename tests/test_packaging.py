@@ -105,3 +105,29 @@ def test_every_public_definition_is_named_elsewhere():
                     and read[node.name] == Counter(_names_read(node))[node.name]):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _module_level_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name)]
+
+
+def test_every_private_definition_is_named_elsewhere():
+    """Each private module-level def, class and assignment of the package
+    is named in the package outside its own statement: a helper that no
+    production code reaches any more is dead, even when a test still
+    reads it."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = Counter(name for tree in trees.values() for name in _names_read(tree))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            for name in _module_level_names(node):
+                if _private(name) and read[name] == Counter(_names_read(node))[name]:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

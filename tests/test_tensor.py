@@ -213,6 +213,18 @@ def test_from_symmetric_function_calls_fn_once_per_sorted_tuple():
             assert seen == list(itertools.combinations_with_replacement(range(dim), k))
 
 
+def test_from_function_fills_each_tuple_as_its_own_orbit():
+    """from_function is from_orbits with each index tuple its own orbit:
+    fn runs once per tuple, in product order, and a wrong-length value
+    still raises TensorError (floats: test_constructors_and_scale_refuse_floats)."""
+    seen = []
+    t = PointTensor.from_function(3, 2, 2, lambda idx: seen.append(idx) or [idx[0], F(idx[1], 2)])
+    assert seen == list(itertools.product(range(3), repeat=2)) == list(t.entries)
+    assert t.entries[(2, 1)] == [F(2), F(1, 2)] and type(t.entries[(2, 1)][0]) is F
+    with pytest.raises(tensor.TensorError, match=r"value at \(0, 1\) has length 1, expected 2"):
+        PointTensor.from_function(2, 2, 2, lambda idx: [F(1)] * (1 + (idx != (0, 1))))
+
+
 def test_from_symmetric_function_rejects_wrong_length():
     with pytest.raises(tensor.TensorError, match="length 3, expected 2"):
         PointTensor.from_orbits(2, 2, 2, tensor.symmetric_rep, lambda idx: [F(1)] * 3)
