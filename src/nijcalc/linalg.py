@@ -1,33 +1,41 @@
-"""Exact linear algebra over an exact field.
+"""Exact linear algebra over Q and over a quadratic extension Q(sqrt d).
 
 All routines use Gaussian elimination with deterministic lexicographic
 pivoting: columns are processed left to right and the first row with a
 nonzero entry is the pivot row.  No floating point anywhere, so ranks,
 kernels and solve verdicts are exact.
 
-The element type only needs field arithmetic (+, -, *, /) and equality
-with integer 0; Fraction works, and so does the quadratic extension type
-used by the 4D frame computation.
+Entries are ints, Fractions or QuadExts.  A float raises ValueError: it
+would be read as the nearest binary fraction, another matrix.
 
-rref skips zeros: the pivot row is normalized, and subtracted from the
-other rows, only on the columns where it is nonzero.  That changes no
-value, and no type either when every entry has one type (all Fraction,
-or all QuadExt over one radicand).  A matrix that mixes types is
-eliminated densely, because there Fraction - QuadExt * 0 is a QuadExt and
-the element types of the result depend on every operation performed.
+A matrix or vector whose entries are all ints and Fractions is eliminated
+fraction-free, on integer numerators: each row is scaled to integers by
+the lcm of its denominators, a row is eliminated as p*row - f*pivot_row
+and divided by its content, and one Fraction is built per nonzero output
+entry at the end.  Row scaling changes neither the reduced row echelon
+form, which is unique, nor any pivot choice, so the values are those of
+an elimination over Fractions, and every output entry is a Fraction.
+
+A matrix holding a QuadExt is eliminated over the field, ints read as
+Fractions: sparsely when every entry is a QuadExt over one radicand, so
+that field operations keep that type, and densely otherwise, because
+there Fraction - QuadExt * 0 is a QuadExt and the element types of the
+result depend on every operation performed.
 
 Ranks, membership tests and det use Echelon, which keeps the reduced
 rows of a span and reduces a vector against them: no back substitution,
 and a caller asking whether many vectors lie in one span eliminates the
 span once.  det is the product of the pivots it divides by, signed by
 the order of their columns; on a matrix that mixes Fraction and QuadExt
-only its value, not its element type, is fixed.  solve, det and inverse
-refuse a ragged or mis-shaped matrix with a ValueError naming the shapes.
+only its value, not its element type, is fixed.  solve, det, inverse,
+mat_vec, vec_add and vec_sub refuse mis-shaped input with a ValueError
+naming the lengths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .quadext import QuadExt
@@ -35,9 +43,7 @@ from .quadext import QuadExt
 Vector = List
 Matrix = List[List]
 
-
-def mat_copy(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
+_ZERO = Fraction(0)
 
 
 def basis_vector(dim: int, a: int) -> Vector:
@@ -51,42 +57,36 @@ def identity(n: int) -> Matrix:
     return [basis_vector(n, i) for i in range(n)]
 
 
-def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
-    return out
+def _rational(rows: Sequence[Sequence]) -> bool:
+    """Whether every entry is an int or a Fraction.  A float raises
+    ValueError: it would be read as the nearest binary fraction."""
+    kinds = {type(x) for row in rows for x in row}
+    if any(issubclass(k, float) for k in kinds):
+        bad = next(x for row in rows for x in row if isinstance(x, float))
+        raise ValueError(f"float entry {bad!r}: linear algebra needs exact entries")
+    return all(issubclass(k, (int, Fraction)) for k in kinds)
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return [a + b for a, b in zip(u, v)]
+def _field(v: Sequence) -> list:
+    """v with each int as a Fraction, refusing a float."""
+    _rational([v])
+    return [Fraction(x) if isinstance(x, int) else x for x in v]
 
 
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return [a - b for a, b in zip(u, v)]
+def _numerators(v: Sequence) -> Tuple[List[int], int]:
+    """A rational vector as integers over the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in v])
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def vec_scale(u: Sequence, c) -> Vector:
-    return [c * a for a in u]
+def _over(v: Sequence[int], den: int) -> Vector:
+    """The integer vector v divided by den, one Fraction per nonzero entry."""
+    return [Fraction(x, den) if x else _ZERO for x in v]
 
 
-def vec_is_zero(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
-
-
-def _one_type(m: Matrix) -> bool:
-    """Whether every entry is a Fraction, or every entry a QuadExt over one
-    radicand: field operations then keep that type, so zeros can be skipped."""
-    kind = type(m[0][0])
-    if kind is Fraction:
-        return all(type(x) is Fraction for row in m for x in row)
-    if kind is QuadExt:
-        d = m[0][0].d
-        return all(type(x) is QuadExt and x.d == d for row in m for x in row)
-    return False
+def _check_lengths(u: Sequence, v: Sequence, what: str) -> None:
+    if len(u) != len(v):
+        raise ValueError(f"{what} got lengths {len(u)} and {len(v)}")
 
 
 def _check_rows(m: Matrix, cols: int, what: str) -> None:
@@ -95,12 +95,89 @@ def _check_rows(m: Matrix, cols: int, what: str) -> None:
         raise ValueError(f"{what}: {len(m)} rows of lengths {[len(row) for row in m]}")
 
 
+def mat_vec(a: Matrix, v: Sequence) -> Vector:
+    """a v; rational entries are summed as integer numerators, one
+    Fraction per output entry."""
+    for row in a:
+        _check_lengths(row, v, "mat_vec")
+    if _rational([v, *a]):
+        nv, dv = _numerators(v)
+        return [Fraction(sum(x * y for x, y in zip(nr, nv)), dr * dv)
+                for nr, dr in map(_numerators, a)]
+    v = _field(v)
+    return [sum((x * y for x, y in zip(_field(row), v)), _ZERO) for row in a]
+
+
+def vec_add(u: Sequence, v: Sequence) -> Vector:
+    _check_lengths(u, v, "vec_add")
+    return [a + b for a, b in zip(_field(u), _field(v))]
+
+
+def vec_sub(u: Sequence, v: Sequence) -> Vector:
+    _check_lengths(u, v, "vec_sub")
+    return [a - b for a, b in zip(_field(u), _field(v))]
+
+
+def vec_scale(u: Sequence, c) -> Vector:
+    c, *u = _field([c, *u])
+    return [c * a for a in u]
+
+
+def vec_is_zero(u: Sequence) -> bool:
+    return all(a == 0 for a in u)
+
+
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    a = mat_copy(m)
+    """Reduced row echelon form and the pivot column list.
+
+    A rational matrix is eliminated on its rows' integer numerators: a row
+    becomes p*row - f*pivot_row, divided by its content, and each pivot
+    row is divided by its pivot once, at the end.
+    """
+    if not _rational(m):
+        return _field_rref(m)
+    a = [_numerators(row)[0] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    sparse = rows > 0 and cols > 0 and _one_type(a)
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                sp, sf = p // g, f // g
+                new = [sp * x - sf * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                a[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return ([_over(row, row[c]) for row, c in zip(a, pivots)]
+            + [[_ZERO] * cols for _ in range(rows - r)]), pivots
+
+
+def _one_field(m: Matrix) -> bool:
+    """Whether every entry is a QuadExt over one radicand: field operations
+    then keep that type, so zeros can be skipped."""
+    first = m[0][0]
+    return type(first) is QuadExt and all(
+        type(x) is QuadExt and x.d == first.d for row in m for x in row)
+
+
+def _field_rref(m: Matrix) -> Tuple[Matrix, List[int]]:
+    """rref of a matrix holding a QuadExt, eliminated over the field."""
+    a = [_field(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    sparse = rows > 0 and cols > 0 and _one_field(a)
     pivots: List[int] = []
     r = 0
     for c in range(cols):
@@ -212,6 +289,7 @@ def inverse(m: Matrix) -> Matrix:
 
 def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
     """Canonical basis of the span: rref rows, zero rows dropped."""
+    _rational(vectors)  # a float zero vector raises too
     vecs = [list(v) for v in vectors if not vec_is_zero(v)]
     if not vecs:
         return []
@@ -222,15 +300,24 @@ def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
 class Echelon:
     """Reduced rows of a growing span, for ranks, membership tests and det.
 
-    Each row is stored by its support, with a pivot column where it is 1
-    and where every row inserted later is 0; reducing a vector against the
-    rows in insertion order therefore leaves a remainder that vanishes at
-    every pivot, and that remainder is zero exactly when the vector lies in
-    the span.
+    Each row is stored by its support, with a pivot column where it is
+    nonzero and where every row inserted later is 0; reducing a vector
+    against the rows in insertion order therefore leaves a remainder that
+    vanishes at every pivot, and that remainder is zero exactly when the
+    vector lies in the span.
+
+    While every vector is rational, a row is its integer numerators
+    divided by their content, [(column, n)], and stands for that row over
+    its pivot entry n_p; a vector's numerators w are reduced as
+    n_p*w - w_p*row at each pivot, and its denominator multiplied by the
+    n_p it picks up.  Once a QuadExt vector arrives the rows become field
+    values, 1 at the pivot, and every later vector is reduced over the
+    field.
     """
 
     def __init__(self, vectors: Sequence[Sequence] = ()):
         self.rows: List[Tuple[int, list]] = []  # (pivot, [(column, value)])
+        self._field = False
         for v in vectors:
             self.insert(v)
 
@@ -238,29 +325,58 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence) -> Vector:
-        """The remainder of v after eliminating every pivot column."""
-        out = list(v)
+    def _reduce(self, v: Sequence) -> Tuple[Vector, int]:
+        """The remainder of v after eliminating every pivot column: integers
+        over a denominator while the span and v are rational, else field
+        values over 1.  A QuadExt v turns the integer rows into field rows."""
+        if _rational([v]) and not self._field:
+            w, den = _numerators(v)
+            for p, support in self.rows:
+                f = w[p]
+                if f:
+                    top = support[0][1]
+                    g = gcd(top, f)
+                    top, f = top // g, f // g
+                    if top != 1:
+                        w = [top * x for x in w]
+                        den *= top
+                    for k, y in support:
+                        w[k] -= f * y
+            return w, den
+        if not self._field:
+            self.rows = [(p, [(k, Fraction(y, support[0][1])) for k, y in support])
+                         for p, support in self.rows]
+            self._field = True
+        out = _field(v)
         for p, support in self.rows:
             f = out[p]
             if f != 0:
                 for k, y in support:
                     out[k] = out[k] - f * y
-        return out
+        return out, 1
+
+    def reduce(self, v: Sequence) -> Vector:
+        """The remainder of v after eliminating every pivot column."""
+        w, den = self._reduce(v)
+        return w if self._field else _over(w, den)
 
     def contains(self, v: Sequence) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return vec_is_zero(self._reduce(v)[0])
 
     def insert(self, v: Sequence):
         """Add v to the span and return the pivot value its remainder is
         divided by, or 0 when v already lay there."""
-        rem = self.reduce(v)
-        p = next((k for k, x in enumerate(rem) if x != 0), None)
+        w, den = self._reduce(v)
+        p = next((k for k, x in enumerate(w) if x != 0), None)
         if p is None:
             return 0
-        inv = rem[p]
-        self.rows.append((p, [(k, x / inv) for k, x in enumerate(rem) if x != 0]))
-        return inv
+        if self._field:
+            inv = w[p]
+            self.rows.append((p, [(k, x / inv) for k, x in enumerate(w) if x != 0]))
+            return inv
+        g = gcd(*w)
+        self.rows.append((p, [(k, x // g) for k, x in enumerate(w) if x]))
+        return Fraction(w[p], den)
 
 
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:

@@ -6,6 +6,11 @@ instead: differentiate the global polynomial fields, then evaluate.  They
 share no code with the jet routes beyond the polynomial arithmetic, which
 is what makes them useful as oracles.
 
+The rational eliminations as they were before they ran on integer
+numerators, one normalized Fraction per row operation (fraction_rref,
+FractionEchelon, fraction_det), are the oracles of linalg's fraction-free
+kernels.
+
 Then come the dense forms of routines the package now runs sparsely:
 elimination over every column, the antilinearity check one basis pair at
 a time, the greedy invariant complement by repeated rank tests, the
@@ -51,6 +56,7 @@ from nijcalc import linalg, poly
 from nijcalc.forms import VectorForm
 from nijcalc.invariants import PolyTensorField, columns_field, jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
+from nijcalc.quadext import QuadExt
 from nijcalc.structures import StructureField
 from nijcalc.tensor import Index, PointTensor, pair_pattern_rep
 
@@ -447,6 +453,108 @@ def jet_brackets_by_fractions(fields: Sequence[PolyVec],
             bracket.append({e: c for e, c in acc.items() if c})
         out.append(bracket)
     return out
+
+
+def _one_type(m) -> bool:
+    """Whether every entry is a Fraction, or every entry a QuadExt over one
+    radicand: field operations then keep that type, so zeros can be skipped."""
+    kind = type(m[0][0])
+    if kind is Fraction:
+        return all(type(x) is Fraction for row in m for x in row)
+    if kind is QuadExt:
+        d = m[0][0].d
+        return all(type(x) is QuadExt and x.d == d for row in m for x in row)
+    return False
+
+
+def fraction_rref(m):
+    """Reduced row echelon form and the pivot column list, over Fractions."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    sparse = rows > 0 and cols > 0 and _one_type(a)
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        prow = a[r]
+        inv = prow[c]
+        # rows r.. vanish left of c, so a sparse support starts at c
+        support = ([k for k in range(c, cols) if prow[k] != 0] if sparse
+                   else range(cols))
+        for k in support:
+            prow[k] = prow[k] / inv
+        for i in range(rows):
+            row = a[i]
+            if i != r and row[c] != 0:
+                f = row[c]
+                for k in support:
+                    row[k] = row[k] - f * prow[k]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+class FractionEchelon:
+    """Reduced rows of a growing span, each stored by its support with a
+    1 at its pivot column, reduced over Fractions."""
+
+    def __init__(self, vectors=()):
+        self.rows: List[Tuple[int, list]] = []  # (pivot, [(column, value)])
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v):
+        """The remainder of v after eliminating every pivot column."""
+        out = list(v)
+        for p, support in self.rows:
+            f = out[p]
+            if f != 0:
+                for k, y in support:
+                    out[k] = out[k] - f * y
+        return out
+
+    def contains(self, v) -> bool:
+        return linalg.vec_is_zero(self.reduce(v))
+
+    def insert(self, v):
+        """Add v to the span and return the pivot value its remainder is
+        divided by, or 0 when v already lay there."""
+        rem = self.reduce(v)
+        p = next((k for k, x in enumerate(rem) if x != 0), None)
+        if p is None:
+            return 0
+        inv = rem[p]
+        self.rows.append((p, [(k, x / inv) for k, x in enumerate(rem) if x != 0]))
+        return inv
+
+
+def fraction_det(m):
+    """The product of FractionEchelon's pivots, signed by the permutation
+    taking row i to its pivot column."""
+    span = FractionEchelon()
+    result = Fraction(1)
+    for row in m:
+        pivot = span.insert(row)
+        if not pivot:
+            return Fraction(0) * result  # keeps the field type when exotic
+        result = result * pivot
+    pivots = [p for p, _ in span.rows]
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return -result if inversions % 2 else result
 
 
 def dense_rref(m):

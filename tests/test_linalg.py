@@ -1,13 +1,14 @@
 """Exact linear algebra and the quadratic extension field."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nijcalc import linalg, quadext
 from nijcalc.quadext import QuadExt, sqrt_exact
-from reference import mat_mul, solve_affine
+from reference import FractionEchelon, fraction_det, fraction_rref, mat_mul, solve_affine
 
 F = Fraction
 
@@ -192,8 +193,9 @@ def test_elimination_over_quadext():
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the zero-skipping elimination against sympy and
-# against the dense elimination it replaced
+# differential tests: the eliminations against sympy, the integer-numerator
+# kernels against the Fraction loops they replaced, and the QuadExt loop
+# against the dense elimination
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -274,6 +276,16 @@ def test_rref_matches_the_dense_elimination_on_sparse_input():
     assert linalg.rref(m)[1] == dense_rref(m)[1] == [0, 1]
 
 
+def _with_rref(elimination, fn, *args):
+    """fn(*args) with linalg.rref swapped for a reference elimination."""
+    real = linalg.rref
+    linalg.rref = elimination
+    try:
+        return fn(*args)
+    finally:
+        linalg.rref = real
+
+
 quad_entries = st.one_of(
     st.just(F(0)), st.just(F(0)), st.fractions(-3, 3, max_denominator=2),
     st.builds(QuadExt, st.fractions(-2, 2, max_denominator=2),
@@ -292,12 +304,7 @@ def test_elimination_keeps_the_dense_element_types(rows, cols, data):
     ref, ref_pivots = dense_rref(m)
     assert pivots == ref_pivots and _typed(red) == _typed(ref)
     sol = linalg.solve(m, b)
-    real_rref = linalg.rref
-    try:
-        linalg.rref = dense_rref
-        expect = linalg.solve(m, b)
-    finally:
-        linalg.rref = real_rref
+    expect = _with_rref(dense_rref, linalg.solve, m, b)
     assert (sol is None) == (expect is None)
     if sol is not None:
         assert [(type(x), x) for x in sol] == [(type(x), x) for x in expect]
@@ -330,3 +337,213 @@ def test_echelon_rank_and_membership_match_rref(rows):
     for k in range(5):
         e_k = linalg.basis_vector(5, k)
         assert ech.contains(e_k) == (rref_rank(m + [e_k]) == rref_rank(m))
+
+
+# ---------------------------------------------------------------------------
+# rational input: integer numerators against the Fraction loops, ints read
+# as Fractions, floats and mis-shaped vectors refused
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """0-8 rows of 1-8 int and Fraction entries, denominators up to 7: some
+    with zero rows, some all zero, some with a last row in the span of the
+    others."""
+    rows = draw(st.integers(0, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(F(0)), st.integers(-5, 5),
+                      st.fractions(-4, 4, max_denominator=7))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    shape = draw(st.sampled_from(["plain", "zero rows", "all zero", "dependent last"]))
+    if shape == "zero rows" and rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)):
+            m[i] = [0] * cols
+    elif shape == "all zero":
+        m = [[F(0)] * cols for _ in range(rows)]
+    elif shape == "dependent last" and rows >= 2:
+        coeffs = [draw(st.fractions(-2, 2, max_denominator=7)) for _ in range(rows - 1)]
+        m[-1] = [sum((c * row[k] for c, row in zip(coeffs, m)), F(0)) for k in range(cols)]
+    return m
+
+
+def _as_fractions(m):
+    return [[F(x) for x in row] for row in m]
+
+
+def _all_fractions(m):
+    return all(type(x) is F for row in m for x in row)
+
+
+@settings(deadline=None)
+@given(rational_matrices())
+@example([[F(1, 2), 3, 0, F(-5, 7)]])
+@example([[2], [F(1, 3)], [0], [-4]])
+def test_rref_and_nullspace_match_the_fraction_loop(m):
+    """Equal values and pivots, every entry a Fraction; the reference gets
+    the same matrix as Fractions, since int / int is a float there."""
+    fm = _as_fractions(m)
+    red, pivots = linalg.rref(m)
+    ref, ref_pivots = fraction_rref(fm)
+    assert pivots == ref_pivots and red == ref and _all_fractions(red)
+    kernel = linalg.nullspace(m)
+    assert kernel == _with_rref(fraction_rref, linalg.nullspace, fm)
+    assert _all_fractions(kernel)
+    assert linalg.span_basis(m) == ref[:len(ref_pivots)]
+
+
+@settings(deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_matches_the_fraction_loop(m, data):
+    """Consistent right-hand sides (m x) and arbitrary ones."""
+    cols = len(m[0]) if m else 0
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7))
+    if data.draw(st.booleans()):
+        b = linalg.mat_vec(m, [data.draw(entry) for _ in range(cols)]) if m else []
+    else:
+        b = [data.draw(entry) for _ in m]
+    sol = linalg.solve(m, b)
+    assert sol == _with_rref(fraction_rref, linalg.solve, _as_fractions(m),
+                             [F(x) for x in b])
+    if sol is not None and m:
+        assert all(type(x) is F for x in sol) and linalg.mat_vec(m, sol) == b
+
+
+@settings(deadline=None)
+@given(rational_matrices(square=True))
+@example([[2, 1], [4, 3]])
+def test_det_matches_the_fraction_loop(m):
+    got = linalg.det(m)
+    assert got == fraction_det(_as_fractions(m)) and type(got) is F
+
+
+@settings(deadline=None)
+@given(rational_matrices(), st.lists(st.fractions(-3, 3, max_denominator=7),
+                                     min_size=8, max_size=8))
+def test_echelon_matches_the_fraction_loop(m, v):
+    """insert returns the reference pivot value, or 0; reduce the
+    reference remainder, as Fractions."""
+    ech, ref = linalg.Echelon(), FractionEchelon()
+    for row in m:
+        pivot = ech.insert(row)
+        assert pivot == ref.insert([F(x) for x in row])
+        assert type(pivot) is F if pivot else pivot == 0
+    assert [p for p, _ in ech.rows] == [p for p, _ in ref.rows]
+    for w in m + [v[:len(m[0])] if m else []]:
+        rem = ech.reduce(w)
+        assert rem == ref.reduce([F(x) for x in w]) and all(type(x) is F for x in rem)
+        assert ech.contains(w) == ref.contains([F(x) for x in w])
+
+
+def test_int_input_gives_fractions():
+    """int / int is a float: integer matrices are eliminated exactly."""
+    red, pivots = linalg.rref([[2, 1], [4, 3]])
+    assert _typed(red) == _typed(linalg.identity(2)) and pivots == [0, 1]
+    got = linalg.det([[2, 1], [4, 3]])
+    assert got == 2 and type(got) is F
+    kernel = linalg.nullspace([[2, 4, 1]])
+    assert _typed(kernel) == _typed([[F(-2), F(1), F(0)], [F(-1, 2), F(0), F(1)]])
+    ech = linalg.Echelon([[3, 1]])
+    assert _typed([ech.reduce([1, 0])]) == _typed([[F(0), F(-1, 3)]])
+
+
+def test_a_quadext_vector_turns_an_echelon_to_field_rows():
+    """Rational rows, then a QuadExt vector: the span, its pivots and its
+    remainders are those of the field elimination."""
+    r5 = sqrt_exact(5)
+    rows = [[F(0), 3, F(1, 2)], [2, F(1, 3), 0]]
+    ech, ref = linalg.Echelon(rows), FractionEchelon(_as_fractions(rows))
+    assert ech.contains([r5, r5, F(0)]) == ref.contains([r5, r5, F(0)])
+    assert ech.insert([r5, F(1), F(2)]) == ref.insert([r5, F(1), F(2)])
+    assert ech.rank == 3 and ech.contains([1, 2, 3])
+    assert ech.rows == ref.rows
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: linalg.mat_vec([[1, 2, 3]], [1, 1]), "lengths 3 and 2"),
+    (lambda: linalg.mat_vec([[1, 2], [1]], [1, 1]), "lengths 1 and 2"),
+    (lambda: linalg.vec_add([1, 2], [1]), "lengths 2 and 1"),
+    (lambda: linalg.vec_sub([1], [1, 2]), "lengths 1 and 2"),
+])
+def test_vector_helpers_refuse_mismatched_lengths(call, match):
+    """A dropped column or a truncated sum would answer another question."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _returns_entries(f) -> bool:
+    ret = f.__annotations__.get("return", "")
+    return "Vector" in ret or "Matrix" in ret
+
+
+def entry_returning_functions():
+    """The public functions of linalg annotated to return a vector or a
+    matrix (or a list of vectors)."""
+    return sorted(name for name, f in inspect.getmembers(linalg, inspect.isfunction)
+                  if f.__module__ == linalg.__name__ and not name.startswith("_")
+                  and _returns_entries(f))
+
+
+# name -> arguments from a nonsingular 3x3 matrix m and a vector v of ints
+# and Fractions; basis_vector and identity take no entries
+EXACT_CASES = {
+    "basis_vector": lambda m, v: (3, 1),
+    "identity": lambda m, v: (3,),
+    "intersect_spans": lambda m, v: (m[:2], [v, m[0]]),
+    "inverse": lambda m, v: (m,),
+    "mat_vec": lambda m, v: (m, v),
+    "nullspace": lambda m, v: (m[:2],),
+    "rref": lambda m, v: (m,),
+    "solve": lambda m, v: (m, v),
+    "span_basis": lambda m, v: (m,),
+    "sum_spans": lambda m, v: (m[:1], [v]),
+    "vec_add": lambda m, v: (v, m[0]),
+    "vec_scale": lambda m, v: (v, m[1][1]),
+    "vec_sub": lambda m, v: (v, m[0]),
+}
+EXACT_M = [[2, 1, 0], [4, 3, F(1, 2)], [0, F(-1, 3), 5]]
+EXACT_V = [1, F(2, 3), -1]
+
+
+def test_every_entry_returning_function_has_an_exact_case():
+    """A new public function returning vectors or matrices gets a case."""
+    assert entry_returning_functions() == sorted(EXACT_CASES)
+
+
+def _flat(x):
+    if isinstance(x, (list, tuple)):
+        return [y for item in x for y in _flat(item)]
+    return [x]
+
+
+@pytest.mark.parametrize("name", entry_returning_functions())
+def test_rational_input_returns_fractions_and_floats_raise(name):
+    out = getattr(linalg, name)(*EXACT_CASES[name](EXACT_M, EXACT_V))
+    if name == "rref":
+        out = out[0]  # the pivot columns are ints
+    entries = _flat(out)
+    assert entries and all(type(x) is F for x in entries), (name, out)
+    fm = [list(row) for row in EXACT_M]
+    fm[1][1] = 0.5
+    args = EXACT_CASES[name](fm, [EXACT_V[0], 0.5, EXACT_V[2]])
+    if not any(isinstance(x, float) for x in _flat(args)):
+        return  # basis_vector, identity
+    with pytest.raises(ValueError, match="float entry 0.5"):
+        getattr(linalg, name)(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.det([[1, 0.5], [0, 1]]),
+    lambda: linalg.rank([[1, 0.5]]),
+    lambda: linalg.in_span([0.5, 1], [[1, 0]]),
+    lambda: linalg.Echelon([[1, 0]]).reduce([0.5, 1]),
+    lambda: linalg.Echelon([[1, 0]]).contains([0.5, 1]),
+    lambda: linalg.Echelon().insert([0.5, 1]),
+    lambda: linalg.rref([[sqrt_exact(2), 0.5]]),
+    lambda: linalg.span_basis([[0.5, 0.0], [1, 0]]),
+    lambda: linalg.span_basis([[0.0, 0.0], [1, 0]]),
+])
+def test_floats_are_refused_wherever_they_stand(call):
+    """Also where the result is a scalar, a QuadExt shares the matrix, or
+    the float vector is zero and adds nothing to the span."""
+    with pytest.raises(ValueError, match=r"float entry 0\.[05]"):
+        call()
