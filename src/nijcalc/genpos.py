@@ -1,24 +1,28 @@
 """General-position machinery for antiinvariant two-forms.
 
-Counts nu(xi) = dim ker N(xi, .) exactly, certifies verdicts with Gram
-determinants over a transversal invariant hyperplane, provides the two
-explicit dense tensors (the conjugate-minor tensor and the cyclic-difference
-doubling) plus the projected Grassmann map, searches for general-position
-deformations along a segment, and computes the two-structure subspace
-decomposition with its inclusions verified.
+Counts nu(xi) = dim ker N(xi, .) exactly and certifies it with a Gram
+determinant over a transversal invariant hyperplane, both from one matrix
+per point; decides general position exactly, by samples and then a grid
+that the grid lemma sizes (Schwartz 1980; Alon 1999); provides the two
+explicit dense tensors (conjugate-minor, cyclic-difference doubling) and
+the projected Grassmann map; searches for general-position deformations
+along a segment; and computes the two-structure subspace decomposition
+with its inclusions verified.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from . import linalg, poly
+from . import linalg
 from .invariants import InternalInconsistencyError
 from .structures import (StructureError, doubled_block_j,
                          linear_membership_violation, standard_matrix)
-from .tensor import PointTensor, alternating_rep, kernel_dim
+from .tensor import (PointTensor, alternating_rep, identity_map, kernel_matrix,
+                     post_compose)
 
 Vector = List[Fraction]
 
@@ -43,14 +47,7 @@ def alpha_N(n_tensor: PointTensor, xi: Sequence,
     basis = [_as_fractions(v) for v in pi_basis]
     if linalg.in_span(xi, basis):
         raise ValueError("sample vector lies in the hyperplane")
-    images = [n_tensor.apply([xi, v]) for v in basis]
-    supports = [[(i, x) for i, x in enumerate(u) if x] for u in images]
-    gram = [[Fraction(0)] * len(images) for _ in images]
-    for a, u in enumerate(supports):
-        for b in range(a, len(images)):
-            gram[a][b] = gram[b][a] = sum((x * images[b][i] for i, x in u), Fraction(0))
-    g = linalg.det(gram) if gram else Fraction(1)
-    return {"positive": g > 0, "gram_det": g}
+    return _gram_certificate(kernel_matrix(n_tensor, xi), basis)
 
 
 def appendix_tensor(n: int) -> PointTensor:
@@ -105,16 +102,8 @@ def example3_tensor(n: int) -> Dict[str, PointTensor]:
 
     def a_fn(idx):
         a, b = idx
-        out = [Fraction(0)] * n
-        for i in range(n):
-            ip = (i + 1) % n
-            coeff = Fraction(0)
-            if a == i and b == ip:
-                coeff += 1
-            if a == ip and b == i:
-                coeff -= 1
-            out[i] = coeff
-        return out
+        return [Fraction(int((a, b) == (i, (i + 1) % n)) - int((a, b) == ((i + 1) % n, i)))
+                for i in range(n)]
 
     a_tensor = PointTensor.from_orbits(n, n, 2, alternating_rep, a_fn)
     dim = 2 * n
@@ -161,17 +150,26 @@ def plucker_map() -> PointTensor:
 
 @dataclass
 class GenPosReport:
-    verdict: str                      # general_position, degenerate, inconclusive
+    verdict: str                      # general_position or degenerate, both exact
     samples_tested: int
     witness: Optional[Vector] = None
     degeneracy_witnesses: List[Vector] = field(default_factory=list)
     alpha_certificate: Optional[Fraction] = None
 
 
-def _standard_j_matrix(dim: int) -> List[List[Fraction]]:
-    if dim % 2 != 0:
-        raise ValueError("odd-dimensional space has no complex structure")
-    return standard_matrix(dim // 2)
+def _structure_matrix(j: Optional[PointTensor], dim: int) -> List[List[Fraction]]:
+    """The matrix of j, the standard structure by default, refused unless it
+    is a complex structure on R^dim."""
+    if j is None:
+        if dim % 2 != 0:
+            raise ValueError("odd-dimensional space has no complex structure")
+        return standard_matrix(dim // 2)
+    if (j.arity, j.dim_in, j.dim_out) != (1, dim, dim):
+        raise StructureError(f"j must be a linear map of the tensor's R^{dim}, not an "
+                             f"arity-{j.arity} map of R^{j.dim_in} to R^{j.dim_out}")
+    if not post_compose(j, j).add(identity_map(dim)).is_zero():
+        raise StructureError("j^2 != -I")
+    return j.to_matrix()
 
 
 def _complex_complement(jm: Sequence[Sequence], xi: Vector) -> List[Vector]:
@@ -196,96 +194,92 @@ def _complex_complement(jm: Sequence[Sequence], xi: Vector) -> List[Vector]:
     return picked
 
 
-def _poly_det(m: List[List[poly.Poly]], num_vars: int) -> poly.Poly:
-    """Determinant of a polynomial matrix by minor expansion with memo."""
-    size = len(m)
-    memo: Dict[Tuple[int, Tuple[int, ...]], poly.Poly] = {}
-
-    def minor(row: int, cols: Tuple[int, ...]) -> poly.Poly:
-        if row == size:
-            return poly.const(1, num_vars)
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = poly.zero()
-        for pos, c in enumerate(cols):
-            if poly.is_zero(m[row][c]):
-                continue
-            rest = cols[:pos] + cols[pos + 1:]
-            term = poly.mul(m[row][c], minor(row + 1, rest))
-            acc = poly.add(acc, term) if pos % 2 == 0 else poly.sub(acc, term)
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(size)))
+def _gram_certificate(m: Sequence[Sequence], basis: Sequence[Vector]) -> Dict:
+    """alpha_N from the matrix m of eta -> N(xi, eta).  With s the common
+    denominator of m and the basis, the images of the integer numerators
+    are s^2 m v, so their integer Gram matrix is s^4 times the Gram matrix."""
+    s = math.lcm(*(x.denominator for row in (*m, *basis) for x in row))
+    rows = [[x.numerator * (s // x.denominator) for x in row] for row in m]
+    supports = [[(k, x.numerator * (s // x.denominator)) for k, x in enumerate(v) if x]
+                for v in basis]
+    images = [[sum(row[k] * x for k, x in support) for row in rows] for support in supports]
+    gram = [[0] * len(images) for _ in images]
+    for a, u in enumerate(images):
+        nonzero = [(i, x) for i, x in enumerate(u) if x]
+        for b in range(a, len(images)):
+            gram[a][b] = gram[b][a] = sum(x * images[b][i] for i, x in nonzero)
+    g = Fraction(linalg.det(gram)) / s ** (4 * len(gram))
+    return {"positive": g > 0, "gram_det": g}
 
 
-def _symbolic_alpha_vanishes(n_tensor: PointTensor,
-                             jm: Sequence[Sequence]) -> bool:
-    """Whether the Gram certificate vanishes identically in the sample vector.
-
-    Uses the invariant complement of the first complex line as the fixed
-    hyperplane; identical vanishing there means nu > 2 off a measure-zero
-    set, which settles degeneracy.
-    """
+def _grid(n_tensor: PointTensor, jm: Sequence[Sequence]):
+    """The points xi = b_1 + sum_k t_k b_k, t_k in {0..d_k}, of
+    general_position_test's grid: b_1 = e_0, and b_2..b_n are the e_a that
+    the invariant complement of the complex line of e_0 picks."""
     dim = n_tensor.dim_in
-    basis = _complex_complement(jm, linalg.basis_vector(dim, 0))
-    # the columns sum_a x_a N(e_a, v), v in the basis, and their Gram
-    # matrix, by the uncut jet kernels, which skip the many zero entries
-    h = [poly.var(a + 1, dim) for a in range(dim)]
-    columns = [poly.jet_apply_columns([[poly.const(c, dim) for c in n_tensor.apply(
-        [linalg.basis_vector(dim, a), v])] for a in range(dim)], [h], math.inf)[0]
-        for v in basis]
-    gram = poly.jet_apply_columns([[u[i] for u in columns] for i in range(dim)],
-                                  columns, math.inf)
-    return poly.is_zero(_poly_det(gram, dim))
+    picks = [v.index(1) for v in _complex_complement(jm, linalg.basis_vector(dim, 0))[0::2]]
+    degrees = [min(len(picks), sum(1 for b in picks if any(n_tensor.entries[(a, b)])))
+               for a in picks]
+    for t in itertools.product(*(range(d + 1) for d in degrees)):
+        coords = {0: 1, **dict(zip(picks, t))}
+        yield [Fraction(coords.get(a, 0)) for a in range(dim)]
 
 
 def general_position_test(n_tensor: PointTensor, sample_count: int,
                           seed: int,
                           j: Optional[PointTensor] = None) -> GenPosReport:
-    """Sampled nu counting with exact certificates, deterministic by seed.
+    """Whether nu(xi) = 2 for some xi, exactly, with a witness when it is.
 
-    A sample with nu = 2 decides general position (its positive Gram
-    certificate over a transversal invariant hyperplane is a rational
-    function of the sample, so one interior point forces the behavior
-    almost everywhere).  With no witness, the certificate computed
-    symbolically in the sample vector decides identical degeneracy; only
-    an unlucky sample set on a nondegenerate tensor stays inconclusive.
-    The nu = 2 <=> positive-certificate equivalence is rechecked on every
-    sample.
+    First the seeded samples: a sample with nu = 2 decides general
+    position.  With no witness among them, a grid decides exactly.  In the
+    complex basis b_1 = e_0, b_2..b_n of _grid, at xi = sum_k z_k b_k,
+    eta -> N(xi, eta) on span_C(b_2..b_n) is by antilinearity an
+    n x (n-1) complex matrix with columns sum_k w_k N(b_k, b_l),
+    w = conj(z).  The complex line of xi lies in the kernel, so at
+    z_1 != 0, nu(xi) = 2 exactly when a maximal minor is nonzero.  w_k
+    occurs only in the columns with N(b_k, b_l) != 0 (N(b_k, j b_l) =
+    -j N(b_k, b_l) vanishes with it), so a minor has degree at most d_k in
+    w_k, that count capped at n - 1.  By the grid lemma (Schwartz, J. ACM
+    27, 1980; Alon, "Combinatorial Nullstellensatz", 1999) a polynomial of
+    degree at most d_k in each w_k vanishing on prod_k {0..d_k} is zero,
+    and a homogeneous minor vanishes identically if it does at w_1 = 1.
+    So the tensor is degenerate exactly when nu > 2 at every grid point
+    b_1 + sum_k t_k b_k; else the first grid point with nu = 2 is the
+    witness, and samples_tested counts the random samples only.  nu and
+    the Gram certificate come from one matrix of eta -> N(xi, eta) per
+    point, and nu = 2 <=> positive certificate is rechecked at each.
+
+    j, the standard structure by default, must be a complex structure on
+    the tensor's space, and the tensor antilinear for it; both are checked.
+    The tensor is taken antisymmetric, as a Nijenhuis tensor is.
     """
     dim = n_tensor.dim_in
-    jm = _standard_j_matrix(dim) if j is None else j.to_matrix()
+    jm = _structure_matrix(j, dim)
     bad = linear_membership_violation(n_tensor, PointTensor.from_matrix(jm))
     if bad is not None:
         raise StructureError(f"tensor fails antilinearity at {bad}")
     rng = random.Random(seed)
-    tested = 0
-    witness = None
-    certificate = None
     degeneracy: List[Vector] = []
-    while tested < sample_count:
-        xi = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-        if linalg.vec_is_zero(xi):
-            continue
-        tested += 1
-        nu = kernel_dim(n_tensor, xi)
-        cert = alpha_N(n_tensor, xi, _complex_complement(jm, xi))
+
+    def samples():
+        while len(degeneracy) < sample_count:
+            xi = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+            if not linalg.vec_is_zero(xi):
+                yield True, xi
+
+    for sampled, xi in itertools.chain(samples(), ((False, xi) for xi in _grid(n_tensor, jm))):
+        m = kernel_matrix(n_tensor, xi)
+        nu = dim - linalg.rank(m)
+        cert = _gram_certificate(m, _complex_complement(jm, xi))
         if (nu == 2) != cert["positive"]:
             raise InternalInconsistencyError(
-                "kernel count and Gram certificate disagree at a sample")
+                f"kernel count and Gram certificate disagree at ({', '.join(map(str, xi))})")
         if nu == 2:
-            witness = xi
-            certificate = cert["gram_det"]
-            break
-        degeneracy.append(xi)
-    if witness is not None:
-        return GenPosReport("general_position", tested, witness,
-                            degeneracy, certificate)
-    if _symbolic_alpha_vanishes(n_tensor, jm):
-        return GenPosReport("degenerate", tested, None, degeneracy)
-    return GenPosReport("inconclusive", tested, None, degeneracy)
+            return GenPosReport("general_position", len(degeneracy) + sampled, xi,
+                                degeneracy, cert["gram_det"])
+        if sampled:
+            degeneracy.append(xi)
+    return GenPosReport("degenerate", len(degeneracy), None, degeneracy)
 
 
 def deformation_search(n_tensor: PointTensor, seed: int) -> Dict:
@@ -345,6 +339,18 @@ def annihilator(n_tensor: PointTensor,
     return linalg.nullspace(rows)
 
 
+def _require_antilinear_for_both(n_tensor: PointTensor, j1: PointTensor,
+                                 j2: PointTensor) -> None:
+    """Raise unless N is antilinear for j1 and j2.  For j2 = +-j1 the second
+    check would repeat the first (N(-j a, b) = -N(j a, b), -(-j) N = j N)."""
+    repeated = j2 == j1 or j2 == j1.neg()
+    for label, j in (("first", j1), ("second", j2))[:1 if repeated else 2]:
+        bad = linear_membership_violation(n_tensor, j)
+        if bad is not None:
+            raise StructureError(
+                f"tensor fails antilinearity for the {label} structure at {bad}")
+
+
 def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
                                 j2: PointTensor) -> SubspaceDecomposition:
     """Subspaces cut out by a tensor antiinvariant for two structures.
@@ -355,11 +361,7 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     the containment of span Im N in Pi are all rechecked exactly.
     """
     dim = n_tensor.dim_in
-    for label, j in (("first", j1), ("second", j2)):
-        bad = linear_membership_violation(n_tensor, j)
-        if bad is not None:
-            raise StructureError(
-                f"tensor fails antilinearity for the {label} structure at {bad}")
+    _require_antilinear_for_both(n_tensor, j1, j2)
     m1 = j1.to_matrix()
     m2 = j2.to_matrix()
     diff = [[m2[i][k] - m1[i][k] for k in range(dim)] for i in range(dim)]
@@ -400,11 +402,7 @@ def recover_sign(n_tensor: PointTensor, j1: PointTensor,
     general-position tensor one of the two signs must match, so anything
     else is reported as a failed hypothesis.
     """
-    for label, j in (("first", j1), ("second", j2)):
-        bad = linear_membership_violation(n_tensor, j)
-        if bad is not None:
-            raise StructureError(
-                f"tensor fails antilinearity for the {label} structure at {bad}")
+    _require_antilinear_for_both(n_tensor, j1, j2)
     if j1 == j2:
         return 1
     if j1 == j2.neg():

@@ -38,6 +38,12 @@ Froelicher-Nijenhuis bracket of two vector-valued 1-forms
 (fn_bracket_one_forms_direct) the oracle for the compatibility torsion,
 which the package computes by polarizing the torsion.
 
+The symbolic Gram determinant in the sample vector, expanded by cofactors
+(_symbolic_alpha_vanishes, _poly_det), decided degeneracy before the exact
+grid of genpos._grid; it is that grid's oracle in dimensions 4-6.
+The Gram certificate summed from Fraction applies (alpha_N_by_apply) is
+the oracle of genpos.alpha_N, which sums it on integer numerators.
+
 Some small helpers only the tests use live here too: matrix products,
 the full solution set of a linear system, and a vector form evaluated on
 constant vectors or composed with a structure.
@@ -54,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from nijcalc import linalg, poly
 from nijcalc.forms import VectorForm
+from nijcalc.genpos import _complex_complement
 from nijcalc.invariants import PolyTensorField, columns_field, jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.quadext import QuadExt
@@ -599,6 +606,60 @@ def membership_violation_by_pairs(n_tensor: PointTensor, j_map: PointTensor):
             if n_tensor.apply([ea, jb]) != minus_j_base:
                 return (a, b, "N(a, j b)")
     return None
+
+
+def _poly_det(m: List[List[poly.Poly]], num_vars: int) -> poly.Poly:
+    """Determinant of a polynomial matrix by minor expansion with memo."""
+    size = len(m)
+    memo: Dict[Tuple[int, Tuple[int, ...]], poly.Poly] = {}
+
+    def minor(row: int, cols: Tuple[int, ...]) -> poly.Poly:
+        if row == size:
+            return poly.const(1, num_vars)
+        key = (row, cols)
+        if key in memo:
+            return memo[key]
+        acc = poly.zero()
+        for pos, c in enumerate(cols):
+            if poly.is_zero(m[row][c]):
+                continue
+            rest = cols[:pos] + cols[pos + 1:]
+            term = poly.mul(m[row][c], minor(row + 1, rest))
+            acc = poly.add(acc, term) if pos % 2 == 0 else poly.sub(acc, term)
+        memo[key] = acc
+        return acc
+
+    return minor(0, tuple(range(size)))
+
+
+def _symbolic_alpha_vanishes(n_tensor: PointTensor,
+                             jm: Sequence[Sequence]) -> bool:
+    """Whether the Gram certificate vanishes identically in the sample vector.
+
+    Uses the invariant complement of the first complex line as the fixed
+    hyperplane; identical vanishing there means nu > 2 off a measure-zero
+    set, which settles degeneracy.
+    """
+    dim = n_tensor.dim_in
+    basis = _complex_complement(jm, linalg.basis_vector(dim, 0))
+    # the columns sum_a x_a N(e_a, v), v in the basis, and their Gram
+    # matrix, by the uncut jet kernels, which skip the many zero entries
+    h = [poly.var(a + 1, dim) for a in range(dim)]
+    columns = [poly.jet_apply_columns([[poly.const(c, dim) for c in n_tensor.apply(
+        [linalg.basis_vector(dim, a), v])] for a in range(dim)], [h], math.inf)[0]
+        for v in basis]
+    gram = poly.jet_apply_columns([[u[i] for u in columns] for i in range(dim)],
+                                  columns, math.inf)
+    return poly.is_zero(_poly_det(gram, dim))
+
+
+def alpha_N_by_apply(n_tensor: PointTensor, xi, pi_basis) -> Fraction:
+    """The Gram determinant of N(xi, v), v in the basis, one Fraction apply
+    and one Fraction product at a time."""
+    images = [n_tensor.apply([xi, v]) for v in pi_basis]
+    gram = [[sum((x * y for x, y in zip(u, w)), Fraction(0)) for w in images]
+            for u in images]
+    return fraction_det(gram) if gram else Fraction(1)
 
 
 def greedy_complement(jm, xi):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nijcalc import linalg
+from nijcalc import genpos, linalg
 from nijcalc.genpos import (
     _complex_complement,
     alpha_N,
@@ -23,9 +23,10 @@ from nijcalc.genpos import (
 from nijcalc.structures import (LieAlgebraSpec, StructureError, doubled_block_j,
                                 left_invariant_structure,
                                 linear_nijenhuis_from_free_data,
-                                standard_matrix)
-from nijcalc.tensor import PointTensor, kernel_dim
-from reference import digest, greedy_complement, mat_mul, mat_scale, solve_affine
+                                random_linear_nijenhuis, standard_matrix)
+from nijcalc.tensor import PointTensor, kernel_dim, post_compose, precompose_all
+from reference import (_symbolic_alpha_vanishes, alpha_N_by_apply, digest,
+                       greedy_complement, mat_mul, mat_scale, solve_affine)
 
 
 def e(dim, a):
@@ -171,9 +172,9 @@ def test_general_position_verdicts():
     assert small.witness == first.witness
 
 
-def test_general_position_block_sum():
-    """Direct sum of two general-position summands: every sampled kernel
-    is at least four-dimensional, so the verdict is degenerate."""
+def block_sum():
+    """appendix_tensor(2) on each half of R^8: every kernel is at least
+    four-dimensional."""
     n2 = appendix_tensor(2)
 
     def block(idx):
@@ -185,13 +186,114 @@ def test_general_position_block_sum():
             out[4:] = n2.apply([e(4, a - 4), e(4, b - 4)])
         return out
 
-    nb = PointTensor.from_function(8, 8, 2, block)
+    return PointTensor.from_function(8, 8, 2, block)
+
+
+def test_general_position_block_sum():
+    """Direct sum of two general-position summands: every sampled kernel
+    is at least four-dimensional, so the verdict is degenerate."""
+    nb = block_sum()
     assert kernel_dim(nb, [Fraction(1)] * 8) == 4
     rep = general_position_test(nb, 12, seed=2)
     assert rep.verdict == "degenerate"
     assert rep.samples_tested == 12
     for xi in rep.degeneracy_witnesses:
         assert kernel_dim(nb, xi) >= 4
+
+
+GRID_CASES = {
+    "random_linear_nijenhuis(4, 0)": (lambda: random_linear_nijenhuis(4, 0), "general_position"),
+    "appendix_tensor(2)": (lambda: appendix_tensor(2), "general_position"),
+    # N(e_0, .) has rank 2 only, so the witness lies off e_0
+    "planes (0, 1) and (1, 2) in dimension 6": (lambda: linear_nijenhuis_from_free_data(
+        3, {(0, 1): e(6, 0), (1, 2): e(6, 2)}), "general_position"),
+    "block sum in dimension 8": (block_sum, "degenerate"),
+    "single pair in dimension 10": (lambda: linear_nijenhuis_from_free_data(
+        5, {(1, 3): [Fraction(x) for x in (1, 2, -1, 3, 1, 0, 2, 1, -2, 1)]}), "degenerate"),
+}
+
+
+@pytest.mark.parametrize("tensor, verdict", GRID_CASES.values(), ids=GRID_CASES)
+def test_grid_decides_without_samples(tensor, verdict):
+    """With no samples the grid alone decides, exactly: a general-position
+    tensor gets a witness with a 2-dimensional kernel and a positive
+    certificate, a degenerate one the degenerate verdict."""
+    t = tensor()
+    rep = general_position_test(t, 0, seed=0)
+    assert rep.verdict == verdict and rep.samples_tested == 0
+    assert rep.degeneracy_witnesses == []
+    if verdict == "general_position":
+        assert kernel_dim(t, rep.witness) == 2
+        jm = standard_matrix(t.dim_in // 2)
+        assert rep.alpha_certificate == alpha_N(
+            t, rep.witness, _complex_complement(jm, rep.witness))["gram_det"] > 0
+    else:
+        assert rep.witness is None and rep.alpha_certificate is None
+
+
+@st.composite
+def antilinear_pairs(draw):
+    """(N, j) in dimension 4 or 6: N dense (random_linear_nijenhuis) or on
+    1-3 pairs of complex planes, j standard or conjugated by P = L D U,
+    with N pushed forward by P."""
+    n = draw(st.sampled_from((2, 3)))
+    dim = 2 * n
+    if draw(st.booleans()):
+        t = random_linear_nijenhuis(n, draw(st.integers(0, 10 ** 6)))
+    else:
+        planes = [(s, u) for s in range(n) for u in range(s + 1, n)]
+        chosen = draw(st.lists(st.sampled_from(planes), min_size=1, max_size=3, unique=True))
+        coeffs = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        t = linear_nijenhuis_from_free_data(
+            n, {pair: [Fraction(c) for c in draw(coeffs)] for pair in chosen})
+    jm = standard_matrix(n)
+    if draw(st.booleans()):
+        unit = st.integers(-1, 1)
+        low = [[Fraction(int(i == k)) if i <= k else Fraction(draw(unit)) for k in range(dim)]
+               for i in range(dim)]
+        up = [row[::-1] for row in low[::-1]]
+        diag = [[Fraction(draw(st.sampled_from((1, -1, 2, 3)))) if i == k else Fraction(0)
+                 for k in range(dim)] for i in range(dim)]
+        p = mat_mul(mat_mul(low, diag), up)
+        p_inv = linalg.inverse(p)
+        jm = mat_mul(mat_mul(p, jm), p_inv)
+        t = post_compose(PointTensor.from_matrix(p),
+                         precompose_all(t, PointTensor.from_matrix(p_inv)))
+    return t, jm
+
+
+@given(antilinear_pairs())
+@settings(max_examples=30, deadline=None)
+def test_grid_verdict_matches_the_symbolic_gram_determinant(pair):
+    t, jm = pair
+    rep = general_position_test(t, 0, seed=0, j=PointTensor.from_matrix(jm))
+    assert (rep.verdict == "degenerate") == _symbolic_alpha_vanishes(t, jm)
+    if rep.verdict == "general_position":
+        assert kernel_dim(t, rep.witness) == 2 and rep.alpha_certificate > 0
+
+
+@given(antilinear_pairs(), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_alpha_N_matches_the_gram_determinant_of_fraction_applies(pair, coords):
+    t, jm = pair
+    xi = [Fraction(x) for x in coords[:t.dim_in]]
+    assume(any(xi))
+    basis = _complex_complement(jm, xi)
+    out = alpha_N(t, xi, basis)
+    assert out["gram_det"] == alpha_N_by_apply(t, xi, basis)
+    assert isinstance(out["gram_det"], Fraction)
+    assert out["positive"] == (kernel_dim(t, xi) == 2)
+
+
+@pytest.mark.parametrize("j, message", [
+    (PointTensor.from_matrix([[0] * 4 for _ in range(4)]), r"j\^2 != -I"),
+    (PointTensor.from_matrix(standard_matrix(3)),
+     r"tensor's R\^4, not an arity-1 map of R\^6 to R\^6"),
+    (PointTensor.from_matrix([[0, 1, 0, 0], [1, 0, 0, 0]]), r"R\^4 to R\^2"),
+])
+def test_general_position_refuses_a_bad_structure(j, message):
+    with pytest.raises(StructureError, match=message):
+        general_position_test(appendix_tensor(2), 5, seed=0, j=j)
 
 
 def test_deformation_search():
@@ -329,6 +431,25 @@ def test_recover_sign():
     j1, j2, n8 = dim8_pair()
     with pytest.raises(StructureError, match="general position"):
         recover_sign(n8, j1, j2)
+
+
+def test_antilinearity_is_checked_once_for_a_sign_pair(monkeypatch):
+    """For j2 = +-j1 the second antilinearity check repeats the first, so
+    it is skipped; structures that differ by more than a sign get both."""
+    t = appendix_tensor(2)
+    j0 = PointTensor.from_matrix(standard_matrix(2))
+    j1, j2, n8 = dim8_pair()
+    calls = []
+    check = genpos.linear_membership_violation
+    monkeypatch.setattr(genpos, "linear_membership_violation",
+                        lambda n_t, j: calls.append(j) or check(n_t, j))
+    for sign_pair in (j0, j0.neg()):
+        two_structure_decomposition(t, j0, sign_pair)
+        recover_sign(t, j0, sign_pair)
+    assert calls == [j0] * 4
+    calls.clear()
+    two_structure_decomposition(n8, j1, j2)
+    assert calls == [j1, j2]
 
 
 def test_recovered_structure_set_is_sign_pair():
