@@ -37,10 +37,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
+from .forms import VectorForm, algebraic_bracket, fn_bracket
 from .genpos import annihilator
-from .invariants import (InternalInconsistencyError, PolyTensorField,
-                         jet_differential, nijenhuis_field_bracket,
-                         nijenhuis_tensor, torsion_jets)
+from .invariants import (InternalInconsistencyError, jet_differential,
+                         nijenhuis_field_bracket, nijenhuis_tensor, torsion_jets)
 from .quadext import QuadExt, sqrt_exact
 from .structures import StructureError, StructureField
 from .tensor import PointTensor, kernel_matrix
@@ -500,10 +500,10 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
     is_lie = True
     witness = None
     for a in range(dim):
+        row = [nf.value_on_basis((a, i)) for i in range(dim)]
         for b in range(dim):
             for c in range(b + 1, dim):
-                residual = poly.apply_columns(
-                    [nf.entries[(a, i)] for i in range(dim)], nf.entries[(b, c)])
+                residual = poly.apply_columns(row, nf.value_on_basis((b, c)))
                 if not poly.vec_is_zero(residual):
                     is_lie = False
                     pt, val = _witness_point(
@@ -553,9 +553,8 @@ def bracket_identity_report(j: StructureField) -> Dict[str, bool]:
     nn_algebraic_zero is False for ex2 and ex5 and True for ex6, the one
     with a Lie verdict, while nn_fn_zero and jn_fn_zero hold on all three.
     """
-    from .forms import VectorForm, algebraic_bracket, fn_bracket
     jf = VectorForm.from_structure(j)
-    nf = VectorForm.from_pair_entries(j.dim, nijenhuis_field_bracket(j).entries)
+    nf = nijenhuis_field_bracket(j)
     return {
         "jj_algebraic_zero": algebraic_bracket(jf, jf).is_zero(),
         "jj_fn_is_twice_torsion": fn_bracket(jf, jf) == nf.scale(Fraction(2)),
@@ -565,7 +564,7 @@ def bracket_identity_report(j: StructureField) -> Dict[str, bool]:
     }
 
 
-def _graded_report(nf: PolyTensorField, point: Sequence, n_at: PointTensor):
+def _graded_report(nf: VectorForm, point: Sequence, n_at: PointTensor):
     """Filtration by images of torsion derivatives, plus bracket constants.
 
     Level k collects the image spans of the derivative tensors up to
@@ -579,8 +578,8 @@ def _graded_report(nf: PolyTensorField, point: Sequence, n_at: PointTensor):
     dim = nf.dim
     max_deg = max((poly.total_degree(p) for e in nf.entries.values()
                    for p in e if not poly.is_zero(p)), default=0)
-    shifted = {idx: [poly.shift(c, point, max_deg) for c in val]
-               for idx, val in nf.entries.items()}
+    shifted = VectorForm(dim, 2, {idx: [poly.shift(c, point, max_deg) for c in val]
+                                  for idx, val in nf.entries.items()})
     spans: List[List[List[Fraction]]] = []
     current: List[List[Fraction]] = []
     for k in range(max_deg + 1):

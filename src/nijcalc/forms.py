@@ -2,12 +2,14 @@
 
 Scalar forms are dicts keyed by strictly increasing index tuples with
 polynomial coefficients.  Vector-valued forms carry a polynomial
-coefficient vector per index tuple.  The algebraic bracket uses shuffle
-insertions; the differential bracket is assembled from decomposable
-pieces coeff * dx^I (x) e_i, for which the Lie-derivative terms reduce to
-coefficient derivatives.  On two 1-forms the differential bracket is
-also computed, without forms, as the polarized torsion
-(invariants.compatibility_nijenhuis).
+coefficient vector per index tuple (VectorForm), which is also the type
+of J and its jets (from_columns), of the torsion N, its jets and the
+compatibility torsion, as invariants.jet_differential reads them.  The
+algebraic bracket uses shuffle insertions; the differential bracket is
+assembled from decomposable pieces coeff * dx^I (x) e_i, for which the
+Lie-derivative terms reduce to coefficient derivatives.  On two 1-forms
+the differential bracket is also computed, without forms, as the
+polarized torsion (invariants.compatibility_nijenhuis).
 """
 
 from __future__ import annotations
@@ -92,14 +94,19 @@ class VectorForm:
                     self.entries[idx] = vec
 
     @classmethod
+    def from_columns(cls, cols: Sequence[PolyVec]) -> "VectorForm":
+        """The 1-form with value cols[a] on e_a: J or a jet of J by columns."""
+        return cls(len(cols), 1, {(a,): col for a, col in enumerate(cols)})
+
+    @classmethod
     def from_structure(cls, j: StructureField) -> "VectorForm":
-        return cls(j.dim, 1, {(a,): j.cols[a] for a in range(j.dim)})
+        return cls.from_columns(j.cols)
 
     @classmethod
     def from_pair_entries(cls, dim: int, entries: Dict[Tuple[int, int], PolyVec]) -> "VectorForm":
-        """Build a 2-form from antisymmetric basis-pair values (uses a < b)."""
-        return cls(dim, 2, {(a, b): entries[(a, b)]
-                            for a in range(dim) for b in range(a + 1, dim)})
+        """Build a 2-form from antisymmetric basis-pair values: the entries
+        with a < b are read, and a pair missing there is zero."""
+        return cls(dim, 2, {(a, b): v for (a, b), v in entries.items() if a < b})
 
     def value_on_basis(self, idx: Sequence[int]) -> PolyVec:
         key, sign = alternating_rep(idx)

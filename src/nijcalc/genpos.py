@@ -27,9 +27,12 @@ from .tensor import (PointTensor, alternating_rep, identity_map, kernel_matrix,
 Vector = List[Fraction]
 
 
-def _as_fractions(v: Sequence) -> Vector:
-    """v as Fractions.  A float raises ValueError: it would be read as the
-    nearest binary fraction, another vector."""
+def _as_fractions(v: Sequence, dim: int) -> Vector:
+    """v as Fractions.  A length other than dim raises ValueError, and so
+    does a float: it would be read as the nearest binary fraction, another
+    vector."""
+    if len(v) != dim:
+        raise ValueError(f"vector of length {len(v)} for a tensor on R^{dim}")
     if any(isinstance(x, float) for x in v):
         raise ValueError(f"float component in {list(v)!r}: vectors must be exact")
     return [Fraction(x) for x in v]
@@ -43,8 +46,8 @@ def alpha_N(n_tensor: PointTensor, xi: Sequence,
     certificate: positive exactly when nu(xi) = 2.  The determinant is an
     exact rational; callers that want a volume take its square root.
     """
-    xi = _as_fractions(xi)
-    basis = [_as_fractions(v) for v in pi_basis]
+    xi = _as_fractions(xi, n_tensor.dim_in)
+    basis = [_as_fractions(v, n_tensor.dim_in) for v in pi_basis]
     if linalg.in_span(xi, basis):
         raise ValueError("sample vector lies in the hyperplane")
     return _gram_certificate(kernel_matrix(n_tensor, xi), basis)
@@ -322,7 +325,7 @@ def annihilator(n_tensor: PointTensor,
     rows = []
     for v in against:
         # row comp holds the components N(e_c, v)^comp, c = 0..dim-1
-        support = [(k, x) for k, x in enumerate(_as_fractions(v)) if x]
+        support = [(k, x) for k, x in enumerate(_as_fractions(v, dim)) if x]
         if len(support) == 1 and support[0][1] == 1:
             k = support[0][0]
             rows.extend([entries[(c, k)][comp] for c in range(dim)]

@@ -19,10 +19,11 @@ global field and evaluating it: J is shifted to the point
 (StructureField.jet), torsion_jets expands the torsion fields there from
 the next jet of J, and jet_differential reads d^p of any such jet off its
 degree-p coefficients.  Both torsion routes read only the 1-jet of J, the
-arity-4 routes and the identity checks its 2-jet.  The global torsion
-field (nijenhuis_field_bracket) is torsion_jets at the origin, uncut; it
-serves only the symbolic verdicts in classify; polarized, it is the
-compatibility torsion of a deformation.
+arity-4 routes and the identity checks its 2-jet.  Each jet is a
+forms.VectorForm, of degree 1 for J and 2 for the torsion.  The global
+torsion 2-form (nijenhuis_field_bracket) is torsion_jets at the origin,
+uncut; it serves only the symbolic verdicts in classify; polarized, it
+is the compatibility torsion of a deformation.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly
+from .forms import VectorForm
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
 from .tensor import (Index, PointTensor, alternating_rep, contraction_sum,
@@ -46,59 +48,44 @@ class InternalInconsistencyError(RuntimeError):
     """Two independent routes to the same invariant disagreed."""
 
 
-class PolyTensorField:
-    """Tensor field with polynomial coefficients, stored on basis fields."""
+def jet_differential(field: VectorForm, p: int) -> PointTensor:
+    """d^p at the base point of a vector-valued form given by its jet there.
 
-    def __init__(self, dim: int, arity: int, entries: Dict[Index, PolyVec]):
-        self.dim = dim
-        self.arity = arity
-        self.entries = entries
-
-    def at_point(self, point: Sequence) -> PointTensor:
-        return PointTensor(self.dim, self.dim, self.arity,
-                           {idx: poly.vec_eval(v, point)
-                            for idx, v in self.entries.items()})
-
-
-def columns_field(cols: Sequence[PolyVec]) -> Dict[Index, PolyVec]:
-    """The arity-1 entries {(a,): cols[a]} of a matrix field given by its
-    columns, such as J or a jet of J."""
-    return {(a,): col for a, col in enumerate(cols)}
-
-
-def jet_differential(jets: Dict[Index, PolyVec], p: int) -> PointTensor:
-    """d^p at the base point of a tensor field given by its jets there.
-
-    jets maps every basis tuple of the field to the jet of its value,
-    known to order p at least (StructureField.jet, torsion_jets).  The p
-    derivative slots come last: the entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
-    jets[idx] times alpha!, where alpha counts the directions c_i.
+    field holds the jet of the form, known to order p at least
+    (StructureField.jet, torsion_jets), and is read at every basis tuple
+    of its degree slots, by the sign rule of value_on_basis applied to the
+    coefficients rather than the polynomials.  The p derivative slots come
+    last: the entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
+    the value on idx times alpha!, where alpha counts the directions c_i.
     """
-    dim = len(next(iter(jets.values())))
+    dim = field.dim
     weights = []
     for dirs in itertools.product(range(dim), repeat=p):
         alpha = tuple(dirs.count(k) for k in range(dim))
         weights.append((dirs, alpha, math.prod(math.factorial(k) for k in alpha)))
-    zero = Fraction(0)
+    zero, zeros = Fraction(0), poly.vec_zero(dim)
     entries: Dict[Index, List[Fraction]] = {}
-    for base, vec in jets.items():
+    for base in itertools.product(range(dim), repeat=field.degree):
+        key, sign = alternating_rep(base)  # a repeated index is stored nowhere
+        vec = field.entries.get(key, zeros)
         for dirs, alpha, w in weights:
-            vals = [c.get(alpha, zero) for c in vec]
-            entries[base + dirs] = vals if w == 1 else [w * c for c in vals]
-    return PointTensor(dim, dim, len(base) + p, entries)
+            vals = [c.get(alpha, zero) if w == 1 else w * c.get(alpha, zero) for c in vec]
+            entries[base + dirs] = vals if sign >= 0 else [-c for c in vals]
+    return PointTensor(dim, dim, field.degree + p, entries)
 
 
 # ---------------------------------------------------------------------------
 # torsion tensor, two routes
 # ---------------------------------------------------------------------------
 
-def nijenhuis_field_bracket(j: StructureField) -> PolyTensorField:
-    """The global torsion field: its own jet at the origin, uncut."""
-    return PolyTensorField(j.dim, 2, _pair_fields(j.dim, torsion_jets(j.cols, math.inf)))
+def nijenhuis_field_bracket(j: StructureField) -> VectorForm:
+    """The global torsion 2-form: its own jet at the origin, uncut."""
+    return VectorForm(j.dim, 2, torsion_jets(j.cols, math.inf))
 
 
 def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
-    """Jets of the torsion fields N(e_a, e_b), a < b, in pair order.
+    """Jets of the torsion fields N(e_a, e_b), a < b, in pair order: the
+    entries of the jet of the torsion 2-form (VectorForm(dim, 2, ...)).
 
     jet is the (order + 1)-jet of J (StructureField.jet); the result is cut
     above degree order; with order math.inf, jet is J and the result
@@ -116,23 +103,13 @@ def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
         poly.jet_apply_columns(jet, ws, order))}
 
 
-def _pair_fields(dim: int, values: Dict[Index, PolyVec]) -> Dict[Index, PolyVec]:
-    """Every entry of the antisymmetric arity-2 field with the given
-    entries for a < b (as torsion_jets lists them)."""
-    entries = {(a, a): poly.vec_zero(dim) for a in range(dim)}
-    for (a, b), val in values.items():
-        entries[(a, b)] = val
-        entries[(b, a)] = [poly.neg(c) for c in val]
-    return entries
-
-
 def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
     point, from J and dj there, both read off the 1-jet of J: with
     u(X, Y) = dj(JX, Y) + dj(X, JY), N is u with its slots swapped minus u,
     one sum of four contractions.  Every entry is computed, none filled by
     sign."""
-    field = columns_field(jet)
+    field = VectorForm.from_columns(jet)
     j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
     dim = len(jet)
     return contraction_sum(dim, dim, 2, [(sign, dj, j_at, slot, perm) for slot in (0, 1)
@@ -143,14 +120,12 @@ def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
     """Torsion at the point; raises if the two routes disagree there.
 
     Both routes read only the 1-jet of J at the point: the bracket route
-    is torsion_jets at order 0, filled by sign from the pairs a < b, the
-    other the first-differential formula, which computes every entry, so
-    their agreement certifies antisymmetry too.
+    is the 2-form of torsion_jets at order 0, filled by sign from the pairs
+    a < b, the other the first-differential formula, which computes every
+    entry, so their agreement certifies antisymmetry too.
     """
     jet = j.jet(point, 1)
-    n_jets = torsion_jets(jet, 0)
-    bracket = PointTensor.from_orbits(j.dim, j.dim, 2, alternating_rep, lambda idx: [
-        poly.constant_term(c) for c in n_jets[idx]])
+    bracket = jet_differential(VectorForm(j.dim, 2, torsion_jets(jet, 0)), 0)
     other = _torsion_first_differential(jet)
     if bracket != other:
         raise InternalInconsistencyError(
@@ -186,11 +161,11 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     """
     dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
-    n_fields = _pair_fields(dim, n_jets)
-    jn_fields = _pair_fields(dim, dict(zip(n_jets, poly.jet_apply_columns(
+    n_field = VectorForm(dim, 2, n_jets)
+    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
         jet, list(n_jets.values()), 1))))
-    n_at, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
-    jn_at, djn = jet_differential(jn_fields, 0), jet_differential(jn_fields, 1)
+    n_at, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
+    jn_at, djn = jet_differential(jn_field, 0), jet_differential(jn_field, 1)
     w = contraction_sum(dim, dim, 4, [
         (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
         (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
@@ -213,9 +188,9 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
     Every entry is computed, none filled by sign."""
     dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
-    j_field, n_fields = columns_field(jet), _pair_fields(dim, n_jets)
+    j_field, n_field = VectorForm.from_columns(jet), VectorForm(dim, 2, n_jets)
     j_at, dj = jet_differential(j_field, 0), jet_differential(j_field, 1)
-    n, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
+    n, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
     r = contraction_sum(dim, dim, 3, [
         (1, dn, j_at, 2, None), (1, j_at, dn, None, None), (1, n, dj, 0, (2, 0, 1)),
         (-1, dj, n, 1, (2, 0, 1)), (1, n, dj, 1, (0, 2, 1))])
@@ -247,7 +222,7 @@ def nijenhuis_differential(j: StructureField, p: int, point: Sequence) -> PointT
     if p < 0:
         raise ValueError("p must be nonnegative")
     jet = j.jet(point, p + 1)
-    return jet_differential(_pair_fields(j.dim, torsion_jets(jet, p)), p)
+    return jet_differential(VectorForm(j.dim, 2, torsion_jets(jet, p)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +248,7 @@ def nijenhuis_space_basis(n: int) -> List[PointTensor]:
 # ---------------------------------------------------------------------------
 
 def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
-                            dim: int) -> PolyTensorField:
+                            dim: int) -> VectorForm:
     """N_(j0, D)(X, Y) = [j0 X, D Y] + [D X, j0 Y] - j0 [X, D Y]
     - j0 [D X, Y] - D [X, j0 Y] - D [j0 X, Y] on basis fields: the
     Froelicher-Nijenhuis bracket [j0, D] of the two vector-valued 1-forms.
@@ -281,8 +256,8 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
     (torsion_jets uncut) is [K, K]/2, so [j0, D] = T(j0 + D) - T(j0) - T(D)."""
     t_sum, t_j0, t_d = (torsion_jets(cols, math.inf) for cols in (
         [poly.vec_add(a, b) for a, b in zip(j0_cols, delta_cols)], j0_cols, delta_cols))
-    return PolyTensorField(dim, 2, _pair_fields(dim, {
-        p: poly.vec_sub(poly.vec_sub(t_sum[p], t_j0[p]), t_d[p]) for p in t_sum}))
+    return VectorForm(dim, 2, {
+        p: poly.vec_sub(poly.vec_sub(t_sum[p], t_j0[p]), t_d[p]) for p in t_sum})
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +273,7 @@ def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
     """First basis pair where dj(J x, y) != -J dj(x, y), or None: the first
     nonzero entry of the sum of the two sides."""
-    field = columns_field(j.jet(point, 1))
+    field = VectorForm.from_columns(j.jet(point, 1))
     j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
     return _first_nonzero(contraction_sum(
         j.dim, j.dim, 2, [(1, dj, j_at, 0, None), (1, j_at, dj, None, None)]))
@@ -310,7 +285,7 @@ def second_differential_identity_defect(j: StructureField,
     d2j(Jx, y, z) = -J d2j(x, y, z) - dj(dj(x, z), y) - dj(dj(x, y), z):
     the first nonzero entry of the sum of the four terms, the third
     computed in the slot order (x, z, y)."""
-    field = columns_field(j.jet(point, 2))
+    field = VectorForm.from_columns(j.jet(point, 2))
     j_at = jet_differential(field, 0)
     dj, d2j = jet_differential(field, 1), jet_differential(field, 2)
     return _first_nonzero(contraction_sum(j.dim, j.dim, 3, [

@@ -66,8 +66,9 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg, poly
-from .invariants import (InternalInconsistencyError, columns_field,
-                         higher_nijenhuis, jet_differential, nijenhuis_tensor)
+from .forms import VectorForm
+from .invariants import (InternalInconsistencyError, higher_nijenhuis,
+                         jet_differential, nijenhuis_tensor)
 from .poly import PolyVec
 from .structures import StructureError, StructureField
 from .tensor import (PointTensor, combination, contraction_sum, flatten, matrix_of,
@@ -246,7 +247,7 @@ class _StructureJets:
     def __init__(self, u: TruncatedMap, j_l: StructureField, j_m: StructureField):
         self.l_cols, self.m_cols = (j.jet(list(pt), j.max_entry_degree())
                                     for j, pt in ((j_l, u.x), (j_m, u.y)))
-        self._jets = tuple(columns_field(c) for c in (self.l_cols, self.m_cols))
+        self._jets = tuple(VectorForm.from_columns(c) for c in (self.l_cols, self.m_cols))
         self.j_l_at, self.j_m_at = (jet_differential(f, 0) for f in self._jets)
         self.d_l: List[Optional[PointTensor]] = [None, self.j_l_at]
         self.d_m: List[Optional[PointTensor]] = [None, self.j_m_at]
@@ -257,7 +258,7 @@ class _StructureJets:
             p = len(self.d_l)
             for tower, jet in zip((self.d_l, self.d_m), self._jets):
                 # d^(p-1) holds the degree-(p-1) coefficients, times alpha!
-                nonzero = any(sum(e) == p - 1 for col in jet.values() for c in col for e in c)
+                nonzero = any(sum(e) == p - 1 for v in jet.entries.values() for c in v for e in c)
                 tower.append(jet_differential(jet, p - 1) if nonzero else None)
         return self.d_l, self.d_m
 

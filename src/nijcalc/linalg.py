@@ -27,9 +27,10 @@ rows of a span and reduces a vector against them: no back substitution,
 and a caller asking whether many vectors lie in one span eliminates the
 span once.  det is the product of the pivots it divides by, signed by
 the order of their columns; on a matrix that mixes Fraction and QuadExt
-only its value, not its element type, is fixed.  solve, det, inverse,
-mat_vec, vec_add and vec_sub refuse mis-shaped input with a ValueError
-naming the lengths.
+only its value, not its element type, is fixed.  Mis-shaped input is
+refused with a ValueError naming the lengths: by rref and Echelon, where
+every vector enters elimination, and by solve, det, inverse, mat_vec,
+vec_add, vec_sub and intersect_spans, which read the shape first.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     becomes p*row - f*pivot_row, divided by its content, and each pivot
     row is divided by its pivot once, at the end.
     """
+    _check_rows(m, len(m[0]) if m else 0, "rref needs rows of one length")
     if not _rational(m):
         return _field_rref(m)
     a = [_numerators(row)[0] for row in m]
@@ -318,6 +320,7 @@ class Echelon:
     def __init__(self, vectors: Sequence[Sequence] = ()):
         self.rows: List[Tuple[int, list]] = []  # (pivot, [(column, value)])
         self._field = False
+        self._length: Optional[int] = None  # of the first vector seen
         for v in vectors:
             self.insert(v)
 
@@ -329,6 +332,10 @@ class Echelon:
         """The remainder of v after eliminating every pivot column: integers
         over a denominator while the span and v are rational, else field
         values over 1.  A QuadExt v turns the integer rows into field rows."""
+        if len(v) != self._length:
+            if self._length is not None:
+                raise ValueError(f"vector of length {len(v)} for an Echelon of {self._length}")
+            self._length = len(v)
         if _rational([v]) and not self._field:
             w, den = _numerators(v)
             for p, support in self.rows:
@@ -396,6 +403,7 @@ def intersect_spans(u: Sequence[Sequence], v: Sequence[Sequence]) -> List[Vector
     if not u or not v:
         return []
     dim = len(u[0])
+    _check_rows([*u, *v], dim, "intersect_spans needs vectors of one length")
     rows = dim
     cols = len(u) + len(v)
     m = [[Fraction(0)] * cols for _ in range(rows)]

@@ -413,10 +413,14 @@ def vec_zero(dim: int) -> PolyVec:
 
 
 def vec_add(u: PolyVec, v: PolyVec) -> PolyVec:
+    if len(u) != len(v):
+        raise PolyError(f"vec_add got fields of {len(u)} and {len(v)} components")
     return [add(a, b) for a, b in zip(u, v)]
 
 
 def vec_sub(u: PolyVec, v: PolyVec) -> PolyVec:
+    if len(u) != len(v):
+        raise PolyError(f"vec_sub got fields of {len(u)} and {len(v)} components")
     return [sub(a, b) for a, b in zip(u, v)]
 
 

@@ -104,6 +104,8 @@ class PointTensor:
         """Arity-1 tensor from a dim_out x dim_in matrix."""
         dim_out = len(m)
         dim_in = len(m[0]) if m else 0
+        if any(len(row) != dim_in for row in m):
+            raise TensorError(f"matrix rows of lengths {[len(row) for row in m]}")
         entries = {(j,): [_exact(m[i][j]) for i in range(dim_out)] for j in range(dim_in)}
         return cls(dim_in, dim_out, 1, entries)
 

@@ -36,7 +36,10 @@ poly.jet_substitute.  The global torsion field built from lie_bracket
 field, which is the torsion jet at the origin, and the direct
 Froelicher-Nijenhuis bracket of two vector-valued 1-forms
 (fn_bracket_one_forms_direct) the oracle for the compatibility torsion,
-which the package computes by polarizing the torsion.
+which the package computes by polarizing the torsion.  These oracles
+hold their global fields as a PolyTensorField, one polynomial vector per
+index tuple, not as the package's alternating forms.VectorForm: dj_field
+is not alternating, and the others are checked entry by entry.
 
 The symbolic Gram determinant in the sample vector, expanded by cofactors
 (_symbolic_alpha_vanishes, _poly_det), decided degeneracy before the exact
@@ -61,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from nijcalc import linalg, poly
 from nijcalc.forms import VectorForm
 from nijcalc.genpos import _complex_complement
-from nijcalc.invariants import PolyTensorField, columns_field, jet_differential, torsion_jets
+from nijcalc.invariants import jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.quadext import QuadExt
 from nijcalc.structures import StructureField
@@ -178,6 +181,20 @@ def fn_bracket_one_forms_direct(a_cols: List[PolyVec], b_cols: List[PolyVec],
     return VectorForm(dim, 2, entries)
 
 
+class PolyTensorField:
+    """Tensor field with polynomial coefficients, stored on basis fields."""
+
+    def __init__(self, dim: int, arity: int, entries: Dict[Index, PolyVec]):
+        self.dim = dim
+        self.arity = arity
+        self.entries = entries
+
+    def at_point(self, point: Sequence) -> PointTensor:
+        return PointTensor(self.dim, self.dim, self.arity,
+                           {idx: poly.vec_eval(v, point)
+                            for idx, v in self.entries.items()})
+
+
 def nijenhuis_field_by_lie_brackets(j: StructureField) -> PolyTensorField:
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis fields,
     each bracket a global lie_bracket of polynomial fields."""
@@ -197,7 +214,7 @@ def nijenhuis_field_by_lie_brackets(j: StructureField) -> PolyTensorField:
 
 
 def structure_as_field(j: StructureField) -> PolyTensorField:
-    return PolyTensorField(j.dim, 1, columns_field(j.cols))
+    return PolyTensorField(j.dim, 1, {(a,): col for a, col in enumerate(j.cols)})
 
 
 def dj_field(j: StructureField) -> PolyTensorField:
@@ -318,18 +335,12 @@ def higher_nijenhuis_bracket_by_apply(j: StructureField, point: Sequence) -> Poi
     dim = j.dim
     jet = j.jet(point, 2)
     n_jets = torsion_jets(jet, 1)
-    jn_jets = dict(zip(n_jets, poly.jet_apply_columns(jet, list(n_jets.values()), 1)))
-
-    def pair_fields(values):
-        entries = {(a, a): poly.vec_zero(dim) for a in range(dim)}
-        for (a, b), val in values.items():
-            entries[(a, b)], entries[(b, a)] = val, [poly.neg(c) for c in val]
-        return entries
-
-    n_fields, jn_fields = pair_fields(n_jets), pair_fields(jn_jets)
-    j_at = jet_differential(columns_field(jet), 0)
-    n_at, dn = jet_differential(n_fields, 0), jet_differential(n_fields, 1)
-    jn_at, djn = jet_differential(jn_fields, 0), jet_differential(jn_fields, 1)
+    n_field = VectorForm(dim, 2, n_jets)
+    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
+        jet, list(n_jets.values()), 1))))
+    j_at = jet_differential(VectorForm.from_columns(jet), 0)
+    n_at, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
+    jn_at, djn = jet_differential(jn_field, 0), jet_differential(jn_field, 1)
     basis = linalg.identity(dim)
 
     def napp(x, y):

@@ -296,6 +296,18 @@ def test_general_position_refuses_a_bad_structure(j, message):
         general_position_test(appendix_tensor(2), 5, seed=0, j=j)
 
 
+@pytest.mark.parametrize("call, length", [
+    (lambda t: annihilator(t, [[1, 0]]), 2),
+    (lambda t: annihilator(t, [e(4, 1), [0, 0, 1, 0, 0]]), 5),
+    (lambda t: alpha_N(t, [1, 0, 0], [e(4, 2), e(4, 3)]), 3),
+    (lambda t: alpha_N(t, e(4, 0), [e(4, 2), [0, 0, 0]]), 3),
+    (lambda t: alpha_N(t, e(4, 0), [[0, 0, 1, 0, 0]]), 5),
+])
+def test_vectors_of_another_length_are_refused(call, length):
+    with pytest.raises(ValueError, match=rf"vector of length {length} for a tensor on R\^4"):
+        call(appendix_tensor(2))
+
+
 def test_deformation_search():
     """1. a tensor already in general position keeps epsilon = 1; 2. the
     zero tensor deforms at the first candidate below 1; 3. a degenerate

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijcalc import invariants, linalg, poly
+from nijcalc.forms import VectorForm, fn_bracket
 from nijcalc.invariants import (
     InternalInconsistencyError,
-    columns_field,
     compatibility_nijenhuis,
     first_differential_antilinearity_defect,
     higher_nijenhuis,
@@ -286,12 +286,12 @@ def test_jet_differential_equals_global_differential(case, p):
     """d^p read off the jets equals differentiate-then-evaluate, on J and
     on the torsion field; nijenhuis_differential builds its jets itself."""
     j, pt = case
-    jet = columns_field(j.jet(pt, p))
+    jet = VectorForm.from_columns(j.jet(pt, p))
     assert jet_differential(jet, p) == differential(structure_as_field(j), p, pt)
     nf = nijenhuis_field_by_lie_brackets(j)
     want = differential(nf, p, pt)
-    shifted = {idx: [poly.shift(c, pt, p) for c in val]
-               for idx, val in nf.entries.items()}
+    shifted = VectorForm(j.dim, 2, {(a, b): [poly.shift(c, pt, p) for c in nf.entries[(a, b)]]
+                                    for a, b in itertools.combinations(range(j.dim), 2)})
     assert jet_differential(shifted, p) == want
     assert nijenhuis_differential(j, p, pt) == want
 
@@ -307,9 +307,9 @@ def test_global_field_equals_the_lie_bracket_reference(j):
     entry."""
     nf = nijenhuis_field_bracket(j)
     want = nijenhuis_field_by_lie_brackets(j)
-    assert (nf.dim, nf.arity) == (want.dim, want.arity) == (j.dim, 2)
-    assert list(nf.entries) == list(want.entries)
-    assert nf.entries == want.entries
+    assert (nf.dim, nf.degree) == (want.dim, want.arity) == (j.dim, 2)
+    for idx in itertools.product(range(j.dim), repeat=2):
+        assert nf.value_on_basis(idx) == want.entries[idx], idx
 
 
 def test_torsion_cross_check_catches_a_route_disagreement(monkeypatch):
@@ -469,7 +469,8 @@ def test_compatibility_is_deformation_linear_part():
             quad = lie_bracket(delta[a], delta[b], 4)
             quad = poly.vec_sub(quad, dmul(lie_bracket(delta[a], eb, 4)))
             quad = poly.vec_sub(quad, dmul(lie_bracket(ea, delta[b], 4)))
-            assert full.entries[(a, b)] == poly.vec_add(compat.entries[(a, b)], quad)
+            assert full.value_on_basis((a, b)) == poly.vec_add(
+                compat.value_on_basis((a, b)), quad)
 
 
 def test_compatibility_congruence_for_second_order_deformation():
@@ -481,9 +482,9 @@ def test_compatibility_congruence_for_second_order_deformation():
              for a in range(4)]
     compat = compatibility_nijenhuis(j0.cols, delta, 4)
     full = nijenhuis_field_bracket(j)
-    for idx in full.entries:
-        lhs = [poly.truncate(p, 2) for p in full.entries[idx]]
-        rhs = [poly.truncate(p, 2) for p in compat.entries[idx]]
+    for idx in itertools.product(range(4), repeat=2):
+        lhs = [poly.truncate(p, 2) for p in full.value_on_basis(idx)]
+        rhs = [poly.truncate(p, 2) for p in compat.value_on_basis(idx)]
         assert lhs == rhs
 
 
@@ -507,16 +508,16 @@ def one_form_pairs(draw):
 @given(one_form_pairs())
 def test_compatibility_is_the_direct_bracket_and_symmetric(pair):
     """The polarized torsion T(K + L) - T(K) - T(L) is the Froelicher-
-    Nijenhuis bracket [K, L] of the direct 1-form route on every basis
-    pair, and [K, L] = [L, K]."""
+    Nijenhuis bracket [K, L] of the direct 1-form route and of the forms
+    route on every basis pair, and [K, L] = [L, K]."""
     k, l = pair
     dim = len(k)
     got = compatibility_nijenhuis(k, l, dim)
     want = fn_bracket_one_forms_direct(k, l, dim)
-    assert (got.dim, got.arity) == (dim, 2)
-    assert sorted(got.entries) == list(itertools.product(range(dim), repeat=2))
-    for idx, val in got.entries.items():
-        assert val == want.value_on_basis(idx), idx
+    assert (got.dim, got.degree) == (dim, 2)
+    for idx in itertools.product(range(dim), repeat=2):
+        assert got.value_on_basis(idx) == want.value_on_basis(idx), idx
+    assert got == fn_bracket(VectorForm.from_columns(k), VectorForm.from_columns(l))
     assert compatibility_nijenhuis(l, k, dim).entries == got.entries
 
 

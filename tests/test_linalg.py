@@ -547,3 +547,23 @@ def test_floats_are_refused_wherever_they_stand(call):
     the float vector is zero and adds nothing to the span."""
     with pytest.raises(ValueError, match=r"float entry 0\.[05]"):
         call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: linalg.rref([[1, 2, 3], [1, 1]]), r"lengths \[3, 2\]"),
+    (lambda: linalg.rref([[sqrt_exact(2), 1], [1]]), r"lengths \[2, 1\]"),
+    (lambda: linalg.nullspace([[1, 1, 0], [0, 1]]), r"lengths \[3, 2\]"),
+    (lambda: linalg.span_basis([[1, 0, 0], [0, 1]]), r"lengths \[3, 2\]"),
+    (lambda: linalg.intersect_spans([[1, 0, 0]], [[1, 0]]), r"lengths \[3, 2\]"),
+    (lambda: linalg.intersect_spans([[1, 0]], [[1, 0, 0]]), r"lengths \[2, 3\]"),
+    (lambda: linalg.rank([[1, 0, 0], [0, 1]]), "length 2 for an Echelon of 3"),
+    (lambda: linalg.in_span([1, 1], [[1, 0, 0], [0, 1, 0]]), "length 2 for an Echelon of 3"),
+    (lambda: linalg.Echelon([[1, 0]]).reduce([1, 0, 0]), "length 3 for an Echelon of 2"),
+    (lambda: linalg.Echelon([[0, 0]]).insert([1]), "length 1 for an Echelon of 2"),
+    (lambda: linalg.Echelon([[sqrt_exact(2), 0]]).contains([1]), "length 1 for an Echelon of 2"),
+])
+def test_ragged_vectors_are_refused_wherever_they_enter(call, match):
+    """A short row read as zero-padded, or a long one cut, would answer
+    another question; a zero vector still fixes the length."""
+    with pytest.raises(ValueError, match=match):
+        call()

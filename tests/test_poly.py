@@ -186,6 +186,14 @@ def test_shift_is_truncated_substitution(p, pt, order):
     assert poly.constant_term(poly.shift(p, pt, order)) == poly.eval_poly(p, pt)
 
 
+def test_vector_sums_refuse_fields_of_different_lengths():
+    x1 = poly.var(1, 2)
+    with pytest.raises(poly.PolyError, match="vec_add got fields of 2 and 1 components"):
+        poly.vec_add([x1, x1], [x1])
+    with pytest.raises(poly.PolyError, match="vec_sub got fields of 1 and 2 components"):
+        poly.vec_sub([x1], [x1, x1])
+
+
 def test_shift_rejects_a_point_of_the_wrong_length():
     with pytest.raises(poly.PolyError):
         poly.shift(poly.var(1, 3), [1, 2], 2)

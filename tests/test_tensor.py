@@ -310,6 +310,12 @@ def test_kernel_matrix_rejects_floats_and_bad_lengths():
             tensor.kernel_matrix(t, xi)
 
 
+def test_from_matrix_refuses_ragged_rows():
+    for m in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(tensor.TensorError, match=r"matrix rows of lengths \[\d, \d\]"):
+            PointTensor.from_matrix(m)
+
+
 def test_precompose_all_identity_and_zero():
     t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(idx[0] * idx[1])])
     ident = tensor.identity_map(2)
