@@ -52,9 +52,8 @@ def jet_differential(field: VectorForm, p: int) -> PointTensor:
     """d^p at the base point of a vector-valued form given by its jet there.
 
     field holds the jet of the form, known to order p at least
-    (StructureField.jet, torsion_jets), and is read at every basis tuple
-    of its degree slots, by the sign rule of value_on_basis applied to the
-    coefficients rather than the polynomials.  The p derivative slots come
+    (StructureField.jet, torsion_jets), and is read by value_on_basis at
+    every basis tuple of its degree slots.  The p derivative slots come
     last: the entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
     the value on idx times alpha!, where alpha counts the directions c_i.
     """
@@ -63,14 +62,13 @@ def jet_differential(field: VectorForm, p: int) -> PointTensor:
     for dirs in itertools.product(range(dim), repeat=p):
         alpha = tuple(dirs.count(k) for k in range(dim))
         weights.append((dirs, alpha, math.prod(math.factorial(k) for k in alpha)))
-    zero, zeros = Fraction(0), poly.vec_zero(dim)
+    zero = Fraction(0)
     entries: Dict[Index, List[Fraction]] = {}
     for base in itertools.product(range(dim), repeat=field.degree):
-        key, sign = alternating_rep(base)  # a repeated index is stored nowhere
-        vec = field.entries.get(key, zeros)
+        vec = field.value_on_basis(base)
         for dirs, alpha, w in weights:
-            vals = [c.get(alpha, zero) if w == 1 else w * c.get(alpha, zero) for c in vec]
-            entries[base + dirs] = vals if sign >= 0 else [-c for c in vals]
+            vals = [c.get(alpha, zero) for c in vec]
+            entries[base + dirs] = vals if w == 1 else [w * c for c in vals]
     return PointTensor(dim, dim, field.degree + p, entries)
 
 
