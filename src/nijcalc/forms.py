@@ -81,17 +81,28 @@ def lie_derivative_basis(a: SForm, v: int) -> SForm:
 
 
 class VectorForm:
-    """Alternating q-form with values in polynomial vector fields."""
+    """Alternating q-form with values in polynomial vector fields.
+
+    Each entry is keyed by a strictly increasing tuple of q indices below
+    dim and holds dim components; any other key or value is refused, as
+    value_on_basis could never read it.
+    """
 
     def __init__(self, dim: int, degree: int,
                  entries: Optional[Dict[SIdx, PolyVec]] = None):
         self.dim = dim
         self.degree = degree
         self.entries: Dict[SIdx, PolyVec] = {}
-        if entries:
-            for idx, vec in entries.items():
-                if not poly.vec_is_zero(vec):
-                    self.entries[idx] = vec
+        for idx, vec in (entries or {}).items():
+            # -1 < idx[0] < ... < idx[-1] < dim
+            if len(idx) != degree or not all(a < b for a, b in zip((-1,) + idx, idx + (dim,))):
+                raise ValueError(f"key {idx!r} of a {degree}-form on R^{dim} is not a strictly "
+                                 f"increasing tuple of {degree} indices below {dim}")
+            if len(vec) != dim:
+                raise ValueError(f"value at {idx!r} of a {degree}-form on R^{dim} has "
+                                 f"{len(vec)} components, not {dim}")
+            if not poly.vec_is_zero(vec):
+                self.entries[idx] = vec
 
     @classmethod
     def from_columns(cls, cols: Sequence[PolyVec]) -> "VectorForm":
@@ -116,6 +127,9 @@ class VectorForm:
         return vec if sign > 0 else [poly.neg(p) for p in vec]
 
     def add(self, other: "VectorForm") -> "VectorForm":
+        if (other.dim, other.degree) != (self.dim, self.degree):
+            raise ValueError(f"cannot add a {other.degree}-form on R^{other.dim} "
+                             f"to a {self.degree}-form on R^{self.dim}")
         out = dict(self.entries)
         for idx, vec in other.entries.items():
             cur = out.get(idx)

@@ -344,10 +344,12 @@ def annihilator(n_tensor: PointTensor,
 
 def _require_antilinear_for_both(n_tensor: PointTensor, j1: PointTensor,
                                  j2: PointTensor) -> None:
-    """Raise unless N is antilinear for j1 and j2.  For j2 = +-j1 the second
-    check would repeat the first (N(-j a, b) = -N(j a, b), -(-j) N = j N)."""
+    """Raise unless j1 and j2 are complex structures on the tensor's space
+    and N is antilinear for both.  For j2 = +-j1 the second checks would
+    repeat the first (j2^2 = j1^2; N(-j a, b) = -N(j a, b), -(-j) N = j N)."""
     repeated = j2 == j1 or j2 == j1.neg()
     for label, j in (("first", j1), ("second", j2))[:1 if repeated else 2]:
+        _structure_matrix(j, n_tensor.dim_in)
         bad = linear_membership_violation(n_tensor, j)
         if bad is not None:
             raise StructureError(

@@ -45,25 +45,23 @@ ker zeta on symmetric symbols is the type-(k, 0) part, this is the unique
 solution without a (k, 0) part.  It takes k - 1 applications of T, each
 a sparse polynomial operation, exact over Q.
 
-Each P_k is checked against the three conditions once, inside
-symmetrize.  Trailing symmetry is an orbit check; antilinearity and swap
-conjugation are checked as polynomial identities in Q_a and its first
-partials, which for a P_k symmetric in its trailing slots hold exactly
-when the dense defect tensors vanish.  Those tensors (defect_conditions)
-are built only when a check fails, as the witness of the failure.
-symmetrize then certifies the symbol it returns: the symbol is fully
-symmetric, and u read back from its sorted representatives satisfies the
-polynomial equation above.  As P_k is symmetric in its trailing slots,
-that is zeta(Phi^(k)) == P_k over every index tuple.  That equation is
-the order-k residual of the lifted map, so lift_tower starts each later
-step from the order it has just lifted.
+Each P_k is decided once, inside symmetrize, by certifying the symbol
+solved for it: the symbol is fully symmetric, and u read back from its
+sorted representatives satisfies the polynomial equation above.  Once
+an orbit check has shown P_k symmetric in its trailing slots, that is
+zeta(Phi^(k)) == P_k over every index tuple, and as every zeta image
+meets the three conditions, they need no check of their own.  The dense
+defect tensors (defect_conditions) are built only when a check fails, as
+the witness of the failure.  The certified equation is the order-k
+residual of the lifted map, so lift_tower starts each later step from
+the order it has just lifted.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from . import linalg, poly
 from .forms import VectorForm
@@ -541,57 +539,12 @@ def defect_conditions(p_k: PointTensor, j_l_at: PointTensor,
     return out
 
 
-def _conditions_hold(q: List[PolyVec], j_l_at: PointTensor, j_m_at: PointTensor,
-                     k: int) -> bool:
-    """Antilinearity and swap conjugation of an order-k P_k symmetric in
-    its trailing slots, as polynomial identities in h.
-
-    With A = J_L(x), B = J_M(y), q[a] = Q_a = _slot_polys(P_k, (a,)) and
-    D_cd = d_d Q_c - d_c Q_d, they read B Q_a + sum_b A[b][a] Q_b = 0 for
-    every a, and D_ab - sum_(c < d) (A[c][a] A[d][b] - A[d][a] A[c][b]) D_cd
-    = 0 for every a < b: the two defect tensors with h in every trailing
-    slot, over (k - 1)! and (k - 2)!.  Those tensors are symmetric in
-    their trailing slots, so each vanishes exactly when its polynomial
-    does; swap conjugation is also antisymmetric in slots 0 and 1.
-    """
-    n = len(q)
-
-    def consts(values: Sequence[Fraction]) -> PolyVec:
-        return [poly.const(c, n) for c in values]
-
-    # a_cols[a][c] = A[c][a], the image of e_a
-    a_cols = [j_l_at.entries[(a,)] for a in range(n)]
-    b_cols = [consts(j_m_at.entries[(i,)]) for i in range(j_m_at.dim_in)]
-    anti = poly.jet_apply_columns(b_cols + q, [q[a] + consts(a_cols[a]) for a in range(n)],
-                                  math.inf)
-    if any(c for v in anti for c in v):
-        return False
-    if k < 2:
-        return True
-    pairs = list(itertools.combinations(range(n), 2))
-    grads = [_gradient(q_a, n) for q_a in q]
-    alternations = [poly.vec_sub(grads[c][d], grads[d][c]) for c, d in pairs]
-    swap = poly.jet_apply_columns(alternations, [consts([
-        int((c, d) == (a, b)) - a_cols[a][c] * a_cols[b][d] + a_cols[a][d] * a_cols[b][c]
-        for c, d in pairs]) for a, b in pairs], math.inf)
-    return not any(c for v in swap for c in v)
-
-
-def _verify_defect(p_k: PointTensor, j_l_at: PointTensor,
-                   j_m_at: PointTensor) -> List[PolyVec]:
-    """Check P_k against the three conditions and return its Q_a.
-
-    Trailing symmetry is checked first, then the other two as polynomial
-    identities (_conditions_hold).  Only when one fails are the dense
-    defect_conditions built, and the first nonzero one, in the order
-    antilinearity, trailing_symmetry, swap_conjugation, is raised with
-    its tensor as the witness.
-    """
-    _check_defect_shapes(p_k, j_l_at, j_m_at)
-    if p_k.respects(_trailing_rep):
-        q = [_slot_polys(p_k, (a,)) for a in range(p_k.dim_in)]
-        if _conditions_hold(q, j_l_at, j_m_at, p_k.arity):
-            return q
+def _fail_with_witness(p_k: PointTensor, j_l_at: PointTensor,
+                       j_m_at: PointTensor) -> NoReturn:
+    """Raise the first dense condition P_k fails, in the order
+    antilinearity, trailing_symmetry, swap_conjugation, with its tensor as
+    the witness; when all three hold P_k is solvable and the solve is at
+    fault."""
     conds = defect_conditions(p_k, j_l_at, j_m_at)
     for name in ("antilinearity", "trailing_symmetry", "swap_conjugation"):
         defect = conds.get(name)
@@ -599,7 +552,7 @@ def _verify_defect(p_k: PointTensor, j_l_at: PointTensor,
             raise DefectConditionError(
                 name, defect, f"defect tensor fails the {name} condition")
     raise InternalInconsistencyError(
-        "the polynomial and dense defect conditions disagree")
+        "symmetrized symbol does not reproduce a solvable defect tensor")
 
 
 def _require_swap(err: DefectConditionError) -> None:
@@ -618,14 +571,16 @@ def build_P_k(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     Collects every order-k term of the compatibility residual that is
     built from the existing symbols, signed so that appending a symbol
     Phi^(k) with zeta(Phi^(k)) = P_k kills the order-k residual.
-    Requires the residual to vanish through order k - 1.
+    Requires the residual to vanish through order k - 1.  With verify,
+    symmetrize decides P_k as in a lift and its symbol is discarded; only
+    a swap_conjugation failure is raised as DefectConditionError.
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)
     p_k = _defect_tensor(u, jets)
     if verify:
         try:
-            _verify_defect(p_k, jets.j_l_at, jets.j_m_at)
+            symmetrize(p_k, jets.j_l_at, jets.j_m_at)
         except DefectConditionError as err:
             _require_swap(err)
             raise
@@ -644,9 +599,19 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     completion that projects -1/2 B o P_k slot by slot onto its linear and
     antilinear parts and adjoins the permuted components (the display
     formula at k = 3).
+
+    Its certification decides P_k (module docstring): when the orbit
+    check of trailing symmetry or the certification fails, the first
+    failing dense condition is raised as DefectConditionError.
     """
-    q = _verify_defect(p_k, j_l_at, j_m_at)
+    _check_defect_shapes(p_k, j_l_at, j_m_at)
+    if not p_k.respects(_trailing_rep):
+        _fail_with_witness(p_k, j_l_at, j_m_at)
     k, n = p_k.arity, p_k.dim_in
+    q = [_slot_polys(p_k, (a,)) for a in range(n)]
+
+    def apply(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> List[PolyVec]:
+        return poly.jet_apply_columns(cols, xs, math.inf)
 
     def columns(m: PointTensor, c) -> List[PolyVec]:
         """c m as constant polynomial columns."""
@@ -656,13 +621,13 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     a_cols, b_cols = columns(j_l_at, 1), columns(j_m_at, 1)
     minus_b, half_b = columns(j_m_at, -1), columns(j_m_at, Fraction(-1, 2))
     h = [poly.var(b + 1, n) for b in range(n)]
-    a_h = poly.apply_columns(a_cols, h)
+    [a_h] = apply(a_cols, [h])
 
     def t_op(v: PolyVec) -> PolyVec:
         """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
-        return poly.apply_columns(minus_b, poly.apply_columns(_gradient(v, n), a_h))
+        return apply(minus_b, apply(_gradient(v, n), [a_h]))[0]
 
-    g = poly.apply_columns([poly.apply_columns(half_b, q_a) for q_a in q], h)
+    [g] = apply(apply(half_b, q), [h])
     # pi in Newton form on the nodes k - 2, k - 4, .., -k: its divided
     # differences are 1/(2^j (j + 1)!), and Horner step j applies
     # T - (k - 2(j + 1))
@@ -677,10 +642,8 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
         raise InternalInconsistencyError("symmetrized symbol is not symmetric")
     # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi
     du = _gradient(_slot_polys(phi, ()), n)
-    if any(poly.vec_sub(poly.apply_columns(b_cols, du[a]),
-                        poly.apply_columns(du, a_cols[a])) != q[a] for a in range(n)):
-        raise InternalInconsistencyError(
-            "symmetrized symbol does not reproduce the defect tensor")
+    if list(map(poly.vec_sub, apply(b_cols, du), apply(du, a_cols))) != q:
+        _fail_with_witness(p_k, j_l_at, j_m_at)
     return JetSymbol(k, phi)
 
 

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from nijcalc import poly
 from nijcalc.forms import (
     VectorForm,
@@ -62,6 +64,29 @@ def test_vector_form_evaluation():
     # antisymmetry through reordered arguments
     assert apply_const(n, [e(3), e(2)]) == [poly.neg(poly.var(2, 4)),
                                             poly.zero(), poly.zero(), poly.zero()]
+
+
+@pytest.mark.parametrize("dim, degree, key, length, problem", [
+    (2, 2, (1, 0), 2, "strictly increasing"),   # value_on_basis reads (0, 1)
+    (2, 2, (0, 0), 2, "strictly increasing"),
+    (2, 1, (0, 1), 2, "strictly increasing"),   # two indices for a 1-form
+    (2, 2, (0, 2), 2, "below 2"),
+    (2, 1, (-1,), 2, "strictly increasing"),
+    (3, 1, (0,), 2, "2 components, not 3"),
+])
+def test_vector_form_refuses_entries_it_cannot_read(dim, degree, key, length, problem):
+    with pytest.raises(ValueError, match=problem):
+        VectorForm(dim, degree, {key: [poly.const(1, dim)] * length})
+
+
+def test_vector_form_adds_only_forms_of_its_shape():
+    one = VectorForm(2, 1, {(0,): [poly.var(1, 2), poly.zero()]})
+    for other in (VectorForm(2, 2, {(0, 1): [poly.var(2, 2), poly.zero()]}),
+                  VectorForm(3, 1, {(0,): [poly.var(1, 3)] * 3})):
+        with pytest.raises(ValueError, match="cannot add"):
+            one.add(other)
+        with pytest.raises(ValueError, match="cannot add"):
+            one.sub(other)
 
 
 def test_insertion_identities():

@@ -285,15 +285,28 @@ def test_alpha_N_matches_the_gram_determinant_of_fraction_applies(pair, coords):
     assert out["positive"] == (kernel_dim(t, xi) == 2)
 
 
-@pytest.mark.parametrize("j, message", [
+BAD_STRUCTURES = [
     (PointTensor.from_matrix([[0] * 4 for _ in range(4)]), r"j\^2 != -I"),
     (PointTensor.from_matrix(standard_matrix(3)),
      r"tensor's R\^4, not an arity-1 map of R\^6 to R\^6"),
     (PointTensor.from_matrix([[0, 1, 0, 0], [1, 0, 0, 0]]), r"R\^4 to R\^2"),
-])
+]
+
+
+@pytest.mark.parametrize("j, message", BAD_STRUCTURES)
 def test_general_position_refuses_a_bad_structure(j, message):
     with pytest.raises(StructureError, match=message):
         general_position_test(appendix_tensor(2), 5, seed=0, j=j)
+
+
+@pytest.mark.parametrize("j, message", BAD_STRUCTURES)
+@pytest.mark.parametrize("refuses", [two_structure_decomposition, recover_sign])
+def test_two_structure_calls_refuse_a_bad_structure(refuses, j, message):
+    """The bad structure first, repeated, and second after the standard one."""
+    j0 = PointTensor.from_matrix(standard_matrix(2))
+    for j1, j2 in ((j, j), (j0, j)):
+        with pytest.raises(StructureError, match=message):
+            refuses(appendix_tensor(2), j1, j2)
 
 
 @pytest.mark.parametrize("call, length", [

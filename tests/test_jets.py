@@ -550,16 +550,16 @@ def dense_failures(p_k, jl0, jm0):
     return conds, [c for c in CONDITIONS if c in conds and not conds[c].is_zero()]
 
 
-def assert_verified_like_the_dense_conditions(p_k, jl0, jm0):
-    """_verify_defect raises exactly when a dense condition tensor is
-    nonzero, naming the first in the dense order and carrying its tensor."""
+def assert_decided_like_the_dense_conditions(p_k, jl0, jm0):
+    """symmetrize raises exactly when a dense condition tensor is nonzero,
+    naming the first in the dense order and carrying its tensor; otherwise
+    its symbol solves zeta(Phi) = P_k."""
     conds, failing = dense_failures(p_k, jl0, jm0)
     if not failing:
-        assert jets._verify_defect(p_k, jl0, jm0) == [
-            jets._slot_polys(p_k, (a,)) for a in range(p_k.dim_in)]
+        assert zeta(symmetrize(p_k, jl0, jm0).tensor, jl0, jm0) == p_k
         return failing
     with pytest.raises(DefectConditionError) as exc:
-        jets._verify_defect(p_k, jl0, jm0)
+        symmetrize(p_k, jl0, jm0)
     assert exc.value.condition == failing[0]
     assert exc.value.defect == conds[failing[0]]
     return failing
@@ -576,11 +576,11 @@ def defect_draws(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(defect_draws())
-def test_polynomial_conditions_have_the_strength_of_the_dense_ones(drawn):
+def test_symmetrize_decides_like_the_dense_conditions(drawn):
     k, kind, n_in, n_out, seed = drawn
     rng = random.Random(seed)
     jl0, jm0 = rand_point_structure(n_in, rng), rand_point_structure(n_out, rng)
-    failing = assert_verified_like_the_dense_conditions(
+    failing = assert_decided_like_the_dense_conditions(
         drawn_defect(kind, k, jl0, jm0, rng), jl0, jm0)
     if kind == "zeta":
         assert failing == []
@@ -599,7 +599,7 @@ def test_each_drawn_condition_fails_alone():
             swap = k >= 2 and n_in >= 2
             for kind in CONDITIONS[:1] + CONDITIONS[2:] * swap + CONDITIONS[1:2] * (k >= 3):
                 p_k = drawn_defect(kind, k, jl0, jm0, rng)
-                assert assert_verified_like_the_dense_conditions(p_k, jl0, jm0) == [kind]
+                assert assert_decided_like_the_dense_conditions(p_k, jl0, jm0) == [kind]
 
 
 # -- obstructions -----------------------------------------------------------------
@@ -764,7 +764,8 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
         u = lift(u, j_l, j_m).lifted
     compositions = calls_of(monkeypatch, jets, "_cr_polynomial")
     cross_checks = calls_of(monkeypatch, jets, "_residual_terms")
-    verified = calls_of(monkeypatch, jets, "_verify_defect")
+    decided = calls_of(monkeypatch, jets, "symmetrize")
+    witnesses = calls_of(monkeypatch, jets, "defect_conditions")
     shifts = calls_of(monkeypatch, StructureField, "jet")
     differentials = calls_of(monkeypatch, jets, "jet_differential")
     tower = lift_tower(u, j_l, j_m, k_max=4)
@@ -774,11 +775,13 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
     # lifted, which symmetrize has already certified
     assert [(a[0].order, a[2]) for a, _ in compositions] == \
         [(k, k) for k in range(start, 4)]
-    # one representative cross-check per new order, of P_k, and one check
-    # of P_k against the conditions
+    # one representative cross-check per new order, of P_k, and one
+    # decision of P_k, by symmetrize; the dense conditions are built only
+    # as the witness of a failure, so a full tower builds none
     assert [(a[0].order + 1, a[2]) for a, _ in cross_checks] == \
         [(k, True) for k in range(start + 1, 5)]
-    assert len(verified) == 4 - start
+    assert len(decided) == 4 - start
+    assert witnesses == []
     # one jet per structure, to its entry degree, once per tower ...
     assert [a for a, _ in shifts] == [(j_l, list(ZERO4), j_l.max_entry_degree()),
                                       (j_m, list(ZERO4), j_m.max_entry_degree())]
@@ -873,9 +876,12 @@ def random_pair():
     (ex2_identity, 2, "e0c8802555b6484a"),
     (random_pair, 2, "0122cd8ffdbf8f29"),
 ])
-def test_obstructed_tower_keeps_its_residual(fixture, order, expected):
+def test_obstructed_tower_keeps_its_residual(monkeypatch, fixture, order, expected):
     j_l, j_m, u = fixture()
+    witnesses = calls_of(monkeypatch, jets, "defect_conditions")
     tower = lift_tower(u, j_l, j_m, k_max=4)
+    # the dense conditions are built once, as the witness at the blocking order
+    assert [a[0].arity for a, _ in witnesses] == [order]
     assert not tower.ok and tower.lifted.order == order - 1
     assert tower.obstruction.order == order
     assert fingerprint(tower.obstruction.residual) == expected
