@@ -18,9 +18,12 @@ fields: the torsion generators N(e_a, e_b) are expanded in the offset
 from the point (invariants.torsion_jets), the frame reads their 1-jets
 (values and the first derived space, from bracket values
 [X, Y](p) = DY(p) X(p) - DX(p) Y(p)), and the Tanaka forms read their
-2-jets, built only once the frame exists.  The global constructions
-(pi2, derived_distribution) remain for callers that want the
-distributions as polynomial modules.
+2-jets.  Each call builds its jets once: utxi_invariant the 2-jet of J
+and the torsion 1-jets, tanaka_forms the 3-jet and the torsion 2-jets,
+of which its frame reads only the terms of degree <= 1.  Either way the
+frame checks N by both routes (invariants.torsion_from_jets).  The
+global constructions (pi2, derived_distribution) remain for callers that
+want the distributions as polynomial modules.
 
 Separately, lie_check decides whether the torsion product N(., .) obeys
 the composition law N(x, N(y, z)) = 0, reporting the image span, the
@@ -40,7 +43,8 @@ from . import linalg, poly
 from .forms import VectorForm, algebraic_bracket, fn_bracket
 from .genpos import annihilator
 from .invariants import (InternalInconsistencyError, jet_differential,
-                         nijenhuis_field_bracket, nijenhuis_tensor, torsion_jets)
+                         nijenhuis_field_bracket, nijenhuis_tensor,
+                         torsion_from_jets, torsion_jets)
 from .quadext import QuadExt, sqrt_exact
 from .structures import StructureError, StructureField
 from .tensor import PointTensor, kernel_matrix
@@ -113,6 +117,11 @@ def _torsion_generators(j: StructureField) -> List[List[poly.Poly]]:
             if not poly.vec_is_zero(g)]
 
 
+def _check_dim4(j: StructureField) -> None:
+    if j.dim != 4:
+        raise StructureError("the image-plane construction needs dimension 4")
+
+
 def pi2(j: StructureField, point: Sequence) -> Distribution:
     """Image plane of the torsion tensor as a distribution, at a point.
 
@@ -120,8 +129,7 @@ def pi2(j: StructureField, point: Sequence) -> Distribution:
     the point.  The image span is then two-dimensional and closed under
     j; both facts follow from the pair symmetries and are asserted.
     """
-    if j.dim != 4:
-        raise StructureError("the image-plane construction needs dimension 4")
+    _check_dim4(j)
     gens = _torsion_generators(j)
     if not gens:
         raise HypothesisError("torsion", "torsion vanishes identically")
@@ -181,21 +189,43 @@ def _second_level(gens: List[List[poly.Poly]]) -> Tuple[List[Vec], List[List[Vec
     """Values at the point of the flag's level one and level two, from the
     generators' 2-jets.
 
-    Level one lists the generators, then their brackets [g_i, g_k] for the
-    ordered pairs i != k (the bracket is computed once per unordered pair,
-    as a 1-jet).  The second result is top[i][k] = [g_i, level1_k](p); the
-    second derived space is spanned by level one and top.
+    Level one lists the generators, then their brackets h_ik = [g_i, g_k]
+    for the ordered pairs i != k.  The second result is
+    top[i][k] = [g_i, level1_k](p); the second derived space is spanned by
+    level one and top.  Each bracket is computed once per unordered pair
+    and the rest follow by antisymmetry: h_ab as a 1-jet for a < b, whose
+    value is also [g_a, g_b](p); then [g_i, h_ab](p) at order 0 for a < b,
+    with [g_i, g_i](p) = 0 and h_ba = -h_ab.
     """
     n = len(gens)
     pairs = list(itertools.combinations(range(n), 2))
-    half = dict(zip(pairs, poly.jet_brackets(gens, pairs, 1)))
-    level1 = gens + [half[(i, k)] if i < k else [poly.neg(c) for c in half[(k, i)]]
-                     for i in range(n) for k in range(n) if i != k]
-    # level1 starts with the generators, so jet_brackets can index into it
-    top_pairs = [(i, k) for i in range(n) for k in range(len(level1))]
-    top_vals = _values(poly.jet_brackets(level1, top_pairs, 0))
-    m = len(level1)
-    return _values(level1), [top_vals[i * m:(i + 1) * m] for i in range(n)]
+    half = poly.jet_brackets(gens, pairs, 1)
+    # gens + half lists the generators, then h_ab for a < b in pair order
+    top_pairs = [(i, n + p) for i in range(n) for p in range(len(pairs))]
+    top_vals = _values(poly.jet_brackets(gens + half, top_pairs, 0))
+    ordered = [(i, k) for i in range(n) for k in range(n) if i != k]
+    h = dict(zip(pairs, _values(half)))
+    top = []
+    for i in range(n):
+        g_h = dict(zip(pairs, top_vals[i * len(pairs):(i + 1) * len(pairs)]))
+        top.append(_antisymmetric(h, [(i, k) for k in range(n)])
+                   + _antisymmetric(g_h, ordered))
+    return _values(gens) + _antisymmetric(h, ordered), top
+
+
+def _antisymmetric(vals: Dict[Tuple[int, int], Vec],
+                   pairs: Sequence[Tuple[int, int]]) -> List[Vec]:
+    """Values on ordered pairs from the values on pairs a < b, by
+    v(b, a) = -v(a, b) and v(a, a) = 0."""
+    out = []
+    for a, b in pairs:
+        if a < b:
+            out.append(vals[(a, b)])
+        elif a > b:
+            out.append([-c for c in vals[(b, a)]])
+        else:
+            out.append([Fraction(0)] * len(next(iter(vals.values()))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +265,13 @@ def _eigvec(m: List[List[Fraction]], lam: Scalar) -> Vec:
     return w
 
 
-def _frame_ingredients(j: StructureField, point: Sequence):
-    """Shared start of the frame ops: plane, raw xi3, torsion, pairing
-    matrix and J at the point, all from the 2-jet of J there."""
-    if j.dim != 4:
-        raise StructureError("the image-plane construction needs dimension 4")
-    jet = j.jet(point, 2)
-    gens = list(torsion_jets(jet, 1).values())
+def _frame_ingredients(jet: List[poly.PolyVec],
+                       n_jets: Dict[Tuple[int, int], poly.PolyVec]):
+    """Start of the frame: plane, raw xi3, torsion, pairing matrix and J
+    at the point, from a jet of J there of order 2 or more and the torsion
+    jets it gives (torsion_jets).  Only degree <= 1 of the torsion jets and
+    of J is read, so any such pair gives the same values."""
+    gens = list(n_jets.values())
     gen_vals = _values(gens)
     fiber = linalg.span_basis(gen_vals)
     jm = [[poly.constant_term(col[i]) for col in jet] for i in range(4)]
@@ -255,7 +285,7 @@ def _frame_ingredients(j: StructureField, point: Sequence):
             "derived", "the first derived space already fills the tangent "
             "space; the frame construction needs the corank-1 case")
     xi3_raw = next(v for v in derived if not linalg.in_span(v, fiber))
-    n_at = nijenhuis_tensor(j, point)
+    n_at = torsion_from_jets(jet, n_jets)
     b1, b2 = fiber
     m_cols = []
     for b in (b1, b2):
@@ -283,8 +313,17 @@ def utxi_invariant(j: StructureField, point: Sequence,
     lie in the derived space but not in the plane.  Shifting the choice
     by plane vectors changes nothing but the stored representative;
     choosing the opposite half-space interchanges the lines U1 and U2.
+    The frame reads the 2-jet of J at the point and the torsion 1-jets.
     """
-    plane, xi3_raw, n_at, m, jm = _frame_ingredients(j, point)
+    _check_dim4(j)
+    jet = j.jet(point, 2)
+    return _frame(jet, torsion_jets(jet, 1), point, xi3_choice)
+
+
+def _frame(jet: List[poly.PolyVec], n_jets: Dict[Tuple[int, int], poly.PolyVec],
+           point: Sequence, xi3_choice: Optional[Sequence]) -> UTXiFrame:
+    """utxi_invariant from the jets at the point (_frame_ingredients)."""
+    plane, xi3_raw, n_at, m, jm = _frame_ingredients(jet, n_jets)
     b1, b2 = plane
     if m[0][0] + m[1][1] != 0:
         raise InternalInconsistencyError("plane pairing map has a trace")
@@ -398,9 +437,15 @@ def tanaka_forms(j: StructureField, point: Sequence,
     against a section through xi3 and reads the xi4-component.  Both are
     fiber values, independent of the section choices.  Only values at
     the point enter, so the generators' 2-jets suffice (_second_level).
+    The 3-jet of J and the torsion 2-jets are built once and read by the
+    frame too, which takes only their degree <= 1 terms and so equals
+    utxi_invariant at the point.
     """
-    frame = utxi_invariant(j, point, xi3_choice=xi3_choice)
-    gens = list(torsion_jets(j.jet(point, 3), 2).values())
+    _check_dim4(j)
+    jet = j.jet(point, 3)
+    n_jets = torsion_jets(jet, 2)
+    frame = _frame(jet, n_jets, point, xi3_choice)
+    gens = list(n_jets.values())
     level1_vals, top = _second_level(gens)
     flag = linalg.Echelon()
     seen = set()

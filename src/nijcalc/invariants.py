@@ -18,7 +18,8 @@ Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
 (StructureField.jet), torsion_jets expands the torsion fields there from
 the next jet of J, and jet_differential reads d^p of any such jet off its
-degree-p coefficients.  Both torsion routes read only the 1-jet of J, the
+degree-p coefficients.  Both torsion routes read only the 1-jet of J
+(torsion_from_jets takes any higher jet and reads its low terms), the
 arity-4 routes and the identity checks its 2-jet.  Each jet is a
 forms.VectorForm, of degree 1 for J and 2 for the torsion.  The global
 torsion 2-form (nijenhuis_field_bracket) is torsion_jets at the origin,
@@ -114,21 +115,30 @@ def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
                                          for sign, perm in ((1, (1, 0)), (-1, None))])
 
 
-def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
-    """Torsion at the point; raises if the two routes disagree there.
+def torsion_from_jets(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> PointTensor:
+    """Torsion at the base point of jet, a jet of J of order 1 or more, and
+    n_jets = torsion_jets(jet, order) for any order >= 0; raises if the two
+    routes disagree there.
 
-    Both routes read only the 1-jet of J at the point: the bracket route
-    is the 2-form of torsion_jets at order 0, filled by sign from the pairs
-    a < b, the other the first-differential formula, which computes every
-    entry, so their agreement certifies antisymmetry too.
+    Both routes read only degree <= 1 of jet: the bracket route is the
+    value of the 2-form n_jets, filled by sign from the pairs a < b, the
+    other the first-differential formula, which computes every entry, so
+    their agreement certifies antisymmetry too.  Callers that already hold
+    higher jets (classify) pass them and build nothing twice.
     """
-    jet = j.jet(point, 1)
-    bracket = jet_differential(VectorForm(j.dim, 2, torsion_jets(jet, 0)), 0)
+    bracket = jet_differential(VectorForm(len(jet), 2, n_jets), 0)
     other = _torsion_first_differential(jet)
     if bracket != other:
         raise InternalInconsistencyError(
             f"torsion routes disagree at basis pair {_first_nonzero(bracket.sub(other))}")
     return bracket
+
+
+def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
+    """Torsion at the point from the 1-jet of J there (torsion_from_jets);
+    raises if the two routes disagree."""
+    jet = j.jet(point, 1)
+    return torsion_from_jets(jet, torsion_jets(jet, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ never touch floating point.
 
 The constructor validates d.  Arithmetic results reuse the d of an
 operand, already validated, and are built without repeating the check.
+An int or Fraction operand enters the arithmetic as it is: adding r moves
+only a, multiplying by r scales a and b, with no field element built for
+r.  A float is refused everywhere with ValueError: it would be read as
+the binary fraction it stores, not the decimal it was written as.
 """
 
 from __future__ import annotations
@@ -27,12 +31,19 @@ def _is_square(f: Fraction) -> bool:
     return rn * rn == f.numerator and rd * rd == f.denominator
 
 
+def _rational(x, what: str) -> Fraction:
+    """x as a Fraction; a float raises ValueError."""
+    if isinstance(x, float):
+        raise ValueError(f"float {what} {x!r}: Q(sqrt(d)) needs exact rationals")
+    return Fraction(x)
+
+
 def sqrt_exact(f: Rationalish) -> Union[Fraction, "QuadExt"]:
     """Exact square root of a nonnegative rational.
 
     Returns a Fraction when f is a perfect square, else a QuadExt over d = f.
     """
-    f = Fraction(f)
+    f = _rational(f, "radicand")
     if f < 0:
         raise ValueError("negative radicand")
     if _is_square(f):
@@ -55,9 +66,9 @@ class QuadExt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rationalish, b: Rationalish, d: Rationalish):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = Fraction(d)
+        self.a = _rational(a, "coefficient")
+        self.b = _rational(b, "coefficient")
+        self.d = _rational(d, "radicand")
         if self.d <= 0 or _is_square(self.d):
             raise ValueError(f"d = {self.d} must be positive and not a perfect square")
 
@@ -68,7 +79,7 @@ class QuadExt:
             if other.d != self.d:
                 raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
             return other
-        return _make(Fraction(other), Fraction(0), self.d)
+        return _make(_rational(other, "operand"), Fraction(0), self.d)
 
     def conjugate(self) -> "QuadExt":
         return _make(self.a, -self.b, self.d)
@@ -76,6 +87,8 @@ class QuadExt:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a + other, self.b, self.d)
         o = self._coerce(other)
         return _make(self.a + o.a, self.b + o.b, self.d)
 
@@ -85,12 +98,18 @@ class QuadExt:
         return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a - other, self.b, self.d)
         return self + (-self._coerce(other))
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _make(other - self.a, -self.b, self.d)
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         return _make(
             self.a * o.a + self.b * o.b * self.d,
@@ -113,6 +132,8 @@ class QuadExt:
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, float):
+            _rational(other, "operand")  # raises: no silent False
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         if isinstance(other, QuadExt):

@@ -22,15 +22,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nijcalc import classify, linalg, poly
+from nijcalc import classify, invariants, linalg, poly
 from nijcalc.classify import (HypothesisError, bracket_identity_report,
                               derived_distribution, lie_check, pi2,
                               tanaka_forms, utxi_invariant)
 from nijcalc.genpos import alpha_N, annihilator, appendix_tensor
-from nijcalc.invariants import nijenhuis_tensor, torsion_jets
+from nijcalc.invariants import (InternalInconsistencyError, nijenhuis_tensor,
+                                torsion_jets)
 from nijcalc.jets import JetSymbol, TruncatedMap
 from nijcalc.quadext import QuadExt
-from nijcalc.structures import (StructureError, example_structure,
+from nijcalc.structures import (StructureError, StructureField, example_structure,
                                 from_anticommuting_part, random_structure,
                                 validate)
 from nijcalc.tensor import identity_map
@@ -291,6 +292,67 @@ def test_lie_check_reports_at_the_first_sample_point():
     assert rep.pi_basis == tuple(tuple(v) for v in image) != ()
     assert len(rep.annihilator_basis) < 4
     assert lie_check(j, [[0, 0, 0, 0], first]).pi_basis == ()
+
+
+# ---------------------------------------------------------------------------
+# the frame inside tanaka_forms: one jet, the same frame, N still checked
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", [utxi_invariant, tanaka_forms])
+def test_frame_cross_checks_the_torsion_routes(monkeypatch, op):
+    """The frame reads N through the two-route check, so a disagreement
+    between the routes still raises inside utxi_invariant and
+    tanaka_forms."""
+    true_route = invariants._torsion_first_differential
+
+    def broken(jet):
+        t = true_route(jet)
+        t.entries[(1, 3)] = [t.entries[(1, 3)][0] + 1] + t.entries[(1, 3)][1:]
+        return t
+
+    monkeypatch.setattr(invariants, "_torsion_first_differential", broken)
+    with pytest.raises(InternalInconsistencyError, match=r"\(1, 3\)"):
+        op(family_structure(9), (0, 0, 1, 0))
+
+
+def test_tanaka_forms_builds_one_jet_of_j_and_of_the_torsion(monkeypatch):
+    calls = []
+    real_jet, real_torsion_jets = StructureField.jet, invariants.torsion_jets
+
+    def counted_jet(self, point, order):
+        calls.append(("jet", order))
+        return real_jet(self, point, order)
+
+    def counted_torsion_jets(jet, order):
+        calls.append(("torsion_jets", order))
+        return real_torsion_jets(jet, order)
+
+    monkeypatch.setattr(StructureField, "jet", counted_jet)
+    monkeypatch.setattr(invariants, "torsion_jets", counted_torsion_jets)
+    monkeypatch.setattr(classify, "torsion_jets", counted_torsion_jets)
+    forms = tanaka_forms(family_structure(9), (0, 0, 1, 0))
+    assert forms.omega2 == Fraction(-3, 2)
+    assert calls == [("jet", 3), ("torsion_jets", 2)]
+
+
+@pytest.mark.parametrize("seed", FAMILY)
+def test_tanaka_frame_is_the_frame(seed):
+    """tanaka_forms builds its frame from the 3-jet; it equals
+    utxi_invariant's, element types included, and where the frame fails
+    both raise at the same stage."""
+    j = family_structure(seed)
+    for pt in CAND_POINTS:
+        try:
+            want = canon(utxi_invariant(j, pt))
+        except HypothesisError as err:
+            with pytest.raises(HypothesisError) as got:
+                tanaka_forms(j, pt)
+            assert got.value.stage == err.stage, pt
+            continue
+        try:
+            assert canon(tanaka_forms(j, pt).frame) == want, pt
+        except HypothesisError as err:
+            assert err.stage == "second_derived", pt
 
 
 # ---------------------------------------------------------------------------

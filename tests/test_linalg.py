@@ -182,6 +182,49 @@ def test_sqrt_exact_rational_cases():
         sqrt_exact(-1)
 
 
+QUADEXT_OPERAND_ENTRIES = {
+    "add": lambda q, r: q + r, "radd": lambda q, r: r + q,
+    "sub": lambda q, r: q - r, "rsub": lambda q, r: r - q,
+    "mul": lambda q, r: q * r, "rmul": lambda q, r: r * q,
+    "truediv": lambda q, r: q / r, "rtruediv": lambda q, r: r / q,
+    "eq": lambda q, r: q == r, "lt": lambda q, r: q < r, "le": lambda q, r: q <= r,
+    "gt": lambda q, r: q > r, "ge": lambda q, r: q >= r,
+}
+QUADEXT_FLOAT_ENTRIES = {
+    "a": lambda: QuadExt(0.1, 1, 2), "b": lambda: QuadExt(1, 0.1, 2),
+    "d": lambda: QuadExt(1, 1, 2.0), "sqrt_exact": lambda: sqrt_exact(0.5),
+    **{op: (lambda f=f: f(QuadExt(1, 1, 2), 0.1))
+       for op, f in QUADEXT_OPERAND_ENTRIES.items()},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(QUADEXT_FLOAT_ENTRIES))
+def test_quadext_refuses_floats(entry):
+    """A float would be read as its binary fraction (0.1 as
+    3602879701896397/36028797018963968): every entry raises, naming it."""
+    with pytest.raises(ValueError, match=r"float .*(0\.1|0\.5|2\.0)"):
+        QUADEXT_FLOAT_ENTRIES[entry]()
+
+
+@settings(max_examples=60)
+@given(st.builds(QuadExt, st.fractions(-3, 3, max_denominator=4),
+                 st.fractions(-3, 3, max_denominator=4), st.sampled_from([2, 5, F(1, 3)])),
+       st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)))
+@example(QuadExt(1, -2, 3), 0)
+@example(QuadExt(1, -2, 3), F(0))
+@example(QuadExt(0, 1, 2), -3)
+def test_quadext_rational_operands_equal_the_field_operation(q, r):
+    """An int or Fraction operand, on either side, gives what the same
+    operation with QuadExt(r, 0, d) gives, component by component."""
+    as_field = QuadExt(r, 0, q.d)
+    for op in ("add", "radd", "sub", "rsub", "mul", "rmul"):
+        f = QUADEXT_OPERAND_ENTRIES[op]
+        got, want = f(q, r), f(q, as_field)
+        assert type(got) is QuadExt, op
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d), op
+        assert all(type(x) is Fraction for x in (got.a, got.b, got.d)), op
+
+
 def test_elimination_over_quadext():
     # invariant-line style solve with irrational entries
     r5 = sqrt_exact(5)
