@@ -17,12 +17,47 @@ from nijcalc.forms import (
 )
 from nijcalc.invariants import nijenhuis_field_bracket
 from nijcalc.structures import example_structure, random_structure
-from reference import apply_const, fn_bracket_one_forms_direct, post_structure
+from reference import apply_const, digest, fn_bracket_one_forms_direct, post_structure
 
 
 def n_form(j):
     return VectorForm.from_pair_entries(
         j.dim, nijenhuis_field_bracket(j).entries)
+
+
+def sorted_entries(form):
+    return (form.dim, form.degree,
+            sorted((idx, [sorted(p.items()) for p in vec]) for idx, vec in form.entries.items()))
+
+
+# Brackets between the forms of two different structures, which do not
+# vanish (on one structure's own J and N, [J, N] and [N, N] do), with the
+# digests of their sorted entries.
+PINNED_BRACKETS = {
+    ("fn_bracket", "j_ex2", "j_ex5"): "f60abaebaae20bd1",
+    ("fn_bracket", "j_ex2", "n_rand"): "80f0b39030f3354b",
+    ("fn_bracket", "n_rand", "n_ex5"): "f112cdb60e9df672",
+    ("insertion", "n_ex2", "n_ex5"): "4fdc795e4a3dd175",
+    ("insertion", "n_rand", "j_ex5"): "07ace18aa12b7212",
+    ("insertion", "n_rand", "n_rand"): "429e26b6a81c5419",
+    ("algebraic_bracket", "n_ex2", "n_ex5"): "7873d967e8967790",
+    ("algebraic_bracket", "j_rand", "j_ex5"): "3e69e09fa9b5a72f",
+    ("algebraic_bracket", "j_ex2", "n_rand"): "001bd162215ec631",
+}
+
+
+def test_bracket_outputs_keep_their_digests():
+    operands = {}
+    for name, j in (("ex2", example_structure("ex2")),
+                    ("ex5", example_structure("ex5", eps=1)),
+                    ("rand", random_structure(2, 5))):
+        operands["j_" + name] = VectorForm.from_structure(j)
+        operands["n_" + name] = n_form(j)
+    brackets = {"fn_bracket": fn_bracket, "insertion": insertion,
+                "algebraic_bracket": algebraic_bracket}
+    got = {(op, a, b): digest(sorted_entries(brackets[op](operands[a], operands[b])))
+           for op, a, b in PINNED_BRACKETS}
+    assert got == PINNED_BRACKETS
 
 
 def test_scalar_form_basics():
