@@ -265,39 +265,6 @@ def _eigvec(m: List[List[Fraction]], lam: Scalar) -> Vec:
     return w
 
 
-def _frame_ingredients(jet: List[poly.PolyVec],
-                       n_jets: Dict[Tuple[int, int], poly.PolyVec]):
-    """Start of the frame: plane, raw xi3, torsion, pairing matrix and J
-    at the point, from a jet of J there of order 2 or more and the torsion
-    jets it gives (torsion_jets).  Only degree <= 1 of the torsion jets and
-    of J is read, so any such pair gives the same values."""
-    gens = list(n_jets.values())
-    gen_vals = _values(gens)
-    fiber = linalg.span_basis(gen_vals)
-    jm = [[poly.constant_term(col[i]) for col in jet] for i in range(4)]
-    _check_torsion_plane(fiber, jm)
-    derived = _derived_fiber(gens)
-    if len(derived) == 2:
-        raise HypothesisError(
-            "derived", "the first derived space equals the image plane")
-    if len(derived) == 4:
-        raise HypothesisError(
-            "derived", "the first derived space already fills the tangent "
-            "space; the frame construction needs the corank-1 case")
-    xi3_raw = next(v for v in derived if not linalg.in_span(v, fiber))
-    n_at = torsion_from_jets(jet, n_jets)
-    b1, b2 = fiber
-    m_cols = []
-    for b in (b1, b2):
-        coords = _coords_in([b1, b2], n_at.apply([b, xi3_raw]))
-        if coords is None:
-            raise InternalInconsistencyError(
-                "pairing against the derived direction leaves the plane")
-        m_cols.append(coords)
-    m = [[m_cols[0][0], m_cols[1][0]], [m_cols[0][1], m_cols[1][1]]]
-    return fiber, xi3_raw, n_at, m, jm
-
-
 def utxi_invariant(j: StructureField, point: Sequence,
                    xi3_choice: Optional[Sequence] = None) -> UTXiFrame:
     """Adapted frame from the torsion flag at a point.
@@ -322,9 +289,32 @@ def utxi_invariant(j: StructureField, point: Sequence,
 
 def _frame(jet: List[poly.PolyVec], n_jets: Dict[Tuple[int, int], poly.PolyVec],
            point: Sequence, xi3_choice: Optional[Sequence]) -> UTXiFrame:
-    """utxi_invariant from the jets at the point (_frame_ingredients)."""
-    plane, xi3_raw, n_at, m, jm = _frame_ingredients(jet, n_jets)
+    """utxi_invariant from a jet of J at the point of order 2 or more and
+    the torsion jets it gives (torsion_jets).  Only degree <= 1 of the
+    torsion jets and of J is read, so any such pair gives the same frame."""
+    gens = list(n_jets.values())
+    plane = linalg.span_basis(_values(gens))
+    jm = [[poly.constant_term(col[i]) for col in jet] for i in range(4)]
+    _check_torsion_plane(plane, jm)
+    derived = _derived_fiber(gens)
+    if len(derived) == 2:
+        raise HypothesisError(
+            "derived", "the first derived space equals the image plane")
+    if len(derived) == 4:
+        raise HypothesisError(
+            "derived", "the first derived space already fills the tangent "
+            "space; the frame construction needs the corank-1 case")
+    xi3_raw = next(v for v in derived if not linalg.in_span(v, plane))
+    n_at = torsion_from_jets(jet, n_jets)
     b1, b2 = plane
+    m_cols = []
+    for b in (b1, b2):
+        coords = _coords_in([b1, b2], n_at.apply([b, xi3_raw]))
+        if coords is None:
+            raise InternalInconsistencyError(
+                "pairing against the derived direction leaves the plane")
+        m_cols.append(coords)
+    m = [[m_cols[0][0], m_cols[1][0]], [m_cols[0][1], m_cols[1][1]]]
     if m[0][0] + m[1][1] != 0:
         raise InternalInconsistencyError("plane pairing map has a trace")
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -542,24 +532,17 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
         raise StructureError("need at least one sample point")
     dim = j.dim
     nf = nijenhuis_field_bracket(j)
-    is_lie = True
+    rows = [[nf.value_on_basis((a, i)) for i in range(dim)] for a in range(dim)]
+    failure = next((((a, b, c), residual) for a in range(dim) for b in range(dim)
+                    for c in range(b + 1, dim)
+                    if not poly.vec_is_zero(residual := poly.apply_columns(
+                        rows[a], nf.value_on_basis((b, c))))), None)
+    is_lie = failure is None
     witness = None
-    for a in range(dim):
-        row = [nf.value_on_basis((a, i)) for i in range(dim)]
-        for b in range(dim):
-            for c in range(b + 1, dim):
-                residual = poly.apply_columns(row, nf.value_on_basis((b, c)))
-                if not poly.vec_is_zero(residual):
-                    is_lie = False
-                    pt, val = _witness_point(
-                        residual, [list(p) for p in sample_points], dim)
-                    witness = LieWitness(indices=(a, b, c), point=tuple(pt),
-                                         value=tuple(val))
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    if failure:
+        indices, residual = failure
+        pt, val = _witness_point(residual, [list(p) for p in sample_points], dim)
+        witness = LieWitness(indices=indices, point=tuple(pt), value=tuple(val))
 
     n_first = pi_basis = ann_basis = None
     for pt in sample_points:

@@ -1,22 +1,19 @@
 """Vector-valued polynomial differential forms and the two graded brackets.
 
-Scalar forms are dicts keyed by strictly increasing index tuples with
-polynomial coefficients.  Vector-valued forms carry a polynomial
-coefficient vector per index tuple (VectorForm), which is also the type
-of J and its jets (from_columns), of the torsion N, its jets and the
-compatibility torsion, as invariants.jet_differential reads them.  The
-algebraic bracket uses shuffle insertions; the differential bracket is
-assembled from decomposable pieces coeff * dx^I (x) e_i, for which the
-Lie-derivative terms reduce to coefficient derivatives.  On two 1-forms
-the differential bracket is also computed, without forms, as the
+A VectorForm carries a polynomial coefficient vector per strictly
+increasing index tuple; it is the type of J and its jets (from_columns),
+of the torsion N, its jets and the compatibility torsion, as
+invariants.jet_differential reads them.  Both brackets are sums over the
+forms' pieces f dx^I (x) e_i, the nonzero components of the entries, each
+term added at its sorted index tuple with its permutation sign.  On two
+1-forms the differential bracket is also computed, without forms, as the
 polarized torsion (invariants.compatibility_nijenhuis).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly
 from .poly import Poly, PolyVec
@@ -24,60 +21,6 @@ from .structures import StructureField
 from .tensor import alternating_rep
 
 SIdx = Tuple[int, ...]  # strictly increasing
-SForm = Dict[SIdx, Poly]
-
-
-def sform_accumulate(out: SForm, idx: Sequence[int], p: Poly) -> None:
-    if poly.is_zero(p):
-        return
-    key, sign = alternating_rep(idx)
-    if sign == 0:
-        return
-    q = poly.add(out.get(key, poly.zero()), p if sign > 0 else poly.neg(p))
-    if poly.is_zero(q):
-        out.pop(key, None)
-    else:
-        out[key] = q
-
-
-def wedge(a: SForm, b: SForm) -> SForm:
-    out: SForm = {}
-    for ia, pa in a.items():
-        for ib, pb in b.items():
-            sform_accumulate(out, ia + ib, poly.mul(pa, pb))
-    return out
-
-
-def exterior_d(a: SForm, num_vars: int) -> SForm:
-    out: SForm = {}
-    for idx, p in a.items():
-        for v in range(num_vars):
-            dp = poly.diff(p, v + 1)
-            if not poly.is_zero(dp):
-                sform_accumulate(out, (v,) + idx, dp)
-    return out
-
-
-def contract_basis(a: SForm, v: int) -> SForm:
-    """Interior product with the constant basis field e_{v+1}."""
-    out: SForm = {}
-    for idx, p in a.items():
-        if v in idx:
-            k = idx.index(v)
-            rest = idx[:k] + idx[k + 1:]
-            sign = (-1) ** k
-            sform_accumulate(out, rest, p if sign > 0 else poly.neg(p))
-    return out
-
-
-def lie_derivative_basis(a: SForm, v: int) -> SForm:
-    """L_{e_{v+1}} of a form: coefficientwise derivative (Cartan agrees)."""
-    out: SForm = {}
-    for idx, p in a.items():
-        dp = poly.diff(p, v + 1)
-        if not poly.is_zero(dp):
-            out[idx] = dp
-    return out
 
 
 class VectorForm:
@@ -137,6 +80,8 @@ class VectorForm:
         return VectorForm(self.dim, self.degree, out)
 
     def scale(self, c: Fraction) -> "VectorForm":
+        if isinstance(c, float):
+            raise ValueError(f"float scale {c!r}: must be exact")
         return VectorForm(self.dim, self.degree,
                           {idx: poly.vec_scale(v, Fraction(c))
                            for idx, v in self.entries.items()})
@@ -160,34 +105,61 @@ class VectorForm:
 
 
 # ---------------------------------------------------------------------------
-# algebraic (pointwise) bracket via shuffle insertions
+# the two graded brackets, summed over pieces f dx^I (x) e_i
 # ---------------------------------------------------------------------------
 
+def _pieces(form: VectorForm) -> List[Tuple[SIdx, int, Poly]]:
+    """The nonzero components of the entries, each the piece f dx^I (x) e_i."""
+    return [(idx, i, f) for idx, vec in form.entries.items() for i, f in enumerate(vec) if f]
+
+
+def _contract(idx: SIdx, v: int) -> Tuple[SIdx, bool]:
+    """i_{e_v} dx^idx = (-1)^s dx^rest for v at position s of idx, as
+    (rest, s odd)."""
+    s = idx.index(v)
+    return idx[:s] + idx[s + 1:], s % 2 == 1
+
+
+def _add_product(out: Dict[SIdx, PolyVec], dim: int, idx: Sequence[int], comp: int,
+                 f: Poly, g: Poly, negate: bool) -> None:
+    """Add (-1)^negate f g dx^idx (x) e_comp into out, at the sorted idx
+    with its permutation sign; nothing on a repeated index."""
+    if not (f and g):
+        return
+    key, sign = alternating_rep(idx)
+    if not sign:
+        return
+    vec = out.get(key)
+    if vec is None:
+        vec = out[key] = poly.vec_zero(dim)
+    p = poly.mul(f, g)
+    vec[comp] = poly.sub(vec[comp], p) if (sign < 0) != negate else poly.add(vec[comp], p)
+
+
+def _check_same_dim(a: VectorForm, b: VectorForm) -> None:
+    if a.dim != b.dim:
+        raise ValueError(f"a {a.degree}-form on R^{a.dim} and a {b.degree}-form on "
+                         f"R^{b.dim} live on different spaces")
+
+
 def insertion(k_form: VectorForm, l_form: VectorForm) -> VectorForm:
-    """i_K L: insert the value of K into the first slot of L over shuffles."""
+    """i_K L, the value of K inserted into the first slot of L.
+
+    On pieces: i_(f dx^I (x) e_i)(g dx^J (x) e_k) = f g dx^I ^ i_{e_i} dx^J
+    (x) e_k, nonzero only when i is in J.
+    """
+    _check_same_dim(k_form, l_form)
+    if k_form.degree + l_form.degree == 0:
+        raise ValueError("insertion of a 0-form into a 0-form has no degree -1 result")
     dim = k_form.dim
-    k, l = k_form.degree, l_form.degree
-    deg = k + l - 1
     out: Dict[SIdx, PolyVec] = {}
-    for idx in itertools.combinations(range(dim), deg):
-        acc = poly.vec_zero(dim)
-        for positions in itertools.combinations(range(deg), k):
-            chosen = tuple(idx[p] for p in positions)
-            rest = tuple(idx[p] for p in range(deg) if p not in positions)
-            _, sign = alternating_rep(chosen + rest)  # the shuffle sign
-            kv = k_form.value_on_basis(chosen)
-            for m in range(dim):
-                if poly.is_zero(kv[m]):
-                    continue
-                lv = l_form.value_on_basis((m,) + rest)
-                if poly.vec_is_zero(lv):
-                    continue
-                term = [poly.mul(kv[m], c) for c in lv]
-                acc = poly.vec_add(acc, term if sign > 0
-                                   else [poly.neg(t) for t in term])
-        if not poly.vec_is_zero(acc):
-            out[idx] = acc
-    return VectorForm(dim, deg, out)
+    pieces_l = _pieces(l_form)
+    for ia, i, f in _pieces(k_form):
+        for jb, k, g in pieces_l:
+            if i in jb:
+                rest, odd = _contract(jb, i)
+                _add_product(out, dim, ia + rest, k, f, g, odd)
+    return VectorForm(dim, k_form.degree + l_form.degree - 1, out)
 
 
 def algebraic_bracket(a: VectorForm, b: VectorForm) -> VectorForm:
@@ -198,52 +170,31 @@ def algebraic_bracket(a: VectorForm, b: VectorForm) -> VectorForm:
     return iab.sub(iba) if sign > 0 else iab.add(iba)
 
 
-# ---------------------------------------------------------------------------
-# differential bracket via decomposable pieces
-# ---------------------------------------------------------------------------
-
 def fn_bracket(a: VectorForm, b: VectorForm) -> VectorForm:
-    """Graded differential bracket, assembled from pieces f dx^I (x) e_i.
+    """Graded differential bracket, summed over pieces f dx^I (x) e_i.
 
-    For decomposables with constant vector parts X = e_i, Y = e_k:
+    For pieces with constant vector parts X = e_i, Y = e_k, p = deg f,
+    L_X = d/dx_i on coefficients and d = sum_v dx^v ^ d/dx_v:
     [f (x) X, g (x) Y] = f ^ L_X g (x) Y - L_Y f ^ g (x) X
-    + (-1)^p (df ^ i_X g (x) Y + i_Y f ^ dg (x) X), p = deg f.
+    + (-1)^p (df ^ i_X g (x) Y + i_Y f ^ dg (x) X).
     """
+    _check_same_dim(a, b)
     dim = a.dim
-    deg = a.degree + b.degree
+    odd = a.degree % 2 == 1
     out: Dict[SIdx, PolyVec] = {}
-
-    def accumulate(sf: SForm, comp: int, negate: bool) -> None:
-        for idx, p in sf.items():
-            if len(idx) != deg:
-                continue
-            vec = out.get(idx)
-            if vec is None:
-                vec = poly.vec_zero(dim)
-                out[idx] = vec
-            vec[comp] = poly.sub(vec[comp], p) if negate else poly.add(vec[comp], p)
-
-    pieces_a, pieces_b = ([(idx, i, vec[i]) for idx, vec in f.entries.items()
-                           for i in range(dim) if vec[i]] for f in (a, b))
-    p_sign = a.degree % 2 == 1
-
-    for ia, xi, fa in pieces_a:
-        fa_form: SForm = {ia: fa}
-        dfa = exterior_d(fa_form, dim)
-        for ib, yi, gb in pieces_b:
-            gb_form: SForm = {ib: gb}
-            # f ^ L_X g (x) Y
-            t = wedge(fa_form, lie_derivative_basis(gb_form, xi))
-            accumulate(t, yi, False)
-            # - L_Y f ^ g (x) X
-            t = wedge(lie_derivative_basis(fa_form, yi), gb_form)
-            accumulate(t, xi, True)
-            # (-1)^p df ^ i_X g (x) Y
-            t = wedge(dfa, contract_basis(gb_form, xi))
-            accumulate(t, yi, p_sign)
-            # (-1)^p i_Y f ^ dg (x) X
-            t = wedge(contract_basis(fa_form, yi), exterior_d(gb_form, dim))
-            accumulate(t, xi, p_sign)
-
-    return VectorForm(dim, deg, out)
-
+    pieces_b = [(jb, k, g, [poly.diff(g, v + 1) for v in range(dim)])
+                for jb, k, g in _pieces(b)]
+    for ia, i, f in _pieces(a):
+        df = [poly.diff(f, v + 1) for v in range(dim)]
+        for jb, k, g, dg in pieces_b:
+            _add_product(out, dim, ia + jb, k, f, dg[i], False)
+            _add_product(out, dim, ia + jb, i, df[k], g, True)
+            if i in jb:
+                rest, s_odd = _contract(jb, i)
+                for v in range(dim):
+                    _add_product(out, dim, (v,) + ia + rest, k, df[v], g, odd != s_odd)
+            if k in ia:
+                rest, t_odd = _contract(ia, k)
+                for v in range(dim):
+                    _add_product(out, dim, rest + (v,) + jb, i, f, dg[v], odd != t_odd)
+    return VectorForm(dim, a.degree + b.degree, out)

@@ -31,9 +31,14 @@ class StructureField:
         dim = len(cols)
         if dim % 2 != 0 or dim == 0:
             raise StructureError(f"dimension {dim} is not a positive even number")
-        for c in cols:
-            if len(c) != dim:
+        for j, col in enumerate(cols):
+            if len(col) != dim:
                 raise StructureError("matrix is not square")
+            for i, p in enumerate(col):
+                for e, c in p.items():
+                    if isinstance(c, float) or len(e) != dim:
+                        raise StructureError(f"entry ({i}, {j}) has the term {c!r} at {e!r}: "
+                                             f"coefficients must be exact, exponents of length {dim}")
         self.dim = dim
         self.cols = cols
         self.name = name

@@ -41,6 +41,14 @@ hold their global fields as a PolyTensorField, one polynomial vector per
 index tuple, not as the package's alternating forms.VectorForm: dj_field
 is not alternating, and the others are checked entry by entry.
 
+The scalar forms (SForm, polynomials keyed by increasing index tuples)
+with wedge, exterior_d, contract_basis and lie_derivative_basis, and the
+graded brackets built on them, are the oracles of forms.insertion,
+forms.algebraic_bracket and forms.fn_bracket, which add each term of a
+pair of pieces straight into its entry: insertion_by_shuffles walks every
+shuffle of every index tuple, algebraic_bracket_by_shuffles takes two of
+those, and fn_bracket_by_decomposables wedges scalar forms piece by piece.
+
 The symbolic Gram determinant in the sample vector, expanded by cofactors
 (_symbolic_alpha_vanishes, _poly_det), decided degeneracy before the exact
 grid of genpos._grid; it is that grid's oracle in dimensions 4-6.
@@ -68,7 +76,7 @@ from nijcalc.invariants import jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.quadext import QuadExt
 from nijcalc.structures import StructureField
-from nijcalc.tensor import Index, PointTensor, pair_pattern_rep
+from nijcalc.tensor import Index, PointTensor, alternating_rep, pair_pattern_rep
 
 
 def mat_scale(a, c):
@@ -179,6 +187,143 @@ def fn_bracket_one_forms_direct(a_cols: List[PolyVec], b_cols: List[PolyVec],
             if not poly.vec_is_zero(val):
                 entries[(x, y)] = val
     return VectorForm(dim, 2, entries)
+
+
+SForm = Dict[Tuple[int, ...], poly.Poly]
+
+
+def sform_accumulate(out: SForm, idx: Sequence[int], p: poly.Poly) -> None:
+    if poly.is_zero(p):
+        return
+    key, sign = alternating_rep(idx)
+    if sign == 0:
+        return
+    q = poly.add(out.get(key, poly.zero()), p if sign > 0 else poly.neg(p))
+    if poly.is_zero(q):
+        out.pop(key, None)
+    else:
+        out[key] = q
+
+
+def wedge(a: SForm, b: SForm) -> SForm:
+    out: SForm = {}
+    for ia, pa in a.items():
+        for ib, pb in b.items():
+            sform_accumulate(out, ia + ib, poly.mul(pa, pb))
+    return out
+
+
+def exterior_d(a: SForm, num_vars: int) -> SForm:
+    out: SForm = {}
+    for idx, p in a.items():
+        for v in range(num_vars):
+            dp = poly.diff(p, v + 1)
+            if not poly.is_zero(dp):
+                sform_accumulate(out, (v,) + idx, dp)
+    return out
+
+
+def contract_basis(a: SForm, v: int) -> SForm:
+    """Interior product with the constant basis field e_{v+1}."""
+    out: SForm = {}
+    for idx, p in a.items():
+        if v in idx:
+            k = idx.index(v)
+            rest = idx[:k] + idx[k + 1:]
+            sign = (-1) ** k
+            sform_accumulate(out, rest, p if sign > 0 else poly.neg(p))
+    return out
+
+
+def lie_derivative_basis(a: SForm, v: int) -> SForm:
+    """L_{e_{v+1}} of a form: coefficientwise derivative (Cartan agrees)."""
+    out: SForm = {}
+    for idx, p in a.items():
+        dp = poly.diff(p, v + 1)
+        if not poly.is_zero(dp):
+            out[idx] = dp
+    return out
+
+
+def insertion_by_shuffles(k_form: VectorForm, l_form: VectorForm) -> VectorForm:
+    """i_K L: insert the value of K into the first slot of L over shuffles."""
+    dim = k_form.dim
+    k, l = k_form.degree, l_form.degree
+    deg = k + l - 1
+    out: Dict[Tuple[int, ...], PolyVec] = {}
+    for idx in itertools.combinations(range(dim), deg):
+        acc = poly.vec_zero(dim)
+        for positions in itertools.combinations(range(deg), k):
+            chosen = tuple(idx[p] for p in positions)
+            rest = tuple(idx[p] for p in range(deg) if p not in positions)
+            _, sign = alternating_rep(chosen + rest)  # the shuffle sign
+            kv = k_form.value_on_basis(chosen)
+            for m in range(dim):
+                if poly.is_zero(kv[m]):
+                    continue
+                lv = l_form.value_on_basis((m,) + rest)
+                if poly.vec_is_zero(lv):
+                    continue
+                term = [poly.mul(kv[m], c) for c in lv]
+                acc = poly.vec_add(acc, term if sign > 0
+                                   else [poly.neg(t) for t in term])
+        if not poly.vec_is_zero(acc):
+            out[idx] = acc
+    return VectorForm(dim, deg, out)
+
+
+def algebraic_bracket_by_shuffles(a: VectorForm, b: VectorForm) -> VectorForm:
+    """[A, B] = i_A B - (-1)^{(a-1)(b-1)} i_B A by insertion_by_shuffles."""
+    sign = (-1) ** ((a.degree - 1) * (b.degree - 1))
+    iab = insertion_by_shuffles(a, b)
+    iba = insertion_by_shuffles(b, a)
+    return iab.sub(iba) if sign > 0 else iab.add(iba)
+
+
+def fn_bracket_by_decomposables(a: VectorForm, b: VectorForm) -> VectorForm:
+    """Graded differential bracket, assembled from pieces f dx^I (x) e_i.
+
+    For decomposables with constant vector parts X = e_i, Y = e_k:
+    [f (x) X, g (x) Y] = f ^ L_X g (x) Y - L_Y f ^ g (x) X
+    + (-1)^p (df ^ i_X g (x) Y + i_Y f ^ dg (x) X), p = deg f.
+    """
+    dim = a.dim
+    deg = a.degree + b.degree
+    out: Dict[Tuple[int, ...], PolyVec] = {}
+
+    def accumulate(sf: SForm, comp: int, negate: bool) -> None:
+        for idx, p in sf.items():
+            if len(idx) != deg:
+                continue
+            vec = out.get(idx)
+            if vec is None:
+                vec = poly.vec_zero(dim)
+                out[idx] = vec
+            vec[comp] = poly.sub(vec[comp], p) if negate else poly.add(vec[comp], p)
+
+    pieces_a, pieces_b = ([(idx, i, vec[i]) for idx, vec in f.entries.items()
+                           for i in range(dim) if vec[i]] for f in (a, b))
+    p_sign = a.degree % 2 == 1
+
+    for ia, xi, fa in pieces_a:
+        fa_form: SForm = {ia: fa}
+        dfa = exterior_d(fa_form, dim)
+        for ib, yi, gb in pieces_b:
+            gb_form: SForm = {ib: gb}
+            # f ^ L_X g (x) Y
+            t = wedge(fa_form, lie_derivative_basis(gb_form, xi))
+            accumulate(t, yi, False)
+            # - L_Y f ^ g (x) X
+            t = wedge(lie_derivative_basis(fa_form, yi), gb_form)
+            accumulate(t, xi, True)
+            # (-1)^p df ^ i_X g (x) Y
+            t = wedge(dfa, contract_basis(gb_form, xi))
+            accumulate(t, yi, p_sign)
+            # (-1)^p i_Y f ^ dg (x) X
+            t = wedge(contract_basis(fa_form, yi), exterior_d(gb_form, dim))
+            accumulate(t, xi, p_sign)
+
+    return VectorForm(dim, deg, out)
 
 
 class PolyTensorField:

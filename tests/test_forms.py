@@ -1,23 +1,28 @@
 """Form machinery and the two graded brackets, calibrated on examples."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijcalc import poly
-from nijcalc.forms import (
-    VectorForm,
-    algebraic_bracket,
-    contract_basis,
-    exterior_d,
-    fn_bracket,
-    insertion,
-    lie_derivative_basis,
-    wedge,
-)
+from nijcalc.forms import VectorForm, algebraic_bracket, fn_bracket, insertion
 from nijcalc.invariants import nijenhuis_field_bracket
 from nijcalc.structures import example_structure, random_structure
-from reference import apply_const, digest, fn_bracket_one_forms_direct, post_structure
+from reference import (
+    algebraic_bracket_by_shuffles,
+    apply_const,
+    contract_basis,
+    digest,
+    exterior_d,
+    fn_bracket_by_decomposables,
+    fn_bracket_one_forms_direct,
+    insertion_by_shuffles,
+    lie_derivative_basis,
+    post_structure,
+    wedge,
+)
 
 
 def n_form(j):
@@ -201,3 +206,55 @@ def test_fn_bracket_lie_case():
     assert fn_bracket(jf, jn).is_zero()
     assert fn_bracket(nf, jn).is_zero()
     assert fn_bracket(jn, jn).is_zero()
+
+
+@st.composite
+def vector_forms(draw, dim):
+    """A sparse form of degree 0-3 on R^dim: a few entries, each with a
+    few small polynomial components; the zero form included."""
+    degree = draw(st.integers(0, min(3, dim)))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    component = st.one_of(st.just({}), st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * dim), coeff, min_size=1, max_size=2))
+    keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(dim), degree))),
+                         max_size=4, unique=True))
+    return VectorForm(dim, degree, {idx: draw(st.lists(component, min_size=dim, max_size=dim))
+                                    for idx in keys})
+
+
+@st.composite
+def form_pairs(draw):
+    dim = draw(st.integers(2, 5))
+    return draw(vector_forms(dim)), draw(vector_forms(dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_pairs())
+def test_piecewise_brackets_equal_the_oracles(pair):
+    """insertion, algebraic_bracket and fn_bracket, summed over pieces,
+    equal the shuffle and scalar-form routes in both argument orders."""
+    for a, b in (pair, pair[::-1]):
+        routes = [(fn_bracket, fn_bracket_by_decomposables)]
+        if a.degree + b.degree > 0:
+            routes += [(insertion, insertion_by_shuffles),
+                       (algebraic_bracket, algebraic_bracket_by_shuffles)]
+        for route, oracle in routes:
+            got, want = route(a, b), oracle(a, b)
+            assert got == want
+            assert got.entries == want.entries
+
+
+def test_forms_refuse_operands_they_would_misread():
+    """A float scale, operands on different spaces and two 0-forms in an
+    insertion raise at once instead of computing something else."""
+    j = VectorForm.from_structure(example_structure("ex2"))
+    with pytest.raises(ValueError, match="float scale 0.1"):
+        j.scale(0.1)
+    on_r2 = VectorForm(2, 1, {(0,): [poly.var(1, 2), poly.zero()]})
+    for op in (insertion, algebraic_bracket, fn_bracket):
+        for a, b in ((VectorForm(4, 1, {}), on_r2), (on_r2, j)):
+            with pytest.raises(ValueError, match="on R\\^4 .* on R\\^2|on R\\^2 .* on R\\^4"):
+                op(a, b)
+    point = VectorForm(2, 0, {(): [poly.var(1, 2), poly.zero()]})
+    with pytest.raises(ValueError, match="0-form into a 0-form"):
+        insertion(point, point)

@@ -12,6 +12,7 @@ from nijcalc.genpos import example3_tensor
 from nijcalc.structures import (
     LieAlgebraSpec,
     StructureError,
+    StructureField,
     ValidationReport,
     doubled_block_j,
     example_structure,
@@ -48,6 +49,20 @@ def test_standard_structure():
 def test_standard_structure_rejects_bad_n():
     with pytest.raises(StructureError):
         standard_structure(0)
+
+
+@pytest.mark.parametrize("term, problem", [
+    ({(0, 1): 0.5}, r"entry \(0, 1\) has the term 0.5 at \(0, 1\)"),
+    ({(0, 1, 0): Fraction(1)}, r"entry \(0, 1\) has the term Fraction\(1, 1\) at \(0, 1, 0\)"),
+])
+def test_structure_field_refuses_entries_no_kernel_reads(term, problem):
+    """A float coefficient would fail in the torsion kernels, a polynomial
+    in 3 variables on R^2 in validate: both are refused when built."""
+    one = poly.const(1, 2)
+    cols = [[poly.zero(), one], [poly.neg(one), poly.zero()]]
+    cols[1][0] = term
+    with pytest.raises(StructureError, match=problem):
+        StructureField(cols)
 
 
 def test_example_ex2_columns():
