@@ -20,7 +20,9 @@ from typing import Dict, List, Optional, Sequence
 from . import linalg
 from .invariants import InternalInconsistencyError
 from .structures import (StructureError, doubled_block_j,
-                         linear_membership_violation, standard_matrix)
+                         doubled_nijenhuis_from_free_data,
+                         linear_membership_violation,
+                         linear_nijenhuis_from_free_data, standard_matrix)
 from .tensor import (PointTensor, alternating_rep, identity_map, kernel_matrix,
                      post_compose)
 
@@ -59,31 +61,15 @@ def appendix_tensor(n: int) -> PointTensor:
     First complex component zero, the rest the conjugate 2x2 minors against
     the first complex coordinate.  Nonzero whenever the arguments are
     complex independent and the first coordinate of the first argument is
-    nonzero, so nu = 2 away from a complex hyperplane.
+    nonzero, so nu = 2 away from a complex hyperplane.  Its free data for
+    j0 (linear_nijenhuis_from_free_data) are N(e_0, e_{2k}) = e_{2k} for
+    k = 1..n-1, 0-based, and zero on the other pairs.
     """
     if n < 2:
         raise ValueError("need at least two complex dimensions")
     dim = 2 * n
-
-    def conj_slot(u, k):
-        # complex slot k, 1-based: (re, -im)
-        return (u[2 * k - 2], -u[2 * k - 1])
-
-    def cmul(a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-    def fn(idx):
-        u = linalg.basis_vector(dim, idx[0])
-        v = linalg.basis_vector(dim, idx[1])
-        out = [Fraction(0)] * dim
-        for k in range(2, n + 1):
-            first = cmul(conj_slot(u, 1), conj_slot(v, k))
-            second = cmul(conj_slot(u, k), conj_slot(v, 1))
-            out[2 * k - 2] = first[0] - second[0]
-            out[2 * k - 1] = first[1] - second[1]
-        return out
-
-    t = PointTensor.from_orbits(dim, dim, 2, alternating_rep, fn)
+    t = linear_nijenhuis_from_free_data(n, {(0, k): linalg.basis_vector(dim, 2 * k)
+                                            for k in range(1, n)})
     j0 = PointTensor.from_matrix(standard_matrix(n))
     bad = linear_membership_violation(t, j0)
     if bad is not None:
@@ -98,7 +84,9 @@ def example3_tensor(n: int) -> Dict[str, PointTensor]:
     A(xi, eta) has i-th component xi^i eta^{i+1} - xi^{i+1} eta^i with
     cyclic wraparound; the doubled tensor on the block structure
     j(xi (+) eta) = (-eta, xi) is [A(x1,x2) - A(y1,y2)] (+)
-    [-A(x1,y2) - A(y1,x2)].  Returns A, N, and the block structure j.
+    [-A(x1,y2) - A(y1,x2)], whose free data for j
+    (doubled_nijenhuis_from_free_data) are N(e_s, e_t) = A(e_s, e_t) (+) 0
+    for s < t.  Returns A, N, and the block structure j.
     """
     if n < 2:
         raise ValueError("need at least two dimensions")
@@ -109,21 +97,9 @@ def example3_tensor(n: int) -> Dict[str, PointTensor]:
                 for i in range(n)]
 
     a_tensor = PointTensor.from_orbits(n, n, 2, alternating_rep, a_fn)
-    dim = 2 * n
-
-    def split(v):
-        return v[:n], v[n:]
-
-    def n_fn(idx):
-        x1, y1 = split(linalg.basis_vector(dim, idx[0]))
-        x2, y2 = split(linalg.basis_vector(dim, idx[1]))
-        first = [p - q for p, q in zip(a_tensor.apply([x1, x2]),
-                                       a_tensor.apply([y1, y2]))]
-        second = [-p - q for p, q in zip(a_tensor.apply([x1, y2]),
-                                         a_tensor.apply([y1, x2]))]
-        return first + second
-
-    n_tensor = PointTensor.from_orbits(dim, dim, 2, alternating_rep, n_fn)
+    zero = [Fraction(0)] * n
+    n_tensor = doubled_nijenhuis_from_free_data(
+        n, {(s, t): [*v, *zero] for (s, t), v in a_tensor.entries.items() if s < t})
     j_block = doubled_block_j(n)
     bad = linear_membership_violation(n_tensor, j_block)
     if bad is not None:

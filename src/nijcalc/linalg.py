@@ -17,10 +17,9 @@ form, which is unique, nor any pivot choice, so the values are those of
 an elimination over Fractions, and every output entry is a Fraction.
 
 A matrix holding a QuadExt is eliminated over the field, ints read as
-Fractions: sparsely when every entry is a QuadExt over one radicand, so
-that field operations keep that type, and densely otherwise, because
-there Fraction - QuadExt * 0 is a QuadExt and the element types of the
-result depend on every operation performed.
+Fractions, every row operation over every column: Fraction - QuadExt * 0
+is a QuadExt, so the element types of the result depend on every
+operation performed.
 
 Ranks, membership tests and det use Echelon, which keeps the reduced
 rows of a span and reduces a vector against them: no back substitution,
@@ -38,8 +37,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
-
-from .quadext import QuadExt
 
 Vector = List
 Matrix = List[List]
@@ -166,46 +163,26 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
             + [[_ZERO] * cols for _ in range(rows - r)]), pivots
 
 
-def _one_field(m: Matrix) -> bool:
-    """Whether every entry is a QuadExt over one radicand: field operations
-    then keep that type, so zeros can be skipped."""
-    first = m[0][0]
-    return type(first) is QuadExt and all(
-        type(x) is QuadExt and x.d == first.d for row in m for x in row)
-
-
 def _field_rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     """rref of a matrix holding a QuadExt, eliminated over the field."""
     a = [_field(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    sparse = rows > 0 and cols > 0 and _one_field(a)
     pivots: List[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        prow = a[r]
-        inv = prow[c]
-        # rows r.. vanish left of c, so a sparse support starts at c
-        support = ([k for k in range(c, cols) if prow[k] != 0] if sparse
-                   else range(cols))
-        for k in support:
-            prow[k] = prow[k] / inv
-        for i in range(rows):
-            row = a[i]
+        inv = a[r][c]
+        a[r] = prow = [x / inv for x in a[r]]
+        for i, row in enumerate(a):
             if i != r and row[c] != 0:
                 f = row[c]
-                for k in support:
-                    row[k] = row[k] - f * prow[k]
+                a[i] = [x - f * y for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
     return a, pivots

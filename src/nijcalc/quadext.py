@@ -6,6 +6,11 @@ element is a + b*sqrt(d) with a, b rational and d a fixed positive rational
 that is not a perfect square.  Sign tests are exact, so ordering decisions
 never touch floating point.
 
+Elements with b = 0 are rationals: two compare by a whatever their
+radicands, and one taken as the operand of an element over another
+radicand enters as its a.  Any other arithmetic across radicands raises
+ValueError, a rational left operand of a b != 0 element included.
+
 The constructor validates d.  Arithmetic results reuse the d of an
 operand, already validated, and are built without repeating the check.
 An int or Fraction operand enters the arithmetic as it is: adding r moves
@@ -75,10 +80,14 @@ class QuadExt:
     # -- helpers ------------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
+        """other over self's radicand: a rational, or a QuadExt over the
+        same radicand or with b = 0, which is its rational a."""
         if isinstance(other, QuadExt):
-            if other.d != self.d:
+            if other.d == self.d:
+                return other
+            if other.b:
                 raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
-            return other
+            other = other.a
         return _make(_rational(other, "operand"), Fraction(0), self.d)
 
     def conjugate(self) -> "QuadExt":
@@ -137,7 +146,8 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            # two rationals are equal whatever their radicands
+            return self.a == other.a and self.b == other.b and (not self.b or self.d == other.d)
         return NotImplemented
 
     def __hash__(self):

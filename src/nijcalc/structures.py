@@ -302,33 +302,67 @@ def doubled_block_j(n: int) -> PointTensor:
     return PointTensor.from_matrix(m)
 
 
+def linear_nijenhuis_from_free_data(n: int, free: Dict[Tuple[int, int], List[Fraction]]) -> PointTensor:
+    """The linear Nijenhuis tensor for j0 = standard_matrix(n) with
+    N(e_{2s}, e_{2t}) = free[(s, t)], 0 <= s < t < n, and zero on the
+    pairs not given: the real basis b_s = e_{2s}, with j0 b_s = e_{2s+1}."""
+    return _antilinear_extension(PointTensor.from_matrix(standard_matrix(n)),
+                                 [divmod(a, 2) for a in range(2 * n)], free)
+
+
+def doubled_nijenhuis_from_free_data(n: int, free: Dict[Tuple[int, int], List[Fraction]]) -> PointTensor:
+    """The linear Nijenhuis tensor for doubled_block_j(n) with
+    N(e_s, e_t) = free[(s, t)], 0 <= s < t < n, in block coordinates, and
+    zero on the pairs not given: the real basis b_s = e_s, with
+    j b_s = e_{n+s}."""
+    return _antilinear_extension(doubled_block_j(n), [(a % n, a // n) for a in range(2 * n)], free)
+
+
+def _antilinear_extension(j_map: PointTensor, layout: List[Tuple[int, int]],
+                          free: Dict[Tuple[int, int], List[Fraction]]) -> PointTensor:
+    """The antisymmetric N with N(j x, y) = N(x, j y) = -j N(x, y) and
+    N(b_s, b_t) = free[(s, t)] for s < t, zero on the pairs not given.
+
+    layout[a] = (s, p) says e_a = j^p b_s.  Then N(j^p b_s, j^q b_t) is
+    (-j)^(p+q) c_{s,t}, that is c, -j c or -c, for s < t; minus the value
+    at the swapped pair for s > t; and zero for s = t, as
+    N(b, j b) = -j N(b, b) = 0.  A key other than a pair s < t of real
+    indices raises StructureError.
+    """
+    dim = j_map.dim_in
+    pairs = set(itertools.combinations(range(dim // 2), 2))
+    for key in free:
+        if key not in pairs:
+            raise StructureError(f"free-data key {key!r} is not a pair s < t in 0..{dim // 2 - 1}")
+    minus_j = j_map.neg()
+    powers = {st: (c, minus_j.apply([c]), [-x for x in c]) for st, c in free.items()}
+    zero = [Fraction(0)] * dim
+
+    def value(idx: Tuple[int, int]) -> List[Fraction]:
+        """N(e_a, e_b) for a < b."""
+        (s, p), (t, q) = layout[idx[0]], layout[idx[1]]
+        c_powers = powers.get((min(s, t), max(s, t)))
+        if c_powers is None:
+            return zero
+        return c_powers[p + q] if s < t else [-x for x in c_powers[p + q]]
+
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, value)
+
+
 def left_invariant_structure(g: LieAlgebraSpec) -> Dict[str, PointTensor]:
     """The invariant Nijenhuis data of the doubled group at the identity.
 
-    Block coordinates: first n components are the first summand.  Values
-    follow from bilinearity of the four generating identities:
-      N((xi,0),(eta,0)) = (-[xi,eta], [xi,eta])
+    Block coordinates: first n components are the first summand.  The
+    free data are N((e_s, 0), (e_t, 0)) = (-[e_s, e_t], [e_s, e_t]) for
+    s < t, the first generating identity; the other three,
       N((0,xi),(0,eta)) = ([xi,eta], -[xi,eta])
-      N((xi,0),(0,eta)) = N((0,xi),(eta,0)) = ([xi,eta], [xi,eta])
+      N((xi,0),(0,eta)) = N((0,xi),(eta,0)) = ([xi,eta], [xi,eta]),
+    are its antilinear extension (doubled_nijenhuis_from_free_data).
     """
-    n = g.dim
-    dim = 2 * n
-
-    def fn(idx):
-        a, b = idx
-        xa, ba = a % n, a // n
-        xb, bb = b % n, b // n
-        br = g.tensor.entries[(xa, xb)]
-        if ba == 0 and bb == 0:
-            first, second = [-x for x in br], br
-        elif ba == 1 and bb == 1:
-            first, second = br, [-x for x in br]
-        else:
-            first, second = br, br
-        return [*first, *second]
-
-    tensor_n = PointTensor.from_orbits(dim, dim, 2, alternating_rep, fn)
-    return {"nijenhuis_at_identity": tensor_n, "j": doubled_block_j(n)}
+    free = {(s, t): [*(-x for x in br), *br]
+            for (s, t), br in g.tensor.entries.items() if s < t}
+    return {"nijenhuis_at_identity": doubled_nijenhuis_from_free_data(g.dim, free),
+            "j": doubled_block_j(g.dim)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,28 +430,3 @@ def random_linear_nijenhuis(n: int, seed: int) -> PointTensor:
         for t in range(s + 1, n):
             free[(s, t)] = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
     return linear_nijenhuis_from_free_data(n, free)
-
-
-def linear_nijenhuis_from_free_data(n: int, free: Dict[Tuple[int, int], List[Fraction]]) -> PointTensor:
-    """Assemble the full tensor from values on odd-odd pairs (s < t, 0-based)."""
-    dim = 2 * n
-    zero = [Fraction(0)] * dim
-    minus_j0 = PointTensor.from_matrix(standard_matrix(n)).neg()
-    # -j0 c, the value on both mixed pairs (e_{2s}, e_{2t+1}) and (e_{2s+1}, e_{2t})
-    mixed = {st: minus_j0.apply([c]) for st, c in free.items()}
-
-    def value(idx: Tuple[int, int]) -> List[Fraction]:
-        """N(e_a, e_b) for a < b."""
-        a, b = idx
-        s, sa = a // 2, a % 2
-        t, tb = b // 2, b % 2
-        if s == t:
-            return zero  # complex line: N(e, j0 e) = 0
-        c = free.get((s, t), zero)
-        if sa == 0 and tb == 0:
-            return c
-        if sa != tb:
-            return mixed.get((s, t), zero)
-        return [-x for x in c]
-
-    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, value)

@@ -9,14 +9,24 @@ is what makes them useful as oracles.
 The rational eliminations as they were before they ran on integer
 numerators, one normalized Fraction per row operation (fraction_rref,
 FractionEchelon, fraction_det), are the oracles of linalg's fraction-free
-kernels.
+kernels.  fraction_rref, which skips zeros when every entry is a Fraction
+or a QuadExt over one radicand, is also the oracle of linalg's QuadExt
+elimination, which runs over every column.
 
-Then come the dense forms of routines the package now runs sparsely:
-elimination over every column, the antilinearity check one basis pair at
-a time, the greedy invariant complement by repeated rank tests, the
-arity-4 invariant's R-contraction one entry at a time, and its bracket
-expression one orbit at a time by applies on basis vectors
-(higher_nijenhuis_bracket_by_apply).  The polynomial
+Then come older forms of routines the package now runs otherwise:
+elimination over every column (dense_rref), the antilinearity check one
+basis pair at a time, the greedy invariant complement by repeated rank
+tests, the arity-4 invariant's R-contraction one entry at a time, and its
+bracket expression one orbit at a time by applies on basis vectors
+(higher_nijenhuis_bracket_by_apply).  The antilinear tensors as they were
+built before one extension of free data served them all
+(structures.linear_nijenhuis_from_free_data and
+doubled_nijenhuis_from_free_data) go with them, each evaluated at every
+basis pair: the interleaved cases (linear_nijenhuis_by_cases), the
+conjugate minors of genpos.appendix_tensor (appendix_tensor_by_minors),
+the doubling formula of genpos.example3_tensor (doubling_by_formula) and
+the four generating identities of structures.left_invariant_structure
+(left_invariant_by_identities).  The polynomial
 jet kernels as they were before they summed integer numerators, one
 Fraction operation per pair of terms (shift_by_fractions,
 jet_mul_by_fractions, jet_apply_columns_by_fractions,
@@ -75,7 +85,7 @@ from nijcalc.genpos import _complex_complement
 from nijcalc.invariants import jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.quadext import QuadExt
-from nijcalc.structures import StructureField
+from nijcalc.structures import StructureField, standard_matrix
 from nijcalc.tensor import Index, PointTensor, alternating_rep, pair_pattern_rep
 
 
@@ -762,6 +772,104 @@ def membership_violation_by_pairs(n_tensor: PointTensor, j_map: PointTensor):
             if n_tensor.apply([ea, jb]) != minus_j_base:
                 return (a, b, "N(a, j b)")
     return None
+
+
+def linear_nijenhuis_by_cases(n: int, free: Dict[Tuple[int, int], List[Fraction]]) -> PointTensor:
+    """Assemble the full tensor from values on odd-odd pairs (s < t, 0-based)."""
+    dim = 2 * n
+    zero = [Fraction(0)] * dim
+    minus_j0 = PointTensor.from_matrix(standard_matrix(n)).neg()
+    # -j0 c, the value on both mixed pairs (e_{2s}, e_{2t+1}) and (e_{2s+1}, e_{2t})
+    mixed = {st: minus_j0.apply([c]) for st, c in free.items()}
+
+    def value(idx: Tuple[int, int]) -> List[Fraction]:
+        """N(e_a, e_b) for a < b."""
+        a, b = idx
+        s, sa = a // 2, a % 2
+        t, tb = b // 2, b % 2
+        if s == t:
+            return zero  # complex line: N(e, j0 e) = 0
+        c = free.get((s, t), zero)
+        if sa == 0 and tb == 0:
+            return c
+        if sa != tb:
+            return mixed.get((s, t), zero)
+        return [-x for x in c]
+
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, value)
+
+
+def appendix_tensor_by_minors(n: int) -> PointTensor:
+    """The dense tensor with complex components zbar_1 wbar_k - zbar_k wbar_1,
+    the conjugate 2x2 minors computed at every basis pair."""
+    dim = 2 * n
+
+    def conj_slot(u, k):
+        # complex slot k, 1-based: (re, -im)
+        return (u[2 * k - 2], -u[2 * k - 1])
+
+    def cmul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def fn(idx):
+        u = linalg.basis_vector(dim, idx[0])
+        v = linalg.basis_vector(dim, idx[1])
+        out = [Fraction(0)] * dim
+        for k in range(2, n + 1):
+            first = cmul(conj_slot(u, 1), conj_slot(v, k))
+            second = cmul(conj_slot(u, k), conj_slot(v, 1))
+            out[2 * k - 2] = first[0] - second[0]
+            out[2 * k - 1] = first[1] - second[1]
+        return out
+
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, fn)
+
+
+def doubling_by_formula(a_tensor: PointTensor) -> PointTensor:
+    """The doubling [A(x1,x2) - A(y1,y2)] (+) [-A(x1,y2) - A(y1,x2)] of an
+    antisymmetric A on R^n, four applies of A at every basis pair."""
+    n = a_tensor.dim_in
+    dim = 2 * n
+
+    def split(v):
+        return v[:n], v[n:]
+
+    def n_fn(idx):
+        x1, y1 = split(linalg.basis_vector(dim, idx[0]))
+        x2, y2 = split(linalg.basis_vector(dim, idx[1]))
+        first = [p - q for p, q in zip(a_tensor.apply([x1, x2]),
+                                       a_tensor.apply([y1, y2]))]
+        second = [-p - q for p, q in zip(a_tensor.apply([x1, y2]),
+                                         a_tensor.apply([y1, x2]))]
+        return first + second
+
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, n_fn)
+
+
+def left_invariant_by_identities(g) -> PointTensor:
+    """The doubled group's tensor at the identity from the four generating
+    identities, case by case on the blocks of each basis pair:
+      N((xi,0),(eta,0)) = (-[xi,eta], [xi,eta])
+      N((0,xi),(0,eta)) = ([xi,eta], -[xi,eta])
+      N((xi,0),(0,eta)) = N((0,xi),(eta,0)) = ([xi,eta], [xi,eta])
+    """
+    n = g.dim
+    dim = 2 * n
+
+    def fn(idx):
+        a, b = idx
+        xa, ba = a % n, a // n
+        xb, bb = b % n, b // n
+        br = g.tensor.entries[(xa, xb)]
+        if ba == 0 and bb == 0:
+            first, second = [-x for x in br], br
+        elif ba == 1 and bb == 1:
+            first, second = br, [-x for x in br]
+        else:
+            first, second = br, br
+        return [*first, *second]
+
+    return PointTensor.from_orbits(dim, dim, 2, alternating_rep, fn)
 
 
 def _poly_det(m: List[List[poly.Poly]], num_vars: int) -> poly.Poly:

@@ -225,6 +225,31 @@ def test_quadext_rational_operands_equal_the_field_operation(q, r):
         assert all(type(x) is Fraction for x in (got.a, got.b, got.d)), op
 
 
+def test_rational_quadexts_are_equal_across_radicands():
+    """QuadExt(1, 0, 2) and QuadExt(1, 0, 3) both equal 1 and hash like
+    it, so they equal each other; irrational elements over different
+    radicands stay unequal."""
+    a, b = QuadExt(1, 0, 2), QuadExt(1, 0, 3)
+    assert a == 1 and b == 1 and a == b and b == a
+    assert hash(a) == hash(b) == hash(1)
+    assert QuadExt(F(1, 2), 0, 2) != QuadExt(1, 0, 3)
+    assert QuadExt(1, 1, 2) != QuadExt(1, 1, 3)
+
+
+def test_a_rational_quadext_of_another_radicand_is_a_rational_operand():
+    """QuadExt(3, 0, 5) is the rational 3 next to 1 + sqrt(2); two
+    irrational operands over different radicands still raise."""
+    x, three = QuadExt(1, 1, 2), QuadExt(3, 0, 5)
+    for op in ("add", "sub", "mul", "truediv", "eq", "lt", "le", "gt", "ge"):
+        f = QUADEXT_OPERAND_ENTRIES[op]
+        got, want = f(x, three), f(x, 3)
+        assert got == want, op
+        if isinstance(got, QuadExt):
+            assert (got.a, got.b, got.d) == (want.a, want.b, 2), op
+    with pytest.raises(ValueError, match="mixed extensions"):
+        x + QuadExt(1, 1, 3)
+
+
 def test_elimination_over_quadext():
     # invariant-line style solve with irrational entries
     r5 = sqrt_exact(5)
@@ -351,6 +376,32 @@ def test_elimination_keeps_the_dense_element_types(rows, cols, data):
     assert (sol is None) == (expect is None)
     if sol is not None:
         assert [(type(x), x) for x in sol] == [(type(x), x) for x in expect]
+
+
+one_radicand_entries = st.one_of(
+    st.just(QuadExt(0, 0, 5)),
+    st.builds(QuadExt, st.fractions(-2, 2, max_denominator=2),
+              st.fractions(-2, 2, max_denominator=2), st.just(5)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.booleans(), st.data())
+def test_quadext_elimination_matches_the_fraction_loop(rows, cols, mixed, data):
+    """Every entry a QuadExt over one radicand, or Fractions and QuadExts
+    mixed: rref, solve and nullspace give fraction_rref's values and the
+    type of every one of its entries."""
+    entry = quad_entries if mixed else one_radicand_entries
+    m = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    b = [data.draw(entry) for _ in range(rows)]
+    red, pivots = linalg.rref(m)
+    ref, ref_pivots = fraction_rref(m)
+    assert pivots == ref_pivots and _typed(red) == _typed(ref)
+    sol = linalg.solve(m, b)
+    expect = _with_rref(fraction_rref, linalg.solve, m, b)
+    assert (sol is None) == (expect is None)
+    if sol is not None:
+        assert _typed([sol]) == _typed([expect])
+    assert _typed(linalg.nullspace(m)) == _typed(_with_rref(fraction_rref, linalg.nullspace, m))
 
 
 def test_elimination_over_one_quadext_field_stays_in_it():

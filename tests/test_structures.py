@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijcalc import poly
-from nijcalc.genpos import example3_tensor
+from nijcalc.genpos import appendix_tensor, example3_tensor
 from nijcalc.structures import (
     LieAlgebraSpec,
     StructureError,
     StructureField,
     ValidationReport,
     doubled_block_j,
+    doubled_nijenhuis_from_free_data,
     example_structure,
     from_anticommuting_part,
     left_invariant_structure,
@@ -29,7 +30,9 @@ from nijcalc.structures import (
     vanishing_order,
 )
 from nijcalc.tensor import PointTensor, TensorError, alternating_rep
-from reference import (digest, jacobi_violation_by_basis, lie_bracket_by_table,
+from reference import (appendix_tensor_by_minors, digest, doubling_by_formula,
+                       jacobi_violation_by_basis, left_invariant_by_identities,
+                       lie_bracket_by_table, linear_nijenhuis_by_cases,
                        membership_violation_by_pairs)
 
 
@@ -274,6 +277,75 @@ def test_linear_nijenhuis_from_free_data():
     assert n.apply([e(0), e(1)]) == [Fraction(0)] * 4
     j0 = PointTensor.from_matrix(standard_matrix(2))
     assert linear_membership_violation(n, j0) is None
+
+
+LIE_ALGEBRAS = {
+    "sl2": (3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}),
+    "heisenberg": (3, {(0, 1): [0, 0, 1]}),
+    "abelian 1D": (1, {}),
+    "nonabelian 2D": (2, {(0, 1): [1, 0]}),
+    "filiform 4D": (4, {(0, 1): [0, 0, 1, 0], (0, 2): [0, 0, 0, 1]}),
+}
+
+
+def assert_same_tensor(got, want):
+    """Equal values, entry order and element types (repr tells a
+    Fraction from an int)."""
+    assert got == want
+    assert repr(list(got.entries.items())) == repr(list(want.entries.items()))
+
+
+def test_antilinear_tensors_equal_their_hand_built_oracles():
+    """appendix_tensor, example3_tensor, left_invariant_structure and
+    random_linear_nijenhuis against their constructions at every basis
+    pair: the conjugate minors, the doubling formula, the four generating
+    identities and the interleaved cases."""
+    for n in range(2, 7):
+        assert_same_tensor(appendix_tensor(n), appendix_tensor_by_minors(n))
+        ex3 = example3_tensor(n)
+        assert_same_tensor(ex3["N"], doubling_by_formula(ex3["A"]))
+    for dim, constants in LIE_ALGEBRAS.values():
+        g = LieAlgebraSpec(dim, constants)
+        assert_same_tensor(left_invariant_structure(g)["nijenhuis_at_identity"],
+                           left_invariant_by_identities(g))
+    for n in (1, 2, 3, 4):
+        for seed in range(5):
+            t = random_linear_nijenhuis(n, seed)
+            free = {(s, u): t.entries[(2 * s, 2 * u)]
+                    for s, u in itertools.combinations(range(n), 2)}
+            assert_same_tensor(t, linear_nijenhuis_by_cases(n, free))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_free_data_read_back_from_both_layouts(n, block, data):
+    """Random values, zero ones among them, on a random set of pairs
+    s < t: N(b_s, b_t) reads them back (zero on the pairs not given), and
+    N is antilinear for its structure: j0 on the interleaved basis
+    b_s = e_{2s}, doubled_block_j on the block basis b_s = e_s."""
+    dim = 2 * n
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    free = {key: data.draw(st.lists(entry, min_size=dim, max_size=dim)) for key in keys}
+    if block:
+        t, j, b = doubled_nijenhuis_from_free_data(n, free), doubled_block_j(n), lambda s: s
+    else:
+        t = linear_nijenhuis_from_free_data(n, free)
+        j, b = PointTensor.from_matrix(standard_matrix(n)), lambda s: 2 * s
+    for s, u in pairs:
+        assert t.entries[(b(s), b(u))] == [Fraction(x) for x in free.get((s, u), [0] * dim)]
+    assert linear_membership_violation(t, j) is None
+
+
+@pytest.mark.parametrize("build", [linear_nijenhuis_from_free_data,
+                                   doubled_nijenhuis_from_free_data])
+@pytest.mark.parametrize("key", [(1, 0), (0, 5), (0, 0), (-1, 1)])
+def test_free_data_refuses_a_key_off_the_pairs(build, key):
+    """A key that is not a pair s < t of real indices would leave its
+    value out of the tensor: it raises StructureError naming the key."""
+    with pytest.raises(StructureError, match=re.escape(repr(key))):
+        build(2, {key: [1, 2, 3, 4]})
 
 
 def test_random_linear_nijenhuis_membership():
