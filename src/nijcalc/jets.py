@@ -12,11 +12,11 @@ a canonical symmetric solution, and the order-2/3 obstruction tensors.
 
 Residuals are Taylor coefficients.  With U the Taylor polynomial of the
 map, R_a(h) = J_M(y + U(h)) d_a U - sum_b J_L[b][a](x + h) d_b U is
-computed once per lift step by truncated composition (poly.jet_substitute),
-cut above the degree the step needs.  Its degree-(r - 1) part is the
-order-r residual and depends only on Phi^(1..r), so one polynomial built
-from Phi^(1..k-1) shows that the input orders vanish and, in its top
-part, gives -P_k.  The structures are shifted to the base points once per
+computed once per lift step by truncated composition, every entry of J_M
+through one call of poly.jet_substitute, cut above the degree the step
+needs.  Its degree-(r - 1) part is the order-r residual and depends only
+on Phi^(1..r), so one polynomial built from Phi^(1..k-1) shows that the
+input orders vanish and, in its top part, gives -P_k.  The structures are shifted to the base points once per
 lift or tower (StructureField.jet) and every derivative is read off those
 jets.
 
@@ -27,11 +27,12 @@ slots are sorted, one per orbit, and filled over the orbits
 coefficient is kept as an independent route.  It is evaluated at the same
 representatives and must agree with the composition there for each P_k
 and each public residual; otherwise InternalInconsistencyError is raised.
-Its terms are keyed canonically, since the symbols are fully symmetric
-and derivative slots commute; each representative counts its keys, each
-distinct key is evaluated once on integer numerators of the symbols and
-of the nonzero entries of d^(p-1) J, and the counts times the values are
-summed in one integer per component.
+It reads the symbols and the nonzero entries of d^(p-1) J as integer
+numerators and contracts each j_M term tail first: d^(p-1) j_M on the
+symbols at every block but the first, summed over the partitions of the
+values those blocks hold and memoized by that multiset, is applied to the
+symbol at the first block.  The counts times the values are summed in one
+integer per component.
 
 The canonical symbol is solved in polynomial form, by the Koszul
 homotopy for dbar written in real terms.  With A = J_L(x), B = J_M(y),
@@ -315,8 +316,9 @@ def _cr_polynomial(u: TruncatedMap, jets: _StructureJets, top: int) -> List[Poly
     n = u.dim_in
     big_u = _taylor_map(u)
     d_u = _gradient(big_u, n)
-    m_at_u = [[poly.jet_substitute(p, big_u, n, top) for p in col]
-              for col in jets.m_cols]
+    # every entry of J_M's jet through one table of the monomial images of U
+    m_flat = poly.jet_substitute([p for col in jets.m_cols for p in col], big_u, n, top)
+    m_at_u = [m_flat[c * u.dim_out:(c + 1) * u.dim_out] for c in range(len(jets.m_cols))]
     return [poly.vec_sub(m_part, l_part) for m_part, l_part in zip(
         poly.jet_apply_columns(m_at_u, d_u, top),
         poly.jet_apply_columns(d_u, jets.l_cols, top))]
@@ -343,29 +345,25 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     the sign is flipped, which turns the residual into the defect tensor
     P_k that a new order-k symbol must reproduce.
 
-    A term is keyed canonically.  The symbols are fully symmetric and the
-    derivative slots of d^(p-1) J commute, so a j_M term is keyed by its
-    blocks' sorted values, block 0 (the matrix argument) first and the
-    others sorted, and a j_L term by its head and rest with head[1:] and
-    rest sorted.  Each representative counts its keys, each distinct key
-    is evaluated once, and the counts times the values are summed in one
+    At a representative (a,) + rest, a set partition of the k slots is
+    block 0, slot 0 (value a) with a subset S of rest, and a partition of
+    the remaining slots, the tail.  The symbols are fully symmetric and the
+    derivative slots of d^(p-1) J commute, so a block reads its sorted
+    values and a tail its sorted blocks.  The tail is contracted first:
+    d^(p-1) j_M on the symbols at its blocks leaves a matrix of its slot 0,
+    and its sum over the partitions of the remaining values, a multiset
+    R = rest - S, is memoized by R; as a tail holds the values of one R,
+    each distinct tail is contracted once per call.  That matrix applied
+    to the symbol at block 0's values gives the j_M terms of S.  A j_L term
+    takes the derivative slots of d^(p-1) j_L(a) from S and the symbol's
+    remaining slots from R.  Each S is met once per representative, counted
+    by the subsets of rest that read it.  Every input is read once as
+    integer numerators, and the counts times the values are summed in one
     integer per component.
     """
     k = u.order + 1 if skip_top else u.order
     l_dim, m_dim = u.dim_in, u.dim_out
     d_l, d_m = (tower[:k + 1] for tower in jets.upto(k))
-    # the terms at a representative (a,) + rest, in positions of rest: each
-    # set partition as (block 0 less a, the other blocks), skipping those of
-    # p blocks where d^(p-1) j_M vanishes, and each source term as
-    # (derivative slots, remaining slots); rest is sorted, so every block
-    # reads off it sorted
-    m_parts = [(tuple(i - 1 for i in blocks[0][1:]),
-                tuple(tuple(i - 1 for i in b) for b in blocks[1:]))
-               for blocks in set_partitions(k)
-               if not (skip_top and len(blocks) == 1) and d_m[len(blocks)] is not None]
-    l_parts = [(s, tuple(i for i in range(k - 1) if i not in s))
-               for p in range(2 if skip_top else 1, k + 1)
-               for s in itertools.combinations(range(k - 1), p - 1)]
     # every input read once, as integer numerators: the symbols at their
     # sorted tuples, and the nonzero entries of d^(p-1) J of each structure
     sym, s_den = _integer_rows({rep: s.tensor.entries[rep] for s in u.symbols for rep in
@@ -373,74 +371,93 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     (m_rows, m_den), (l_rows, l_den) = (_integer_rows(
         {idx: v for d in tower if d is not None for idx, v in d.entries.items() if any(v)})
         for tower in (d_m, d_l))
-    m_entries: Dict[int, List[Tuple[Index, List[Tuple[int, int]]]]] = {}
+    # d^(p-1) j_M by its number of slots p: (slot 0, derivative slots,
+    # nonzero components) per nonzero entry
+    m_entries: Dict[int, List[Tuple[int, Index, List[Tuple[int, int]]]]] = {}
     for idx, row in m_rows.items():
         m_entries.setdefault(len(idx), []).append(
-            (idx, [(i, c) for i, c in enumerate(row) if c]))
+            (idx[0], idx[1:], [(i, c) for i, c in enumerate(row) if c]))
     l_entries = {head: [(i0, c) for i0, c in enumerate(row) if c]
                  for head, row in l_rows.items()}
-    # every term over den: a j_M term of p blocks is over m_den s_den^p, a
-    # j_L term over l_den s_den
+    # the partitions of each number of remaining slots whose tail meets a
+    # nonzero d^(p-1) j_M
+    tail_parts = [[blocks for blocks in set_partitions(r) if len(blocks) + 1 in m_entries]
+                  for r in range(k)]
+    # every term over den: a j_M term with block 0 of |S| + 1 values is
+    # over m_den s_den^(k - |S|), a j_L term over l_den s_den
     sign = -1 if skip_top else 1
     den = m_den * l_den * s_den ** k
-    m_weight = [sign * l_den * s_den ** (k - p) for p in range(k + 1)]
     l_weight = -sign * m_den * s_den ** (k - 1)
+    composed: Dict[Index, List[Tuple[int, List[Tuple[int, int]]]]] = {}
 
-    def m_value(key: Tuple[Index, ...]) -> List[Tuple[int, int]]:
-        """d^(p-1) j_M on the symbol values at the blocks of key, weighted:
-        the nonzero components."""
-        args = [sym[b] for b in key]
-        acc = [0] * m_dim
-        for idx, comps in m_entries.get(len(key), ()):
-            c = math.prod(arg[j] for arg, j in zip(args, idx))
+    def tail_value(tail: Tuple[Index, ...]) -> Dict[Tuple[int, int], int]:
+        """d^(p-1) j_M on the symbols at the blocks of tail, slot 0 left
+        open: the nonzero entries (slot 0, component)."""
+        acc: Dict[Tuple[int, int], int] = {}
+        for i0, idx, comps in m_entries[len(tail) + 1]:
+            c = math.prod(sym[b][j] for b, j in zip(tail, idx))
             if c:
                 for i, v in comps:
-                    acc[i] += c * v
-        w = m_weight[len(key)]
-        return [(i, w * c) for i, c in enumerate(acc) if c]
+                    acc[i0, i] = acc.get((i0, i), 0) + c * v
+        return acc
 
-    def l_value(key: Tuple[Index, Index]) -> List[Tuple[int, int]]:
-        """The order-(len(rest) + 1) symbol on d^(p-1) j_L(head) and rest,
-        weighted: the nonzero components."""
-        head, rest = key
-        acc = [0] * m_dim
-        for i0, c in l_entries.get(head, ()):
-            for i, a in enumerate(sym[tuple(sorted((i0,) + rest))]):
-                acc[i] += c * a
-        return [(i, l_weight * c) for i, c in enumerate(acc) if c]
+    def composed_value(r: Index) -> List[Tuple[int, List[Tuple[int, int]]]]:
+        """The tail values summed over the partitions of r, each weighted to
+        m_den s_den^len(r): the nonzero rows (slot 0, components)."""
+        counts: Dict[Tuple[Index, ...], int] = {}
+        get = r.__getitem__
+        for blocks in tail_parts[len(r)]:
+            tail = tuple(sorted([tuple(map(get, b)) for b in blocks]))
+            counts[tail] = counts.get(tail, 0) + 1
+        acc: Dict[Tuple[int, int], int] = {}
+        for tail, mult in counts.items():
+            w = mult * s_den ** (len(r) - len(tail))
+            for pos, c in tail_value(tail).items():
+                acc[pos] = acc.get(pos, 0) + w * c
+        rows: Dict[int, List[Tuple[int, int]]] = {}
+        for (i0, i), c in acc.items():
+            if c:
+                rows.setdefault(i0, []).append((i, c))
+        return list(rows.items())
 
-    m_values: Dict[Tuple[Index, ...], List[Tuple[int, int]]] = {}
-    l_values: Dict[Tuple[Index, Index], List[Tuple[int, int]]] = {}
     zero = Fraction(0)
     out: Dict[Index, Vector] = {}
     # one representative (a, i_1 <= .. <= i_(k-1)) per orbit of _trailing_rep
     for rest in itertools.combinations_with_replacement(range(l_dim), k - 1):
-        # the keys of every representative with this rest, less a, counted
-        get = rest.__getitem__
-        m_tails: Dict[Tuple[Index, Tuple[Index, ...]], int] = {}
-        for b0, others in m_parts:
-            key = (tuple(map(get, b0)), tuple(sorted([tuple(map(get, b)) for b in others])))
-            m_tails[key] = m_tails.get(key, 0) + 1
-        l_tails: Dict[Tuple[Index, Index], int] = {}
-        for s, others in l_parts:
-            key = (tuple(map(get, s)), tuple(map(get, others)))
-            l_tails[key] = l_tails.get(key, 0) + 1
+        # each sub-multiset S of rest with R = rest - S, counted by the
+        # subsets of rest's slots that read it
+        runs = [(v, rest.count(v)) for v in sorted(set(rest))]
+        splits = []
+        for taken in itertools.product(*(range(m + 1) for _, m in runs)):
+            s_part = tuple(v for (v, _), t in zip(runs, taken) for _ in range(t))
+            r_part = tuple(v for (v, m), t in zip(runs, taken) for _ in range(m - t))
+            mult = math.prod(math.comb(m, t) for (_, m), t in zip(runs, taken))
+            # with skip_top, S = rest is the order-k symbol's j_M term and
+            # S empty its j_L term
+            composed_rows = None
+            if r_part or not skip_top:
+                composed_rows = composed.get(r_part)
+                if composed_rows is None:
+                    composed_rows = composed[r_part] = composed_value(r_part)
+            m_w = sign * l_den * s_den ** len(s_part) * mult
+            l_w = l_weight * mult if s_part or not skip_top else 0
+            splits.append((s_part, r_part, composed_rows, m_w, l_w))
         for a in range(l_dim):
             acc = [0] * m_dim
-            for (b0, others), mult in m_tails.items():
-                key = (tuple(sorted((a,) + b0)),) + others
-                val = m_values.get(key)
-                if val is None:
-                    val = m_values[key] = m_value(key)
-                for i, c in val:
-                    acc[i] += mult * c
-            for (s, others), mult in l_tails.items():
-                key = ((a,) + s, others)
-                val = l_values.get(key)
-                if val is None:
-                    val = l_values[key] = l_value(key)
-                for i, c in val:
-                    acc[i] += mult * c
+            for s_part, r_part, composed_rows, m_w, l_w in splits:
+                if composed_rows:
+                    phi = sym[tuple(sorted((a,) + s_part))]
+                    for i0, comps in composed_rows:
+                        c = phi[i0]
+                        if c:
+                            c *= m_w
+                            for i, v in comps:
+                                acc[i] += c * v
+                if l_w:
+                    for i0, c in l_entries.get((a,) + s_part, ()):
+                        c *= l_w
+                        for i, v in enumerate(sym[tuple(sorted((i0,) + r_part))]):
+                            acc[i] += c * v
             out[(a,) + rest] = [Fraction(c, den) if c else zero for c in acc]
     return out
 

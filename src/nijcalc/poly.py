@@ -13,11 +13,12 @@ and polynomial matrices applied to them (apply_columns).
 The jet kernels (shift, jet_mul, jet_substitute, jet_apply_columns,
 jet_brackets) cut their results above a total degree, the order; order
 math.inf means uncut, so jet_brackets is the one Lie bracket and
-jet_substitute the one composition (substitute).  All but jet_substitute,
-which chains jet_mul, sum Python integers: each input's coefficients are
-integer numerators over the lcm of their denominators (_numerators), and
-each nonzero output coefficient is one Fraction of its integer sum over
-the product of those lcms (for shift, times a power of the point's lcm).
+jet_substitute the one composition (substitute).  They sum Python
+integers: each input's coefficients are integer numerators over the lcm
+of their denominators (_numerators), and each nonzero output coefficient
+is one Fraction of its integer sum over the product of those lcms (for
+shift, times a power of the point's lcm; for jet_substitute, times a
+power of the substitutions' lcm).
 """
 
 from __future__ import annotations
@@ -197,12 +198,15 @@ def substitute(p: Poly, replacements: Sequence[Poly], out_num_vars: int) -> Poly
     """Substitute replacements[i] for variable i+1: exact composition, the
     uncut jet_substitute.  The replacements are polynomials in out_num_vars
     variables and may have constant terms."""
-    return jet_substitute(p, replacements, out_num_vars, inf)
+    return jet_substitute([p], replacements, out_num_vars, inf)[0]
 
 
 # ---------------------------------------------------------------------------
 # jets at a point: polynomials in the offset y = x - point, cut above an order
 # ---------------------------------------------------------------------------
+# shift, jet_mul and jet_substitute pop an integer sum that reaches zero, so
+# their key order is that of the same loop over Fractions; jet_substitute
+# shares one table of integer monomial images among its polynomials.
 
 _Term = Tuple[Exponent, int, int]
 
@@ -287,60 +291,84 @@ def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
     _check_compatible(p, q)
     (p_terms,), d_p = _numerators([p], order)
     (q_terms,), d_q = _numerators([q], order)
-    out: Dict[Exponent, int] = {}
-    for e1, c1, d1 in p_terms:
-        room = order - d1
-        for e2, c2, d2 in q_terms:
-            if d2 > room:
-                continue
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
     den = d_p * d_q
-    return {e: Fraction(s, den) for e, s in out.items()}
+    return {e: Fraction(s, den) for e, s in _popped_products(p_terms, q_terms, order).items()}
 
 
-def jet_substitute(p: Poly, subs: Sequence[Poly], out_num_vars: int,
-                   order: int) -> Poly:
-    """p with subs[i] for variable i+1, cut above total degree order.
+def _popped_products(terms1: Sequence[_Term], terms2: Sequence[_Term],
+                     order: int) -> Dict[Exponent, int]:
+    """The sum of n1 n2 y^(e1 + e2) over the pairs of terms of total degree
+    at most order, in the order of the pairs; a sum that reaches zero is
+    popped, and comes back last if a later pair hits it again."""
+    out: Dict[Exponent, int] = {}
+    for e1, c1, d1 in terms1:
+        room = order - d1
+        for e2, c2, d2 in terms2:
+            if d2 <= room:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+    return out
+
+
+def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
+                   order: int) -> List[Poly]:
+    """Each p of ps with subs[i] for variable i+1, cut above total degree
+    order.
 
     Order math.inf means uncut (substitute); under a finite cut the
     substitutions must have no constant term, so a monomial of p of degree
-    above order contributes nothing and is skipped.  The image of each
-    monomial is built from the image of the monomial one degree lower,
-    times one substitution, and cached, so every power and product of the
-    substitutions is multiplied out once per call.
+    above order contributes nothing and is skipped.  Every substitution
+    must be a polynomial in out_num_vars variables, and every nonzero p one
+    in len(subs) variables; both are checked before anything is computed.
+
+    The polynomials share one table of monomial images.  The substitutions
+    are written once as integer numerators over their lcm D, and the image
+    of x^e is kept as integers over D^|e|: the image of the monomial one
+    degree lower, times one substitution, cut above order.  Each p sums
+    its numerators, times its monomials' images weighted up to the top
+    degree m of its terms, in one integer per output term, and holds one
+    Fraction(sum, D_p D^m) per nonzero term.  A sum that reaches zero is
+    popped, so the key order is that of the Fraction loop.
     """
+    if any(len(e) != out_num_vars for s in subs for e in s):
+        raise PolyError(f"substitutions in {sorted({len(e) for s in subs for e in s})} "
+                        f"variables for a result in {out_num_vars}")
+    n = len(subs)
+    for p in ps:
+        if p and len(next(iter(p))) != n:
+            raise PolyError(f"{n} substitutions for {len(next(iter(p)))} variables")
     if order != inf and any(constant_term(s) for s in subs):
         raise PolyError("a jet substitution needs substitutions without constant term")
-    if not p:
-        return {}
-    n = len(next(iter(p)))
-    if len(subs) != n:
-        raise PolyError(f"{len(subs)} substitutions for {n} variables")
-    images: Dict[Exponent, Poly] = {(0,) * n: const(1, out_num_vars)}
+    sub_terms, den = _numerators(subs, order)
+    images: Dict[Exponent, List[_Term]] = {(0,) * n: [((0,) * out_num_vars, 1, 0)]}
 
-    def image(e: Exponent) -> Poly:
+    def image(e: Exponent) -> List[_Term]:
         if e not in images:
             i = max(a for a, k in enumerate(e) if k)
-            lower = e[:i] + (e[i] - 1,) + e[i + 1:]
-            images[e] = jet_mul(image(lower), subs[i], order)
+            lower = image(e[:i] + (e[i] - 1,) + e[i + 1:])
+            images[e] = [(key, c, sum(key)) for key, c in
+                         _popped_products(lower, sub_terms[i], order).items()]
         return images[e]
 
-    out: Poly = {}
-    for e, c in p.items():
-        if sum(e) > order:
-            continue
-        for e2, c2 in image(e).items():
-            s = out.get(e2, Fraction(0)) + c * c2
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-    return out
+    results: List[Poly] = []
+    for (terms,), d_p in (_numerators([p], order) for p in ps):
+        top = max((size for _, _, size in terms), default=0)
+        out: Dict[Exponent, int] = {}
+        for e, c, size in terms:
+            c *= den ** (top - size)
+            for e2, c2, _ in image(e):
+                s = out.get(e2, 0) + c * c2
+                if s:
+                    out[e2] = s
+                else:
+                    out.pop(e2, None)
+        d = d_p * den ** top
+        results.append({e: Fraction(s, d) for e, s in out.items()})
+    return results
 
 
 def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],

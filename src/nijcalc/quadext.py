@@ -7,9 +7,9 @@ that is not a perfect square.  Sign tests are exact, so ordering decisions
 never touch floating point.
 
 Elements with b = 0 are rationals: two compare by a whatever their
-radicands, and one taken as the operand of an element over another
-radicand enters as its a.  Any other arithmetic across radicands raises
-ValueError, a rational left operand of a b != 0 element included.
+radicands, and one met in the arithmetic of an element over another
+radicand, as either operand, enters as its a.  Arithmetic between two
+b != 0 elements over different radicands raises ValueError.
 
 The constructor validates d.  Arithmetic results reuse the d of an
 operand, already validated, and are built without repeating the check.
@@ -80,12 +80,18 @@ class QuadExt:
     # -- helpers ------------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
-        """other over self's radicand: a rational, or a QuadExt over the
-        same radicand or with b = 0, which is its rational a."""
+        """other as the operand of self: a rational, or a QuadExt over the
+        same radicand or with b = 0, which is its rational a, all over
+        self's radicand.  Next to a rational self, an irrational QuadExt
+        over another radicand is returned as it is; the operators take the
+        radicand of their result from the operand, so self enters as its
+        rational a."""
         if isinstance(other, QuadExt):
             if other.d == self.d:
                 return other
             if other.b:
+                if not self.b:
+                    return other
                 raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
             other = other.a
         return _make(_rational(other, "operand"), Fraction(0), self.d)
@@ -99,7 +105,7 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return _make(self.a + other, self.b, self.d)
         o = self._coerce(other)
-        return _make(self.a + o.a, self.b + o.b, self.d)
+        return _make(self.a + o.a, self.b + o.b, o.d)
 
     __radd__ = __add__
 
@@ -121,19 +127,19 @@ class QuadExt:
             return _make(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         return _make(
-            self.a * o.a + self.b * o.b * self.d,
+            self.a * o.a + self.b * o.b * o.d,
             self.a * o.b + self.b * o.a,
-            self.d,
+            o.d,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        norm = o.a * o.a - o.b * o.b * self.d
+        norm = o.a * o.a - o.b * o.b * o.d
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return self * _make(o.a / norm, -o.b / norm, self.d)
+        return self * _make(o.a / norm, -o.b / norm, o.d)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -221,17 +221,27 @@ class PointTensor:
 # -- sign rules ----------------------------------------------------------------
 
 _ORBIT_TABLES: Dict[Tuple[SignRule, int, int], tuple] = {}
+# the most index tuples the kept tables hold together, about 130 MiB: one
+# table of arity 7 in dimension 6 (6^7 tuples) is kept, two are not
+_ORBIT_TUPLES_MAX = 1 << 19
 
 
 def _orbit_table(rep: SignRule, dim: int, arity: int) -> Tuple[Tuple[Index, Index, int], ...]:
-    """(index tuple, representative, sign) in product order; rules are pure."""
+    """(index tuple, representative, sign) in product order; rules are pure.
+
+    Tables are kept while they hold at most _ORBIT_TUPLES_MAX tuples
+    together: a larger table is built for its caller alone, and one that
+    would overfill the cache clears it first."""
     key = (rep, dim, arity)
-    if key not in _ORBIT_TABLES:
-        if len(_ORBIT_TABLES) >= 64:
-            _ORBIT_TABLES.clear()
+    table = _ORBIT_TABLES.get(key)
+    if table is None:
         tuples = itertools.product(range(dim), repeat=arity)
-        _ORBIT_TABLES[key] = tuple((idx,) + rep(idx) for idx in tuples)
-    return _ORBIT_TABLES[key]
+        table = tuple((idx,) + rep(idx) for idx in tuples)
+        if len(table) <= _ORBIT_TUPLES_MAX:
+            if sum(map(len, _ORBIT_TABLES.values())) + len(table) > _ORBIT_TUPLES_MAX:
+                _ORBIT_TABLES.clear()
+            _ORBIT_TABLES[key] = table
+    return table
 
 
 def _own_rep(idx: Index) -> Tuple[Index, int]:

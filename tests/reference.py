@@ -30,7 +30,10 @@ the four generating identities of structures.left_invariant_structure
 jet kernels as they were before they summed integer numerators, one
 Fraction operation per pair of terms (shift_by_fractions,
 jet_mul_by_fractions, jet_apply_columns_by_fractions,
-jet_brackets_by_fractions), go with them.
+jet_brackets_by_fractions), go with them, and so does the composition as
+it was before poly.jet_substitute shared one table of integer monomial
+images among several polynomials: one polynomial per call, each image a
+chain of Fraction products (jet_substitute_by_fractions).
 
 The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
@@ -570,6 +573,42 @@ def jet_mul_by_fractions(p: poly.Poly, q: poly.Poly, order: int) -> poly.Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
+    return out
+
+
+def jet_substitute_by_fractions(p: poly.Poly, subs: Sequence[poly.Poly],
+                                out_num_vars: int, order) -> poly.Poly:
+    """p with subs[i] for variable i+1, cut above total degree order, one
+    polynomial per call: the image of each monomial is the image one
+    degree lower times one substitution (jet_mul_by_fractions), cached
+    within the call, and the images are summed one Fraction operation per
+    term, a zero sum popped."""
+    if order != math.inf and any(poly.constant_term(s) for s in subs):
+        raise poly.PolyError("a jet substitution needs substitutions without constant term")
+    if not p:
+        return {}
+    n = len(next(iter(p)))
+    if len(subs) != n:
+        raise poly.PolyError(f"{len(subs)} substitutions for {n} variables")
+    images: Dict[Tuple[int, ...], poly.Poly] = {(0,) * n: poly.const(1, out_num_vars)}
+
+    def image(e):
+        if e not in images:
+            i = max(a for a, k in enumerate(e) if k)
+            lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+            images[e] = jet_mul_by_fractions(image(lower), subs[i], order)
+        return images[e]
+
+    out: poly.Poly = {}
+    for e, c in p.items():
+        if sum(e) > order:
+            continue
+        for e2, c2 in image(e).items():
+            s = out.get(e2, Fraction(0)) + c * c2
+            if s:
+                out[e2] = s
+            else:
+                out.pop(e2, None)
     return out
 
 

@@ -1076,27 +1076,45 @@ def test_6d_pushed_pair_agrees_with_the_dense_reference():
             dense(truncate(tower.lifted, r), skip_top=True)
 
 
-def test_residual_terms_are_fractions_equal_to_the_dense_reference():
-    """The cross-check at every representative, component for component:
-    residuals and P_k of a pushed pair (nonzero d^1 J_M and d^2 J_M) and of
-    random symbols, each component a Fraction."""
-    j_l, j_m, u = pushed_pair(random_structure(2, seed=5, degree=1), 7, 3)
+def _residual_terms_against_the_dense_reference(j_l, j_m, u):
+    """Every residual and P_k of u and of random symbols to u's order, from
+    _residual_terms at every representative, component for component
+    against the dense reference, each component a Fraction."""
+    top, dim = u.order, u.dim_in
     rng = random.Random(37)
-    noisy = TruncatedMap(u.x, u.y, tuple(JetSymbol(r, rand_symmetric(4, 4, r, rng))
-                                         for r in range(1, 4)))
-    dense = dense_reference(j_l, j_m, u.x, u.y, 3)
+    noisy = TruncatedMap(u.x, u.y, tuple(JetSymbol(r, rand_symmetric(dim, dim, r, rng))
+                                         for r in range(1, top + 1)))
+    dense = dense_reference(j_l, j_m, u.x, u.y, top)
     for v in (u, noisy):
         structure_jets = jets._StructureJets(v, j_l, j_m)
-        for r, skip_top in [(r, False) for r in range(1, 4)] + [(r, True) for r in range(1, 3)]:
+        for r, skip_top in [(r, False) for r in range(1, top + 1)] + \
+                [(r, True) for r in range(1, top)]:
             got = jets._residual_terms(truncate(v, r), structure_jets, skip_top)
             want = dense(truncate(v, r), skip_top)
             k = r + skip_top
-            assert sorted(got) == [(a,) + rest for a in range(4) for rest in
-                                 itertools.combinations_with_replacement(range(4), k - 1)]
+            assert sorted(got) == [(a,) + rest for a in range(dim) for rest in
+                                 itertools.combinations_with_replacement(range(dim), k - 1)]
             assert all(value == want.entries[idx] for idx, value in got.items())
             assert all(type(c) is Fraction for value in got.values() for c in value)
             if not skip_top:
                 assert any(any(value) for value in got.values()) == (v is noisy)
+
+
+def test_residual_terms_are_fractions_equal_to_the_dense_reference():
+    """A 4D pushed pair with nonzero d^1 J_M, d^2 J_M and d^1 J_L, to
+    order 3."""
+    _residual_terms_against_the_dense_reference(
+        *pushed_pair(random_structure(2, seed=5, degree=1), 7, 3))
+
+
+def test_residual_terms_equal_the_dense_reference_to_order_5():
+    """A 2D pushed pair with nonzero d^1, d^2 and d^3 J_M, to order 5: the
+    tails of two or more blocks, which representatives share, and their
+    sums over the partitions of a repeated value."""
+    j_l, j_m, u = pushed_pair(random_structure(1, seed=5, degree=1), 7, 5)
+    d_m = jets._StructureJets(u, j_l, j_m).upto(5)[1]
+    assert [d is not None for d in d_m] == [False, True, True, True, False, False]
+    _residual_terms_against_the_dense_reference(j_l, j_m, u)
 
 
 def test_lift_tower_applies_no_tensor(monkeypatch):

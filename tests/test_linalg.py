@@ -237,17 +237,19 @@ def test_rational_quadexts_are_equal_across_radicands():
 
 
 def test_a_rational_quadext_of_another_radicand_is_a_rational_operand():
-    """QuadExt(3, 0, 5) is the rational 3 next to 1 + sqrt(2); two
-    irrational operands over different radicands still raise."""
+    """QuadExt(3, 0, 5) is the rational 3 next to 1 + sqrt(2), as the right
+    operand and as the left one; two irrational operands over different
+    radicands still raise, in either order."""
     x, three = QuadExt(1, 1, 2), QuadExt(3, 0, 5)
-    for op in ("add", "sub", "mul", "truediv", "eq", "lt", "le", "gt", "ge"):
-        f = QUADEXT_OPERAND_ENTRIES[op]
-        got, want = f(x, three), f(x, 3)
-        assert got == want, op
-        if isinstance(got, QuadExt):
-            assert (got.a, got.b, got.d) == (want.a, want.b, 2), op
-    with pytest.raises(ValueError, match="mixed extensions"):
-        x + QuadExt(1, 1, 3)
+    for op, f in QUADEXT_OPERAND_ENTRIES.items():
+        for got, want in ((f(x, three), f(x, 3)), (f(three, x), f(3, x))):
+            assert got == want, op
+            if isinstance(got, QuadExt):
+                assert (got.a, got.b, got.d) == (want.a, want.b, 2), op
+    for left, right in ((x, QuadExt(1, 1, 3)), (QuadExt(1, 1, 3), x)):
+        for op in ("add", "sub", "mul", "truediv", "lt"):
+            with pytest.raises(ValueError, match="mixed extensions"):
+                QUADEXT_OPERAND_ENTRIES[op](left, right)
 
 
 def test_elimination_over_quadext():

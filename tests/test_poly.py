@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from nijcalc import poly
 from reference import (jet_apply_columns_by_fractions, jet_brackets_by_fractions,
-                       jet_mul_by_fractions, lie_bracket, shift_by_fractions,
-                       substitute_by_mul)
+                       jet_mul_by_fractions, jet_substitute_by_fractions, lie_bracket,
+                       shift_by_fractions, substitute_by_mul)
 
 
 def p(text, n=4):
@@ -271,17 +271,65 @@ def test_jet_mul_is_truncated_product(a, b, order):
 @example({(0, 0, 0): Fraction(3), (1, 0, 2): Fraction(-1)}, [{}, {}, {}], 0)
 def test_jet_substitute_is_truncated_substitution(p, subs, order):
     subs = [{e: c for e, c in q.items() if any(e)} for q in subs]
-    assert poly.jet_substitute(p, subs, 2, order) == \
-        poly.truncate(substitute_by_mul(p, subs, 2), order)
+    assert poly.jet_substitute([p], subs, 2, order) == \
+        [poly.truncate(substitute_by_mul(p, subs, 2), order)]
 
 
 def test_jet_substitute_rejects_a_constant_term():
     """Only under a finite cut: uncut, a constant term is a composition."""
     subs = [poly.parse_poly("x1", 2), poly.parse_poly("1 + x2", 2)]
     with pytest.raises(poly.PolyError, match="constant term"):
-        poly.jet_substitute(poly.parse_poly("x1*x2", 2), subs, 2, 3)
-    assert poly.jet_substitute(poly.parse_poly("x1*x2", 2), subs, 2, math.inf) == \
-        poly.parse_poly("x1 + x1*x2", 2)
+        poly.jet_substitute([poly.parse_poly("x1*x2", 2)], subs, 2, 3)
+    assert poly.jet_substitute([poly.parse_poly("x1*x2", 2)], subs, 2, math.inf) == \
+        [poly.parse_poly("x1 + x1*x2", 2)]
+
+
+@st.composite
+def jet_substitute_cases(draw):
+    """Up to three polynomials in 1-3 variables, zero ones among them, one
+    substitution per variable in 1-3 variables and a cut; under a finite
+    cut the substitutions lose their constant terms."""
+    n, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(jet_orders(5))
+    ps = draw(st.lists(jet_polys(n), max_size=3))
+    subs = draw(st.lists(jet_polys(m, 4), min_size=n, max_size=n))
+    if order != math.inf:
+        subs = [_no_constant(q) for q in subs]
+    return ps, subs, m, order
+
+
+@given(jet_substitute_cases())
+@example(([], [{(1,): Fraction(1)}], 1, 2))
+# x1 x2 + x1^2 + x2^2 with x1 = y, x2 = -y + y^2, cut at 3: the y^2 of the
+# first two terms cancels, and the third brings it back after y^3
+@example(([{}, {(1, 1): Fraction(1), (2, 0): Fraction(1), (0, 2): Fraction(1)}],
+          [{(1,): Fraction(1)}, {(1,): Fraction(-1), (2,): Fraction(1)}], 1, 3))
+# every monomial above the cut: zero
+@example(([{(1, 1): Fraction(1, 2), (3, 0): Fraction(2)}],
+          [{(1, 0): Fraction(1, 3)}, {(0, 1): Fraction(-2)}], 2, 1))
+def test_jet_substitute_matches_the_fraction_loop(case):
+    """Every polynomial of one call through the shared integer image table
+    equals the one-polynomial Fraction loop, in values and key order."""
+    ps, subs, m, order = case
+    got = poly.jet_substitute(ps, subs, m, order)
+    assert len(got) == len(ps)
+    for g, p in zip(got, ps):
+        want = jet_substitute_by_fractions(p, subs, m, order)
+        assert g == want and list(g) == list(want)
+        assert is_canonical(g, m)
+
+
+def test_jet_substitute_checks_every_substitution_up_front():
+    """A substitution in another number of variables than the result's
+    raises, even where no monomial reaches it: a constant p, or monomials
+    above the cut.  So does a polynomial in another number of variables
+    than there are substitutions, next to one that fits."""
+    three_vars = {(1, 0, 0): Fraction(1)}
+    for p, order in (({(0, 0): Fraction(2)}, 2), ({(3, 0): Fraction(1)}, 2),
+                     ({(0, 1): Fraction(1)}, math.inf)):
+        with pytest.raises(poly.PolyError, match="variables"):
+            poly.jet_substitute([p], [three_vars, {}], 2, order)
+    with pytest.raises(poly.PolyError, match="2 substitutions for 3 variables"):
+        poly.jet_substitute([poly.var(1, 2), poly.var(1, 3)], [poly.var(1, 2)] * 2, 2, 2)
 
 
 @given(st.lists(st.lists(polys(), min_size=3, max_size=3), min_size=3, max_size=3),
@@ -479,7 +527,7 @@ CANONICAL_CASES = {
     "jet_brackets": lambda a, b, c: (([[a, b, c], [c, a, b]], [(0, 1), (1, 0), (1, 1)], 2), 3),
     "jet_mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a), 2), 3),
     "jet_substitute": lambda a, b, c: (
-        (a, [_no_constant(b), _no_constant(c), _no_constant(poly.neg(b))], 3, 2), 3),
+        ([a, b, {}], [_no_constant(b), _no_constant(c), _no_constant(poly.neg(b))], 3, 2), 3),
     "low_degree_part": lambda a, b, c: ((a, 2), 3),
     "monomial": lambda a, b, c: (((1, 0, 2), poly.constant_term(b)), 3),
     "mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a)), 3),

@@ -669,3 +669,22 @@ def test_solve_affine_particular_and_kernel():
     part, kernel = sol
     assert part[0] + part[1] == 2
     assert len(kernel) == 1
+
+
+def test_orbit_tables_kept_never_exceed_the_tuple_bound(monkeypatch):
+    """After every call the kept tables hold at most _ORBIT_TUPLES_MAX index
+    tuples together; a larger table is returned whole but not kept, and a
+    kept one is returned again as it is."""
+    monkeypatch.setattr(tensor, "_ORBIT_TABLES", {})
+    monkeypatch.setattr(tensor, "_ORBIT_TUPLES_MAX", 100)
+    rules = (tensor.symmetric_rep, tensor.alternating_rep, tensor._own_rep)
+    calls = [(rep, dim, arity) for dim in (2, 3, 4) for arity in (1, 2, 3, 4) for rep in rules]
+    for rep, dim, arity in calls + calls[::-1]:
+        table = tensor._orbit_table(rep, dim, arity)
+        assert [row[0] for row in table] == list(itertools.product(range(dim), repeat=arity))
+        assert all(row[1:] == rep(row[0]) for row in table)
+        kept = tensor._ORBIT_TABLES
+        assert sum(map(len, kept.values())) <= 100
+        assert ((rep, dim, arity) in kept) == (dim ** arity <= 100)
+        if dim ** arity <= 100:
+            assert tensor._orbit_table(rep, dim, arity) is table
