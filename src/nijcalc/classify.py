@@ -598,7 +598,8 @@ def _graded_report(nf: VectorForm, point: Sequence, n_at: PointTensor):
     Level k collects the image spans of the derivative tensors up to
     order k; the filtration stabilizes once k passes the entry degree of
     the torsion field, so shifting the torsion entries to the point to
-    that degree makes every derivative a jet lookup.  Bracket constants
+    that degree, all in one poly.shift call, makes every derivative a jet
+    lookup.  Bracket constants
     expand N on lifted level representatives over the lifted basis.  A
     Lie verdict forces the second commutant span N(Im N, Im N) to vanish,
     asserted at the end.
@@ -606,8 +607,9 @@ def _graded_report(nf: VectorForm, point: Sequence, n_at: PointTensor):
     dim = nf.dim
     max_deg = max((poly.total_degree(p) for e in nf.entries.values()
                    for p in e if not poly.is_zero(p)), default=0)
-    shifted = VectorForm(dim, 2, {idx: [poly.shift(c, point, max_deg) for c in val]
-                                  for idx, val in nf.entries.items()})
+    flat = poly.shift([c for val in nf.entries.values() for c in val], point, max_deg)
+    shifted = VectorForm(dim, 2, {idx: flat[i * dim:(i + 1) * dim]
+                                  for i, idx in enumerate(nf.entries)})
     spans: List[List[List[Fraction]]] = []
     current: List[List[Fraction]] = []
     for k in range(max_deg + 1):

@@ -16,7 +16,8 @@ the first nonzero entry of the sum of its terms.
 
 Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
-(StructureField.jet), torsion_jets expands the torsion fields there from
+(StructureField.jet, one poly.shift substitution of point + y for every
+entry), torsion_jets expands the torsion fields there from
 the next jet of J, and jet_differential reads d^p of any such jet off its
 degree-p coefficients.  Both torsion routes read only the 1-jet of J
 (torsion_from_jets takes any higher jet and reads its low terms), the

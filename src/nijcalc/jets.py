@@ -120,7 +120,6 @@ class TruncatedMap:
     x: Tuple[Fraction, ...]
     y: Tuple[Fraction, ...]
     symbols: Tuple[JetSymbol, ...]
-    require_nonzero_first: bool = False
 
     def __post_init__(self):
         for name in ("x", "y"):
@@ -138,8 +137,6 @@ class TruncatedMap:
                 raise StructureError(f"order-{s.k} symbol has mismatched dimensions")
         if len(self.x) != self.dim_in or len(self.y) != self.dim_out:
             raise StructureError("base point lengths do not match the symbol charts")
-        if self.require_nonzero_first and self.symbols[0].tensor.is_zero():
-            raise StructureError("order-1 symbol is zero but was flagged nondegenerate")
 
     @property
     def order(self) -> int:
@@ -157,15 +154,14 @@ class TruncatedMap:
         return self.symbols[k - 1]
 
     def with_symbol(self, sym: JetSymbol) -> "TruncatedMap":
-        return TruncatedMap(self.x, self.y, self.symbols + (sym,),
-                            self.require_nonzero_first)
+        return TruncatedMap(self.x, self.y, self.symbols + (sym,))
 
 
 def truncate(u: TruncatedMap, order: int) -> TruncatedMap:
     """Forget the symbols above the given order."""
     if not 1 <= order <= u.order:
         raise StructureError(f"cannot truncate an order-{u.order} map to {order}")
-    return TruncatedMap(u.x, u.y, u.symbols[:order], u.require_nonzero_first)
+    return TruncatedMap(u.x, u.y, u.symbols[:order])
 
 
 @dataclass(frozen=True)

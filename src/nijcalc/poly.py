@@ -10,21 +10,22 @@ be read as the nearest binary fraction.
 Also provides vectors of polynomials (polynomial vector fields on a chart)
 and polynomial matrices applied to them (apply_columns).
 
-The jet kernels (shift, jet_mul, jet_substitute, jet_apply_columns,
+The jet kernels (jet_mul, jet_substitute, jet_apply_columns,
 jet_brackets) cut their results above a total degree, the order; order
 math.inf means uncut, so jet_brackets is the one Lie bracket and
-jet_substitute the one composition (substitute).  They sum Python
-integers: each input's coefficients are integer numerators over the lcm
-of their denominators (_numerators), and each nonzero output coefficient
-is one Fraction of its integer sum over the product of those lcms (for
-shift, times a power of the point's lcm; for jet_substitute, times a
-power of the substitutions' lcm).
+jet_substitute the one composition (substitute) and the one Taylor shift
+(shift, the substitution of point + y).  They sum Python integers: each
+input's coefficients are integer numerators over the lcm of their
+denominators (_numerators), and each nonzero output coefficient is one
+Fraction of its integer sum over the product of those lcms (for
+jet_substitute, times a power of the substitutions' lcm: for shift, of
+the point's).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import inf, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -204,9 +205,9 @@ def substitute(p: Poly, replacements: Sequence[Poly], out_num_vars: int) -> Poly
 # ---------------------------------------------------------------------------
 # jets at a point: polynomials in the offset y = x - point, cut above an order
 # ---------------------------------------------------------------------------
-# shift, jet_mul and jet_substitute pop an integer sum that reaches zero, so
-# their key order is that of the same loop over Fractions; jet_substitute
-# shares one table of integer monomial images among its polynomials.
+# jet_mul and jet_substitute pop an integer sum that reaches zero, so their
+# key order is that of the same loop over Fractions; jet_substitute shares
+# one table of integer monomial images among its polynomials.
 
 _Term = Tuple[Exponent, int, int]
 
@@ -235,46 +236,20 @@ def _products(factors: Sequence[Tuple[Sequence[_Term], Sequence[_Term], int]],
     return acc
 
 
-def shift(p: Poly, point: Sequence[Scalar], order: int) -> Poly:
-    """p(point + y) as a polynomial in y, cut above total degree order.
+def shift(ps: Sequence[Poly], point: Sequence[Scalar], order: int) -> List[Poly]:
+    """Each p of ps at point + y, as a polynomial in y cut above total
+    degree order (math.inf: uncut): jet_substitute by the translation
+    x_i = point_i + y_i, so the polynomials share one table of monomial
+    images.
 
     The coefficient of y^alpha is the partial derivative d^alpha p at the
-    point divided by alpha!, so the result is the order-jet of p there.
-    The sums run over Python integers.  With the point written a/D and the
-    coefficients n_alpha/L over common denominators, and m the total degree
-    of p, each monomial is weighted by D^(m - |alpha|) and expanded
-    binomially in integers, one variable at a time, dropping partial
-    products whose degree already exceeds order; coefficient beta is the
-    sum over L * D^(m - |beta|), one Fraction per nonzero coefficient.  A
-    float coordinate raises PolyError.
+    point divided by alpha!, so each result is the order-jet of p there.
+    A float coordinate raises PolyError, and so does a nonzero p in another
+    number of variables than the point has coordinates.
     """
-    pt = [_exact(v, "coordinate") for v in point]
-    if not p:
-        return {}
-    n = len(next(iter(p)))
-    if len(pt) != n:
-        raise PolyError(f"point has length {len(pt)}, expected {n}")
-    d = lcm(*(x.denominator for x in pt))
-    nums = [x.numerator * (d // x.denominator) for x in pt]
-    (terms,), den = _numerators([p])
-    m = max(size for _, _, size in terms)
-    out: Dict[Exponent, int] = {}
-    for e, c, size in terms:
-        partial = [((), 0, c * d ** (m - size))]
-        for a, k in zip(nums, e):
-            nxt = []
-            for head, deg, coeff in partial:
-                # (a/D + y)^k = sum_s C(k, s) a^(k - s) y^s / D^(k - s)
-                for s in range(k if a == 0 else 0, min(k, order - deg) + 1):
-                    nxt.append((head + (s,), deg + s, coeff * comb(k, s) * a ** (k - s)))
-            partial = nxt
-        for head, _, coeff in partial:
-            total = out.get(head, 0) + coeff
-            if total:
-                out[head] = total
-            else:
-                out.pop(head, None)
-    return {head: Fraction(v, den * d ** (m - sum(head))) for head, v in out.items()}
+    n = len(point)
+    subs = [add(const(_exact(x, "coordinate"), n), var(i + 1, n)) for i, x in enumerate(point)]
+    return jet_substitute(ps, subs, n, order)
 
 
 def constant_term(p: Poly) -> Fraction:
@@ -319,11 +294,13 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
     """Each p of ps with subs[i] for variable i+1, cut above total degree
     order.
 
-    Order math.inf means uncut (substitute); under a finite cut the
-    substitutions must have no constant term, so a monomial of p of degree
-    above order contributes nothing and is skipped.  Every substitution
-    must be a polynomial in out_num_vars variables, and every nonzero p one
-    in len(subs) variables; both are checked before anything is computed.
+    Order math.inf means uncut (substitute).  Under a finite cut with no
+    substitution having a constant term, a monomial of p of degree above
+    order contributes nothing and is skipped; with one (shift), p is read
+    uncut and the substitutions and images cut, since cutting above a
+    degree is a ring homomorphism.  Every substitution must be a
+    polynomial in out_num_vars variables, and every nonzero p one in
+    len(subs) variables; both are checked before anything is computed.
 
     The polynomials share one table of monomial images.  The substitutions
     are written once as integer numerators over their lcm D, and the image
@@ -341,8 +318,7 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
     for p in ps:
         if p and len(next(iter(p))) != n:
             raise PolyError(f"{n} substitutions for {len(next(iter(p)))} variables")
-    if order != inf and any(constant_term(s) for s in subs):
-        raise PolyError("a jet substitution needs substitutions without constant term")
+    p_cut = inf if any(constant_term(s) for s in subs) else order
     sub_terms, den = _numerators(subs, order)
     images: Dict[Exponent, List[_Term]] = {(0,) * n: [((0,) * out_num_vars, 1, 0)]}
 
@@ -355,7 +331,7 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
         return images[e]
 
     results: List[Poly] = []
-    for (terms,), d_p in (_numerators([p], order) for p in ps):
+    for (terms,), d_p in (_numerators([p], p_cut) for p in ps):
         top = max((size for _, _, size in terms), default=0)
         out: Dict[Exponent, int] = {}
         for e, c, size in terms:

@@ -10,6 +10,7 @@ jet-level computations need; validate reports which, and to what order.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +60,11 @@ class StructureField:
 
     def jet(self, point: Sequence, order: int) -> List[PolyVec]:
         """Columns of J(point + y) cut above degree order: the order-jet
-        of J at the point, in the offset y (see poly.shift)."""
-        return [[poly.shift(p, point, order) for p in col] for col in self.cols]
+        of J at the point, in the offset y.  One poly.shift call shifts
+        every entry, so they share one table of monomial images."""
+        n = self.dim
+        flat = poly.shift([p for col in self.cols for p in col], point, order)
+        return [flat[j * n:(j + 1) * n] for j in range(n)]
 
     def negated(self) -> "StructureField":
         cols = [[poly.neg(p) for p in col] for col in self.cols]
@@ -98,12 +102,15 @@ class ValidationReport:
     failing_entry: Optional[Tuple[int, int]] = None
 
 
-def vanishing_order(p: Poly, point: Sequence, num_vars: int) -> Optional[int]:
-    """Order of vanishing of p at the point (None for the zero polynomial)."""
-    if poly.is_zero(p):
-        return None
-    shifted = poly.shift(p, list(point)[:num_vars], poly.total_degree(p))
-    return min(sum(e) for e in shifted)
+def vanishing_order(p: Poly, point: Sequence) -> Optional[int]:
+    """Order of vanishing of p at the point (None for the zero polynomial);
+    a point with another number of coordinates than p has variables
+    raises PolyError."""
+    return _vanishing_orders([p], point)[0]
+
+
+def _vanishing_orders(ps: Sequence[Poly], point: Sequence) -> List[Optional[int]]:
+    return [min(map(sum, q), default=None) for q in poly.shift(ps, point, math.inf)]
 
 
 def validate(j: StructureField, base_point: Optional[Sequence] = None,
@@ -113,16 +120,13 @@ def validate(j: StructureField, base_point: Optional[Sequence] = None,
     if len(pt) != j.dim:
         raise StructureError(f"base point has {len(pt)} coordinates, expected {j.dim}")
     err = j.square_plus_identity()
+    orders = _vanishing_orders([p for row in err for p in row], pt)
     worst: Optional[int] = None
     worst_entry = None
-    for i in range(j.dim):
-        for k in range(j.dim):
-            o = vanishing_order(err[i][k], pt, j.dim)
-            if o is None:
-                continue
-            if worst is None or o < worst:
-                worst = o
-                worst_entry = (i, k)
+    for idx, o in enumerate(orders):
+        if o is not None and (worst is None or o < worst):
+            worst = o
+            worst_entry = divmod(idx, j.dim)
     if worst is None:
         return ValidationReport("exact")
     if worst == 0:

@@ -582,9 +582,8 @@ def jet_substitute_by_fractions(p: poly.Poly, subs: Sequence[poly.Poly],
     polynomial per call: the image of each monomial is the image one
     degree lower times one substitution (jet_mul_by_fractions), cached
     within the call, and the images are summed one Fraction operation per
-    term, a zero sum popped."""
-    if order != math.inf and any(poly.constant_term(s) for s in subs):
-        raise poly.PolyError("a jet substitution needs substitutions without constant term")
+    term, a zero sum popped.  A monomial above the cut is skipped unless a
+    substitution has a constant term."""
     if not p:
         return {}
     n = len(next(iter(p)))
@@ -599,9 +598,10 @@ def jet_substitute_by_fractions(p: poly.Poly, subs: Sequence[poly.Poly],
             images[e] = jet_mul_by_fractions(image(lower), subs[i], order)
         return images[e]
 
+    top = math.inf if any(poly.constant_term(s) for s in subs) else order
     out: poly.Poly = {}
     for e, c in p.items():
-        if sum(e) > order:
+        if sum(e) > top:
             continue
         for e2, c2 in image(e).items():
             s = out.get(e2, Fraction(0)) + c * c2

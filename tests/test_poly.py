@@ -179,11 +179,11 @@ def _shifted(p, pt):
 
 @given(polys(max_exp=3), points3, st.integers(0, 7))
 def test_shift_is_truncated_substitution(p, pt, order):
-    want = poly.truncate(_shifted(p, pt), order)
-    assert poly.shift(p, pt, order) == want
+    (got,) = poly.shift([p], pt, order)
+    assert got == poly.truncate(_shifted(p, pt), order)
     if order >= poly.total_degree(p):
-        assert poly.shift(p, pt, order) == _shifted(p, pt)
-    assert poly.constant_term(poly.shift(p, pt, order)) == poly.eval_poly(p, pt)
+        assert got == _shifted(p, pt)
+    assert poly.constant_term(got) == poly.eval_poly(p, pt)
 
 
 def test_vector_sums_refuse_fields_of_different_lengths():
@@ -196,42 +196,53 @@ def test_vector_sums_refuse_fields_of_different_lengths():
 
 def test_shift_rejects_a_point_of_the_wrong_length():
     with pytest.raises(poly.PolyError):
-        poly.shift(poly.var(1, 3), [1, 2], 2)
+        poly.shift([poly.var(1, 2), poly.var(1, 3)], [1, 2], 2)
 
 
 @st.composite
 def shift_cases(draw):
-    """A polynomial in 1-4 variables with coefficient denominators up to 12,
-    a point with denominators up to 7, zeros and negatives among its
-    coordinates, and an order from 0 to one past the degree."""
+    """Up to three polynomials in 1-4 variables, zero ones among them, with
+    coefficient denominators up to 12, a point with denominators up to 7,
+    zeros and negatives among its coordinates, and an order from 0 to one
+    past the top degree."""
     n = draw(st.integers(1, 4))
     coeff = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
-    p = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=6))
+    ps = draw(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff,
+                                       max_size=6), max_size=3))
     coord = st.one_of(st.just(0), st.integers(-3, 3),
                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
     pt = draw(st.lists(coord, min_size=n, max_size=n))
-    return p, pt, draw(st.integers(0, poly.total_degree(p) + 1))
+    top = max(map(poly.total_degree, ps), default=0)
+    return ps, pt, draw(st.integers(0, top + 1))
 
 
 @given(shift_cases())
-@example(({}, [Fraction(1, 2)], 0))
+@example(([{}], [Fraction(1, 2)], 0))
 # the y term cancels; then the y1 term cancels and comes back with a later monomial
-@example(({(2,): Fraction(1), (1,): Fraction(-1)}, [Fraction(1, 2)], 2))
-@example(({(1, 0): Fraction(-1), (2, 0): Fraction(1), (1, 1): Fraction(2)},
+@example(([{(2,): Fraction(1), (1,): Fraction(-1)}], [Fraction(1, 2)], 2))
+@example(([{(1, 0): Fraction(-1), (2, 0): Fraction(1), (1, 1): Fraction(2)}],
           [Fraction(1, 2), 1], 2))
-@example(({(2, 1): Fraction(5, 12), (1, 0): Fraction(-7, 11), (0, 3): Fraction(2, 9)},
+@example(([{(2, 1): Fraction(5, 12), (1, 0): Fraction(-7, 11), (0, 3): Fraction(2, 9)}],
           [Fraction(-3, 7), Fraction(2, 5)], 3))
-@example(({(1, 1, 0, 2): Fraction(1, 7), (0, 2, 1, 0): Fraction(-3, 10),
-           (0, 0, 0, 0): Fraction(11)},
+@example(([{(1, 1, 0, 2): Fraction(1, 7), (0, 2, 1, 0): Fraction(-3, 10),
+            (0, 0, 0, 0): Fraction(11)}],
           [0, Fraction(5, 6), -2, Fraction(-1, 7)], 5))
+# the cancelling pairs above in one call, around a zero polynomial: they
+# share the images of x1 and x1^2
+@example(([{(2, 0): Fraction(1), (1, 0): Fraction(-1)}, {},
+           {(1, 0): Fraction(-1), (2, 0): Fraction(1), (1, 1): Fraction(2)}],
+          [Fraction(1, 2), 1], 2))
 def test_shift_matches_the_fraction_loop(case):
-    """The integer-numerator shift gives the Fraction loop's polynomial,
-    in the same key order, with no stored zero and Fraction coefficients."""
-    p, pt, order = case
-    got = poly.shift(p, pt, order)
-    want = shift_by_fractions(p, pt, order)
-    assert got == want and list(got) == list(want)
-    assert all(type(c) is Fraction and c for c in got.values())
+    """One shift call over several polynomials gives the Fraction loop's
+    polynomial for each, in the same key order, with no stored zero and
+    Fraction coefficients."""
+    ps, pt, order = case
+    got = poly.shift(ps, pt, order)
+    assert len(got) == len(ps)
+    for g, p in zip(got, ps):
+        want = shift_by_fractions(p, pt, order)
+        assert g == want and list(g) == list(want)
+        assert all(type(c) is Fraction and c for c in g.values())
 
 
 def test_float_coordinates_are_refused():
@@ -241,9 +252,9 @@ def test_float_coordinates_are_refused():
         with pytest.raises(poly.PolyError, match="float"):
             poly.eval_poly({(1, 0): Fraction(1)}, pt)
         with pytest.raises(poly.PolyError, match="float"):
-            poly.shift({(1, 0): Fraction(1)}, pt, 1)
-        with pytest.raises(poly.PolyError, match="float"):
-            poly.shift({}, pt, 1)
+            poly.shift([{(1, 0): Fraction(1)}], pt, 1)
+        with pytest.raises(poly.PolyError, match="float coordinate"):
+            poly.shift([{}], pt, 1)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.0, 2.0])
@@ -270,30 +281,31 @@ def test_jet_mul_is_truncated_product(a, b, order):
 @example({}, [{}, {}, {}], 2)
 @example({(0, 0, 0): Fraction(3), (1, 0, 2): Fraction(-1)}, [{}, {}, {}], 0)
 def test_jet_substitute_is_truncated_substitution(p, subs, order):
-    subs = [{e: c for e, c in q.items() if any(e)} for q in subs]
+    """Constant terms included: cutting above a degree is a ring
+    homomorphism."""
     assert poly.jet_substitute([p], subs, 2, order) == \
         [poly.truncate(substitute_by_mul(p, subs, 2), order)]
 
 
-def test_jet_substitute_rejects_a_constant_term():
-    """Only under a finite cut: uncut, a constant term is a composition."""
+def test_jet_substitute_reads_monomials_above_the_cut_under_a_constant_term():
+    """With 1 + x2 for x2, x1 x2^3 (degree 4) reaches x1 (degree 1), so a
+    finite cut reads p uncut: the result is the truncated composition."""
     subs = [poly.parse_poly("x1", 2), poly.parse_poly("1 + x2", 2)]
-    with pytest.raises(poly.PolyError, match="constant term"):
-        poly.jet_substitute([poly.parse_poly("x1*x2", 2)], subs, 2, 3)
-    assert poly.jet_substitute([poly.parse_poly("x1*x2", 2)], subs, 2, math.inf) == \
-        [poly.parse_poly("x1 + x1*x2", 2)]
+    p = poly.parse_poly("x1*x2^3 - x1^3", 2)
+    assert poly.jet_substitute([p], subs, 2, 1) == [poly.parse_poly("x1", 2)]
+    for order in (0, 1, 2, 3, 4, math.inf):
+        assert poly.jet_substitute([p], subs, 2, order) == \
+            [poly.truncate(substitute_by_mul(p, subs, 2), order)]
 
 
 @st.composite
 def jet_substitute_cases(draw):
     """Up to three polynomials in 1-3 variables, zero ones among them, one
-    substitution per variable in 1-3 variables and a cut; under a finite
-    cut the substitutions lose their constant terms."""
+    substitution per variable in 1-3 variables, constant terms among them,
+    and a cut."""
     n, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(jet_orders(5))
     ps = draw(st.lists(jet_polys(n), max_size=3))
     subs = draw(st.lists(jet_polys(m, 4), min_size=n, max_size=n))
-    if order != math.inf:
-        subs = [_no_constant(q) for q in subs]
     return ps, subs, m, order
 
 
@@ -337,12 +349,12 @@ def test_jet_substitute_checks_every_substitution_up_front():
 def test_jet_brackets_are_jets_of_lie_brackets(fields, pt, order):
     """Brackets of (order + 1)-jets, cut at order, are the order-jets of
     the global brackets; the pairs may repeat and run in either direction."""
-    jets = [[poly.shift(c, pt, order + 1) for c in f] for f in fields]
+    jets = [poly.shift(f, pt, order + 1) for f in fields]
     pairs = [(0, 1), (1, 0), (2, 0), (1, 1), (0, 1)]
     got = poly.jet_brackets(jets, pairs, order)
     for (i, k), br in zip(pairs, got):
         want = lie_bracket(fields[i], fields[k], 3)
-        assert br == [poly.shift(c, pt, order) for c in want]
+        assert br == poly.shift(want, pt, order)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +522,6 @@ def poly_returning_functions():
                   and typing.get_type_hints(f).get("return") in POLY_RETURNS)
 
 
-def _no_constant(q):
-    return {e: c for e, c in q.items() if any(e)}
-
-
 # name -> (arguments from three polynomials a, b, c in 3 variables, number of
 # variables of the result); with b = -a, as in the example below, the first
 # component of the matrix products and the bracket of a field with itself
@@ -526,15 +534,14 @@ CANONICAL_CASES = {
     "jet_apply_columns": lambda a, b, c: (([[a, c], [a, b]], [[b, a], [a, c]], 2), 3),
     "jet_brackets": lambda a, b, c: (([[a, b, c], [c, a, b]], [(0, 1), (1, 0), (1, 1)], 2), 3),
     "jet_mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a), 2), 3),
-    "jet_substitute": lambda a, b, c: (
-        ([a, b, {}], [_no_constant(b), _no_constant(c), _no_constant(poly.neg(b))], 3, 2), 3),
+    "jet_substitute": lambda a, b, c: (([a, b, {}], [b, c, poly.neg(b)], 3, 2), 3),
     "low_degree_part": lambda a, b, c: ((a, 2), 3),
     "monomial": lambda a, b, c: (((1, 0, 2), poly.constant_term(b)), 3),
     "mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a)), 3),
     "neg": lambda a, b, c: ((a,), 3),
     "parse_poly": lambda a, b, c: ((poly.format_poly(a), 3), 3),
     "scale": lambda a, b, c: ((a, poly.constant_term(b)), 3),
-    "shift": lambda a, b, c: ((a, [Fraction(1, 2), -1, 0], 3), 3),
+    "shift": lambda a, b, c: (([a, b, {}], [Fraction(1, 2), -1, 0], 3), 3),
     "sub": lambda a, b, c: ((a, b), 3),
     "substitute": lambda a, b, c: ((a, [b, c, a], 3), 3),
     "truncate": lambda a, b, c: ((a, 2), 3),

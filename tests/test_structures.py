@@ -33,7 +33,7 @@ from nijcalc.tensor import PointTensor, TensorError, alternating_rep
 from reference import (appendix_tensor_by_minors, digest, doubling_by_formula,
                        jacobi_violation_by_basis, left_invariant_by_identities,
                        lie_bracket_by_table, linear_nijenhuis_by_cases,
-                       membership_violation_by_pairs)
+                       membership_violation_by_pairs, shift_by_fractions)
 
 
 def as_matrix(j):
@@ -148,10 +148,34 @@ def test_validate_rejects_a_base_point_of_the_wrong_length():
 
 def test_vanishing_order_shifts_base_point():
     p = poly.parse_poly("x1^2 - 2*x1*x2 + x2^2", 2)  # (x1 - x2)^2
-    assert vanishing_order(p, [0, 0], 2) == 2
-    assert vanishing_order(p, [1, 1], 2) == 2
-    assert vanishing_order(p, [1, 0], 2) == 0
-    assert vanishing_order(poly.zero(), [0, 0], 2) is None
+    assert vanishing_order(p, [0, 0]) == 2
+    assert vanishing_order(p, [1, 1]) == 2
+    assert vanishing_order(p, [1, 0]) == 0
+    assert vanishing_order(poly.zero(), [0, 0]) is None
+    # the point's length is the number of variables: no coordinate is dropped
+    for pt in ([1, 1, 7], [1, 0, 0], [1]):
+        with pytest.raises(poly.PolyError, match="substitutions for 2 variables"):
+            vanishing_order(p, pt)
+    with pytest.raises(ValueError):
+        vanishing_order(p, [1, 0, "junk"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 50),
+       st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                min_size=6, max_size=6),
+       st.integers(0, 3))
+def test_jet_is_the_shift_of_each_entry(n, seed, coords, order):
+    """One shift of every entry of J equals each entry shifted alone by the
+    Fraction loop, in values and key order."""
+    j = random_structure(n, seed)
+    pt = coords[:j.dim]
+    jet = j.jet(pt, order)
+    assert len(jet) == j.dim and all(len(col) == j.dim for col in jet)
+    for col, got_col in zip(j.cols, jet):
+        for p, got in zip(col, got_col):
+            want = shift_by_fractions(p, pt, order)
+            assert got == want and list(got) == list(want)
 
 
 def test_apply_to_field():

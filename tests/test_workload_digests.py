@@ -20,7 +20,7 @@ import workloads  # noqa: E402
 
 SEED_1_DIGESTS = {
     "torsion4": "8222f723d28208aa",
-    "jet_lift": "e3b85ad000f89081",
+    "jet_lift": "913b07deef562164",
     "genpos": "da7a24b47c51a7e7",
     "frame4": "ca8e251e7a6a9c97",
 }
