@@ -16,9 +16,9 @@ computed once per lift step by truncated composition, every entry of J_M
 through one call of poly.jet_substitute, cut above the degree the step
 needs.  Its degree-(r - 1) part is the order-r residual and depends only
 on Phi^(1..r), so one polynomial built from Phi^(1..k-1) shows that the
-input orders vanish and, in its top part, gives -P_k.  The structures are shifted to the base points once per
-lift or tower (StructureField.jet) and every derivative is read off those
-jets.
+input orders vanish and, in its top part, gives -P_k.  The structures are
+shifted to the base points once per lift or tower (StructureField.jet)
+and every derivative is read off those jets.
 
 Every residual is symmetric in its trailing slots, so each residual
 tensor is read off the composition at the index tuples whose trailing
@@ -43,23 +43,33 @@ sum_q q u_q over the (p, q)-types of u; T v = -B Dv(h)[A h] acts on type
 (p, q) as p - q = k - 2q, and u = pi(T) g with pi the degree-(k - 1)
 interpolant of 2/(k - lambda) at lambda = k - 2, k - 4, ..., -k.  Since
 ker zeta on symmetric symbols is the type-(k, 0) part, this is the unique
-solution without a (k, 0) part.  It takes k - 1 applications of T, each
-a sparse polynomial operation, exact over Q.
+solution without a (k, 0) part.  It takes k - 1 applications of T.
+
+The homotopy runs on integer rows.  A homogeneous vector polynomial of
+degree k is held by its coefficients times alpha!, one row per sorted
+k-tuple of multiplicities alpha, over one denominator; for u these rows
+are Phi^(k) at the sorted tuples.  A, B and P_k, at its representatives
+(a, rest) only, are read as integer numerators over one lcm each.  On
+the rows T's derivation moves alpha'_c A[b][c] times the row at
+rest + e_b to alpha' = rest + e_c, and -B follows; g's row at rest + e_a
+sums -1/2 (m_a + 1) B P_k(e_a, rest), m_a the multiplicity of a in rest.
+Each Horner step multiplies the denominator by those of A and B.
 
 Each P_k is decided once, inside symmetrize, by certifying the symbol
 solved for it: the symbol is fully symmetric, and u read back from its
-sorted representatives satisfies the polynomial equation above.  Once
-an orbit check has shown P_k symmetric in its trailing slots, that is
-zeta(Phi^(k)) == P_k over every index tuple, and as every zeta image
-meets the three conditions, they need no check of their own.  The dense
-defect tensors (defect_conditions) are built only when a check fails, as
-the witness of the failure.  The certified equation is the order-k
-residual of the lifted map, so lift_tower starts each later step from
-the order it has just lifted.
+sorted representatives satisfies the polynomial equation above, checked
+in integers at each (a, rest).  Once an orbit check has shown P_k
+symmetric in its trailing slots, that is zeta(Phi^(k)) == P_k over every
+index tuple, and as every zeta image meets the three conditions, they
+need no check of their own.  The dense defect tensors (defect_conditions)
+are built only when a check fails, as the witness of the failure.  The
+certified equation is the order-k residual of the lifted map, so
+lift_tower starts each later step from the order it has just lifted.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
@@ -607,11 +617,11 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     """Canonical fully symmetric Phi^(k) with zeta(Phi^(k)) = P_k.
 
     Solved by the dbar homotopy of the module docstring, with A = J_L(x)
-    and B = J_M(y) the structures at the base points.  The result is the
-    unique solution without a type-(k, 0) part, so it is also the
-    completion that projects -1/2 B o P_k slot by slot onto its linear and
-    antilinear parts and adjoins the permuted components (the display
-    formula at k = 3).
+    and B = J_M(y) the structures at the base points, on integer rows.
+    The result is the unique solution without a type-(k, 0) part, so it is
+    also the completion that projects -1/2 B o P_k slot by slot onto its
+    linear and antilinear parts and adjoins the permuted components (the
+    display formula at k = 3).
 
     Its certification decides P_k (module docstring): when the orbit
     check of trailing symmetry or the certification fails, the first
@@ -620,43 +630,62 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     _check_defect_shapes(p_k, j_l_at, j_m_at)
     if not p_k.respects(_trailing_rep):
         _fail_with_witness(p_k, j_l_at, j_m_at)
-    k, n = p_k.arity, p_k.dim_in
-    q = [_slot_polys(p_k, (a,)) for a in range(n)]
+    k, n, m = p_k.arity, p_k.dim_in, p_k.dim_out
+    rests = list(itertools.combinations_with_replacement(range(n), k - 1))
+    reps = list(itertools.combinations_with_replacement(range(n), k))
+    at = {rep: i for i, rep in enumerate(reps)}
+    # up[r][b]: the position in reps of the sorted rests[r] + (b,)
+    up = [[at[tuple(sorted(rest + (b,)))] for b in range(n)] for rest in rests]
+    (a_num, d_a), (b_num, d_b) = (_integer_rows(j.entries) for j in (j_l_at, j_m_at))
+    p_num, d_p = _integer_rows({(a,) + rest: p_k.entries[(a,) + rest]
+                                for rest in rests for a in range(n)})
+    # column c of A as (b, A[b][c]); B by rows
+    a_cols = [[(b, x) for b, x in enumerate(a_num[(c,)]) if x] for c in range(n)]
+    b_rows = [[b_num[(c,)][i] for c in range(m)] for i in range(m)]
 
-    def apply(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> List[PolyVec]:
-        return poly.jet_apply_columns(cols, xs, math.inf)
-
-    def columns(m: PointTensor, c) -> List[PolyVec]:
-        """c m as constant polynomial columns."""
-        return [[poly.const(c * x, n) for x in m.entries[(b,)]]
-                for b in range(m.dim_in)]
-
-    a_cols, b_cols = columns(j_l_at, 1), columns(j_m_at, 1)
-    minus_b, half_b = columns(j_m_at, -1), columns(j_m_at, Fraction(-1, 2))
-    h = [poly.var(b + 1, n) for b in range(n)]
-    [a_h] = apply(a_cols, [h])
-
-    def t_op(v: PolyVec) -> PolyVec:
-        """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
-        return apply(minus_b, apply(_gradient(v, n), [a_h]))[0]
-
-    [g] = apply(apply(half_b, q), [h])
+    def b_times(v: List[int]) -> List[int]:
+        return [sum(map(operator.mul, row, v)) for row in b_rows] if any(v) else v
+    # T's weights, alpha'_c A[b][c] from rest + (b,) to alpha' = rest + (c,),
+    # and g = -1/2 B sum_a h_a Q_a over 2 d_p d_b, both by rows
+    steps: List[List[Tuple[int, int]]] = [[] for _ in reps]
+    g = [[0] * m] * len(reps)
+    for r, rest in enumerate(rests):
+        for c in range(n):
+            w = rest.count(c) + 1
+            for b, x in a_cols[c]:
+                steps[up[r][b]].append((up[r][c], w * x))
+            if any(row := p_num[(c,) + rest]):
+                g[up[r][c]] = [x - w * y for x, y in zip(g[up[r][c]], b_times(row))]
+    g_den = 2 * d_p * d_b
     # pi in Newton form on the nodes k - 2, k - 4, .., -k: its divided
     # differences are 1/(2^j (j + 1)!), and Horner step j applies
-    # T - (k - 2(j + 1))
-    u = poly.vec_scale(g, Fraction(1, 2 ** (k - 1) * math.factorial(k)))
+    # T - (k - 2(j + 1)); the denominator grows by d_a d_b a step
+    u, den = g, g_den * 2 ** (k - 1) * math.factorial(k)
     for j in range(k - 2, -1, -1):
-        u = poly.vec_add(poly.vec_sub(t_op(u), poly.vec_scale(u, k - 2 * j - 2)),
-                         poly.vec_scale(g, Fraction(1, 2 ** j * math.factorial(j + 1))))
-
-    phi = PointTensor.from_orbits(
-        n, p_k.dim_out, k, symmetric_rep, lambda rep: _slot_entry(u, rep, n))
+        du = [[0] * m] * len(reps)
+        for src, row in enumerate(u):
+            if any(row):
+                for dst, w in steps[src]:
+                    du[dst] = [x + w * y for x, y in zip(du[dst], row)]
+        den *= d_a * d_b
+        w_u, w_g = (k - 2 * j - 2) * d_a * d_b, den // (g_den * 2 ** j * math.factorial(j + 1))
+        u = [[w_g * y - w_u * x - z for x, y, z in zip(uv, gv, b_times(dv))]
+             for uv, dv, gv in zip(u, du, g)]
+    zero = Fraction(0)
+    phi = PointTensor.from_orbits(n, m, k, symmetric_rep, lambda rep: [
+        Fraction(c, den) if c else zero for c in u[at[rep]]])
     if not phi.respects(symmetric_rep):
         raise InternalInconsistencyError("symmetrized symbol is not symmetric")
-    # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi
-    du = _gradient(_slot_polys(phi, ()), n)
-    if list(map(poly.vec_sub, apply(b_cols, du), apply(du, a_cols))) != q:
-        _fail_with_witness(p_k, j_l_at, j_m_at)
+    # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi: over beta!
+    # at h^beta, rest of multiplicities beta, it is zeta(Phi)(e_a, rest) = P_k(e_a, rest)
+    phi_num, d_phi = _integer_rows({rep: phi.entries[rep] for rep in reps})
+    for r, rest in enumerate(rests):
+        for a in range(n):
+            lhs = [d_p * d_a * x for x in b_times(phi_num[reps[up[r][a]]])]
+            for b, x in a_cols[a]:
+                lhs = [y - d_p * d_b * x * z for y, z in zip(lhs, phi_num[reps[up[r][b]]])]
+            if lhs != [d_phi * d_a * d_b * y for y in p_num[(a,) + rest]]:
+                _fail_with_witness(p_k, j_l_at, j_m_at)
     return JetSymbol(k, phi)
 
 

@@ -48,11 +48,14 @@ def zero() -> Poly:
 
 def _exact(c: Scalar, what: str = "coefficient") -> Fraction:
     """c as a Fraction.  A float raises PolyError: it would be read as the
-    nearest binary fraction, an exact answer to another question."""
+    nearest binary fraction, an exact answer to another question.  So does
+    a string, which Fraction would parse as a number."""
     if type(c) is Fraction:
         return c
     if isinstance(c, float):
         raise PolyError(f"float {what} {c!r}: must be exact")
+    if isinstance(c, str):
+        raise PolyError(f"string {what} {c!r}: must be a number")
     return Fraction(c)
 
 

@@ -53,9 +53,12 @@ class TensorError(ValueError):
 
 def _exact(c) -> Fraction:
     """c as a Fraction.  A float raises TensorError: it would be read as
-    the nearest binary fraction, an exact answer to another question."""
+    the nearest binary fraction, an exact answer to another question.  So
+    does a string, which Fraction would parse as a number."""
     if isinstance(c, float):
         raise TensorError(f"float value {c!r}: tensors must be exact")
+    if isinstance(c, str):
+        raise TensorError(f"string value {c!r}: tensors hold numbers")
     return Fraction(c)
 
 

@@ -72,6 +72,12 @@ Some small helpers only the tests use live here too: matrix products,
 the full solution set of a linear system, and a vector form evaluated on
 constant vectors or composed with a structure.
 
+The canonical jet symbol solved by the dbar homotopy on polynomials
+(symmetrize_by_polynomials), with the constant matrices A = J_L(x) and
+B = J_M(y) written as constant polynomial columns and the solution
+certified as a polynomial identity, is the oracle of jets.symmetrize,
+which runs the same homotopy and certificate on integer rows.
+
 digest fingerprints exact outputs, so a test can pin what an earlier
 construction returned without keeping that construction.
 """
@@ -82,14 +88,15 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nijcalc import linalg, poly
+from nijcalc import jets, linalg, poly
 from nijcalc.forms import VectorForm
 from nijcalc.genpos import _complex_complement
 from nijcalc.invariants import jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.quadext import QuadExt
 from nijcalc.structures import StructureField, standard_matrix
-from nijcalc.tensor import Index, PointTensor, alternating_rep, pair_pattern_rep
+from nijcalc.tensor import (Index, PointTensor, alternating_rep, pair_pattern_rep,
+                            symmetric_rep)
 
 
 def mat_scale(a, c):
@@ -1065,3 +1072,49 @@ def digest(value) -> str:
             return [plain(y) for y in x]
         return x
     return hashlib.sha256(repr(plain(value)).encode()).hexdigest()[:16]
+
+
+def symmetrize_by_polynomials(p_k: PointTensor, j_l_at: PointTensor,
+                              j_m_at: PointTensor) -> jets.JetSymbol:
+    """jets.symmetrize with Q_a, g and u as polynomial vectors: every
+    product by A or B, and every application of T v = -B Dv(h)[A h], is a
+    poly.jet_apply_columns call on constant polynomial columns.  The symbol
+    is certified by B d_a u - sum_b A[b][a] d_b u = Q_a as polynomials, u
+    read back from it; a failure raises what jets._fail_with_witness
+    raises."""
+    jets._check_defect_shapes(p_k, j_l_at, j_m_at)
+    if not p_k.respects(jets._trailing_rep):
+        jets._fail_with_witness(p_k, j_l_at, j_m_at)
+    k, n = p_k.arity, p_k.dim_in
+    q = [jets._slot_polys(p_k, (a,)) for a in range(n)]
+
+    def apply(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> List[PolyVec]:
+        return poly.jet_apply_columns(cols, xs, math.inf)
+
+    def columns(m: PointTensor, c) -> List[PolyVec]:
+        """c m as constant polynomial columns."""
+        return [[poly.const(c * x, n) for x in m.entries[(b,)]]
+                for b in range(m.dim_in)]
+
+    a_cols, b_cols = columns(j_l_at, 1), columns(j_m_at, 1)
+    minus_b, half_b = columns(j_m_at, -1), columns(j_m_at, Fraction(-1, 2))
+    h = [poly.var(b + 1, n) for b in range(n)]
+    [a_h] = apply(a_cols, [h])
+
+    def t_op(v: PolyVec) -> PolyVec:
+        """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
+        return apply(minus_b, apply(jets._gradient(v, n), [a_h]))[0]
+
+    [g] = apply(apply(half_b, q), [h])
+    # pi in Newton form on the nodes k - 2, k - 4, .., -k
+    u = poly.vec_scale(g, Fraction(1, 2 ** (k - 1) * math.factorial(k)))
+    for j in range(k - 2, -1, -1):
+        u = poly.vec_add(poly.vec_sub(t_op(u), poly.vec_scale(u, k - 2 * j - 2)),
+                         poly.vec_scale(g, Fraction(1, 2 ** j * math.factorial(j + 1))))
+
+    phi = PointTensor.from_orbits(
+        n, p_k.dim_out, k, symmetric_rep, lambda rep: jets._slot_entry(u, rep, n))
+    du = jets._gradient(jets._slot_polys(phi, ()), n)
+    if list(map(poly.vec_sub, apply(b_cols, du), apply(du, a_cols))) != q:
+        jets._fail_with_witness(p_k, j_l_at, j_m_at)
+    return jets.JetSymbol(k, phi)

@@ -53,7 +53,8 @@ from nijcalc.tensor import (
     solution_basis,
     symmetric_rep,
 )
-from reference import differential, digest, mat_mul, structure_as_field
+from reference import (differential, digest, mat_mul, structure_as_field,
+                       symmetrize_by_polynomials)
 
 HALF = Fraction(1, 2)
 ZERO4 = tuple(Fraction(0) for _ in range(4))
@@ -492,7 +493,7 @@ def test_defect_checks_refuse_structures_of_the_wrong_shape(monkeypatch, check, 
     jl0 = p_k if p_as_j_l else rand_point_structure(l_dim // 2, rng)
     jm0 = rand_point_structure(m_dim // 2, rng)
     contractions = calls_of(monkeypatch, jets, "contraction_sum")
-    reads = calls_of(monkeypatch, jets, "_slot_polys")
+    reads = calls_of(monkeypatch, jets, "_integer_rows")
     with pytest.raises(StructureError) as exc:
         check(p_k, jl0, jm0)
     assert type(exc.value) is StructureError
@@ -563,12 +564,12 @@ def assert_decided_like_the_dense_conditions(p_k, jl0, jm0):
 
 
 @st.composite
-def defect_draws(draw):
-    k = draw(st.integers(1, 4))
+def defect_draws(draw, max_k=4, max_n=2):
+    k = draw(st.integers(1, max_k))
     kinds = ["zeta", "random", "antilinearity"] + ["swap_conjugation"] * (k >= 2) + \
         ["trailing_symmetry"] * (k >= 3)
-    return (k, draw(st.sampled_from(kinds)), draw(st.integers(1, 2)), draw(st.integers(1, 2)),
-            draw(st.integers(0, 2 ** 32)))
+    return (k, draw(st.sampled_from(kinds)), draw(st.integers(1, max_n)),
+            draw(st.integers(1, max_n)), draw(st.integers(0, 2 ** 32)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -583,6 +584,42 @@ def test_symmetrize_decides_like_the_dense_conditions(drawn):
         assert failing == []
     elif kind != "random":
         assert set(failing) <= {kind}
+
+
+@settings(max_examples=30, deadline=None)
+@given(defect_draws(max_k=5, max_n=3))
+def test_symmetrize_matches_the_polynomial_homotopy(drawn):
+    """The homotopy and certificate on integer rows give the symbol of the
+    polynomial homotopy, or raise its condition with its defect, value for
+    value and type for type."""
+    k, kind, n_in, n_out, seed = drawn
+    rng = random.Random(seed)
+    jl0, jm0 = rand_point_structure(n_in, rng), rand_point_structure(n_out, rng)
+    p_k = drawn_defect(kind, k, jl0, jm0, rng)
+    outcomes = []
+    for solve in (symmetrize, symmetrize_by_polynomials):
+        try:
+            outcomes.append(digest(solve(p_k, jl0, jm0).tensor))
+        except DefectConditionError as err:
+            outcomes.append((err.condition, digest(err.defect)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_symmetrize_makes_no_polynomial_products(monkeypatch):
+    """symmetrize solves and certifies on integer rows, read by
+    _integer_rows: neither a solvable nor an obstructed P_k reaches the
+    polynomial kernels.  A direct call afterwards shows the spies live."""
+    applied = calls_of(monkeypatch, poly, "jet_apply_columns")
+    products = calls_of(monkeypatch, poly, "_products")
+    reads = calls_of(monkeypatch, jets, "_integer_rows")
+    rng = random.Random(7)
+    jl0, jm0 = rand_point_structure(2, rng), rand_point_structure(2, rng)
+    for kind, failing in (("zeta", []), ("swap_conjugation", ["swap_conjugation"])):
+        p_k = drawn_defect(kind, 3, jl0, jm0, rng)
+        assert assert_decided_like_the_dense_conditions(p_k, jl0, jm0) == failing
+    assert applied == [] and products == [] and reads != []
+    poly.jet_apply_columns([[poly.const(1, 1)]], [[poly.var(1, 1)]], math.inf)
+    assert len(applied) == 1 and len(products) == 1
 
 
 def test_each_drawn_condition_fails_alone():

@@ -257,6 +257,20 @@ def test_float_coordinates_are_refused():
             poly.shift([{}], pt, 1)
 
 
+def test_strings_are_refused_as_numbers():
+    """Fraction would parse a string as a number; evaluation, shifting,
+    const and scale refuse it by value instead of reading (1/2, 0)."""
+    p = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
+    with pytest.raises(poly.PolyError, match="string coordinate '1/2'"):
+        poly.eval_poly(p, ['1/2', '0'])
+    with pytest.raises(poly.PolyError, match="string coordinate '1/2'"):
+        poly.shift([p], ['1/2', 0], 2)
+    with pytest.raises(poly.PolyError, match="string coefficient '1/2'"):
+        poly.const('1/2', 2)
+    with pytest.raises(poly.PolyError, match="string coefficient '2'"):
+        poly.scale(p, '2')
+
+
 @pytest.mark.parametrize("c", [0.1, 0.0, 2.0])
 def test_float_coefficients_are_refused(c):
     """const, monomial and scale refuse a float coefficient, even a float

@@ -156,7 +156,7 @@ def test_vanishing_order_shifts_base_point():
     for pt in ([1, 1, 7], [1, 0, 0], [1]):
         with pytest.raises(poly.PolyError, match="substitutions for 2 variables"):
             vanishing_order(p, pt)
-    with pytest.raises(ValueError):
+    with pytest.raises(poly.PolyError, match="string coordinate 'junk'"):
         vanishing_order(p, [1, 0, "junk"])
 
 

@@ -118,6 +118,14 @@ def test_apply_rejects_floats_and_bad_shapes():
         t.apply([[1, 0], [1, 0, 0]])
 
 
+def test_from_matrix_and_scale_refuse_strings():
+    """Fraction would parse '1/2' as one half; a tensor refuses it by value."""
+    with pytest.raises(tensor.TensorError, match="string value '1/2'"):
+        PointTensor.from_matrix([['1/2']])
+    with pytest.raises(tensor.TensorError, match="string value '2'"):
+        PointTensor.from_matrix([[1]]).scale('2')
+
+
 @pytest.mark.parametrize("c", [0.1, 0.0, 1.0])
 def test_constructors_and_scale_refuse_floats(c):
     """A float value would be stored as its binary fraction: every
