@@ -23,8 +23,8 @@ from .structures import (StructureError, doubled_block_j,
                          doubled_nijenhuis_from_free_data,
                          linear_membership_violation,
                          linear_nijenhuis_from_free_data, standard_matrix)
-from .tensor import (PointTensor, alternating_rep, identity_map, kernel_matrix,
-                     post_compose)
+from .tensor import (PointTensor, alternating_rep, identity_map, kernel_matrices,
+                     kernel_matrix, post_compose)
 
 Vector = List[Fraction]
 
@@ -226,7 +226,10 @@ def general_position_test(n_tensor: PointTensor, sample_count: int,
     b_1 + sum_k t_k b_k; else the first grid point with nu = 2 is the
     witness, and samples_tested counts the random samples only.  nu and
     the Gram certificate come from one matrix of eta -> N(xi, eta) per
-    point, and nu = 2 <=> positive certificate is rechecked at each.
+    point, and nu = 2 <=> positive certificate is rechecked at each.  N is
+    read twice, by the antilinearity check and by kernel_matrices, which
+    then accumulates each point's matrix as the samples and the grid reach
+    it: the test stops at the first point with nu = 2.
 
     j, the standard structure by default, must be a complex structure on
     the tensor's space, and the tensor antilinear for it; both are checked.
@@ -246,8 +249,9 @@ def general_position_test(n_tensor: PointTensor, sample_count: int,
             if not linalg.vec_is_zero(xi):
                 yield True, xi
 
-    for sampled, xi in itertools.chain(samples(), ((False, xi) for xi in _grid(n_tensor, jm))):
-        m = kernel_matrix(n_tensor, xi)
+    points, xis = itertools.tee(
+        itertools.chain(samples(), ((False, xi) for xi in _grid(n_tensor, jm))))
+    for (sampled, xi), m in zip(points, kernel_matrices(n_tensor, (xi for _, xi in xis))):
         nu = dim - linalg.rank(m)
         cert = _gram_certificate(m, _complex_complement(jm, xi))
         if (nu == 2) != cert["positive"]:

@@ -674,8 +674,6 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     zero = Fraction(0)
     phi = PointTensor.from_orbits(n, m, k, symmetric_rep, lambda rep: [
         Fraction(c, den) if c else zero for c in u[at[rep]]])
-    if not phi.respects(symmetric_rep):
-        raise InternalInconsistencyError("symmetrized symbol is not symmetric")
     # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi: over beta!
     # at h^beta, rest of multiplicities beta, it is zeta(Phi)(e_a, rest) = P_k(e_a, rest)
     phi_num, d_phi = _integer_rows({rep: phi.entries[rep] for rep in reps})
@@ -686,7 +684,11 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
                 lhs = [y - d_p * d_b * x * z for y, z in zip(lhs, phi_num[reps[up[r][b]]])]
             if lhs != [d_phi * d_a * d_b * y for y in p_num[(a,) + rest]]:
                 _fail_with_witness(p_k, j_l_at, j_m_at)
-    return JetSymbol(k, phi)
+    # phi is symmetric by construction; JetSymbol's one scan confirms it
+    try:
+        return JetSymbol(k, phi)
+    except StructureError as err:
+        raise InternalInconsistencyError("symmetrized symbol is not symmetric") from err
 
 
 # -- low-order obstructions ------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
 from .poly import Poly, PolyVec
-from .tensor import PointTensor, alternating_rep, contraction_sum, slot_compose
+from .tensor import PointTensor, alternating_rep, first_nonzero_sum, slot_compose
 
 
 class StructureError(ValueError):
@@ -205,17 +205,15 @@ def example_structure(which: str, eps: Union[int, Fraction] = 0,
 
 def linear_membership_violation(n_tensor: PointTensor,
                                 j_map: PointTensor) -> Optional[Tuple]:
-    """First index pair where N(j a, b) = N(a, j b) = -j N(a, b) fails, or None."""
-    # N(j a, b) + j N(a, b) and N(a, j b) + j N(a, b)
+    """First index pair where N(j a, b) = N(a, j b) = -j N(a, b) fails, or None.
+
+    N and j are read once for both sides, N(j a, b) + j N(a, b) and
+    N(a, j b) + j N(a, b), and the first nonzero is found on their
+    accumulated sums (first_nonzero_sum): no Fraction is built."""
     dim = n_tensor.dim_in
-    left, right = (contraction_sum(dim, dim, 2, [
-        (1, n_tensor, j_map, slot, None), (1, j_map, n_tensor, None, None)]).entries for slot in (0, 1))
-    for idx in sorted(left):
-        if any(left[idx]):
-            return (*idx, "N(j a, b)")
-        if any(right[idx]):
-            return (*idx, "N(a, j b)")
-    return None
+    hit = first_nonzero_sum(dim, dim, 2, [
+        [(1, n_tensor, j_map, slot, None), (1, j_map, n_tensor, None, None)] for slot in (0, 1)])
+    return None if hit is None else (*hit[0], ("N(j a, b)", "N(a, j b)")[hit[1]])
 
 
 def realize_nijenhuis(n_tensor: PointTensor) -> StructureField:

@@ -25,12 +25,16 @@ tensor against a rule.
 contraction_sum is the one contraction kernel: a signed sum of slot
 contractions, post-compositions and plain tensors, each with its slots
 permuted into the output order, summed on integer numerators with one
-Fraction per nonzero output component.  slot_compose (a tensor of any
-arity fed into one slot of another), post_compose and precompose_all (a
-linear map in every slot) are its one-term calls.  A linear equation on
-tensors is stated once, as a contraction_sum, and solved as the
-nullspace of matrix_of, the matrix of the operator on a basis of
-unknowns such as a unit_basis (solution_basis).
+Fraction per nonzero output component.  It reads each input into rows
+(its nonzero components, integers over its lcm) and then accumulates the
+terms over them, so a caller contracting one tensor many times reads it
+once: first_nonzero_sum, several sums over the same inputs scanned
+before any Fraction is built, and kernel_matrices, at many points.  slot_compose (a tensor of any arity fed
+into one slot of another), post_compose and precompose_all (a linear map
+in every slot) are its one-term calls, each reading its own inputs.  A
+linear equation on tensors is stated once, as a contraction_sum, and
+solved as the nullspace of matrix_of, the matrix of the operator on a
+basis of unknowns such as a unit_basis (solution_basis).
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
+from .quadext import QuadExt
 
 Index = Tuple[int, ...]
 SignRule = Callable[[Index], Tuple[Index, int]]
@@ -297,6 +302,8 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
 
 
 _ZERO = Fraction(0)
+# by input id, (d, rows): rows[idx] the nonzero components (i, value) of entry idx
+_Read = Dict[int, Tuple[int, Dict[Index, List[tuple]]]]
 
 
 def contraction_sum(dim_in: int, dim_out: int, arity: int, terms: Sequence[tuple]) -> PointTensor:
@@ -305,29 +312,73 @@ def contraction_sum(dim_in: int, dim_out: int, arity: int, terms: Sequence[tuple
     is None, or inner when outer is None too; its k-th slot goes to output
     slot perm[k] (None: slot k), so no term needs a swap_slots.
 
-    Each distinct input is read once, as the nonzero components of each
-    entry, integers over the lcm of its denominators.  A term's products
+    Each distinct input is read once (_read), as the nonzero components of
+    each entry, integers over the lcm of its denominators.  A term's products
     are numerators over the product d of its inputs' lcms; weighted by
     D // d, D the lcm of every d, they are summed in one integer per output
-    component, and each nonzero sum becomes one Fraction(sum, D).  With a
-    QuadExt in any input the values themselves are summed, over D = 1.
-    Every component comes out a Fraction or a QuadExt."""
-    return PointTensor(dim_in, dim_out, arity,
-                       _contraction_sum(terms, [dim_in] * arity, dim_out))
+    component, and each nonzero sum becomes one Fraction(sum, D), a zero
+    sum the shared zero.  With a QuadExt in any input the values themselves
+    are summed, over D = 1.  Every component comes out a Fraction or a
+    QuadExt."""
+    return PointTensor(dim_in, dim_out, arity, _contraction_sum(
+        terms, [dim_in] * arity, dim_out,
+        _read(t for term in terms for t in term[1:3] if t is not None)[1]))
 
 
-def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int) -> Dict[Index, List]:
-    """contraction_sum's entries, per-slot dimensions dims (mixed in precompose_all)."""
-    tensors = {id(t): t for term in terms for t in term[1:3] if t is not None}
-    try:
-        lcms, exact = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
-                       for k, t in tensors.items()}, True
-    except AttributeError:  # a QuadExt component: sum the values themselves
-        lcms, exact = dict.fromkeys(tensors, 1), False
-    rows = {k: {idx: [(i, x.numerator * (lcms[k] // x.denominator) if exact else x)
-                      for i, x in enumerate(v) if x] for idx, v in t.entries.items()}
-            for k, t in tensors.items()}
-    term_dens = [lcms[id(inner)] * (lcms[id(outer)] if outer is not None else 1)
+def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
+                      sums: Sequence[Sequence[tuple]]) -> Optional[Tuple[Index, int]]:
+    """The first index tuple, in product order, where one of several
+    contraction_sums (each a list of terms) has a nonzero component, and
+    the position of the first such sum there; None when all vanish.  Each
+    distinct input of the sums is read once, and the sums are scanned as
+    accumulated, integer numerators on rational input: no Fraction is
+    built."""
+    read = _read(t for terms in sums for term in terms for t in term[1:3] if t is not None)[1]
+    accs = [_accumulate(terms, [dim_in] * arity, dim_out, read)[0] for terms in sums]
+    for idx, at_idx in zip(itertools.product(range(dim_in), repeat=arity), zip(*accs)):
+        for k, acc in enumerate(at_idx):
+            if any(acc):
+                return idx, k
+    return None
+
+
+def _read(tensors: Iterable[PointTensor], exact: bool = True) -> Tuple[bool, _Read]:
+    """The kernel's reading stage.  Exact, a value in rows is an integer
+    numerator over d, the lcm of the tensor's denominators; with a QuadExt
+    in any of the tensors, or exact False, it is the value itself, d = 1.
+    One accumulation sums numerators or values, never both, so the choice
+    is joint over its inputs; it is returned with the rows."""
+    tensors = {id(t): t for t in tensors}
+    lcms = dict.fromkeys(tensors, 1)
+    if exact:
+        try:
+            lcms = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
+                    for k, t in tensors.items()}
+        except AttributeError:  # a QuadExt component: read the values themselves
+            exact = False
+    return exact, {k: (lcms[k], {idx: [(i, x.numerator * (lcms[k] // x.denominator) if exact else x)
+                                       for i, x in enumerate(v) if x]
+                                 for idx, v in t.entries.items()})
+                   for k, t in tensors.items()}
+
+
+def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int,
+                     read: _Read) -> Dict[Index, List]:
+    """contraction_sum's entries, per-slot dimensions dims (mixed in
+    precompose_all), from one _read of every input."""
+    accs, den = _accumulate(terms, dims, dim_out, read)
+    # an int sum, every sum on rational input, is a numerator over den
+    return dict(zip(itertools.product(*map(range, dims)),
+                    ([a if type(a) is not int else Fraction(a, den) if a else _ZERO for a in acc]
+                     for acc in accs)))
+
+
+def _accumulate(terms: Sequence[tuple], dims: List[int], dim_out: int,
+                read: _Read) -> Tuple[List[List], int]:
+    """The kernel's accumulation stage, over rows already read:
+    contraction_sum's sums, a list of dim_out per index tuple in product
+    order, and their common denominator D."""
+    term_dens = [read[id(inner)][0] * (read[id(outer)][0] if outer is not None else 1)
                  for _, outer, inner, _, _ in terms]
     den = math.lcm(*term_dens)
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
@@ -345,10 +396,10 @@ def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int) -> D
                     and {inner.dim_in} >= set(t_dims[slot:slot + inner.arity]))
         if not fits or (outer or inner).dim_out != dim_out:
             raise TensorError("contraction term shape mismatch")
-        inner_rows = rows[id(inner)]
+        inner_rows = read[id(inner)][1]
         if slot is None:
             cols = ([[(j, 1)] for j in range(dim_out)] if outer is None
-                    else [rows[id(outer)][(j,)] for j in range(outer.dim_in)])
+                    else [read[id(outer)][1][(j,)] for j in range(outer.dim_in)])
             for idx, support in inner_rows.items():
                 acc = accs[sum(map(operator.mul, idx, t_strides))]
                 for j, a in support:
@@ -356,7 +407,7 @@ def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int) -> D
                     for i, c in cols[j]:
                         acc[i] += a * c
             continue
-        outer_rows, end = rows[id(outer)], slot + inner.arity
+        outer_rows, end = read[id(outer)][1], slot + inner.arity
         mids = [(sum(map(operator.mul, mid, t_strides[slot:end])), [(m, w * c) for m, c in support])
                 for mid, support in inner_rows.items() if support]
         suffixes = [(sfx, sum(map(operator.mul, sfx, t_strides[end:])))
@@ -372,10 +423,7 @@ def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int) -> D
                     for m, c in support:
                         for i, x in row[m]:
                             acc[i] += c * x
-    # an int sum, every sum on rational input, is a numerator over den
-    return dict(zip(itertools.product(*map(range, dims)),
-                    ([a if type(a) is not int else Fraction(a, den) if a else _ZERO for a in acc]
-                     for acc in accs)))
+    return accs, den
 
 
 def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
@@ -389,7 +437,8 @@ def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
     for slot in range(t.arity):
         dims[slot] = phi.dim_in
         # out holds the partial result, whose slots before slot have phi.dim_in
-        out.entries = _contraction_sum([(1, out, phi, slot, None)], dims, t.dim_out)
+        out.entries = _contraction_sum([(1, out, phi, slot, None)], dims, t.dim_out,
+                                       _read([out, phi])[1])
     out.dim_in = phi.dim_in
     return out
 
@@ -402,13 +451,32 @@ def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
     return contraction_sum(t.dim_in, t.dim_out, t.arity - 1 + s.arity, [(1, t, s, slot, None)])
 
 
-def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
-    """Matrix of the linear map eta -> T(xi, eta) for arity-2 T."""
+def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[List[List]]:
+    """The matrix of eta -> T(xi, eta) for arity-2 T at each point xi, as
+    it is taken: one accumulation over T's rows, read once, and xi's.  A
+    QuadExt point against a rational T is summed by value, so T is read
+    again, by value, for it and every later point.  Checks run as matrices
+    are taken: a point must have length dim_in and int, Fraction or QuadExt
+    components."""
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
-    if len(xi) != t.dim_in or any(isinstance(c, float) for c in xi):
-        raise TensorError(f"xi must be an exact vector of length {t.dim_in}")
-    return slot_compose(t, PointTensor(t.dim_in, t.dim_in, 0, {(): list(xi)}), 0).to_matrix()
+    dim = t.dim_in
+    exact, t_rows = _read([t])
+    for xi in points:
+        if len(xi) != dim or not all(isinstance(c, (int, Fraction, QuadExt)) for c in xi):
+            raise TensorError(f"xi must be an exact vector of length {dim}, not {list(xi)!r}")
+        s = PointTensor(dim, dim, 0, {(): list(xi)})
+        s_exact, s_rows = _read([s], exact)
+        if s_exact != exact:  # a QuadExt in xi against a rational T
+            exact, t_rows = _read([t], False)
+        yield PointTensor(dim, dim, 1, _contraction_sum(
+            [(1, t, s, 0, None)], [dim], dim, {**t_rows, **s_rows})).to_matrix()
+
+
+def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
+    """Matrix of the linear map eta -> T(xi, eta) for arity-2 T: the
+    one-point call of kernel_matrices."""
+    return next(kernel_matrices(t, [xi]))
 
 
 def kernel_dim(t: PointTensor, xi: Sequence) -> int:

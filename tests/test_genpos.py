@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nijcalc import genpos, linalg
+from nijcalc import genpos, linalg, tensor
 from nijcalc.genpos import (
     _complex_complement,
     alpha_N,
@@ -456,6 +456,31 @@ def test_recover_sign():
     j1, j2, n8 = dim8_pair()
     with pytest.raises(StructureError, match="general position"):
         recover_sign(n8, j1, j2)
+
+
+@pytest.mark.parametrize("n, pairs, samples", [
+    (4, [(1, 3)], 0), (4, [(1, 3)], 3), (5, [(1, 4)], 6), (5, [(1, 2), (1, 3), (2, 3)], 2)])
+def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, samples):
+    """A degenerate tensor (single-pair, or on three pairs of planes
+    leaving plane 4 in every kernel) is examined at every sample and grid
+    point, each point read once, yet N is read twice whatever the grid's
+    size: by the antilinearity check and by kernel_matrices."""
+    rng = random.Random(n)
+    t = linear_nijenhuis_from_free_data(n, {
+        pair: [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(2 * n)] for pair in pairs})
+    grid = len(list(genpos._grid(t, standard_matrix(n))))
+    read, reads = tensor._read, []
+
+    def spy(tensors, *args):
+        tensors = list(tensors)
+        reads.append(any(x is t for x in tensors))
+        return read(tensors, *args)
+
+    monkeypatch.setattr(tensor, "_read", spy)
+    report = general_position_test(t, samples, seed=1)
+    assert report.verdict == "degenerate" and report.samples_tested == samples
+    assert grid > 2 and reads.count(False) == samples + grid
+    assert reads.count(True) == 2
 
 
 def test_antilinearity_is_checked_once_for_a_sign_pair(monkeypatch):

@@ -1,13 +1,14 @@
 """Structure fields: constructors, validation, realization, random generators."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nijcalc import poly
+from nijcalc import linalg, poly
 from nijcalc.genpos import appendix_tensor, example3_tensor
 from nijcalc.structures import (
     LieAlgebraSpec,
@@ -400,6 +401,53 @@ def test_membership_violation_matches_the_pairwise_check(n, seed, block, idx, co
     t.entries[key][comp % dim] += delta
     assert linear_membership_violation(t, j) == membership_violation_by_pairs(t, j)
     assert (delta == 0) == (linear_membership_violation(t, j) is None)
+
+
+def failing_sides(t, jm):
+    """The labels of the sides of N(j a, b) = N(a, j b) = -j N(a, b) that
+    fail at some basis pair, by apply."""
+    dim = t.dim_in
+    e = [linalg.basis_vector(dim, a) for a in range(dim)]
+    cols = [[row[a] for row in jm] for a in range(dim)]
+    failing = set()
+    for a, b in itertools.product(range(dim), repeat=2):
+        base = [-x for x in linalg.mat_vec(jm, t.apply([e[a], e[b]]))]
+        if t.apply([cols[a], e[b]]) != base:
+            failing.add("N(j a, b)")
+        if t.apply([e[a], cols[b]]) != base:
+            failing.add("N(a, j b)")
+    return failing
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_membership_violation_on_one_side_or_both(side, n):
+    """The same first (a, b, label) as the pairwise check when a
+    perturbation D of a valid N breaks only N(j a, b) = -j N(a, b), only
+    N(a, j b) = -j N(a, b), or both.  D(a, b) = alpha(a) L(b), with L
+    antilinear (L j = -j L), keeps the right side and breaks the left; its
+    transpose does the reverse."""
+    dim = 2 * n
+    jm = standard_matrix(n)
+    rng = random.Random(11 * n)
+    m = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+    # L = (M + j M j) / 2, the antilinear part of M
+    jmj = [[sum(jm[i][a] * m[a][b] * jm[b][c] for a in range(dim) for b in range(dim))
+            for c in range(dim)] for i in range(dim)]
+    lin = [[(x + y) / 2 for x, y in zip(row, row_jmj)] for row, row_jmj in zip(m, jmj)]
+    alpha = [Fraction(rng.randint(1, 3)) for _ in range(dim)]
+    perturbation = {
+        "left": lambda a, b: [alpha[a] * lin[i][b] for i in range(dim)],
+        "right": lambda a, b: [alpha[b] * lin[i][a] for i in range(dim)],
+        "both": lambda a, b: [Fraction(rng.randint(-1, 1)) for _ in range(dim)],
+    }[side]
+    t = random_linear_nijenhuis(n, 5)
+    bad = PointTensor(dim, dim, 2, {idx: [x + y for x, y in zip(v, perturbation(*idx))]
+                                    for idx, v in t.entries.items()})
+    assert failing_sides(bad, jm) == {"left": {"N(j a, b)"}, "right": {"N(a, j b)"},
+                                      "both": {"N(j a, b)", "N(a, j b)"}}[side]
+    j = PointTensor.from_matrix(jm)
+    assert linear_membership_violation(bad, j) == membership_violation_by_pairs(bad, j)
 
 
 def test_realize_nijenhuis_columns():

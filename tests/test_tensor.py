@@ -311,11 +311,62 @@ def test_kernel_dim_zero_tensor():
 
 
 def test_kernel_matrix_rejects_floats_and_bad_lengths():
+    """Bad lengths, and components other than int, Fraction or QuadExt:
+    None would be read as 0 and a string fail inside the kernel.  Both
+    calls refuse them, naming the vector."""
     t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(1)])
     assert tensor.kernel_matrix(t, [F(1), F(2)]) == [[F(2), F(-1)], [F(3), F(3)]]
-    for xi in ([0.5, 0], [0, 0.0], [1], [1, 0, 0]):
-        with pytest.raises(tensor.TensorError, match="exact vector of length 2"):
-            tensor.kernel_matrix(t, xi)
+    for xi, named in (([0.5, 0], "0.5"), ([0, 0.0], "0.0"), ([None, F(1)], "None"),
+                      (["1", 0], "'1'"), ([1], ""), ([1, 0, 0], "")):
+        for call in (lambda: tensor.kernel_matrix(t, xi),
+                     lambda: list(tensor.kernel_matrices(t, [[F(1), F(0)], xi]))):
+            with pytest.raises(tensor.TensorError, match="exact vector of length 2") as err:
+                call()
+            assert named in str(err.value)
+
+
+def kernel_matrix_by_apply(t, xi):
+    """Column k is T(xi, e_k)."""
+    cols = [t.apply([xi, linalg.basis_vector(t.dim_in, k)]) for k in range(t.dim_in)]
+    return [list(row) for row in zip(*cols)]
+
+
+def test_kernel_matrices_equal_kernel_matrix_at_every_point():
+    """One reading of T serves every point: rational points, the zero
+    vector, a QuadExt point against a rational T (after which T is read by
+    value) and, on a T holding QuadExt entries, rational points.  Each
+    matrix is kernel_matrix's and T(xi, e_k) column by column, component
+    types included."""
+    rng = random.Random(3)
+    rational = PointTensor.from_function(4, 4, 2, lambda idx: [
+        F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(4)])
+    quad = PointTensor(4, 4, 2, {idx: list(v) for idx, v in rational.entries.items()})
+    quad.entries[(1, 2)][0] = QuadExt(F(1, 2), 1, 3)  # the constructors hold rationals only
+    points = [[F(1), F(-2), F(1, 3), F(0)], [0, 0, 0, 0], [F(2), 1, F(-1, 2), 3],
+              [QuadExt(1, 1, 3), F(1), 0, QuadExt(0, F(1, 2), 3)], [F(1), F(1), F(0), F(-3)]]
+    for t in (rational, quad):
+        got = list(tensor.kernel_matrices(t, points))
+        assert len(got) == len(points)
+        for xi, m in zip(points, got):
+            want = tensor.kernel_matrix(t, xi)
+            assert m == want == kernel_matrix_by_apply(t, xi)
+            assert [list(map(type, row)) for row in m] == [list(map(type, row)) for row in want]
+
+
+def test_kernel_matrices_is_lazy():
+    """A matrix is computed when it is taken: taking one reads one point."""
+    t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(1)])
+    taken = []
+
+    def points():
+        for xi in ([F(1), F(2)], [F(0), F(1)]):
+            taken.append(xi)
+            yield xi
+        raise AssertionError("read past the second point")
+
+    matrices = tensor.kernel_matrices(t, points())
+    assert next(matrices) == [[F(2), F(-1)], [F(3), F(3)]]
+    assert taken == [[F(1), F(2)]]
 
 
 def test_from_matrix_refuses_ragged_rows():
@@ -537,6 +588,34 @@ def test_contraction_sum_with_a_quadratic_value_in_one_term(case, pick):
     got = tensor.contraction_sum(dim, dim_out, arity, terms)
     assert got == chain_sum(terms)
     assert_exact_components(got, (Fraction, QuadExt))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(contraction_terms(), st.integers(0, 2 ** 32))
+def test_first_nonzero_sum_is_the_first_nonzero_of_the_chains(case, pick):
+    """Two sums over one reading of their inputs, both holding the first
+    term: the first sum with the next terms up to a drawn point (a third
+    of the time with the first term's negative instead, so it vanishes),
+    the second with the rest.  The answer is the first index tuple where a
+    sum's operation chain is nonzero, and the first such sum there.  Half
+    the time one component of the last term's inner tensor is a QuadExt,
+    and every sum is summed by value."""
+    dim, dim_out, arity, terms = case
+    rnd = random.Random(pick)
+    if pick % 2:
+        sign, outer, inner, slot, perm = terms[-1]
+        inner = PointTensor(inner.dim_in, inner.dim_out, inner.arity,
+                            {idx: list(v) for idx, v in inner.entries.items()})
+        value = rnd.choice(list(inner.entries.values()))
+        value[rnd.randrange(len(value))] = QuadExt(F(rnd.randint(-3, 3), 2), 1, 2)
+        terms = terms[:-1] + [(sign, outer, inner, slot, perm)]
+    k = rnd.randrange(len(terms))
+    first = [terms[0]] + ([(-terms[0][0], *terms[0][1:])] if pick % 3 == 0 else terms[1:k + 1])
+    sums = [first, terms[:1] + terms[k + 1:]]
+    chains = [chain_sum(terms) for terms in sums]
+    want = next(((idx, n) for idx in itertools.product(range(dim), repeat=arity)
+                 for n, t in enumerate(chains) if any(t.entries[idx])), None)
+    assert tensor.first_nonzero_sum(dim, dim_out, arity, sums) == want
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
