@@ -28,7 +28,8 @@ want the distributions as polynomial modules.
 Separately, lie_check decides whether the torsion product N(., .) obeys
 the composition law N(x, N(y, z)) = 0, reporting the image span, the
 annihilator, a filtration by images of torsion derivatives, and graded
-bracket constants.
+bracket constants.  The torsion at each sample point is the global form
+shifted there, checked by both routes (invariants.torsion_from_jets).
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg, poly
 from .forms import VectorForm, algebraic_bracket, fn_bracket
 from .genpos import annihilator
-from .invariants import (InternalInconsistencyError, jet_differential,
+# classify.nijenhuis_tensor is not called here but is read from outside
+from .invariants import (InternalInconsistencyError, jet_differential,  # noqa: F401
                          nijenhuis_field_bracket, nijenhuis_tensor,
                          torsion_from_jets, torsion_jets)
 from .quadext import QuadExt, sqrt_exact
@@ -526,11 +528,14 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
     of the image span in the annihilator, which is the algebraic form of
     the same law.  On a Lie verdict the filtration by images of torsion
     derivatives at the first sample point is returned, with the graded
-    bracket constants and the rank-2 solvability check.
+    bracket constants and the rank-2 solvability check.  The jets of J at
+    the points come first, so a point of the wrong length raises
+    StructureError before anything is evaluated.
     """
     if not sample_points:
         raise StructureError("need at least one sample point")
     dim = j.dim
+    jets = [j.jet(pt, 1) for pt in sample_points]
     nf = nijenhuis_field_bracket(j)
     rows = [[nf.value_on_basis((a, i)) for i in range(dim)] for a in range(dim)]
     failure = next((((a, b, c), residual) for a in range(dim) for b in range(dim)
@@ -545,8 +550,11 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
         witness = LieWitness(indices=indices, point=tuple(pt), value=tuple(val))
 
     n_first = pi_basis = ann_basis = None
-    for pt in sample_points:
-        n_at = nijenhuis_tensor(j, pt)
+    polys = [c for val in nf.entries.values() for c in val]
+    for pt, jet in zip(sample_points, jets):
+        values = poly.shift(polys, pt, 0)
+        n_at = torsion_from_jets(jet, {
+            pair: values[i * dim:(i + 1) * dim] for i, pair in enumerate(nf.entries)})
         image = linalg.span_basis(
             [n_at.entries[(a, b)] for a in range(dim)
              for b in range(a + 1, dim)])

@@ -10,9 +10,10 @@ is an internal error, never silently resolved.
 
 The routes are different formulas run by the same kernels: at the point
 each is a signed sum of contractions, one contraction_sum on integer
-numerators, with no tensor applied to basis vectors; the jets come from
-poly.jet_brackets and poly.jet_apply_columns.  An identity check reports
-the first nonzero entry of the sum of its terms.
+numerators, with no tensor applied to basis vectors.  The torsion jets
+are one integer pass over J's columns (poly.jet_torsion), J applied to
+them one poly.jet_apply_columns call.  An identity check reports the
+first nonzero entry of the sum of its terms.
 
 Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
@@ -91,16 +92,12 @@ def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
     above degree order; with order math.inf, jet is J and the result
     global.  Bracket formula on basis fields, where
     [J e_a, e_b] = -d_b(J e_a):
-    N(e_a, e_b) = [J e_a, J e_b] + J d_b(J e_a) - J d_a(J e_b).
+    N(e_a, e_b) = [J e_a, J e_b] + J d_b(J e_a) - J d_a(J e_b),
+    summed in one integer pass over J's columns (poly.jet_torsion).
     A field vanishing identically near the point gets a zero jet, not a
     gap, so positions in the pair order never move.
     """
-    pairs = list(itertools.combinations(range(len(jet)), 2))
-    ws = [poly.vec_sub([poly.diff(c, b + 1) for c in jet[a]],
-                       [poly.diff(c, a + 1) for c in jet[b]]) for a, b in pairs]
-    return {pair: poly.vec_add(val, jw) for pair, val, jw in zip(
-        pairs, poly.jet_brackets(jet, pairs, order),
-        poly.jet_apply_columns(jet, ws, order))}
+    return dict(zip(itertools.combinations(range(len(jet)), 2), poly.jet_torsion(jet, order)))
 
 
 def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:

@@ -11,8 +11,9 @@ Also provides vectors of polynomials (polynomial vector fields on a chart)
 and polynomial matrices applied to them (apply_columns).
 
 The jet kernels (jet_mul, jet_substitute, jet_apply_columns,
-jet_brackets) cut their results above a total degree, the order; order
-math.inf means uncut, so jet_brackets is the one Lie bracket and
+jet_brackets, jet_torsion) cut their results above a total degree, the
+order; order math.inf means uncut, so jet_brackets is the one Lie
+bracket, jet_torsion the one torsion of a matrix field, and
 jet_substitute the one composition (substitute) and the one Taylor shift
 (shift, the substitution of point + y).  They sum Python integers: each
 input's coefficients are integer numerators over the lcm of their
@@ -369,6 +370,26 @@ def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
         for r in range(dim)] for terms, d_x in x_terms]
 
 
+def _jet_parts(fields: Sequence[PolyVec], order: int):
+    """(low, partials) of each field, numerators over the fields' one lcm
+    D: low[i] lists the terms of f^i of degree <= order, partials[i][a]
+    those of d_a f^i.  The fields are jets known to order + 1, with one
+    component per chart variable."""
+    terms, den = _numerators([c for f in fields for c in f], order + 1)
+    parts = []
+    for n, f in enumerate(fields):
+        comps = terms[n * len(f):(n + 1) * len(f)]
+        low = [[t for t in comp if t[2] <= order] for comp in comps]
+        partials: List[List[List[_Term]]] = [[[] for _ in comps] for _ in comps]
+        for row, comp in zip(partials, comps):
+            for e, c, deg in comp:
+                for a, k in enumerate(e):
+                    if k:
+                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg - 1))
+        parts.append((low, partials))
+    return parts, den
+
+
 def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
                  order: int) -> List[PolyVec]:
     """[fields[i], fields[k]] for each (i, k) in pairs, cut above degree
@@ -379,27 +400,16 @@ def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
     [X, Y]^r = sum_a X^a d_a Y^r - Y^a d_a X^r, and a derivative costs one
     order, so an order-0 bracket is DY(p) X(p) - DX(p) Y(p) at the base
     point.  Each field's low-degree terms and first partials are listed
-    once, as numerators over that field's lcm D_i, and terms that cannot
-    reach degree <= order are dropped before multiplying, so the cost
-    follows the nonzero jet coefficients.  A bracket sums in integers
-    and holds one Fraction(sum, D_i * D_k) per term.
+    once (_jet_parts), as numerators over that field's lcm D_i, and terms
+    that cannot reach degree <= order are dropped before multiplying, so
+    the cost follows the nonzero jet coefficients.  A bracket sums in
+    integers and holds one Fraction(sum, D_i * D_k) per term.
     """
-    def prepare(f: PolyVec):
-        terms, den = _numerators(f, order + 1)
-        low = [[t for t in comp if t[2] <= order] for comp in terms]
-        # partials[i][a]: terms of d_a f^i of degree <= order
-        partials: List[List[List[_Term]]] = [[[] for _ in f] for _ in f]
-        for row, comp in zip(partials, terms):
-            for e, c, deg in comp:
-                for a, k in enumerate(e):
-                    if k:
-                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg - 1))
-        return low, partials, den
-
-    prepared = {i: prepare(fields[i]) for i in {i for pair in pairs for i in pair}}
+    prepared = {i: _jet_parts([fields[i]], order)
+                for i in {i for pair in pairs for i in pair}}
     out: List[PolyVec] = []
     for i, k in pairs:
-        (x_low, dx, d_x), (y_low, dy, d_y) = prepared[i], prepared[k]
+        ([(x_low, dx)], d_x), ([(y_low, dy)], d_y) = prepared[i], prepared[k]
         den = d_x * d_y
         bracket: PolyVec = []
         for r in range(len(dy)):
@@ -408,6 +418,30 @@ def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
                             order)
             bracket.append({e: Fraction(c, den) for e, c in acc.items() if c})
         out.append(bracket)
+    return out
+
+
+def jet_torsion(cols: Sequence[PolyVec], order: int) -> List[PolyVec]:
+    """The torsion fields N(e_a, e_b), a < b in lexicographic order, of
+    the matrix field with columns X_a = J e_a, a jet known to order + 1,
+    cut above degree order (math.inf: uncut).  N(e_a, e_b) is
+    [X_a, X_b] + J (d_b X_a - d_a X_b), so component r is one integer sum
+    over c of X_a^c d_c X_b^r - X_b^c d_c X_a^r + X_c^r (d_b X_a^c - d_a X_b^c)
+    on the columns' parts (_jet_parts), one Fraction(sum, D^2) per term."""
+    parts, d = _jet_parts(cols, order)
+    den, dim = d * d, len(cols)
+    out: List[PolyVec] = []
+    for a in range(dim):
+        a_low, da = parts[a]
+        for b in range(a + 1, dim):
+            b_low, db = parts[b]
+            field: PolyVec = []
+            for r in range(dim):
+                acc = _products([f for c in range(dim) for f in (
+                    (a_low[c], db[r][c], 1), (b_low[c], da[r][c], -1),
+                    (parts[c][0][r], da[c][b], 1), (parts[c][0][r], db[c][a], -1))], order)
+                field.append({e: Fraction(s, den) for e, s in acc.items() if s})
+            out.append(field)
     return out
 
 

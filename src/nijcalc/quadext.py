@@ -15,7 +15,10 @@ The constructor validates d.  Arithmetic results reuse the d of an
 operand, already validated, and are built without repeating the check.
 An int or Fraction operand enters the arithmetic as it is: adding r moves
 only a, multiplying by r scales a and b, with no field element built for
-r.  A float is refused everywhere with ValueError: it would be read as
+r.  Between two field elements, +, -, * and / read a, b and d as
+integer ratios (_ints) and build each part of the result as one Fraction
+of an integer numerator over an integer denominator, reduced once.  A
+float is refused everywhere with ValueError: it would be read as
 the binary fraction it stores, not the decimal it was written as.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Rationalish = Union[int, Fraction]
 
@@ -54,6 +57,11 @@ def sqrt_exact(f: Rationalish) -> Union[Fraction, "QuadExt"]:
     if _is_square(f):
         return Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator))
     return QuadExt(0, 1, f)
+
+
+def _ints(x: "QuadExt") -> Tuple[int, int, int, int]:
+    """The numerators and denominators of x.a and x.b."""
+    return (*x.a.as_integer_ratio(), *x.b.as_integer_ratio())
 
 
 def _make(a: Fraction, b: Fraction, d: Fraction) -> "QuadExt":
@@ -105,7 +113,8 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return _make(self.a + other, self.b, self.d)
         o = self._coerce(other)
-        return _make(self.a + o.a, self.b + o.b, o.d)
+        (p, q, r, s), (u, v, w, x) = _ints(self), _ints(o)
+        return _make(Fraction(p * v + u * q, q * v), Fraction(r * x + w * s, s * x), o.d)
 
     __radd__ = __add__
 
@@ -115,7 +124,9 @@ class QuadExt:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             return _make(self.a - other, self.b, self.d)
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        (p, q, r, s), (u, v, w, x) = _ints(self), _ints(o)
+        return _make(Fraction(p * v - u * q, q * v), Fraction(r * x - w * s, s * x), o.d)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -126,20 +137,26 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return _make(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
-        return _make(
-            self.a * o.a + self.b * o.b * o.d,
-            self.a * o.b + self.b * o.a,
-            o.d,
-        )
+        (p, q, r, s), (u, v, w, x), (dn, dd) = _ints(self), _ints(o), o.d.as_integer_ratio()
+        # a a' + b b' d = (p/q)(u/v) + (r/s)(w/x)(dn/dd), a b' + b a' likewise
+        qv, sx = q * v, s * x
+        return _make(Fraction(p * u * sx * dd + r * w * dn * qv, qv * sx * dd),
+                     Fraction(p * w * s * v + r * u * q * x, qv * sx), o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        norm = o.a * o.a - o.b * o.b * o.d
+        (p, q, r, s), (u, v, w, x), (dn, dd) = _ints(self), _ints(o), o.d.as_integer_ratio()
+        # (a + b sqrt d)(a' - b' sqrt d) / (a'^2 - b'^2 d) with a' = u/v and
+        # b' = w/x written over v x: a' = u x / v x, b' = w v / v x
+        u, w, v = u * x, w * v, v * x
+        norm = u * u * dd - w * w * dn
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return self * _make(o.a / norm, -o.b / norm, o.d)
+        qs = q * s * norm
+        return _make(Fraction((p * u * s * dd - r * w * dn * q) * v, qs),
+                     Fraction((r * u * q - p * w * s) * v * dd, qs), o.d)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

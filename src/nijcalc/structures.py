@@ -61,8 +61,11 @@ class StructureField:
     def jet(self, point: Sequence, order: int) -> List[PolyVec]:
         """Columns of J(point + y) cut above degree order: the order-jet
         of J at the point, in the offset y.  One poly.shift call shifts
-        every entry, so they share one table of monomial images."""
+        every entry, so they share one table of monomial images.  A point
+        with another number of coordinates than dim raises StructureError."""
         n = self.dim
+        if len(point) != n:
+            raise StructureError(f"point has {len(point)} coordinates, expected {n}")
         flat = poly.shift([p for col in self.cols for p in col], point, order)
         return [flat[j * n:(j + 1) * n] for j in range(n)]
 

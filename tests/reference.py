@@ -33,7 +33,9 @@ jet_mul_by_fractions, jet_apply_columns_by_fractions,
 jet_brackets_by_fractions), go with them, and so does the composition as
 it was before poly.jet_substitute shared one table of integer monomial
 images among several polynomials: one polynomial per call, each image a
-chain of Fraction products (jet_substitute_by_fractions).
+chain of Fraction products (jet_substitute_by_fractions).  The torsion
+jets as four stages of Fraction polynomials, before poly.jet_torsion
+summed them in one integer pass (torsion_jets_by_stages), go with them.
 
 The last ones are the slot-symmetry checks and the Lie bracket as they
 were before one sign rule served them all: symmetry by swapping adjacent
@@ -672,6 +674,20 @@ def jet_brackets_by_fractions(fields: Sequence[PolyVec],
             bracket.append({e: c for e, c in acc.items() if c})
         out.append(bracket)
     return out
+
+
+def torsion_jets_by_stages(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
+    """invariants.torsion_jets as it was before poly.jet_torsion summed it
+    in one pass: four stages, each a list of Fraction polynomials the next
+    reads, namely w = d_b(J e_a) - d_a(J e_b) by poly.diff and vec_sub, the
+    brackets [J e_a, J e_b] (poly.jet_brackets), J w
+    (poly.jet_apply_columns) and their sum (vec_add)."""
+    pairs = list(itertools.combinations(range(len(jet)), 2))
+    ws = [poly.vec_sub([poly.diff(c, b + 1) for c in jet[a]],
+                       [poly.diff(c, a + 1) for c in jet[b]]) for a, b in pairs]
+    return {pair: poly.vec_add(val, jw) for pair, val, jw in zip(
+        pairs, poly.jet_brackets(jet, pairs, order),
+        poly.jet_apply_columns(jet, ws, order))}
 
 
 def _one_type(m) -> bool:

@@ -15,6 +15,7 @@ were appended later from the jet-at-point implementation.
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -292,6 +293,67 @@ def test_lie_check_reports_at_the_first_sample_point():
     assert rep.pi_basis == tuple(tuple(v) for v in image) != ()
     assert len(rep.annihilator_basis) < 4
     assert lie_check(j, [[0, 0, 0, 0], first]).pi_basis == ()
+
+
+def _lie_cases():
+    """The family members and the bundled examples, each with the
+    candidate points padded to its dimension."""
+    js = [family_structure(seed) for seed in FAMILY]
+    js += [example_structure(name, **kwargs) for name, kwargs in EXAMPLES]
+    return [pytest.param(j, [list(p) + [0] * (j.dim - 4) for p in CAND_POINTS], id=j.name)
+            for j in js]
+
+
+@pytest.mark.parametrize("j, points", _lie_cases())
+def test_lie_check_reads_each_point_off_the_global_torsion(monkeypatch, j, points):
+    """lie_check computes no torsion jet at its sample points: it shifts
+    the global torsion form there, and both routes still check the
+    torsion at every point, which equals nijenhuis_tensor's."""
+    seen, orders, other_route = [], [], []
+    real_from_jets, real_torsion_jets = classify.torsion_from_jets, invariants.torsion_jets
+    real_other = invariants._torsion_first_differential
+
+    def counted_torsion_jets(jet, order):
+        orders.append(order)
+        return real_torsion_jets(jet, order)
+
+    monkeypatch.setattr(classify, "torsion_from_jets",
+                        lambda jet, n_jets: seen.append(real_from_jets(jet, n_jets)) or seen[-1])
+    monkeypatch.setattr(invariants, "torsion_jets", counted_torsion_jets)
+    monkeypatch.setattr(invariants, "_torsion_first_differential",
+                        lambda jet: other_route.append(1) or real_other(jet))
+    lie_check(j, points)
+    assert orders == [math.inf]  # the global form, once
+    assert len(other_route) == len(points)
+    monkeypatch.undo()
+    assert seen == [nijenhuis_tensor(j, pt) for pt in points]
+
+
+def test_lie_check_still_cross_checks_the_torsion_routes():
+    """J e1 = e2 + x2 e3, J e2 = -e1, J e3 = e4, J e4 = -e3 has J^2 != -I
+    off x2 = 0, where the first-differential route no longer computes the
+    bracket route's torsion: lie_check raises rather than answer."""
+    v2, one, z = poly.var(2, 4), poly.const(1, 4), poly.zero()
+    j = StructureField([[z, one, v2, z], [poly.neg(one), z, z, z],
+                        [z, z, z, one], [z, z, poly.neg(one), z]], name="not_a_structure")
+    with pytest.raises(InternalInconsistencyError, match="torsion routes disagree"):
+        lie_check(j, [[0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize("op, name, kwargs", [
+    (op, name, kwargs) for op in ("nijenhuis_tensor", "utxi_invariant", "lie_check")
+    for name, kwargs in EXAMPLES if op != "utxi_invariant" or name != "ex6"])
+def test_a_point_of_the_wrong_length_is_refused(op, name, kwargs):
+    """StructureField.jet names both lengths before any shift is tried;
+    lie_check builds its jets before it evaluates anything at its points.
+    (utxi_invariant refuses 6D ex6 for its dimension first.)"""
+    call = {"nijenhuis_tensor": nijenhuis_tensor, "utxi_invariant": utxi_invariant,
+            "lie_check": lambda j, pt: lie_check(j, [[0] * j.dim, pt])}[op]
+    j = example_structure(name, **kwargs)
+    for pt in ([0, 0, 0], [0] * (j.dim + 1)):
+        with pytest.raises(StructureError, match=f"point has {len(pt)} coordinates, "
+                                                 f"expected {j.dim}"):
+            call(j, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Torsion tensors, the arity-4 invariant, the linear space, identities."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,8 @@ from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
 from reference import (differential, digest, dj_field, fn_bracket_one_forms_direct,
                        higher_nijenhuis_bracket_by_apply, higher_nijenhuis_by_entries,
                        lie_bracket, nijenhuis_field_by_lie_brackets,
-                       nijenhuis_field_first_differential, structure_as_field)
+                       nijenhuis_field_first_differential, structure_as_field,
+                       torsion_jets_by_stages)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
 
@@ -269,15 +271,37 @@ def test_nijenhuis_tensor_equals_global_field_at_point(case):
     assert all(type(c) is Fraction for v in n_pt.entries.values() for c in v)
 
 
-@settings(max_examples=8, deadline=None)
-@given(structures_at_points(sizes=(2,)), st.integers(0, 2))
+TORSION_ORDERS = (0, 1, 2, math.inf)
+TORSION_EXAMPLES = (example_structure("ex2"), example_structure("ex5", eps=Fraction(-1, 3)),
+                    example_structure("ex6", f_text="x5 + x5^2"))
+
+
+def _check_torsion_jets(j, pt, order):
+    """The one-pass torsion jets equal the four-stage oracle by value, and
+    equal the global torsion field shifted to the point and cut, both the
+    reference field and the package's 2-form: the identity lie_check reads
+    its sample points' torsion from."""
+    jet = j.jet(pt, order + 1)
+    got = torsion_jets(jet, order)
+    assert list(got) == list(itertools.combinations(range(j.dim), 2))
+    assert got == torsion_jets_by_stages(jet, order)
+    nf, ref = nijenhuis_field_bracket(j), nijenhuis_field_by_lie_brackets(j)
+    for pair, val in got.items():
+        assert val == poly.shift(ref.entries[pair], pt, order), pair
+        assert val == poly.shift(nf.value_on_basis(pair), pt, order), pair
+
+
+@settings(max_examples=12, deadline=None)
+@given(structures_at_points(), st.sampled_from(TORSION_ORDERS))
 def test_torsion_jets_are_jets_of_the_global_field(case, order):
-    j, pt = case
-    nf = nijenhuis_field_by_lie_brackets(j)
-    jets = torsion_jets(j.jet(pt, order + 1), order)
-    assert list(jets) == list(itertools.combinations(range(j.dim), 2))
-    for idx, jet in jets.items():
-        assert jet == poly.shift(nf.entries[idx], pt, order)
+    _check_torsion_jets(*case, order)
+
+
+@pytest.mark.parametrize("order", TORSION_ORDERS)
+@pytest.mark.parametrize("j", TORSION_EXAMPLES, ids=lambda j: j.name)
+def test_torsion_jets_of_the_examples_match_the_oracle(j, order):
+    for pt in ([0] * j.dim, [Fraction(1, 2), -2, 3, Fraction(1, 3), 1, -1][:j.dim]):
+        _check_torsion_jets(j, pt, order)
 
 
 @settings(max_examples=8, deadline=None)

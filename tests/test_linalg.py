@@ -4,7 +4,7 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nijcalc import linalg, quadext
 from nijcalc.quadext import QuadExt, sqrt_exact
@@ -223,6 +223,53 @@ def test_quadext_rational_operands_equal_the_field_operation(q, r):
         assert type(got) is QuadExt, op
         assert (got.a, got.b, got.d) == (want.a, want.b, want.d), op
         assert all(type(x) is Fraction for x in (got.a, got.b, got.d)), op
+
+
+# each operation on the parts (a, b) and (c, e) of two elements over d
+QUADEXT_FORMULAS = {
+    "+": (lambda x, y: x + y, lambda a, b, c, e, d: (a + c, b + e)),
+    "-": (lambda x, y: x - y, lambda a, b, c, e, d: (a - c, b - e)),
+    "*": (lambda x, y: x * y, lambda a, b, c, e, d: (a * c + b * e * d, a * e + b * c)),
+    "/": (lambda x, y: x / y, lambda a, b, c, e, d: (
+        (a * c - b * e * d) / (c * c - e * e * d), (b * c - a * e) / (c * c - e * e * d))),
+}
+_parts = st.fractions(-4, 4, max_denominator=6)
+_elements = st.builds(QuadExt, _parts, st.one_of(st.just(0), _parts),
+                      st.sampled_from([2, 3, F(5, 4), F(2, 9)]))
+
+
+@settings(max_examples=150)
+@given(st.one_of(_elements, st.integers(-4, 4), _parts),
+       st.one_of(_elements, st.integers(-4, 4), _parts))
+@example(QuadExt(1, 0, 2), QuadExt(F(1, 2), 0, 3))
+@example(QuadExt(0, 0, 3), QuadExt(1, 1, 2))
+@example(QuadExt(1, 1, 2), QuadExt(0, 0, 2))
+@example(3, QuadExt(0, 0, 5))
+def test_quadext_arithmetic_equals_the_fraction_formulas(x, y):
+    """+, -, * and / on integer numerators equal the Fraction formulas,
+    for QuadExt, int and Fraction operands on either side.  The result is
+    a QuadExt over the radicand of its irrational operand, else of its
+    left QuadExt operand; a rational QuadExt over another radicand enters
+    as its a.  A zero divisor raises ZeroDivisionError and two irrational
+    operands over different radicands ValueError."""
+    elements = [v for v in (x, y) if isinstance(v, QuadExt)]
+    assume(elements)
+    irrational = {v.d for v in elements if v.b}
+    parts = [(v.a, v.b) if isinstance(v, QuadExt) else (F(v), F(0)) for v in (x, y)]
+    d = next(iter(irrational)) if len(irrational) == 1 else elements[0].d
+    for name, (op, formula) in QUADEXT_FORMULAS.items():
+        if len(irrational) > 1:
+            with pytest.raises(ValueError, match="mixed extensions"):
+                op(x, y)
+            continue
+        if name == "/" and not parts[1][0] and not parts[1][1]:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        got = op(x, y)
+        assert type(got) is QuadExt, name
+        assert all(type(v) is F for v in (got.a, got.b, got.d)), name
+        assert (got.a, got.b, got.d) == (*formula(*parts[0], *parts[1], d), d), name
 
 
 def test_rational_quadexts_are_equal_across_radicands():

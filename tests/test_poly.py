@@ -549,6 +549,7 @@ CANONICAL_CASES = {
     "jet_brackets": lambda a, b, c: (([[a, b, c], [c, a, b]], [(0, 1), (1, 0), (1, 1)], 2), 3),
     "jet_mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a), 2), 3),
     "jet_substitute": lambda a, b, c: (([a, b, {}], [b, c, poly.neg(b)], 3, 2), 3),
+    "jet_torsion": lambda a, b, c: (([[a, b, c], [c, a, b], [b, {}, a]], 2), 3),
     "low_degree_part": lambda a, b, c: ((a, 2), 3),
     "monomial": lambda a, b, c: (((1, 0, 2), poly.constant_term(b)), 3),
     "mul": lambda a, b, c: ((poly.add(a, c), poly.sub(c, a)), 3),

@@ -4,7 +4,9 @@ Each workload's seed-1 cycle is built as perfbench/run.py builds it, run
 once in-process, and its canonical outputs are hashed in task order.  A
 change meant to keep every output bit-identical must keep these digests.
 frame4 is pinned at seeds 2 and 3 as well: their diagonal charts and eps
-draws give other Q(sqrt d) frames than seed 1.
+draws give other Q(sqrt d) frames than seed 1.  So is torsion4, whose
+seeds 2 and 3 draw other random structures and points for the torsion
+kernel than seed 1.
 """
 
 import sys
@@ -27,6 +29,7 @@ SEED_1_DIGESTS = {
 
 
 FRAME4_DIGESTS = {2: "c4b007601f4cad65", 3: "175f4d86f57c50a2"}
+TORSION4_DIGESTS = {2: "ed043d177b90eabf", 3: "08da4c4a403e68d7"}
 
 
 def _cycle_digest(name: str, seed: int) -> str:
@@ -42,3 +45,8 @@ def test_seed_1_cycle_keeps_its_digest(name):
 @pytest.mark.parametrize("seed", sorted(FRAME4_DIGESTS))
 def test_frame4_cycle_keeps_its_digest(seed):
     assert _cycle_digest("frame4", seed) == FRAME4_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(TORSION4_DIGESTS))
+def test_torsion4_cycle_keeps_its_digest(seed):
+    assert _cycle_digest("torsion4", seed) == TORSION4_DIGESTS[seed]
