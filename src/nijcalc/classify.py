@@ -11,7 +11,8 @@ flag one builds an adapted frame (xi1..xi4) normalized by the relations
 together with the line pair (U1, U2), affine normalization data for the
 xi3 and xi4 directions, and orientation signs.  The eigenline step may
 leave the rationals; scalars are then exact elements of a quadratic
-extension Q(sqrt(d)).
+extension Q(sqrt(d)), in this module alone: they meet the torsion by
+PointTensor.apply, and xi4 solves the matrix whose columns are N(xi1, e_k).
 
 The pointwise data come from jets at the point, never from global
 fields: the torsion generators N(e_a, e_b) are expanded in the offset
@@ -49,7 +50,7 @@ from .invariants import (InternalInconsistencyError, jet_differential,  # noqa: 
                          torsion_from_jets, torsion_jets)
 from .quadext import QuadExt, sqrt_exact
 from .structures import StructureError, StructureField
-from .tensor import PointTensor, kernel_matrix
+from .tensor import PointTensor
 
 Scalar = Union[Fraction, QuadExt]
 Vec = List[Scalar]
@@ -331,8 +332,8 @@ def _frame(jet: List[poly.PolyVec], n_jets: Dict[Tuple[int, int], poly.PolyVec],
     else:
         if len(xi3_choice) != 4:
             raise StructureError("xi3 choice has wrong length")
-        if any(isinstance(c, float) for c in xi3_choice):
-            raise StructureError(f"float in xi3 choice {list(xi3_choice)!r}: must be exact")
+        if any(isinstance(c, (float, str)) for c in xi3_choice):
+            raise StructureError(f"float or string in xi3 choice {list(xi3_choice)!r}")
         chosen = [c if isinstance(c, QuadExt) else Fraction(c)
                   for c in xi3_choice]
     coords = _coords_in([b1, b2, xi3_raw], chosen)
@@ -353,7 +354,9 @@ def _frame(jet: List[poly.PolyVec], n_jets: Dict[Tuple[int, int], poly.PolyVec],
     scale = (alpha if orient > 0 else -1 * alpha) * lam
     xi3 = linalg.vec_scale(chosen, 1 / scale)
 
-    xi4 = linalg.solve(kernel_matrix(n_at, xi1), list(xi2))
+    # the matrix of eta -> N(xi1, eta) over Q(sqrt d): column k is N(xi1, e_k)
+    cols = [n_at.apply([xi1, e]) for e in linalg.identity(4)]
+    xi4 = linalg.solve([list(row) for row in zip(*cols)], list(xi2))
     if xi4 is None:
         raise InternalInconsistencyError("no solution for the fourth frame vector")
     if _coords_in([b1, b2, xi3_raw], xi4) is not None:

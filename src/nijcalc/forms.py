@@ -80,8 +80,8 @@ class VectorForm:
         return VectorForm(self.dim, self.degree, out)
 
     def scale(self, c: Fraction) -> "VectorForm":
-        if isinstance(c, float):
-            raise ValueError(f"float scale {c!r}: must be exact")
+        if isinstance(c, (float, str)):
+            raise ValueError(f"{type(c).__name__} scale {c!r}: must be an exact number")
         return VectorForm(self.dim, self.degree,
                           {idx: poly.vec_scale(v, Fraction(c))
                            for idx, v in self.entries.items()})

@@ -31,12 +31,12 @@ Vector = List[Fraction]
 
 def _as_fractions(v: Sequence, dim: int) -> Vector:
     """v as Fractions.  A length other than dim raises ValueError, and so
-    does a float: it would be read as the nearest binary fraction, another
-    vector."""
+    does a float, which would be read as the nearest binary fraction,
+    another vector, or a string, which Fraction would parse."""
     if len(v) != dim:
         raise ValueError(f"vector of length {len(v)} for a tensor on R^{dim}")
-    if any(isinstance(x, float) for x in v):
-        raise ValueError(f"float component in {list(v)!r}: vectors must be exact")
+    if any(isinstance(x, (float, str)) for x in v):
+        raise ValueError(f"float or string component in {list(v)!r}: vectors must be exact")
     return [Fraction(x) for x in v]
 
 

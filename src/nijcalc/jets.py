@@ -134,8 +134,8 @@ class TruncatedMap:
     def __post_init__(self):
         for name in ("x", "y"):
             point = getattr(self, name)
-            if any(isinstance(c, float) for c in point):
-                raise StructureError(f"float in base point {name} = {point!r}: must be exact")
+            if any(isinstance(c, (float, str)) for c in point):
+                raise StructureError(f"float or string in base point {name} = {point!r}")
             object.__setattr__(self, name, tuple(Fraction(c) for c in point))
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:

@@ -1,12 +1,14 @@
-"""Exact linear algebra over Q and over a quadratic extension Q(sqrt d).
+"""Exact linear algebra over Q, and over Q(sqrt d) where the 4D frame needs it.
 
 All routines use Gaussian elimination with deterministic lexicographic
 pivoting: columns are processed left to right and the first row with a
 nonzero entry is the pivot row.  No floating point anywhere, so ranks,
 kernels and solve verdicts are exact.
 
-Entries are ints, Fractions or QuadExts.  A float raises ValueError: it
-would be read as the nearest binary fraction, another matrix.
+Entries are ints and Fractions; rref, what is built on it (nullspace,
+solve, inverse, span_basis) and the vector helpers take QuadExts too.  A
+float or a string raises ValueError: a float would be read as the nearest
+binary fraction, another matrix, a string parsed as a number.
 
 A matrix or vector whose entries are all ints and Fractions is eliminated
 fraction-free, on integer numerators: each row is scaled to integers by
@@ -16,18 +18,18 @@ entry at the end.  Row scaling changes neither the reduced row echelon
 form, which is unique, nor any pivot choice, so the values are those of
 an elimination over Fractions, and every output entry is a Fraction.
 
-A matrix holding a QuadExt is eliminated over the field, ints read as
+rref eliminates a matrix holding a QuadExt over the field, ints read as
 Fractions, every row operation over every column: Fraction - QuadExt * 0
 is a QuadExt, so the element types of the result depend on every
 operation performed.
 
-Ranks, membership tests and det use Echelon, which keeps the reduced
-rows of a span and reduces a vector against them: no back substitution,
-and a caller asking whether many vectors lie in one span eliminates the
-span once.  det is the product of the pivots it divides by, signed by
-the order of their columns; on a matrix that mixes Fraction and QuadExt
-only its value, not its element type, is fixed.  Mis-shaped input is
-refused with a ValueError naming the lengths: by rref and Echelon, where
+Ranks, membership tests and det use Echelon, which works over Q alone (a
+QuadExt raises ValueError naming it), keeps the reduced rows of a span
+and reduces a vector against them: no back substitution, and a caller
+asking whether many vectors lie in one span eliminates the span once.
+det is the product of the pivots it divides by, signed by the order of
+their columns.  Mis-shaped input is refused with a ValueError naming the
+lengths: by rref and Echelon, where
 every vector enters elimination, and by solve, det, inverse, mat_vec,
 vec_add, vec_sub and intersect_spans, which read the shape first.
 """
@@ -56,17 +58,20 @@ def identity(n: int) -> Matrix:
 
 
 def _rational(rows: Sequence[Sequence]) -> bool:
-    """Whether every entry is an int or a Fraction.  A float raises
-    ValueError: it would be read as the nearest binary fraction."""
+    """Whether every entry is an int or a Fraction.  A float or a string
+    raises ValueError naming it: a float would be read as the nearest
+    binary fraction, a string parsed as a number."""
     kinds = {type(x) for row in rows for x in row}
-    if any(issubclass(k, float) for k in kinds):
-        bad = next(x for row in rows for x in row if isinstance(x, float))
-        raise ValueError(f"float entry {bad!r}: linear algebra needs exact entries")
-    return all(issubclass(k, (int, Fraction)) for k in kinds)
+    if all(issubclass(k, (int, Fraction)) for k in kinds):
+        return True
+    bad = next((x for row in rows for x in row if isinstance(x, (float, str))), None)
+    if bad is not None:
+        raise ValueError(f"{type(bad).__name__} entry {bad!r}: linear algebra needs exact numbers")
+    return False
 
 
 def _field(v: Sequence) -> list:
-    """v with each int as a Fraction, refusing a float."""
+    """v with each int as a Fraction, refusing a float or a string."""
     _rational([v])
     return [Fraction(x) if isinstance(x, int) else x for x in v]
 
@@ -234,9 +239,9 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     return x
 
 
-def det(m: Matrix):
-    """Exact determinant: the product of the pivots Echelon divides by,
-    row by row, times the sign of the permutation taking row i to its
+def det(m: Matrix) -> Fraction:
+    """Exact determinant over Q: the product of the pivots Echelon divides
+    by, row by row, times the sign of the permutation taking row i to its
     pivot column.  A row in the span of the rows above it gives 0."""
     n = len(m)
     _check_rows(m, n, "det needs a square matrix")
@@ -245,8 +250,8 @@ def det(m: Matrix):
     for row in m:
         pivot = span.insert(row)
         if not pivot:
-            return Fraction(0) * result  # keeps the field type when exotic
-        result = result * pivot
+            return _ZERO
+        result *= pivot
     pivots = [p for p, _ in span.rows]
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
     return -result if inversions % 2 else result
@@ -277,7 +282,8 @@ def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
 
 
 class Echelon:
-    """Reduced rows of a growing span, for ranks, membership tests and det.
+    """Reduced rows of a growing span over Q, for ranks, membership tests
+    and det.
 
     Each row is stored by its support, with a pivot column where it is
     nonzero and where every row inserted later is 0; reducing a vector
@@ -285,18 +291,15 @@ class Echelon:
     vanishes at every pivot, and that remainder is zero exactly when the
     vector lies in the span.
 
-    While every vector is rational, a row is its integer numerators
-    divided by their content, [(column, n)], and stands for that row over
-    its pivot entry n_p; a vector's numerators w are reduced as
-    n_p*w - w_p*row at each pivot, and its denominator multiplied by the
-    n_p it picks up.  Once a QuadExt vector arrives the rows become field
-    values, 1 at the pivot, and every later vector is reduced over the
-    field.
+    A row is its integer numerators divided by their content,
+    [(column, n)], and stands for that row over its pivot entry n_p; a
+    vector's numerators w are reduced as n_p*w - w_p*row at each pivot,
+    and its denominator multiplied by the n_p it picks up.  A vector with
+    an entry other than an int or a Fraction raises ValueError naming it.
     """
 
     def __init__(self, vectors: Sequence[Sequence] = ()):
-        self.rows: List[Tuple[int, list]] = []  # (pivot, [(column, value)])
-        self._field = False
+        self.rows: List[Tuple[int, List[Tuple[int, int]]]] = []  # (pivot, [(column, n)])
         self._length: Optional[int] = None  # of the first vector seen
         for v in vectors:
             self.insert(v)
@@ -305,44 +308,33 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Sequence) -> Tuple[Vector, int]:
-        """The remainder of v after eliminating every pivot column: integers
-        over a denominator while the span and v are rational, else field
-        values over 1.  A QuadExt v turns the integer rows into field rows."""
+    def _reduce(self, v: Sequence) -> Tuple[List[int], int]:
+        """The remainder of v after eliminating every pivot column, as
+        integers over a denominator."""
         if len(v) != self._length:
             if self._length is not None:
                 raise ValueError(f"vector of length {len(v)} for an Echelon of {self._length}")
             self._length = len(v)
-        if _rational([v]) and not self._field:
-            w, den = _numerators(v)
-            for p, support in self.rows:
-                f = w[p]
-                if f:
-                    top = support[0][1]
-                    g = gcd(top, f)
-                    top, f = top // g, f // g
-                    if top != 1:
-                        w = [top * x for x in w]
-                        den *= top
-                    for k, y in support:
-                        w[k] -= f * y
-            return w, den
-        if not self._field:
-            self.rows = [(p, [(k, Fraction(y, support[0][1])) for k, y in support])
-                         for p, support in self.rows]
-            self._field = True
-        out = _field(v)
+        if not _rational([v]):
+            bad = next(x for x in v if not isinstance(x, (int, Fraction)))
+            raise ValueError(f"entry {bad!r}: Echelon works over Q (rref takes Q(sqrt d))")
+        w, den = _numerators(v)
         for p, support in self.rows:
-            f = out[p]
-            if f != 0:
+            f = w[p]
+            if f:
+                top = support[0][1]
+                g = gcd(top, f)
+                top, f = top // g, f // g
+                if top != 1:
+                    w = [top * x for x in w]
+                    den *= top
                 for k, y in support:
-                    out[k] = out[k] - f * y
-        return out, 1
+                    w[k] -= f * y
+        return w, den
 
     def reduce(self, v: Sequence) -> Vector:
         """The remainder of v after eliminating every pivot column."""
-        w, den = self._reduce(v)
-        return w if self._field else _over(w, den)
+        return _over(*self._reduce(v))
 
     def contains(self, v: Sequence) -> bool:
         return vec_is_zero(self._reduce(v)[0])
@@ -351,13 +343,9 @@ class Echelon:
         """Add v to the span and return the pivot value its remainder is
         divided by, or 0 when v already lay there."""
         w, den = self._reduce(v)
-        p = next((k for k, x in enumerate(w) if x != 0), None)
+        p = next((k for k, x in enumerate(w) if x), None)
         if p is None:
             return 0
-        if self._field:
-            inv = w[p]
-            self.rows.append((p, [(k, x / inv) for k, x in enumerate(w) if x != 0]))
-            return inv
         g = gcd(*w)
         self.rows.append((p, [(k, x // g) for k, x in enumerate(w) if x]))
         return Fraction(w[p], den)

@@ -19,7 +19,8 @@ r.  Between two field elements, +, -, * and / read a, b and d as
 integer ratios (_ints) and build each part of the result as one Fraction
 of an integer numerator over an integer denominator, reduced once.  A
 float is refused everywhere with ValueError: it would be read as
-the binary fraction it stores, not the decimal it was written as.
+the binary fraction it stores, not the decimal it was written as.  So is
+a string, which Fraction would parse as a number.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def _is_square(f: Fraction) -> bool:
 
 
 def _rational(x, what: str) -> Fraction:
-    """x as a Fraction; a float raises ValueError."""
-    if isinstance(x, float):
-        raise ValueError(f"float {what} {x!r}: Q(sqrt(d)) needs exact rationals")
+    """x as a Fraction; a float or a string raises ValueError."""
+    if isinstance(x, (float, str)):
+        raise ValueError(f"{type(x).__name__} {what} {x!r}: Q(sqrt(d)) needs exact rationals")
     return Fraction(x)
 
 

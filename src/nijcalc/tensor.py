@@ -8,8 +8,8 @@ arity 1 a linear map (column j = image of e_j).
 Application is a support product: it visits only the index tuples built
 from the nonzero coordinates of the arguments, so a call on basis vectors
 reads one stored entry.  Arguments may hold any exact scalar (int,
-Fraction, or a QuadExt); floats are refused, by apply and by every
-constructor and scale.
+Fraction, or a QuadExt: apply is where Q(sqrt d) meets a tensor); floats
+and strings are refused, by apply and by every constructor and scale.
 
 Slot symmetry is checked on demand, not enforced by storage.  A sign
 rule is a pure function taking an index tuple to (representative, sign):
@@ -29,9 +29,11 @@ Fraction per nonzero output component.  It reads each input into rows
 (its nonzero components, integers over its lcm) and then accumulates the
 terms over them, so a caller contracting one tensor many times reads it
 once: first_nonzero_sum, several sums over the same inputs scanned
-before any Fraction is built, and kernel_matrices, at many points.  slot_compose (a tensor of any arity fed
-into one slot of another), post_compose and precompose_all (a linear map
-in every slot) are its one-term calls, each reading its own inputs.  A
+before any Fraction is built, and kernel_matrices, at many points.
+slot_compose (a tensor of any arity fed into one slot of another),
+post_compose and precompose_all (a linear map in every slot) are its
+one-term calls, each reading its own inputs.  The kernel works over Q
+alone: a component that is not an int or a Fraction raises TensorError.  A
 linear equation on tensors is stated once, as a contraction_sum, and
 solved as the nullspace of matrix_of, the matrix of the operator on a
 basis of unknowns such as a unit_basis (solution_basis).
@@ -46,7 +48,6 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .quadext import QuadExt
 
 Index = Tuple[int, ...]
 SignRule = Callable[[Index], Tuple[Index, int]]
@@ -128,8 +129,8 @@ class PointTensor:
     def apply(self, args: Sequence[Sequence]) -> List[Fraction]:
         """T(args[0], .., args[q-1]), summed over the arguments' supports.
 
-        Components may be int, Fraction or QuadExt; a float raises
-        TensorError, since the result must be exact.
+        Components may be int, Fraction or QuadExt; a float or a string
+        raises TensorError, since the result must be exact.
         """
         if len(args) != self.arity:
             raise TensorError(f"{len(args)} arguments for arity {self.arity}")
@@ -139,8 +140,8 @@ class PointTensor:
                 raise TensorError(f"argument length {len(a)}, expected {self.dim_in}")
             support = []
             for j, c in enumerate(a):
-                if isinstance(c, float):
-                    raise TensorError(f"float component {c!r}: arguments must be exact")
+                if isinstance(c, (float, str)):
+                    raise TensorError(f"{type(c).__name__} component {c!r}: arguments must be exact")
                 if c:
                     support.append((j, c))
             supports.append(support)
@@ -302,7 +303,7 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
 
 
 _ZERO = Fraction(0)
-# by input id, (d, rows): rows[idx] the nonzero components (i, value) of entry idx
+# by input id, (d, rows): rows[idx] the nonzero components (i, numerator over d) of entry idx
 _Read = Dict[int, Tuple[int, Dict[Index, List[tuple]]]]
 
 
@@ -317,12 +318,10 @@ def contraction_sum(dim_in: int, dim_out: int, arity: int, terms: Sequence[tuple
     are numerators over the product d of its inputs' lcms; weighted by
     D // d, D the lcm of every d, they are summed in one integer per output
     component, and each nonzero sum becomes one Fraction(sum, D), a zero
-    sum the shared zero.  With a QuadExt in any input the values themselves
-    are summed, over D = 1.  Every component comes out a Fraction or a
-    QuadExt."""
+    sum the shared zero, so every component comes out a Fraction."""
     return PointTensor(dim_in, dim_out, arity, _contraction_sum(
         terms, [dim_in] * arity, dim_out,
-        _read(t for term in terms for t in term[1:3] if t is not None)[1]))
+        _read(t for term in terms for t in term[1:3] if t is not None)))
 
 
 def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
@@ -331,9 +330,8 @@ def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
     contraction_sums (each a list of terms) has a nonzero component, and
     the position of the first such sum there; None when all vanish.  Each
     distinct input of the sums is read once, and the sums are scanned as
-    accumulated, integer numerators on rational input: no Fraction is
-    built."""
-    read = _read(t for terms in sums for term in terms for t in term[1:3] if t is not None)[1]
+    accumulated, integer numerators: no Fraction is built."""
+    read = _read(t for terms in sums for term in terms for t in term[1:3] if t is not None)
     accs = [_accumulate(terms, [dim_in] * arity, dim_out, read)[0] for terms in sums]
     for idx, at_idx in zip(itertools.product(range(dim_in), repeat=arity), zip(*accs)):
         for k, acc in enumerate(at_idx):
@@ -342,24 +340,23 @@ def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
     return None
 
 
-def _read(tensors: Iterable[PointTensor], exact: bool = True) -> Tuple[bool, _Read]:
-    """The kernel's reading stage.  Exact, a value in rows is an integer
-    numerator over d, the lcm of the tensor's denominators; with a QuadExt
-    in any of the tensors, or exact False, it is the value itself, d = 1.
-    One accumulation sums numerators or values, never both, so the choice
-    is joint over its inputs; it is returned with the rows."""
+def _read(tensors: Iterable[PointTensor]) -> _Read:
+    """The kernel's reading stage: each value in rows is an integer
+    numerator over d, the lcm of its tensor's denominators.  A component
+    that is not an int or a Fraction (a QuadExt, say) raises TensorError
+    naming it: the kernel works over Q."""
     tensors = {id(t): t for t in tensors}
-    lcms = dict.fromkeys(tensors, 1)
-    if exact:
-        try:
-            lcms = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
-                    for k, t in tensors.items()}
-        except AttributeError:  # a QuadExt component: read the values themselves
-            exact = False
-    return exact, {k: (lcms[k], {idx: [(i, x.numerator * (lcms[k] // x.denominator) if exact else x)
-                                       for i, x in enumerate(v) if x]
-                                 for idx, v in t.entries.items()})
-                   for k, t in tensors.items()}
+    try:
+        lcms = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
+                for k, t in tensors.items()}
+    except AttributeError:
+        bad = next(x for t in tensors.values() for v in t.entries.values() for x in v
+                   if not isinstance(x, (int, Fraction)))
+        raise TensorError(f"component {bad!r}: the contraction kernel works over Q") from None
+    return {k: (lcms[k], {idx: [(i, x.numerator * (lcms[k] // x.denominator))
+                                for i, x in enumerate(v) if x]
+                          for idx, v in t.entries.items()})
+            for k, t in tensors.items()}
 
 
 def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int,
@@ -367,10 +364,8 @@ def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int,
     """contraction_sum's entries, per-slot dimensions dims (mixed in
     precompose_all), from one _read of every input."""
     accs, den = _accumulate(terms, dims, dim_out, read)
-    # an int sum, every sum on rational input, is a numerator over den
     return dict(zip(itertools.product(*map(range, dims)),
-                    ([a if type(a) is not int else Fraction(a, den) if a else _ZERO for a in acc]
-                     for acc in accs)))
+                    ([Fraction(a, den) if a else _ZERO for a in acc] for acc in accs)))
 
 
 def _accumulate(terms: Sequence[tuple], dims: List[int], dim_out: int,
@@ -438,7 +433,7 @@ def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
         dims[slot] = phi.dim_in
         # out holds the partial result, whose slots before slot have phi.dim_in
         out.entries = _contraction_sum([(1, out, phi, slot, None)], dims, t.dim_out,
-                                       _read([out, phi])[1])
+                                       _read([out, phi]))
     out.dim_in = phi.dim_in
     return out
 
@@ -451,26 +446,21 @@ def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
     return contraction_sum(t.dim_in, t.dim_out, t.arity - 1 + s.arity, [(1, t, s, slot, None)])
 
 
-def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[List[List]]:
+def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[List[List[Fraction]]]:
     """The matrix of eta -> T(xi, eta) for arity-2 T at each point xi, as
-    it is taken: one accumulation over T's rows, read once, and xi's.  A
-    QuadExt point against a rational T is summed by value, so T is read
-    again, by value, for it and every later point.  Checks run as matrices
-    are taken: a point must have length dim_in and int, Fraction or QuadExt
-    components."""
+    it is taken: one accumulation over T's rows, read once, and xi's.
+    Checks run as matrices are taken: a point must have length dim_in and
+    int or Fraction components (over Q(sqrt d), take T(xi, e_k) by apply)."""
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
     dim = t.dim_in
-    exact, t_rows = _read([t])
+    t_rows = _read([t])
     for xi in points:
-        if len(xi) != dim or not all(isinstance(c, (int, Fraction, QuadExt)) for c in xi):
-            raise TensorError(f"xi must be an exact vector of length {dim}, not {list(xi)!r}")
+        if len(xi) != dim or not all(isinstance(c, (int, Fraction)) for c in xi):
+            raise TensorError(f"xi must be an exact vector of length {dim} over Q: {list(xi)!r}")
         s = PointTensor(dim, dim, 0, {(): list(xi)})
-        s_exact, s_rows = _read([s], exact)
-        if s_exact != exact:  # a QuadExt in xi against a rational T
-            exact, t_rows = _read([t], False)
         yield PointTensor(dim, dim, 1, _contraction_sum(
-            [(1, t, s, 0, None)], [dim], dim, {**t_rows, **s_rows})).to_matrix()
+            [(1, t, s, 0, None)], [dim], dim, {**t_rows, **_read([s])})).to_matrix()
 
 
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:

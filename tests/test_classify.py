@@ -258,22 +258,26 @@ def test_xi3_flip_swaps_the_lines_and_a_plane_shift_keeps_them(seed, pt):
 ])
 def test_float_vectors_are_refused(entry, error):
     """A float would be read as the nearest binary fraction, so (0.1, 0)
-    would name another point and alpha_N would certify another vector:
-    the base points of a truncated map, the vectors of alpha_N and
-    annihilator, and an xi3 choice refuse floats.  A QuadExt xi3 choice
-    still passes."""
+    would name another point and alpha_N would certify another vector,
+    and a string would be parsed as a number: the base points of a
+    truncated map, the vectors of alpha_N and annihilator, and an xi3
+    choice refuse both.  A QuadExt xi3 choice still passes."""
     one = (JetSymbol(1, identity_map(2)),)
+    # entry -> (call on a bad component, the float it is tested with)
     calls = {
-        "TruncatedMap x": lambda: TruncatedMap((0.1, 0), (0, 0), one),
-        "TruncatedMap y": lambda: TruncatedMap((0, 0), (0, 0.0), one),
-        "alpha_N": lambda: alpha_N(appendix_tensor(2), [0.1, 0, 1, 0],
-                                   [[0, 0, 1, 0], [0, 0, 0, 1]]),
-        "annihilator": lambda: annihilator(appendix_tensor(2), [[1.0, 0, 0, 0]]),
-        "xi3_choice": lambda: utxi_invariant(family_structure(9), (0, 0, 1, 0),
-                                             xi3_choice=[1.0, 0, Fraction(-4, 3), 0]),
+        "TruncatedMap x": (lambda x: TruncatedMap((x, 0), (0, 0), one), 0.1),
+        "TruncatedMap y": (lambda x: TruncatedMap((0, 0), (0, x), one), 0.0),
+        "alpha_N": (lambda x: alpha_N(appendix_tensor(2), [x, 0, 1, 0],
+                                      [[0, 0, 1, 0], [0, 0, 0, 1]]), 0.1),
+        "annihilator": (lambda x: annihilator(appendix_tensor(2), [[x, 0, 0, 0]]), 1.0),
+        "xi3_choice": (lambda x: utxi_invariant(family_structure(9), (0, 0, 1, 0),
+                                                xi3_choice=[x, 0, Fraction(-4, 3), 0]), 1.0),
     }
+    call, x = calls[entry]
     with pytest.raises(error, match="float"):
-        calls[entry]()
+        call(x)
+    with pytest.raises(error, match="string.*'1'"):
+        call("1")
     if entry == "xi3_choice":
         seed, pt = FLIP_CASES[-1]
         choice = _xi3_choices(seed, pt)["flip"]

@@ -245,11 +245,14 @@ def test_piecewise_brackets_equal_the_oracles(pair):
 
 
 def test_forms_refuse_operands_they_would_misread():
-    """A float scale, operands on different spaces and two 0-forms in an
-    insertion raise at once instead of computing something else."""
+    """A float or string scale, operands on different spaces and two
+    0-forms in an insertion raise at once instead of computing something
+    else."""
     j = VectorForm.from_structure(example_structure("ex2"))
     with pytest.raises(ValueError, match="float scale 0.1"):
         j.scale(0.1)
+    with pytest.raises(ValueError, match="str scale '1/2'"):
+        j.scale("1/2")  # not parsed as one half
     on_r2 = VectorForm(2, 1, {(0,): [poly.var(1, 2), poly.zero()]})
     for op in (insertion, algebraic_bracket, fn_bracket):
         for a, b in ((VectorForm(4, 1, {}), on_r2), (on_r2, j)):

@@ -471,10 +471,10 @@ def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, sam
     grid = len(list(genpos._grid(t, standard_matrix(n))))
     read, reads = tensor._read, []
 
-    def spy(tensors, *args):
+    def spy(tensors):
         tensors = list(tensors)
         reads.append(any(x is t for x in tensors))
-        return read(tensors, *args)
+        return read(tensors)
 
     monkeypatch.setattr(tensor, "_read", spy)
     report = general_position_test(t, samples, seed=1)

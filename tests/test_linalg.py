@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nijcalc import linalg, quadext
+from nijcalc import linalg, quadext, tensor
 from nijcalc.quadext import QuadExt, sqrt_exact
+from nijcalc.tensor import PointTensor, TensorError
 from reference import FractionEchelon, fraction_det, fraction_rref, mat_mul, solve_affine
 
 F = Fraction
@@ -68,13 +69,20 @@ def test_det_signs_the_pivot_permutation(m, want):
     assert got == want and type(got) is F
 
 
-def test_det_over_quadext_keeps_the_elimination_value():
+def test_det_keeps_the_elimination_value_and_refuses_quadext():
     """The pivots differ from those of a column-by-column elimination, but
-    the value is the same: 9 - 2 sqrt 5, by cofactors along the first row."""
-    r5 = sqrt_exact(5)
-    m = [[F(0), r5, F(2)], [r5, F(1), 1 + r5], [F(3), F(0), r5]]
-    assert linalg.det(m) == QuadExt(9, -2, 5)
-    assert linalg.det([[r5, F(1)], [F(5), r5]]) == 0
+    the value is the same: -r^3 + 3 r^2 + 3 r - 6, by cofactors along the
+    first row, is 4 at r = 2.  det works over Q: at r = sqrt 5 it raises
+    ValueError naming the entry instead of giving 9 - 2 sqrt 5."""
+    def m(r):
+        return [[F(0), r, F(2)], [r, F(1), 1 + r], [F(3), F(0), r]]
+
+    got = linalg.det(m(F(2)))
+    assert got == 4 and type(got) is F
+    got = linalg.det([[F(2), F(1)], [F(4), F(2)]])
+    assert got == 0 and type(got) is F
+    with pytest.raises(ValueError, match=r"entry QuadExt\(0, 1, sqrt\(5\)\): Echelon works over Q"):
+        linalg.det(m(sqrt_exact(5)))
 
 
 def test_echelon_insert_returns_the_pivot_or_zero():
@@ -82,10 +90,9 @@ def test_echelon_insert_returns_the_pivot_or_zero():
     assert ech.insert([F(0), F(3), F(1)]) == F(3)
     assert ech.insert([F(2), F(6), F(2)]) == F(2)  # remainder (2, 0, 0)
     assert ech.insert([F(1), F(1), F(1, 3)]) == 0
+    with pytest.raises(ValueError, match=r"entry QuadExt\(0, 1, sqrt\(5\)\)"):
+        ech.insert([F(0), sqrt_exact(5), F(1)])
     assert ech.rank == 2
-    r5 = sqrt_exact(5)
-    pivot = linalg.Echelon().insert([F(0), r5])
-    assert pivot == r5 and pivot
 
 
 @pytest.mark.parametrize("call, match", [
@@ -190,10 +197,11 @@ QUADEXT_OPERAND_ENTRIES = {
     "eq": lambda q, r: q == r, "lt": lambda q, r: q < r, "le": lambda q, r: q <= r,
     "gt": lambda q, r: q > r, "ge": lambda q, r: q >= r,
 }
+# entry -> (call on a bad value, the float it was first tested with)
 QUADEXT_FLOAT_ENTRIES = {
-    "a": lambda: QuadExt(0.1, 1, 2), "b": lambda: QuadExt(1, 0.1, 2),
-    "d": lambda: QuadExt(1, 1, 2.0), "sqrt_exact": lambda: sqrt_exact(0.5),
-    **{op: (lambda f=f: f(QuadExt(1, 1, 2), 0.1))
+    "a": (lambda x: QuadExt(x, 1, 2), 0.1), "b": (lambda x: QuadExt(1, x, 2), 0.1),
+    "d": (lambda x: QuadExt(1, 1, x), 2.0), "sqrt_exact": (sqrt_exact, 0.5),
+    **{op: (lambda x, f=f: f(QuadExt(1, 1, 2), x), 0.1)
        for op, f in QUADEXT_OPERAND_ENTRIES.items()},
 }
 
@@ -201,9 +209,17 @@ QUADEXT_FLOAT_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(QUADEXT_FLOAT_ENTRIES))
 def test_quadext_refuses_floats(entry):
     """A float would be read as its binary fraction (0.1 as
-    3602879701896397/36028797018963968): every entry raises, naming it."""
+    3602879701896397/36028797018963968), a string parsed as a number:
+    every entry raises, naming it.  Only == answers a string, with False,
+    as it answers any object that is not a number."""
+    call, x = QUADEXT_FLOAT_ENTRIES[entry]
     with pytest.raises(ValueError, match=r"float .*(0\.1|0\.5|2\.0)"):
-        QUADEXT_FLOAT_ENTRIES[entry]()
+        call(x)
+    if entry == "eq":
+        assert call("2") is False
+        return
+    with pytest.raises(ValueError, match="str .*'2'"):
+        call("2")
 
 
 @settings(max_examples=60)
@@ -300,13 +316,16 @@ def test_a_rational_quadext_of_another_radicand_is_a_rational_operand():
 
 
 def test_elimination_over_quadext():
-    # invariant-line style solve with irrational entries
+    """Invariant-line style solve with irrational entries: rref and its
+    nullspace work over Q(sqrt 5), rank (Echelon) over Q alone."""
     r5 = sqrt_exact(5)
     m = [[QuadExt(1, 0, 5), r5], [r5, QuadExt(5, 0, 5)]]
-    assert linalg.rank(m) == 1
+    assert linalg.rref(m)[1] == [0]
     ns = linalg.nullspace(m)
     assert len(ns) == 1
     assert linalg.vec_is_zero(linalg.mat_vec(m, ns[0]))
+    with pytest.raises(ValueError, match="Echelon works over Q"):
+        linalg.rank(m)
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +608,20 @@ def test_int_input_gives_fractions():
     assert _typed([ech.reduce([1, 0])]) == _typed([[F(0), F(-1, 3)]])
 
 
-def test_a_quadext_vector_turns_an_echelon_to_field_rows():
-    """Rational rows, then a QuadExt vector: the span, its pivots and its
-    remainders are those of the field elimination."""
+def test_a_quadext_vector_leaves_an_echelon_unchanged():
+    """Rational rows, then a QuadExt vector: contains, reduce and insert
+    refuse it, naming the entry, and the span keeps its pivots and
+    remainders, those of the Fraction elimination."""
     r5 = sqrt_exact(5)
     rows = [[F(0), 3, F(1, 2)], [2, F(1, 3), 0]]
     ech, ref = linalg.Echelon(rows), FractionEchelon(_as_fractions(rows))
-    assert ech.contains([r5, r5, F(0)]) == ref.contains([r5, r5, F(0)])
-    assert ech.insert([r5, F(1), F(2)]) == ref.insert([r5, F(1), F(2)])
+    for call in (ech.contains, ech.reduce, ech.insert):
+        with pytest.raises(ValueError, match=r"entry QuadExt\(0, 1, sqrt\(5\)\)"):
+            call([r5, r5, F(0)])
+    assert ech.rank == 2 and [p for p, _ in ech.rows] == [p for p, _ in ref.rows]
+    assert ech.reduce([1, 2, 3]) == ref.reduce([F(1), F(2), F(3)])
+    assert ech.insert([1, 2, 3]) == ref.insert([F(1), F(2), F(3)])
     assert ech.rank == 3 and ech.contains([1, 2, 3])
-    assert ech.rows == ref.rows
 
 
 @pytest.mark.parametrize("call, match", [
@@ -692,6 +715,26 @@ def test_floats_are_refused_wherever_they_stand(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: linalg.det([[1, "1/2"], [0, 1]]),
+    lambda: linalg.rank([[1, "1/2"]]),
+    lambda: linalg.span_dim([[1, "1/2"]]),
+    lambda: linalg.in_span(["1/2", 1], [[1, 0]]),
+    lambda: linalg.Echelon([[1, 0]]).reduce(["1/2", 1]),
+    lambda: linalg.rref([[1, "1/2"]]),
+    lambda: linalg.rref([[sqrt_exact(2), "1/2"]]),
+    lambda: linalg.solve([[1, 0], [0, 1]], [1, "1/2"]),
+    lambda: linalg.mat_vec([[1, "1/2"]], [1, 1]),
+    lambda: linalg.span_basis([["1/2", 0], [1, 0]]),
+])
+def test_strings_are_refused_wherever_they_stand(call):
+    """Fraction would parse '1/2' as one half, and a string among
+    QuadExts would fail late inside the arithmetic: each entry point
+    raises ValueError naming the string."""
+    with pytest.raises(ValueError, match="str entry '1/2'"):
+        call()
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: linalg.rref([[1, 2, 3], [1, 1]]), r"lengths \[3, 2\]"),
     (lambda: linalg.rref([[sqrt_exact(2), 1], [1]]), r"lengths \[2, 1\]"),
@@ -703,10 +746,65 @@ def test_floats_are_refused_wherever_they_stand(call):
     (lambda: linalg.in_span([1, 1], [[1, 0, 0], [0, 1, 0]]), "length 2 for an Echelon of 3"),
     (lambda: linalg.Echelon([[1, 0]]).reduce([1, 0, 0]), "length 3 for an Echelon of 2"),
     (lambda: linalg.Echelon([[0, 0]]).insert([1]), "length 1 for an Echelon of 2"),
-    (lambda: linalg.Echelon([[sqrt_exact(2), 0]]).contains([1]), "length 1 for an Echelon of 2"),
+    (lambda: linalg.Echelon([[F(1, 2), 0]]).contains([1]), "length 1 for an Echelon of 2"),
 ])
 def test_ragged_vectors_are_refused_wherever_they_enter(call, match):
     """A short row read as zero-padded, or a long one cut, would answer
     another question; a zero vector still fixes the length."""
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# ---------------------------------------------------------------------------
+# where Q(sqrt d) is accepted: the contract
+# ---------------------------------------------------------------------------
+
+_R5 = QuadExt(0, 1, 5)
+_Q_M = [[_R5, F(1)], [F(2), _R5]]  # det 3: nonsingular
+_Q_V = [_R5, F(1)]
+_T = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(1, 1 + idx[0])])
+# the constructors hold rationals only, so the QuadExt is stored by hand
+_Q_T = PointTensor(2, 2, 2, {idx: [_R5 if idx == (0, 1) else x for x in v]
+                             for idx, v in _T.entries.items()})
+
+# entry point -> (a call with a QuadExt among its inputs, the error it
+# raises, or None where the call computes over Q(sqrt 5))
+QUADEXT_CONTRACT = {
+    "rref": (lambda: linalg.rref(_Q_M), None),
+    "nullspace": (lambda: linalg.nullspace([_Q_V]), None),
+    "solve": (lambda: linalg.solve(_Q_M, _Q_V), None),
+    "inverse": (lambda: linalg.inverse(_Q_M), None),
+    "span_basis": (lambda: linalg.span_basis(_Q_M), None),
+    "mat_vec": (lambda: linalg.mat_vec(_Q_M, _Q_V), None),
+    "vec_add": (lambda: linalg.vec_add(_Q_V, _Q_V), None),
+    "vec_sub": (lambda: linalg.vec_sub(_Q_V, [F(0), F(1)]), None),
+    "vec_scale": (lambda: linalg.vec_scale(_Q_V, _R5), None),
+    "PointTensor.apply": (lambda: _T.apply([_Q_V, _Q_V]), None),
+    "Echelon": (lambda: linalg.Echelon(_Q_M), ValueError),
+    "rank": (lambda: linalg.rank(_Q_M), ValueError),
+    "span_dim": (lambda: linalg.span_dim(_Q_M), ValueError),
+    "in_span": (lambda: linalg.in_span(_Q_V, [[1, 0]]), ValueError),
+    "det": (lambda: linalg.det(_Q_M), ValueError),
+    "contraction_sum": (lambda: tensor.contraction_sum(
+        2, 2, 2, [(1, None, _T, None, None), (1, None, _Q_T, None, None)]), TensorError),
+    "first_nonzero_sum": (lambda: tensor.first_nonzero_sum(
+        2, 2, 2, [[(1, None, _T, None, None)], [(1, None, _Q_T, None, None)]]), TensorError),
+    "kernel_matrix": (lambda: tensor.kernel_matrix(_T, _Q_V), TensorError),
+    "kernel_matrices": (lambda: list(tensor.kernel_matrices(_T, [[1, 0], _Q_V])), TensorError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(QUADEXT_CONTRACT))
+def test_which_entry_points_take_a_quadext(entry):
+    """Q(sqrt d) is computed in where the 4D frame needs it: rref and the
+    eliminations built on it, the vector helpers and PointTensor.apply
+    return QuadExt entries.  Echelon and what uses it (rank, span_dim,
+    in_span, det) and the contraction kernel work over Q alone: each
+    raises its error, of exactly that class, naming the QuadExt."""
+    call, error = QUADEXT_CONTRACT[entry]
+    if error is None:
+        assert any(type(x) is QuadExt for x in _flat(call()))
+        return
+    with pytest.raises(error, match=r"QuadExt\(0, 1, sqrt\(5\)\)") as raised:
+        call()
+    assert type(raised.value) is error

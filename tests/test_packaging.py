@@ -48,6 +48,29 @@ def test_package_imports_only_itself_and_the_standard_library():
     assert bad == []
 
 
+def _package_modules_imported(tree):
+    """The package modules a tree imports, by their names in the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nijcalc")):
+            module = (node.module or "").removeprefix("nijcalc").lstrip(".")
+            if module:
+                yield module.partition(".")[0]
+            else:  # from . import a, b
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.removeprefix("nijcalc.") for alias in node.names
+                        if alias.name.startswith("nijcalc."))
+
+
+def test_only_classify_imports_the_quadratic_extension():
+    """Q(sqrt d) is computed in where the 4D frame needs it: classify is
+    the one module of the package that imports quadext, and the kernels
+    of tensor and linalg work over Q."""
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if "quadext" in _package_modules_imported(ast.parse(path.read_text()))]
+    assert importers == ["classify"]
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 

@@ -58,10 +58,12 @@ def test_standard_structure_rejects_bad_n():
 @pytest.mark.parametrize("term, problem", [
     ({(0, 1): 0.5}, r"entry \(0, 1\) has the term 0.5 at \(0, 1\)"),
     ({(0, 1, 0): Fraction(1)}, r"entry \(0, 1\) has the term Fraction\(1, 1\) at \(0, 1, 0\)"),
+    ({(0, 1): "1"}, r"entry \(0, 1\) has the term '1' at \(0, 1\)"),
 ])
 def test_structure_field_refuses_entries_no_kernel_reads(term, problem):
-    """A float coefficient would fail in the torsion kernels, a polynomial
-    in 3 variables on R^2 in validate: both are refused when built."""
+    """A float coefficient would fail in the torsion kernels, a string
+    with a bare TypeError in validate's arithmetic, a polynomial in 3
+    variables on R^2 in validate: all are refused when built."""
     one = poly.const(1, 2)
     cols = [[poly.zero(), one], [poly.neg(one), poly.zero()]]
     cols[1][0] = term

@@ -112,6 +112,8 @@ def test_apply_rejects_floats_and_bad_shapes():
         t.apply([[0.5, 0], [1, 0]])
     with pytest.raises(tensor.TensorError, match="float"):
         t.apply([[1, 0], [0.0, 1]])  # even a float zero
+    with pytest.raises(tensor.TensorError, match="str component '1/2'"):
+        t.apply([[1, 0], ["1/2", 1]])  # not parsed, and not a late TypeError
     with pytest.raises(tensor.TensorError, match="arguments for arity"):
         t.apply([[1, 0]])
     with pytest.raises(tensor.TensorError, match="argument length"):
@@ -311,13 +313,15 @@ def test_kernel_dim_zero_tensor():
 
 
 def test_kernel_matrix_rejects_floats_and_bad_lengths():
-    """Bad lengths, and components other than int, Fraction or QuadExt:
-    None would be read as 0 and a string fail inside the kernel.  Both
-    calls refuse them, naming the vector."""
+    """Bad lengths, and components other than int or Fraction: None would
+    be read as 0, a string fail inside the kernel, and a QuadExt is left to
+    apply, since the kernel works over Q.  Both calls refuse them, naming
+    the vector."""
     t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0] - idx[1]), F(1)])
     assert tensor.kernel_matrix(t, [F(1), F(2)]) == [[F(2), F(-1)], [F(3), F(3)]]
     for xi, named in (([0.5, 0], "0.5"), ([0, 0.0], "0.0"), ([None, F(1)], "None"),
-                      (["1", 0], "'1'"), ([1], ""), ([1, 0, 0], "")):
+                      (["1", 0], "'1'"), ([QuadExt(1, 1, 3), 0], "QuadExt(1, 1, sqrt(3))"),
+                      ([1], ""), ([1, 0, 0], "")):
         for call in (lambda: tensor.kernel_matrix(t, xi),
                      lambda: list(tensor.kernel_matrices(t, [[F(1), F(0)], xi]))):
             with pytest.raises(tensor.TensorError, match="exact vector of length 2") as err:
@@ -332,25 +336,30 @@ def kernel_matrix_by_apply(t, xi):
 
 
 def test_kernel_matrices_equal_kernel_matrix_at_every_point():
-    """One reading of T serves every point: rational points, the zero
-    vector, a QuadExt point against a rational T (after which T is read by
-    value) and, on a T holding QuadExt entries, rational points.  Each
-    matrix is kernel_matrix's and T(xi, e_k) column by column, component
-    types included."""
+    """One reading of T serves every point: rational points and the zero
+    vector.  Each matrix is kernel_matrix's and T(xi, e_k) column by
+    column, every component a Fraction.  Over Q(sqrt d) the kernel
+    refuses: a QuadExt point, and a T holding a QuadExt entry, raise
+    TensorError naming it; the 4D frame takes such a matrix by apply."""
     rng = random.Random(3)
     rational = PointTensor.from_function(4, 4, 2, lambda idx: [
         F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(4)])
+    points = [[F(1), F(-2), F(1, 3), F(0)], [0, 0, 0, 0], [F(2), 1, F(-1, 2), 3],
+              [F(1), F(1), F(0), F(-3)]]
+    got = list(tensor.kernel_matrices(rational, points))
+    assert len(got) == len(points)
+    for xi, m in zip(points, got):
+        assert m == tensor.kernel_matrix(rational, xi) == kernel_matrix_by_apply(rational, xi)
+        assert all(type(x) is Fraction for row in m for x in row)
+    quad_point = [QuadExt(1, 1, 3), F(1), 0, QuadExt(0, F(1, 2), 3)]
+    with pytest.raises(tensor.TensorError, match=r"QuadExt\(1, 1, sqrt\(3\)\)"):
+        list(tensor.kernel_matrices(rational, points[:1] + [quad_point]))
+    assert any(type(x) is QuadExt for row in kernel_matrix_by_apply(rational, quad_point)
+               for x in row)
     quad = PointTensor(4, 4, 2, {idx: list(v) for idx, v in rational.entries.items()})
     quad.entries[(1, 2)][0] = QuadExt(F(1, 2), 1, 3)  # the constructors hold rationals only
-    points = [[F(1), F(-2), F(1, 3), F(0)], [0, 0, 0, 0], [F(2), 1, F(-1, 2), 3],
-              [QuadExt(1, 1, 3), F(1), 0, QuadExt(0, F(1, 2), 3)], [F(1), F(1), F(0), F(-3)]]
-    for t in (rational, quad):
-        got = list(tensor.kernel_matrices(t, points))
-        assert len(got) == len(points)
-        for xi, m in zip(points, got):
-            want = tensor.kernel_matrix(t, xi)
-            assert m == want == kernel_matrix_by_apply(t, xi)
-            assert [list(map(type, row)) for row in m] == [list(map(type, row)) for row in want]
+    with pytest.raises(tensor.TensorError, match=r"component QuadExt\(1/2, 1, sqrt\(3\)\)"):
+        tensor.kernel_matrix(quad, points[0])
 
 
 def test_kernel_matrices_is_lazy():
@@ -468,33 +477,35 @@ KERNEL_CASES = [("int", "int"), ("int", "zero"), ("zero", "int"),
 @pytest.mark.parametrize("kinds", KERNEL_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_contraction_kernel_values_and_types(kinds, seed):
-    """slot_compose, precompose_all and post_compose on ints, on zeros and
-    with one QuadExt equal their apply definitions, and every component is a
-    Fraction, or a QuadExt where an input holds one: an int would print
-    differently."""
+    """slot_compose, precompose_all and post_compose on ints and on zeros
+    equal their apply definitions, and every component is a Fraction: an
+    int would print differently.  With one QuadExt in an input each raises
+    TensorError naming it, since the kernel works over Q."""
     rnd = random.Random(seed)
-    allowed = (Fraction, QuadExt) if "quad" in kinds else (Fraction,)
     t = raw_tensor(rnd, 3, 2, 2, kinds[0])
-    outs = []
+    cases = []  # (the kernel's call, its apply definition)
     for q in (1, 2):
         s = raw_tensor(rnd, 3, 3, q, kinds[1])
         for slot in range(t.arity):
-            outs.append(tensor.slot_compose(t, s, slot))
-            assert outs[-1] == slot_compose_by_apply(t, s, slot)
+            cases.append((lambda s=s, slot=slot: tensor.slot_compose(t, s, slot),
+                          lambda s=s, slot=slot: slot_compose_by_apply(t, s, slot)))
     phi = raw_tensor(rnd, 2, 3, 1, kinds[1])
     images = [phi.apply([e]) for e in linalg.identity(2)]
-    outs.append(tensor.precompose_all(t, phi))
-    assert outs[-1] == by_apply(2, t.dim_out, t.arity, lambda idx: t.apply(
-        [images[i] for i in idx]))
+    cases.append((lambda: tensor.precompose_all(t, phi), lambda: by_apply(
+        2, t.dim_out, t.arity, lambda idx: t.apply([images[i] for i in idx]))))
     # phi o T, phi from T's values R^2 to R^3
-    outs.append(tensor.post_compose(phi, t))
-    assert outs[-1] == by_apply(t.dim_in, 3, t.arity, lambda idx: phi.apply([t.entries[idx]]))
-    for out in outs:
-        assert all(type(x) in allowed for v in out.entries.values() for x in v)
+    cases.append((lambda: tensor.post_compose(phi, t), lambda: by_apply(
+        t.dim_in, 3, t.arity, lambda idx: phi.apply([t.entries[idx]]))))
+    for kernel, definition in cases:
+        if "quad" in kinds:
+            with pytest.raises(tensor.TensorError, match=r"component QuadExt\(.*works over Q"):
+                kernel()
+            continue
+        out = kernel()
+        assert out == definition()
+        assert_exact_components(out)
         if "zero" in kinds:
             assert out.is_zero()
-    if "quad" in kinds:
-        assert any(type(x) is QuadExt for out in outs for v in out.entries.values() for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +585,11 @@ def test_contraction_sum_equals_the_operation_chain(case):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(contraction_terms(), st.integers(0, 2 ** 32))
 def test_contraction_sum_with_a_quadratic_value_in_one_term(case, pick):
-    """One component of one input a QuadExt: the values themselves are
-    summed, and still no component is an int."""
+    """The sum equals its operation chain on rational terms; with one
+    component of one input a QuadExt it raises TensorError naming that
+    component, since the kernel works over Q."""
     dim, dim_out, arity, terms = case
+    assert tensor.contraction_sum(dim, dim_out, arity, terms) == chain_sum(terms)
     rnd = random.Random(pick)
     k = rnd.randrange(len(terms))
     sign, outer, inner, slot, perm = terms[k]
@@ -585,9 +598,8 @@ def test_contraction_sum_with_a_quadratic_value_in_one_term(case, pick):
     value = rnd.choice(list(inner.entries.values()))
     value[rnd.randrange(len(value))] = QuadExt(F(rnd.randint(-3, 3), 2), rnd.choice((-1, 2)), 2)
     terms = terms[:k] + [(sign, outer, inner, slot, perm)] + terms[k + 1:]
-    got = tensor.contraction_sum(dim, dim_out, arity, terms)
-    assert got == chain_sum(terms)
-    assert_exact_components(got, (Fraction, QuadExt))
+    with pytest.raises(tensor.TensorError, match=r"component QuadExt\(.*works over Q"):
+        tensor.contraction_sum(dim, dim_out, arity, terms)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -599,7 +611,7 @@ def test_first_nonzero_sum_is_the_first_nonzero_of_the_chains(case, pick):
     the second with the rest.  The answer is the first index tuple where a
     sum's operation chain is nonzero, and the first such sum there.  Half
     the time one component of the last term's inner tensor is a QuadExt,
-    and every sum is summed by value."""
+    and the call raises TensorError naming it: the kernel works over Q."""
     dim, dim_out, arity, terms = case
     rnd = random.Random(pick)
     if pick % 2:
@@ -612,6 +624,10 @@ def test_first_nonzero_sum_is_the_first_nonzero_of_the_chains(case, pick):
     k = rnd.randrange(len(terms))
     first = [terms[0]] + ([(-terms[0][0], *terms[0][1:])] if pick % 3 == 0 else terms[1:k + 1])
     sums = [first, terms[:1] + terms[k + 1:]]
+    if pick % 2 and any(term is terms[-1] for one_sum in sums for term in one_sum):
+        with pytest.raises(tensor.TensorError, match=r"component QuadExt\(.*works over Q"):
+            tensor.first_nonzero_sum(dim, dim_out, arity, sums)
+        return
     chains = [chain_sum(terms) for terms in sums]
     want = next(((idx, n) for idx in itertools.product(range(dim), repeat=arity)
                  for n, t in enumerate(chains) if any(t.entries[idx])), None)
@@ -713,11 +729,11 @@ def test_every_tensor_function_has_an_exact_components_case():
 @settings(max_examples=20, deadline=None)
 @given(drawn_tensors(2, 2, 2), drawn_tensors(2, 2, 2), drawn_tensors(2, 2, 1))
 def test_tensor_functions_return_exact_components(name, a, b, m):
-    """Every component a Fraction (or a QuadExt), never an int or a float."""
+    """Every component a Fraction, never an int or a float."""
     owner, _, attr = name.rpartition(".")
     result = getattr(PointTensor if owner else tensor, attr)(*TENSOR_CASES[name](a, b, m))
     for t in result if isinstance(result, list) else [result]:
-        assert_exact_components(t, (Fraction, QuadExt))
+        assert_exact_components(t)
 
 
 def test_compositions_reject_shape_mismatches():
