@@ -1,37 +1,35 @@
 """Exact linear algebra over Q, and over Q(sqrt d) where the 4D frame needs it.
 
-All routines use Gaussian elimination with deterministic lexicographic
-pivoting: columns are processed left to right and the first row with a
-nonzero entry is the pivot row.  No floating point anywhere, so ranks,
-kernels and solve verdicts are exact.
+All routines use Gaussian elimination, with no floating point anywhere,
+so ranks, kernels and solve verdicts are exact.  Kernel bases and
+particular solutions are read off the reduced row echelon form, which is
+unique, so they do not depend on the order of elimination.
 
 Entries are ints and Fractions; rref, what is built on it (nullspace,
 solve, inverse, span_basis) and the vector helpers take QuadExts too.  A
-float or a string raises ValueError: a float would be read as the nearest
-binary fraction, another matrix, a string parsed as a number.
+float, a string or None raises ValueError: a float would be read as the
+nearest binary fraction, another matrix, a string parsed as a number.
 
-A matrix or vector whose entries are all ints and Fractions is eliminated
-fraction-free, on integer numerators: each row is scaled to integers by
-the lcm of its denominators, a row is eliminated as p*row - f*pivot_row
-and divided by its content, and one Fraction is built per nonzero output
-entry at the end.  Row scaling changes neither the reduced row echelon
-form, which is unique, nor any pivot choice, so the values are those of
-an elimination over Fractions, and every output entry is a Fraction.
+Rational input is eliminated by Echelon alone, fraction-free: a vector
+is scaled to integers by the lcm of its denominators, reduced as
+n_p*w - w_p*row at each pivot, and stored divided by its content.  Ranks,
+membership tests and det read its rows as they stand, with no back
+substitution, so a caller asking whether many vectors lie in one span
+eliminates the span once; det is the product of the pivots it divides
+by, signed by the order of their columns.  rref inserts the rows, then
+eliminates the stored rows once more in order of falling pivot (back
+substitution) and divides each by its pivot once, one Fraction per
+nonzero entry: the values are those of an elimination over Fractions,
+and every output entry is a Fraction.
 
-rref eliminates a matrix holding a QuadExt over the field, ints read as
+Echelon works over Q alone (a QuadExt raises ValueError naming it).  rref
+eliminates a matrix holding a QuadExt over the field, ints read as
 Fractions, every row operation over every column: Fraction - QuadExt * 0
 is a QuadExt, so the element types of the result depend on every
-operation performed.
-
-Ranks, membership tests and det use Echelon, which works over Q alone (a
-QuadExt raises ValueError naming it), keeps the reduced rows of a span
-and reduces a vector against them: no back substitution, and a caller
-asking whether many vectors lie in one span eliminates the span once.
-det is the product of the pivots it divides by, signed by the order of
-their columns.  Mis-shaped input is refused with a ValueError naming the
-lengths: by rref and Echelon, where
-every vector enters elimination, and by solve, det, inverse, mat_vec,
-vec_add, vec_sub and intersect_spans, which read the shape first.
+operation performed.  Mis-shaped input is refused with a ValueError
+naming the lengths: by rref and Echelon, where every vector enters
+elimination, and by solve, det, inverse, mat_vec, vec_add, vec_sub and
+intersect_spans, which read the shape first.
 """
 
 from __future__ import annotations
@@ -58,20 +56,21 @@ def identity(n: int) -> Matrix:
 
 
 def _rational(rows: Sequence[Sequence]) -> bool:
-    """Whether every entry is an int or a Fraction.  A float or a string
-    raises ValueError naming it: a float would be read as the nearest
-    binary fraction, a string parsed as a number."""
+    """Whether every entry is an int or a Fraction.  A float, a string or
+    None raises ValueError naming it: a float would be read as the nearest
+    binary fraction, a string parsed as a number, and None would fail
+    late, inside the arithmetic."""
     kinds = {type(x) for row in rows for x in row}
     if all(issubclass(k, (int, Fraction)) for k in kinds):
         return True
-    bad = next((x for row in rows for x in row if isinstance(x, (float, str))), None)
-    if bad is not None:
-        raise ValueError(f"{type(bad).__name__} entry {bad!r}: linear algebra needs exact numbers")
+    bad = [x for row in rows for x in row if x is None or isinstance(x, (float, str))]
+    if bad:
+        raise ValueError(f"{type(bad[0]).__name__} entry {bad[0]!r}: linear algebra needs exact numbers")
     return False
 
 
 def _field(v: Sequence) -> list:
-    """v with each int as a Fraction, refusing a float or a string."""
+    """v with each int as a Fraction, refusing a float, a string or None."""
     _rational([v])
     return [Fraction(x) if isinstance(x, int) else x for x in v]
 
@@ -133,39 +132,28 @@ def vec_is_zero(u: Sequence) -> bool:
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and the pivot column list.
 
-    A rational matrix is eliminated on its rows' integer numerators: a row
-    becomes p*row - f*pivot_row, divided by its content, and each pivot
-    row is divided by its pivot once, at the end.
+    A rational matrix is inserted into an Echelon; its integer rows, in
+    order of falling pivot, are eliminated against the rows taken before
+    them (back substitution) and divided by their pivots once, at the end.
     """
-    _check_rows(m, len(m[0]) if m else 0, "rref needs rows of one length")
+    cols = len(m[0]) if m else 0
+    _check_rows(m, cols, "rref needs rows of one length")
     if not _rational(m):
         return _field_rref(m)
-    a = [_numerators(row)[0] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i, row in enumerate(a):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                sp, sf = p // g, f // g
-                new = [sp * x - sf * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                a[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    return ([_over(row, row[c]) for row, c in zip(a, pivots)]
-            + [[_ZERO] * cols for _ in range(rows - r)]), pivots
+    span, back = Echelon(), Echelon()
+    for row in m:
+        span._append(span._reduce(row)[0])
+    for _, support in sorted(span.rows, reverse=True):
+        w = [0] * cols
+        for k, x in support:
+            w[k] = x
+        back._append(back._eliminate(w, 1)[0])
+    red = [[_ZERO] * cols for _ in m]
+    for out, (_, support) in zip(red, reversed(back.rows)):
+        top = support[0][1]
+        for k, x in support:
+            out[k] = Fraction(x, top)
+    return red, [p for p, _ in reversed(back.rows)]
 
 
 def _field_rref(m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -203,15 +191,11 @@ def nullspace(m: Matrix) -> List[Vector]:
         return []
     cols = len(m[0])
     red, pivots = rref(m)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v: Vector = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = basis_vector(cols, free)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free]
         basis.append(v)
     return basis
 
@@ -230,12 +214,11 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     _check_rows(m, cols, "solve needs rows of one length")
     aug = [list(row) + [bv] for row, bv in zip(m, b)]
     red, pivots = rref(aug)
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None  # pivot in the constants column
+    if cols in pivots:
+        return None  # pivot in the constants column
     x: Vector = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    for row, pc in zip(red, pivots):
+        x[pc] = row[cols]
     return x
 
 
@@ -274,16 +257,13 @@ def inverse(m: Matrix) -> Matrix:
 def span_basis(vectors: Sequence[Sequence]) -> List[Vector]:
     """Canonical basis of the span: rref rows, zero rows dropped."""
     _rational(vectors)  # a float zero vector raises too
-    vecs = [list(v) for v in vectors if not vec_is_zero(v)]
-    if not vecs:
-        return []
-    red, pivots = rref(vecs)
-    return [red[i] for i in range(len(pivots))]
+    red, pivots = rref([list(v) for v in vectors if not vec_is_zero(v)])
+    return red[:len(pivots)]
 
 
 class Echelon:
-    """Reduced rows of a growing span over Q, for ranks, membership tests
-    and det.
+    """Reduced rows of a growing span over Q, for ranks, membership tests,
+    det and rref.
 
     Each row is stored by its support, with a pivot column where it is
     nonzero and where every row inserted later is 0; reducing a vector
@@ -295,7 +275,8 @@ class Echelon:
     [(column, n)], and stands for that row over its pivot entry n_p; a
     vector's numerators w are reduced as n_p*w - w_p*row at each pivot,
     and its denominator multiplied by the n_p it picks up.  A vector with
-    an entry other than an int or a Fraction raises ValueError naming it.
+    an entry that is not a rational number (one with no denominator: a
+    QuadExt, a float, a string, None) raises ValueError naming it.
     """
 
     def __init__(self, vectors: Sequence[Sequence] = ()):
@@ -315,10 +296,16 @@ class Echelon:
             if self._length is not None:
                 raise ValueError(f"vector of length {len(v)} for an Echelon of {self._length}")
             self._length = len(v)
-        if not _rational([v]):
-            bad = next(x for x in v if not isinstance(x, (int, Fraction)))
-            raise ValueError(f"entry {bad!r}: Echelon works over Q (rref takes Q(sqrt d))")
-        w, den = _numerators(v)
+        try:
+            w, den = _numerators(v)
+        except AttributeError:  # an entry with no denominator
+            _rational([v])  # a float, a string or None raises here
+            bad = next(x for x in v if not hasattr(x, "denominator"))
+            raise ValueError(f"entry {bad!r}: Echelon works over Q (rref takes Q(sqrt d))") from None
+        return self._eliminate(w, den)
+
+    def _eliminate(self, w: List[int], den: int) -> Tuple[List[int], int]:
+        """The integer vector w over den reduced at each pivot in turn."""
         for p, support in self.rows:
             f = w[p]
             if f:
@@ -343,12 +330,18 @@ class Echelon:
         """Add v to the span and return the pivot value its remainder is
         divided by, or 0 when v already lay there."""
         w, den = self._reduce(v)
-        p = next((k for k, x in enumerate(w) if x), None)
-        if p is None:
-            return 0
+        p = self._append(w)
+        return 0 if p is None else Fraction(w[p], den)
+
+    def _append(self, w: List[int]) -> Optional[int]:
+        """Store a remainder w divided by its content, unless it is zero;
+        its pivot column, or None."""
+        if not any(w):
+            return None
         g = gcd(*w)
-        self.rows.append((p, [(k, x // g) for k, x in enumerate(w) if x]))
-        return Fraction(w[p], den)
+        support = [(k, x // g) for k, x in enumerate(w) if x]
+        self.rows.append((support[0][0], support))
+        return support[0][0]
 
 
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
@@ -364,27 +357,14 @@ def sum_spans(u: Sequence[Sequence], v: Sequence[Sequence]) -> List[Vector]:
 
 
 def intersect_spans(u: Sequence[Sequence], v: Sequence[Sequence]) -> List[Vector]:
-    """Basis of span(u) intersect span(v), via the kernel of [U^T | -V^T]."""
+    """Basis of span(u) intersect span(v): a kernel vector (a, b) of
+    [U^T | V^T] gives the common vector U^T a = V^T (-b)."""
     if not u or not v:
         return []
-    dim = len(u[0])
-    _check_rows([*u, *v], dim, "intersect_spans needs vectors of one length")
-    rows = dim
-    cols = len(u) + len(v)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for j, uv in enumerate(u):
-        for i in range(dim):
-            m[i][j] = uv[i]
-    for j, vv in enumerate(v):
-        for i in range(dim):
-            m[i][len(u) + j] = -vv[i]
-    vectors = []
-    for k in nullspace(m):
-        combo = [Fraction(0)] * dim
-        for j, uv in enumerate(u):
-            combo = vec_add(combo, vec_scale(uv, k[j]))
-        vectors.append(combo)
-    return span_basis(vectors)
+    _check_rows([*u, *v], len(u[0]), "intersect_spans needs vectors of one length")
+    u_t = [list(col) for col in zip(*u)]
+    kernel = nullspace([list(col) for col in zip(*u, *v)])
+    return span_basis([mat_vec(u_t, k[:len(u)]) for k in kernel])
 
 
 def spans_equal(u: Sequence[Sequence], v: Sequence[Sequence]) -> bool:

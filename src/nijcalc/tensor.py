@@ -129,8 +129,8 @@ class PointTensor:
     def apply(self, args: Sequence[Sequence]) -> List[Fraction]:
         """T(args[0], .., args[q-1]), summed over the arguments' supports.
 
-        Components may be int, Fraction or QuadExt; a float or a string
-        raises TensorError, since the result must be exact.
+        Components may be int, Fraction or QuadExt; a float, a string or
+        None raises TensorError, since the result must be exact.
         """
         if len(args) != self.arity:
             raise TensorError(f"{len(args)} arguments for arity {self.arity}")
@@ -140,7 +140,7 @@ class PointTensor:
                 raise TensorError(f"argument length {len(a)}, expected {self.dim_in}")
             support = []
             for j, c in enumerate(a):
-                if isinstance(c, (float, str)):
+                if c is None or isinstance(c, (float, str)):
                     raise TensorError(f"{type(c).__name__} component {c!r}: arguments must be exact")
                 if c:
                     support.append((j, c))

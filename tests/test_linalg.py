@@ -128,6 +128,36 @@ def test_span_operations():
     assert linalg.spans_equal([e1, e2], [d, e1])
 
 
+@st.composite
+def spanning_lists(draw, dim=4):
+    """1-3 rational vectors of length dim, then perhaps a zero vector or a
+    combination of the others."""
+    entry = st.one_of(st.just(0), st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    vecs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    extra = draw(st.sampled_from(["none", "zero", "dependent"]))
+    if extra == "zero":
+        vecs.append([0] * dim)
+    elif extra == "dependent":
+        coeffs = [draw(st.fractions(-2, 2, max_denominator=3)) for _ in vecs]
+        vecs.append([sum((c * v[k] for c, v in zip(coeffs, vecs)), F(0)) for k in range(dim)])
+    return vecs
+
+
+@settings(deadline=None)
+@given(spanning_lists(), spanning_lists(), st.booleans())
+def test_intersect_spans_is_the_common_subspace(u, v, share):
+    """Every returned vector lies in both spans, there are
+    dim U + dim V - dim(U + V) of them, and they are their own canonical
+    basis; share puts a vector of u into v."""
+    if share:
+        v = v + [u[-1]]
+    got = linalg.intersect_spans(u, v)
+    in_u, in_v = linalg.Echelon(u), linalg.Echelon(v)
+    assert all(in_u.contains(w) and in_v.contains(w) for w in got)
+    assert len(got) == linalg.rank(u) + linalg.rank(v) - linalg.rank(u + v)
+    assert got == linalg.span_basis(got) and _all_fractions(got)
+
+
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
 def test_nullspace_vectors_satisfy_system(rows):
     m = [[F(x) for x in row] for row in rows]
@@ -540,9 +570,16 @@ def _all_fractions(m):
 @given(rational_matrices())
 @example([[F(1, 2), 3, 0, F(-5, 7)]])
 @example([[2], [F(1, 3)], [0], [-4]])
+@example([[0, 1, 2], [3, 0, F(1, 2)]])  # a later row holds the first pivot
+@example([[1, 2, 3], [1, 2, 3], [0, F(1, 3), 1]])  # a duplicate leading row
+@example([[0, 2, 1], [0, F(1, 2), 3], [0, 0, 0]])  # an all-zero first column
+@example([[0, 0, 1], [0, 1, 2], [1, 2, F(3, 5)]])  # pivots in falling order
+@example([[1, 2], [3, 4], [5, F(6, 7)], [0, -1], [F(1, 3), 0]])  # more rows than columns
 def test_rref_and_nullspace_match_the_fraction_loop(m):
     """Equal values and pivots, every entry a Fraction; the reference gets
-    the same matrix as Fractions, since int / int is a float there."""
+    the same matrix as Fractions, since int / int is a float there.  The
+    examples insert rows into Echelon in an order other than that of
+    their pivot columns."""
     fm = _as_fractions(m)
     red, pivots = linalg.rref(m)
     ref, ref_pivots = fraction_rref(fm)
@@ -594,6 +631,28 @@ def test_echelon_matches_the_fraction_loop(m, v):
         rem = ech.reduce(w)
         assert rem == ref.reduce([F(x) for x in w]) and all(type(x) is F for x in rem)
         assert ech.contains(w) == ref.contains([F(x) for x in w])
+
+
+@pytest.mark.parametrize("name, args", [
+    ("rref", ([[0, 1], [2, F(1, 2)]],)),
+    ("nullspace", ([[1, 2, F(1, 3)]],)),
+    ("solve", ([[1, 2], [3, 4]], [1, F(1, 2)])),
+    ("inverse", ([[1, 2], [3, 4]],)),
+    ("span_basis", ([[1, 2], [2, 4]],)),
+])
+def test_rational_elimination_runs_through_echelon(name, args, monkeypatch):
+    """rref and what is built on it eliminate rational input with
+    Echelon's step, so a second rational elimination loop shows here."""
+    reached = []
+    real = linalg.Echelon._reduce
+
+    def spy(self, v):
+        reached.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(linalg.Echelon, "_reduce", spy)
+    getattr(linalg, name)(*args)
+    assert reached
 
 
 def test_int_input_gives_fractions():
@@ -732,6 +791,25 @@ def test_strings_are_refused_wherever_they_stand(call):
     QuadExts would fail late inside the arithmetic: each entry point
     raises ValueError naming the string."""
     with pytest.raises(ValueError, match="str entry '1/2'"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.det([[1, None], [0, 1]]),
+    lambda: linalg.rank([[1, None]]),
+    lambda: linalg.Echelon([[1, 0]]).contains([None, 1]),
+    lambda: linalg.rref([[1, None]]),
+    lambda: linalg.rref([[sqrt_exact(2), None]]),
+    lambda: linalg.nullspace([[None, 1]]),
+    lambda: linalg.solve([[1, 0], [0, 1]], [1, None]),
+    lambda: linalg.span_basis([[None, 0], [1, 0]]),
+    lambda: linalg.mat_vec([[1, 1]], [None, 1]),
+    lambda: linalg.vec_add([1, None], [1, 1]),
+])
+def test_none_is_refused_wherever_it_stands(call):
+    """None would fail late, inside the arithmetic, or be named as an
+    entry outside Q: each entry point raises ValueError naming it."""
+    with pytest.raises(ValueError, match="NoneType entry None"):
         call()
 
 

@@ -114,6 +114,8 @@ def test_apply_rejects_floats_and_bad_shapes():
         t.apply([[1, 0], [0.0, 1]])  # even a float zero
     with pytest.raises(tensor.TensorError, match="str component '1/2'"):
         t.apply([[1, 0], ["1/2", 1]])  # not parsed, and not a late TypeError
+    with pytest.raises(tensor.TensorError, match="NoneType component None"):
+        t.apply([[None, 1], [1, 0]])  # not read as 0
     with pytest.raises(tensor.TensorError, match="arguments for arity"):
         t.apply([[1, 0]])
     with pytest.raises(tensor.TensorError, match="argument length"):
