@@ -8,12 +8,13 @@ invariant both from the ten-term bracket expression and from the
 R-contraction of the torsion differential.  Disagreement between routes
 is an internal error, never silently resolved.
 
-The routes are different formulas run by the same kernels: at the point
-each is a signed sum of contractions, one contraction_sum on integer
-numerators, with no tensor applied to basis vectors.  The torsion jets
-are one integer pass over J's columns (poly.jet_torsion), J applied to
-them one poly.jet_apply_columns call.  An identity check reports the
-first nonzero entry of the sum of its terms.
+The routes are different formulas run by the same kernels, on integer
+Readings from the jet to the cross-check: d^p of a jet is read off its
+numerators (_jet_reading), each route is a sum of contractions whose
+Reading feeds the next (contraction_reading), and routes are compared,
+or an identity checked, by the first nonzero of a sum (first_nonzero_sum).
+Only a returned tensor becomes Fractions.  The torsion jets are one
+integer pass over J's columns (poly.jet_torsion).
 
 Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
@@ -33,15 +34,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly
 from .forms import VectorForm
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
-from .tensor import (Index, PointTensor, alternating_rep, contraction_sum,
-                     pair_pattern_rep, solution_basis, unit_basis)
+from .tensor import (Index, PointTensor, Reading, alternating_rep, contraction_reading,
+                     contraction_sum, first_nonzero_sum, solution_basis, unit_basis)
 
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
 Arity4Jets = Tuple[List[PolyVec], Dict[Index, PolyVec]]
@@ -55,24 +55,39 @@ def jet_differential(field: VectorForm, p: int) -> PointTensor:
     """d^p at the base point of a vector-valued form given by its jet there.
 
     field holds the jet of the form, known to order p at least
-    (StructureField.jet, torsion_jets), and is read by value_on_basis at
-    every basis tuple of its degree slots.  The p derivative slots come
-    last: the entry at (idx, c_1, .., c_p) is the coefficient of y^alpha in
-    the value on idx times alpha!, where alpha counts the directions c_i.
+    (StructureField.jet, torsion_jets), and is read at every basis tuple
+    of its degree slots, by sign from the sorted tuple.  The p derivative
+    slots come last: the entry at (idx, c_1, .., c_p) is the coefficient of
+    y^alpha in the value on idx times alpha!, where alpha counts the
+    directions c_i.  This is the Fraction view of _jet_reading, one walk
+    over the numerators of the degree-p coefficients.
     """
+    return _jet_reading(field, p).tensor()
+
+
+def _jet_reading(field: VectorForm, p: int) -> Reading:
+    """jet_differential as the contraction kernel's Reading."""
+    if p < 0:
+        raise ValueError(f"jet differential order {p} is negative")
     dim = field.dim
-    weights = []
-    for dirs in itertools.product(range(dim), repeat=p):
-        alpha = tuple(dirs.count(k) for k in range(dim))
-        weights.append((dirs, alpha, math.prod(math.factorial(k) for k in alpha)))
-    zero = Fraction(0)
-    entries: Dict[Index, List[Fraction]] = {}
-    for base in itertools.product(range(dim), repeat=field.degree):
-        vec = field.value_on_basis(base)
-        for dirs, alpha, w in weights:
-            vals = [c.get(alpha, zero) for c in vec]
-            entries[base + dirs] = vals if w == 1 else [w * c for c in vals]
-    return PointTensor(dim, dim, field.degree + p, entries)
+    dirs = [(d, tuple(d.count(k) for k in range(dim)))
+            for d in itertools.product(range(dim), repeat=p)]
+    # (key, alpha) -> (i, numerator, denominator) of alpha! (y^alpha at key)_i
+    coeffs = {}
+    for alpha in dict.fromkeys(alpha for _, alpha in dirs):
+        w = math.prod(map(math.factorial, alpha))
+        for key, vec in field.entries.items():
+            if row := [(i, *(c if w == 1 else w * c).as_integer_ratio())
+                       for i, comp in enumerate(vec) if (c := comp.get(alpha))]:
+                coeffs[key, alpha] = row
+    den = math.lcm(*(d for row in coeffs.values() for _, _, d in row))
+    # by sign, the numerators over den of the components times sign
+    signed = {s: {k: [(i, s * n * (den // d)) for i, n, d in row] for k, row in coeffs.items()}
+              for s in (1, -1)} | {0: {}}
+    rows = {base + d: signed[sign].get((key, alpha), [])
+            for base in itertools.product(range(dim), repeat=field.degree)
+            for key, sign in [alternating_rep(base)] for d, alpha in dirs}
+    return Reading(dim, dim, field.degree + p, den, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +110,31 @@ def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
     N(e_a, e_b) = [J e_a, J e_b] + J d_b(J e_a) - J d_a(J e_b),
     summed in one integer pass over J's columns (poly.jet_torsion).
     A field vanishing identically near the point gets a zero jet, not a
-    gap, so positions in the pair order never move.
+    gap, so positions in the pair order never move; a negative order raises.
     """
+    if order < 0:
+        raise ValueError(f"torsion jet order {order} is negative")
     return dict(zip(itertools.combinations(range(len(jet)), 2), poly.jet_torsion(jet, order)))
 
 
-def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
+def _torsion_first_differential(jet: List[PolyVec]) -> Reading:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
     point, from J and dj there, both read off the 1-jet of J: with
     u(X, Y) = dj(JX, Y) + dj(X, JY), N is u with its slots swapped minus u,
     one sum of four contractions.  Every entry is computed, none filled by
     sign."""
     field = VectorForm.from_columns(jet)
-    j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
+    j_at, dj = _jet_reading(field, 0), _jet_reading(field, 1)
     dim = len(jet)
-    return contraction_sum(dim, dim, 2, [(sign, dj, j_at, slot, perm) for slot in (0, 1)
-                                         for sign, perm in ((1, (1, 0)), (-1, None))])
+    return contraction_reading(dim, dim, 2, [(sign, dj, j_at, slot, perm) for slot in (0, 1)
+                                             for sign, perm in ((1, (1, 0)), (-1, None))])
+
+
+def _first_nonzero(dim: int, arity: int, terms: List[tuple]) -> Optional[Index]:
+    """The first index tuple where the sum of terms is nonzero, scanned on
+    integers (first_nonzero_sum): a defect, or where two routes differ."""
+    hit = first_nonzero_sum(dim, dim, arity, [terms])
+    return None if hit is None else hit[0]
 
 
 def torsion_from_jets(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> PointTensor:
@@ -121,15 +145,16 @@ def torsion_from_jets(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> Point
     Both routes read only degree <= 1 of jet: the bracket route is the
     value of the 2-form n_jets, filled by sign from the pairs a < b, the
     other the first-differential formula, which computes every entry, so
-    their agreement certifies antisymmetry too.  Callers that already hold
-    higher jets (classify) pass them and build nothing twice.
+    their agreement certifies antisymmetry too; only the returned Reading
+    becomes Fractions.  Callers that already hold higher jets (classify)
+    pass them and build nothing twice.
     """
-    bracket = jet_differential(VectorForm(len(jet), 2, n_jets), 0)
-    other = _torsion_first_differential(jet)
-    if bracket != other:
-        raise InternalInconsistencyError(
-            f"torsion routes disagree at basis pair {_first_nonzero(bracket.sub(other))}")
-    return bracket
+    bracket = _jet_reading(VectorForm(len(jet), 2, n_jets), 0)
+    idx = _first_nonzero(len(jet), 2, [(1, None, bracket, None, None),
+                                       (-1, None, _torsion_first_differential(jet), None, None)])
+    if idx is not None:
+        raise InternalInconsistencyError(f"torsion routes disagree at basis pair {idx}")
+    return bracket.tensor()
 
 
 def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
@@ -150,6 +175,21 @@ def _arity4_jets(j: StructureField, point: Sequence) -> Arity4Jets:
     return jet, torsion_jets(jet, 1)
 
 
+def _bracket_terms(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> List[tuple]:
+    """higher_nijenhuis_bracket's H as two terms over the Reading of W."""
+    dim = len(jet)
+    n_field = VectorForm(dim, 2, n_jets)
+    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
+        jet, list(n_jets.values()), 1))))
+    n_at, dn = _jet_reading(n_field, 0), _jet_reading(n_field, 1)
+    jn_at, djn = _jet_reading(jn_field, 0), _jet_reading(jn_field, 1)
+    w = contraction_reading(dim, dim, 4, [
+        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
+        (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
+        (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))])
+    return [(1, None, w, None, None), (-1, None, w, None, (2, 3, 0, 1))]
+
+
 def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
                              jets: Optional[Arity4Jets] = None) -> PointTensor:
     """Ten-term bracket expression on constant extensions of basis
@@ -161,23 +201,25 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     e_a, e_b the rest.  The fields are read off their 1-jets; jets is the
     pair (2-jet of J, torsion 1-jets) that higher_nijenhuis shares.
 
-    W is one contraction_sum of six terms, the last four computed in the
-    slot orders (c, d, a, b) and (a, c, d, b); H is filled from W by sign,
-    one value per pair-pattern orbit (from_orbits, pair_pattern_rep).
+    W is one contraction sum of six terms, the last four computed in the
+    slot orders (c, d, a, b) and (a, c, d, b), and H one of two over W's
+    Reading.  N and JN are 2-forms, so H has the pair pattern by
+    construction at every entry.
     """
-    dim = j.dim
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
-    n_field = VectorForm(dim, 2, n_jets)
-    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
-        jet, list(n_jets.values()), 1))))
-    n_at, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
-    jn_at, djn = jet_differential(jn_field, 0), jet_differential(jn_field, 1)
-    w = contraction_sum(dim, dim, 4, [
-        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
-        (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
-        (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))]).entries
-    return PointTensor.from_orbits(dim, dim, 4, pair_pattern_rep, lambda idx: [
-        x - y for x, y in zip(w[idx], w[idx[2:] + idx[:2]])])
+    return contraction_sum(j.dim, j.dim, 4, _bracket_terms(jet, n_jets))
+
+
+def _differential_route(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> Reading:
+    """The Reading of higher_nijenhuis_differential."""
+    dim = len(jet)
+    j_field, n_field = VectorForm.from_columns(jet), VectorForm(dim, 2, n_jets)
+    j_at, dj = _jet_reading(j_field, 0), _jet_reading(j_field, 1)
+    n, dn = _jet_reading(n_field, 0), _jet_reading(n_field, 1)
+    r = contraction_reading(dim, dim, 3, [
+        (1, dn, j_at, 2, None), (1, j_at, dn, None, None), (1, n, dj, 0, (2, 0, 1)),
+        (-1, dj, n, 1, (2, 0, 1)), (1, n, dj, 1, (0, 2, 1))])
+    return contraction_reading(dim, dim, 4, [(1, r, n, 2, None), (-1, r, n, 2, (2, 3, 0, 1))])
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,
@@ -191,42 +233,31 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
     R is one sum of five contractions, the terms with dj computed in the
     slot orders (z, x, y) and (x, z, y), and the invariant one sum of two,
     R with N in its last slot and the same in the slot order (z, v, x, y).
-    Every entry is computed, none filled by sign."""
-    dim = j.dim
+    Every entry is computed, none filled by sign, and R stays a Reading."""
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
-    j_field, n_field = VectorForm.from_columns(jet), VectorForm(dim, 2, n_jets)
-    j_at, dj = jet_differential(j_field, 0), jet_differential(j_field, 1)
-    n, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
-    r = contraction_sum(dim, dim, 3, [
-        (1, dn, j_at, 2, None), (1, j_at, dn, None, None), (1, n, dj, 0, (2, 0, 1)),
-        (-1, dj, n, 1, (2, 0, 1)), (1, n, dj, 1, (0, 2, 1))])
-    return contraction_sum(dim, dim, 4, [(1, r, n, 2, None), (-1, r, n, 2, (2, 3, 0, 1))])
+    return _differential_route(jet, n_jets).tensor()
 
 
 def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     """Arity-4 invariant at the point; raises if the two routes disagree.
 
-    The bracket route fills one value per pair-pattern orbit and the rest
-    by sign; the differential route computes every entry.  Their entrywise
-    agreement therefore certifies the pair pattern as well as the values.
-    Both read the same jets, built once here, and both are sums of
-    contractions (contraction_sum) of different tensors: dN, dJN, N and JN
-    for the bracket route, J, dj, N and dN for the differential route.
+    Both routes compute every entry, as sums of contractions of different
+    Readings off the same jets, built once here: dN, dJN, N and JN for the
+    bracket route, which has the pair pattern by construction, J, dj, N and
+    dN for the differential route, so their entrywise agreement certifies
+    the pair pattern as well as the values.
     """
-    jets = _arity4_jets(j, point)
-    a = higher_nijenhuis_bracket(j, point, jets)
-    b = higher_nijenhuis_differential(j, point, jets)
-    if a != b:
-        raise InternalInconsistencyError(
-            f"arity-4 routes disagree at basis tuple {_first_nonzero(a.sub(b))}")
-    return a
+    jet, n_jets = _arity4_jets(j, point)
+    h = _differential_route(jet, n_jets)
+    idx = _first_nonzero(j.dim, 4, _bracket_terms(jet, n_jets) + [(-1, None, h, None, None)])
+    if idx is not None:
+        raise InternalInconsistencyError(f"arity-4 routes disagree at basis tuple {idx}")
+    return h.tensor()
 
 
 def nijenhuis_differential(j: StructureField, p: int, point: Sequence) -> PointTensor:
     """d^p of the torsion field at the point (arity 2 + p), from the
     order-p torsion jets."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
     jet = j.jet(point, p + 1)
     return jet_differential(VectorForm(j.dim, 2, torsion_jets(jet, p)), p)
 
@@ -270,19 +301,13 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
 # identity checks used by the validation suite
 # ---------------------------------------------------------------------------
 
-def _first_nonzero(t: PointTensor) -> Optional[Index]:
-    """The first index tuple, in sorted order, with a nonzero entry."""
-    return next((idx for idx in sorted(t.entries) if any(t.entries[idx])), None)
-
-
 def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
     """First basis pair where dj(J x, y) != -J dj(x, y), or None: the first
     nonzero entry of the sum of the two sides."""
     field = VectorForm.from_columns(j.jet(point, 1))
-    j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
-    return _first_nonzero(contraction_sum(
-        j.dim, j.dim, 2, [(1, dj, j_at, 0, None), (1, j_at, dj, None, None)]))
+    j_at, dj = _jet_reading(field, 0), _jet_reading(field, 1)
+    return _first_nonzero(j.dim, 2, [(1, dj, j_at, 0, None), (1, j_at, dj, None, None)])
 
 
 def second_differential_identity_defect(j: StructureField,
@@ -292,8 +317,7 @@ def second_differential_identity_defect(j: StructureField,
     the first nonzero entry of the sum of the four terms, the third
     computed in the slot order (x, z, y)."""
     field = VectorForm.from_columns(j.jet(point, 2))
-    j_at = jet_differential(field, 0)
-    dj, d2j = jet_differential(field, 1), jet_differential(field, 2)
-    return _first_nonzero(contraction_sum(j.dim, j.dim, 3, [
+    j_at, dj, d2j = (_jet_reading(field, p) for p in (0, 1, 2))
+    return _first_nonzero(j.dim, 3, [
         (1, d2j, j_at, 0, None), (1, j_at, d2j, None, None),
-        (1, dj, dj, 0, (0, 2, 1)), (1, dj, dj, 0, None)]))
+        (1, dj, dj, 0, (0, 2, 1)), (1, dj, dj, 0, None)])

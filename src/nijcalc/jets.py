@@ -250,7 +250,7 @@ class _StructureJets:
     """
 
     def __init__(self, u: TruncatedMap, j_l: StructureField, j_m: StructureField):
-        self.l_cols, self.m_cols = (j.jet(list(pt), j.max_entry_degree())
+        self.l_cols, self.m_cols = (j.jet(list(pt), max(j.max_entry_degree(), 0))
                                     for j, pt in ((j_l, u.x), (j_m, u.y)))
         self._jets = tuple(VectorForm.from_columns(c) for c in (self.l_cols, self.m_cols))
         self.j_l_at, self.j_m_at = (jet_differential(f, 0) for f in self._jets)

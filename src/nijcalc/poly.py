@@ -50,11 +50,11 @@ def zero() -> Poly:
 def _exact(c: Scalar, what: str = "coefficient") -> Fraction:
     """c as a Fraction.  A float raises PolyError: it would be read as the
     nearest binary fraction, an exact answer to another question.  So does
-    a string, which Fraction would parse as a number."""
+    a string, which Fraction would parse as a number, and None."""
     if type(c) is Fraction:
         return c
-    if isinstance(c, float):
-        raise PolyError(f"float {what} {c!r}: must be exact")
+    if c is None or isinstance(c, float):
+        raise PolyError(f"{type(c).__name__} {what} {c!r}: must be exact")
     if isinstance(c, str):
         raise PolyError(f"string {what} {c!r}: must be a number")
     return Fraction(c)
@@ -248,9 +248,11 @@ def shift(ps: Sequence[Poly], point: Sequence[Scalar], order: int) -> List[Poly]
 
     The coefficient of y^alpha is the partial derivative d^alpha p at the
     point divided by alpha!, so each result is the order-jet of p there.
-    A float coordinate raises PolyError, and so does a nonzero p in another
-    number of variables than the point has coordinates.
+    A float coordinate raises PolyError, and so do a negative order and a
+    nonzero p in another number of variables than the point has coordinates.
     """
+    if order < 0:
+        raise PolyError(f"jet order {order} is negative")
     n = len(point)
     subs = [add(const(_exact(x, "coordinate"), n), var(i + 1, n)) for i, x in enumerate(point)]
     return jet_substitute(ps, subs, n, order)

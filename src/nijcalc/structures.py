@@ -37,7 +37,7 @@ class StructureField:
                 raise StructureError("matrix is not square")
             for i, p in enumerate(col):
                 for e, c in p.items():
-                    if isinstance(c, (float, str)) or len(e) != dim:
+                    if c is None or isinstance(c, (float, str)) or len(e) != dim:
                         raise StructureError(f"entry ({i}, {j}) has the term {c!r} at {e!r}: "
                                              f"coefficients must be exact, exponents of length {dim}")
         self.dim = dim

@@ -24,19 +24,18 @@ tensor against a rule.
 
 contraction_sum is the one contraction kernel: a signed sum of slot
 contractions, post-compositions and plain tensors, each with its slots
-permuted into the output order, summed on integer numerators with one
-Fraction per nonzero output component.  It reads each input into rows
-(its nonzero components, integers over its lcm) and then accumulates the
-terms over them, so a caller contracting one tensor many times reads it
-once: first_nonzero_sum, several sums over the same inputs scanned
-before any Fraction is built, and kernel_matrices, at many points.
-slot_compose (a tensor of any arity fed into one slot of another),
-post_compose and precompose_all (a linear map in every slot) are its
-one-term calls, each reading its own inputs.  The kernel works over Q
-alone: a component that is not an int or a Fraction raises TensorError.  A
-linear equation on tensors is stated once, as a contraction_sum, and
-solved as the nullspace of matrix_of, the matrix of the operator on a
-basis of unknowns such as a unit_basis (solution_basis).
+permuted into the output order, summed on integer numerators.  A Reading
+(each entry's nonzero components, integers over one denominator) is what
+it takes and returns: it reads each input tensor once, a term may hold a
+Reading instead, and contraction_reading returns the sum as one, so a
+chain of contractions never leaves the integers; contraction_sum is its
+Fraction view.  first_nonzero_sum scans sums before any Fraction is
+built, kernel_matrices contracts one reading at many points, and
+slot_compose, post_compose and precompose_all are one-term calls.  The
+kernel works over Q: any other component raises TensorError.  A linear
+equation on tensors is stated once, as a contraction_sum, and solved as
+the nullspace of matrix_of, the matrix of the operator on a basis of
+unknowns such as a unit_basis (solution_basis).
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import linalg
 
@@ -303,25 +303,48 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
 
 
 _ZERO = Fraction(0)
-# by input id, (d, rows): rows[idx] the nonzero components (i, numerator over d) of entry idx
-_Read = Dict[int, Tuple[int, Dict[Index, List[tuple]]]]
+
+
+class Reading(NamedTuple):
+    """rows[idx] lists the nonzero components (i, n) of the entry at idx,
+    each the value n / den, with a row at every index tuple in product order."""
+    dim_in: int
+    dim_out: int
+    arity: int
+    den: int
+    rows: Dict[Index, List[Tuple[int, int]]]
+
+    def tensor(self) -> PointTensor:
+        """The Fraction view: one Fraction per nonzero component."""
+        entries = {}
+        for idx, row in self.rows.items():
+            v = entries[idx] = [_ZERO] * self.dim_out
+            for i, n in row:
+                v[i] = Fraction(n, self.den)
+        return PointTensor(self.dim_in, self.dim_out, self.arity, entries)
 
 
 def contraction_sum(dim_in: int, dim_out: int, arity: int, terms: Sequence[tuple]) -> PointTensor:
     """sum_k sign_k * term_k.  A term (sign, outer, inner, slot, perm) is
     slot_compose(outer, inner, slot), post_compose(outer, inner) when slot
-    is None, or inner when outer is None too; its k-th slot goes to output
-    slot perm[k] (None: slot k), so no term needs a swap_slots.
+    is None, or inner when outer is None too (either may be a Reading); its
+    k-th slot goes to output slot perm[k] (None: slot k), so no term needs
+    a swap_slots.
 
-    Each distinct input is read once (_read), as the nonzero components of
-    each entry, integers over the lcm of its denominators.  A term's products
-    are numerators over the product d of its inputs' lcms; weighted by
+    Each distinct input tensor is read once (_read).  A term's products are
+    numerators over the product d of its inputs' denominators; weighted by
     D // d, D the lcm of every d, they are summed in one integer per output
-    component, and each nonzero sum becomes one Fraction(sum, D), a zero
-    sum the shared zero, so every component comes out a Fraction."""
-    return PointTensor(dim_in, dim_out, arity, _contraction_sum(
-        terms, [dim_in] * arity, dim_out,
-        _read(t for term in terms for t in term[1:3] if t is not None)))
+    component (contraction_reading), and each nonzero sum becomes one
+    Fraction(sum, D), so every component comes out a Fraction."""
+    return contraction_reading(dim_in, dim_out, arity, terms).tensor()
+
+
+def contraction_reading(dim_in: int, dim_out: int, arity: int,
+                        terms: Sequence[tuple]) -> Reading:
+    """contraction_sum's integer sums over D as a Reading, no Fraction
+    built: a sum the next contraction reads stays on integers."""
+    return _accumulate(dim_in, dim_out, terms, [dim_in] * arity,
+                       _read(t for term in terms for t in term[1:3] if t is not None))
 
 
 def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
@@ -332,20 +355,21 @@ def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
     distinct input of the sums is read once, and the sums are scanned as
     accumulated, integer numerators: no Fraction is built."""
     read = _read(t for terms in sums for term in terms for t in term[1:3] if t is not None)
-    accs = [_accumulate(terms, [dim_in] * arity, dim_out, read)[0] for terms in sums]
-    for idx, at_idx in zip(itertools.product(range(dim_in), repeat=arity), zip(*accs)):
-        for k, acc in enumerate(at_idx):
-            if any(acc):
+    rows = [_accumulate(dim_in, dim_out, terms, [dim_in] * arity, read).rows for terms in sums]
+    for idx in itertools.product(range(dim_in), repeat=arity):
+        for k, sum_rows in enumerate(rows):
+            if sum_rows[idx]:
                 return idx, k
     return None
 
 
-def _read(tensors: Iterable[PointTensor]) -> _Read:
-    """The kernel's reading stage: each value in rows is an integer
-    numerator over d, the lcm of its tensor's denominators.  A component
-    that is not an int or a Fraction (a QuadExt, say) raises TensorError
-    naming it: the kernel works over Q."""
-    tensors = {id(t): t for t in tensors}
+def _read(tensors: Iterable) -> Dict[int, Reading]:
+    """The kernel's reading stage, by input id: a Reading is its own, and
+    a tensor's rows hold integer numerators over d, the lcm of its
+    denominators.  A component that is not an int or a Fraction (a
+    QuadExt, say) raises TensorError naming it: the kernel works over Q."""
+    read = {id(t): t for t in tensors}
+    tensors = {k: t for k, t in read.items() if type(t) is not Reading}
     try:
         lcms = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
                 for k, t in tensors.items()}
@@ -353,27 +377,18 @@ def _read(tensors: Iterable[PointTensor]) -> _Read:
         bad = next(x for t in tensors.values() for v in t.entries.values() for x in v
                    if not isinstance(x, (int, Fraction)))
         raise TensorError(f"component {bad!r}: the contraction kernel works over Q") from None
-    return {k: (lcms[k], {idx: [(i, x.numerator * (lcms[k] // x.denominator))
-                                for i, x in enumerate(v) if x]
-                          for idx, v in t.entries.items()})
-            for k, t in tensors.items()}
+    read.update({k: Reading(t.dim_in, t.dim_out, t.arity, lcms[k], {
+        idx: [(i, x.numerator * (lcms[k] // x.denominator)) for i, x in enumerate(v) if x]
+        for idx, v in t.entries.items()}) for k, t in tensors.items()})
+    return read
 
 
-def _contraction_sum(terms: Sequence[tuple], dims: List[int], dim_out: int,
-                     read: _Read) -> Dict[Index, List]:
-    """contraction_sum's entries, per-slot dimensions dims (mixed in
-    precompose_all), from one _read of every input."""
-    accs, den = _accumulate(terms, dims, dim_out, read)
-    return dict(zip(itertools.product(*map(range, dims)),
-                    ([Fraction(a, den) if a else _ZERO for a in acc] for acc in accs)))
-
-
-def _accumulate(terms: Sequence[tuple], dims: List[int], dim_out: int,
-                read: _Read) -> Tuple[List[List], int]:
-    """The kernel's accumulation stage, over rows already read:
-    contraction_sum's sums, a list of dim_out per index tuple in product
-    order, and their common denominator D."""
-    term_dens = [read[id(inner)][0] * (read[id(outer)][0] if outer is not None else 1)
+def _accumulate(dim_in: int, dim_out: int, terms: Sequence[tuple], dims: List[int],
+                read: Dict[int, Reading]) -> Reading:
+    """The kernel's accumulation stage, over inputs already read: the
+    Reading of the sum over its common denominator D, with per-slot
+    dimensions dims (mixed in precompose_all)."""
+    term_dens = [read[id(inner)].den * (read[id(outer)].den if outer is not None else 1)
                  for _, outer, inner, _, _ in terms]
     den = math.lcm(*term_dens)
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
@@ -391,10 +406,10 @@ def _accumulate(terms: Sequence[tuple], dims: List[int], dim_out: int,
                     and {inner.dim_in} >= set(t_dims[slot:slot + inner.arity]))
         if not fits or (outer or inner).dim_out != dim_out:
             raise TensorError("contraction term shape mismatch")
-        inner_rows = read[id(inner)][1]
+        inner_rows = read[id(inner)].rows
         if slot is None:
             cols = ([[(j, 1)] for j in range(dim_out)] if outer is None
-                    else [read[id(outer)][1][(j,)] for j in range(outer.dim_in)])
+                    else [read[id(outer)].rows[(j,)] for j in range(outer.dim_in)])
             for idx, support in inner_rows.items():
                 acc = accs[sum(map(operator.mul, idx, t_strides))]
                 for j, a in support:
@@ -402,7 +417,7 @@ def _accumulate(terms: Sequence[tuple], dims: List[int], dim_out: int,
                     for i, c in cols[j]:
                         acc[i] += a * c
             continue
-        outer_rows, end = read[id(outer)][1], slot + inner.arity
+        outer_rows, end = read[id(outer)].rows, slot + inner.arity
         mids = [(sum(map(operator.mul, mid, t_strides[slot:end])), [(m, w * c) for m, c in support])
                 for mid, support in inner_rows.items() if support]
         suffixes = [(sfx, sum(map(operator.mul, sfx, t_strides[end:])))
@@ -418,24 +433,24 @@ def _accumulate(terms: Sequence[tuple], dims: List[int], dim_out: int,
                     for m, c in support:
                         for i, x in row[m]:
                             acc[i] += c * x
-    return accs, den
+    return Reading(dim_in, dim_out, len(dims), den, {
+        idx: [(i, a) for i, a in enumerate(acc) if a] if any(acc) else []
+        for idx, acc in zip(itertools.product(*map(range, dims)), accs)})
 
 
 def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
     """T with every argument slot precomposed by the linear map phi, one
-    slot at a time: phi maps R^{phi.dim_in} -> R^{t.dim_in}, and the
-    result lives on R^{phi.dim_in}."""
+    slot at a time, each partial result a Reading: phi maps
+    R^{phi.dim_in} -> R^{t.dim_in}, and the result lives on R^{phi.dim_in}."""
     if phi.arity != 1 or phi.dim_out != t.dim_in:
         raise TensorError("precompose shape mismatch")
-    out = PointTensor(t.dim_in, t.dim_out, t.arity, {idx: list(v) for idx, v in t.entries.items()})
-    dims = [t.dim_in] * t.arity
+    out, dims = _read([t])[id(t)], [t.dim_in] * t.arity
     for slot in range(t.arity):
         dims[slot] = phi.dim_in
-        # out holds the partial result, whose slots before slot have phi.dim_in
-        out.entries = _contraction_sum([(1, out, phi, slot, None)], dims, t.dim_out,
-                                       _read([out, phi]))
-    out.dim_in = phi.dim_in
-    return out
+        # out reads the partial result, whose slots before slot have phi.dim_in
+        out = _accumulate(t.dim_in, t.dim_out, [(1, out, phi, slot, None)], dims,
+                          _read([out, phi]))
+    return out._replace(dim_in=phi.dim_in).tensor()
 
 
 def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
@@ -454,13 +469,12 @@ def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[List
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
     dim = t.dim_in
-    t_rows = _read([t])
+    t_read = _read([t])[id(t)]
     for xi in points:
         if len(xi) != dim or not all(isinstance(c, (int, Fraction)) for c in xi):
             raise TensorError(f"xi must be an exact vector of length {dim} over Q: {list(xi)!r}")
         s = PointTensor(dim, dim, 0, {(): list(xi)})
-        yield PointTensor(dim, dim, 1, _contraction_sum(
-            [(1, t, s, 0, None)], [dim], dim, {**t_rows, **_read([s])})).to_matrix()
+        yield contraction_sum(dim, dim, 1, [(1, t_read, s, 0, None)]).to_matrix()
 
 
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:

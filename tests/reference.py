@@ -71,8 +71,10 @@ The Gram certificate summed from Fraction applies (alpha_N_by_apply) is
 the oracle of genpos.alpha_N, which sums it on integer numerators.
 
 Some small helpers only the tests use live here too: matrix products,
-the full solution set of a linear system, and a vector form evaluated on
-constant vectors or composed with a structure.
+the full solution set of a linear system, a vector form evaluated on
+constant vectors or composed with a structure, and a route's Reading with
+one entry changed (reading_with_entry), which is how the cross-check
+tests corrupt a route.
 
 The canonical jet symbol solved by the dbar homotopy on polynomials
 (symmetrize_by_polynomials), with the constant matrices A = J_L(x) and
@@ -90,7 +92,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nijcalc import jets, linalg, poly
+from nijcalc import jets, linalg, poly, tensor
 from nijcalc.forms import VectorForm
 from nijcalc.genpos import _complex_complement
 from nijcalc.invariants import jet_differential, torsion_jets
@@ -99,6 +101,13 @@ from nijcalc.quadext import QuadExt
 from nijcalc.structures import StructureField, standard_matrix
 from nijcalc.tensor import (Index, PointTensor, alternating_rep, pair_pattern_rep,
                             symmetric_rep)
+
+
+def reading_with_entry(r: tensor.Reading, idx: Index, change) -> tensor.Reading:
+    """r with the entry at idx, a list of Fractions, replaced by change(entry)."""
+    t = r.tensor()
+    t.entries[idx] = change(t.entries[idx])
+    return tensor._read([t])[id(t)]
 
 
 def mat_scale(a, c):

@@ -36,7 +36,7 @@ from nijcalc.structures import (StructureError, StructureField, example_structur
                                 from_anticommuting_part, random_structure,
                                 validate)
 from nijcalc.tensor import identity_map
-from reference import lie_bracket, nijenhuis_field_by_lie_brackets
+from reference import lie_bracket, nijenhuis_field_by_lie_brackets, reading_with_entry
 
 NOT_LIE = {"jj_algebraic_zero": True, "jj_fn_is_twice_torsion": True,
            "nn_algebraic_zero": False, "nn_fn_zero": True, "jn_fn_zero": True}
@@ -372,9 +372,7 @@ def test_frame_cross_checks_the_torsion_routes(monkeypatch, op):
     true_route = invariants._torsion_first_differential
 
     def broken(jet):
-        t = true_route(jet)
-        t.entries[(1, 3)] = [t.entries[(1, 3)][0] + 1] + t.entries[(1, 3)][1:]
-        return t
+        return reading_with_entry(true_route(jet), (1, 3), lambda v: [v[0] + 1] + v[1:])
 
     monkeypatch.setattr(invariants, "_torsion_first_differential", broken)
     with pytest.raises(InternalInconsistencyError, match=r"\(1, 3\)"):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nijcalc import invariants, linalg, poly
+from nijcalc import invariants, linalg, poly, tensor
 from nijcalc.forms import VectorForm, fn_bracket
 from nijcalc.invariants import (
     InternalInconsistencyError,
@@ -36,11 +36,12 @@ from nijcalc.structures import (
     standard_structure,
 )
 from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
-from reference import (differential, digest, dj_field, fn_bracket_one_forms_direct,
+from reference import (PolyTensorField, differential, digest, dj_field,
+                       fn_bracket_one_forms_direct,
                        higher_nijenhuis_bracket_by_apply, higher_nijenhuis_by_entries,
                        lie_bracket, nijenhuis_field_by_lie_brackets,
-                       nijenhuis_field_first_differential, structure_as_field,
-                       torsion_jets_by_stages)
+                       nijenhuis_field_first_differential, reading_with_entry,
+                       structure_as_field, torsion_jets_by_stages)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
 
@@ -153,17 +154,17 @@ def test_bracket_route_equals_differential_route_in_dim6(seed):
 
 
 def test_cross_check_catches_a_pair_pattern_break(monkeypatch):
-    """The bracket route never computes the diagonal tuples; a nonzero one
-    in the dense route must still trip the cross-check."""
-    true_route = invariants.higher_nijenhuis_differential
+    """A nonzero diagonal tuple in the differential route's Reading, which
+    the bracket route has zero by construction, must trip the cross-check."""
+    true_route = invariants._differential_route
 
-    def broken(j, point, jets=None):
-        t = true_route(j, point, jets)
-        t.entries[(0, 0, 1, 2)] = [Fraction(1)] + t.entries[(0, 0, 1, 2)][1:]
-        assert not t.has_pair_pattern()
-        return t
+    def broken(jet, n_jets):
+        r = reading_with_entry(true_route(jet, n_jets), (0, 0, 1, 2),
+                               lambda v: [Fraction(1)] + v[1:])
+        assert not r.tensor().has_pair_pattern()
+        return r
 
-    monkeypatch.setattr(invariants, "higher_nijenhuis_differential", broken)
+    monkeypatch.setattr(invariants, "_differential_route", broken)
     with pytest.raises(InternalInconsistencyError, match=r"\(0, 0, 1, 2\)"):
         higher_nijenhuis(example_structure("ex2"), [0, 1, 0, 0])
 
@@ -340,13 +341,81 @@ def test_torsion_cross_check_catches_a_route_disagreement(monkeypatch):
     true_route = invariants._torsion_first_differential
 
     def broken(jet):
-        t = true_route(jet)
-        t.entries[(1, 3)] = [t.entries[(1, 3)][0] + 1] + t.entries[(1, 3)][1:]
-        return t
+        return reading_with_entry(true_route(jet), (1, 3), lambda v: [v[0] + 1] + v[1:])
 
     monkeypatch.setattr(invariants, "_torsion_first_differential", broken)
     with pytest.raises(InternalInconsistencyError, match=r"\(1, 3\)"):
         nijenhuis_tensor(example_structure("ex2"), [0, 1, 0, 0])
+
+
+@st.composite
+def jet_forms(draw):
+    """A vector-valued 1-form or 2-form on R^2..R^4 with polynomial entries
+    of degree at most 3, read as its own jet at the origin: signed
+    fractional coefficients, or no entry at all (the zero form)."""
+    dim, degree = draw(st.integers(2, 4)), draw(st.sampled_from((1, 2)))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim).filter(lambda e: sum(e) <= 3)
+    polys = st.dictionaries(exponents, st.fractions(-3, 3, max_denominator=4).filter(bool),
+                            max_size=3)
+    entries = draw(st.one_of(st.just({}), st.fixed_dictionaries({
+        idx: st.lists(polys, min_size=dim, max_size=dim)
+        for idx in itertools.combinations(range(dim), degree)})))
+    return VectorForm(dim, degree, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_forms(), st.integers(0, 3))
+def test_the_jet_reading_is_the_reading_of_jet_differential(form, p):
+    """d^p is read once off the jet's numerators: that Reading, its
+    denominator and rows, is what the kernel reads from jet_differential's
+    Fraction tensor, whose values are the global differential at the
+    origin."""
+    t = jet_differential(form, p)
+    assert invariants._jet_reading(form, p) == tensor._read([t])[id(t)]
+    assert all(type(x) is Fraction for v in t.entries.values() for x in v)
+    whole = PolyTensorField(form.dim, form.degree, {
+        idx: form.value_on_basis(idx)
+        for idx in itertools.product(range(form.dim), repeat=form.degree)})
+    assert t == differential(whole, p, [0] * form.dim)
+
+
+def test_the_routes_build_only_the_tensor_they_return(monkeypatch):
+    """Both routes of the torsion and of the arity-4 invariant and both
+    identity checks run on Readings, from the jet to the cross-check:
+    higher_nijenhuis and nijenhuis_tensor construct one PointTensor, the
+    one they return, and the identity defects none."""
+    built = []
+    real_init = PointTensor.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(PointTensor, "__init__", counted)
+    j4, j6 = example_structure("ex2"), random_structure(3, 7)
+    pt6 = [Fraction(k - 2, 3) for k in range(6)]
+    for call in (lambda: higher_nijenhuis(j4, [0, 1, 0, 0]), lambda: nijenhuis_tensor(j6, pt6)):
+        del built[:]
+        out = call()
+        assert len(built) == 1 and built[0] is out and not out.is_zero()
+    for check in (first_differential_antilinearity_defect, second_differential_identity_defect):
+        del built[:]
+        assert check(j6, pt6) is None
+        assert built == []
+
+
+def test_negative_jet_orders_are_refused():
+    """A jet of negative order is refused where it is asked for, naming
+    the order, instead of coming back zero or failing inside itertools."""
+    j, pt = example_structure("ex2"), [0, 1, 0, 0]
+    jet = j.jet(pt, 1)
+    for call, error in ((lambda: j.jet(pt, -1), poly.PolyError),
+                        (lambda: poly.shift(j.cols[0], pt, -1), poly.PolyError),
+                        (lambda: torsion_jets(jet, -1), ValueError),
+                        (lambda: nijenhuis_differential(j, -1, pt), ValueError),
+                        (lambda: jet_differential(VectorForm.from_columns(jet), -1), ValueError)):
+        with pytest.raises(error, match="order -1 is negative"):
+            call()
 
 
 def test_ex6_table():

@@ -210,6 +210,17 @@ def test_cr_residual_order1_is_pointwise_commutator():
     assert cr_residual(u, j_l, j_m) == expected
 
 
+def test_cr_residual_of_a_zero_target_field():
+    """A zero matrix field has entry degree -1: its jet is taken to order
+    0, not refused as a negative order, and the order-1 residual is
+    -Phi j_L(x)."""
+    j_l, j_m = example_structure("ex2"), StructureField([[poly.zero()] * 4] * 4)
+    x = (Fraction(1), Fraction(-1), Fraction(0), Fraction(2))
+    phi = PointTensor.from_matrix([[Fraction(r - c) for c in range(4)] for r in range(4)])
+    u = TruncatedMap(x, (0, 1, 1, 0), (JetSymbol(1, phi),))
+    assert cr_residual(u, j_l, j_m) == post_compose(phi, j_l.at_point(x)).neg()
+
+
 def test_cr_residual_identity_between_identical_structures():
     j = example_structure("ex2")
     pt = tuple(Fraction(c) for c in (1, 2, -1, 3))

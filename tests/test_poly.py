@@ -259,7 +259,9 @@ def test_float_coordinates_are_refused():
 
 def test_strings_are_refused_as_numbers():
     """Fraction would parse a string as a number; evaluation, shifting,
-    const and scale refuse it by value instead of reading (1/2, 0)."""
+    const and scale refuse it by value instead of reading (1/2, 0).  None
+    is refused the same way, naming it, instead of failing inside
+    Fraction."""
     p = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
     with pytest.raises(poly.PolyError, match="string coordinate '1/2'"):
         poly.eval_poly(p, ['1/2', '0'])
@@ -269,6 +271,14 @@ def test_strings_are_refused_as_numbers():
         poly.const('1/2', 2)
     with pytest.raises(poly.PolyError, match="string coefficient '2'"):
         poly.scale(p, '2')
+    with pytest.raises(poly.PolyError, match="NoneType coordinate None"):
+        poly.eval_poly(p, [None, 0])
+    with pytest.raises(poly.PolyError, match="NoneType coordinate None"):
+        poly.shift([p], [0, None], 2)
+    with pytest.raises(poly.PolyError, match="NoneType coefficient None"):
+        poly.const(None, 2)
+    with pytest.raises(poly.PolyError, match="NoneType coefficient None"):
+        poly.scale(p, None)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.0, 2.0])

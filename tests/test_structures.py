@@ -59,11 +59,13 @@ def test_standard_structure_rejects_bad_n():
     ({(0, 1): 0.5}, r"entry \(0, 1\) has the term 0.5 at \(0, 1\)"),
     ({(0, 1, 0): Fraction(1)}, r"entry \(0, 1\) has the term Fraction\(1, 1\) at \(0, 1, 0\)"),
     ({(0, 1): "1"}, r"entry \(0, 1\) has the term '1' at \(0, 1\)"),
+    ({(0, 1): None}, r"entry \(0, 1\) has the term None at \(0, 1\)"),
 ])
 def test_structure_field_refuses_entries_no_kernel_reads(term, problem):
     """A float coefficient would fail in the torsion kernels, a string
-    with a bare TypeError in validate's arithmetic, a polynomial in 3
-    variables on R^2 in validate: all are refused when built."""
+    with a bare TypeError in validate's arithmetic, None there or in jet,
+    a polynomial in 3 variables on R^2 in validate: all are refused when
+    built."""
     one = poly.const(1, 2)
     cols = [[poly.zero(), one], [poly.neg(one), poly.zero()]]
     cols[1][0] = term
@@ -93,6 +95,18 @@ def test_example_ex5():
     j0 = example_structure("ex5", eps=0)
     assert poly.is_zero(j0.entry(1, 2))
     assert validate(j0).status == "exact"
+
+
+@pytest.mark.parametrize("coordinate, problem", [
+    (None, "NoneType coordinate None"), ("1/2", "string coordinate '1/2'")])
+def test_a_point_of_none_or_a_string_is_refused(coordinate, problem):
+    """jet, at_point and eval_matrix refuse a coordinate that is not a
+    number by value, naming it, instead of failing inside Fraction."""
+    j = example_structure("ex2")
+    pt = [0, coordinate, 0, 0]
+    for call in (lambda: j.jet(pt, 1), lambda: j.at_point(pt), lambda: j.eval_matrix(pt)):
+        with pytest.raises(poly.PolyError, match=problem):
+            call()
 
 
 def test_float_eps_is_refused():

@@ -584,6 +584,23 @@ def test_contraction_sum_equals_the_operation_chain(case):
     assert_exact_components(got)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(contraction_terms())
+def test_a_term_may_hold_a_reading_for_a_tensor(case):
+    """The kernel takes its integer reading as it returns it: with every
+    input replaced by its Reading the sum is the same, and
+    contraction_reading's Fraction view is contraction_sum."""
+    dim, dim_out, arity, terms = case
+    want = chain_sum(terms)
+    read = tensor._read(t for term in terms for t in term[1:3] if t is not None)
+    readings = [(sign, None if outer is None else read[id(outer)], read[id(inner)], slot, perm)
+                for sign, outer, inner, slot, perm in terms]
+    assert tensor.contraction_sum(dim, dim_out, arity, readings) == want
+    got = tensor.contraction_reading(dim, dim_out, arity, readings)
+    assert (got.dim_in, got.dim_out, got.arity) == (dim, dim_out, arity)
+    assert got.tensor() == want
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(contraction_terms(), st.integers(0, 2 ** 32))
 def test_contraction_sum_with_a_quadratic_value_in_one_term(case, pick):
