@@ -332,8 +332,8 @@ def _frame(jet: List[poly.PolyVec], n_jets: Dict[Tuple[int, int], poly.PolyVec],
     else:
         if len(xi3_choice) != 4:
             raise StructureError("xi3 choice has wrong length")
-        if any(isinstance(c, (float, str)) for c in xi3_choice):
-            raise StructureError(f"float or string in xi3 choice {list(xi3_choice)!r}")
+        if any(c is None or isinstance(c, (float, str)) for c in xi3_choice):
+            raise StructureError(f"float, string or None in xi3 choice {list(xi3_choice)!r}")
         chosen = [c if isinstance(c, QuadExt) else Fraction(c)
                   for c in xi3_choice]
     coords = _coords_in([b1, b2, xi3_raw], chosen)

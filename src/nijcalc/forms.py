@@ -35,8 +35,8 @@ class VectorForm:
                  entries: Optional[Dict[SIdx, PolyVec]] = None):
         self.dim = dim
         self.degree = degree
-        self.entries: Dict[SIdx, PolyVec] = {}
-        for idx, vec in (entries or {}).items():
+        entries = entries or {}
+        for idx, vec in entries.items():
             # -1 < idx[0] < ... < idx[-1] < dim
             if len(idx) != degree or not all(a < b for a, b in zip((-1,) + idx, idx + (dim,))):
                 raise ValueError(f"key {idx!r} of a {degree}-form on R^{dim} is not a strictly "
@@ -44,8 +44,8 @@ class VectorForm:
             if len(vec) != dim:
                 raise ValueError(f"value at {idx!r} of a {degree}-form on R^{dim} has "
                                  f"{len(vec)} components, not {dim}")
-            if not poly.vec_is_zero(vec):
-                self.entries[idx] = vec
+        self.entries: Dict[SIdx, PolyVec] = {
+            idx: vec for idx, vec in entries.items() if not poly.vec_is_zero(vec)}
 
     @classmethod
     def from_columns(cls, cols: Sequence[PolyVec]) -> "VectorForm":

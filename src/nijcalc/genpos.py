@@ -32,11 +32,11 @@ Vector = List[Fraction]
 def _as_fractions(v: Sequence, dim: int) -> Vector:
     """v as Fractions.  A length other than dim raises ValueError, and so
     does a float, which would be read as the nearest binary fraction,
-    another vector, or a string, which Fraction would parse."""
+    another vector, a string, which Fraction would parse, or None."""
     if len(v) != dim:
         raise ValueError(f"vector of length {len(v)} for a tensor on R^{dim}")
-    if any(isinstance(x, (float, str)) for x in v):
-        raise ValueError(f"float or string component in {list(v)!r}: vectors must be exact")
+    if any(x is None or isinstance(x, (float, str)) for x in v):
+        raise ValueError(f"float, string or None component in {list(v)!r}: vectors must be exact")
     return [Fraction(x) for x in v]
 
 
@@ -227,9 +227,9 @@ def general_position_test(n_tensor: PointTensor, sample_count: int,
     witness, and samples_tested counts the random samples only.  nu and
     the Gram certificate come from one matrix of eta -> N(xi, eta) per
     point, and nu = 2 <=> positive certificate is rechecked at each.  N is
-    read twice, by the antilinearity check and by kernel_matrices, which
-    then accumulates each point's matrix as the samples and the grid reach
-    it: the test stops at the first point with nu = 2.
+    read once, by the antilinearity check, and kernel_matrices contracts
+    that reading with each point's as the samples and the grid reach it:
+    the test stops at the first point with nu = 2.
 
     j, the standard structure by default, must be a complex structure on
     the tensor's space, and the tensor antilinear for it; both are checked.

@@ -9,12 +9,15 @@ R-contraction of the torsion differential.  Disagreement between routes
 is an internal error, never silently resolved.
 
 The routes are different formulas run by the same kernels, on integer
-Readings from the jet to the cross-check: d^p of a jet is read off its
-numerators (_jet_reading), each route is a sum of contractions whose
-Reading feeds the next (contraction_reading), and routes are compared,
-or an identity checked, by the first nonzero of a sum (first_nonzero_sum).
-Only a returned tensor becomes Fractions.  The torsion jets are one
-integer pass over J's columns (poly.jet_torsion).
+readings from the jet to the cross-check: d^p of a jet is a tensor built
+from its numerators (jet_differential), each route is a sum of
+contractions whose tensor feeds the next; routes are compared by the
+first index where their rows differ (first_difference), an identity
+checked by the first nonzero of a sum (first_nonzero_sum).
+jet_differential and the arity-4 routes return tensors on integers, for
+the next contraction; a result a caller reads (the torsion, the arity-4
+invariant, nijenhuis_differential) comes with its Fraction entries built.
+The torsion jets are one integer pass over J's columns (poly.jet_torsion).
 
 Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
@@ -40,8 +43,8 @@ from . import poly
 from .forms import VectorForm
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
-from .tensor import (Index, PointTensor, Reading, alternating_rep, contraction_reading,
-                     contraction_sum, first_nonzero_sum, solution_basis, unit_basis)
+from .tensor import (Index, PointTensor, alternating_rep, contraction_sum, first_difference,
+                     first_nonzero_sum, solution_basis, unit_basis)
 
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
 Arity4Jets = Tuple[List[PolyVec], Dict[Index, PolyVec]]
@@ -59,14 +62,9 @@ def jet_differential(field: VectorForm, p: int) -> PointTensor:
     of its degree slots, by sign from the sorted tuple.  The p derivative
     slots come last: the entry at (idx, c_1, .., c_p) is the coefficient of
     y^alpha in the value on idx times alpha!, where alpha counts the
-    directions c_i.  This is the Fraction view of _jet_reading, one walk
-    over the numerators of the degree-p coefficients.
+    directions c_i.  The tensor is built from its integer reading, one
+    walk over the numerators of the degree-p coefficients.
     """
-    return _jet_reading(field, p).tensor()
-
-
-def _jet_reading(field: VectorForm, p: int) -> Reading:
-    """jet_differential as the contraction kernel's Reading."""
     if p < 0:
         raise ValueError(f"jet differential order {p} is negative")
     dim = field.dim
@@ -87,7 +85,7 @@ def _jet_reading(field: VectorForm, p: int) -> Reading:
     rows = {base + d: signed[sign].get((key, alpha), [])
             for base in itertools.product(range(dim), repeat=field.degree)
             for key, sign in [alternating_rep(base)] for d, alpha in dirs}
-    return Reading(dim, dim, field.degree + p, den, rows)
+    return PointTensor.from_rows(dim, dim, field.degree + p, den, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +115,23 @@ def torsion_jets(jet: List[PolyVec], order: int) -> Dict[Index, PolyVec]:
     return dict(zip(itertools.combinations(range(len(jet)), 2), poly.jet_torsion(jet, order)))
 
 
-def _torsion_first_differential(jet: List[PolyVec]) -> Reading:
+def _torsion_first_differential(jet: List[PolyVec]) -> PointTensor:
     """N(X, Y) = -dj(JX, Y) - dj(X, JY) + dj(JY, X) + dj(Y, JX) at the
     point, from J and dj there, both read off the 1-jet of J: with
     u(X, Y) = dj(JX, Y) + dj(X, JY), N is u with its slots swapped minus u,
     one sum of four contractions.  Every entry is computed, none filled by
     sign."""
     field = VectorForm.from_columns(jet)
-    j_at, dj = _jet_reading(field, 0), _jet_reading(field, 1)
+    j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
     dim = len(jet)
-    return contraction_reading(dim, dim, 2, [(sign, dj, j_at, slot, perm) for slot in (0, 1)
-                                             for sign, perm in ((1, (1, 0)), (-1, None))])
+    return contraction_sum(dim, dim, 2, [(sign, dj, j_at, slot, perm) for slot in (0, 1)
+                                         for sign, perm in ((1, (1, 0)), (-1, None))])
 
 
-def _first_nonzero(dim: int, arity: int, terms: List[tuple]) -> Optional[Index]:
-    """The first index tuple where the sum of terms is nonzero, scanned on
-    integers (first_nonzero_sum): a defect, or where two routes differ."""
-    hit = first_nonzero_sum(dim, dim, arity, [terms])
-    return None if hit is None else hit[0]
+def _with_entries(t: PointTensor) -> PointTensor:
+    """t, its Fraction entries built: the call returning a result pays for its values."""
+    t.entries  # computed on first use and kept
+    return t
 
 
 def torsion_from_jets(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> PointTensor:
@@ -145,16 +142,15 @@ def torsion_from_jets(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> Point
     Both routes read only degree <= 1 of jet: the bracket route is the
     value of the 2-form n_jets, filled by sign from the pairs a < b, the
     other the first-differential formula, which computes every entry, so
-    their agreement certifies antisymmetry too; only the returned Reading
-    becomes Fractions.  Callers that already hold higher jets (classify)
-    pass them and build nothing twice.
+    their agreement certifies antisymmetry too; only the returned tensor
+    gets Fractions.  Callers that already hold higher jets (classify) pass
+    them and build nothing twice.
     """
-    bracket = _jet_reading(VectorForm(len(jet), 2, n_jets), 0)
-    idx = _first_nonzero(len(jet), 2, [(1, None, bracket, None, None),
-                                       (-1, None, _torsion_first_differential(jet), None, None)])
+    bracket = jet_differential(VectorForm(len(jet), 2, n_jets), 0)
+    idx = first_difference(bracket, _torsion_first_differential(jet))
     if idx is not None:
         raise InternalInconsistencyError(f"torsion routes disagree at basis pair {idx}")
-    return bracket.tensor()
+    return _with_entries(bracket)
 
 
 def nijenhuis_tensor(j: StructureField, point: Sequence) -> PointTensor:
@@ -175,21 +171,6 @@ def _arity4_jets(j: StructureField, point: Sequence) -> Arity4Jets:
     return jet, torsion_jets(jet, 1)
 
 
-def _bracket_terms(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> List[tuple]:
-    """higher_nijenhuis_bracket's H as two terms over the Reading of W."""
-    dim = len(jet)
-    n_field = VectorForm(dim, 2, n_jets)
-    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
-        jet, list(n_jets.values()), 1))))
-    n_at, dn = _jet_reading(n_field, 0), _jet_reading(n_field, 1)
-    jn_at, djn = _jet_reading(jn_field, 0), _jet_reading(jn_field, 1)
-    w = contraction_reading(dim, dim, 4, [
-        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
-        (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
-        (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))])
-    return [(1, None, w, None, None), (-1, None, w, None, (2, 3, 0, 1))]
-
-
 def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
                              jets: Optional[Arity4Jets] = None) -> PointTensor:
     """Ten-term bracket expression on constant extensions of basis
@@ -202,24 +183,23 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     pair (2-jet of J, torsion 1-jets) that higher_nijenhuis shares.
 
     W is one contraction sum of six terms, the last four computed in the
-    slot orders (c, d, a, b) and (a, c, d, b), and H one of two over W's
-    Reading.  N and JN are 2-forms, so H has the pair pattern by
-    construction at every entry.
+    slot orders (c, d, a, b) and (a, c, d, b), and H one of two over W.
+    N and JN are 2-forms, so H has the pair pattern by construction at
+    every entry.
     """
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
-    return contraction_sum(j.dim, j.dim, 4, _bracket_terms(jet, n_jets))
-
-
-def _differential_route(jet: List[PolyVec], n_jets: Dict[Index, PolyVec]) -> Reading:
-    """The Reading of higher_nijenhuis_differential."""
     dim = len(jet)
-    j_field, n_field = VectorForm.from_columns(jet), VectorForm(dim, 2, n_jets)
-    j_at, dj = _jet_reading(j_field, 0), _jet_reading(j_field, 1)
-    n, dn = _jet_reading(n_field, 0), _jet_reading(n_field, 1)
-    r = contraction_reading(dim, dim, 3, [
-        (1, dn, j_at, 2, None), (1, j_at, dn, None, None), (1, n, dj, 0, (2, 0, 1)),
-        (-1, dj, n, 1, (2, 0, 1)), (1, n, dj, 1, (0, 2, 1))])
-    return contraction_reading(dim, dim, 4, [(1, r, n, 2, None), (-1, r, n, 2, (2, 3, 0, 1))])
+    n_field = VectorForm(dim, 2, n_jets)
+    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
+        jet, list(n_jets.values()), 1))))
+    n_at, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
+    jn_at, djn = jet_differential(jn_field, 0), jet_differential(jn_field, 1)
+    w = contraction_sum(dim, dim, 4, [
+        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
+        (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
+        (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))])
+    return contraction_sum(dim, dim, 4, [(1, None, w, None, None),
+                                         (-1, None, w, None, (2, 3, 0, 1))])
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,
@@ -233,33 +213,41 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
     R is one sum of five contractions, the terms with dj computed in the
     slot orders (z, x, y) and (x, z, y), and the invariant one sum of two,
     R with N in its last slot and the same in the slot order (z, v, x, y).
-    Every entry is computed, none filled by sign, and R stays a Reading."""
+    Every entry is computed, none filled by sign, and R stays on integers."""
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
-    return _differential_route(jet, n_jets).tensor()
+    dim = len(jet)
+    j_field, n_field = VectorForm.from_columns(jet), VectorForm(dim, 2, n_jets)
+    j_at, dj = jet_differential(j_field, 0), jet_differential(j_field, 1)
+    n, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
+    r = contraction_sum(dim, dim, 3, [
+        (1, dn, j_at, 2, None), (1, j_at, dn, None, None), (1, n, dj, 0, (2, 0, 1)),
+        (-1, dj, n, 1, (2, 0, 1)), (1, n, dj, 1, (0, 2, 1))])
+    return contraction_sum(dim, dim, 4, [(1, r, n, 2, None), (-1, r, n, 2, (2, 3, 0, 1))])
 
 
 def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     """Arity-4 invariant at the point; raises if the two routes disagree.
 
     Both routes compute every entry, as sums of contractions of different
-    Readings off the same jets, built once here: dN, dJN, N and JN for the
+    tensors off the same jets, built once here: dN, dJN, N and JN for the
     bracket route, which has the pair pattern by construction, J, dj, N and
     dN for the differential route, so their entrywise agreement certifies
     the pair pattern as well as the values.
     """
-    jet, n_jets = _arity4_jets(j, point)
-    h = _differential_route(jet, n_jets)
-    idx = _first_nonzero(j.dim, 4, _bracket_terms(jet, n_jets) + [(-1, None, h, None, None)])
+    jets = _arity4_jets(j, point)
+    h = higher_nijenhuis_differential(j, point, jets)
+    bracket = higher_nijenhuis_bracket(j, point, jets)
+    idx = first_difference(bracket, h)
     if idx is not None:
         raise InternalInconsistencyError(f"arity-4 routes disagree at basis tuple {idx}")
-    return h.tensor()
+    return _with_entries(h)
 
 
 def nijenhuis_differential(j: StructureField, p: int, point: Sequence) -> PointTensor:
     """d^p of the torsion field at the point (arity 2 + p), from the
     order-p torsion jets."""
     jet = j.jet(point, p + 1)
-    return jet_differential(VectorForm(j.dim, 2, torsion_jets(jet, p)), p)
+    return _with_entries(jet_differential(VectorForm(j.dim, 2, torsion_jets(jet, p)), p))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +292,11 @@ def compatibility_nijenhuis(j0_cols: List[PolyVec], delta_cols: List[PolyVec],
 def first_differential_antilinearity_defect(j: StructureField,
                                             point: Sequence) -> Optional[Index]:
     """First basis pair where dj(J x, y) != -J dj(x, y), or None: the first
-    nonzero entry of the sum of the two sides."""
+    nonzero entry of the sum of the two sides (first_nonzero_sum)."""
     field = VectorForm.from_columns(j.jet(point, 1))
-    j_at, dj = _jet_reading(field, 0), _jet_reading(field, 1)
-    return _first_nonzero(j.dim, 2, [(1, dj, j_at, 0, None), (1, j_at, dj, None, None)])
+    j_at, dj = jet_differential(field, 0), jet_differential(field, 1)
+    hit = first_nonzero_sum(j.dim, j.dim, 2, [[(1, dj, j_at, 0, None), (1, j_at, dj, None, None)]])
+    return hit and hit[0]
 
 
 def second_differential_identity_defect(j: StructureField,
@@ -317,7 +306,8 @@ def second_differential_identity_defect(j: StructureField,
     the first nonzero entry of the sum of the four terms, the third
     computed in the slot order (x, z, y)."""
     field = VectorForm.from_columns(j.jet(point, 2))
-    j_at, dj, d2j = (_jet_reading(field, p) for p in (0, 1, 2))
-    return _first_nonzero(j.dim, 3, [
+    j_at, dj, d2j = (jet_differential(field, p) for p in (0, 1, 2))
+    hit = first_nonzero_sum(j.dim, j.dim, 3, [[
         (1, d2j, j_at, 0, None), (1, j_at, d2j, None, None),
-        (1, dj, dj, 0, (0, 2, 1)), (1, dj, dj, 0, None)])
+        (1, dj, dj, 0, (0, 2, 1)), (1, dj, dj, 0, None)]])
+    return hit and hit[0]

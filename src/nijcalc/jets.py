@@ -134,8 +134,8 @@ class TruncatedMap:
     def __post_init__(self):
         for name in ("x", "y"):
             point = getattr(self, name)
-            if any(isinstance(c, (float, str)) for c in point):
-                raise StructureError(f"float or string in base point {name} = {point!r}")
+            if any(c is None or isinstance(c, (float, str)) for c in point):
+                raise StructureError(f"float, string or None in base point {name} = {point!r}")
             object.__setattr__(self, name, tuple(Fraction(c) for c in point))
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
@@ -335,11 +335,13 @@ def _trailing_rep(idx: Index) -> Tuple[Index, int]:
     return (idx[0],) + tuple(sorted(idx[1:])), 1
 
 
-def _integer_rows(rows: Dict[Index, Sequence[Fraction]]) -> Tuple[Dict[Index, List[int]], int]:
-    """rows as integer numerators over D, the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for v in rows.values() for c in v))
-    return {idx: [c.numerator * (den // c.denominator) for c in v]
-            for idx, v in rows.items()}, den
+def _dense(row: List[Tuple[int, int]], dim: int, w: int = 1) -> List[int]:
+    """A tensor's row (its nonzero components (i, n)) as dim integers,
+    each times w."""
+    out = [0] * dim
+    for i, n in row:
+        out[i] = w * n
+    return out
 
 
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
@@ -370,21 +372,23 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     k = u.order + 1 if skip_top else u.order
     l_dim, m_dim = u.dim_in, u.dim_out
     d_l, d_m = (tower[:k + 1] for tower in jets.upto(k))
-    # every input read once, as integer numerators: the symbols at their
-    # sorted tuples, and the nonzero entries of d^(p-1) J of each structure
-    sym, s_den = _integer_rows({rep: s.tensor.entries[rep] for s in u.symbols for rep in
-                                itertools.combinations_with_replacement(range(l_dim), s.k)})
-    (m_rows, m_den), (l_rows, l_den) = (_integer_rows(
-        {idx: v for d in tower if d is not None for idx, v in d.entries.items() if any(v)})
-        for tower in (d_m, d_l))
+    # integer rows over one den per kind: the symbols at their sorted
+    # tuples, and the nonzero entries of d^(p-1) J of each structure
+    s_den = math.lcm(*(s.tensor.den for s in u.symbols))
+    sym = {rep: _dense(s.tensor.rows[rep], m_dim, s_den // s.tensor.den) for s in u.symbols
+           for rep in itertools.combinations_with_replacement(range(l_dim), s.k)}
+    m_tower, l_tower = ([d for d in tower if d is not None] for tower in (d_m, d_l))
+    m_den, l_den = (math.lcm(*(d.den for d in tower)) for tower in (m_tower, l_tower))
     # d^(p-1) j_M by its number of slots p: (slot 0, derivative slots,
     # nonzero components) per nonzero entry
     m_entries: Dict[int, List[Tuple[int, Index, List[Tuple[int, int]]]]] = {}
-    for idx, row in m_rows.items():
-        m_entries.setdefault(len(idx), []).append(
-            (idx[0], idx[1:], [(i, c) for i, c in enumerate(row) if c]))
-    l_entries = {head: [(i0, c) for i0, c in enumerate(row) if c]
-                 for head, row in l_rows.items()}
+    for d in m_tower:
+        for idx, row in d.rows.items():
+            if row:
+                m_entries.setdefault(len(idx), []).append(
+                    (idx[0], idx[1:], [(i, c * (m_den // d.den)) for i, c in row]))
+    l_entries = {head: [(i0, c * (l_den // d.den)) for i0, c in row]
+                 for d in l_tower for head, row in d.rows.items() if row}
     # the partitions of each number of remaining slots whose tail meets a
     # nonzero d^(p-1) j_M
     tail_parts = [[blocks for blocks in set_partitions(r) if len(blocks) + 1 in m_entries]
@@ -478,7 +482,7 @@ def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
     out = PointTensor.from_orbits(
         u.dim_in, u.dim_out, k, _trailing_rep,
         lambda idx: _slot_entry(r[idx[0]], idx[1:], u.dim_in, sign))
-    if any(out.entries[idx] != v
+    if any(out.entries[idx] != tuple(v)
            for idx, v in _residual_terms(u, jets, skip_top).items()):
         what = f"defect tensor P_{k}" if skip_top else f"order-{k} residual"
         raise InternalInconsistencyError(
@@ -636,12 +640,11 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     at = {rep: i for i, rep in enumerate(reps)}
     # up[r][b]: the position in reps of the sorted rests[r] + (b,)
     up = [[at[tuple(sorted(rest + (b,)))] for b in range(n)] for rest in rests]
-    (a_num, d_a), (b_num, d_b) = (_integer_rows(j.entries) for j in (j_l_at, j_m_at))
-    p_num, d_p = _integer_rows({(a,) + rest: p_k.entries[(a,) + rest]
-                                for rest in rests for a in range(n)})
+    d_a, d_b, d_p = j_l_at.den, j_m_at.den, p_k.den
+    p_num = {(a,) + rest: _dense(p_k.rows[(a,) + rest], m) for rest in rests for a in range(n)}
     # column c of A as (b, A[b][c]); B by rows
-    a_cols = [[(b, x) for b, x in enumerate(a_num[(c,)]) if x] for c in range(n)]
-    b_rows = [[b_num[(c,)][i] for c in range(m)] for i in range(m)]
+    a_cols = [j_l_at.rows[(c,)] for c in range(n)]
+    b_rows = list(zip(*(_dense(j_m_at.rows[(c,)], m) for c in range(m))))
 
     def b_times(v: List[int]) -> List[int]:
         return [sum(map(operator.mul, row, v)) for row in b_rows] if any(v) else v
@@ -676,7 +679,7 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
         Fraction(c, den) if c else zero for c in u[at[rep]]])
     # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi: over beta!
     # at h^beta, rest of multiplicities beta, it is zeta(Phi)(e_a, rest) = P_k(e_a, rest)
-    phi_num, d_phi = _integer_rows({rep: phi.entries[rep] for rep in reps})
+    phi_num, d_phi = {rep: _dense(phi.rows[rep], m) for rep in reps}, phi.den
     for r, rest in enumerate(rests):
         for a in range(n):
             lhs = [d_p * d_a * x for x in b_times(phi_num[reps[up[r][a]]])]

@@ -8,8 +8,8 @@ arity 1 a linear map (column j = image of e_j).
 Application is a support product: it visits only the index tuples built
 from the nonzero coordinates of the arguments, so a call on basis vectors
 reads one stored entry.  Arguments may hold any exact scalar (int,
-Fraction, or a QuadExt: apply is where Q(sqrt d) meets a tensor); floats
-and strings are refused, by apply and by every constructor and scale.
+Fraction, or a QuadExt: apply is where Q(sqrt d) meets a tensor); floats,
+strings and None are refused, by apply and by every constructor and scale.
 
 Slot symmetry is checked on demand, not enforced by storage.  A sign
 rule is a pure function taking an index tuple to (representative, sign):
@@ -22,20 +22,27 @@ value per orbit, unchecked; from_function is its call under a private
 rule that makes each index tuple its own orbit.  respects checks a
 tensor against a rule.
 
+A tensor holds its values in two exact forms: the Fraction entries and
+the integer reading den and rows (rows[idx]: the nonzero components
+(i, n) of the entry at idx, each n / den, a row per index tuple in product
+order).  It is built from either, from_rows taking a reading and the
+other constructors values, and the other form is computed on first use
+and kept, so a tensor is read at most once.  Both forms are read-only
+mappings of tuples, copied at construction: an edit raises TypeError.
+
 contraction_sum is the one contraction kernel: a signed sum of slot
 contractions, post-compositions and plain tensors, each with its slots
-permuted into the output order, summed on integer numerators.  A Reading
-(each entry's nonzero components, integers over one denominator) is what
-it takes and returns: it reads each input tensor once, a term may hold a
-Reading instead, and contraction_reading returns the sum as one, so a
-chain of contractions never leaves the integers; contraction_sum is its
-Fraction view.  first_nonzero_sum scans sums before any Fraction is
-built, kernel_matrices contracts one reading at many points, and
-slot_compose, post_compose and precompose_all are one-term calls.  The
-kernel works over Q: any other component raises TensorError.  A linear
-equation on tensors is stated once, as a contraction_sum, and solved as
-the nullspace of matrix_of, the matrix of the operator on a basis of
-unknowns such as a unit_basis (solution_basis).
+permuted into the output order, summed on the inputs' integer readings
+and returned as a tensor built from its reading, so a chain of
+contractions never leaves the integers and only a tensor whose entries
+are read gets Fractions.  first_nonzero_sum scans sums before any
+Fraction is built, first_difference compares two tensors on their rows,
+kernel_matrices contracts one tensor at many points, and slot_compose,
+post_compose and precompose_all are one-term calls.
+The kernel works over Q: any other component raises TensorError.  A
+linear equation on tensors is stated once, as a contraction_sum, and
+solved as the nullspace of matrix_of, the matrix of the operator on a
+basis of unknowns such as a unit_basis (solution_basis).
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 
@@ -60,25 +67,68 @@ class TensorError(ValueError):
 def _exact(c) -> Fraction:
     """c as a Fraction.  A float raises TensorError: it would be read as
     the nearest binary fraction, an exact answer to another question.  So
-    does a string, which Fraction would parse as a number."""
-    if isinstance(c, float):
-        raise TensorError(f"float value {c!r}: tensors must be exact")
+    does a string, which Fraction would parse as a number, and None."""
+    if c is None or isinstance(c, float):
+        raise TensorError(f"{type(c).__name__} value {c!r}: tensors must be exact")
     if isinstance(c, str):
         raise TensorError(f"string value {c!r}: tensors hold numbers")
     return Fraction(c)
 
 
+_ZERO = Fraction(0)
+
+
 class PointTensor:
-    __slots__ = ("dim_in", "dim_out", "arity", "entries")
+    # entries, or den and rows, stay unset until __getattr__ computes them
+    __slots__ = ("dim_in", "dim_out", "arity", "entries", "den", "rows")
 
     def __init__(self, dim_in: int, dim_out: int, arity: int,
-                 entries: Dict[Index, List[Fraction]]):
+                 entries: Mapping[Index, Sequence[Fraction]]):
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.arity = arity
-        self.entries = entries
+        self.entries = MappingProxyType({idx: tuple(v) for idx, v in entries.items()})
+
+    def __getattr__(self, name: str):
+        """The form the tensor was not built from, on first use: entries,
+        one Fraction per nonzero component of rows, or den, the lcm of the
+        entries' denominators, and rows, each component read by one
+        as_integer_ratio.  A component that is not an int or a Fraction (a
+        QuadExt, say) raises TensorError naming it: the kernel works over Q."""
+        if name == "entries":
+            entries = {}
+            for idx, row in self.rows.items():
+                v = [_ZERO] * self.dim_out
+                for i, n in row:
+                    v[i] = Fraction(n, self.den)
+                entries[idx] = tuple(v)
+            self.entries = MappingProxyType(entries)
+            return self.entries
+        if name not in ("den", "rows"):
+            raise AttributeError(name)
+        try:
+            ratios = {idx: [x.as_integer_ratio() for x in v] for idx, v in self.entries.items()}
+        except AttributeError:
+            bad = next(x for v in self.entries.values() for x in v
+                       if not isinstance(x, (int, Fraction)))
+            raise TensorError(f"component {bad!r}: the contraction kernel works over Q") from None
+        self.den = den = math.lcm(*{d for r in ratios.values() for _, d in r})
+        self.rows = MappingProxyType({
+            idx: tuple([(i, n * (den // d)) for i, (n, d) in enumerate(r) if n])
+            for idx, r in ratios.items()})
+        return getattr(self, name)
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_rows(cls, dim_in: int, dim_out: int, arity: int, den: int,
+                  rows: Mapping[Index, Sequence[Tuple[int, int]]]) -> "PointTensor":
+        """The tensor with integer reading den and rows (module docstring);
+        its Fraction entries are built when first read."""
+        t = cls.__new__(cls)
+        t.dim_in, t.dim_out, t.arity, t.den = dim_in, dim_out, arity, den
+        t.rows = MappingProxyType({idx: tuple(row) for idx, row in rows.items()})
+        return t
 
     @classmethod
     def from_function(cls, dim_in: int, dim_out: int, arity: int,
@@ -93,19 +143,19 @@ class PointTensor:
         """Entry sign * fn(representative) at each index tuple, under the
         sign rule rep; fn is called once per representative of nonzero
         sign, in the order the representatives first appear."""
-        values: Dict[Index, List[Fraction]] = {}
+        values: Dict[Index, Tuple[Fraction, ...]] = {}
         entries = {}
         for idx, r, sign in _orbit_table(rep, dim_in, arity):
             if sign == 0:
-                entries[idx] = [Fraction(0)] * dim_out
+                entries[idx] = (_ZERO,) * dim_out
                 continue
             value = values.get(r)
             if value is None:
                 # Fraction(v) on a Fraction costs as much as a negation
-                value = values[r] = [v if type(v) is Fraction else _exact(v) for v in fn(r)]
+                value = values[r] = tuple([v if type(v) is Fraction else _exact(v) for v in fn(r)])
                 if len(value) != dim_out:
                     raise TensorError(f"value at {r} has length {len(value)}, expected {dim_out}")
-            entries[idx] = list(value) if sign == 1 else [-v for v in value]
+            entries[idx] = value if sign == 1 else tuple([-v for v in value])
         return cls(dim_in, dim_out, arity, entries)
 
     @classmethod
@@ -183,7 +233,7 @@ class PointTensor:
         return (self.dim_in, self.dim_out, self.arity) == (other.dim_in, other.dim_out, other.arity) \
             and self.entries == other.entries
 
-    __hash__ = None  # unhashable: entry lists are mutable
+    __hash__ = None  # compared by value: hashing would build the entries of a tensor from rows
 
     def _check_same_shape(self, other: "PointTensor") -> None:
         if (self.dim_in, self.dim_out, self.arity) != (other.dim_in, other.dim_out, other.arity):
@@ -196,7 +246,7 @@ class PointTensor:
         for idx, v in self.entries.items():
             new = list(idx)
             new[s], new[t] = new[t], new[s]
-            entries[tuple(new)] = list(v)
+            entries[tuple(new)] = v
         return PointTensor(self.dim_in, self.dim_out, self.arity, entries)
 
     def is_antisymmetric_in(self, s: int, t: int) -> bool:
@@ -302,60 +352,27 @@ def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
     return contraction_sum(t.dim_in, phi.dim_out, t.arity, [(1, phi, t, None, None)])
 
 
-_ZERO = Fraction(0)
-
-
-class Reading(NamedTuple):
-    """rows[idx] lists the nonzero components (i, n) of the entry at idx,
-    each the value n / den, with a row at every index tuple in product order."""
-    dim_in: int
-    dim_out: int
-    arity: int
-    den: int
-    rows: Dict[Index, List[Tuple[int, int]]]
-
-    def tensor(self) -> PointTensor:
-        """The Fraction view: one Fraction per nonzero component."""
-        entries = {}
-        for idx, row in self.rows.items():
-            v = entries[idx] = [_ZERO] * self.dim_out
-            for i, n in row:
-                v[i] = Fraction(n, self.den)
-        return PointTensor(self.dim_in, self.dim_out, self.arity, entries)
-
-
 def contraction_sum(dim_in: int, dim_out: int, arity: int, terms: Sequence[tuple]) -> PointTensor:
     """sum_k sign_k * term_k.  A term (sign, outer, inner, slot, perm) is
     slot_compose(outer, inner, slot), post_compose(outer, inner) when slot
-    is None, or inner when outer is None too (either may be a Reading); its
-    k-th slot goes to output slot perm[k] (None: slot k), so no term needs
-    a swap_slots.
+    is None, or inner when outer is None too; its k-th slot goes to output
+    slot perm[k] (None: slot k), so no term needs a swap_slots.
 
-    Each distinct input tensor is read once (_read).  A term's products are
-    numerators over the product d of its inputs' denominators; weighted by
-    D // d, D the lcm of every d, they are summed in one integer per output
-    component (contraction_reading), and each nonzero sum becomes one
-    Fraction(sum, D), so every component comes out a Fraction."""
-    return contraction_reading(dim_in, dim_out, arity, terms).tensor()
-
-
-def contraction_reading(dim_in: int, dim_out: int, arity: int,
-                        terms: Sequence[tuple]) -> Reading:
-    """contraction_sum's integer sums over D as a Reading, no Fraction
-    built: a sum the next contraction reads stays on integers."""
-    return _accumulate(dim_in, dim_out, terms, [dim_in] * arity,
-                       _read(t for term in terms for t in term[1:3] if t is not None))
+    A term's products are numerators over the product d of its inputs'
+    dens; weighted by D // d, D the lcm of every d, they are summed in one
+    integer per output component, and the sum is the tensor with those
+    rows over D: its Fractions are built only if its entries are read."""
+    return _accumulate(dim_in, dim_out, terms, [dim_in] * arity)
 
 
 def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
                       sums: Sequence[Sequence[tuple]]) -> Optional[Tuple[Index, int]]:
     """The first index tuple, in product order, where one of several
     contraction_sums (each a list of terms) has a nonzero component, and
-    the position of the first such sum there; None when all vanish.  Each
-    distinct input of the sums is read once, and the sums are scanned as
-    accumulated, integer numerators: no Fraction is built."""
-    read = _read(t for terms in sums for term in terms for t in term[1:3] if t is not None)
-    rows = [_accumulate(dim_in, dim_out, terms, [dim_in] * arity, read).rows for terms in sums]
+    the position of the first such sum there; None when all vanish.  The
+    sums are scanned as accumulated, integer numerators: no Fraction is
+    built."""
+    rows = [contraction_sum(dim_in, dim_out, arity, terms).rows for terms in sums]
     for idx in itertools.product(range(dim_in), repeat=arity):
         for k, sum_rows in enumerate(rows):
             if sum_rows[idx]:
@@ -363,32 +380,20 @@ def first_nonzero_sum(dim_in: int, dim_out: int, arity: int,
     return None
 
 
-def _read(tensors: Iterable) -> Dict[int, Reading]:
-    """The kernel's reading stage, by input id: a Reading is its own, and
-    a tensor's rows hold integer numerators over d, the lcm of its
-    denominators.  A component that is not an int or a Fraction (a
-    QuadExt, say) raises TensorError naming it: the kernel works over Q."""
-    read = {id(t): t for t in tensors}
-    tensors = {k: t for k, t in read.items() if type(t) is not Reading}
-    try:
-        lcms = {k: math.lcm(*{x.denominator for v in t.entries.values() for x in v})
-                for k, t in tensors.items()}
-    except AttributeError:
-        bad = next(x for t in tensors.values() for v in t.entries.values() for x in v
-                   if not isinstance(x, (int, Fraction)))
-        raise TensorError(f"component {bad!r}: the contraction kernel works over Q") from None
-    read.update({k: Reading(t.dim_in, t.dim_out, t.arity, lcms[k], {
-        idx: [(i, x.numerator * (lcms[k] // x.denominator)) for i, x in enumerate(v) if x]
-        for idx, v in t.entries.items()}) for k, t in tensors.items()})
-    return read
+def first_difference(a: PointTensor, b: PointTensor) -> Optional[Index]:
+    """The first index tuple, in product order, where two tensors of one shape
+    differ, their rows compared over the scale a.den * b.den (no Fraction)."""
+    a._check_same_shape(b)
+    return next((idx for idx in itertools.product(range(a.dim_in), repeat=a.arity)
+                 if [(i, n * b.den) for i, n in a.rows[idx]]
+                 != [(i, n * a.den) for i, n in b.rows[idx]]), None)
 
 
-def _accumulate(dim_in: int, dim_out: int, terms: Sequence[tuple], dims: List[int],
-                read: Dict[int, Reading]) -> Reading:
-    """The kernel's accumulation stage, over inputs already read: the
-    Reading of the sum over its common denominator D, with per-slot
-    dimensions dims (mixed in precompose_all)."""
-    term_dens = [read[id(inner)].den * (read[id(outer)].den if outer is not None else 1)
+def _accumulate(dim_in: int, dim_out: int, terms: Sequence[tuple],
+                dims: List[int]) -> PointTensor:
+    """contraction_sum with per-slot dimensions dims (mixed in
+    precompose_all)."""
+    term_dens = [inner.den * (outer.den if outer is not None else 1)
                  for _, outer, inner, _, _ in terms]
     den = math.lcm(*term_dens)
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
@@ -406,10 +411,10 @@ def _accumulate(dim_in: int, dim_out: int, terms: Sequence[tuple], dims: List[in
                     and {inner.dim_in} >= set(t_dims[slot:slot + inner.arity]))
         if not fits or (outer or inner).dim_out != dim_out:
             raise TensorError("contraction term shape mismatch")
-        inner_rows = read[id(inner)].rows
+        inner_rows = inner.rows
         if slot is None:
             cols = ([[(j, 1)] for j in range(dim_out)] if outer is None
-                    else [read[id(outer)].rows[(j,)] for j in range(outer.dim_in)])
+                    else [outer.rows[(j,)] for j in range(outer.dim_in)])
             for idx, support in inner_rows.items():
                 acc = accs[sum(map(operator.mul, idx, t_strides))]
                 for j, a in support:
@@ -417,7 +422,7 @@ def _accumulate(dim_in: int, dim_out: int, terms: Sequence[tuple], dims: List[in
                     for i, c in cols[j]:
                         acc[i] += a * c
             continue
-        outer_rows, end = read[id(outer)].rows, slot + inner.arity
+        outer_rows, end = outer.rows, slot + inner.arity
         mids = [(sum(map(operator.mul, mid, t_strides[slot:end])), [(m, w * c) for m, c in support])
                 for mid, support in inner_rows.items() if support]
         suffixes = [(sfx, sum(map(operator.mul, sfx, t_strides[end:])))
@@ -433,24 +438,23 @@ def _accumulate(dim_in: int, dim_out: int, terms: Sequence[tuple], dims: List[in
                     for m, c in support:
                         for i, x in row[m]:
                             acc[i] += c * x
-    return Reading(dim_in, dim_out, len(dims), den, {
-        idx: [(i, a) for i, a in enumerate(acc) if a] if any(acc) else []
+    return PointTensor.from_rows(dim_in, dim_out, len(dims), den, {
+        idx: tuple([(i, a) for i, a in enumerate(acc) if a]) if any(acc) else ()
         for idx, acc in zip(itertools.product(*map(range, dims)), accs)})
 
 
 def precompose_all(t: PointTensor, phi: PointTensor) -> PointTensor:
     """T with every argument slot precomposed by the linear map phi, one
-    slot at a time, each partial result a Reading: phi maps
-    R^{phi.dim_in} -> R^{t.dim_in}, and the result lives on R^{phi.dim_in}."""
+    slot at a time on integer rows: phi maps R^{phi.dim_in} -> R^{t.dim_in},
+    and the result lives on R^{phi.dim_in}."""
     if phi.arity != 1 or phi.dim_out != t.dim_in:
         raise TensorError("precompose shape mismatch")
-    out, dims = _read([t])[id(t)], [t.dim_in] * t.arity
+    out, dims = t, [t.dim_in] * t.arity
     for slot in range(t.arity):
         dims[slot] = phi.dim_in
-        # out reads the partial result, whose slots before slot have phi.dim_in
-        out = _accumulate(t.dim_in, t.dim_out, [(1, out, phi, slot, None)], dims,
-                          _read([out, phi]))
-    return out._replace(dim_in=phi.dim_in).tensor()
+        # the partial result's slots before slot have phi.dim_in
+        out = _accumulate(t.dim_in, t.dim_out, [(1, out, phi, slot, None)], dims)
+    return PointTensor.from_rows(phi.dim_in, t.dim_out, t.arity, out.den, out.rows)
 
 
 def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
@@ -463,18 +467,17 @@ def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
 
 def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[List[List[Fraction]]]:
     """The matrix of eta -> T(xi, eta) for arity-2 T at each point xi, as
-    it is taken: one accumulation over T's rows, read once, and xi's.
+    it is taken: one accumulation over T's rows and xi's.
     Checks run as matrices are taken: a point must have length dim_in and
     int or Fraction components (over Q(sqrt d), take T(xi, e_k) by apply)."""
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
     dim = t.dim_in
-    t_read = _read([t])[id(t)]
     for xi in points:
         if len(xi) != dim or not all(isinstance(c, (int, Fraction)) for c in xi):
             raise TensorError(f"xi must be an exact vector of length {dim} over Q: {list(xi)!r}")
-        s = PointTensor(dim, dim, 0, {(): list(xi)})
-        yield contraction_sum(dim, dim, 1, [(1, t_read, s, 0, None)]).to_matrix()
+        s = PointTensor(dim, dim, 0, {(): xi})
+        yield contraction_sum(dim, dim, 1, [(1, t, s, 0, None)]).to_matrix()
 
 
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
@@ -524,13 +527,14 @@ def matrix_of(op: Callable[[PointTensor], PointTensor],
 def combination(coeffs: Sequence, basis: Sequence[PointTensor]) -> PointTensor:
     """sum_k coeffs[k] * basis[k], visiting only nonzero coefficients and
     nonzero entries (a unit tensor has few)."""
-    out = basis[0].scale(0)
+    b0 = basis[0]
+    entries = {idx: [_ZERO] * b0.dim_out for idx in b0.entries}
     for c, b in zip(coeffs, basis):
         if c != 0:
             for idx, v in b.entries.items():
                 if any(v):
-                    out.entries[idx] = [x + c * y for x, y in zip(out.entries[idx], v)]
-    return out
+                    entries[idx] = [x + c * y for x, y in zip(entries[idx], v)]
+    return PointTensor(b0.dim_in, b0.dim_out, b0.arity, entries)
 
 
 def solution_basis(op: Callable[[PointTensor], PointTensor],

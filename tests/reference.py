@@ -72,9 +72,9 @@ the oracle of genpos.alpha_N, which sums it on integer numerators.
 
 Some small helpers only the tests use live here too: matrix products,
 the full solution set of a linear system, a vector form evaluated on
-constant vectors or composed with a structure, and a route's Reading with
-one entry changed (reading_with_entry), which is how the cross-check
-tests corrupt a route.
+constant vectors or composed with a structure, and a route's tensor
+built again with one entry changed (tensor_with_entry), which is how the
+cross-check tests corrupt a route.
 
 The canonical jet symbol solved by the dbar homotopy on polynomials
 (symmetrize_by_polynomials), with the constant matrices A = J_L(x) and
@@ -103,11 +103,10 @@ from nijcalc.tensor import (Index, PointTensor, alternating_rep, pair_pattern_re
                             symmetric_rep)
 
 
-def reading_with_entry(r: tensor.Reading, idx: Index, change) -> tensor.Reading:
-    """r with the entry at idx, a list of Fractions, replaced by change(entry)."""
-    t = r.tensor()
-    t.entries[idx] = change(t.entries[idx])
-    return tensor._read([t])[id(t)]
+def tensor_with_entry(t: PointTensor, idx: Index, change) -> PointTensor:
+    """A new tensor: t with the entry at idx, a list of Fractions, replaced
+    by change(entry)."""
+    return PointTensor(t.dim_in, t.dim_out, t.arity, {**t.entries, idx: change(list(t.entries[idx]))})
 
 
 def mat_scale(a, c):
@@ -1088,11 +1087,13 @@ def jacobi_violation_by_basis(g) -> Optional[Tuple[int, int, int]]:
 
 def digest(value) -> str:
     """First 16 hex digits of the SHA-256 of the value's repr, with each
-    PointTensor as (dim_in, dim_out, arity, sorted entries): it tells a
-    Fraction from an int as well as one value from another."""
+    PointTensor as (dim_in, dim_out, arity, sorted entries), each entry a
+    list: it tells a Fraction from an int as well as one value from
+    another."""
     def plain(x):
         if isinstance(x, PointTensor):
-            return (x.dim_in, x.dim_out, x.arity, sorted(x.entries.items()))
+            return (x.dim_in, x.dim_out, x.arity,
+                    sorted((idx, list(v)) for idx, v in x.entries.items()))
         if isinstance(x, list):
             return [plain(y) for y in x]
         return x

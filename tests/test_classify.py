@@ -36,7 +36,7 @@ from nijcalc.structures import (StructureError, StructureField, example_structur
                                 from_anticommuting_part, random_structure,
                                 validate)
 from nijcalc.tensor import identity_map
-from reference import lie_bracket, nijenhuis_field_by_lie_brackets, reading_with_entry
+from reference import lie_bracket, nijenhuis_field_by_lie_brackets, tensor_with_entry
 
 NOT_LIE = {"jj_algebraic_zero": True, "jj_fn_is_twice_torsion": True,
            "nn_algebraic_zero": False, "nn_fn_zero": True, "jn_fn_zero": True}
@@ -259,9 +259,10 @@ def test_xi3_flip_swaps_the_lines_and_a_plane_shift_keeps_them(seed, pt):
 def test_float_vectors_are_refused(entry, error):
     """A float would be read as the nearest binary fraction, so (0.1, 0)
     would name another point and alpha_N would certify another vector,
-    and a string would be parsed as a number: the base points of a
-    truncated map, the vectors of alpha_N and annihilator, and an xi3
-    choice refuse both.  A QuadExt xi3 choice still passes."""
+    a string would be parsed as a number and None would fail inside
+    Fraction: the base points of a truncated map, the vectors of alpha_N
+    and annihilator, and an xi3 choice refuse all three, naming the
+    value.  A QuadExt xi3 choice still passes."""
     one = (JetSymbol(1, identity_map(2)),)
     # entry -> (call on a bad component, the float it is tested with)
     calls = {
@@ -278,6 +279,8 @@ def test_float_vectors_are_refused(entry, error):
         call(x)
     with pytest.raises(error, match="string.*'1'"):
         call("1")
+    with pytest.raises(error, match=r"None .*None"):
+        call(None)
     if entry == "xi3_choice":
         seed, pt = FLIP_CASES[-1]
         choice = _xi3_choices(seed, pt)["flip"]
@@ -372,7 +375,7 @@ def test_frame_cross_checks_the_torsion_routes(monkeypatch, op):
     true_route = invariants._torsion_first_differential
 
     def broken(jet):
-        return reading_with_entry(true_route(jet), (1, 3), lambda v: [v[0] + 1] + v[1:])
+        return tensor_with_entry(true_route(jet), (1, 3), lambda v: [v[0] + 1] + v[1:])
 
     monkeypatch.setattr(invariants, "_torsion_first_differential", broken)
     with pytest.raises(InternalInconsistencyError, match=r"\(1, 3\)"):

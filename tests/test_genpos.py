@@ -463,24 +463,27 @@ def test_recover_sign():
 def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, samples):
     """A degenerate tensor (single-pair, or on three pairs of planes
     leaving plane 4 in every kernel) is examined at every sample and grid
-    point, each point read once, yet N is read twice whatever the grid's
-    size: by the antilinearity check and by kernel_matrices."""
+    point, yet N's integer reading is built once whatever the grid's size,
+    by the antilinearity check, and kernel_matrices reuses it; each
+    point's reading is built once too, and so is j's."""
     rng = random.Random(n)
     t = linear_nijenhuis_from_free_data(n, {
         pair: [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(2 * n)] for pair in pairs})
     grid = len(list(genpos._grid(t, standard_matrix(n))))
-    read, reads = tensor._read, []
+    real, reads = PointTensor.__getattr__, []
 
-    def spy(tensors):
-        tensors = list(tensors)
-        reads.append(any(x is t for x in tensors))
-        return read(tensors)
+    def spy(self, name):
+        if name in ("den", "rows"):
+            reads.append(self)
+        return real(self, name)
 
-    monkeypatch.setattr(tensor, "_read", spy)
+    monkeypatch.setattr(PointTensor, "__getattr__", spy)
     report = general_position_test(t, samples, seed=1)
     assert report.verdict == "degenerate" and report.samples_tested == samples
-    assert grid > 2 and reads.count(False) == samples + grid
-    assert reads.count(True) == 2
+    points = [x for x in reads if x.arity == 0]
+    assert grid > 2 and len(points) == samples + grid
+    assert len({id(x) for x in points}) == len(points)
+    assert sum(x is t for x in reads) == 1 and len(reads) == samples + grid + 2
 
 
 def test_antilinearity_is_checked_once_for_a_sign_pair(monkeypatch):

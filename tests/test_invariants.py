@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nijcalc import invariants, linalg, poly, tensor
+from nijcalc import invariants, linalg, poly
 from nijcalc.forms import VectorForm, fn_bracket
 from nijcalc.invariants import (
     InternalInconsistencyError,
@@ -40,7 +40,7 @@ from reference import (PolyTensorField, differential, digest, dj_field,
                        fn_bracket_one_forms_direct,
                        higher_nijenhuis_bracket_by_apply, higher_nijenhuis_by_entries,
                        lie_bracket, nijenhuis_field_by_lie_brackets,
-                       nijenhuis_field_first_differential, reading_with_entry,
+                       nijenhuis_field_first_differential, tensor_with_entry,
                        structure_as_field, torsion_jets_by_stages)
 
 E = lambda dim, k: [Fraction(1) if i == k else Fraction(0) for i in range(dim)]
@@ -154,17 +154,17 @@ def test_bracket_route_equals_differential_route_in_dim6(seed):
 
 
 def test_cross_check_catches_a_pair_pattern_break(monkeypatch):
-    """A nonzero diagonal tuple in the differential route's Reading, which
-    the bracket route has zero by construction, must trip the cross-check."""
-    true_route = invariants._differential_route
+    """A nonzero diagonal tuple in the differential route, which the
+    bracket route has zero by construction, must trip the cross-check."""
+    true_route = invariants.higher_nijenhuis_differential
 
-    def broken(jet, n_jets):
-        r = reading_with_entry(true_route(jet, n_jets), (0, 0, 1, 2),
-                               lambda v: [Fraction(1)] + v[1:])
-        assert not r.tensor().has_pair_pattern()
+    def broken(j, point, jets=None):
+        r = tensor_with_entry(true_route(j, point, jets), (0, 0, 1, 2),
+                              lambda v: [Fraction(1)] + v[1:])
+        assert not r.has_pair_pattern()
         return r
 
-    monkeypatch.setattr(invariants, "_differential_route", broken)
+    monkeypatch.setattr(invariants, "higher_nijenhuis_differential", broken)
     with pytest.raises(InternalInconsistencyError, match=r"\(0, 0, 1, 2\)"):
         higher_nijenhuis(example_structure("ex2"), [0, 1, 0, 0])
 
@@ -341,7 +341,7 @@ def test_torsion_cross_check_catches_a_route_disagreement(monkeypatch):
     true_route = invariants._torsion_first_differential
 
     def broken(jet):
-        return reading_with_entry(true_route(jet), (1, 3), lambda v: [v[0] + 1] + v[1:])
+        return tensor_with_entry(true_route(jet), (1, 3), lambda v: [v[0] + 1] + v[1:])
 
     monkeypatch.setattr(invariants, "_torsion_first_differential", broken)
     with pytest.raises(InternalInconsistencyError, match=r"\(1, 3\)"):
@@ -366,12 +366,14 @@ def jet_forms(draw):
 @settings(max_examples=40, deadline=None)
 @given(jet_forms(), st.integers(0, 3))
 def test_the_jet_reading_is_the_reading_of_jet_differential(form, p):
-    """d^p is read once off the jet's numerators: that Reading, its
-    denominator and rows, is what the kernel reads from jet_differential's
-    Fraction tensor, whose values are the global differential at the
+    """d^p is read once off the jet's numerators: jet_differential's
+    reading, its den and rows, is the reading of the same values built
+    from Fractions, and those values are the global differential at the
     origin."""
     t = jet_differential(form, p)
-    assert invariants._jet_reading(form, p) == tensor._read([t])[id(t)]
+    values = PointTensor(t.dim_in, t.dim_out, t.arity,
+                         {idx: list(v) for idx, v in t.entries.items()})
+    assert (t.den, t.rows) == (values.den, values.rows)
     assert all(type(x) is Fraction for v in t.entries.values() for x in v)
     whole = PolyTensorField(form.dim, form.degree, {
         idx: form.value_on_basis(idx)
@@ -381,17 +383,24 @@ def test_the_jet_reading_is_the_reading_of_jet_differential(form, p):
 
 def test_the_routes_build_only_the_tensor_they_return(monkeypatch):
     """Both routes of the torsion and of the arity-4 invariant and both
-    identity checks run on Readings, from the jet to the cross-check:
-    higher_nijenhuis and nijenhuis_tensor construct one PointTensor, the
-    one they return, and the identity defects none."""
+    identity checks run on integer readings, from the jet to the
+    cross-check: higher_nijenhuis and nijenhuis_tensor build the Fraction
+    entries of one tensor, the one they return, before returning it, and
+    the identity defects build none."""
     built = []
-    real_init = PointTensor.__init__
+    real_init, real_getattr = PointTensor.__init__, PointTensor.__getattr__
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         built.append(self)
         real_init(self, *args)
 
-    monkeypatch.setattr(PointTensor, "__init__", counted)
+    def counted_getattr(self, name):
+        if name == "entries":
+            built.append(self)
+        return real_getattr(self, name)
+
+    monkeypatch.setattr(PointTensor, "__init__", counted_init)
+    monkeypatch.setattr(PointTensor, "__getattr__", counted_getattr)
     j4, j6 = example_structure("ex2"), random_structure(3, 7)
     pt6 = [Fraction(k - 2, 3) for k in range(6)]
     for call in (lambda: higher_nijenhuis(j4, [0, 1, 0, 0]), lambda: nijenhuis_tensor(j6, pt6)):

@@ -504,7 +504,7 @@ def test_defect_checks_refuse_structures_of_the_wrong_shape(monkeypatch, check, 
     jl0 = p_k if p_as_j_l else rand_point_structure(l_dim // 2, rng)
     jm0 = rand_point_structure(m_dim // 2, rng)
     contractions = calls_of(monkeypatch, jets, "contraction_sum")
-    reads = calls_of(monkeypatch, jets, "_integer_rows")
+    reads = calls_of(monkeypatch, jets, "_dense")
     with pytest.raises(StructureError) as exc:
         check(p_k, jl0, jm0)
     assert type(exc.value) is StructureError
@@ -617,12 +617,12 @@ def test_symmetrize_matches_the_polynomial_homotopy(drawn):
 
 
 def test_symmetrize_makes_no_polynomial_products(monkeypatch):
-    """symmetrize solves and certifies on integer rows, read by
-    _integer_rows: neither a solvable nor an obstructed P_k reaches the
+    """symmetrize solves and certifies on integer rows, the tensors' rows
+    laid out by _dense: neither a solvable nor an obstructed P_k reaches the
     polynomial kernels.  A direct call afterwards shows the spies live."""
     applied = calls_of(monkeypatch, poly, "jet_apply_columns")
     products = calls_of(monkeypatch, poly, "_products")
-    reads = calls_of(monkeypatch, jets, "_integer_rows")
+    reads = calls_of(monkeypatch, jets, "_dense")
     rng = random.Random(7)
     jl0, jm0 = rand_point_structure(2, rng), rand_point_structure(2, rng)
     for kind, failing in (("zeta", []), ("swap_conjugation", ["swap_conjugation"])):
@@ -877,7 +877,9 @@ def test_lift_rejects_a_corrupted_symbol(monkeypatch, corruption, message):
                 for i, c in enumerate(fn(idx))])
         else:
             t = build(dim_in, dim_out, k, rep, fn)
-            t.entries[(1,) + (0,) * (k - 1)][0] += 1
+            key = (1,) + (0,) * (k - 1)
+            t = PointTensor(dim_in, dim_out, k, {
+                **t.entries, key: [t.entries[key][0] + 1, *t.entries[key][1:]]})
         return t
 
     monkeypatch.setattr(PointTensor, "from_orbits", staticmethod(corrupted))
@@ -1139,7 +1141,7 @@ def _residual_terms_against_the_dense_reference(j_l, j_m, u):
             k = r + skip_top
             assert sorted(got) == [(a,) + rest for a in range(dim) for rest in
                                  itertools.combinations_with_replacement(range(dim), k - 1)]
-            assert all(value == want.entries[idx] for idx, value in got.items())
+            assert all(value == list(want.entries[idx]) for idx, value in got.items())
             assert all(type(c) is Fraction for value in got.values() for c in value)
             if not skip_top:
                 assert any(any(value) for value in got.values()) == (v is noisy)

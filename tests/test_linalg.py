@@ -867,6 +867,7 @@ QUADEXT_CONTRACT = {
         2, 2, 2, [(1, None, _T, None, None), (1, None, _Q_T, None, None)]), TensorError),
     "first_nonzero_sum": (lambda: tensor.first_nonzero_sum(
         2, 2, 2, [[(1, None, _T, None, None)], [(1, None, _Q_T, None, None)]]), TensorError),
+    "first_difference": (lambda: tensor.first_difference(_T, _Q_T), TensorError),
     "kernel_matrix": (lambda: tensor.kernel_matrix(_T, _Q_V), TensorError),
     "kernel_matrices": (lambda: list(tensor.kernel_matrices(_T, [[1, 0], _Q_V])), TensorError),
 }

@@ -34,7 +34,7 @@ from nijcalc.tensor import PointTensor, TensorError, alternating_rep
 from reference import (appendix_tensor_by_minors, digest, doubling_by_formula,
                        jacobi_violation_by_basis, left_invariant_by_identities,
                        lie_bracket_by_table, linear_nijenhuis_by_cases,
-                       membership_violation_by_pairs, shift_by_fractions)
+                       membership_violation_by_pairs, shift_by_fractions, tensor_with_entry)
 
 
 def as_matrix(j):
@@ -375,7 +375,7 @@ def test_free_data_read_back_from_both_layouts(n, block, data):
         t = linear_nijenhuis_from_free_data(n, free)
         j, b = PointTensor.from_matrix(standard_matrix(n)), lambda s: 2 * s
     for s, u in pairs:
-        assert t.entries[(b(s), b(u))] == [Fraction(x) for x in free.get((s, u), [0] * dim)]
+        assert list(t.entries[(b(s), b(u))]) == [Fraction(x) for x in free.get((s, u), [0] * dim)]
     assert linear_membership_violation(t, j) is None
 
 
@@ -404,7 +404,9 @@ def test_random_linear_nijenhuis_membership():
 @settings(max_examples=40, deadline=None)
 def test_membership_violation_matches_the_pairwise_check(n, seed, block, idx, comp, delta):
     """The same first (a, b, label) as the check one basis pair at a time,
-    on valid tensors and on tensors with one entry perturbed."""
+    on valid tensors and on tensors with one entry perturbed.  The tensor
+    was read by the check, so an edit in place, which its kept reading
+    would not see, raises: the perturbed tensor is built anew."""
     dim = 2 * n
     if block:
         t = example3_tensor(n)["N"]
@@ -414,7 +416,10 @@ def test_membership_violation_matches_the_pairwise_check(n, seed, block, idx, co
         j = PointTensor.from_matrix(standard_matrix(n))
     assert linear_membership_violation(t, j) is None
     key = divmod(idx % (dim * dim), dim)
-    t.entries[key][comp % dim] += delta
+    with pytest.raises(TypeError):
+        t.entries[key][comp % dim] += delta
+    t = tensor_with_entry(t, key, lambda v: [x + delta * (i == comp % dim)
+                                             for i, x in enumerate(v)])
     assert linear_membership_violation(t, j) == membership_violation_by_pairs(t, j)
     assert (delta == 0) == (linear_membership_violation(t, j) is None)
 

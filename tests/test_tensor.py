@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import operator
 import random
 import typing
 from fractions import Fraction
@@ -130,19 +131,61 @@ def test_from_matrix_and_scale_refuse_strings():
         PointTensor.from_matrix([[1]]).scale('2')
 
 
-@pytest.mark.parametrize("c", [0.1, 0.0, 1.0])
+@pytest.mark.parametrize("c", [0.1, 0.0, 1.0, None])
 def test_constructors_and_scale_refuse_floats(c):
-    """A float value would be stored as its binary fraction: every
-    constructor that converts values, and scale, refuse it."""
+    """A float value would be stored as its binary fraction, and None
+    would fail inside Fraction: every constructor that converts values,
+    and scale, refuse both by name."""
     t = PointTensor.from_function(2, 2, 1, lambda idx: [F(idx[0]), F(1)])
-    with pytest.raises(tensor.TensorError, match="float"):
+    name = "float" if c is not None else "NoneType value None"
+    with pytest.raises(tensor.TensorError, match=name):
         PointTensor.from_matrix([[c, 0], [0, 1]])
-    with pytest.raises(tensor.TensorError, match="float"):
+    with pytest.raises(tensor.TensorError, match=name):
         PointTensor.from_function(2, 2, 1, lambda idx: [c, F(1)])
-    with pytest.raises(tensor.TensorError, match="float"):
+    with pytest.raises(tensor.TensorError, match=name):
         PointTensor.from_orbits(2, 2, 2, tensor.alternating_rep, lambda idx: [c, F(1)])
-    with pytest.raises(tensor.TensorError, match="float"):
+    with pytest.raises(tensor.TensorError, match=name):
         t.scale(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_tensors(2, 3, 2), drawn_tensors(3, 1, 0))
+def test_a_tensor_rebuilt_from_its_reading_is_the_same_tensor(a, b):
+    """Fractions -> rows -> Fractions: den is the lcm of the entries'
+    denominators, rows hold each nonzero component's numerator over it,
+    and the tensor built from them has the same Fraction entries."""
+    for t in (a, b):
+        assert t.den == math.lcm(*(x.denominator for v in t.entries.values() for x in v))
+        assert t.rows == {idx: tuple((i, x.numerator * (t.den // x.denominator))
+                                     for i, x in enumerate(v) if x) for idx, v in t.entries.items()}
+        back = PointTensor.from_rows(t.dim_in, t.dim_out, t.arity, t.den, t.rows)
+        assert back == t and list(back.entries) == list(t.entries)
+        assert_exact_components(back)
+
+
+def test_a_tensor_cannot_be_changed_after_it_is_built():
+    """Entries and rows are read-only mappings of tuples, copied from what
+    the constructor was given: an edit raises TypeError, and a later change
+    to the given dict or lists does not reach the tensor, so its Fraction
+    entries and its kept integer reading always agree."""
+    values = {(0,): [F(1, 2), F(0)], (1,): [F(3), F(-1, 3)]}
+    t = PointTensor(2, 2, 1, values)
+    assert (t.den, t.rows) == (6, {(0,): ((0, 3),), (1,): ((0, 18), (1, -2))})
+    values[(0,)][0] = F(5)
+    values[(1,)] = [F(0), F(0)]
+    assert t.entries == {(0,): (F(1, 2), F(0)), (1,): (F(3), F(-1, 3))}
+    for edit in (lambda: operator.setitem(t.entries[(0,)], 0, F(1)),
+                 lambda: operator.setitem(t.entries, (0,), (F(0), F(0))),
+                 lambda: operator.delitem(t.entries, (1,)),
+                 lambda: operator.setitem(t.rows[(0,)], 0, (0, 6)),
+                 lambda: operator.setitem(t.rows, (1,), ())):
+        with pytest.raises(TypeError):
+            edit()
+    rows = {(0,): [(0, 3)], (1,): []}
+    r = PointTensor.from_rows(2, 2, 1, 6, rows)
+    rows[(1,)].append((1, 6))
+    assert r.entries == {(0,): (F(1, 2), F(0)), (1,): (F(0), F(0))}
+    assert t.entries[(0,)] == r.entries[(0,)] and t.den == r.den
 
 
 @st.composite
@@ -168,8 +211,12 @@ def test_from_symmetric_function_matches_from_function(case):
     assert built == dense
     assert list(built.entries) == list(dense.entries)
     assert built.respects(tensor.symmetric_rep)
-    # every entry is its own list
-    assert len({id(v) for v in built.entries.values()}) == len(built.entries)
+    # entries may share a tuple, since no entry can be edited
+    idx = next(iter(built.entries))
+    with pytest.raises(TypeError):
+        built.entries[idx][0] += 1
+    with pytest.raises(TypeError):
+        built.entries[idx] = [F(1)] * dim_out
     # the same orbit values under the alternating rule, signed by parity
     alternating = PointTensor.from_orbits(dim_in, dim_out, arity,
                                           tensor.alternating_rep, fn)
@@ -208,9 +255,9 @@ def test_respects_agrees_with_the_swap_checks(case, pick):
     for t, rule, by_swaps in built:
         assert t.respects(rule) and by_swaps(t)
         idx = sorted(t.entries)[pick % len(t.entries)]
-        t.entries[idx][pick % dim_out] += 1
+        t = PointTensor(dim_in, dim_out, arity, {**t.entries, idx: [
+            x + (i == pick % dim_out) for i, x in enumerate(t.entries[idx])]})
         assert t.respects(rule) == by_swaps(t)
-    assert built[0][0].respects(tensor.symmetric_rep) == is_fully_symmetric_by_swaps(built[0][0])
     if arity == 4:
         assert built[2][0].has_pair_pattern() == has_pair_pattern_by_swaps(built[2][0])
 
@@ -232,7 +279,7 @@ def test_from_function_fills_each_tuple_as_its_own_orbit():
     seen = []
     t = PointTensor.from_function(3, 2, 2, lambda idx: seen.append(idx) or [idx[0], F(idx[1], 2)])
     assert seen == list(itertools.product(range(3), repeat=2)) == list(t.entries)
-    assert t.entries[(2, 1)] == [F(2), F(1, 2)] and type(t.entries[(2, 1)][0]) is F
+    assert t.entries[(2, 1)] == (F(2), F(1, 2)) and type(t.entries[(2, 1)][0]) is F
     with pytest.raises(tensor.TensorError, match=r"value at \(0, 1\) has length 1, expected 2"):
         PointTensor.from_function(2, 2, 2, lambda idx: [F(1)] * (1 + (idx != (0, 1))))
 
@@ -250,7 +297,7 @@ def test_post_compose_matches_matrix_product(case):
     out = tensor.post_compose(PointTensor.from_matrix(m), t)
     assert (out.dim_in, out.dim_out, out.arity) == (t.dim_in, 3, t.arity)
     for idx, v in t.entries.items():
-        assert out.entries[idx] == linalg.mat_vec(m, v)
+        assert list(out.entries[idx]) == linalg.mat_vec(m, v)
         assert all(type(x) is Fraction for x in out.entries[idx])
 
 
@@ -298,7 +345,7 @@ def test_matrix_of_a_post_composition_is_its_matrix():
     units = tensor.unit_basis(1, 3, 0, tensor.symmetric_rep)
     op = lambda v: tensor.post_compose(PointTensor.from_matrix(m), v)
     assert tensor.matrix_of(op, units) == m
-    assert tensor.combination([2, 0, F(-1, 2)], units).entries == {(): [2, 0, F(-1, 2)]}
+    assert tensor.combination([2, 0, F(-1, 2)], units).entries == {(): (2, 0, F(-1, 2))}
     assert [tensor.flatten(t) for t in tensor.solution_basis(op, units)] == linalg.nullspace(m)
     t = PointTensor.from_function(2, 2, 2, lambda idx: [F(idx[0]), F(idx[1] + 1)])
     assert tensor.flatten(t) == [0, 1, 0, 2, 1, 1, 1, 2]
@@ -358,8 +405,9 @@ def test_kernel_matrices_equal_kernel_matrix_at_every_point():
         list(tensor.kernel_matrices(rational, points[:1] + [quad_point]))
     assert any(type(x) is QuadExt for row in kernel_matrix_by_apply(rational, quad_point)
                for x in row)
-    quad = PointTensor(4, 4, 2, {idx: list(v) for idx, v in rational.entries.items()})
-    quad.entries[(1, 2)][0] = QuadExt(F(1, 2), 1, 3)  # the constructors hold rationals only
+    # the constructors that convert values hold rationals only
+    quad = PointTensor(4, 4, 2, {**rational.entries, (1, 2): [QuadExt(F(1, 2), 1, 3),
+                                                              *rational.entries[(1, 2)][1:]]})
     with pytest.raises(tensor.TensorError, match=r"component QuadExt\(1/2, 1, sqrt\(3\)\)"):
         tensor.kernel_matrix(quad, points[0])
 
@@ -587,18 +635,22 @@ def test_contraction_sum_equals_the_operation_chain(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(contraction_terms())
 def test_a_term_may_hold_a_reading_for_a_tensor(case):
-    """The kernel takes its integer reading as it returns it: with every
-    input replaced by its Reading the sum is the same, and
-    contraction_reading's Fraction view is contraction_sum."""
+    """A tensor built from its integer reading sums as the tensor built
+    from its values: with every input rebuilt from its den and rows the
+    sum and its reading are the same."""
     dim, dim_out, arity, terms = case
-    want = chain_sum(terms)
-    read = tensor._read(t for term in terms for t in term[1:3] if t is not None)
-    readings = [(sign, None if outer is None else read[id(outer)], read[id(inner)], slot, perm)
-                for sign, outer, inner, slot, perm in terms]
-    assert tensor.contraction_sum(dim, dim_out, arity, readings) == want
-    got = tensor.contraction_reading(dim, dim_out, arity, readings)
+    want = tensor.contraction_sum(dim, dim_out, arity, terms)
+    assert want == chain_sum(terms)
+
+    def from_rows(t):
+        return None if t is None else PointTensor.from_rows(
+            t.dim_in, t.dim_out, t.arity, t.den, t.rows)
+
+    got = tensor.contraction_sum(dim, dim_out, arity, [
+        (sign, from_rows(outer), from_rows(inner), slot, perm)
+        for sign, outer, inner, slot, perm in terms])
     assert (got.dim_in, got.dim_out, got.arity) == (dim, dim_out, arity)
-    assert got.tensor() == want
+    assert (got.den, got.rows) == (want.den, want.rows) and got == want
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -612,13 +664,33 @@ def test_contraction_sum_with_a_quadratic_value_in_one_term(case, pick):
     rnd = random.Random(pick)
     k = rnd.randrange(len(terms))
     sign, outer, inner, slot, perm = terms[k]
-    inner = PointTensor(inner.dim_in, inner.dim_out, inner.arity,
-                        {idx: list(v) for idx, v in inner.entries.items()})
-    value = rnd.choice(list(inner.entries.values()))
+    entries = {idx: list(v) for idx, v in inner.entries.items()}
+    value = rnd.choice(list(entries.values()))
     value[rnd.randrange(len(value))] = QuadExt(F(rnd.randint(-3, 3), 2), rnd.choice((-1, 2)), 2)
+    inner = PointTensor(inner.dim_in, inner.dim_out, inner.arity, entries)
     terms = terms[:k] + [(sign, outer, inner, slot, perm)] + terms[k + 1:]
     with pytest.raises(tensor.TensorError, match=r"component QuadExt\(.*works over Q"):
         tensor.contraction_sum(dim, dim_out, arity, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_tensors(3, 2, 2), st.integers(2, 5), st.integers(0, 2 ** 32))
+def test_first_difference_is_the_first_nonzero_of_the_difference(a, k, pick):
+    """The same values over k times the den do not differ; with one
+    component changed, two tensors differ first where their difference,
+    summed by first_nonzero_sum, is first nonzero."""
+    rescaled = PointTensor.from_rows(3, 2, 2, a.den * k, {
+        idx: [(i, n * k) for i, n in row] for idx, row in a.rows.items()})
+    assert tensor.first_difference(a, rescaled) is None
+    rnd = random.Random(pick)
+    idx, comp = rnd.choice(sorted(a.entries)), rnd.randrange(2)
+    b = PointTensor(3, 2, 2, {**a.entries, idx: [
+        x + F(rnd.choice((-1, 1)), rnd.randint(1, 3)) * (i == comp)
+        for i, x in enumerate(a.entries[idx])]})
+    hit = tensor.first_nonzero_sum(3, 2, 2, [[(1, None, a, None, None), (-1, None, b, None, None)]])
+    assert tensor.first_difference(a, b) == hit[0] == idx
+    with pytest.raises(tensor.TensorError, match="shape"):
+        tensor.first_difference(a, PointTensor.from_function(3, 2, 1, lambda i: [0, 0]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -635,10 +707,10 @@ def test_first_nonzero_sum_is_the_first_nonzero_of_the_chains(case, pick):
     rnd = random.Random(pick)
     if pick % 2:
         sign, outer, inner, slot, perm = terms[-1]
-        inner = PointTensor(inner.dim_in, inner.dim_out, inner.arity,
-                            {idx: list(v) for idx, v in inner.entries.items()})
-        value = rnd.choice(list(inner.entries.values()))
+        entries = {idx: list(v) for idx, v in inner.entries.items()}
+        value = rnd.choice(list(entries.values()))
         value[rnd.randrange(len(value))] = QuadExt(F(rnd.randint(-3, 3), 2), 1, 2)
+        inner = PointTensor(inner.dim_in, inner.dim_out, inner.arity, entries)
         terms = terms[:-1] + [(sign, outer, inner, slot, perm)]
     k = rnd.randrange(len(terms))
     first = [terms[0]] + ([(-terms[0][0], *terms[0][1:])] if pick % 3 == 0 else terms[1:k + 1])
@@ -673,8 +745,8 @@ def test_contraction_sum_weights_each_term_by_its_own_denominator():
     got = tensor.contraction_sum(2, 1, 1, [(1, None, t, None, None), (-1, phi, s, None, None),
                                            (1, t, u, 0, None)])
     # u feeds its value (1/7, idx) into t's slot: (1/3) / 7 + (2/3) idx
-    assert got.entries == {(0,): [F(1, 3) + F(1, 21)],
-                           (1,): [F(2, 3) - F(1, 10) + F(1, 21) + F(2, 3)]}
+    assert got.entries == {(0,): (F(1, 3) + F(1, 21),),
+                           (1,): (F(2, 3) - F(1, 10) + F(1, 21) + F(2, 3),)}
 
 
 def test_contraction_sum_rejects_mismatched_terms():
@@ -722,6 +794,7 @@ TENSOR_CASES = {
     "PointTensor.from_matrix": lambda a, b, m: ([_ints(row) for row in m.to_matrix()],),
     "PointTensor.from_orbits": lambda a, b, m: (
         2, 2, 2, tensor.alternating_rep, lambda idx: _ints(a.entries[idx])),
+    "PointTensor.from_rows": lambda a, b, m: (2, 2, 2, a.den, a.rows),
     "PointTensor.neg": lambda a, b, m: (a,),
     "PointTensor.scale": lambda a, b, m: (a, 3),
     "PointTensor.sub": lambda a, b, m: (a, b),
