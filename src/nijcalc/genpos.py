@@ -1,9 +1,11 @@
 """General-position machinery for antiinvariant two-forms.
 
 Counts nu(xi) = dim ker N(xi, .) exactly and certifies it with a Gram
-determinant over a transversal invariant hyperplane, both from one matrix
-per point; decides general position exactly, by samples and then a grid
-that the grid lemma sizes (Schwartz 1980; Alon 1999); provides the two
+determinant over a transversal invariant hyperplane, both from one map
+per point kept on integer rows (N's reading contracted with the point's
+numerators; no Fraction until the report); decides general position
+exactly, by samples and then the nodes of a lower set of a grid
+(interpolation on lower sets, Dyn and Floater 2014); provides the two
 explicit dense tensors (conjugate-minor, cyclic-difference doubling) and
 the projected Grassmann map; searches for general-position deformations
 along a segment; and computes the two-structure subspace decomposition
@@ -15,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .invariants import InternalInconsistencyError
@@ -23,8 +25,8 @@ from .structures import (StructureError, doubled_block_j,
                          doubled_nijenhuis_from_free_data,
                          linear_membership_violation,
                          linear_nijenhuis_from_free_data, standard_matrix)
-from .tensor import (PointTensor, alternating_rep, identity_map, kernel_matrices,
-                     kernel_matrix, post_compose)
+from .tensor import (PointTensor, alternating_rep, dense_row, first_nonzero_sum,
+                     identity_map, kernel_matrices)
 
 Vector = List[Fraction]
 
@@ -52,7 +54,9 @@ def alpha_N(n_tensor: PointTensor, xi: Sequence,
     basis = [_as_fractions(v, n_tensor.dim_in) for v in pi_basis]
     if linalg.in_span(xi, basis):
         raise ValueError("sample vector lies in the hyperplane")
-    return _gram_certificate(kernel_matrix(n_tensor, xi), basis)
+    s = math.lcm(*(x.denominator for v in basis for x in v))
+    return _gram_certificate(next(kernel_matrices(n_tensor, [xi])), s, [
+        [x.numerator * (s // x.denominator) for x in v] for v in basis])
 
 
 def appendix_tensor(n: int) -> PointTensor:
@@ -136,72 +140,85 @@ class GenPosReport:
     alpha_certificate: Optional[Fraction] = None
 
 
-def _structure_matrix(j: Optional[PointTensor], dim: int) -> List[List[Fraction]]:
-    """The matrix of j, the standard structure by default, refused unless it
-    is a complex structure on R^dim."""
+def _structure(j: Optional[PointTensor], dim: int) -> PointTensor:
+    """j, the standard structure by default, refused unless it is a complex
+    structure on R^dim; j^2 = -I is checked on the integer sum j o j + I."""
     if j is None:
         if dim % 2 != 0:
             raise ValueError("odd-dimensional space has no complex structure")
-        return standard_matrix(dim // 2)
+        return PointTensor.from_matrix(standard_matrix(dim // 2))
     if (j.arity, j.dim_in, j.dim_out) != (1, dim, dim):
         raise StructureError(f"j must be a linear map of the tensor's R^{dim}, not an "
                              f"arity-{j.arity} map of R^{j.dim_in} to R^{j.dim_out}")
-    if not post_compose(j, j).add(identity_map(dim)).is_zero():
+    if first_nonzero_sum(dim, dim, 1, [[(1, j, j, None, None),
+                                        (1, None, identity_map(dim), None, None)]]) is not None:
         raise StructureError("j^2 != -I")
-    return j.to_matrix()
+    return j
 
 
-def _complex_complement(jm: Sequence[Sequence], xi: Vector) -> List[Vector]:
-    """Basis of a j-invariant complement of the complex line of xi.
+def _complex_complement(j: PointTensor, xi: Sequence) -> Tuple[int, List[List[int]]]:
+    """Basis of a j-invariant complement of the complex line of xi, as
+    integer vectors over s = j.den: s e_a, and j e_a read off j's rows.
 
     Greedy over the standard basis; adding e_a forces j e_a to be
     independent as well, so the result is an invariant hyperplane of
     dimension dim - 2 avoiding xi.
     """
-    dim = len(jm)
-    acc = linalg.Echelon([xi, linalg.mat_vec(jm, xi)])
-    picked: List[Vector] = []
+    dim, s = j.dim_in, j.den
+    j_xi = [0] * dim
+    for a, x in enumerate(xi):
+        for i, n in j.rows[(a,)]:
+            j_xi[i] += x * n
+    acc = linalg.Echelon([xi, j_xi])
+    picked: List[List[int]] = []
     for a in range(dim):
-        e_a = linalg.basis_vector(dim, a)
-        if not acc.insert(e_a):
-            continue
-        j_e = [row[a] for row in jm]
-        acc.insert(j_e)
-        picked.extend([e_a, j_e])
+        e_a = dense_row([(a, s)], dim)
+        if acc.insert(e_a):
+            j_e = dense_row(j.rows[(a,)], dim)
+            acc.insert(j_e)
+            picked.extend([e_a, j_e])
     if len(picked) != dim - 2:
         raise InternalInconsistencyError("invariant complement has wrong size")
-    return picked
+    return s, picked
 
 
-def _gram_certificate(m: Sequence[Sequence], basis: Sequence[Vector]) -> Dict:
-    """alpha_N from the matrix m of eta -> N(xi, eta).  With s the common
-    denominator of m and the basis, the images of the integer numerators
-    are s^2 m v, so their integer Gram matrix is s^4 times the Gram matrix."""
-    s = math.lcm(*(x.denominator for row in (*m, *basis) for x in row))
-    rows = [[x.numerator * (s // x.denominator) for x in row] for row in m]
-    supports = [[(k, x.numerator * (s // x.denominator)) for k, x in enumerate(v) if x]
-                for v in basis]
-    images = [[sum(row[k] * x for k, x in support) for row in rows] for support in supports]
+def _gram_certificate(k: PointTensor, s: int, basis: Sequence[Sequence[int]]) -> Dict:
+    """alpha_N from k, the map eta -> N(xi, eta) as an arity-1 tensor, and
+    basis vectors given as integers over s.  The images of those integers
+    summed on k's rows are s * k.den times the images of the basis, so
+    their integer Gram matrix is (s * k.den)^2 times the Gram matrix."""
+    images = []
+    for v in basis:
+        u = [0] * k.dim_out
+        for a, x in enumerate(v):
+            if x:
+                for i, n in k.rows[(a,)]:
+                    u[i] += x * n
+        images.append(u)
     gram = [[0] * len(images) for _ in images]
     for a, u in enumerate(images):
         nonzero = [(i, x) for i, x in enumerate(u) if x]
         for b in range(a, len(images)):
             gram[a][b] = gram[b][a] = sum(x * images[b][i] for i, x in nonzero)
-    g = Fraction(linalg.det(gram)) / s ** (4 * len(gram))
+    g = linalg.det(gram) / (s * k.den) ** (2 * len(gram))
     return {"positive": g > 0, "gram_det": g}
 
 
-def _grid(n_tensor: PointTensor, jm: Sequence[Sequence]):
-    """The points xi = b_1 + sum_k t_k b_k, t_k in {0..d_k}, of
-    general_position_test's grid: b_1 = e_0, and b_2..b_n are the e_a that
-    the invariant complement of the complex line of e_0 picks."""
+def _grid(n_tensor: PointTensor, j: PointTensor):
+    """The nodes xi = b_1 + sum_k t_k b_k, t_k <= d_k, sum t_k <= n - 1, of
+    general_position_test's grid, as ints: b_1 = e_0, and b_2..b_n are the
+    e_a that the invariant complement of the complex line of e_0 picks.  A
+    polynomial with monomials in this lower set vanishing at its nodes is
+    zero (Dyn and Floater, J. Approx. Theory 177, 2014)."""
     dim = n_tensor.dim_in
-    picks = [v.index(1) for v in _complex_complement(jm, linalg.basis_vector(dim, 0))[0::2]]
-    degrees = [min(len(picks), sum(1 for b in picks if any(n_tensor.entries[(a, b)])))
+    s, vectors = _complex_complement(j, dense_row([(0, 1)], dim))
+    picks = [v.index(s) for v in vectors[0::2]]
+    degrees = [min(len(picks), sum(1 for b in picks if n_tensor.rows[(a, b)]))
                for a in picks]
     for t in itertools.product(*(range(d + 1) for d in degrees)):
-        coords = {0: 1, **dict(zip(picks, t))}
-        yield [Fraction(coords.get(a, 0)) for a in range(dim)]
+        if sum(t) <= len(picks):
+            coords = {0: 1, **dict(zip(picks, t))}
+            yield [coords.get(a, 0) for a in range(dim)]
 
 
 def general_position_test(n_tensor: PointTensor, sample_count: int,
@@ -218,26 +235,32 @@ def general_position_test(n_tensor: PointTensor, sample_count: int,
     z_1 != 0, nu(xi) = 2 exactly when a maximal minor is nonzero.  w_k
     occurs only in the columns with N(b_k, b_l) != 0 (N(b_k, j b_l) =
     -j N(b_k, b_l) vanishes with it), so a minor has degree at most d_k in
-    w_k, that count capped at n - 1.  By the grid lemma (Schwartz, J. ACM
-    27, 1980; Alon, "Combinatorial Nullstellensatz", 1999) a polynomial of
-    degree at most d_k in each w_k vanishing on prod_k {0..d_k} is zero,
-    and a homogeneous minor vanishes identically if it does at w_1 = 1.
-    So the tensor is degenerate exactly when nu > 2 at every grid point
-    b_1 + sum_k t_k b_k; else the first grid point with nu = 2 is the
-    witness, and samples_tested counts the random samples only.  nu and
-    the Gram certificate come from one matrix of eta -> N(xi, eta) per
-    point, and nu = 2 <=> positive certificate is rechecked at each.  N is
-    read once, by the antilinearity check, and kernel_matrices contracts
-    that reading with each point's as the samples and the grid reach it:
-    the test stops at the first point with nu = 2.
+    w_k, that count capped at n - 1, and, homogeneous of degree n - 1, at
+    w_1 = 1 its monomials lie in the lower set A = {t : t_k <= d_k,
+    sum t_k <= n - 1}.  A polynomial with monomials in A vanishing at the
+    nodes of A is zero (interpolation on lower sets: Dyn and Floater, J.
+    Approx. Theory 177, 2014; on the box prod_k {0..d_k}, the grid lemma of
+    Schwartz 1980 and Alon 1999).  So the tensor is degenerate exactly
+    when nu > 2 at every node b_1 + sum_k t_k b_k, t in A; else the first
+    node with nu = 2 is the witness, the box's too (a minor vanishing on
+    w_2 = 0..a-1 has the factor w_2 (w_2 - 1)..(w_2 - a + 1), so its first
+    nonzero node in product order has sum t_k <= n - 1), and
+    samples_tested counts the random samples only.  The points are ints.
+    N and j are read once, by the antilinearity check, and kernel_matrices
+    contracts N's reading with each point's numerators as the samples and
+    the grid reach it: nu is the rank of the map's integer columns, the
+    Gram certificate is summed on its rows over the complement's integer
+    vectors, nu = 2 <=> positive certificate is rechecked at each point,
+    the test stops at the first with nu = 2, and only the reported
+    vectors and certificate become Fractions.
 
     j, the standard structure by default, must be a complex structure on
     the tensor's space, and the tensor antilinear for it; both are checked.
     The tensor is taken antisymmetric, as a Nijenhuis tensor is.
     """
     dim = n_tensor.dim_in
-    jm = _structure_matrix(j, dim)
-    bad = linear_membership_violation(n_tensor, PointTensor.from_matrix(jm))
+    j = _structure(j, dim)
+    bad = linear_membership_violation(n_tensor, j)
     if bad is not None:
         raise StructureError(f"tensor fails antilinearity at {bad}")
     rng = random.Random(seed)
@@ -245,23 +268,23 @@ def general_position_test(n_tensor: PointTensor, sample_count: int,
 
     def samples():
         while len(degeneracy) < sample_count:
-            xi = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-            if not linalg.vec_is_zero(xi):
+            xi = [rng.randint(-3, 3) for _ in range(dim)]
+            if any(xi):
                 yield True, xi
 
     points, xis = itertools.tee(
-        itertools.chain(samples(), ((False, xi) for xi in _grid(n_tensor, jm))))
-    for (sampled, xi), m in zip(points, kernel_matrices(n_tensor, (xi for _, xi in xis))):
-        nu = dim - linalg.rank(m)
-        cert = _gram_certificate(m, _complex_complement(jm, xi))
+        itertools.chain(samples(), ((False, xi) for xi in _grid(n_tensor, j))))
+    for (sampled, xi), k in zip(points, kernel_matrices(n_tensor, (xi for _, xi in xis))):
+        nu = dim - linalg.Echelon([dense_row(k.rows[(a,)], dim) for a in range(dim)]).rank
+        cert = _gram_certificate(k, *_complex_complement(j, xi))
         if (nu == 2) != cert["positive"]:
             raise InternalInconsistencyError(
                 f"kernel count and Gram certificate disagree at ({', '.join(map(str, xi))})")
         if nu == 2:
-            return GenPosReport("general_position", len(degeneracy) + sampled, xi,
-                                degeneracy, cert["gram_det"])
+            return GenPosReport("general_position", len(degeneracy) + sampled,
+                                _as_fractions(xi, dim), degeneracy, cert["gram_det"])
         if sampled:
-            degeneracy.append(xi)
+            degeneracy.append(_as_fractions(xi, dim))
     return GenPosReport("degenerate", len(degeneracy), None, degeneracy)
 
 
@@ -297,28 +320,24 @@ class SubspaceDecomposition:
 
 def annihilator(n_tensor: PointTensor,
                 against: Sequence[Sequence]) -> List[Vector]:
-    """Basis of {x : N(x, v) = 0 for every v in the given list}."""
+    """Basis of {x : N(x, v) = 0 for every v in the given list}: the
+    nullspace of the rows N(e_c, v)^comp, c = 0..dim-1, summed on N's
+    integer rows and v's numerators (positive multiples of those rows)."""
     dim = n_tensor.dim_in
     if not against:
         return linalg.identity(dim)
-    entries = n_tensor.entries
     rows = []
     for v in against:
-        # row comp holds the components N(e_c, v)^comp, c = 0..dim-1
-        support = [(k, x) for k, x in enumerate(_as_fractions(v, dim)) if x]
-        if len(support) == 1 and support[0][1] == 1:
-            k = support[0][0]
-            rows.extend([entries[(c, k)][comp] for c in range(dim)]
-                        for comp in range(n_tensor.dim_out))
-            continue
-        for comp in range(n_tensor.dim_out):
-            row = [Fraction(0)] * dim
-            for k, x in support:
+        v = _as_fractions(v, dim)
+        s = math.lcm(*(x.denominator for x in v))
+        block = [[0] * dim for _ in range(n_tensor.dim_out)]
+        for k, x in enumerate(v):
+            if x:
+                x = x.numerator * (s // x.denominator)
                 for c in range(dim):
-                    value = entries[(c, k)][comp]
-                    if value:
-                        row[c] += x * value
-            rows.append(row)
+                    for comp, n in n_tensor.rows[(c, k)]:
+                        block[comp][c] += x * n
+        rows.extend(block)
     return linalg.nullspace(rows)
 
 
@@ -329,7 +348,7 @@ def _require_antilinear_for_both(n_tensor: PointTensor, j1: PointTensor,
     repeat the first (j2^2 = j1^2; N(-j a, b) = -N(j a, b), -(-j) N = j N)."""
     repeated = j2 == j1 or j2 == j1.neg()
     for label, j in (("first", j1), ("second", j2))[:1 if repeated else 2]:
-        _structure_matrix(j, n_tensor.dim_in)
+        _structure(j, n_tensor.dim_in)
         bad = linear_membership_violation(n_tensor, j)
         if bad is not None:
             raise StructureError(
@@ -356,7 +375,7 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     pi = linalg.sum_spans(pi_plus, pi_minus)
 
     in_pi = linalg.Echelon(pi)
-    if not all(in_pi.contains(v) for v in n_tensor.entries.values()):
+    if not all(in_pi.contains(dense_row(row, dim)) for row in n_tensor.rows.values()):
         raise InternalInconsistencyError("span Im N escapes Pi")
 
     k_plus = annihilator(n_tensor, pi_minus)

@@ -80,7 +80,7 @@ from .invariants import (InternalInconsistencyError, higher_nijenhuis,
                          jet_differential, nijenhuis_tensor)
 from .poly import PolyVec
 from .structures import StructureError, StructureField
-from .tensor import (PointTensor, combination, contraction_sum, flatten, matrix_of,
+from .tensor import (PointTensor, combination, contraction_sum, dense_row, flatten, matrix_of,
                      post_compose, precompose_all, slot_compose, symmetric_rep, unit_basis)
 
 Index = Tuple[int, ...]
@@ -335,15 +335,6 @@ def _trailing_rep(idx: Index) -> Tuple[Index, int]:
     return (idx[0],) + tuple(sorted(idx[1:])), 1
 
 
-def _dense(row: List[Tuple[int, int]], dim: int, w: int = 1) -> List[int]:
-    """A tensor's row (its nonzero components (i, n)) as dim integers,
-    each times w."""
-    out = [0] * dim
-    for i, n in row:
-        out[i] = w * n
-    return out
-
-
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                     skip_top: bool) -> Dict[Index, Vector]:
     """Order-k coefficient of j_M o u_* - u_* o j_L at the representatives,
@@ -375,7 +366,7 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     # integer rows over one den per kind: the symbols at their sorted
     # tuples, and the nonzero entries of d^(p-1) J of each structure
     s_den = math.lcm(*(s.tensor.den for s in u.symbols))
-    sym = {rep: _dense(s.tensor.rows[rep], m_dim, s_den // s.tensor.den) for s in u.symbols
+    sym = {rep: dense_row(s.tensor.rows[rep], m_dim, s_den // s.tensor.den) for s in u.symbols
            for rep in itertools.combinations_with_replacement(range(l_dim), s.k)}
     m_tower, l_tower = ([d for d in tower if d is not None] for tower in (d_m, d_l))
     m_den, l_den = (math.lcm(*(d.den for d in tower)) for tower in (m_tower, l_tower))
@@ -641,10 +632,10 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     # up[r][b]: the position in reps of the sorted rests[r] + (b,)
     up = [[at[tuple(sorted(rest + (b,)))] for b in range(n)] for rest in rests]
     d_a, d_b, d_p = j_l_at.den, j_m_at.den, p_k.den
-    p_num = {(a,) + rest: _dense(p_k.rows[(a,) + rest], m) for rest in rests for a in range(n)}
+    p_num = {(a,) + rest: dense_row(p_k.rows[(a,) + rest], m) for rest in rests for a in range(n)}
     # column c of A as (b, A[b][c]); B by rows
     a_cols = [j_l_at.rows[(c,)] for c in range(n)]
-    b_rows = list(zip(*(_dense(j_m_at.rows[(c,)], m) for c in range(m))))
+    b_rows = list(zip(*(dense_row(j_m_at.rows[(c,)], m) for c in range(m))))
 
     def b_times(v: List[int]) -> List[int]:
         return [sum(map(operator.mul, row, v)) for row in b_rows] if any(v) else v
@@ -679,7 +670,7 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
         Fraction(c, den) if c else zero for c in u[at[rep]]])
     # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi: over beta!
     # at h^beta, rest of multiplicities beta, it is zeta(Phi)(e_a, rest) = P_k(e_a, rest)
-    phi_num, d_phi = {rep: _dense(phi.rows[rep], m) for rep in reps}, phi.den
+    phi_num, d_phi = {rep: dense_row(phi.rows[rep], m) for rep in reps}, phi.den
     for r, rest in enumerate(rests):
         for a in range(n):
             lhs = [d_p * d_a * x for x in b_times(phi_num[reps[up[r][a]]])]

@@ -11,16 +11,18 @@ float, a string or None raises ValueError: a float would be read as the
 nearest binary fraction, another matrix, a string parsed as a number.
 
 Rational input is eliminated by Echelon alone, fraction-free: a vector
-is scaled to integers by the lcm of its denominators, reduced as
-n_p*w - w_p*row at each pivot, and stored divided by its content.  Ranks,
-membership tests and det read its rows as they stand, with no back
-substitution, so a caller asking whether many vectors lie in one span
-eliminates the span once; det is the product of the pivots it divides
-by, signed by the order of their columns.  rref inserts the rows, then
-eliminates the stored rows once more in order of falling pivot (back
-substitution) and divides each by its pivot once, one Fraction per
-nonzero entry: the values are those of an elimination over Fractions,
-and every output entry is a Fraction.
+of ints is taken as it stands, over denominator 1, so the integer rows
+of a tensor's reading (tensor.dense_row) enter with no Fraction read;
+any other vector is scaled to integers by the lcm of its denominators.
+It is reduced as n_p*w - w_p*row at each pivot, and stored divided by
+its content.  Ranks, membership tests and det read its rows as they
+stand, with no back substitution, so a caller asking whether many
+vectors lie in one span eliminates the span once; det is the product of
+the pivots it divides by, signed by the order of their columns.  rref
+inserts the rows, then eliminates the stored rows once more in order of
+falling pivot (back substitution) and divides each by its pivot once,
+one Fraction per nonzero entry: the values are those of an elimination
+over Fractions, and every output entry is a Fraction.
 
 Echelon works over Q alone (a QuadExt raises ValueError naming it).  rref
 eliminates a matrix holding a QuadExt over the field, ints read as
@@ -273,7 +275,8 @@ class Echelon:
 
     A row is its integer numerators divided by their content,
     [(column, n)], and stands for that row over its pivot entry n_p; a
-    vector's numerators w are reduced as n_p*w - w_p*row at each pivot,
+    vector of ints is its own numerators over 1, and any vector's
+    numerators w are reduced as n_p*w - w_p*row at each pivot,
     and its denominator multiplied by the n_p it picks up.  A vector with
     an entry that is not a rational number (one with no denominator: a
     QuadExt, a float, a string, None) raises ValueError naming it.
@@ -296,6 +299,8 @@ class Echelon:
             if self._length is not None:
                 raise ValueError(f"vector of length {len(v)} for an Echelon of {self._length}")
             self._length = len(v)
+        if all(type(x) is int for x in v):  # an integer row, as it stands
+            return self._eliminate(list(v), 1)
         try:
             w, den = _numerators(v)
         except AttributeError:  # an entry with no denominator

@@ -37,7 +37,8 @@ and returned as a tensor built from its reading, so a chain of
 contractions never leaves the integers and only a tensor whose entries
 are read gets Fractions.  first_nonzero_sum scans sums before any
 Fraction is built, first_difference compares two tensors on their rows,
-kernel_matrices contracts one tensor at many points, and slot_compose,
+kernel_matrices contracts one tensor at many points, dense_row lays a
+row out as integers, and slot_compose,
 post_compose and precompose_all are one-term calls.
 The kernel works over Q: any other component raises TensorError.  A
 linear equation on tensors is stated once, as a contraction_sum, and
@@ -343,7 +344,16 @@ def pair_pattern_rep(idx: Index) -> Tuple[Index, int]:
 # ---------------------------------------------------------------------------
 
 def identity_map(dim: int) -> PointTensor:
-    return PointTensor.from_matrix(linalg.identity(dim))
+    return PointTensor.from_rows(dim, dim, 1, 1, {(a,): ((a, 1),) for a in range(dim)})
+
+
+def dense_row(row: Sequence[Tuple[int, int]], dim: int, w: int = 1) -> List[int]:
+    """A tensor's row (its nonzero components (i, n)) as dim integers,
+    each times w."""
+    out = [0] * dim
+    for i, n in row:
+        out[i] = w * n
+    return out
 
 
 def post_compose(phi: PointTensor, t: PointTensor) -> PointTensor:
@@ -465,25 +475,29 @@ def slot_compose(t: PointTensor, s: PointTensor, slot: int) -> PointTensor:
     return contraction_sum(t.dim_in, t.dim_out, t.arity - 1 + s.arity, [(1, t, s, slot, None)])
 
 
-def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[List[List[Fraction]]]:
-    """The matrix of eta -> T(xi, eta) for arity-2 T at each point xi, as
-    it is taken: one accumulation over T's rows and xi's.
-    Checks run as matrices are taken: a point must have length dim_in and
-    int or Fraction components (over Q(sqrt d), take T(xi, e_k) by apply)."""
+def kernel_matrices(t: PointTensor, points: Iterable[Sequence]) -> Iterator[PointTensor]:
+    """The map eta -> T(xi, eta) for arity-2 T at each point xi, as it is
+    taken: an arity-1 tensor accumulated from T's rows and xi's numerators,
+    built from its reading (rows[(k,)] is T(xi, e_k) times den), so a
+    caller can eliminate its integer columns with no Fraction built.
+    Checks run as maps are taken: a point must have length dim_in and int
+    or Fraction components (over Q(sqrt d), take T(xi, e_k) by apply)."""
     if t.arity != 2:
         raise TensorError("kernel computations need arity 2")
     dim = t.dim_in
     for xi in points:
         if len(xi) != dim or not all(isinstance(c, (int, Fraction)) for c in xi):
             raise TensorError(f"xi must be an exact vector of length {dim} over Q: {list(xi)!r}")
-        s = PointTensor(dim, dim, 0, {(): xi})
-        yield contraction_sum(dim, dim, 1, [(1, t, s, 0, None)]).to_matrix()
+        den = math.lcm(*(c.denominator for c in xi))
+        s = PointTensor.from_rows(dim, dim, 0, den, {(): [
+            (i, c.numerator * (den // c.denominator)) for i, c in enumerate(xi) if c]})
+        yield contraction_sum(dim, dim, 1, [(1, t, s, 0, None)])
 
 
 def kernel_matrix(t: PointTensor, xi: Sequence) -> List[List[Fraction]]:
-    """Matrix of the linear map eta -> T(xi, eta) for arity-2 T: the
-    one-point call of kernel_matrices."""
-    return next(kernel_matrices(t, [xi]))
+    """Matrix of the linear map eta -> T(xi, eta) for arity-2 T, as
+    Fractions: the one-point call of kernel_matrices, read out."""
+    return next(kernel_matrices(t, [xi])).to_matrix()
 
 
 def kernel_dim(t: PointTensor, xi: Sequence) -> int:

@@ -68,7 +68,10 @@ The symbolic Gram determinant in the sample vector, expanded by cofactors
 (_symbolic_alpha_vanishes, _poly_det), decided degeneracy before the exact
 grid of genpos._grid; it is that grid's oracle in dimensions 4-6.
 The Gram certificate summed from Fraction applies (alpha_N_by_apply) is
-the oracle of genpos.alpha_N, which sums it on integer numerators.
+the oracle of genpos.alpha_N, which sums it on integer numerators, and
+general_position_by_fractions, the per-point Fraction route over the
+full box of the grid, is the oracle of the whole general_position_test
+report, which runs on N's integer rows over the lower set of that box.
 
 Some small helpers only the tests use live here too: matrix products,
 the full solution set of a linear system, a vector form evaluated on
@@ -89,12 +92,13 @@ construction returned without keeping that construction.
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from nijcalc import jets, linalg, poly, tensor
 from nijcalc.forms import VectorForm
-from nijcalc.genpos import _complex_complement
+from nijcalc.genpos import GenPosReport
 from nijcalc.invariants import jet_differential, torsion_jets
 from nijcalc.poly import PolyVec
 from nijcalc.quadext import QuadExt
@@ -975,7 +979,7 @@ def _symbolic_alpha_vanishes(n_tensor: PointTensor,
     set, which settles degeneracy.
     """
     dim = n_tensor.dim_in
-    basis = _complex_complement(jm, linalg.basis_vector(dim, 0))
+    basis = greedy_complement(jm, linalg.basis_vector(dim, 0))
     # the columns sum_a x_a N(e_a, v), v in the basis, and their Gram
     # matrix, by the uncut jet kernels, which skip the many zero entries
     h = [poly.var(a + 1, dim) for a in range(dim)]
@@ -1010,6 +1014,42 @@ def greedy_complement(jm, xi):
         picked.extend([e_a, j_e])
         acc.extend([e_a, j_e])
     return picked
+
+
+def general_position_by_fractions(n_tensor: PointTensor, sample_count: int, seed: int,
+                                  jm: Sequence[Sequence]) -> GenPosReport:
+    """general_position_test one point at a time on Fractions, over the
+    full box of the grid: the samples, then every t with t_k <= d_k.  At
+    each point nu is read off the dense rref of the columns N(xi, e_k), taken
+    by apply, and the certificate is the Gram determinant of Fraction
+    applies over the greedy complement of the complex line of xi."""
+    dim = n_tensor.dim_in
+    e = [linalg.basis_vector(dim, k) for k in range(dim)]
+
+    def examine(xi):
+        nu = dim - len(dense_rref([n_tensor.apply([xi, ek]) for ek in e])[1])
+        cert = alpha_N_by_apply(n_tensor, xi, greedy_complement(jm, xi))
+        assert (nu == 2) == (cert > 0), f"nu = {nu} with certificate {cert} at {xi}"
+        return nu, cert
+
+    rng, degeneracy = random.Random(seed), []
+    while len(degeneracy) < sample_count:
+        xi = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+        if any(xi):
+            nu, cert = examine(xi)
+            if nu == 2:
+                return GenPosReport("general_position", len(degeneracy) + 1, xi, degeneracy, cert)
+            degeneracy.append(xi)
+    picks = [v.index(1) for v in greedy_complement(jm, e[0])[0::2]]
+    degrees = [min(len(picks), sum(1 for b in picks if any(n_tensor.entries[(a, b)])))
+               for a in picks]
+    for t in itertools.product(*(range(d + 1) for d in degrees)):
+        coords = {0: 1, **dict(zip(picks, t))}
+        xi = [Fraction(coords.get(a, 0)) for a in range(dim)]
+        nu, cert = examine(xi)
+        if nu == 2:
+            return GenPosReport("general_position", len(degeneracy), xi, degeneracy, cert)
+    return GenPosReport("degenerate", len(degeneracy), None, degeneracy)
 
 
 def permutation_sign(idx: Sequence[int]) -> int:

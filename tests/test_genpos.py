@@ -1,6 +1,7 @@
 """General-position certificates, dense tensors, deformations, decomposition."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +27,8 @@ from nijcalc.structures import (LieAlgebraSpec, StructureError, doubled_block_j,
                                 random_linear_nijenhuis, standard_matrix)
 from nijcalc.tensor import PointTensor, kernel_dim, post_compose, precompose_all
 from reference import (_symbolic_alpha_vanishes, alpha_N_by_apply, digest,
-                       greedy_complement, mat_mul, mat_scale, solve_affine)
+                       general_position_by_fractions, greedy_complement, mat_mul,
+                       mat_scale, solve_affine)
 
 
 def e(dim, a):
@@ -77,7 +79,8 @@ def test_complex_complement_matches_the_greedy_rank_version(n, block, coords):
     xi = [Fraction(x) for x in coords[:dim]]
     assume(any(xi))
     jm = doubled_block_j(n).to_matrix() if block else standard_matrix(n)
-    assert _complex_complement(jm, xi) == greedy_complement(jm, xi)
+    s, vectors = _complex_complement(PointTensor.from_matrix(jm), xi)
+    assert [[Fraction(x, s) for x in v] for v in vectors] == greedy_complement(jm, xi)
 
 
 def test_appendix_tensor_values():
@@ -226,7 +229,7 @@ def test_grid_decides_without_samples(tensor, verdict):
         assert kernel_dim(t, rep.witness) == 2
         jm = standard_matrix(t.dim_in // 2)
         assert rep.alpha_certificate == alpha_N(
-            t, rep.witness, _complex_complement(jm, rep.witness))["gram_det"] > 0
+            t, rep.witness, greedy_complement(jm, rep.witness))["gram_det"] > 0
     else:
         assert rep.witness is None and rep.alpha_certificate is None
 
@@ -278,11 +281,75 @@ def test_alpha_N_matches_the_gram_determinant_of_fraction_applies(pair, coords):
     t, jm = pair
     xi = [Fraction(x) for x in coords[:t.dim_in]]
     assume(any(xi))
-    basis = _complex_complement(jm, xi)
+    basis = greedy_complement(jm, xi)
     out = alpha_N(t, xi, basis)
     assert out["gram_det"] == alpha_N_by_apply(t, xi, basis)
     assert isinstance(out["gram_det"], Fraction)
     assert out["positive"] == (kernel_dim(t, xi) == 2)
+
+
+def report_types(rep):
+    """The type of each field of a GenPosReport, vector components one by one."""
+    return (type(rep.verdict), type(rep.samples_tested), type(rep.alpha_certificate),
+            [type(x) for x in rep.witness or ()],
+            [[type(x) for x in v] for v in rep.degeneracy_witnesses])
+
+
+@given(antilinear_pairs(), st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_report_equals_the_fraction_route_bit_for_bit(pair, samples, seed):
+    """The whole report (verdict, witness, alpha_certificate, degeneracy
+    witnesses, samples_tested) and the type of every field are those of
+    the per-point Fraction route over the full box, for j conjugated to
+    rational entries too: a complement whose j e_a are scaled by j's
+    denominator and whose e_a are not gives another certificate."""
+    t, jm = pair
+    got = general_position_test(t, samples, seed, j=PointTensor.from_matrix(jm))
+    want = general_position_by_fractions(t, samples, seed, jm)
+    assert got == want
+    assert report_types(got) == report_types(want)
+    assert all(x is Fraction for x in report_types(got)[3])
+
+
+@st.composite
+def sparse_nijenhuis(draw):
+    """A linear Nijenhuis tensor for j0 in dimension 6 or 8 on 1-4 pairs
+    of complex planes, free data in -2..2."""
+    n = draw(st.sampled_from((3, 4)))
+    planes = [(s, u) for s in range(n) for u in range(s + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(planes), min_size=1, max_size=4, unique=True))
+    coeffs = st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n)
+    return linear_nijenhuis_from_free_data(
+        n, {pair: [Fraction(c) for c in draw(coeffs)] for pair in chosen})
+
+
+@given(st.one_of(st.sampled_from(sorted(GRID_CASES)).map(lambda name: GRID_CASES[name][0]()),
+                 sparse_nijenhuis()))
+@settings(max_examples=40, deadline=None)
+def test_the_lower_set_decides_like_the_full_box(t):
+    """The grid's lower set gives the verdict and the witness of the full
+    box: the product-order first node where a minor of total degree at
+    most n - 1 is nonzero has sum t_k <= n - 1."""
+    got = general_position_test(t, 0, seed=0)
+    box = general_position_by_fractions(t, 0, 0, standard_matrix(t.dim_in // 2))
+    assert (got.verdict, got.witness) == (box.verdict, box.witness)
+
+
+def test_a_dense_degenerate_14d_tensor_is_decided_on_the_lower_set():
+    """Every pair of complex planes carries data, each image in the first
+    complex plane, so every kernel has dimension at least 12 and every
+    d_k is 5: the box has 6^6 = 46,656 nodes, the lower set sum t_k <= 6
+    has 918, and all of them are examined in under 2 s of CPU time."""
+    rng = random.Random(14)
+    t = linear_nijenhuis_from_free_data(7, {
+        (s, u): [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(2)] + [Fraction(0)] * 12
+        for s in range(7) for u in range(s + 1, 7)})
+    start = time.process_time()
+    rep = general_position_test(t, 0, seed=0)
+    elapsed = time.process_time() - start
+    assert rep.verdict == "degenerate" and rep.witness is None
+    assert len(list(genpos._grid(t, PointTensor.from_matrix(standard_matrix(7))))) == 918
+    assert elapsed < 2, f"{elapsed:.2f} s"
 
 
 BAD_STRUCTURES = [
@@ -464,12 +531,14 @@ def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, sam
     """A degenerate tensor (single-pair, or on three pairs of planes
     leaving plane 4 in every kernel) is examined at every sample and grid
     point, yet N's integer reading is built once whatever the grid's size,
-    by the antilinearity check, and kernel_matrices reuses it; each
-    point's reading is built once too, and so is j's."""
+    by the antilinearity check, and so is j's, given or the standard one
+    built inside; kernel_matrices contracts N's reading with each point's
+    integers, so no point is read, and no kernel map either: its columns
+    are eliminated as they were accumulated."""
     rng = random.Random(n)
-    t = linear_nijenhuis_from_free_data(n, {
-        pair: [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(2 * n)] for pair in pairs})
-    grid = len(list(genpos._grid(t, standard_matrix(n))))
+    free = {pair: [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(2 * n)] for pair in pairs}
+    j0 = PointTensor.from_matrix(standard_matrix(n))
+    grid = len(list(genpos._grid(linear_nijenhuis_from_free_data(n, free), j0)))
     real, reads = PointTensor.__getattr__, []
 
     def spy(self, name):
@@ -478,12 +547,29 @@ def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, sam
         return real(self, name)
 
     monkeypatch.setattr(PointTensor, "__getattr__", spy)
-    report = general_position_test(t, samples, seed=1)
-    assert report.verdict == "degenerate" and report.samples_tested == samples
-    points = [x for x in reads if x.arity == 0]
-    assert grid > 2 and len(points) == samples + grid
-    assert len({id(x) for x in points}) == len(points)
-    assert sum(x is t for x in reads) == 1 and len(reads) == samples + grid + 2
+    for j in (PointTensor.from_matrix(standard_matrix(n)), None):
+        t = linear_nijenhuis_from_free_data(n, free)
+        reads.clear()
+        report = general_position_test(t, samples, seed=1, j=j)
+        assert report.verdict == "degenerate" and report.samples_tested == samples
+        j_read = [x for x in reads if x is not t]
+        assert grid > 2 and len(reads) == 2 and len(j_read) == 1 and j_read[0].arity == 1
+        assert j is None or j_read[0] is j
+
+
+@given(antilinear_pairs(), st.lists(st.lists(st.fractions(-2, 2, max_denominator=3),
+                                            min_size=6, max_size=6), max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_annihilator_is_the_nullspace_of_the_applied_rows(pair, against):
+    """annihilator, summed on N's integer rows, returns the Fraction
+    nullspace of the rows N(e_c, v)^comp taken by apply, vector for vector."""
+    t, _ = pair
+    vs = [v[:t.dim_in] for v in against]
+    e_c = [linalg.basis_vector(t.dim_in, c) for c in range(t.dim_in)]
+    rows = [[t.apply([ec, v])[comp] for ec in e_c] for v in vs for comp in range(t.dim_out)]
+    got = annihilator(t, vs)
+    assert got == (linalg.nullspace(rows) if vs else linalg.identity(t.dim_in))
+    assert all(type(x) is Fraction for v in got for x in v)
 
 
 def test_antilinearity_is_checked_once_for_a_sign_pair(monkeypatch):

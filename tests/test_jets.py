@@ -504,7 +504,7 @@ def test_defect_checks_refuse_structures_of_the_wrong_shape(monkeypatch, check, 
     jl0 = p_k if p_as_j_l else rand_point_structure(l_dim // 2, rng)
     jm0 = rand_point_structure(m_dim // 2, rng)
     contractions = calls_of(monkeypatch, jets, "contraction_sum")
-    reads = calls_of(monkeypatch, jets, "_dense")
+    reads = calls_of(monkeypatch, jets, "dense_row")
     with pytest.raises(StructureError) as exc:
         check(p_k, jl0, jm0)
     assert type(exc.value) is StructureError
@@ -618,11 +618,11 @@ def test_symmetrize_matches_the_polynomial_homotopy(drawn):
 
 def test_symmetrize_makes_no_polynomial_products(monkeypatch):
     """symmetrize solves and certifies on integer rows, the tensors' rows
-    laid out by _dense: neither a solvable nor an obstructed P_k reaches the
+    laid out by dense_row: neither a solvable nor an obstructed P_k reaches the
     polynomial kernels.  A direct call afterwards shows the spies live."""
     applied = calls_of(monkeypatch, poly, "jet_apply_columns")
     products = calls_of(monkeypatch, poly, "_products")
-    reads = calls_of(monkeypatch, jets, "_dense")
+    reads = calls_of(monkeypatch, jets, "dense_row")
     rng = random.Random(7)
     jl0, jm0 = rand_point_structure(2, rng), rand_point_structure(2, rng)
     for kind, failing in (("zeta", []), ("swap_conjugation", ["swap_conjugation"])):

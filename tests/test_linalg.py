@@ -633,6 +633,28 @@ def test_echelon_matches_the_fraction_loop(m, v):
         assert ech.contains(w) == ref.contains([F(x) for x in w])
 
 
+@settings(deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), min_size=1, max_size=6))
+def test_echelon_takes_an_integer_row_as_it_stands(rows):
+    """A vector of ints enters as its own numerators over 1: the rows,
+    pivot values and remainders are those of the same vectors as
+    Fractions, no denominator is read, and the caller's lists are left
+    as they were."""
+    given_rows = [list(row) for row in rows]
+    ints, fracs = linalg.Echelon(), linalg.Echelon()
+    real, read = linalg._numerators, []
+    linalg._numerators = lambda v: read.append(v) or real(v)
+    try:
+        pivots = [ints.insert(row) for row in rows]
+        remainders = [ints.reduce(row) for row in rows]
+    finally:
+        linalg._numerators = real
+    assert read == [] and rows == given_rows
+    assert pivots == [fracs.insert([F(x) for x in row]) for row in rows]
+    assert ints.rows == fracs.rows
+    assert remainders == [fracs.reduce([F(x) for x in row]) for row in rows]
+
+
 @pytest.mark.parametrize("name, args", [
     ("rref", ([[0, 1], [2, F(1, 2)]],)),
     ("nullspace", ([[1, 2, F(1, 3)]],)),

@@ -386,8 +386,9 @@ def kernel_matrix_by_apply(t, xi):
 
 def test_kernel_matrices_equal_kernel_matrix_at_every_point():
     """One reading of T serves every point: rational points and the zero
-    vector.  Each matrix is kernel_matrix's and T(xi, e_k) column by
-    column, every component a Fraction.  Over Q(sqrt d) the kernel
+    vector.  Each map is an arity-1 tensor; read out, it is
+    kernel_matrix's matrix and T(xi, e_k) column by column, every
+    component a Fraction.  Over Q(sqrt d) the kernel
     refuses: a QuadExt point, and a T holding a QuadExt entry, raise
     TensorError naming it; the 4D frame takes such a matrix by apply."""
     rng = random.Random(3)
@@ -397,7 +398,9 @@ def test_kernel_matrices_equal_kernel_matrix_at_every_point():
               [F(1), F(1), F(0), F(-3)]]
     got = list(tensor.kernel_matrices(rational, points))
     assert len(got) == len(points)
-    for xi, m in zip(points, got):
+    for xi, k in zip(points, got):
+        assert (k.arity, k.dim_in, k.dim_out) == (1, 4, 4)
+        m = k.to_matrix()
         assert m == tensor.kernel_matrix(rational, xi) == kernel_matrix_by_apply(rational, xi)
         assert all(type(x) is Fraction for row in m for x in row)
     quad_point = [QuadExt(1, 1, 3), F(1), 0, QuadExt(0, F(1, 2), 3)]
@@ -424,7 +427,7 @@ def test_kernel_matrices_is_lazy():
         raise AssertionError("read past the second point")
 
     matrices = tensor.kernel_matrices(t, points())
-    assert next(matrices) == [[F(2), F(-1)], [F(3), F(3)]]
+    assert next(matrices).to_matrix() == [[F(2), F(-1)], [F(3), F(3)]]
     assert taken == [[F(1), F(2)]]
 
 

@@ -6,7 +6,8 @@ change meant to keep every output bit-identical must keep these digests.
 frame4 is pinned at seeds 2 and 3 as well: their diagonal charts and eps
 draws give other Q(sqrt d) frames than seed 1.  So is torsion4, whose
 seeds 2 and 3 draw other random structures and points for the torsion
-kernel than seed 1.
+kernel than seed 1.  So is genpos, whose seeds 2 and 3 draw other
+random and single-pair tensors, sample seeds and decomposition inputs.
 """
 
 import sys
@@ -30,6 +31,7 @@ SEED_1_DIGESTS = {
 
 FRAME4_DIGESTS = {2: "c4b007601f4cad65", 3: "175f4d86f57c50a2"}
 TORSION4_DIGESTS = {2: "ed043d177b90eabf", 3: "08da4c4a403e68d7"}
+GENPOS_DIGESTS = {2: "ea24b29ce41dcf81", 3: "901fbcb0af6948fa"}
 
 
 def _cycle_digest(name: str, seed: int) -> str:
@@ -50,3 +52,8 @@ def test_frame4_cycle_keeps_its_digest(seed):
 @pytest.mark.parametrize("seed", sorted(TORSION4_DIGESTS))
 def test_torsion4_cycle_keeps_its_digest(seed):
     assert _cycle_digest("torsion4", seed) == TORSION4_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GENPOS_DIGESTS))
+def test_genpos_cycle_keeps_its_digest(seed):
+    assert _cycle_digest("genpos", seed) == GENPOS_DIGESTS[seed]
