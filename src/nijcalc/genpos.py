@@ -141,12 +141,15 @@ class GenPosReport:
 
 
 def _structure(j: Optional[PointTensor], dim: int) -> PointTensor:
-    """j, the standard structure by default, refused unless it is a complex
-    structure on R^dim; j^2 = -I is checked on the integer sum j o j + I."""
+    """j, the standard structure by default (built from its integer rows:
+    e_2r -> e_2r+1, e_2r+1 -> -e_2r, as standard_matrix), refused unless it
+    is a complex structure on R^dim; j^2 = -I is checked on the integer
+    sum j o j + I."""
     if j is None:
         if dim % 2 != 0:
             raise ValueError("odd-dimensional space has no complex structure")
-        return PointTensor.from_matrix(standard_matrix(dim // 2))
+        return PointTensor.from_rows(dim, dim, 1, 1, {
+            (c,): ((c + 1, 1),) if c % 2 == 0 else ((c - 1, -1),) for c in range(dim)})
     if (j.arity, j.dim_in, j.dim_out) != (1, dim, dim):
         raise StructureError(f"j must be a linear map of the tensor's R^{dim}, not an "
                              f"arity-{j.arity} map of R^{j.dim_in} to R^{j.dim_out}")
@@ -381,7 +384,13 @@ def two_structure_decomposition(n_tensor: PointTensor, j1: PointTensor,
     k_plus = annihilator(n_tensor, pi_minus)
     k_minus = annihilator(n_tensor, pi_plus)
     kernel = linalg.intersect_spans(k_plus, k_minus)
-    against_pi = annihilator(n_tensor, pi)
+    # when one of Pi+- is empty (as with j2 = +-j1), Pi spans the other and
+    # Ker N(., Pi) is K-+: rows of the same span, whose nullspace rref
+    # makes canonical
+    if not pi_plus or not pi_minus:
+        against_pi = k_minus if pi_plus else k_plus
+    else:
+        against_pi = annihilator(n_tensor, pi)
     if not linalg.spans_equal(kernel, against_pi):
         raise InternalInconsistencyError("K+ cap K- differs from Ker N(., Pi)")
     for label, sub, space in (("Pi+ escapes K+", pi_plus, k_plus),

@@ -20,19 +20,22 @@ input orders vanish and, in its top part, gives -P_k.  The structures are
 shifted to the base points once per lift or tower (StructureField.jet)
 and every derivative is read off those jets.
 
-Every residual is symmetric in its trailing slots, so each residual
-tensor is read off the composition at the index tuples whose trailing
-slots are sorted, one per orbit, and filled over the orbits
-(PointTensor.from_orbits).  The set-partition expansion of the same
-coefficient is kept as an independent route.  It is evaluated at the same
-representatives and must agree with the composition there for each P_k
-and each public residual; otherwise InternalInconsistencyError is raised.
-It reads the symbols and the nonzero entries of d^(p-1) J as integer
-numerators and contracts each j_M term tail first: d^(p-1) j_M on the
-symbols at every block but the first, summed over the partitions of the
-values those blocks hold and memoized by that multiset, is applied to the
-symbol at the first block.  The counts times the values are summed in one
-integer per component.
+Every residual is symmetric in its trailing slots, so it is read off the
+composition only at the index tuples whose trailing slots are sorted, one
+per orbit, as integers over the lcm of their denominators.  The
+set-partition expansion of the same coefficient is kept as an independent
+route.  It is evaluated at the same representatives, as integer sums over
+a den of its own, and the two readings must agree there, cross-multiplied,
+for each P_k and each public residual; otherwise
+InternalInconsistencyError is raised.  It reads the symbols and the
+nonzero entries of d^(p-1) J as integer numerators and contracts each j_M
+term tail first: d^(p-1) j_M on the symbols at every block but the first,
+summed over the partitions of the values those blocks hold and memoized by
+that multiset, is applied to the symbol at the first block.  The counts
+times the values are summed in one integer per component.  A tower keeps
+P_k at these representative rows.  A tensor over every index tuple, each
+sharing its representative's row (PointTensor.from_rows), is built only
+for the public cr_residual and build_P_k and as the witness of a failure.
 
 The canonical symbol is solved in polynomial form, by the Koszul
 homotopy for dbar written in real terms.  With A = J_L(x), B = J_M(y),
@@ -48,20 +51,25 @@ solution without a (k, 0) part.  It takes k - 1 applications of T.
 The homotopy runs on integer rows.  A homogeneous vector polynomial of
 degree k is held by its coefficients times alpha!, one row per sorted
 k-tuple of multiplicities alpha, over one denominator; for u these rows
-are Phi^(k) at the sorted tuples.  A, B and P_k, at its representatives
-(a, rest) only, are read as integer numerators over one lcm each.  On
-the rows T's derivation moves alpha'_c A[b][c] times the row at
-rest + e_b to alpha' = rest + e_c, and -B follows; g's row at rest + e_a
-sums -1/2 (m_a + 1) B P_k(e_a, rest), m_a the multiplicity of a in rest.
-Each Horner step multiplies the denominator by those of A and B.
+are Phi^(k) at the sorted tuples.  A and B are read as integer numerators
+over their dens, and P_k enters as its rows at its representatives
+(a, rest): a tower passes them on from the cross-check, and the public
+symmetrize reads them off a caller's P_k.  On the rows T's derivation
+moves alpha'_c A[b][c] times the row at rest + e_b to alpha' = rest + e_c,
+and -B follows; g's row at rest + e_a sums -1/2 (m_a + 1) B P_k(e_a, rest),
+m_a the multiplicity of a in rest.  Each Horner step multiplies the
+denominator by those of A and B.  The symbol is stored as those rows,
+reduced to the least denominator, every index tuple sharing the row of
+its sorted tuple, so its Fraction entries are built once per orbit.
 
 Each P_k is decided once, inside symmetrize, by certifying the symbol
-solved for it: the symbol is fully symmetric, and u read back from its
-sorted representatives satisfies the polynomial equation above, checked
-in integers at each (a, rest).  Once an orbit check has shown P_k
-symmetric in its trailing slots, that is zeta(Phi^(k)) == P_k over every
-index tuple, and as every zeta image meets the three conditions, they
-need no check of their own.  The dense defect tensors (defect_conditions)
+solved for it as stored: the symbol is fully symmetric, and u read back
+from its stored rows at the sorted tuples satisfies the polynomial
+equation above, checked in integers at each (a, rest).  P_k is symmetric
+in its trailing slots (a tower's by construction, a caller's by an orbit
+check), so that is zeta(Phi^(k)) == P_k over every index tuple, and as
+every zeta image meets the three conditions, they need no check of their
+own.  The dense defect tensors (defect_conditions)
 are built only when a check fails, as the witness of the failure.  The
 certified equation is the order-k residual of the lifted map, so
 lift_tower starts each later step from the order it has just lifted.
@@ -72,7 +80,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from . import linalg, poly
 from .forms import VectorForm
@@ -336,9 +344,10 @@ def _trailing_rep(idx: Index) -> Tuple[Index, int]:
 
 
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
-                    skip_top: bool) -> Dict[Index, Vector]:
+                    skip_top: bool) -> Tuple[int, Dict[Index, List[int]]]:
     """Order-k coefficient of j_M o u_* - u_* o j_L at the representatives,
     from set partitions: the tensor route that cross-checks _cr_polynomial.
+    Returned as integer sums over one den, per representative.
 
     With skip_top the terms containing the order-k symbol are dropped and
     the sign is flipped, which turns the residual into the defect tensor
@@ -421,8 +430,7 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                 rows.setdefault(i0, []).append((i, c))
         return list(rows.items())
 
-    zero = Fraction(0)
-    out: Dict[Index, Vector] = {}
+    out: Dict[Index, List[int]] = {}
     # one representative (a, i_1 <= .. <= i_(k-1)) per orbit of _trailing_rep
     for rest in itertools.combinations_with_replacement(range(l_dim), k - 1):
         # each sub-multiset S of rest with R = rest - S, counted by the
@@ -459,26 +467,54 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                         c *= l_w
                         for i, v in enumerate(sym[tuple(sorted((i0,) + r_part))]):
                             acc[i] += c * v
-            out[(a,) + rest] = [Fraction(c, den) if c else zero for c in acc]
-    return out
+            out[(a,) + rest] = acc
+    return den, out
 
 
 def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
-                   skip_top: bool) -> PointTensor:
-    """The residual (or, with skip_top, P_k) read off the composition r:
-    _slot_entry of r[a] at each representative (a, I), negated for P_k.
-    The tensor route must agree at every representative."""
+                   skip_top: bool) -> Tuple[int, List[List[int]]]:
+    """The residual (or, with skip_top, P_k) read off the composition r at
+    the representatives (a, rest), a outer: _slot_entry of r[a] at rest,
+    negated for P_k, as integers over one den, the lcm of its values'
+    denominators.  The tensor route must agree at every representative,
+    the two integer readings compared cross-multiplied."""
     k = u.order + 1 if skip_top else u.order
     sign = -1 if skip_top else 1
-    out = PointTensor.from_orbits(
-        u.dim_in, u.dim_out, k, _trailing_rep,
-        lambda idx: _slot_entry(r[idx[0]], idx[1:], u.dim_in, sign))
-    if any(out.entries[idx] != tuple(v)
-           for idx, v in _residual_terms(u, jets, skip_top).items()):
+    n = u.dim_in
+    reps = list(itertools.product(range(n), itertools.combinations_with_replacement(
+        range(n), k - 1)))
+    values = [_slot_entry(r[a], rest, n, sign) for a, rest in reps]
+    den = math.lcm(*(c.denominator for v in values for c in v))
+    rows = [[c.numerator * (den // c.denominator) for c in v] for v in values]
+    t_den, terms = _residual_terms(u, jets, skip_top)
+    if any([c * t_den for c in row] != [c * den for c in terms[(a,) + rest]]
+           for row, (a, rest) in zip(rows, reps)):
         what = f"defect tensor P_{k}" if skip_top else f"order-{k} residual"
         raise InternalInconsistencyError(
             f"the composition and tensor routes disagree on the {what}")
-    return out
+    return den, rows
+
+
+def _orbit_tensor(n: int, m: int, k: int, head: int, den: int,
+                  rep_rows: Sequence[Sequence[int]]) -> PointTensor:
+    """The arity-k tensor symmetric in its slots after the first head,
+    from dense integer rows over den at its representatives: each tuple
+    of the head slots, in product order, followed by each sorted tuple of
+    the others.  Every index tuple shares its representative's row,
+    reduced to the least den, so the entries are built once per orbit."""
+    g = math.gcd(den, *(c for row in rep_rows for c in row))
+    shared = [tuple([(i, c // g) for i, c in enumerate(row) if c]) for row in rep_rows]
+    # pos: the position of each tuple's sorted tuple among the sorted ones
+    # of its length, in product order, grown one slot at a time
+    pos, level = [0], [()]
+    for j in range(1, k - head + 1):
+        at = {t: i for i, t in enumerate(itertools.combinations_with_replacement(range(n), j))}
+        up = [[at[tuple(sorted(t + (b,)))] for b in range(n)] for t in level]
+        pos = [up[p][b] for p in pos for b in range(n)]
+        level = list(at)
+    return PointTensor.from_rows(n, m, k, den // g, dict(zip(
+        itertools.product(range(n), repeat=k),
+        [shared[h * len(level) + p] for h in range(n ** head) for p in pos])))
 
 
 def cr_residual(u: TruncatedMap, j_l: StructureField,
@@ -491,8 +527,10 @@ def cr_residual(u: TruncatedMap, j_l: StructureField,
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)
-    return _cross_checked(u, jets, _cr_polynomial(u, jets, u.order - 1),
-                          skip_top=False)
+    den, rows = _cross_checked(u, jets, _cr_polynomial(u, jets, u.order - 1), skip_top=False)
+    residual = _orbit_tensor(u.dim_in, u.dim_out, u.order, 1, den, rows)
+    residual.entries  # the caller reads the values: built here, kept
+    return residual
 
 
 def _check_charts(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> None:
@@ -500,11 +538,12 @@ def _check_charts(u: TruncatedMap, j_l: StructureField, j_m: StructureField) -> 
         raise StructureError("map charts do not match the structure dimensions")
 
 
-def _defect_tensor(u: TruncatedMap, jets: _StructureJets,
-                   first: int = 1) -> PointTensor:
-    """P_k for k = u.order + 1, from one composition that first shows a
-    zero residual at the orders first..u.order; the orders below first
-    are already certified by the caller."""
+def _defect_rows(u: TruncatedMap, jets: _StructureJets,
+                 first: int = 1) -> Tuple[int, List[List[int]]]:
+    """P_k for k = u.order + 1 at its representatives (_cross_checked),
+    from one composition that first shows a zero residual at the orders
+    first..u.order; the orders below first are already certified by the
+    caller."""
     r = _cr_polynomial(u, jets, u.order)
     for order in range(first, u.order + 1):
         if any(poly.low_degree_part(c, order - 1) for r_a in r for c in r_a):
@@ -595,13 +634,16 @@ def build_P_k(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)
-    p_k = _defect_tensor(u, jets)
+    k = u.order + 1
+    den, rows = _defect_rows(u, jets)
+    p_k = _orbit_tensor(u.dim_in, u.dim_out, k, 1, den, rows)
     if verify:
         try:
-            symmetrize(p_k, jets.j_l_at, jets.j_m_at)
+            _symmetrized(rows, den, k, jets.j_l_at, jets.j_m_at, lambda: p_k)
         except DefectConditionError as err:
             _require_swap(err)
             raise
+    p_k.entries  # the caller reads the values: built here, kept
     return p_k
 
 
@@ -625,14 +667,24 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
     _check_defect_shapes(p_k, j_l_at, j_m_at)
     if not p_k.respects(_trailing_rep):
         _fail_with_witness(p_k, j_l_at, j_m_at)
-    k, n, m = p_k.arity, p_k.dim_in, p_k.dim_out
+    n, m, k = p_k.dim_in, p_k.dim_out, p_k.arity
+    rests = list(itertools.combinations_with_replacement(range(n), k - 1))
+    return _symmetrized([dense_row(p_k.rows[(a,) + rest], m) for a in range(n) for rest in rests],
+                        p_k.den, k, j_l_at, j_m_at, lambda: p_k)
+
+
+def _symmetrized(p_num: List[List[int]], d_p: int, k: int, j_l_at: PointTensor,
+                 j_m_at: PointTensor, witness: Callable[[], PointTensor]) -> JetSymbol:
+    """symmetrize on P_k's dense integer rows over d_p at its
+    representatives (a, rest), a outer; witness() is P_k over every index
+    tuple, built only when the certification fails."""
+    n, m = j_l_at.dim_in, j_m_at.dim_in
     rests = list(itertools.combinations_with_replacement(range(n), k - 1))
     reps = list(itertools.combinations_with_replacement(range(n), k))
     at = {rep: i for i, rep in enumerate(reps)}
     # up[r][b]: the position in reps of the sorted rests[r] + (b,)
     up = [[at[tuple(sorted(rest + (b,)))] for b in range(n)] for rest in rests]
-    d_a, d_b, d_p = j_l_at.den, j_m_at.den, p_k.den
-    p_num = {(a,) + rest: dense_row(p_k.rows[(a,) + rest], m) for rest in rests for a in range(n)}
+    d_a, d_b = j_l_at.den, j_m_at.den
     # column c of A as (b, A[b][c]); B by rows
     a_cols = [j_l_at.rows[(c,)] for c in range(n)]
     b_rows = list(zip(*(dense_row(j_m_at.rows[(c,)], m) for c in range(m))))
@@ -648,7 +700,7 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
             w = rest.count(c) + 1
             for b, x in a_cols[c]:
                 steps[up[r][b]].append((up[r][c], w * x))
-            if any(row := p_num[(c,) + rest]):
+            if any(row := p_num[c * len(rests) + r]):
                 g[up[r][c]] = [x - w * y for x, y in zip(g[up[r][c]], b_times(row))]
     g_den = 2 * d_p * d_b
     # pi in Newton form on the nodes k - 2, k - 4, .., -k: its divided
@@ -665,20 +717,20 @@ def symmetrize(p_k: PointTensor, j_l_at: PointTensor,
         w_u, w_g = (k - 2 * j - 2) * d_a * d_b, den // (g_den * 2 ** j * math.factorial(j + 1))
         u = [[w_g * y - w_u * x - z for x, y, z in zip(uv, gv, b_times(dv))]
              for uv, dv, gv in zip(u, du, g)]
-    zero = Fraction(0)
-    phi = PointTensor.from_orbits(n, m, k, symmetric_rep, lambda rep: [
-        Fraction(c, den) if c else zero for c in u[at[rep]]])
-    # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi: over beta!
-    # at h^beta, rest of multiplicities beta, it is zeta(Phi)(e_a, rest) = P_k(e_a, rest)
-    phi_num, d_phi = {rep: dense_row(phi.rows[rep], m) for rep in reps}, phi.den
+    phi = _orbit_tensor(n, m, k, 0, den, u)
+    # B d_a u - sum_b A[b][a] d_b u = Q_a, u read back from phi's stored
+    # rows: over beta! at h^beta, rest of multiplicities beta, it is
+    # zeta(Phi)(e_a, rest) = P_k(e_a, rest)
+    phi_num, d_phi = [dense_row(phi.rows[rep], m) for rep in reps], phi.den
     for r, rest in enumerate(rests):
         for a in range(n):
-            lhs = [d_p * d_a * x for x in b_times(phi_num[reps[up[r][a]]])]
+            lhs = [d_p * d_a * x for x in b_times(phi_num[up[r][a]])]
             for b, x in a_cols[a]:
-                lhs = [y - d_p * d_b * x * z for y, z in zip(lhs, phi_num[reps[up[r][b]]])]
-            if lhs != [d_phi * d_a * d_b * y for y in p_num[(a,) + rest]]:
-                _fail_with_witness(p_k, j_l_at, j_m_at)
+                lhs = [y - d_p * d_b * x * z for y, z in zip(lhs, phi_num[up[r][b]])]
+            if lhs != [d_phi * d_a * d_b * y for y in p_num[a * len(rests) + r]]:
+                _fail_with_witness(witness(), j_l_at, j_m_at)
     # phi is symmetric by construction; JetSymbol's one scan confirms it
+    # and builds its entries, one tuple per orbit
     try:
         return JetSymbol(k, phi)
     except StructureError as err:
@@ -732,12 +784,14 @@ def _lift_step(u: TruncatedMap, jets: _StructureJets,
                certified: int) -> LiftResult:
     """lift, with the structure jets given and the residual already known
     to vanish at the orders 1..certified."""
-    p_k = _defect_tensor(u, jets, first=certified + 1)
+    k = u.order + 1
+    den, rows = _defect_rows(u, jets, first=certified + 1)
     try:
-        sym = symmetrize(p_k, jets.j_l_at, jets.j_m_at)
+        sym = _symmetrized(rows, den, k, jets.j_l_at, jets.j_m_at,
+                           lambda: _orbit_tensor(u.dim_in, u.dim_out, k, 1, den, rows))
     except DefectConditionError as err:
         _require_swap(err)
-        return LiftResult(None, Obstruction.from_residual(u.order + 1, err.defect))
+        return LiftResult(None, Obstruction.from_residual(k, err.defect))
     return LiftResult(u.with_symbol(sym), None)
 
 

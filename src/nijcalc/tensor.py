@@ -92,17 +92,25 @@ class PointTensor:
 
     def __getattr__(self, name: str):
         """The form the tensor was not built from, on first use: entries,
-        one Fraction per nonzero component of rows, or den, the lcm of the
-        entries' denominators, and rows, each component read by one
-        as_integer_ratio.  A component that is not an int or a Fraction (a
-        QuadExt, say) raises TensorError naming it: the kernel works over Q."""
+        one Fraction per distinct numerator of rows and one tuple per row
+        object (index tuples sharing a row share its entry), or den, the
+        lcm of the entries' denominators, and rows, each component read by
+        one as_integer_ratio.  A component that is not an int or a
+        Fraction (a QuadExt, say) raises TensorError naming it: the kernel
+        works over Q."""
         if name == "entries":
-            entries = {}
+            entries, built, values = {}, {}, {}
             for idx, row in self.rows.items():
-                v = [_ZERO] * self.dim_out
-                for i, n in row:
-                    v[i] = Fraction(n, self.den)
-                entries[idx] = tuple(v)
+                v = built.get(id(row))
+                if v is None:
+                    v = [_ZERO] * self.dim_out
+                    for i, n in row:
+                        x = values.get(n)
+                        if x is None:
+                            x = values[n] = Fraction(n, self.den)
+                        v[i] = x
+                    v = built[id(row)] = tuple(v)
+                entries[idx] = v
             self.entries = MappingProxyType(entries)
             return self.entries
         if name not in ("den", "rows"):

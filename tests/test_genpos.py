@@ -531,10 +531,11 @@ def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, sam
     """A degenerate tensor (single-pair, or on three pairs of planes
     leaving plane 4 in every kernel) is examined at every sample and grid
     point, yet N's integer reading is built once whatever the grid's size,
-    by the antilinearity check, and so is j's, given or the standard one
-    built inside; kernel_matrices contracts N's reading with each point's
-    integers, so no point is read, and no kernel map either: its columns
-    are eliminated as they were accumulated."""
+    by the antilinearity check, and so is a given j's, while the standard
+    one built inside is built from its rows and never read;
+    kernel_matrices contracts N's reading with each point's integers, so
+    no point is read, and no kernel map either: its columns are
+    eliminated as they were accumulated."""
     rng = random.Random(n)
     free = {pair: [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(2 * n)] for pair in pairs}
     j0 = PointTensor.from_matrix(standard_matrix(n))
@@ -553,8 +554,8 @@ def test_general_position_test_reads_the_tensor_twice(monkeypatch, n, pairs, sam
         report = general_position_test(t, samples, seed=1, j=j)
         assert report.verdict == "degenerate" and report.samples_tested == samples
         j_read = [x for x in reads if x is not t]
-        assert grid > 2 and len(reads) == 2 and len(j_read) == 1 and j_read[0].arity == 1
-        assert j is None or j_read[0] is j
+        assert grid > 2 and len(reads) == 1 + (j is not None)
+        assert len(j_read) == (j is not None) and all(x is j for x in j_read)
 
 
 @given(antilinear_pairs(), st.lists(st.lists(st.fractions(-2, 2, max_denominator=3),
@@ -589,6 +590,45 @@ def test_antilinearity_is_checked_once_for_a_sign_pair(monkeypatch):
     calls.clear()
     two_structure_decomposition(n8, j1, j2)
     assert calls == [j1, j2]
+
+
+def test_the_standard_structure_is_built_from_its_rows():
+    """general_position_test's default j, built from integer rows, is
+    standard_matrix's structure, value for value and row for row."""
+    for n in (1, 2, 5):
+        j = genpos._structure(None, 2 * n)
+        ref = PointTensor.from_matrix(standard_matrix(n))
+        assert j == ref and (j.den, dict(j.rows)) == (ref.den, dict(ref.rows))
+
+
+def test_decomposition_takes_each_annihilator_once(monkeypatch):
+    """With j2 = +-j1, Pi is the whole space, Pi+- spanning it, and
+    Ker N(., Pi) is the annihilator K-+ already taken, so two annihilators
+    are computed, not three, and the outputs equal those computed apart.
+    With Pi+ and Pi- both nonzero, Ker N(., Pi) is computed apart."""
+    t = appendix_tensor(2)
+    j0 = PointTensor.from_matrix(standard_matrix(2))
+    full = annihilator(t, linalg.identity(4))
+    calls = []
+    real = genpos.annihilator
+    monkeypatch.setattr(genpos, "annihilator",
+                        lambda n_t, against: calls.append(against) or real(n_t, against))
+    for j in (j0, j0.neg()):
+        calls.clear()
+        dec = two_structure_decomposition(t, j0, j)
+        assert len(calls) == 2
+        pi = linalg.sum_spans(dec.pi_plus, dec.pi_minus)
+        assert dec.kernel == linalg.intersect_spans(dec.k_plus, dec.k_minus)
+        assert linalg.spans_equal(dec.kernel, real(t, pi))
+        assert dec.full_kernel == real(t, pi) == full
+    # J on the first plane and -J on the second: Pi+ and Pi- are the planes
+    j_mixed = PointTensor.from_matrix([[0, -1, 0, 0], [1, 0, 0, 0],
+                                       [0, 0, 0, 1], [0, 0, -1, 0]])
+    zero = PointTensor.from_function(4, 4, 2, lambda idx: [0] * 4)
+    calls.clear()
+    dec = two_structure_decomposition(zero, j0, j_mixed)
+    assert [len(a) for a in calls] == [2, 2, 4]
+    assert dec.full_kernel == linalg.identity(4)
 
 
 def test_recovered_structure_set_is_sign_pair():

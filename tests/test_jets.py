@@ -809,7 +809,8 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
         u = lift(u, j_l, j_m).lifted
     compositions = calls_of(monkeypatch, jets, "_cr_polynomial")
     cross_checks = calls_of(monkeypatch, jets, "_residual_terms")
-    decided = calls_of(monkeypatch, jets, "symmetrize")
+    decided = calls_of(monkeypatch, jets, "_symmetrized")
+    orbit_tensors = calls_of(monkeypatch, jets, "_orbit_tensor")
     witnesses = calls_of(monkeypatch, jets, "defect_conditions")
     shifts = calls_of(monkeypatch, StructureField, "jet")
     differentials = calls_of(monkeypatch, jets, "jet_differential")
@@ -821,11 +822,13 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
     assert [(a[0].order, a[2]) for a, _ in compositions] == \
         [(k, k) for k in range(start, 4)]
     # one representative cross-check per new order, of P_k, and one
-    # decision of P_k, by symmetrize; the dense conditions are built only
-    # as the witness of a failure, so a full tower builds none
+    # decision of P_k, by symmetrize's rows core; the dense P_k and its
+    # conditions are built only as the witness of a failure, so a full
+    # tower builds neither: its only orbit-filled tensors are its symbols
     assert [(a[0].order + 1, a[2]) for a, _ in cross_checks] == \
         [(k, True) for k in range(start + 1, 5)]
-    assert len(decided) == 4 - start
+    assert [a[2] for a, _ in decided] == list(range(start + 1, 5))
+    assert [(a[2], a[3]) for a, _ in orbit_tensors] == [(k, 0) for k in range(start + 1, 5)]
     assert witnesses == []
     # one jet per structure, to its entry degree, once per tower ...
     assert [a for a, _ in shifts] == [(j_l, list(ZERO4), j_l.max_entry_degree()),
@@ -859,30 +862,39 @@ def test_lift_tower_rejects_a_bad_input_order():
     ("single entry", "not symmetric"),
 ])
 def test_lift_rejects_a_corrupted_symbol(monkeypatch, corruption, message):
-    """A wrong orbit value fails zeta(Phi) == P_k; a wrong single entry
+    """The symbol is certified as stored: a wrong row shared by a whole
+    orbit fails zeta(Phi) == P_k, and a wrong row at one index tuple
     fails the symmetry check."""
     j_l = example_structure("ex2")
     j_m = standard_structure(2)
     u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
-    build = PointTensor.from_orbits
+    build = jets._orbit_tensor
 
-    def corrupted(dim_in, dim_out, k, rep, fn):
-        # only symbols are corrupted, so the P_k cross-check still passes
-        if rep is not symmetric_rep:
-            return build(dim_in, dim_out, k, rep, fn)
+    def bumped(row, t):
+        """The row with its component 0 raised by 1."""
+        v = [0] * t.dim_out
+        for i, c in row:
+            v[i] = c
+        v[0] += t.den
+        return tuple((i, c) for i, c in enumerate(v) if c)
+
+    def corrupted(n, m, k, head, den, rep_rows):
+        t = build(n, m, k, head, den, rep_rows)
+        # only symbols are corrupted, so P_k and its witness stay right
+        if head:
+            return t
+        rows = dict(t.rows)
         if corruption == "orbit value":
-            first = (0,) * k
-            t = build(dim_in, dim_out, k, rep, lambda idx: [
-                c + 1 if (idx, i) == (first, 0) else c
-                for i, c in enumerate(fn(idx))])
+            # every index tuple of the orbit of (0, .., 0, 1) gets one new row
+            orbit = (0,) * (k - 1) + (1,)
+            row = bumped(rows[orbit], t)
+            rows.update({idx: row for idx in rows if tuple(sorted(idx)) == orbit})
         else:
-            t = build(dim_in, dim_out, k, rep, fn)
             key = (1,) + (0,) * (k - 1)
-            t = PointTensor(dim_in, dim_out, k, {
-                **t.entries, key: [t.entries[key][0] + 1, *t.entries[key][1:]]})
-        return t
+            rows[key] = bumped(rows[key], t)
+        return PointTensor.from_rows(n, m, k, t.den, rows)
 
-    monkeypatch.setattr(PointTensor, "from_orbits", staticmethod(corrupted))
+    monkeypatch.setattr(jets, "_orbit_tensor", corrupted)
     with pytest.raises(InternalInconsistencyError, match=message):
         lift(u, j_l, j_m)
 
@@ -954,7 +966,9 @@ def pushed_standard3_1jet():
 
 # fingerprints of the symbols of three towers: the first two as the dense
 # projection solve computed them, the 6D one as the tower computed them
-# with the dense defect conditions and the per-partition apply cross-check;
+# with the dense defect conditions and the per-partition apply cross-check
+# (to order 4; its order-5 symbol as the tower computed it with P_k and
+# the symbol filled over every index tuple);
 # the ex2 symbols above order 1 are zero, the pushed pairs' are not
 @pytest.mark.parametrize("fixture, order, expected", [
     (ex2_killing, 6, ["bfd049969bfda7cb", "105692c59da9dfcd", "90af895dede46ea3",
@@ -962,8 +976,9 @@ def pushed_standard3_1jet():
     (pushed_standard_1jet, 5, ["7816d095581ee409", "d63ee73ec4c93c63",
                                "925223c9de5b8cd5", "f709ee17db0a6178",
                                "26dbf9277b08454b"]),
-    (pushed_standard3_1jet, 4, ["26549be70ee8e29f", "9943c37e5c20f010",
-                                "ab78ad9f8364902c", "f6cf739bce37d0fc"]),
+    (pushed_standard3_1jet, 5, ["26549be70ee8e29f", "9943c37e5c20f010",
+                                "ab78ad9f8364902c", "f6cf739bce37d0fc",
+                                "fee970b1b5baa0eb"]),
 ])
 def test_higher_order_tower_keeps_its_symbols(fixture, order, expected):
     j_l, j_m, u = fixture()
@@ -1126,7 +1141,7 @@ def test_6d_pushed_pair_agrees_with_the_dense_reference():
 def _residual_terms_against_the_dense_reference(j_l, j_m, u):
     """Every residual and P_k of u and of random symbols to u's order, from
     _residual_terms at every representative, component for component
-    against the dense reference, each component a Fraction."""
+    against the dense reference, each component an int over the den."""
     top, dim = u.order, u.dim_in
     rng = random.Random(37)
     noisy = TruncatedMap(u.x, u.y, tuple(JetSymbol(r, rand_symmetric(dim, dim, r, rng))
@@ -1136,13 +1151,15 @@ def _residual_terms_against_the_dense_reference(j_l, j_m, u):
         structure_jets = jets._StructureJets(v, j_l, j_m)
         for r, skip_top in [(r, False) for r in range(1, top + 1)] + \
                 [(r, True) for r in range(1, top)]:
-            got = jets._residual_terms(truncate(v, r), structure_jets, skip_top)
+            den, got = jets._residual_terms(truncate(v, r), structure_jets, skip_top)
             want = dense(truncate(v, r), skip_top)
             k = r + skip_top
             assert sorted(got) == [(a,) + rest for a in range(dim) for rest in
                                  itertools.combinations_with_replacement(range(dim), k - 1)]
-            assert all(value == list(want.entries[idx]) for idx, value in got.items())
-            assert all(type(c) is Fraction for value in got.values() for c in value)
+            assert all([Fraction(c, den) for c in value] == list(want.entries[idx])
+                       for idx, value in got.items())
+            assert type(den) is int and den > 0
+            assert all(type(c) is int for value in got.values() for c in value)
             if not skip_top:
                 assert any(any(value) for value in got.values()) == (v is noisy)
 
@@ -1178,6 +1195,38 @@ def test_lift_tower_applies_no_tensor(monkeypatch):
     assert len(applied) == 1
 
 
+@pytest.mark.parametrize("fixture, order, obstructed_at", [
+    (pushed_standard_1jet, 5, None),
+    (ex5_to_standard, 4, 3),
+])
+def test_lift_tower_keeps_each_step_on_rows(monkeypatch, fixture, order, obstructed_at):
+    """A tower, full or obstructed, builds no tensor by the trailing rule
+    (P_k stays at its representatives, and a failure's witness is built
+    from its rows) and reads no tensor from Fractions back into integer
+    rows (each symbol is stored as its rows and certified as stored).
+    Counts, not a timer: the input symbols are read before the tower, and
+    direct calls afterwards show the spies live."""
+    j_l, j_m, u = fixture()
+    for s in u.symbols:
+        s.tensor.rows
+    orbit_fills = calls_of(monkeypatch, PointTensor, "from_orbits")
+    attributes = calls_of(monkeypatch, PointTensor, "__getattr__")
+    witnesses = calls_of(monkeypatch, jets, "defect_conditions")
+    tower = lift_tower(u, j_l, j_m, k_max=order)
+    assert (tower.ok, tower.lifted.order) == \
+        ((True, order) if obstructed_at is None else (False, obstructed_at - 1))
+    assert [a for a, _ in orbit_fills if a[3] is jets._trailing_rep] == []
+    assert [a[1] for a, _ in attributes if a[1] in ("den", "rows")] == []
+    assert len(witnesses) == (obstructed_at is not None)
+    # the returned symbols' entries were built inside the call
+    built, fills = len(attributes), len(orbit_fills)
+    for s in tower.lifted.symbols:
+        s.tensor.entries
+    assert len(attributes) == built
+    PointTensor.from_orbits(2, 2, 2, jets._trailing_rep, lambda idx: [1, 0]).rows
+    assert len(orbit_fills) == fills + 1 and attributes[-1][0][1] == "rows"
+
+
 @pytest.mark.parametrize("route", ["tensor", "composition"])
 def test_route_disagreement_raises(monkeypatch, route):
     """One wrong representative entry in either route stops the tower."""
@@ -1188,10 +1237,10 @@ def test_route_disagreement_raises(monkeypatch, route):
         real = jets._residual_terms
 
         def wrong(*args):
-            out = real(*args)
+            den, out = real(*args)
             idx = max(out)
-            out[idx] = [out[idx][0] + 1] + out[idx][1:]
-            return out
+            out[idx] = [out[idx][0] + den] + out[idx][1:]
+            return den, out
 
         monkeypatch.setattr(jets, "_residual_terms", wrong)
     else:

@@ -886,3 +886,16 @@ def test_orbit_tables_kept_never_exceed_the_tuple_bound(monkeypatch):
         assert ((rep, dim, arity) in kept) == (dim ** arity <= 100)
         if dim ** arity <= 100:
             assert tensor._orbit_table(rep, dim, arity) is table
+
+
+def test_entries_built_from_rows_share_what_the_rows_share():
+    """Index tuples holding one row object get one entry tuple, and equal
+    numerators one Fraction: a symbol stored as one row per orbit builds
+    its entries once per orbit, with the values of unshared rows."""
+    row = ((0, 3), (1, -2))
+    t = PointTensor.from_rows(2, 2, 2, 6, {(0, 0): row, (0, 1): row,
+                                           (1, 0): ((0, 3),), (1, 1): ()})
+    assert t.entries[(0, 0)] is t.entries[(0, 1)]
+    assert t.entries[(0, 1)] == (Fraction(1, 2), Fraction(-1, 3))
+    assert t.entries[(1, 0)] == (Fraction(1, 2), 0) and t.entries[(1, 1)] == (0, 0)
+    assert t.entries[(1, 0)][0] is t.entries[(0, 0)][0]

@@ -8,6 +8,8 @@ draws give other Q(sqrt d) frames than seed 1.  So is torsion4, whose
 seeds 2 and 3 draw other random structures and points for the torsion
 kernel than seed 1.  So is genpos, whose seeds 2 and 3 draw other
 random and single-pair tensors, sample seeds and decomposition inputs.
+So is jet_lift, whose seeds 2 and 3 draw other chart changes, base points
+and annihilating-symbol multiples.
 """
 
 import sys
@@ -32,6 +34,7 @@ SEED_1_DIGESTS = {
 FRAME4_DIGESTS = {2: "c4b007601f4cad65", 3: "175f4d86f57c50a2"}
 TORSION4_DIGESTS = {2: "ed043d177b90eabf", 3: "08da4c4a403e68d7"}
 GENPOS_DIGESTS = {2: "ea24b29ce41dcf81", 3: "901fbcb0af6948fa"}
+JET_LIFT_DIGESTS = {2: "3669e8423191904c", 3: "e12e7a19a93391f8"}
 
 
 def _cycle_digest(name: str, seed: int) -> str:
@@ -57,3 +60,8 @@ def test_torsion4_cycle_keeps_its_digest(seed):
 @pytest.mark.parametrize("seed", sorted(GENPOS_DIGESTS))
 def test_genpos_cycle_keeps_its_digest(seed):
     assert _cycle_digest("genpos", seed) == GENPOS_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(JET_LIFT_DIGESTS))
+def test_jet_lift_cycle_keeps_its_digest(seed):
+    assert _cycle_digest("jet_lift", seed) == JET_LIFT_DIGESTS[seed]
