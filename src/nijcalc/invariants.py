@@ -19,6 +19,14 @@ the next contraction; a result a caller reads (the torsion, the arity-4
 invariant, nijenhuis_differential) comes with its Fraction entries built.
 The torsion jets are one integer pass over J's columns (poly.jet_torsion).
 
+The two routes of each invariant do not do the same work.  One computes
+every entry: the first-differential torsion and the R-contraction of the
+arity-4 invariant.  The other sums only what its symmetry needs and fills
+the rest by sign: the bracket torsion at the pairs a < b, the bracket
+arity-4 invariant at the pair-pattern representatives from W summed where
+both pairs are sorted.  The cross-check compares every index tuple, so it
+certifies the symmetry as well as the values.
+
 Derivatives at a point come from jets, never from differentiating a
 global field and evaluating it: J is shifted to the point
 (StructureField.jet, one poly.shift substitution of point + y for every
@@ -43,8 +51,9 @@ from . import poly
 from .forms import VectorForm
 from .poly import PolyVec
 from .structures import StructureField, standard_matrix
-from .tensor import (Index, PointTensor, alternating_rep, contraction_sum, first_difference,
-                     first_nonzero_sum, solution_basis, unit_basis)
+from .tensor import (Index, PointTensor, alternating_rep, contraction_sum, dense_row,
+                     first_difference, first_nonzero_sum, pair_pattern_rep, solution_basis,
+                     unit_basis)
 
 # the 2-jet of J at a point and the 1-jets of the torsion fields there
 Arity4Jets = Tuple[List[PolyVec], Dict[Index, PolyVec]]
@@ -171,6 +180,14 @@ def _arity4_jets(j: StructureField, point: Sequence) -> Arity4Jets:
     return jet, torsion_jets(jet, 1)
 
 
+def _at_sorted_pairs(t: PointTensor) -> PointTensor:
+    """t with its rows kept only where its first two slots, a pair of
+    form slots, are sorted a < b: the other rows are empty, so the
+    contraction kernel skips them."""
+    return PointTensor.from_rows(t.dim_in, t.dim_out, t.arity, t.den, {
+        idx: row if idx[0] < idx[1] else () for idx, row in t.rows.items()})
+
+
 def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
                              jets: Optional[Arity4Jets] = None) -> PointTensor:
     """Ten-term bracket expression on constant extensions of basis
@@ -183,9 +200,15 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
     pair (2-jet of J, torsion 1-jets) that higher_nijenhuis shares.
 
     W is one contraction sum of six terms, the last four computed in the
-    slot orders (c, d, a, b) and (a, c, d, b), and H one of two over W.
-    N and JN are 2-forms, so H has the pair pattern by construction at
-    every entry.
+    slot orders (c, d, a, b) and (a, c, d, b), summed only where both
+    pairs are sorted, a < b and c < d: dN, dJN and the N and JN fed into
+    slots hold rows only at sorted form slots (_at_sorted_pairs), and the
+    kernel skips the empty ones.  H is read at the pair-pattern
+    representatives, a < b, c < d and (a, b) < (c, d), as the difference
+    of two such rows of W, and every other tuple is filled by sign
+    (PointTensor.from_orbit_rows), so H has the pair pattern by
+    construction; higher_nijenhuis compares it with the differential
+    route, which computes every entry, at all dim^4 tuples.
     """
     jet, n_jets = jets if jets is not None else _arity4_jets(j, point)
     dim = len(jet)
@@ -194,12 +217,20 @@ def higher_nijenhuis_bracket(j: StructureField, point: Sequence,
         jet, list(n_jets.values()), 1))))
     n_at, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
     jn_at, djn = jet_differential(jn_field, 0), jet_differential(jn_field, 1)
+    n_in, jn_in, dn, djn = map(_at_sorted_pairs, (n_at, jn_at, dn, djn))
     w = contraction_sum(dim, dim, 4, [
-        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
+        (1, dn, jn_in, 2, None), (1, djn, n_in, 2, None),
         (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
         (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))])
-    return contraction_sum(dim, dim, 4, [(1, None, w, None, None),
-                                         (-1, None, w, None, (2, 3, 0, 1))])
+    rows = w.rows
+
+    def difference(r: Index) -> List[Tuple[int, int]]:
+        row = dense_row(rows[r], dim)
+        for i, n in rows[r[2:] + r[:2]]:
+            row[i] -= n
+        return [(i, n) for i, n in enumerate(row) if n]
+
+    return PointTensor.from_orbit_rows(dim, dim, 4, pair_pattern_rep, w.den, difference)
 
 
 def higher_nijenhuis_differential(j: StructureField, point: Sequence,
@@ -228,11 +259,14 @@ def higher_nijenhuis_differential(j: StructureField, point: Sequence,
 def higher_nijenhuis(j: StructureField, point: Sequence) -> PointTensor:
     """Arity-4 invariant at the point; raises if the two routes disagree.
 
-    Both routes compute every entry, as sums of contractions of different
-    tensors off the same jets, built once here: dN, dJN, N and JN for the
-    bracket route, which has the pair pattern by construction, J, dj, N and
-    dN for the differential route, so their entrywise agreement certifies
-    the pair pattern as well as the values.
+    Both routes are sums of contractions of different tensors off the same
+    jets, built once here: dN, dJN, N and JN for the bracket route, J, dj,
+    N and dN for the differential route.  The bracket route sums W where
+    both pairs are sorted, reads H at the pair-pattern representatives and
+    fills every other tuple by sign, so it has the pair pattern by
+    construction; the differential route computes every entry.  Their
+    agreement at all dim^4 tuples (first_difference) certifies the pair
+    pattern as well as the values.
     """
     jets = _arity4_jets(j, point)
     h = higher_nijenhuis_differential(j, point, jets)

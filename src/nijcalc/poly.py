@@ -21,13 +21,32 @@ denominators (_numerators), and each nonzero output coefficient is one
 Fraction of its integer sum over the product of those lcms (for
 jet_substitute, times a power of the substitutions' lcm: for shift, of
 the point's).
+
+Inside a kernel each term is keyed by one int, its exponent packed with a
+fixed bit field per variable: variable i at bit i * width.  A product of
+monomials is the sum of their keys, a partial derivative subtracts one
+unit of a field, and so does jet_substitute's step down to the monomial
+one degree lower (its images and outputs are packed; the polynomials it
+substitutes into keep their exponent tuples).  Keys are packed as a
+kernel reads its input and unpacked as it builds output coefficients, so
+no other module sees them, and the loops and the key order are those of
+the exponent tuples.  The width is that of a bound on every exponent the
+call reads or forms: the order under a finite cut (order + 1 for the
+kernels reading jets known to order + 1), uncut twice the inputs' top
+total degree, or for jet_substitute the top degree of the polynomials
+times that of the substitutions.  No sum the call forms exceeds the bound,
+so none carries into the next field.  Every kernel checks first that its
+polynomials share one number of variables (jet_torsion: one per column;
+jet_brackets: at most one per component), refuses a negative order, and
+refuses a coefficient that is not an int or a Fraction by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, lcm
-from typing import Dict, List, Sequence, Tuple, Union
+from operator import lshift
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -211,31 +230,86 @@ def substitute(p: Poly, replacements: Sequence[Poly], out_num_vars: int) -> Poly
 # ---------------------------------------------------------------------------
 # jet_mul and jet_substitute pop an integer sum that reaches zero, so their
 # key order is that of the same loop over Fractions; jet_substitute shares
-# one table of integer monomial images among its polynomials.
+# one table of integer monomial images among its polynomials.  Inside a
+# kernel an exponent is a packed key (module docstring): a _Layout lays
+# it out, _numerators packs the input and the layout unpacks the output.
 
-_Term = Tuple[Exponent, int, int]
+_Term = Tuple[int, int, int]
 
 
-def _numerators(polys: Sequence[Poly], top: float = inf) -> Tuple[List[List[_Term]], int]:
-    """The terms (e, n, |e|) of each polynomial up to total degree top,
-    with n/D the coefficient at e and D the lcm of those denominators."""
-    kept = [[(e, c, s) for e, c in p.items() if (s := sum(e)) <= top] for p in polys]
-    den = lcm(*(c.denominator for terms in kept for _, c, _ in terms))
+def _check_order(order: float) -> None:
+    if order < 0:
+        raise PolyError(f"jet order {order} is negative")
+
+
+def _variables(polys: Iterable[Poly], num_vars: int = 0) -> int:
+    """The number of variables of polys, read off each one's first key
+    (keys are dense); num_vars when all are zero.  Polynomials in
+    different numbers of variables raise PolyError: packed keys would mix
+    them up silently."""
+    counts = {len(next(iter(p))) for p in polys if p}
+    if len(counts) > 1:
+        raise PolyError(f"mixed variable counts: {sorted(counts)}")
+    return counts.pop() if counts else num_vars
+
+
+def _top(polys: Iterable[Poly]) -> int:
+    """The top total degree of polys, 0 when all are zero."""
+    return max((sum(e) for p in polys for e in p), default=0)
+
+
+class _Layout(dict):
+    """The packed keys of one kernel call: one field of width bits per
+    variable, at the bit offsets fields, wide enough for every exponent up
+    to bound (module docstring).  layout[key] is the exponent tuple of a
+    packed key, unpacked once per call."""
+
+    def __init__(self, num_vars: int, bound: float):
+        super().__init__()
+        self.width = int(max(bound, 1)).bit_length()
+        self.fields = range(0, num_vars * self.width, self.width)
+        self.mask = (1 << self.width) - 1
+
+    def __missing__(self, key: int) -> Exponent:
+        e = self[key] = tuple([key >> s & self.mask for s in self.fields])
+        return e
+
+
+def _numerators(polys: Sequence[Poly], layout: Optional[_Layout],
+                top: float = inf) -> Tuple[List[List[_Term]], int]:
+    """The terms (key, n, |e|) of each polynomial up to total degree top,
+    with key the exponent e packed by layout (e itself with no layout) and
+    n/D the coefficient at e, D the lcm of those denominators.  A
+    coefficient that is not an int or a Fraction raises PolyError naming
+    it."""
+    if layout is None:
+        kept = [[(e, c, s) for e, c in p.items() if (s := sum(e)) <= top] for p in polys]
+    else:
+        fields = layout.fields
+        kept = [[(sum(map(lshift, e, fields)), c, s)
+                 for e, c in p.items() if (s := sum(e)) <= top] for p in polys]
+    try:
+        den = lcm(*(c.denominator for terms in kept for _, c, _ in terms))
+    except AttributeError:
+        bad = next(c for terms in kept for _, c, _ in terms if not isinstance(c, (int, Fraction)))
+        _exact(bad)  # a float, a string or None: refused by value
+        raise PolyError(f"{type(bad).__name__} coefficient {bad!r}: must be rational") from None
     return [[(e, c.numerator * (den // c.denominator), s) for e, c, s in terms]
             for terms in kept], den
 
 
 def _products(factors: Sequence[Tuple[Sequence[_Term], Sequence[_Term], int]],
-              order: int) -> Dict[Exponent, int]:
+              order: float) -> Dict[int, int]:
     """The sum of sign n1 n2 y^(e1 + e2) over each (terms1, terms2, sign)
-    of factors and each pair of their terms of total degree at most order."""
-    acc: Dict[Exponent, int] = {}
+    of factors and each pair of their terms of total degree at most order,
+    keyed by the packed e1 + e2."""
+    acc: Dict[int, int] = {}
     for terms1, terms2, sign in factors:
         for e1, c1, d1 in terms1:
             room = order - d1
             for e2, c2, d2 in terms2:
                 if d2 <= room:
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = e1 + e2
                     acc[e] = acc.get(e, 0) + sign * c1 * c2
     return acc
 
@@ -251,8 +325,6 @@ def shift(ps: Sequence[Poly], point: Sequence[Scalar], order: int) -> List[Poly]
     A float coordinate raises PolyError, and so do a negative order and a
     nonzero p in another number of variables than the point has coordinates.
     """
-    if order < 0:
-        raise PolyError(f"jet order {order} is negative")
     n = len(point)
     subs = [add(const(_exact(x, "coordinate"), n), var(i + 1, n)) for i, x in enumerate(point)]
     return jet_substitute(ps, subs, n, order)
@@ -269,24 +341,27 @@ def jet_mul(p: Poly, q: Poly, order: int) -> Poly:
     """p q cut above total degree order (math.inf: uncut); pairs of terms
     past it are skipped.  The sums run over the numerators of p and of q,
     each over its own lcm, and coefficient e is one Fraction(sum, D_p D_q)."""
-    _check_compatible(p, q)
-    (p_terms,), d_p = _numerators([p], order)
-    (q_terms,), d_q = _numerators([q], order)
+    _check_order(order)
+    layout = _Layout(_variables([p, q]), order if order < inf else 2 * _top([p, q]))
+    (p_terms,), d_p = _numerators([p], layout, order)
+    (q_terms,), d_q = _numerators([q], layout, order)
     den = d_p * d_q
-    return {e: Fraction(s, den) for e, s in _popped_products(p_terms, q_terms, order).items()}
+    return {layout[e]: Fraction(s, den)
+            for e, s in _popped_products(p_terms, q_terms, order).items()}
 
 
 def _popped_products(terms1: Sequence[_Term], terms2: Sequence[_Term],
-                     order: int) -> Dict[Exponent, int]:
+                     order: float) -> Dict[int, int]:
     """The sum of n1 n2 y^(e1 + e2) over the pairs of terms of total degree
-    at most order, in the order of the pairs; a sum that reaches zero is
-    popped, and comes back last if a later pair hits it again."""
-    out: Dict[Exponent, int] = {}
+    at most order, in the order of the pairs, keyed by the packed e1 + e2;
+    a sum that reaches zero is popped, and comes back last if a later pair
+    hits it again."""
+    out: Dict[int, int] = {}
     for e1, c1, d1 in terms1:
         room = order - d1
         for e2, c2, d2 in terms2:
             if d2 <= room:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -311,12 +386,15 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
     The polynomials share one table of monomial images.  The substitutions
     are written once as integer numerators over their lcm D, and the image
     of x^e is kept as integers over D^|e|: the image of the monomial one
-    degree lower, times one substitution, cut above order.  Each p sums
-    its numerators, times its monomials' images weighted up to the top
-    degree m of its terms, in one integer per output term, and holds one
-    Fraction(sum, D_p D^m) per nonzero term.  A sum that reaches zero is
-    popped, so the key order is that of the Fraction loop.
+    degree lower (one unit off the field of e's last variable), times one
+    substitution, cut above order.  Each p sums its numerators, times its
+    monomials' images weighted up to the top degree m of its terms, in one
+    integer per output term, and holds one Fraction(sum, D_p D^m) per
+    nonzero term.  A sum that reaches zero is popped, so the key order is
+    that of the Fraction loop.  The images' keys have room for the degree
+    of p times that of the substitutions, or order if lower.
     """
+    _check_order(order)
     if any(len(e) != out_num_vars for s in subs for e in s):
         raise PolyError(f"substitutions in {sorted({len(e) for s in subs for e in s})} "
                         f"variables for a result in {out_num_vars}")
@@ -325,21 +403,22 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
         if p and len(next(iter(p))) != n:
             raise PolyError(f"{n} substitutions for {len(next(iter(p)))} variables")
     p_cut = inf if any(constant_term(s) for s in subs) else order
-    sub_terms, den = _numerators(subs, order)
-    images: Dict[Exponent, List[_Term]] = {(0,) * n: [((0,) * out_num_vars, 1, 0)]}
+    layout = _Layout(out_num_vars, order if order < inf else max(_top(ps), 1) * _top(subs))
+    sub_terms, den = _numerators(subs, layout, order)
+    images: Dict[Exponent, List[_Term]] = {(0,) * n: [(0, 1, 0)]}
 
     def image(e: Exponent) -> List[_Term]:
         if e not in images:
             i = max(a for a, k in enumerate(e) if k)
             lower = image(e[:i] + (e[i] - 1,) + e[i + 1:])
-            images[e] = [(key, c, sum(key)) for key, c in
+            images[e] = [(key, c, sum(layout[key])) for key, c in
                          _popped_products(lower, sub_terms[i], order).items()]
         return images[e]
 
     results: List[Poly] = []
-    for (terms,), d_p in (_numerators([p], p_cut) for p in ps):
+    for (terms,), d_p in (_numerators([p], None, p_cut) for p in ps):
         top = max((size for _, _, size in terms), default=0)
-        out: Dict[Exponent, int] = {}
+        out: Dict[int, int] = {}
         for e, c, size in terms:
             c *= den ** (top - size)
             for e2, c2, _ in image(e):
@@ -349,7 +428,7 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
                 else:
                     out.pop(e2, None)
         d = d_p * den ** top
-        results.append({e: Fraction(s, d) for e, s in out.items()})
+        results.append({layout[e]: Fraction(s, d) for e, s in out.items()})
     return results
 
 
@@ -361,23 +440,28 @@ def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
     lcm D_c; each output component sums over the columns with x[k] nonzero
     in one integer, x's numerators over D_x, and holds one
     Fraction(sum, D_c * D_x) per term."""
+    _check_order(order)
     _check_lengths(cols, xs)
+    polys = [c for field in (*cols, *xs) for c in field]
+    layout = _Layout(_variables(polys), order if order < inf else 2 * _top(polys))
     dim = len(cols[0])
-    x_terms = [_numerators(x, order) for x in xs]
+    x_terms = [_numerators(x, layout, order) for x in xs]
     live = sorted({k for terms, _ in x_terms for k, xk in enumerate(terms) if xk})
-    col_terms, d_c = _numerators([c for k in live for c in cols[k]], order)
+    col_terms, d_c = _numerators([c for k in live for c in cols[k]], layout, order)
     at = {k: col_terms[i * dim:(i + 1) * dim] for i, k in enumerate(live)}
-    return [[{e: Fraction(s, d_c * d_x) for e, s in _products(
+    return [[{layout[e]: Fraction(s, d_c * d_x) for e, s in _products(
         [(at[k][r], xk, 1) for k, xk in enumerate(terms) if xk], order).items() if s}
         for r in range(dim)] for terms, d_x in x_terms]
 
 
-def _jet_parts(fields: Sequence[PolyVec], order: int):
+def _jet_parts(fields: Sequence[PolyVec], order: float, layout: _Layout):
     """(low, partials) of each field, numerators over the fields' one lcm
-    D: low[i] lists the terms of f^i of degree <= order, partials[i][a]
-    those of d_a f^i.  The fields are jets known to order + 1, with one
-    component per chart variable."""
-    terms, den = _numerators([c for f in fields for c in f], order + 1)
+    D, keys packed into layout: low[i] lists the terms of f^i of degree
+    <= order, partials[i][a] those of d_a f^i, each key one unit off the
+    field of variable a.  The fields are jets known to order + 1, with one
+    component per chart variable at least."""
+    terms, den = _numerators([c for f in fields for c in f], layout, order + 1)
+    mask = layout.mask
     parts = []
     for n, f in enumerate(fields):
         comps = terms[n * len(f):(n + 1) * len(f)]
@@ -385,9 +469,9 @@ def _jet_parts(fields: Sequence[PolyVec], order: int):
         partials: List[List[List[_Term]]] = [[[] for _ in comps] for _ in comps]
         for row, comp in zip(partials, comps):
             for e, c, deg in comp:
-                for a, k in enumerate(e):
-                    if k:
-                        row[a].append((e[:a] + (k - 1,) + e[a + 1:], c * k, deg - 1))
+                for a, s in enumerate(layout.fields):
+                    if k := e >> s & mask:
+                        row[a].append((e - (1 << s), c * k, deg - 1))
         parts.append((low, partials))
     return parts, den
 
@@ -397,7 +481,8 @@ def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
     """[fields[i], fields[k]] for each (i, k) in pairs, cut above degree
     order (math.inf: uncut, the brackets of global fields); the fields are
     vector-field jets known to order + 1, with one component per chart
-    variable.
+    variable.  Fields of unequal lengths, or polynomials in more
+    variables than a field has components, raise PolyError.
 
     [X, Y]^r = sum_a X^a d_a Y^r - Y^a d_a X^r, and a derivative costs one
     order, so an order-0 bracket is DY(p) X(p) - DX(p) Y(p) at the base
@@ -407,7 +492,17 @@ def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
     the cost follows the nonzero jet coefficients.  A bracket sums in
     integers and holds one Fraction(sum, D_i * D_k) per term.
     """
-    prepared = {i: _jet_parts([fields[i]], order)
+    _check_order(order)
+    lengths = sorted({len(f) for f in fields})
+    if len(lengths) > 1:
+        raise PolyError(f"fields of {[len(f) for f in fields]} components")
+    dim = lengths[0] if lengths else 0
+    polys = [c for f in fields for c in f]
+    n = _variables(polys)
+    if n > dim:
+        raise PolyError(f"polynomials in {n} variables in fields of {dim} components")
+    layout = _Layout(n, order + 1 if order < inf else 2 * _top(polys))
+    prepared = {i: _jet_parts([fields[i]], order, layout)
                 for i in {i for pair in pairs for i in pair}}
     out: List[PolyVec] = []
     for i, k in pairs:
@@ -418,7 +513,7 @@ def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],
             acc = _products([f for a in range(len(x_low))
                              for f in ((x_low[a], dy[r][a], 1), (y_low[a], dx[r][a], -1))],
                             order)
-            bracket.append({e: Fraction(c, den) for e, c in acc.items() if c})
+            bracket.append({layout[e]: Fraction(c, den) for e, c in acc.items() if c})
         out.append(bracket)
     return out
 
@@ -429,9 +524,21 @@ def jet_torsion(cols: Sequence[PolyVec], order: int) -> List[PolyVec]:
     cut above degree order (math.inf: uncut).  N(e_a, e_b) is
     [X_a, X_b] + J (d_b X_a - d_a X_b), so component r is one integer sum
     over c of X_a^c d_c X_b^r - X_b^c d_c X_a^r + X_c^r (d_b X_a^c - d_a X_b^c)
-    on the columns' parts (_jet_parts), one Fraction(sum, D^2) per term."""
-    parts, d = _jet_parts(cols, order)
-    den, dim = d * d, len(cols)
+    on the columns' parts (_jet_parts), one Fraction(sum, D^2) per term.
+    A field that is not square, or polynomials in another number of
+    variables than it has columns, raise PolyError."""
+    _check_order(order)
+    dim = len(cols)
+    if any(len(c) != dim for c in cols):
+        raise PolyError(f"columns of {[len(c) for c in cols]} components: "
+                        f"a torsion needs {dim} each, one per column")
+    polys = [c for col in cols for c in col]
+    n = _variables(polys, dim)
+    if n != dim:
+        raise PolyError(f"polynomials in {n} variables for {dim} columns")
+    layout = _Layout(n, order + 1 if order < inf else 2 * _top(polys))
+    parts, d = _jet_parts(cols, order, layout)
+    den = d * d
     out: List[PolyVec] = []
     for a in range(dim):
         a_low, da = parts[a]
@@ -442,7 +549,7 @@ def jet_torsion(cols: Sequence[PolyVec], order: int) -> List[PolyVec]:
                 acc = _products([f for c in range(dim) for f in (
                     (a_low[c], db[r][c], 1), (b_low[c], da[r][c], -1),
                     (parts[c][0][r], da[c][b], 1), (parts[c][0][r], db[c][a], -1))], order)
-                field.append({e: Fraction(s, den) for e, s in acc.items() if s})
+                field.append({layout[e]: Fraction(s, den) for e, s in acc.items() if s})
             out.append(field)
     return out
 

@@ -18,9 +18,9 @@ The rules are symmetric_rep (jet symbols), alternating_rep (the
 permutation sign: torsion, Lie brackets, forms) and pair_pattern_rep
 (antisymmetric within slots (1,2), within (3,4) and under swapping the
 pairs: the arity-4 invariant).  from_orbits builds a tensor from one
-value per orbit, unchecked; from_function is its call under a private
-rule that makes each index tuple its own orbit.  respects checks a
-tensor against a rule.
+value per orbit, unchecked, and from_orbit_rows from one integer row per
+orbit; from_function is from_orbits under a private rule that makes each
+index tuple its own orbit.  respects checks a tensor against a rule.
 
 A tensor holds its values in two exact forms: the Fraction entries and
 the integer reading den and rows (rows[idx]: the nonzero components
@@ -166,6 +166,28 @@ class PointTensor:
                     raise TensorError(f"value at {r} has length {len(value)}, expected {dim_out}")
             entries[idx] = value if sign == 1 else tuple([-v for v in value])
         return cls(dim_in, dim_out, arity, entries)
+
+    @classmethod
+    def from_orbit_rows(cls, dim_in: int, dim_out: int, arity: int, rep: SignRule, den: int,
+                        fn: Callable[[Index], Sequence[Tuple[int, int]]]) -> "PointTensor":
+        """from_orbits on integer rows: the row sign * fn(representative)
+        over den at each index tuple, under the sign rule rep, fn giving a
+        row (the nonzero components (i, n)).  fn is called once per
+        representative of nonzero sign, in the order the representatives
+        first appear, and the tuples of one orbit and sign share one row,
+        so their entries are built once."""
+        rows: Dict[Index, Tuple[tuple, tuple]] = {}
+        out = {}
+        for idx, r, sign in _orbit_table(rep, dim_in, arity):
+            if sign == 0:
+                out[idx] = ()
+                continue
+            pair = rows.get(r)
+            if pair is None:
+                row = tuple(fn(r))
+                pair = rows[r] = (row, tuple([(i, -n) for i, n in row]))
+            out[idx] = pair[sign == -1]
+        return cls.from_rows(dim_in, dim_out, arity, den, out)
 
     @classmethod
     def from_matrix(cls, m: Sequence[Sequence]) -> "PointTensor":

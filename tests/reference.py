@@ -18,7 +18,8 @@ elimination over every column (dense_rref), the antilinearity check one
 basis pair at a time, the greedy invariant complement by repeated rank
 tests, the arity-4 invariant's R-contraction one entry at a time, and its
 bracket expression one orbit at a time by applies on basis vectors
-(higher_nijenhuis_bracket_by_apply).  The antilinear tensors as they were
+(higher_nijenhuis_bracket_by_apply) and as one contraction sum at every
+index tuple (higher_nijenhuis_bracket_full_w).  The antilinear tensors as they were
 built before one extension of free data served them all
 (structures.linear_nijenhuis_from_free_data and
 doubled_nijenhuis_from_free_data) go with them, each evaluated at every
@@ -547,6 +548,27 @@ def higher_nijenhuis_bracket_by_apply(j: StructureField, point: Sequence) -> Poi
         return out
 
     return PointTensor.from_orbits(dim, dim, 4, pair_pattern_rep, fn)
+
+
+def higher_nijenhuis_bracket_full_w(j: StructureField, point: Sequence) -> PointTensor:
+    """The ten-term bracket route as it was before it summed W only where
+    both pairs are sorted: W is one contraction sum of six terms at every
+    index tuple, on dN, dJN, N and JN read at every tuple, and H one sum
+    of two over W, W - W(c, d, a, b), again at every tuple."""
+    dim = j.dim
+    jet = j.jet(point, 2)
+    n_jets = torsion_jets(jet, 1)
+    n_field = VectorForm(dim, 2, n_jets)
+    jn_field = VectorForm(dim, 2, dict(zip(n_jets, poly.jet_apply_columns(
+        jet, list(n_jets.values()), 1))))
+    n_at, dn = jet_differential(n_field, 0), jet_differential(n_field, 1)
+    jn_at, djn = jet_differential(jn_field, 0), jet_differential(jn_field, 1)
+    w = tensor.contraction_sum(dim, dim, 4, [
+        (1, dn, jn_at, 2, None), (1, djn, n_at, 2, None),
+        (1, n_at, djn, 0, (2, 3, 0, 1)), (1, jn_at, dn, 0, (2, 3, 0, 1)),
+        (1, n_at, djn, 1, (0, 2, 3, 1)), (1, jn_at, dn, 1, (0, 2, 3, 1))])
+    return tensor.contraction_sum(dim, dim, 4, [(1, None, w, None, None),
+                                                (-1, None, w, None, (2, 3, 0, 1))])
 
 
 def shift_by_fractions(p: poly.Poly, point: Sequence, order: int) -> poly.Poly:

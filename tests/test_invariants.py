@@ -37,8 +37,8 @@ from nijcalc.structures import (
 )
 from nijcalc.tensor import PointTensor, flatten, kernel_dim, pair_pattern_rep
 from reference import (PolyTensorField, differential, digest, dj_field,
-                       fn_bracket_one_forms_direct,
-                       higher_nijenhuis_bracket_by_apply, higher_nijenhuis_by_entries,
+                       fn_bracket_one_forms_direct, higher_nijenhuis_bracket_by_apply,
+                       higher_nijenhuis_bracket_full_w, higher_nijenhuis_by_entries,
                        lie_bracket, nijenhuis_field_by_lie_brackets,
                        nijenhuis_field_first_differential, tensor_with_entry,
                        structure_as_field, torsion_jets_by_stages)
@@ -270,6 +270,64 @@ def test_nijenhuis_tensor_equals_global_field_at_point(case):
     n_pt = nijenhuis_tensor(j, pt)
     assert n_pt == nijenhuis_field_by_lie_brackets(j).at_point(pt)
     assert all(type(c) is Fraction for v in n_pt.entries.values() for c in v)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_bracket_route_equals_the_full_w_reference(n, seed, data):
+    """Summed where both pairs are sorted and filled by sign from the
+    representatives, the bracket route has the integer reading, and so the
+    entries, of the route that sums W and H at every index tuple, in 4D,
+    6D and 8D."""
+    j = random_structure(n, seed)
+    pt = data.draw(st.lists(rationals, min_size=2 * n, max_size=2 * n))
+    got, want = higher_nijenhuis_bracket(j, pt), higher_nijenhuis_bracket_full_w(j, pt)
+    assert (got.den, dict(got.rows)) == (want.den, dict(want.rows))
+    assert_same_entries(got, want)
+
+
+def test_cross_check_catches_a_corrupted_representative(monkeypatch):
+    """One representative of the bracket route changed, and with it its
+    orbit, trips the cross-check at that representative, the first tuple
+    of its orbit in product order."""
+    real = PointTensor.from_orbit_rows.__func__
+    rep = (0, 2, 1, 3)
+
+    def corrupted(cls, dim_in, dim_out, arity, rule, den, fn):
+        def changed(r):
+            row = dict(fn(r))
+            if r == rep:
+                row[1] = row.get(1, 0) + 1
+            return sorted(row.items())
+        return real(cls, dim_in, dim_out, arity, rule, den, changed)
+
+    j, pt = example_structure("ex2"), [0, 1, 0, 0]
+    higher_nijenhuis(j, pt)
+    monkeypatch.setattr(PointTensor, "from_orbit_rows", classmethod(corrupted))
+    with pytest.raises(InternalInconsistencyError, match=r"\(0, 2, 1, 3\)"):
+        higher_nijenhuis(j, pt)
+
+
+def test_bracket_route_sums_w_only_at_sorted_pairs(monkeypatch):
+    """The six contraction terms of W read dN and dJN, and every tensor
+    fed into a slot, only at sorted form slots a < b: the rows elsewhere
+    are empty, so the kernel sums W only where both pairs are sorted."""
+    sums = []
+    real = invariants.contraction_sum
+
+    def spy(dim_in, dim_out, arity, terms):
+        sums.append(terms)
+        return real(dim_in, dim_out, arity, terms)
+
+    monkeypatch.setattr(invariants, "contraction_sum", spy)
+    higher_nijenhuis_bracket(random_structure(3, 4), [Fraction(k + 1, 3) for k in range(6)])
+    (w_terms,) = [terms for terms in sums if len(terms) == 6]
+    read = [t for _, outer, inner, _, _ in w_terms for t in (outer, inner) if t.arity == 3]
+    read += [inner for _, _, inner, slot, _ in w_terms if slot == 2]
+    assert len(read) == 8 and all(any(t.rows.values()) for t in read)
+    unsorted = [idx for t in read for idx, row in t.rows.items() if row and idx[0] >= idx[1]]
+    assert unsorted == []
 
 
 TORSION_ORDERS = (0, 1, 2, math.inf)

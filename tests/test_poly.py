@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nijcalc import poly
+from nijcalc.invariants import torsion_jets
 from reference import (jet_apply_columns_by_fractions, jet_brackets_by_fractions,
                        jet_mul_by_fractions, jet_substitute_by_fractions, lie_bracket,
                        shift_by_fractions, substitute_by_mul)
@@ -529,6 +530,134 @@ def test_jet_brackets_match_the_fraction_loop(case):
     for br, ref in zip(got, want):
         assert [list(c) for c in br] == [list(c) for c in ref]
         assert all(is_canonical(c, n) for c in br)
+
+
+# ---------------------------------------------------------------------------
+# the packed-key kernels at their edges, and what they refuse
+# ---------------------------------------------------------------------------
+
+def test_jet_kernels_take_polynomials_in_no_variables():
+    """A constant in zero variables has the empty exponent, packed as 0."""
+    assert poly.jet_mul({(): Fraction(2)}, {(): Fraction(3)}, 1) == {(): Fraction(6)}
+    assert poly.jet_mul({(): Fraction(2)}, {}, math.inf) == {}
+    assert poly.jet_apply_columns([[{(): Fraction(1, 2)}]], [[{(): Fraction(4)}]], 0) == \
+        [[{(): Fraction(2)}]]
+    assert poly.jet_substitute([{(2,): Fraction(3)}], [{(): Fraction(1, 2)}], 0, math.inf) == \
+        [{(): Fraction(3, 4)}]
+    assert poly.jet_torsion([], 1) == [] and poly.jet_brackets([], [], 1) == []
+
+
+# a cut at 2^k - 1 fills a field of k bits exactly, and one at 2^k must not
+# let a sum reach the next field
+FIELD_EDGE_ORDERS = (1, 2, 3, 4, 7, 8, math.inf)
+
+
+def _powers(n, top):
+    """Monomials of total degree up to top, each with its exponents on one
+    or two variables, so that products reach the width of a field."""
+    out = {}
+    for k in range(top + 1):
+        for a in range(n):
+            out[tuple(k if i == a else 0 for i in range(n))] = Fraction(k + 1, a + 2)
+            out[tuple(k - k // 2 if i == a else k // 2 if i == (a + 1) % n else 0
+                      for i in range(n))] = Fraction(-1, k + a + 1)
+    return out
+
+
+@pytest.mark.parametrize("order", FIELD_EDGE_ORDERS)
+def test_packed_kernels_at_the_field_width(order):
+    """Exponents at the width of a key's field and products just past it
+    give the Fraction loops' polynomials: a carry into the next variable's
+    field would show as a wrong key.  Uncut, the fields hold twice the top
+    degree of the inputs, which x1^4 x1^4 reaches."""
+    top = 4 if order == math.inf else order + 1
+    p = _powers(2, top)
+    q = p if order == math.inf else _powers(2, top // 2 + 1)
+    got, want = poly.jet_mul(p, q, order), jet_mul_by_fractions(p, q, order)
+    assert got == want and list(got) == list(want)
+    cols, xs = [[p, q], [q, {}]], [[q, p], [{}, q]]
+    assert poly.jet_apply_columns(cols, xs, order) == \
+        [jet_apply_columns_by_fractions(cols, x, order) for x in xs]
+    fields = [[p, q], [q, p]]
+    assert poly.jet_brackets(fields, [(0, 1)], order) == \
+        jet_brackets_by_fractions(fields, [(0, 1)], order)
+    subs = [poly.add(q, poly.const(1, 2)), p]
+    got = poly.jet_substitute([p, q], subs, 2, order)
+    assert got == [jet_substitute_by_fractions(f, subs, 2, order) for f in (p, q)]
+
+
+def test_uncut_substitution_with_a_high_degree_image():
+    """An image of degree 56, far above the inputs' degrees, gets fields
+    wide enough for it: the product loop's polynomial in its key order."""
+    p = {(5, 3): Fraction(2), (0, 1): Fraction(-1, 3), (1, 0): Fraction(1)}
+    reps = [{(4, 3): Fraction(1, 2), (0, 1): Fraction(1)},
+            {(7, 0): Fraction(-1), (0, 0): Fraction(3)}]
+    got, want = poly.substitute(p, reps, 2), substitute_by_mul(p, reps, 2)
+    assert got == want and list(got) == list(want)
+    assert poly.total_degree(got) == 5 * 7 + 3 * 7
+    binomials = poly.substitute({(20,): Fraction(1)}, [{(1,): Fraction(1), (0,): Fraction(1)}], 1)
+    assert binomials == {(k,): Fraction(math.comb(20, k)) for k in range(21)}
+
+
+def test_jet_torsion_refuses_a_field_of_the_wrong_shape():
+    """A non-square field, or polynomials in another number of variables
+    than there are columns, is refused with the shapes named, by the
+    kernel and by torsion_jets, instead of answering or failing late."""
+    x, y, one = poly.var(1, 2), poly.var(2, 2), poly.const(1, 2)
+    with pytest.raises(poly.PolyError, match=r"columns of \[3, 3\] components"):
+        poly.jet_torsion([[x, y, one], [y, x, one]], 1)
+    with pytest.raises(poly.PolyError, match="polynomials in 2 variables for 3 columns"):
+        poly.jet_torsion([[x, y, one]] * 3, 1)
+    x3 = poly.var(3, 3)
+    with pytest.raises(poly.PolyError, match="polynomials in 3 variables for 2 columns"):
+        poly.jet_torsion([[x3, {}], [{}, x3]], 1)
+    with pytest.raises(poly.PolyError, match="mixed variable counts"):
+        poly.jet_torsion([[x3, y], [one, x]], 1)
+    with pytest.raises(poly.PolyError, match=r"columns of \[3, 3\] components"):
+        torsion_jets([[x, y, one], [y, x, one]], 1)
+    assert poly.jet_torsion([[{}, {}], [{}, {}]], 1) == [[{}, {}]]
+
+
+def test_jet_brackets_refuse_fields_of_the_wrong_shape():
+    """Fields of unequal lengths, or polynomials in more variables than a
+    field has components, are refused; fewer variables are allowed."""
+    x, y = poly.var(1, 2), poly.var(2, 2)
+    with pytest.raises(poly.PolyError, match=r"fields of \[2, 3\] components"):
+        poly.jet_brackets([[x, y], [y, x, x]], [(0, 1)], 1)
+    with pytest.raises(poly.PolyError, match="2 variables in fields of 1 components"):
+        poly.jet_brackets([[x], [y]], [(0, 1)], 1)
+    u = [poly.var(1, 1), {}, poly.const(2, 1)]
+    v = [poly.const(1, 1), poly.var(1, 1), {}]
+    assert poly.jet_brackets([u, v], [(0, 1)], math.inf) == \
+        jet_brackets_by_fractions([u, v], [(0, 1)], math.inf)
+
+
+JET_KERNEL_CALLS = {
+    "jet_mul": lambda p, order: poly.jet_mul(p, p, order),
+    "jet_substitute": lambda p, order: poly.jet_substitute([p], [poly.var(1, 2)] * 2, 2, order),
+    "jet_apply_columns": lambda p, order: poly.jet_apply_columns([[p]], [[p]], order),
+    "jet_brackets": lambda p, order: poly.jet_brackets([[p, p]], [(0, 0)], order),
+    "jet_torsion": lambda p, order: poly.jet_torsion([[p, p], [p, p]], order),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_KERNEL_CALLS))
+def test_jet_kernels_refuse_a_negative_order(name):
+    with pytest.raises(poly.PolyError, match="jet order -1 is negative"):
+        JET_KERNEL_CALLS[name](poly.var(1, 2), -1)
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (0.5, "float coefficient 0.5"), ("1/2", "string coefficient '1/2'"),
+    (None, "NoneType coefficient None")])
+@pytest.mark.parametrize("name", sorted(JET_KERNEL_CALLS) + ["shift"])
+def test_jet_kernels_refuse_inexact_coefficients(name, coeff, message):
+    """A float, a string or None stored as a coefficient is refused by
+    value, as the constructors refuse it, not with an AttributeError."""
+    p = {(1, 0): coeff, (0, 1): Fraction(1)}
+    call = JET_KERNEL_CALLS.get(name, lambda p, order: poly.shift([p], [1, 2], order))
+    with pytest.raises(poly.PolyError, match=message):
+        call(p, 2)
 
 
 # ---------------------------------------------------------------------------

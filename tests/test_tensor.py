@@ -262,6 +262,39 @@ def test_respects_agrees_with_the_swap_checks(case, pick):
         assert built[2][0].has_pair_pattern() == has_pair_pattern_by_swaps(built[2][0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(symmetric_values())
+def test_from_orbit_rows_is_from_orbits_on_integer_rows(case):
+    """Under each sign rule, rows over a den at the representatives give
+    the tensor from_orbits builds from their values: fn runs once per
+    representative of nonzero sign, in order of first appearance, and the
+    tuples of one orbit and sign share one row object."""
+    dim_in, dim_out, arity, values = case
+    den = 12
+    rules = [tensor.symmetric_rep, tensor.alternating_rep]
+    if arity == 4:
+        rules.append(tensor.pair_pattern_rep)
+    for rule in rules:
+        seen = []
+
+        def rows_fn(r):
+            seen.append(r)
+            return [(i, int(v * den)) for i, v in enumerate(values[tuple(sorted(r))]) if v]
+
+        got = PointTensor.from_orbit_rows(dim_in, dim_out, arity, rule, den, rows_fn)
+        want = PointTensor.from_orbits(dim_in, dim_out, arity, rule,
+                                       lambda r: values[tuple(sorted(r))])
+        assert list(got.entries.items()) == list(want.entries.items())
+        reps = [rule(idx) for idx in itertools.product(range(dim_in), repeat=arity)]
+        assert seen == list(dict.fromkeys(r for r, sign in reps if sign))
+        for idx in got.rows:
+            r, sign = rule(idx)
+            if sign == 1:
+                assert got.rows[idx] is got.rows[r]
+            elif sign == 0:
+                assert got.rows[idx] == ()
+
+
 def test_from_symmetric_function_calls_fn_once_per_sorted_tuple():
     for dim in (1, 2, 4, 6):
         for k in range(5):
@@ -797,6 +830,8 @@ TENSOR_CASES = {
     "PointTensor.from_matrix": lambda a, b, m: ([_ints(row) for row in m.to_matrix()],),
     "PointTensor.from_orbits": lambda a, b, m: (
         2, 2, 2, tensor.alternating_rep, lambda idx: _ints(a.entries[idx])),
+    "PointTensor.from_orbit_rows": lambda a, b, m: (
+        2, 2, 2, tensor.alternating_rep, a.den, lambda idx: a.rows[idx]),
     "PointTensor.from_rows": lambda a, b, m: (2, 2, 2, a.den, a.rows),
     "PointTensor.neg": lambda a, b, m: (a,),
     "PointTensor.scale": lambda a, b, m: (a, 3),
