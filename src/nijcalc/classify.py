@@ -19,18 +19,22 @@ fields: the torsion generators N(e_a, e_b) are expanded in the offset
 from the point (invariants.torsion_jets), the frame reads their 1-jets
 (values and the first derived space, from bracket values
 [X, Y](p) = DY(p) X(p) - DX(p) Y(p)), and the Tanaka forms read their
-2-jets.  Each call builds its jets once: utxi_invariant the 2-jet of J
-and the torsion 1-jets, tanaka_forms the 3-jet and the torsion 2-jets,
-of which its frame reads only the terms of degree <= 1.  Either way the
-frame checks N by both routes (invariants.torsion_from_jets).  The
-global constructions (pi2, derived_distribution) remain for callers that
-want the distributions as polynomial modules.
+2-jets.  Each call builds its jets and brackets once: utxi_invariant
+the 2-jet of J, the torsion 1-jets and their 15 brackets at order 0,
+tanaka_forms the 3-jet, the torsion 2-jets and their 15 brackets at
+order 1, of which its frame reads only the terms of degree <= 1 and the
+brackets' values.  tanaka_forms computes the flag's level two one
+generator's row at a time, only the rows it reads.  Either way the frame
+checks N by both routes (invariants.torsion_from_jets).  The global
+constructions (pi2, derived_distribution) remain for callers that want
+the distributions as polynomial modules.
 
 Separately, lie_check decides whether the torsion product N(., .) obeys
 the composition law N(x, N(y, z)) = 0, reporting the image span, the
 annihilator, a filtration by images of torsion derivatives, and graded
 bracket constants.  The torsion at each sample point is the global form
-shifted there, checked by both routes (invariants.torsion_from_jets).
+shifted there, in the one poly.shift call that also gives the 1-jet of
+J there, checked by both routes (invariants.torsion_from_jets).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, poly
 from .forms import VectorForm, algebraic_bracket, fn_bracket
@@ -173,9 +177,15 @@ def _values(jets: Sequence[Sequence[poly.Poly]]) -> List[Vec]:
     return [[poly.constant_term(c) for c in f] for f in jets]
 
 
-def _derived_fiber(gens: List[List[poly.Poly]]) -> List[Vec]:
-    """Fiber of D + [D, D] at the point, from the generators' 1-jets:
-    their values and the bracket values [g_i, g_k](p), i < k.
+def _pairs(n: int) -> List[Tuple[int, int]]:
+    """The pairs (i, k), i < k, of n generators in lexicographic order."""
+    return list(itertools.combinations(range(n), 2))
+
+
+def _derived_fiber(gens: List[List[poly.Poly]], brackets: List[List[poly.Poly]]) -> List[Vec]:
+    """Fiber of D + [D, D] at the point, from the generators' values and
+    the values of their brackets [g_i, g_k], i < k, listed in _pairs
+    order as jets of any order (poly.jet_brackets).
 
     gens lists the torsion fields N(e_a, e_b), a < b, as torsion_jets
     gives them.  Unlike the global generator list of pi2, a field that
@@ -183,36 +193,38 @@ def _derived_fiber(gens: List[List[poly.Poly]]) -> List[Vec]:
     so spans and the particular solutions of the frame solves come out
     the same.
     """
-    pairs = list(itertools.combinations(range(len(gens)), 2))
-    return linalg.span_basis(
-        _values(gens) + _values(poly.jet_brackets(gens, pairs, 0)))
+    return linalg.span_basis(_values(gens) + _values(brackets))
 
 
-def _second_level(gens: List[List[poly.Poly]]) -> Tuple[List[Vec], List[List[Vec]]]:
+def _second_level(gens: List[List[poly.Poly]], half: List[List[poly.Poly]]
+                  ) -> Tuple[List[Vec], Callable[[int], List[Vec]]]:
     """Values at the point of the flag's level one and level two, from the
-    generators' 2-jets.
+    generators' 2-jets and half, the 1-jets of their brackets
+    h_ab = [g_a, g_b], a < b, in _pairs order.
 
-    Level one lists the generators, then their brackets h_ik = [g_i, g_k]
-    for the ordered pairs i != k.  The second result is
-    top[i][k] = [g_i, level1_k](p); the second derived space is spanned by
-    level one and top.  Each bracket is computed once per unordered pair
-    and the rest follow by antisymmetry: h_ab as a 1-jet for a < b, whose
-    value is also [g_a, g_b](p); then [g_i, h_ab](p) at order 0 for a < b,
-    with [g_i, g_i](p) = 0 and h_ba = -h_ab.
+    Level one lists the generators, then h_ik for the ordered pairs
+    i != k.  The second result is a function: top(i) is the row
+    [g_i, level1_k](p) over k, and the second derived space is spanned by
+    level one and the rows.  A row is computed when first asked for, from
+    the [g_i, h_ab](p), a < b, at order 0; the rest follow by
+    antisymmetry, with [g_i, g_i](p) = 0 and h_ba = -h_ab.
     """
     n = len(gens)
-    pairs = list(itertools.combinations(range(n), 2))
-    half = poly.jet_brackets(gens, pairs, 1)
-    # gens + half lists the generators, then h_ab for a < b in pair order
-    top_pairs = [(i, n + p) for i in range(n) for p in range(len(pairs))]
-    top_vals = _values(poly.jet_brackets(gens + half, top_pairs, 0))
+    pairs = _pairs(n)
     ordered = [(i, k) for i in range(n) for k in range(n) if i != k]
     h = dict(zip(pairs, _values(half)))
-    top = []
-    for i in range(n):
-        g_h = dict(zip(pairs, top_vals[i * len(pairs):(i + 1) * len(pairs)]))
-        top.append(_antisymmetric(h, [(i, k) for k in range(n)])
-                   + _antisymmetric(g_h, ordered))
+    # gens + half lists the generators, then h_ab for a < b in pair order
+    fields = gens + half
+    rows: Dict[int, List[Vec]] = {}
+
+    def top(i: int) -> List[Vec]:
+        if i not in rows:
+            g_h = dict(zip(pairs, _values(poly.jet_brackets(
+                fields, [(i, n + p) for p in range(len(pairs))], 0))))
+            rows[i] = (_antisymmetric(h, [(i, k) for k in range(n)])
+                       + _antisymmetric(g_h, ordered))
+        return rows[i]
+
     return _values(gens) + _antisymmetric(h, ordered), top
 
 
@@ -283,23 +295,30 @@ def utxi_invariant(j: StructureField, point: Sequence,
     lie in the derived space but not in the plane.  Shifting the choice
     by plane vectors changes nothing but the stored representative;
     choosing the opposite half-space interchanges the lines U1 and U2.
-    The frame reads the 2-jet of J at the point and the torsion 1-jets.
+    The frame reads the 2-jet of J at the point, the torsion 1-jets and
+    the values of their brackets, computed at order 0.
     """
     _check_dim4(j)
     jet = j.jet(point, 2)
-    return _frame(jet, torsion_jets(jet, 1), point, xi3_choice)
+    n_jets = torsion_jets(jet, 1)
+    gens = list(n_jets.values())
+    return _frame(jet, n_jets, poly.jet_brackets(gens, _pairs(len(gens)), 0),
+                  point, xi3_choice)
 
 
 def _frame(jet: List[poly.PolyVec], n_jets: Dict[Tuple[int, int], poly.PolyVec],
-           point: Sequence, xi3_choice: Optional[Sequence]) -> UTXiFrame:
-    """utxi_invariant from a jet of J at the point of order 2 or more and
-    the torsion jets it gives (torsion_jets).  Only degree <= 1 of the
-    torsion jets and of J is read, so any such pair gives the same frame."""
+           brackets: List[poly.PolyVec], point: Sequence,
+           xi3_choice: Optional[Sequence]) -> UTXiFrame:
+    """utxi_invariant from a jet of J at the point of order 2 or more, the
+    torsion jets it gives (torsion_jets) and the jets of their brackets in
+    _pairs order (poly.jet_brackets).  Only degree <= 1 of the torsion
+    jets and of J is read, and only the brackets' values, so any such
+    triple gives the same frame."""
     gens = list(n_jets.values())
     plane = linalg.span_basis(_values(gens))
     jm = [[poly.constant_term(col[i]) for col in jet] for i in range(4)]
     _check_torsion_plane(plane, jm)
-    derived = _derived_fiber(gens)
+    derived = _derived_fiber(gens, brackets)
     if len(derived) == 2:
         raise HypothesisError(
             "derived", "the first derived space equals the image plane")
@@ -401,19 +420,22 @@ class TanakaForms:
     frame: UTXiFrame
 
 
-def _bracket_scalar(coeffs_a: Vec, coeffs_b: Vec, values: List[List[Vec]],
+def _bracket_scalar(coeffs_a: Vec, coeffs_b: Vec, values: Callable[[int], List[Vec]],
                     frame_basis: List[Vec], component: int) -> Scalar:
     """Frame component of [sum a_i A_i, sum b_k B_k] at the point, where
-    values[i][k] = [A_i, B_k](p).
+    values(i)[k] = [A_i, B_k](p).
 
     Constant coefficients keep the bracket bilinear, so its value is the
-    double sum of a_i b_k values[i][k]; the frame is a basis, so that sum
-    is solved for its frame coordinates once.
+    double sum of a_i b_k values(i)[k]; the frame is a basis, so that sum
+    is solved for its frame coordinates once.  Only the rows i with
+    a_i != 0 are read.
     """
     total: Vec = [Fraction(0)] * len(frame_basis)
-    for ca, row in zip(coeffs_a, values):
-        for cb, val in zip(coeffs_b, row):
-            if ca != 0 and cb != 0 and not linalg.vec_is_zero(val):
+    for i, ca in enumerate(coeffs_a):
+        if ca == 0:
+            continue
+        for cb, val in zip(coeffs_b, values(i)):
+            if cb != 0 and not linalg.vec_is_zero(val):
                 total = linalg.vec_add(total, linalg.vec_scale(val, ca * cb))
     coords = _coords_in(frame_basis, total)
     if coords is None:
@@ -432,19 +454,26 @@ def tanaka_forms(j: StructureField, point: Sequence,
     against a section through xi3 and reads the xi4-component.  Both are
     fiber values, independent of the section choices.  Only values at
     the point enter, so the generators' 2-jets suffice (_second_level).
-    The 3-jet of J and the torsion 2-jets are built once and read by the
-    frame too, which takes only their degree <= 1 terms and so equals
-    utxi_invariant at the point.
+    The 3-jet of J, the torsion 2-jets and the 1-jets of the 15 brackets
+    of the torsion generators are built once and read by the frame too,
+    which takes only their degree <= 1 terms and the brackets' values,
+    and so equals utxi_invariant at the point.  Level two is computed one
+    generator's row at a time, as read: the flag takes rows in order
+    until it fills the tangent space, and the bracket scalars read the
+    rows of nonzero coefficient, so all six rows (90 brackets) are
+    computed only where the flag stops short.
     """
     _check_dim4(j)
     jet = j.jet(point, 3)
     n_jets = torsion_jets(jet, 2)
-    frame = _frame(jet, n_jets, point, xi3_choice)
     gens = list(n_jets.values())
-    level1_vals, top = _second_level(gens)
+    half = poly.jet_brackets(gens, _pairs(len(gens)), 1)
+    frame = _frame(jet, n_jets, half, point, xi3_choice)
+    level1_vals, top = _second_level(gens, half)
     flag = linalg.Echelon()
     seen = set()
-    for v in itertools.chain(level1_vals, *top):
+    for v in itertools.chain(level1_vals,
+                             itertools.chain.from_iterable(map(top, range(len(gens))))):
         key = tuple(v)
         if key not in seen:
             seen.add(key)
@@ -531,14 +560,19 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
     of the image span in the annihilator, which is the algebraic form of
     the same law.  On a Lie verdict the filtration by images of torsion
     derivatives at the first sample point is returned, with the graded
-    bracket constants and the rank-2 solvability check.  The jets of J at
-    the points come first, so a point of the wrong length raises
-    StructureError before anything is evaluated.
+    bracket constants and the rank-2 solvability check.  Every point's
+    length is checked first, so a point of the wrong length raises
+    StructureError before anything is evaluated.  At each point one
+    poly.shift call gives the 1-jets of J's entries and of the torsion
+    form's entries, which share its table of monomial images; the torsion
+    check reads the values of the latter.
     """
     if not sample_points:
         raise StructureError("need at least one sample point")
     dim = j.dim
-    jets = [j.jet(pt, 1) for pt in sample_points]
+    for pt in sample_points:
+        if len(pt) != dim:
+            raise StructureError(f"point has {len(pt)} coordinates, expected {dim}")
     nf = nijenhuis_field_bracket(j)
     rows = [[nf.value_on_basis((a, i)) for i in range(dim)] for a in range(dim)]
     failure = next((((a, b, c), residual) for a in range(dim) for b in range(dim)
@@ -553,11 +587,13 @@ def lie_check(j: StructureField, sample_points: Sequence[Sequence]) -> LieReport
         witness = LieWitness(indices=indices, point=tuple(pt), value=tuple(val))
 
     n_first = pi_basis = ann_basis = None
-    polys = [c for val in nf.entries.values() for c in val]
-    for pt, jet in zip(sample_points, jets):
-        values = poly.shift(polys, pt, 0)
+    # J's entries column by column, then the torsion form's entry by entry
+    polys = [c for col in j.cols for c in col] + [c for val in nf.entries.values() for c in val]
+    for pt in sample_points:
+        flat = poly.shift(polys, pt, 1)
+        jet, n_flat = [flat[k * dim:(k + 1) * dim] for k in range(dim)], flat[dim * dim:]
         n_at = torsion_from_jets(jet, {
-            pair: values[i * dim:(i + 1) * dim] for i, pair in enumerate(nf.entries)})
+            pair: n_flat[i * dim:(i + 1) * dim] for i, pair in enumerate(nf.entries)})
         image = linalg.span_basis(
             [n_at.entries[(a, b)] for a in range(dim)
              for b in range(a + 1, dim)])

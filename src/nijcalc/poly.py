@@ -5,7 +5,9 @@ coefficients.  The zero polynomial is the empty dict, so structural equality
 is mathematical equality.  Exponent tuples are dense: every key has length
 num_vars, and variables are 1-indexed (x1 .. xN) to match the text grammar.
 Coefficients and points are exact: a float raises PolyError, since it would
-be read as the nearest binary fraction.
+be read as the nearest binary fraction.  eval_poly reads each stored
+coefficient by value, as the jet kernels do, and add and mul check that
+every key of both operands has one length.
 
 Also provides vectors of polynomials (polynomial vector fields on a chart)
 and polynomial matrices applied to them (apply_columns).
@@ -79,6 +81,17 @@ def _exact(c: Scalar, what: str = "coefficient") -> Fraction:
     return Fraction(c)
 
 
+def _coefficient(c) -> Scalar:
+    """c, a stored coefficient, read by value: an int or a Fraction.  A
+    float, a string or None raises PolyError naming it (_exact), and so
+    does any other type."""
+    if type(c) is Fraction or isinstance(c, (int, Fraction)):
+        return c
+    if c is None or isinstance(c, (float, str)):
+        _exact(c)
+    raise PolyError(f"{type(c).__name__} coefficient {c!r}: must be rational")
+
+
 def const(c: Scalar, num_vars: int) -> Poly:
     c = _exact(c)
     if c == 0:
@@ -107,14 +120,16 @@ def monomial(exponent: Sequence[int], coeff: Scalar) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _check_compatible(p: Poly, q: Poly) -> None:
-    if p and q:
-        ep = next(iter(p))
-        eq = next(iter(q))
-        if len(ep) != len(eq):
-            raise PolyError(f"mixed variable counts: {len(ep)} vs {len(eq)}")
+    """Every key of p and of q has one length: one number of variables."""
+    counts = set(map(len, p))
+    counts.update(map(len, q))
+    if len(counts) > 1:
+        raise PolyError(f"mixed variable counts: {sorted(counts)}")
 
 
 def _check_lengths(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> None:
+    if not cols:
+        raise PolyError("empty matrix field: no columns, so no component count")
     if any(len(x) != len(cols) for x in xs):
         raise PolyError(f"fields of {[len(x) for x in xs]} components for {len(cols)} columns")
 
@@ -210,7 +225,7 @@ def eval_poly(p: Poly, point: Sequence[Scalar]) -> Fraction:
             raise PolyError(f"point has length {len(pt)}, expected {n}")
     total = Fraction(0)
     for e, c in p.items():
-        term = c
+        term = _coefficient(c)
         for x, k in zip(pt, e):
             if k:
                 term *= x ** k
@@ -291,9 +306,10 @@ def _numerators(polys: Sequence[Poly], layout: Optional[_Layout],
     try:
         den = lcm(*(c.denominator for terms in kept for _, c, _ in terms))
     except AttributeError:
-        bad = next(c for terms in kept for _, c, _ in terms if not isinstance(c, (int, Fraction)))
-        _exact(bad)  # a float, a string or None: refused by value
-        raise PolyError(f"{type(bad).__name__} coefficient {bad!r}: must be rational") from None
+        for terms in kept:
+            for _, c, _ in terms:
+                _coefficient(c)
+        raise
     return [[(e, c.numerator * (den // c.denominator), s) for e, c, s in terms]
             for terms in kept], den
 

@@ -402,6 +402,35 @@ def test_tanaka_forms_builds_one_jet_of_j_and_of_the_torsion(monkeypatch):
     assert calls == [("jet", 3), ("torsion_jets", 2)]
 
 
+def test_tanaka_forms_computes_each_bracket_once_and_level_two_as_read(monkeypatch):
+    """The 15 brackets of the six torsion generators are computed once, at
+    order 1, and the frame reads their values: no order-0 bracket of two
+    generators.  Level two, the [g_i, h_ab](p), is computed one row at a
+    time as the flag and the bracket scalars read it: fewer than its 90
+    brackets at a fam9 Tanaka point, all 90 where the flag stops short."""
+    calls = []
+    real = poly.jet_brackets
+    monkeypatch.setattr(poly, "jet_brackets", lambda fields, pairs, order: (
+        calls.append((len(fields), list(pairs), order)) or real(fields, pairs, order)))
+    gen_pairs = list(itertools.combinations(range(6), 2))
+    everything = sorted((i, 6 + p) for i in range(6) for p in range(15))
+
+    def level_two():
+        pairs = [pair for _, ps, order in calls if order == 0 for pair in ps]
+        assert all(k >= 6 for _, k in pairs)  # [g_i, h_ab], never [g_a, g_b]
+        return pairs
+
+    assert tanaka_forms(family_structure(9), (0, 0, 1, 0)).omega2 == Fraction(-3, 2)
+    assert [(n, ps, order) for n, ps, order in calls if order == 1] == [(6, gen_pairs, 1)]
+    assert 0 < len(level_two()) < 90
+    calls.clear()
+    with pytest.raises(HypothesisError) as err:
+        tanaka_forms(family_structure(12), (0, 0, 1, 0))
+    assert err.value.stage == "second_derived"
+    assert [(n, ps, order) for n, ps, order in calls if order == 1] == [(6, gen_pairs, 1)]
+    assert sorted(level_two()) == everything
+
+
 @pytest.mark.parametrize("seed", FAMILY)
 def test_tanaka_frame_is_the_frame(seed):
     """tanaka_forms builds its frame from the 3-jet; it equals
@@ -453,22 +482,25 @@ def test_plane_and_derived_fiber_from_jets(j, pt):
         return
     assert linalg.span_basis(classify._values(gens)) == [list(v) for v in plane.fiber]
     want = derived_distribution(plane, pt).fiber
-    assert classify._derived_fiber(gens) == [list(v) for v in want]
+    brackets = poly.jet_brackets(gens, classify._pairs(len(gens)), 0)
+    assert classify._derived_fiber(gens, brackets) == [list(v) for v in want]
 
 
 @settings(max_examples=4, deadline=None)
 @given(structures4, points4)
 def test_second_level_from_jets(j, pt):
-    """Level one and level two at the point, bracket by bracket, against
-    the evaluated global brackets, so the second derived fiber tanaka_forms
-    spans from them is the span of the evaluated level-2 brackets."""
+    """Level one and every row of level two at the point, bracket by
+    bracket, against the evaluated global brackets, so the second derived
+    fiber tanaka_forms spans from them is the span of the evaluated
+    level-2 brackets."""
     g = _global_generators(j)
     level1 = g + [lie_bracket(g[i], g[k], 4)
                   for i in range(6) for k in range(6) if i != k]
     level1_vals = [poly.vec_eval(f, pt) for f in level1]
     top = [[poly.vec_eval(lie_bracket(gi, f, 4), pt) for f in level1]
            for gi in g]
-    got_level1, got_top = classify._second_level(
-        list(torsion_jets(j.jet(pt, 3), 2).values()))
+    gens = list(torsion_jets(j.jet(pt, 3), 2).values())
+    half = poly.jet_brackets(gens, classify._pairs(len(gens)), 1)
+    got_level1, got_top = classify._second_level(gens, half)
     assert got_level1 == level1_vals
-    assert got_top == top
+    assert [got_top(i) for i in range(6)] == top

@@ -1,6 +1,7 @@
 """Exact linear algebra and the quadratic extension field."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,24 @@ def test_a_rational_quadext_of_another_radicand_is_a_rational_operand():
         for op in ("add", "sub", "mul", "truediv", "lt"):
             with pytest.raises(ValueError, match="mixed extensions"):
                 QUADEXT_OPERAND_ENTRIES[op](left, right)
+
+
+def test_quadext_integer_form_is_canonical():
+    """One element reached through numerators that share a factor, or
+    over a denominator not in lowest terms, equals the element written
+    directly and hashes alike; a rational element hashes like its
+    Fraction; a, b and d read as Fractions in lowest terms."""
+    x, direct = QuadExt(F(1, 2), F(1, 6), 2), QuadExt(1, F(1, 3), 2)
+    for got in (x + x, x * 2, 2 * x, x / F(1, 2), (x * 6) / 3, x - (-x),
+                x * QuadExt(F(6, 4), 0, 2) + x / 2, QuadExt(F(4, 4), F(2, 6), F(8, 4))):
+        assert got == direct and hash(got) == hash(direct), got
+    y = QuadExt(F(3, 4), F(1, 5), F(1, 3))
+    for got, want in ((y + y.conjugate(), F(3, 2)), (y - QuadExt(0, F(1, 5), F(1, 3)), F(3, 4)),
+                      ((y * 10) / (y * 5), F(2)), (x + x.conjugate(), F(1))):
+        assert not got.b and got == want and hash(got) == hash(want), got
+    for v in (x + x, y * y, y * 3, x / 7):
+        for part in (v.a, v.b, v.d):
+            assert type(part) is F and math.gcd(part.numerator, part.denominator) == 1
 
 
 def test_elimination_over_quadext():

@@ -39,6 +39,16 @@ def test_mixed_num_vars_rejected():
         poly.add(poly.var(1, 2), poly.var(1, 4))
 
 
+@pytest.mark.parametrize("op", [poly.add, poly.sub, poly.mul])
+def test_ring_operations_check_every_key(op):
+    """Every key of both operands is checked, not only the first: a short
+    key further in would be zipped into a key of the wrong length."""
+    mixed = {(1, 0): Fraction(1), (1,): Fraction(2)}
+    for p, q in ((mixed, {(0, 1): Fraction(1)}), ({(0, 1): Fraction(1)}, mixed), (mixed, {})):
+        with pytest.raises(poly.PolyError, match=r"mixed variable counts: \[1, 2\]"):
+            op(p, q)
+
+
 def test_diff_power_rule():
     assert poly.diff(p("x2^2"), 2) == p("2*x2")
     assert poly.diff(poly.const(5, 4), 1) == {}
@@ -487,6 +497,17 @@ def test_jet_apply_columns_matches_the_fraction_loop(case):
     assert all(len(v) == len(cols[0]) and all(is_canonical(c, n) for c in v) for v in got)
 
 
+@pytest.mark.parametrize("apply", [
+    lambda: poly.apply_columns([], []), lambda: poly.jet_apply_columns([], [], 1),
+    lambda: poly.jet_apply_columns([], [[]], 1)],
+    ids=["apply_columns", "jet_apply_columns", "jet_apply_columns_one_field"])
+def test_an_empty_matrix_field_is_refused(apply):
+    """A matrix field with no columns has no component count to give its
+    result: it is refused by name, not with an IndexError."""
+    with pytest.raises(poly.PolyError, match="empty matrix field"):
+        apply()
+
+
 @pytest.mark.parametrize("x", [[poly.var(1, 2)], [poly.var(1, 2)] * 3],
                          ids=["short", "long"])
 @pytest.mark.parametrize("apply", [
@@ -658,6 +679,17 @@ def test_jet_kernels_refuse_inexact_coefficients(name, coeff, message):
     call = JET_KERNEL_CALLS.get(name, lambda p, order: poly.shift([p], [1, 2], order))
     with pytest.raises(poly.PolyError, match=message):
         call(p, 2)
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (0.5, "float coefficient 0.5"), ("1/2", "string coefficient '1/2'"),
+    (None, "NoneType coefficient None"), (complex(1, 0), r"complex coefficient \(1\+0j\)")])
+def test_eval_poly_refuses_inexact_coefficients(coeff, message):
+    """eval_poly reads a stored coefficient by value, as the jet kernels
+    do: a float is not evaluated to a float."""
+    with pytest.raises(poly.PolyError, match=message):
+        poly.eval_poly({(1, 0): coeff, (0, 1): Fraction(1)}, [1, 2])
+    assert poly.eval_poly({(1, 0): 1, (0, 1): Fraction(1, 2)}, [1, 2]) == 2
 
 
 # ---------------------------------------------------------------------------
