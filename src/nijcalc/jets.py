@@ -12,30 +12,34 @@ a canonical symmetric solution, and the order-2/3 obstruction tensors.
 
 Residuals are Taylor coefficients.  With U the Taylor polynomial of the
 map, R_a(h) = J_M(y + U(h)) d_a U - sum_b J_L[b][a](x + h) d_b U is
-computed once per lift step by truncated composition, every entry of J_M
-through one call of poly.jet_substitute, cut above the degree the step
-needs.  Its degree-(r - 1) part is the order-r residual and depends only
-on Phi^(1..r), so one polynomial built from Phi^(1..k-1) shows that the
-input orders vanish and, in its top part, gives -P_k.  The structures are
-shifted to the base points once per lift or tower (StructureField.jet)
-and every derivative is read off those jets.
+computed once per lift step by truncated composition, cut above the
+degree the step needs, in one integer pass (poly.jet_cauchy_riemann):
+U enters as integer numerators read off the symbols' stored rows, and R
+comes back as integer numerators over one den.  Its degree-(r - 1) part
+is the order-r residual and depends only on Phi^(1..r), so one
+composition built from Phi^(1..k-1) shows that the input orders vanish
+and, in its top part, gives -P_k.  The structures are shifted to the base
+points once per lift or tower (StructureField.jet) and every derivative
+is read off those jets.
 
 Every residual is symmetric in its trailing slots, so it is read off the
-composition only at the index tuples whose trailing slots are sorted, one
-per orbit, as integers over the lcm of their denominators.  The
-set-partition expansion of the same coefficient is kept as an independent
-route.  It is evaluated at the same representatives, as integer sums over
-a den of its own, and the two readings must agree there, cross-multiplied,
-for each P_k and each public residual; otherwise
-InternalInconsistencyError is raised.  It reads the symbols and the
-nonzero entries of d^(p-1) J as integer numerators and contracts each j_M
-term tail first: d^(p-1) j_M on the symbols at every block but the first,
-summed over the partitions of the values those blocks hold and memoized by
-that multiset, is applied to the symbol at the first block.  The counts
-times the values are summed in one integer per component.  A tower keeps
-P_k at these representative rows.  A tensor over every index tuple, each
-sharing its representative's row (PointTensor.from_rows), is built only
-for the public cr_residual and build_P_k and as the witness of a failure.
+composition only at the index tuples (a, rest) whose trailing slots are
+sorted, one per orbit: alpha! times the numerator of component i of R_a
+at h^alpha, alpha the multiplicities of rest, over the composition's den
+reduced to the least one.  The set-partition expansion of the same
+coefficient is kept as an independent route.  It is evaluated at the
+same representatives, as integer sums over a den of its own, and the two
+readings must agree there, cross-multiplied, for each P_k and each public
+residual; otherwise InternalInconsistencyError is raised.  It reads the
+symbols and the nonzero entries of d^(p-1) J as integer numerators and
+contracts each j_M term tail first: d^(p-1) j_M on the symbols at every
+block but the first, summed over the partitions of the values those
+blocks hold and memoized by that multiset, is applied to the symbol at
+the first block.  The counts times the values are summed in one integer
+per component.  A tower keeps P_k at these representative rows.  A tensor
+over every index tuple, each sharing its representative's row
+(PointTensor.from_rows), is built only for the public cr_residual and
+build_P_k and as the witness of a failure.
 
 The canonical symbol is solved in polynomial form, by the Koszul
 homotopy for dbar written in real terms.  With A = J_L(x), B = J_M(y),
@@ -86,13 +90,11 @@ from . import linalg, poly
 from .forms import VectorForm
 from .invariants import (InternalInconsistencyError, higher_nijenhuis,
                          jet_differential, nijenhuis_tensor)
-from .poly import PolyVec
 from .structures import StructureError, StructureField
 from .tensor import (PointTensor, combination, contraction_sum, dense_row, flatten, matrix_of,
                      post_compose, precompose_all, slot_compose, symmetric_rep, unit_basis)
 
 Index = Tuple[int, ...]
-Vector = List[Fraction]
 
 DEFAULT_MAX_ORDER = 4
 
@@ -280,62 +282,31 @@ def _factorial_weight(alpha: Index) -> int:
     return math.prod(math.factorial(a) for a in alpha)
 
 
-def _slot_polys(t: PointTensor, head: Index) -> PolyVec:
-    """t(e_head, h, ..., h)/(arity - len(head))! for t symmetric in the
-    slots after head: the coefficient of h^alpha is the entry at head plus
-    the sorted tuple with multiplicities alpha, over alpha!."""
-    n = t.dim_in
-    out: PolyVec = [{} for _ in range(t.dim_out)]
-    for rest in itertools.combinations_with_replacement(range(n), t.arity - len(head)):
-        alpha = tuple(rest.count(b) for b in range(n))
-        w = _factorial_weight(alpha)
-        for comp, c in zip(out, t.entries[head + rest]):
-            if c:
-                comp[alpha] = c / w
-    return out
-
-
-def _slot_entry(polys: PolyVec, rest: Index, n: int, sign: int = 1) -> Vector:
-    """The inverse of _slot_polys at one sorted tuple rest: alpha! times the
-    coefficient of h^alpha in each component, alpha the multiplicities of
-    rest, times sign."""
-    alpha = tuple(rest.count(b) for b in range(n))
-    w = sign * _factorial_weight(alpha)
-    return [w * c.get(alpha, 0) for c in polys]
-
-
-def _gradient(v: PolyVec, n: int) -> List[PolyVec]:
-    """The columns d_b v of Dv, b < n."""
-    return [[poly.diff(c, b + 1) for c in v] for b in range(n)]
-
-
-def _taylor_map(u: TruncatedMap) -> PolyVec:
-    """U(h) = u(x + h) - y: the sum of the _slot_polys of the symbols."""
-    out: PolyVec = [{} for _ in range(u.dim_out)]
-    for s in u.symbols:
-        for comp, part in zip(out, _slot_polys(s.tensor, ())):
-            comp.update(part)
-    return out
-
-
-def _cr_polynomial(u: TruncatedMap, jets: _StructureJets, top: int) -> List[PolyVec]:
+def _composition(u: TruncatedMap, jets: _StructureJets,
+                 top: int) -> Tuple[int, List[List[Dict[Index, int]]]]:
     """R_a(h) = J_M(y + U(h)) d_a U - sum_b J_L[b][a](x + h) d_b U for each
-    basis direction a, cut above degree top; U is _taylor_map(u).
+    basis direction a, cut above degree top, as integer numerators over
+    one den (poly.jet_cauchy_riemann), with U(h) = u(x + h) - y.
 
     R_a is the Taylor polynomial of (j_M o u_* - u_* o j_L)(e_a) at x, so
     its degree-(r - 1) part is the order-r residual and depends only on
     Phi^(1..r).  With top = u.order it holds every residual of u, and its
-    top part, which misses the absent Phi^(top + 1), is -P_(top + 1).
+    top part, which misses the absent Phi^(top + 1), is -P_(top + 1).  U
+    is read off the symbols' stored rows: the coefficient of h^alpha in
+    U_i is n (r!/alpha!) over d r!, n/d the order-r symbol's component i
+    at the sorted tuple of multiplicities alpha.
     """
     n = u.dim_in
-    big_u = _taylor_map(u)
-    d_u = _gradient(big_u, n)
-    # every entry of J_M's jet through one table of the monomial images of U
-    m_flat = poly.jet_substitute([p for col in jets.m_cols for p in col], big_u, n, top)
-    m_at_u = [m_flat[c * u.dim_out:(c + 1) * u.dim_out] for c in range(len(jets.m_cols))]
-    return [poly.vec_sub(m_part, l_part) for m_part, l_part in zip(
-        poly.jet_apply_columns(m_at_u, d_u, top),
-        poly.jet_apply_columns(d_u, jets.l_cols, top))]
+    den = math.lcm(*(s.tensor.den * math.factorial(s.k) for s in u.symbols))
+    big_u: List[Dict[Index, int]] = [{} for _ in range(u.dim_out)]
+    for s in u.symbols:
+        w = den // s.tensor.den
+        for rep in itertools.combinations_with_replacement(range(n), s.k):
+            alpha = tuple(rep.count(b) for b in range(n))
+            c = w // _factorial_weight(alpha)
+            for i, v in s.tensor.rows[rep]:
+                big_u[i][alpha] = c * v
+    return poly.jet_cauchy_riemann(jets.m_cols, jets.l_cols, (den, big_u), top)
 
 
 def _trailing_rep(idx: Index) -> Tuple[Index, int]:
@@ -346,7 +317,7 @@ def _trailing_rep(idx: Index) -> Tuple[Index, int]:
 def _residual_terms(u: TruncatedMap, jets: _StructureJets,
                     skip_top: bool) -> Tuple[int, Dict[Index, List[int]]]:
     """Order-k coefficient of j_M o u_* - u_* o j_L at the representatives,
-    from set partitions: the tensor route that cross-checks _cr_polynomial.
+    from set partitions: the tensor route that cross-checks _composition.
     Returned as integer sums over one den, per representative.
 
     With skip_top the terms containing the order-k symbol are dropped and
@@ -471,24 +442,28 @@ def _residual_terms(u: TruncatedMap, jets: _StructureJets,
     return den, out
 
 
-def _cross_checked(u: TruncatedMap, jets: _StructureJets, r: List[PolyVec],
+def _cross_checked(u: TruncatedMap, jets: _StructureJets,
+                   r: Tuple[int, List[List[Dict[Index, int]]]],
                    skip_top: bool) -> Tuple[int, List[List[int]]]:
     """The residual (or, with skip_top, P_k) read off the composition r at
-    the representatives (a, rest), a outer: _slot_entry of r[a] at rest,
-    negated for P_k, as integers over one den, the lcm of its values'
-    denominators.  The tensor route must agree at every representative,
-    the two integer readings compared cross-multiplied."""
+    the representatives (a, rest), a outer: alpha! times component i of
+    R_a at h^alpha, alpha the multiplicities of rest, negated for P_k, as
+    integers over r's den reduced to the least one.  The tensor route must
+    agree at every representative, the two integer readings compared
+    cross-multiplied."""
     k = u.order + 1 if skip_top else u.order
     sign = -1 if skip_top else 1
     n = u.dim_in
-    reps = list(itertools.product(range(n), itertools.combinations_with_replacement(
-        range(n), k - 1)))
-    values = [_slot_entry(r[a], rest, n, sign) for a, rest in reps]
-    den = math.lcm(*(c.denominator for v in values for c in v))
-    rows = [[c.numerator * (den // c.denominator) for c in v] for v in values]
+    den, polys = r
+    rests = list(itertools.combinations_with_replacement(range(n), k - 1))
+    alphas = [tuple(rest.count(b) for b in range(n)) for rest in rests]
+    weights = [(alpha, sign * _factorial_weight(alpha)) for alpha in alphas]
+    rows = [[w * c.get(alpha, 0) for c in r_a] for r_a in polys for alpha, w in weights]
+    g = math.gcd(den, *(c for row in rows for c in row))
+    den, rows = den // g, [[c // g for c in row] for row in rows]
     t_den, terms = _residual_terms(u, jets, skip_top)
     if any([c * t_den for c in row] != [c * den for c in terms[(a,) + rest]]
-           for row, (a, rest) in zip(rows, reps)):
+           for row, (a, rest) in zip(rows, itertools.product(range(n), rests))):
         what = f"defect tensor P_{k}" if skip_top else f"order-{k} residual"
         raise InternalInconsistencyError(
             f"the composition and tensor routes disagree on the {what}")
@@ -527,7 +502,7 @@ def cr_residual(u: TruncatedMap, j_l: StructureField,
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)
-    den, rows = _cross_checked(u, jets, _cr_polynomial(u, jets, u.order - 1), skip_top=False)
+    den, rows = _cross_checked(u, jets, _composition(u, jets, u.order - 1), skip_top=False)
     residual = _orbit_tensor(u.dim_in, u.dim_out, u.order, 1, den, rows)
     residual.entries  # the caller reads the values: built here, kept
     return residual
@@ -544,12 +519,20 @@ def _defect_rows(u: TruncatedMap, jets: _StructureJets,
     from one composition that first shows a zero residual at the orders
     first..u.order; the orders below first are already certified by the
     caller."""
-    r = _cr_polynomial(u, jets, u.order)
-    for order in range(first, u.order + 1):
-        if any(poly.low_degree_part(c, order - 1) for r_a in r for c in r_a):
+    r = _composition(u, jets, u.order)
+    _require_zero_orders(r, first, u.order)
+    return _cross_checked(u, jets, r, skip_top=True)
+
+
+def _require_zero_orders(r: Tuple[int, List[List[Dict[Index, int]]]],
+                         first: int, last: int) -> None:
+    """Refuse a map whose residual, the degree-(order - 1) part of the
+    composition r, is nonzero at one of the orders first..last."""
+    degrees = {sum(e) for r_a in r[1] for c in r_a for e in c}
+    for order in range(first, last + 1):
+        if order - 1 in degrees:
             raise StructureError(
                 f"map fails the compatibility equation at order {order}")
-    return _cross_checked(u, jets, r, skip_top=True)
 
 
 # -- defect tensor and its conditions -------------------------------------------
@@ -816,10 +799,14 @@ def lift_tower(u: TruncatedMap, j_l: StructureField, j_m: StructureField,
     blocking tensor when lifting stopped early.  The first step checks
     every input order; each later step starts from the order that the
     previous step has just lifted, whose residual zeta(Phi^(k)) - P_k
-    symmetrize has certified zero.
+    symmetrize has certified zero.  With k_max <= u.order no step runs,
+    and u is returned once every input order is checked.
     """
     _check_charts(u, j_l, j_m)
     jets = _StructureJets(u, j_l, j_m)
+    if k_max <= u.order:
+        _require_zero_orders(_composition(u, jets, u.order - 1), 1, u.order)
+        return LiftResult(u, None)
     cur, certified = u, 0
     while cur.order < k_max:
         step = _lift_step(cur, jets, certified)

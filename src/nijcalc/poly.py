@@ -13,16 +13,22 @@ Also provides vectors of polynomials (polynomial vector fields on a chart)
 and polynomial matrices applied to them (apply_columns).
 
 The jet kernels (jet_mul, jet_substitute, jet_apply_columns,
-jet_brackets, jet_torsion) cut their results above a total degree, the
-order; order math.inf means uncut, so jet_brackets is the one Lie
-bracket, jet_torsion the one torsion of a matrix field, and
+jet_brackets, jet_torsion, jet_cauchy_riemann) cut their results above a
+total degree, the order; order math.inf means uncut, so jet_brackets is
+the one Lie bracket, jet_torsion the one torsion of a matrix field, and
 jet_substitute the one composition (substitute) and the one Taylor shift
 (shift, the substitution of point + y).  They sum Python integers: each
 input's coefficients are integer numerators over the lcm of their
 denominators (_numerators), and each nonzero output coefficient is one
 Fraction of its integer sum over the product of those lcms (for
 jet_substitute, times a power of the substitutions' lcm: for shift, of
-the point's).
+the point's).  jet_cauchy_riemann, the Cauchy-Riemann composition of a
+map's Taylor polynomial with two matrix fields, is the one kernel with
+integer output: it takes the map as integer numerators over one den and
+returns exponent-keyed integer numerators over one den, for a caller
+that reads its result as integers.  It substitutes the map through the
+image table of jet_substitute (_image_table), so substitution has one
+kernel.
 
 Inside a kernel each term is keyed by one int, its exponent packed with a
 fixed bit field per variable: variable i at bit i * width.  A product of
@@ -34,13 +40,16 @@ kernel reads its input and unpacked as it builds output coefficients, so
 no other module sees them, and the loops and the key order are those of
 the exponent tuples.  The width is that of a bound on every exponent the
 call reads or forms: the order under a finite cut (order + 1 for the
-kernels reading jets known to order + 1), uncut twice the inputs' top
-total degree, or for jet_substitute the top degree of the polynomials
-times that of the substitutions.  No sum the call forms exceeds the bound,
+kernels reading jets known to order + 1, and for jet_cauchy_riemann,
+which differentiates the map), uncut twice the inputs' top total degree,
+for jet_substitute the top degree of the polynomials times that of the
+substitutions, or for jet_cauchy_riemann one more than J_M's top degree
+times the map's, plus J_L's.  No sum the call forms exceeds the bound,
 so none carries into the next field.  Every kernel checks first that its
 polynomials share one number of variables (jet_torsion: one per column;
-jet_brackets: at most one per component), refuses a negative order, and
-refuses a coefficient that is not an int or a Fraction by value.
+jet_brackets: at most one per component; jet_cauchy_riemann: one per
+column of each field), refuses a negative order, and refuses a
+coefficient that is not an int or a Fraction by value.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, lcm
 from operator import lshift
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -130,6 +139,8 @@ def _check_compatible(p: Poly, q: Poly) -> None:
 def _check_lengths(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> None:
     if not cols:
         raise PolyError("empty matrix field: no columns, so no component count")
+    if len({len(c) for c in cols}) > 1:
+        raise PolyError(f"ragged matrix field: columns of {[len(c) for c in cols]} components")
     if any(len(x) != len(cols) for x in xs):
         raise PolyError(f"fields of {[len(x) for x in xs]} components for {len(cols)} columns")
 
@@ -421,16 +432,7 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
     p_cut = inf if any(constant_term(s) for s in subs) else order
     layout = _Layout(out_num_vars, order if order < inf else max(_top(ps), 1) * _top(subs))
     sub_terms, den = _numerators(subs, layout, order)
-    images: Dict[Exponent, List[_Term]] = {(0,) * n: [(0, 1, 0)]}
-
-    def image(e: Exponent) -> List[_Term]:
-        if e not in images:
-            i = max(a for a, k in enumerate(e) if k)
-            lower = image(e[:i] + (e[i] - 1,) + e[i + 1:])
-            images[e] = [(key, c, sum(layout[key])) for key, c in
-                         _popped_products(lower, sub_terms[i], order).items()]
-        return images[e]
-
+    image = _image_table(sub_terms, layout, order)
     results: List[Poly] = []
     for (terms,), d_p in (_numerators([p], None, p_cut) for p in ps):
         top = max((size for _, _, size in terms), default=0)
@@ -446,6 +448,25 @@ def jet_substitute(ps: Sequence[Poly], subs: Sequence[Poly], out_num_vars: int,
         d = d_p * den ** top
         results.append({layout[e]: Fraction(s, d) for e, s in out.items()})
     return results
+
+
+def _image_table(sub_terms: Sequence[Sequence[_Term]], layout: _Layout,
+                 order: float) -> Callable[[Exponent], List[_Term]]:
+    """image(e): the terms of x^e with sub_terms[i] for variable i+1, cut
+    above order, over D^|e| for D the substitutions' one den.  Each image is
+    built on first use, the image of the monomial one degree lower (one
+    unit off the field of e's last variable) times one substitution, and
+    kept for the call."""
+    images: Dict[Exponent, List[_Term]] = {(0,) * len(sub_terms): [(0, 1, 0)]}
+
+    def image(e: Exponent) -> List[_Term]:
+        if e not in images:
+            i = max(a for a, k in enumerate(e) if k)
+            lower = image(e[:i] + (e[i] - 1,) + e[i + 1:])
+            images[e] = [(key, c, sum(layout[key])) for key, c in
+                         _popped_products(lower, sub_terms[i], order).items()]
+        return images[e]
+    return image
 
 
 def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
@@ -470,6 +491,69 @@ def jet_apply_columns(cols: Sequence[PolyVec], xs: Sequence[PolyVec],
         for r in range(dim)] for terms, d_x in x_terms]
 
 
+def jet_cauchy_riemann(target_cols: Sequence[PolyVec], source_cols: Sequence[PolyVec],
+                       u: Tuple[int, Sequence[Dict[Exponent, int]]],
+                       order: int) -> Tuple[int, List[List[Dict[Exponent, int]]]]:
+    """R_a = J_M(U) d_a U - sum_b J_L[b][a] d_b U for each variable a of a
+    map's Taylor polynomial U, cut above total degree order (math.inf:
+    uncut): the Cauchy-Riemann composition.  u is (D_U, U), U's
+    coefficients integer numerators over D_U.  J_M has the columns
+    target_cols, one column and one component per component of U, in as
+    many variables; J_L the columns source_cols, one column and one
+    component per variable of U.
+
+    Returns (den, R), R[a][i] the nonzero integer numerators over den of
+    component i of R_a, keyed by exponent tuples.  J_M(U) goes through
+    jet_substitute's image table over D_M D_U^t, D_M the lcm of J_M's
+    denominators and t the top degree of its terms read (those up to order
+    unless U has a constant term); d_b U is a unit off a packed field.
+    Both products, J_M(U)[i][c] d_a U_c weighted by D_L (J_L's lcm) and
+    J_L[b][a] d_b U_i by -D_M D_U^t, are summed in one integer per term,
+    over den = D_M D_L D_U^(t + 1).  Fields of the wrong shape, polynomials
+    in the wrong number of variables and a coefficient of U that is not an
+    int raise PolyError.
+    """
+    _check_order(order)
+    d_u, comps = u
+    m, n = len(comps), len(source_cols)
+    for cols, dim, what in ((target_cols, m, "component"), (source_cols, n, "variable")):
+        if len(cols) != dim or any(len(c) != dim for c in cols):
+            raise PolyError(f"columns of {[len(c) for c in cols]} components: {dim} of "
+                            f"{dim} needed, one per {what} of the map")
+    target = [p for col in target_cols for p in col]
+    source = [p for col in source_cols for p in col]
+    for polys, dim in ((target, m), ([*source, *comps], n)):
+        if _variables(polys, dim) != dim:
+            raise PolyError(f"polynomials in {_variables(polys)} variables for "
+                            f"{dim} columns")
+    layout = _Layout(n, order + 1 if order < inf else
+                     (_top(target) + 1) * _top(comps) + _top(source))
+    u_terms, one = _numerators(comps, layout, order + 1)
+    if one != 1:
+        raise PolyError("the map's coefficients must be integer numerators")
+    du = _partials(u_terms, layout, n)
+    m_cut = inf if any(e == 0 for terms in u_terms for e, _, _ in terms) else order
+    m_terms, d_m = _numerators(target, None, m_cut)
+    l_terms, d_l = _numerators(source, layout, order)
+    image = _image_table(u_terms, layout, order)
+    t = max((size for terms in m_terms for _, _, size in terms), default=0)
+    # J_M(U) entry by entry, column c's component i at c * m + i, over D_M D_U^t
+    m_at_u: List[List[_Term]] = []
+    for terms in m_terms:
+        acc: Dict[int, int] = {}
+        for e, c, size in terms:
+            c *= d_u ** (t - size)
+            for key, c2, _ in image(e):
+                acc[key] = acc.get(key, 0) + c * c2
+        m_at_u.append([(key, s, sum(layout[key])) for key, s in acc.items() if s])
+    l_weight = -d_m * d_u ** t
+    rows = [[{layout[e]: s for e, s in _products(
+        [(m_at_u[c * m + i], du[c][a], d_l) for c in range(m)]
+        + [(l_terms[a * n + b], du[i][b], l_weight) for b in range(n)], order).items() if s}
+        for i in range(m)] for a in range(n)]
+    return d_m * d_l * d_u ** (t + 1), rows
+
+
 def _jet_parts(fields: Sequence[PolyVec], order: float, layout: _Layout):
     """(low, partials) of each field, numerators over the fields' one lcm
     D, keys packed into layout: low[i] lists the terms of f^i of degree
@@ -477,19 +561,27 @@ def _jet_parts(fields: Sequence[PolyVec], order: float, layout: _Layout):
     field of variable a.  The fields are jets known to order + 1, with one
     component per chart variable at least."""
     terms, den = _numerators([c for f in fields for c in f], layout, order + 1)
-    mask = layout.mask
     parts = []
     for n, f in enumerate(fields):
         comps = terms[n * len(f):(n + 1) * len(f)]
-        low = [[t for t in comp if t[2] <= order] for comp in comps]
-        partials: List[List[List[_Term]]] = [[[] for _ in comps] for _ in comps]
-        for row, comp in zip(partials, comps):
-            for e, c, deg in comp:
-                for a, s in enumerate(layout.fields):
-                    if k := e >> s & mask:
-                        row[a].append((e - (1 << s), c * k, deg - 1))
-        parts.append((low, partials))
+        parts.append(([[t for t in comp if t[2] <= order] for comp in comps],
+                      _partials(comps, layout, len(comps))))
     return parts, den
+
+
+def _partials(comps: Sequence[Sequence[_Term]], layout: _Layout,
+              size: int) -> List[List[List[_Term]]]:
+    """partials[i][a], a < size: the terms of d_a of the polynomial with
+    terms comps[i], each key one unit off the field of variable a (empty
+    for a past the layout's variables)."""
+    mask = layout.mask
+    partials: List[List[List[_Term]]] = [[[] for _ in range(size)] for _ in comps]
+    for row, comp in zip(partials, comps):
+        for e, c, deg in comp:
+            for a, s in enumerate(layout.fields):
+                if k := e >> s & mask:
+                    row[a].append((e - (1 << s), c * k, deg - 1))
+    return partials
 
 
 def jet_brackets(fields: Sequence[PolyVec], pairs: Sequence[Tuple[int, int]],

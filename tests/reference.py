@@ -84,7 +84,13 @@ The canonical jet symbol solved by the dbar homotopy on polynomials
 (symmetrize_by_polynomials), with the constant matrices A = J_L(x) and
 B = J_M(y) written as constant polynomial columns and the solution
 certified as a polynomial identity, is the oracle of jets.symmetrize,
-which runs the same homotopy and certificate on integer rows.
+which runs the same homotopy and certificate on integer rows.  The
+Cauchy-Riemann composition of a lift step as Fraction polynomials
+(cr_polynomial_by_fractions: U from the symbols by slot_polys, its
+gradient by poly.diff, J_M(U) by poly.jet_substitute and both products by
+poly.jet_apply_columns) is the oracle of poly.jet_cauchy_riemann, which
+sums it in one integer pass; slot_entry reads a residual or P_k off it
+as the package did before.
 
 digest fingerprints exact outputs, so a test can pin what an earlier
 construction returned without keeping that construction.
@@ -1162,6 +1168,61 @@ def digest(value) -> str:
     return hashlib.sha256(repr(plain(value)).encode()).hexdigest()[:16]
 
 
+def slot_polys(t: PointTensor, head: Index) -> PolyVec:
+    """t(e_head, h, ..., h)/(arity - len(head))! for t symmetric in the
+    slots after head: the coefficient of h^alpha is the entry at head plus
+    the sorted tuple with multiplicities alpha, over alpha!."""
+    n = t.dim_in
+    out: PolyVec = [{} for _ in range(t.dim_out)]
+    for rest in itertools.combinations_with_replacement(range(n), t.arity - len(head)):
+        alpha = tuple(rest.count(b) for b in range(n))
+        w = math.prod(map(math.factorial, alpha))
+        for comp, c in zip(out, t.entries[head + rest]):
+            if c:
+                comp[alpha] = c / w
+    return out
+
+
+def slot_entry(polys: PolyVec, rest: Index, n: int, sign: int = 1) -> List[Fraction]:
+    """The inverse of slot_polys at one sorted tuple rest: alpha! times the
+    coefficient of h^alpha in each component, alpha the multiplicities of
+    rest, times sign."""
+    alpha = tuple(rest.count(b) for b in range(n))
+    w = sign * math.prod(map(math.factorial, alpha))
+    return [w * c.get(alpha, 0) for c in polys]
+
+
+def gradient(v: PolyVec, n: int) -> List[PolyVec]:
+    """The columns d_b v of Dv, b < n."""
+    return [[poly.diff(c, b + 1) for c in v] for b in range(n)]
+
+
+def taylor_map(u: jets.TruncatedMap) -> PolyVec:
+    """U(h) = u(x + h) - y: the sum of the slot_polys of the symbols."""
+    out: PolyVec = [{} for _ in range(u.dim_out)]
+    for s in u.symbols:
+        for comp, part in zip(out, slot_polys(s.tensor, ())):
+            comp.update(part)
+    return out
+
+
+def cr_polynomial_by_fractions(u: jets.TruncatedMap, m_cols: Sequence[PolyVec],
+                               l_cols: Sequence[PolyVec], top: int) -> List[PolyVec]:
+    """R_a(h) = J_M(y + U(h)) d_a U - sum_b J_L[b][a](x + h) d_b U for each
+    basis direction a, cut above degree top, U = taylor_map(u), from the
+    columns of the structures' jets at the base points, as Fraction
+    polynomials: J_M's entries through one poly.jet_substitute call, the
+    two products by poly.jet_apply_columns and their difference by
+    poly.vec_sub."""
+    n = u.dim_in
+    big_u = taylor_map(u)
+    d_u = gradient(big_u, n)
+    m_flat = poly.jet_substitute([p for col in m_cols for p in col], big_u, n, top)
+    m_at_u = [m_flat[c * u.dim_out:(c + 1) * u.dim_out] for c in range(len(m_cols))]
+    return [poly.vec_sub(m_part, l_part) for m_part, l_part in zip(
+        poly.jet_apply_columns(m_at_u, d_u, top), poly.jet_apply_columns(d_u, l_cols, top))]
+
+
 def symmetrize_by_polynomials(p_k: PointTensor, j_l_at: PointTensor,
                               j_m_at: PointTensor) -> jets.JetSymbol:
     """jets.symmetrize with Q_a, g and u as polynomial vectors: every
@@ -1174,7 +1235,7 @@ def symmetrize_by_polynomials(p_k: PointTensor, j_l_at: PointTensor,
     if not p_k.respects(jets._trailing_rep):
         jets._fail_with_witness(p_k, j_l_at, j_m_at)
     k, n = p_k.arity, p_k.dim_in
-    q = [jets._slot_polys(p_k, (a,)) for a in range(n)]
+    q = [slot_polys(p_k, (a,)) for a in range(n)]
 
     def apply(cols: Sequence[PolyVec], xs: Sequence[PolyVec]) -> List[PolyVec]:
         return poly.jet_apply_columns(cols, xs, math.inf)
@@ -1191,7 +1252,7 @@ def symmetrize_by_polynomials(p_k: PointTensor, j_l_at: PointTensor,
 
     def t_op(v: PolyVec) -> PolyVec:
         """T v = -B Dv(h)[A h]: p - q on the type-(p, q) part."""
-        return apply(minus_b, apply(jets._gradient(v, n), [a_h]))[0]
+        return apply(minus_b, apply(gradient(v, n), [a_h]))[0]
 
     [g] = apply(apply(half_b, q), [h])
     # pi in Newton form on the nodes k - 2, k - 4, .., -k
@@ -1201,8 +1262,8 @@ def symmetrize_by_polynomials(p_k: PointTensor, j_l_at: PointTensor,
                          poly.vec_scale(g, Fraction(1, 2 ** j * math.factorial(j + 1))))
 
     phi = PointTensor.from_orbits(
-        n, p_k.dim_out, k, symmetric_rep, lambda rep: jets._slot_entry(u, rep, n))
-    du = jets._gradient(jets._slot_polys(phi, ()), n)
+        n, p_k.dim_out, k, symmetric_rep, lambda rep: slot_entry(u, rep, n))
+    du = gradient(slot_polys(phi, ()), n)
     if list(map(poly.vec_sub, apply(b_cols, du), apply(du, a_cols))) != q:
         jets._fail_with_witness(p_k, j_l_at, j_m_at)
     return jets.JetSymbol(k, phi)

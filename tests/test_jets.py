@@ -53,8 +53,8 @@ from nijcalc.tensor import (
     solution_basis,
     symmetric_rep,
 )
-from reference import (differential, digest, mat_mul, structure_as_field,
-                       symmetrize_by_polynomials)
+from reference import (cr_polynomial_by_fractions, differential, digest, mat_mul,
+                       slot_entry, structure_as_field, symmetrize_by_polynomials)
 
 HALF = Fraction(1, 2)
 ZERO4 = tuple(Fraction(0) for _ in range(4))
@@ -807,7 +807,8 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
     u = TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),))
     if start == 2:
         u = lift(u, j_l, j_m).lifted
-    compositions = calls_of(monkeypatch, jets, "_cr_polynomial")
+    compositions = calls_of(monkeypatch, jets, "_composition")
+    kernel_calls = calls_of(monkeypatch, poly, "jet_cauchy_riemann")
     cross_checks = calls_of(monkeypatch, jets, "_residual_terms")
     decided = calls_of(monkeypatch, jets, "_symmetrized")
     orbit_tensors = calls_of(monkeypatch, jets, "_orbit_tensor")
@@ -821,6 +822,8 @@ def test_lift_tower_checks_each_order_once(monkeypatch, start):
     # lifted, which symmetrize has already certified
     assert [(a[0].order, a[2]) for a, _ in compositions] == \
         [(k, k) for k in range(start, 4)]
+    # each summed by one call of the integer kernel, at the same cut
+    assert [a[3] for a, _ in kernel_calls] == list(range(start, 4))
     # one representative cross-check per new order, of P_k, and one
     # decision of P_k, by symmetrize's rows core; the dense P_k and its
     # conditions are built only as the witness of a failure, so a full
@@ -855,6 +858,40 @@ def test_lift_tower_rejects_a_bad_input_order():
         assert not cr_residual(bad, j_l, j_m).is_zero()
         with pytest.raises(StructureError, match=f"order {order}"):
             lift_tower(bad, j_l, j_m, k_max=4)
+
+
+def unit_symbol_map():
+    """E_00 at the origin: it does not intertwine ex2 with J_st there."""
+    mat = [[Fraction(0)] * 4 for _ in range(4)]
+    mat[0][0] = Fraction(1)
+    return TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, PointTensor.from_matrix(mat)),))
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2])
+def test_lift_tower_checks_the_input_when_no_step_runs(k_max):
+    """With k_max at or below the map's order (0, 1) no step runs, and the
+    input is still checked: E_00 is refused at order 1 as when a step runs
+    (2), and as lift refuses it."""
+    j_l, j_m, u = example_structure("ex2"), standard_structure(2), unit_symbol_map()
+    assert not cr_residual(u, j_l, j_m).is_zero()
+    for call in (lambda: lift_tower(u, j_l, j_m, k_max=k_max), lambda: lift(u, j_l, j_m)):
+        with pytest.raises(StructureError, match="compatibility equation at order 1"):
+            call()
+
+
+def test_lift_tower_returns_a_checked_input_when_no_step_runs():
+    """A map whose orders all vanish comes back unchanged at k_max <= its
+    order; one whose top order fails is refused at that order."""
+    j_l, j_m = example_structure("ex2"), standard_structure(2)
+    good2 = lift(TruncatedMap(ZERO4, ZERO4, (JetSymbol(1, killing_symbol()),)),
+                 j_l, j_m).lifted
+    for k_max in (0, 1, 2):
+        tower = lift_tower(good2, j_l, j_m, k_max=k_max)
+        assert tower.ok and tower.lifted is good2
+    bad3 = good2.with_symbol(JetSymbol(3, rand_symmetric(4, 4, 3, random.Random(29))))
+    for k_max in (2, 3):
+        with pytest.raises(StructureError, match="compatibility equation at order 3"):
+            lift_tower(bad3, j_l, j_m, k_max=k_max)
 
 
 @pytest.mark.parametrize("corruption, message", [
@@ -1244,13 +1281,127 @@ def test_route_disagreement_raises(monkeypatch, route):
 
         monkeypatch.setattr(jets, "_residual_terms", wrong)
     else:
-        real = jets._cr_polynomial
+        real = poly.jet_cauchy_riemann
 
-        def wrong(u, sj, top):
-            out = real(u, sj, top)
-            out[3][1] = poly.add(out[3][1], poly.monomial((0, 0, 1, top - 1), 1))
-            return out
+        def wrong(target, source, big_u, top):
+            # one more unit in component 1 of R_3 at h_2 h_3^(top - 1),
+            # indices from 0: the top part at the representative (3, 2, 3, .., 3)
+            den, out = real(target, source, big_u, top)
+            e = (0, 0, 1, top - 1)
+            out[3][1][e] = out[3][1].get(e, 0) + den
+            return den, out
 
-        monkeypatch.setattr(jets, "_cr_polynomial", wrong)
+        monkeypatch.setattr(poly, "jet_cauchy_riemann", wrong)
     with pytest.raises(InternalInconsistencyError, match="disagree"):
         lift_tower(u, j_l, j_m, k_max=3)
+
+
+# -- the integer composition against the Fraction route ----------------------------
+
+def bumped_at(order):
+    """A 4D pushed pair's 5-jet with one orbit of its order-`order` symbol
+    moved: its residual vanishes below that order and fails there."""
+    def fixture():
+        j_l, j_m, u = pushed_pair(random_structure(2, seed=5, degree=1), 7, 5)
+        bump = PointTensor.from_orbits(4, 4, order, symmetric_rep, lambda idx: [
+            Fraction(int(idx == tuple(range(order)) and i == 1), 3) for i in range(4)])
+        symbols = list(u.symbols)
+        symbols[order - 1] = JetSymbol(order, u.symbol(order).tensor.add(bump))
+        return j_l, j_m, TruncatedMap(u.x, u.y, tuple(symbols))
+    return fixture
+
+
+def lifted(fixture, k_max):
+    """The map the fixture's tower reaches, full or obstructed."""
+    def lifted_fixture():
+        j_l, j_m, u = fixture()
+        return j_l, j_m, lift_tower(u, j_l, j_m, k_max=k_max).lifted
+    return lifted_fixture
+
+
+def reading(polys, n, k, sign):
+    """The residual (sign 1) or P_k (sign -1) of arity k read off the
+    Fraction composition at every index tuple, as the package read it."""
+    return PointTensor.from_function(n, len(polys[0]), k, lambda idx: slot_entry(
+        polys[idx[0]], tuple(sorted(idx[1:])), n, sign))
+
+
+@pytest.mark.parametrize("fixture, order, fails_at", [
+    (lifted(ex2_killing, 6), 6, None),
+    (lambda: pushed_pair(random_structure(2, seed=5, degree=1), 7, 6), 6, None),
+    (lambda: pushed_pair(standard_structure(3), 3, 5), 5, None),
+    (lifted(ex5_to_standard, 4), 2, None),
+    (lifted(random_pair, 4), 1, None),
+    (bumped_at(2), 5, 2),
+    (bumped_at(4), 5, 4),
+], ids=["ex2_killing", "pushed_4d", "pushed_6d", "ex5_obstructed",
+        "random_pair_obstructed", "bumped_order_2", "bumped_order_4"])
+def test_composition_equals_the_fraction_route(fixture, order, fails_at):
+    """At each truncation of the map and at both cuts a residual and a
+    lift step make, the composition's integer rows over their den equal
+    the Fraction route exactly.  The public cr_residual and build_P_k
+    equal that route's reading at every index tuple, and where a lower
+    order fails (from fails_at on), build_P_k refuses at the order the
+    Fraction route shows.  The obstructed towers stop one order below
+    their obstruction, whose P_k is the last one read."""
+    j_l, j_m, u = fixture()
+    assert u.order == order
+    n, m = u.dim_in, u.dim_out
+    structure_jets = jets._StructureJets(u, j_l, j_m)
+    for r in range(1, u.order + 1):
+        v = truncate(u, r)
+        want = {}
+        for top in (r - 1, r):
+            den, got = jets._composition(v, structure_jets, top)
+            want[top] = cr_polynomial_by_fractions(
+                v, structure_jets.m_cols, structure_jets.l_cols, top)
+            assert [[{e: Fraction(c, den) for e, c in comp.items()} for comp in r_a]
+                    for r_a in got] == want[top]
+        assert cr_residual(v, j_l, j_m) == reading(want[r - 1], n, r, 1)
+        failing = [k for k in range(1, r + 1) if any(
+            poly.low_degree_part(c, k - 1) for r_a in want[r] for c in r_a)]
+        assert failing[:1] == ([] if fails_at is None or r < fails_at else [fails_at])
+        if failing:
+            with pytest.raises(StructureError, match=f"equation at order {failing[0]}$"):
+                build_P_k(v, j_l, j_m, verify=False)
+        else:
+            assert build_P_k(v, j_l, j_m, verify=False) == reading(want[r], n, r + 1, -1)
+
+
+@pytest.mark.parametrize("fixture, order", [
+    (ex2_killing, 4), (pushed_standard_1jet, 4), (ex5_to_standard, 4)])
+def test_lift_tower_composes_in_one_integer_pass(monkeypatch, fixture, order):
+    """Each step's composition is one poly.jet_cauchy_riemann call: no
+    tower, full or obstructed, applies a column field or subtracts
+    polynomial vectors, and poly.jet_substitute runs only inside the two
+    structure shifts.  Counts, not a timer; direct calls afterwards show
+    the spies live."""
+    j_l, j_m, u = fixture()
+    applied = calls_of(monkeypatch, poly, "jet_apply_columns")
+    subtracted = calls_of(monkeypatch, poly, "vec_sub")
+    composed = calls_of(monkeypatch, poly, "jet_cauchy_riemann")
+    shifting, substituted = [], []
+    real_jet, real_substitute = StructureField.jet, poly.jet_substitute
+
+    def jet(self, *args):
+        shifting.append(self)
+        try:
+            return real_jet(self, *args)
+        finally:
+            shifting.pop()
+
+    def substitute(*args):
+        substituted.append(list(shifting))
+        return real_substitute(*args)
+
+    monkeypatch.setattr(StructureField, "jet", jet)
+    monkeypatch.setattr(poly, "jet_substitute", substitute)
+    tower = lift_tower(u, j_l, j_m, k_max=order)
+    assert applied == [] and subtracted == []
+    assert substituted == [[j_l], [j_m]]
+    assert len(composed) == tower.lifted.order - u.order + (not tower.ok)
+    x = [poly.var(1, 1)]
+    poly.jet_apply_columns([x], [x], 1)
+    poly.vec_sub(x, x)
+    poly.jet_substitute([x[0]], x, 1, 1)
+    assert len(applied) == len(subtracted) == 1 and substituted[-1] == []

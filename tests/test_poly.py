@@ -365,6 +365,80 @@ def test_jet_substitute_matches_the_fraction_loop(case):
         assert is_canonical(g, m)
 
 
+@st.composite
+def cauchy_riemann_cases(draw):
+    """A map U from n to m variables, integer numerators over a den and
+    maybe with a constant term, the matrix fields J_M (m columns of m
+    polynomials in m variables) and J_L (n of n in n), and a cut."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    u = [draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                              st.integers(-9, 9).filter(bool), max_size=4)) for _ in range(m)]
+    target = [[draw(jet_polys(m, 3)) for _ in range(m)] for _ in range(m)]
+    source = [[draw(jet_polys(n, 3)) for _ in range(n)] for _ in range(n)]
+    return target, source, (draw(st.integers(1, 12)), u), draw(jet_orders(5))
+
+
+def cauchy_riemann_by_fractions(target, source, u, order):
+    """R_a = J_M(U) d_a U - sum_b J_L[b][a] d_b U by the Fraction loops:
+    each entry of J_M substituted alone, the products column by column."""
+    den, comps = u
+    big_u = [{e: Fraction(c, den) for e, c in comp.items()} for comp in comps]
+    n = len(source)
+    d_u = [[poly.diff(c, b + 1) for c in big_u] for b in range(n)]
+    m_at_u = [[jet_substitute_by_fractions(p, big_u, n, order) for p in col] for col in target]
+    return [poly.vec_sub(jet_apply_columns_by_fractions(m_at_u, d_u[a], order),
+                         jet_apply_columns_by_fractions(d_u, source[a], order))
+            for a in range(n)]
+
+
+# the Fraction oracle composes each entry of J_M with U uncut (degree up
+# to 81), a few hundred ms on a slow draw; the integer pass takes tens of ms
+@settings(deadline=10_000)
+@given(cauchy_riemann_cases())
+# J_M = J_L = x -> -x on R^1 and U = 1 + 2h: J_M(U) U' = -2 - 4h, J_L U' = -2
+@example(([[{(1,): Fraction(-1)}]], [[{(1,): Fraction(-1)}]], (1, [{(0,): 1, (1,): 2}]), 1))
+# no term at or below the cut: zero, over the den of what was read
+@example(([[{(2,): Fraction(1, 3)}]], [[{}]], (2, [{(1,): 3}]), 0))
+def test_jet_cauchy_riemann_matches_the_fraction_loops(case):
+    """The one integer pass equals the Fraction route term for term: each
+    component an exponent-keyed dict of nonzero ints over one positive
+    den."""
+    target, source, u, order = case
+    den, got = poly.jet_cauchy_riemann(target, source, u, order)
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for r_a in got for comp in r_a for c in comp.values())
+    assert [[{e: Fraction(c, den) for e, c in comp.items()} for comp in r_a] for r_a in got] == \
+        cauchy_riemann_by_fractions(target, source, u, order)
+
+
+def test_jet_cauchy_riemann_refuses_fields_of_the_wrong_shape():
+    """Each field is checked against the map before anything is summed:
+    J_M takes one column and one component per component of U, J_L one
+    per variable, each in that many variables, and U's numerators are
+    ints."""
+    x, y, one = poly.var(1, 2), poly.var(2, 2), poly.const(1, 2)
+    u = (1, [{(1, 0): 1}, {(0, 1): 1}])
+    square = [[x, y], [y, one]]
+    for target, source, message in (
+            ([[x, y], [y]], square, r"\[2, 1\] components: 2 of 2 needed, one per component"),
+            ([[x]], square, r"\[1\] components: 2 of 2 needed, one per component"),
+            (square, [[x, y], [y, one], [x, x]],
+             r"\[2, 2, 2\] components: 3 of 3 needed, one per variable")):
+        with pytest.raises(poly.PolyError, match=message):
+            poly.jet_cauchy_riemann(target, source, u, 2)
+    x3 = poly.var(1, 3)
+    with pytest.raises(poly.PolyError, match="polynomials in 3 variables for 2 columns"):
+        poly.jet_cauchy_riemann([[x3, x3], [x3, x3]], square, u, 2)
+    with pytest.raises(poly.PolyError, match="polynomials in 3 variables for 2 columns"):
+        poly.jet_cauchy_riemann(square, [[{}, {}], [{}, {}]], (1, [{(1, 0, 0): 1}, {}]), 2)
+    with pytest.raises(poly.PolyError, match=r"mixed variable counts: \[2, 3\]"):
+        poly.jet_cauchy_riemann(square, square, (1, [{(1, 0, 0): 1}, {}]), 2)
+    with pytest.raises(poly.PolyError, match="integer numerators"):
+        poly.jet_cauchy_riemann(square, square, (1, [{(1, 0): Fraction(1, 2)}, {}]), 2)
+    # a zero map: zero, over D_M D_L D_U^(t + 1) with J_M's top degree t = 1
+    assert poly.jet_cauchy_riemann(square, square, (3, [{}, {}]), 2) == (9, [[{}, {}], [{}, {}]])
+
+
 def test_jet_substitute_checks_every_substitution_up_front():
     """A substitution in another number of variables than the result's
     raises, even where no monomial reaches it: a constant p, or monomials
@@ -506,6 +580,17 @@ def test_an_empty_matrix_field_is_refused(apply):
     result: it is refused by name, not with an IndexError."""
     with pytest.raises(poly.PolyError, match="empty matrix field"):
         apply()
+
+
+@pytest.mark.parametrize("apply", [
+    poly.apply_columns, lambda cols, x: poly.jet_apply_columns(cols, [x], 2)],
+    ids=["apply_columns", "jet_apply_columns"])
+def test_a_ragged_matrix_field_is_refused(apply):
+    """Columns of different lengths are refused by their lengths: the
+    second column's x2 is not dropped to fit the first."""
+    one, x1, x2 = poly.const(1, 2), poly.var(1, 2), poly.var(2, 2)
+    with pytest.raises(poly.PolyError, match=r"ragged matrix field: columns of \[1, 2\] components"):
+        apply([[one], [x1, x2]], [one, one])
 
 
 @pytest.mark.parametrize("x", [[poly.var(1, 2)], [poly.var(1, 2)] * 3],
@@ -657,6 +742,8 @@ JET_KERNEL_CALLS = {
     "jet_mul": lambda p, order: poly.jet_mul(p, p, order),
     "jet_substitute": lambda p, order: poly.jet_substitute([p], [poly.var(1, 2)] * 2, 2, order),
     "jet_apply_columns": lambda p, order: poly.jet_apply_columns([[p]], [[p]], order),
+    "jet_cauchy_riemann": lambda p, order: poly.jet_cauchy_riemann(
+        [[p, p], [p, p]], [[p, p], [p, p]], (1, [{(1, 0): 1}, {(0, 1): 1}]), order),
     "jet_brackets": lambda p, order: poly.jet_brackets([[p, p]], [(0, 0)], order),
     "jet_torsion": lambda p, order: poly.jet_torsion([[p, p], [p, p]], order),
 }
